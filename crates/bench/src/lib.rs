@@ -8,19 +8,9 @@ use cn_core::{Neighborhood, NeighborhoodConfig, ServerConfig};
 /// A neighborhood tuned for benchmarking: instant fabric, short discovery
 /// windows so placement overhead doesn't swamp compute measurements.
 pub fn bench_neighborhood(nodes: usize, slots: usize) -> Neighborhood {
-    bench_neighborhood_recorded(nodes, slots, cn_observe::Recorder::disabled())
-}
-
-/// [`bench_neighborhood`] with an explicit recorder, for runs that report
-/// runtime metrics alongside wall-clock numbers.
-pub fn bench_neighborhood_recorded(
-    nodes: usize,
-    slots: usize,
-    recorder: cn_observe::Recorder,
-) -> Neighborhood {
     let config = NeighborhoodConfig {
         server: ServerConfig { bid_window: Duration::from_micros(500), ..Default::default() },
-        recorder,
+        recorder: cn_observe::Recorder::disabled(),
         ..Default::default()
     };
     Neighborhood::deploy_with(NodeSpec::fleet(nodes, 64 * 1024, slots), config)
@@ -31,7 +21,7 @@ pub fn bench_client_config() -> cn_core::ClientConfig {
     cn_core::ClientConfig { bid_window: Duration::from_micros(500), ..Default::default() }
 }
 
-/// A neighborhood for the PR10 contention bench: one node per entry of
+/// A neighborhood for the E7 contention experiment: one node per entry of
 /// `speeds` (`speed_pct` values; 100 = nominal, 25 = a 4x straggler),
 /// every TaskManager capped at `exec_slots` concurrent task threads so
 /// run queues actually form, with the given placement `policy` and

@@ -8,6 +8,7 @@
 //! feature swaps the *runtime* implementation underneath, and the same
 //! scenario either survives exploration or yields a counterexample.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,7 @@ use cn_core::pump::MsgPump;
 use cn_core::tuplespace::{exact, Field, TupleSpace};
 use cn_reactor::{Mailbox, NoopWaker, TimerWheel};
 use cn_sync::thread;
-use cn_wire::peer::PeerQueue;
+use cn_wire::peer::{PeerQueue, PushOutcome};
 use cn_wire::Frame;
 
 /// One registered concurrency surface.
@@ -38,7 +39,8 @@ pub fn all() -> &'static [Scenario] {
     &[
         Scenario {
             name: "wire.peer_queue",
-            about: "socket fabric per-peer send queue / writer-thread handoff",
+            about:
+                "socket fabric per-peer send queue: empty→non-empty edge rings the draining shard",
             fail_on_timeout_escape: true,
             run: peer_queue,
         },
@@ -80,45 +82,54 @@ pub fn find(name: &str) -> Option<Scenario> {
     all().iter().copied().find(|s| s.name == name)
 }
 
-/// Two producers push frames into one [`PeerQueue`] while the writer
-/// thread drains batches, exactly as `SocketFabric`'s writer loop does.
-/// Every producer wakeup must come from `push`'s notify: the poll interval
-/// exists only to re-check `stop`, so with `fail_on_timeout_escape` a
-/// schedule that parks the writer and never notifies it is a lost wakeup
-/// (the `mutations` build skips the notify precisely when the writer is
-/// parked on an empty queue).
+/// Two senders enqueue frames on one [`PeerQueue`] the way
+/// `SocketFabric::enqueue_frame` does — `push_frame`, then ring the shard
+/// only when the push reports the empty→non-empty edge — while one shard
+/// thread sleeps on its [`Mailbox`] (the eventfd's stand-in) and, once
+/// rung, `try_take_batch`es until the queue reads empty. Every shard
+/// wakeup must come from such a ring: the poll interval only bounds the
+/// wait, so with `fail_on_timeout_escape` a schedule that leaves a frame
+/// queued and the shard parked is a lost wakeup (the `mutations` build
+/// inverts the `was_empty` report, so the push onto an empty queue is the
+/// one that does not ring).
 fn peer_queue() {
     const PRODUCERS: u64 = 2;
     const FRAMES_EACH: u64 = 2;
     let q = Arc::new(PeerQueue::new());
+    let doorbell: Arc<Mailbox<()>> = Arc::new(Mailbox::new(Box::new(NoopWaker)));
 
-    let writer = {
-        let q = Arc::clone(&q);
+    let shard = {
+        let (q, doorbell) = (Arc::clone(&q), Arc::clone(&doorbell));
         thread::Builder::new()
-            .name("writer".into())
+            .name("shard".into())
             .spawn(move || {
-                let mut out = Vec::new();
-                let mut drained = 0u64;
-                while drained < PRODUCERS * FRAMES_EACH {
-                    let n =
-                        q.drain_batch(&mut out, 8, 1 << 20, Duration::from_millis(50), || false);
-                    assert!(n > 0, "queue died under the writer");
-                    drained += n as u64;
+                let mut rings = Vec::new();
+                let mut inflight = VecDeque::new();
+                while (inflight.len() as u64) < PRODUCERS * FRAMES_EACH {
+                    let rung = doorbell.recv_batch(&mut rings, Duration::from_millis(50));
+                    assert!(rung > 0, "doorbell stopped under the shard");
+                    while q.try_take_batch(&mut inflight, 8, 1 << 20) > 0 {}
                 }
-                drained
+                inflight.len() as u64
             })
-            .expect("spawn writer")
+            .expect("spawn shard")
     };
 
     let producers: Vec<_> = (0..PRODUCERS)
         .map(|p| {
-            let q = Arc::clone(&q);
+            let (q, doorbell) = (Arc::clone(&q), Arc::clone(&doorbell));
             thread::Builder::new()
                 .name(format!("producer-{p}"))
                 .spawn(move || {
                     for i in 0..FRAMES_EACH {
                         let frame = Frame::encode(Addr(p), Addr(100 + i), &Addr(i));
-                        assert!(q.push(frame), "queue reported dead during push");
+                        match q.push_frame(frame) {
+                            PushOutcome::Queued { was_empty: true } => {
+                                assert!(doorbell.push(()), "doorbell stopped during push");
+                            }
+                            PushOutcome::Queued { was_empty: false } => {}
+                            PushOutcome::Dead => panic!("queue reported dead during push"),
+                        }
                     }
                 })
                 .expect("spawn producer")
@@ -128,7 +139,7 @@ fn peer_queue() {
     for p in producers {
         p.join().expect("producer");
     }
-    assert_eq!(writer.join().expect("writer"), PRODUCERS * FRAMES_EACH);
+    assert_eq!(shard.join().expect("shard"), PRODUCERS * FRAMES_EACH);
 }
 
 /// A group join races a multicast to the same group on the simulated

@@ -14,9 +14,12 @@ fn test_config() -> CheckConfig {
     CheckConfig { seeds: vec![1, 7, 42], schedules: 64, max_steps: 20_000 }
 }
 
-/// PeerQueue's mutated `push` skips the one notify that matters (queue
-/// was empty, writer parked): the writer only survives via its poll
-/// timeout, which the checker reports as a lost notification.
+/// PeerQueue's mutated `push_frame` inverts its `was_empty` report, so the
+/// push onto an empty queue — the one whose sender must ring the parked
+/// shard — is the one that does not: the shard only survives via its poll
+/// timeout, which the checker reports as a lost notification. (The
+/// doorbell `Mailbox` is mutated in this build too; the queue's mutation
+/// is caught with the mailbox's disabled as well.)
 #[test]
 fn mutated_peer_queue_loses_a_wakeup() {
     let scenario = cn_check::find("wire.peer_queue").expect("registered");

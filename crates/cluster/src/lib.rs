@@ -12,7 +12,7 @@
 //!   (the paper's JobManager discovery is multicast-based), a configurable
 //!   latency/jitter/loss model, and per-message metrics,
 //! * [`failure`] — failure injection: node crash and network partition,
-//! * [`metrics`] — counters the benchmarks report.
+//! * [`metrics`] — the snapshot view of the fabric's `net.*` counters.
 //!
 //! Everything stochastic (jitter, loss) is driven by a caller-provided seed,
 //! so simulations are reproducible.
@@ -23,7 +23,7 @@ pub mod network;
 pub mod node;
 
 pub use cn_observe::{Recorder, Severity};
-pub use metrics::{MetricsSnapshot, NetworkMetrics};
+pub use metrics::MetricsSnapshot;
 pub use network::{Addr, Envelope, GroupId, LatencyModel, Network, SendError, DISCOVERY_GROUP};
 pub use node::{ClusterCapacity, NodeHandle, NodeSpec, ReserveError};
 

@@ -1,75 +1,6 @@
-//! Network counters, backed by the `cn-observe` metrics registry.
-//!
-//! This module used to carry its own `AtomicU64` plumbing; the counters now
-//! live in [`cn_observe::metrics`] so `cnctl stats` and the bench harness
-//! see them alongside every other runtime metric. The original call-site
-//! API (`record_*`, [`NetworkMetrics::snapshot`], [`MetricsSnapshot`]) is
-//! unchanged, and the counters stay always-on: fabric accounting does not
-//! depend on whether span tracing is enabled.
-
-use cn_observe::{Counter, Registry};
-
-/// Shared counters, updated lock-free on the hot send/deliver paths.
-#[derive(Debug, Clone)]
-pub struct NetworkMetrics {
-    sent: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    multicasts: Counter,
-}
-
-impl Default for NetworkMetrics {
-    fn default() -> Self {
-        NetworkMetrics {
-            sent: Counter::standalone(),
-            delivered: Counter::standalone(),
-            dropped: Counter::standalone(),
-            multicasts: Counter::standalone(),
-        }
-    }
-}
-
-impl NetworkMetrics {
-    /// Counters registered in `registry` under the `net.*` names, so a
-    /// recorder-aware fabric shares them with the rest of the stack.
-    pub fn registered(registry: &Registry) -> NetworkMetrics {
-        NetworkMetrics {
-            sent: registry.counter("net.sent"),
-            delivered: registry.counter("net.delivered"),
-            dropped: registry.counter("net.dropped"),
-            multicasts: registry.counter("net.multicasts"),
-        }
-    }
-
-    #[inline]
-    pub fn record_send(&self) {
-        self.sent.inc();
-    }
-
-    #[inline]
-    pub fn record_delivery(&self) {
-        self.delivered.inc();
-    }
-
-    #[inline]
-    pub fn record_drop(&self) {
-        self.dropped.inc();
-    }
-
-    #[inline]
-    pub fn record_multicast(&self) {
-        self.multicasts.inc();
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            sent: self.sent.get(),
-            delivered: self.delivered.get(),
-            dropped: self.dropped.get(),
-            multicasts: self.multicasts.get(),
-        }
-    }
-}
+//! A point-in-time view of the fabric's `net.*` counters. The counters
+//! themselves are [`cn_observe::Counter`]s held by the network, in the
+//! recorder's registry beside every other runtime metric.
 
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,36 +37,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let m = NetworkMetrics::default();
-        m.record_send();
-        m.record_send();
-        m.record_delivery();
-        m.record_drop();
-        m.record_multicast();
-        let s = m.snapshot();
-        assert_eq!(s.sent, 2);
-        assert_eq!(s.delivered, 1);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(s.multicasts, 1);
-    }
-
-    #[test]
-    fn registered_counters_surface_in_the_registry() {
-        let registry = Registry::new();
-        let m = NetworkMetrics::registered(&registry);
-        m.record_send();
-        m.record_drop();
-        let snap = registry.snapshot();
-        let get = |name: &str| snap.counters.iter().find(|(n, _)| n == name).unwrap().1;
-        assert_eq!(get("net.sent"), 1);
-        assert_eq!(get("net.dropped"), 1);
-        assert_eq!(get("net.delivered"), 0);
-        // The NetworkMetrics view and the registry view are the same cells.
-        assert_eq!(m.snapshot().sent, 1);
-    }
-
-    #[test]
     fn loss_rate() {
         let s = MetricsSnapshot { sent: 10, delivered: 7, dropped: 3, multicasts: 0 };
         assert!((s.loss_rate() - 0.3).abs() < 1e-9);
@@ -148,24 +49,5 @@ mod tests {
         let b = MetricsSnapshot { sent: 9, delivered: 7, dropped: 2, multicasts: 2 };
         let d = b.delta_since(&a);
         assert_eq!(d, MetricsSnapshot { sent: 4, delivered: 3, dropped: 1, multicasts: 0 });
-    }
-
-    #[test]
-    fn concurrent_updates() {
-        let m = std::sync::Arc::new(NetworkMetrics::default());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        m.record_send();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.snapshot().sent, 4000);
     }
 }

@@ -17,13 +17,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cn_observe::{Recorder, Severity};
+use cn_observe::{Counter, Recorder, Severity};
 use cn_sync::channel::{unbounded_named, Receiver, Sender};
 use cn_sync::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::NetworkMetrics;
+use crate::metrics::MetricsSnapshot;
 
 /// An endpoint address on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -161,7 +161,12 @@ struct Shared<M> {
     next_seq: AtomicU64,
     model: LatencyModel,
     rng: Mutex<StdRng>,
-    metrics: NetworkMetrics,
+    /// `net.*` counters in the recorder's registry; always on, whether or
+    /// not span tracing is.
+    sent: Counter,
+    delivered: Counter,
+    dropped: Counter,
+    multicasts: Counter,
     recorder: Recorder,
 }
 
@@ -199,7 +204,10 @@ impl<M: Send + Clone + 'static> Network<M> {
             next_seq: AtomicU64::new(0),
             model,
             rng: Mutex::named("net.rng", StdRng::seed_from_u64(seed)),
-            metrics: NetworkMetrics::registered(recorder.metrics()),
+            sent: recorder.metrics().counter("net.sent"),
+            delivered: recorder.metrics().counter("net.delivered"),
+            dropped: recorder.metrics().counter("net.dropped"),
+            multicasts: recorder.metrics().counter("net.multicasts"),
             recorder,
         });
         if !model.is_instant() {
@@ -267,7 +275,7 @@ impl<M: Send + Clone + 'static> Network<M> {
 
     /// Unicast send.
     pub fn send(&self, from: Addr, to: Addr, msg: M) -> Result<(), SendError> {
-        self.shared.metrics.record_send();
+        self.shared.sent.inc();
         if self.dropped_by_fault(from, to) {
             return Ok(()); // silently lost, like the wire
         }
@@ -290,15 +298,15 @@ impl<M: Send + Clone + 'static> Network<M> {
             .unwrap_or_default();
         members.sort_unstable();
         members.retain(|&to| to != from);
-        self.shared.metrics.record_multicast();
+        self.shared.multicasts.inc();
         let count = members.len();
         for to in members {
-            self.shared.metrics.record_send();
+            self.shared.sent.inc();
             if let Some(tx) = endpoints.get(&to) {
                 if tx.send(Envelope { from, to, msg: msg.clone() }).is_ok() {
-                    self.shared.metrics.record_delivery();
+                    self.shared.delivered.inc();
                 } else {
-                    self.shared.metrics.record_drop();
+                    self.shared.dropped.inc();
                 }
             }
         }
@@ -311,13 +319,13 @@ impl<M: Send + Clone + 'static> Network<M> {
     pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
         let mut members = self.group_members(group);
         members.retain(|&to| to != from);
-        self.shared.metrics.record_multicast();
+        self.shared.multicasts.inc();
         let count = members.len();
         // The last recipient takes the message by move: k members cost
         // k-1 clones, and the common single-member case costs none.
         let mut msg = Some(msg);
         for (i, to) in members.iter().copied().enumerate() {
-            self.shared.metrics.record_send();
+            self.shared.sent.inc();
             if self.dropped_by_fault(from, to) {
                 continue;
             }
@@ -337,7 +345,7 @@ impl<M: Send + Clone + 'static> Network<M> {
         {
             let parts = self.shared.partitioned.lock();
             if parts.contains(&from) || parts.contains(&to) {
-                self.shared.metrics.record_drop();
+                self.shared.dropped.inc();
                 rec.event_with(Severity::Warn, "net", None, || {
                     format!("partition dropped {from} -> {to}")
                 });
@@ -352,7 +360,7 @@ impl<M: Send + Clone + 'static> Network<M> {
                     if *n == 0 {
                         drops.remove(&to);
                     }
-                    self.shared.metrics.record_drop();
+                    self.shared.dropped.inc();
                     rec.event_with(Severity::Warn, "net", None, || {
                         format!("injected drop of {from} -> {to}")
                     });
@@ -363,7 +371,7 @@ impl<M: Send + Clone + 'static> Network<M> {
         if self.shared.model.drop_rate > 0.0 {
             let roll: f64 = self.shared.rng.lock().gen();
             if roll < self.shared.model.drop_rate {
-                self.shared.metrics.record_drop();
+                self.shared.dropped.inc();
                 rec.event_with(Severity::Info, "net", None, || {
                     format!("lossy wire dropped {from} -> {to}")
                 });
@@ -396,14 +404,14 @@ impl<M: Send + Clone + 'static> Network<M> {
             Some(tx) => {
                 let to = env.to;
                 if tx.send(env).is_err() {
-                    self.shared.metrics.record_drop();
+                    self.shared.dropped.inc();
                     return Err(SendError::Closed(to));
                 }
-                self.shared.metrics.record_delivery();
+                self.shared.delivered.inc();
                 Ok(())
             }
             None => {
-                self.shared.metrics.record_drop();
+                self.shared.dropped.inc();
                 Err(SendError::UnknownAddr(env.to))
             }
         }
@@ -443,8 +451,13 @@ impl<M: Send + Clone + 'static> Network<M> {
     }
 
     /// Metrics snapshot.
-    pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
-        self.shared.metrics.snapshot()
+    pub fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            sent: self.shared.sent.get(),
+            delivered: self.shared.delivered.get(),
+            dropped: self.shared.dropped.get(),
+            multicasts: self.shared.multicasts.get(),
+        }
     }
 
     /// The observability handle this fabric records into.
@@ -516,12 +529,12 @@ fn fabric_loop<M: Send + Clone + 'static>(weak: std::sync::Weak<Shared<M>>) {
                 for env in due_now {
                     if let Some(tx) = endpoints.get(&env.to) {
                         if tx.send(env).is_ok() {
-                            shared.metrics.record_delivery();
+                            shared.delivered.inc();
                         } else {
-                            shared.metrics.record_drop();
+                            shared.dropped.inc();
                         }
                     } else {
-                        shared.metrics.record_drop();
+                        shared.dropped.inc();
                     }
                 }
             }

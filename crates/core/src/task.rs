@@ -213,12 +213,15 @@ impl TaskContext {
         }
     }
 
-    /// Batched queue drain: block until at least one decodable message is
-    /// stashed, then absorb every envelope already sitting in the channel —
-    /// a coalesced flush of N frames costs one condvar wakeup, not N.
+    /// Batched queue drain: block until at least one *new* decodable
+    /// message is stashed (a selective receive calls this with a stash that
+    /// already holds other tags), then absorb every envelope already sitting
+    /// in the channel — a coalesced flush of N frames costs one condvar
+    /// wakeup, not N.
     fn fill_stash(&mut self, timeout: Duration) -> Result<(), RecvError> {
         let deadline = std::time::Instant::now() + timeout;
-        while self.stash.is_empty() {
+        let had = self.stash.len();
+        while self.stash.len() == had {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             if remaining.is_zero() {
                 return Err(RecvError::Timeout);
@@ -409,6 +412,38 @@ mod tests {
             CnMessage::User { tag, .. } => assert_eq!(tag, "other"),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// utime + stime of the calling thread, in clock ticks (10 ms each).
+    fn thread_cpu_ticks() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        // Fields after the parenthesised command name start at field 3.
+        let mut fields = stat[stat.rfind(')').unwrap() + 2..].split(' ').skip(11);
+        let mut tick = || fields.next().unwrap().parse::<u64>().unwrap();
+        tick() + tick()
+    }
+
+    #[test]
+    fn recv_tagged_blocks_while_the_stash_holds_other_tags() {
+        let net = Network::new(LatencyModel::zero(), 1);
+        let (a, mut b) = make_ctx(&net);
+        a.send("b", "row-1", UserData::Empty).unwrap();
+        let before = thread_cpu_ticks();
+        assert_eq!(b.recv_tagged("row-0", Duration::from_millis(150)), Err(RecvError::Timeout));
+        let spent = thread_cpu_ticks() - before;
+        assert!(spent <= 2, "waiting 150 ms for row-0 burned {spent} ticks of CPU: it spins");
+
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            a.send("b", "row-0", UserData::Text("late".into())).unwrap();
+        });
+        let (_, data) = b.recv_tagged("row-0", Duration::from_secs(5)).unwrap();
+        assert_eq!(data, UserData::Text("late".into()));
+        sender.join().unwrap();
+        assert!(matches!(
+            b.recv_timeout(Duration::from_secs(1)).unwrap(),
+            CnMessage::User { tag, .. } if tag == "row-1"
+        ));
     }
 
     #[test]

@@ -603,11 +603,50 @@ mod tests {
     use cn_cluster::Envelope;
     use cn_wire::codec::{decode_payload, encode_payload};
 
-    fn round_trip(msg: NetMsg) {
+    /// Round-trips `msg` in an envelope and returns the payload bytes.
+    fn round_trip(msg: NetMsg) -> Vec<u8> {
         let env = Envelope { from: Addr(11), to: Addr(22), msg };
         let bytes = encode_payload(&env);
         let back: Envelope<NetMsg> = decode_payload(&bytes).expect("round trip");
         assert_eq!(back, env);
+        bytes
+    }
+
+    /// Exhaustive on purpose: a new `NetMsg` variant does not compile until
+    /// it is named here, and `every_variant_round_trips` then fails until
+    /// its sample list has a row for it.
+    fn variant_name(msg: &NetMsg) -> &'static str {
+        match msg {
+            NetMsg::SolicitJobManager { .. } => "SolicitJobManager",
+            NetMsg::JobManagerBid { .. } => "JobManagerBid",
+            NetMsg::CreateJob { .. } => "CreateJob",
+            NetMsg::JobAck { .. } => "JobAck",
+            NetMsg::CreateTask { .. } => "CreateTask",
+            NetMsg::TaskAck { .. } => "TaskAck",
+            NetMsg::StartJob { .. } => "StartJob",
+            NetMsg::CancelJob { .. } => "CancelJob",
+            NetMsg::SolicitTaskManager { .. } => "SolicitTaskManager",
+            NetMsg::TaskManagerBid { .. } => "TaskManagerBid",
+            NetMsg::UploadArchive { .. } => "UploadArchive",
+            NetMsg::AssignTask { .. } => "AssignTask",
+            NetMsg::AssignAck { .. } => "AssignAck",
+            NetMsg::StartTask { .. } => "StartTask",
+            NetMsg::CancelTask { .. } => "CancelTask",
+            NetMsg::TaskExited { .. } => "TaskExited",
+            NetMsg::TaskStarted { .. } => "TaskStarted",
+            NetMsg::TaskCompleted { .. } => "TaskCompleted",
+            NetMsg::TaskFailed { .. } => "TaskFailed",
+            NetMsg::JobCompleted { .. } => "JobCompleted",
+            NetMsg::JobFailed { .. } => "JobFailed",
+            NetMsg::User { .. } => "User",
+            NetMsg::SeedTuple { .. } => "SeedTuple",
+            NetMsg::Shutdown => "Shutdown",
+            NetMsg::LoadReport { .. } => "LoadReport",
+            NetMsg::StealRequest { .. } => "StealRequest",
+            NetMsg::StealGrant { .. } => "StealGrant",
+            NetMsg::StealReturn { .. } => "StealReturn",
+            NetMsg::TaskMigrated { .. } => "TaskMigrated",
+        }
     }
 
     fn sample_spec() -> TaskSpec {
@@ -618,6 +657,9 @@ mod tests {
         spec
     }
 
+    /// One sample per variant round-trips, and its payload bytes are the
+    /// ones checked in as `tests/golden/netmsg_frames.hex` — today's wire
+    /// format, pinned (`REGENERATE_GOLDEN=1` rewrites the file).
     #[test]
     fn every_variant_round_trips() {
         let bid = Bid {
@@ -731,9 +773,38 @@ mod tests {
                 task_addr: Addr(88),
             },
         ];
+        let mut frames = String::new();
+        let mut names = std::collections::BTreeSet::new();
         for msg in msgs {
-            round_trip(msg);
+            let name = variant_name(&msg);
+            assert!(names.insert(name), "two samples of {name}");
+            let hex: String = round_trip(msg).iter().map(|b| format!("{b:02x}")).collect();
+            frames.push_str(&format!("{name} {hex}\n"));
         }
+        // Every tag the decoder knows has a sample (an unknown tag is the
+        // only `BadTag`; a known one wants its fields, or is `Shutdown`).
+        let known_tags = (0..=u8::MAX)
+            .filter(|&t| {
+                !matches!(NetMsg::decode(&mut Reader::new(&[t])), Err(e) if e.kind == WireErrorKind::BadTag)
+            })
+            .count();
+        assert_eq!(names.len(), known_tags, "a NetMsg variant has no sample row");
+
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/netmsg_frames.hex");
+        if std::env::var_os("REGENERATE_GOLDEN").is_some() {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, &frames).unwrap();
+        }
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden {} ({e}); rerun with REGENERATE_GOLDEN=1", path.display())
+        });
+        assert_eq!(
+            frames,
+            golden,
+            "wire bytes drifted from {}; rerun with REGENERATE_GOLDEN=1 if intended",
+            path.display()
+        );
     }
 
     #[test]

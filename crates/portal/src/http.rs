@@ -635,7 +635,7 @@ mod tests {
     fn oversized_head_is_431() {
         let mut p = RequestParser::with_limits(64, 1024);
         p.feed(b"GET / HTTP/1.1\r\n");
-        p.feed(&vec![b'a'; 128]);
+        p.feed(&[b'a'; 128]);
         assert_eq!(p.next_request().unwrap_err().status, 431);
     }
 

@@ -167,8 +167,9 @@ impl JobBoard {
     }
 }
 
-/// Minimal JSON string escaping (mirrors `cnctl`'s).
-pub(crate) fn json_string(s: &str) -> String {
+/// Minimal JSON string escaping, for the identifiers and error texts the
+/// portal's status bodies and `cnctl check --format json` embed.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

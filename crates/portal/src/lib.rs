@@ -35,7 +35,7 @@ pub mod server;
 pub use admission::{Admission, SubmitError};
 pub use http::{ChunkedDecoder, HttpError, Request, RequestParser, Response};
 pub use jobs::{
-    compile_submission, looks_like_xmi, seed_transitive_closure, CompiledJob, JobBoard, JobId,
-    JobRunner, JobState, JobWork, RunOutcome, SimRunner, StubRunner, WireRunner,
+    compile_submission, json_string, looks_like_xmi, seed_transitive_closure, CompiledJob,
+    JobBoard, JobId, JobRunner, JobState, JobWork, RunOutcome, SimRunner, StubRunner, WireRunner,
 };
 pub use server::{render_metrics, PortalConfig, PortalServer};

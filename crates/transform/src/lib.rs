@@ -13,8 +13,7 @@
 //! 6. The client computation is executed by the CN server.
 //!
 //! [`pipeline`] wires all six steps end-to-end against the simulated
-//! cluster; [`portal`] is the paper's web-portal prototype: XMI in, results
-//! out.
+//! cluster.
 
 pub mod batch;
 pub mod cnx2java;
@@ -22,14 +21,12 @@ pub mod cnx2model;
 pub use figures::{figure2_model, figure2_settings};
 pub mod figures;
 pub mod pipeline;
-pub mod portal;
 pub mod roundtrip;
 pub mod xmi2cnx;
 
 pub use batch::BatchTransformer;
 pub use cnx2model::cnx_to_models;
 pub use pipeline::{Pipeline, PipelineOptions, PipelineRun, StageTiming};
-pub use portal::{Portal, PortalArtifacts, PortalResponse};
 pub use roundtrip::{cnx_roundtrip_drift, model_roundtrip_drift, Drift};
 pub use xmi2cnx::{model_to_cnx, xmi_to_cnx_native, xmi_to_cnx_xslt, XMI2CNX_XSLT};
 

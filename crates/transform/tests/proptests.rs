@@ -35,7 +35,7 @@ fn build_inputs(script: &[u8]) -> Vec<String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn batch_equals_sequential_transforms_in_order(

@@ -1,30 +1,28 @@
-//! Per-peer send queue feeding a dedicated writer thread.
+//! Per-peer send queue drained by the connection's reactor shard.
 //!
-//! Extracted from the socket fabric so the queue/writer handoff — the
-//! fabric's one real producer/consumer surface — can also be driven by
-//! `cn-check` under the model checker, with no sockets involved. The
-//! single writer preserves per-peer order; batching emerges from
-//! backpressure: frames that arrive while a flush is in flight ride the
-//! next one.
+//! Extracted from the socket fabric so the producer/consumer handoff — any
+//! sender thread enqueues, the shard that owns the connection drains on its
+//! event loop — can also be driven by `cn-check` under the model checker,
+//! with no sockets involved. One consumer preserves per-peer order;
+//! batching emerges from backpressure: frames that arrive while a flush is
+//! in flight ride the next one.
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
-use cn_sync::{Condvar, Mutex};
+use cn_sync::Mutex;
 
 use crate::codec::Frame;
 
 /// Send side of one peer connection: callers enqueue shared [`Frame`]s,
-/// the connection's writer thread drains and coalesces them.
+/// the connection's shard drains and coalesces them.
 pub struct PeerQueue {
     state: Mutex<QueueState>,
-    cv: Condvar,
 }
 
 #[derive(Default)]
 struct QueueState {
     frames: VecDeque<Frame>,
-    /// Set by the writer thread when its stream died: later enqueues fail
+    /// Set by the shard when the stream died: later enqueues fail
     /// so the sender reconnects and surfaces a typed error.
     dead: bool,
 }
@@ -48,15 +46,7 @@ pub enum PushOutcome {
 
 impl PeerQueue {
     pub fn new() -> PeerQueue {
-        PeerQueue {
-            state: Mutex::named("wire.peer_queue", QueueState::default()),
-            cv: Condvar::named("wire.peer_cv"),
-        }
-    }
-
-    /// Enqueue a frame; false if the writer already observed a dead stream.
-    pub fn push(&self, frame: Frame) -> bool {
-        matches!(self.push_frame(frame), PushOutcome::Queued { .. })
+        PeerQueue { state: Mutex::named("wire.peer_queue", QueueState::default()) }
     }
 
     /// Enqueue a frame, reporting the empty→non-empty edge so reactor
@@ -66,17 +56,14 @@ impl PeerQueue {
         if st.dead {
             return PushOutcome::Dead;
         }
-        let was_empty = st.frames.is_empty();
-        st.frames.push_back(frame);
         #[cfg(not(feature = "mutations"))]
-        self.cv.notify_one();
-        // Injected ordering bug for cn-check: "skip redundant wakeups" with
-        // the condition inverted — the one wakeup that matters (queue was
-        // empty, so the writer is parked) is exactly the one skipped.
+        let was_empty = st.frames.is_empty();
+        // Injected ordering bug for cn-check: the edge report inverted, so
+        // the one push that must ring the consumer (queue was empty, the
+        // shard may be asleep) is exactly the one that says it need not.
         #[cfg(feature = "mutations")]
-        if st.frames.len() > 1 {
-            self.cv.notify_one();
-        }
+        let was_empty = !st.frames.is_empty();
+        st.frames.push_back(frame);
         PushOutcome::Queued { was_empty }
     }
 
@@ -104,52 +91,8 @@ impl PeerQueue {
         n
     }
 
-    /// Mark the queue dead and wake the writer so it can exit.
+    /// Mark the queue dead: every later push reports [`PushOutcome::Dead`].
     pub fn kill(&self) {
         self.state.lock().dead = true;
-        self.cv.notify_all();
-    }
-
-    /// Whether the writer declared the stream dead.
-    pub fn is_dead(&self) -> bool {
-        self.state.lock().dead
-    }
-
-    /// Writer side: block until frames are available (or the queue dies),
-    /// then move up to `max_frames` / `max_bytes` of encoded frame bytes
-    /// into `out`. Returns the number of frames drained; 0 means the queue
-    /// is dead or `stop` returned true, and the writer should exit.
-    ///
-    /// `poll` bounds each wait so the writer re-checks `stop` even if no
-    /// enqueue ever wakes it.
-    pub fn drain_batch(
-        &self,
-        out: &mut Vec<u8>,
-        max_frames: usize,
-        max_bytes: usize,
-        poll: Duration,
-        stop: impl Fn() -> bool,
-    ) -> usize {
-        let mut st = self.state.lock();
-        loop {
-            if st.dead || stop() {
-                return 0;
-            }
-            if !st.frames.is_empty() {
-                break;
-            }
-            self.cv.wait_for(&mut st, poll);
-        }
-        out.clear();
-        let mut n = 0;
-        while let Some(f) = st.frames.front() {
-            if n >= max_frames || (n > 0 && out.len() + f.len() > max_bytes) {
-                break;
-            }
-            out.extend_from_slice(f.bytes());
-            st.frames.pop_front();
-            n += 1;
-        }
-        n
     }
 }

@@ -15,10 +15,10 @@
 //! [`FrameDecoder`], sends enqueue [`Frame`]s on the connection's
 //! [`PeerQueue`] and ring the shard's eventfd only on the empty→non-empty
 //! edge, and the shard flushes whatever accumulated with one vectored
-//! `writev` — batching emerges from backpressure exactly as it did with
-//! writer threads, and the shard's single-threaded drain preserves
-//! per-peer order. Connect timeouts, bounded exponential backoff, and
-//! mid-frame read deadlines all ride the shard's timer wheel.
+//! `writev` — batching emerges from backpressure, and the shard's
+//! single-threaded drain preserves per-peer order. Connect timeouts,
+//! bounded exponential backoff, and mid-frame read deadlines all ride the
+//! shard's timer wheel.
 //!
 //! Faults are first-class: every drop, timeout and reconnect lands in the
 //! flight recorder with a `wire.*` counter.
@@ -112,6 +112,10 @@ const MAX_BACKOFF: Duration = Duration::from_secs(1);
 /// firehose connection cannot starve its shard-mates (level-triggered
 /// epoll re-reports unread data immediately).
 const MAX_READS_PER_WAKE: usize = 16;
+
+/// Draws an ephemeral listener port gets before `AddrInUse` on its UDP twin
+/// is reported (see [`bind_port_pair`]).
+const EPHEMERAL_BIND_ATTEMPTS: usize = 8;
 
 /// Timer tags for the peer connection state machine.
 const TAG_CONNECT: u64 = 1;
@@ -243,10 +247,8 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
     /// Bind the TCP listener and discovery sockets and start the reactor
     /// shards that drive them.
     pub fn new(cfg: WireConfig, rec: Recorder) -> std::io::Result<SocketFabric<M>> {
-        let listener = TcpListener::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, cfg.port))?;
-        let port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
-        let (udp_recv, udp_send) = match &cfg.discovery {
+        let bind_listener = || TcpListener::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, cfg.port));
+        let (listener, udp_recv, udp_send) = match &cfg.discovery {
             Discovery::Multicast { group, port: mc_port } => {
                 let recv = bind_reuse(*mc_port).or_else(|_| {
                     UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, *mc_port))
@@ -256,16 +258,20 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
                 // Loop our own datagrams back so other processes on this
                 // host (the whole localhost-cluster use case) hear us.
                 send.set_multicast_loop_v4(true)?;
-                (recv, send)
+                (bind_listener()?, recv, send)
             }
             // Loopback mode: the discovery socket shares the TCP port
             // number (different protocol, so no clash) — peers only need
-            // to know one port per process.
-            Discovery::Loopback { .. } => (
-                UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))?,
-                UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?,
-            ),
+            // to know one port per process. A port the caller fixed gets
+            // one try and fails loudly.
+            Discovery::Loopback { .. } => {
+                let attempts = if cfg.port == 0 { EPHEMERAL_BIND_ATTEMPTS } else { 1 };
+                let (listener, recv) = bind_port_pair(attempts, bind_listener)?;
+                (listener, recv, UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?)
+            }
         };
+        let port = listener.local_addr()?.port();
+        listener.set_nonblocking(true)?;
         udp_recv.set_nonblocking(true)?;
         let shards =
             if cfg.reactor_shards == 0 { cn_reactor::default_shards() } else { cfg.reactor_shards };
@@ -1132,6 +1138,33 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for UdpHandler<M> {
     }
 }
 
+/// Loopback discovery's socket pair: the TCP listener `next_listener`
+/// yields and a UDP socket on the same port number. UDP ports are a
+/// namespace of their own, so another fabric's ephemeral send socket may
+/// already sit on the number the listener drew; the pair is then drawn
+/// again, up to `attempts` times in all, before `AddrInUse` is returned.
+fn bind_port_pair(
+    attempts: usize,
+    mut next_listener: impl FnMut() -> std::io::Result<TcpListener>,
+) -> std::io::Result<(TcpListener, UdpSocket)> {
+    // Rejected listeners stay bound until the end, so a redraw cannot be
+    // handed the same number.
+    let mut rejected = Vec::new();
+    loop {
+        let listener = next_listener()?;
+        let port = listener.local_addr()?.port();
+        match UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port)) {
+            Ok(udp) => return Ok((listener, udp)),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::AddrInUse && rejected.len() + 1 < attempts =>
+            {
+                rejected.push(listener)
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Create a UDP socket bound to `0.0.0.0:port` with `SO_REUSEADDR`, so
 /// several processes on one host can share the discovery port. `std::net`
 /// cannot set socket options before bind, so this goes through the libc
@@ -1206,6 +1239,35 @@ mod tests {
         fn decode(r: &mut crate::codec::Reader<'_>) -> Result<Self, crate::codec::WireError> {
             r.get_u64()
         }
+    }
+
+    #[test]
+    fn port_pair_is_redrawn_when_the_udp_twin_is_taken() {
+        let localhost = |port| SocketAddrV4::new(Ipv4Addr::LOCALHOST, port);
+        // A listener whose port number is already held by someone's UDP
+        // socket, as an ephemeral draw can be.
+        let squatted = || {
+            let listener = TcpListener::bind(localhost(0)).unwrap();
+            let port = listener.local_addr().unwrap().port();
+            (listener, port, UdpSocket::bind(localhost(port)).unwrap())
+        };
+
+        // One attempt (a fixed `--port`): the collision is the answer.
+        let (listener, _, _squatter) = squatted();
+        let mut first = Some(listener);
+        let err = bind_port_pair(1, || Ok(first.take().expect("one draw"))).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
+
+        // An ephemeral port: the pair is drawn again.
+        let (listener, taken, _squatter) = squatted();
+        let mut first = Some(listener);
+        let (listener, udp) = bind_port_pair(EPHEMERAL_BIND_ATTEMPTS, || {
+            first.take().map_or_else(|| TcpListener::bind(localhost(0)), Ok)
+        })
+        .unwrap();
+        let port = listener.local_addr().unwrap().port();
+        assert_ne!(port, taken);
+        assert_eq!(udp.local_addr().unwrap().port(), port);
     }
 
     fn loopback_pair() -> (SocketFabric<u64>, SocketFabric<u64>) {
@@ -1403,7 +1465,7 @@ mod tests {
         assert_eq!(rec.counter("wire.batch.frames").get(), 500);
         assert_eq!(rec.counter("wire.frames_sent").get(), 500);
         let flushes = rec.counter("wire.batch.flushes").get();
-        assert!(flushes >= 1 && flushes <= 500, "{flushes}");
+        assert!((1..=500).contains(&flushes), "{flushes}");
         assert!(rec.counter("wire.batch.bytes").get() > 0);
     }
 

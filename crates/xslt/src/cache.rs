@@ -53,7 +53,7 @@ mod tests {
     #[test]
     fn identical_sources_share_one_compilation() {
         let a = compile_cached(SRC).unwrap();
-        let b = compile_cached(&SRC.to_string()).unwrap();
+        let b = compile_cached(&String::from(SRC)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 

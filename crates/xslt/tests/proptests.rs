@@ -96,7 +96,7 @@ fn run(style: &Stylesheet, doc: &cn_xml::Document, indexed: bool) -> (String, Ve
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Indexed dispatch is byte-identical to the linear template scan on
     /// arbitrary documents.

@@ -46,6 +46,7 @@ use computational_neighborhood::cluster::ClusterCapacity;
 use computational_neighborhood::cnx;
 use computational_neighborhood::codegen;
 use computational_neighborhood::model;
+use computational_neighborhood::portal::{json_string, looks_like_xmi, seed_transitive_closure};
 use computational_neighborhood::transform::{self, xmi2cnx::ClientSettings};
 
 fn main() {
@@ -546,41 +547,6 @@ fn write_trace_artifacts(dir: &str, reports: &[check::RunReport]) -> Result<(), 
     Ok(())
 }
 
-/// Minimal JSON string escaping for the handful of identifiers `check
-/// --format json` embeds (scenario names, schedule strings).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Sniff the input: XMI documents have an `<XMI>` root; anything else is
-/// treated as CNX (including unparseable text, which CNX linting reports
-/// as CN000).
-fn looks_like_xmi(text: &str) -> bool {
-    computational_neighborhood::xml::parse(text)
-        .ok()
-        .and_then(|doc| {
-            let root = doc.root_element()?;
-            Some(doc.name(root)?.local() == "XMI")
-        })
-        .unwrap_or(false)
-}
-
 /// `transform`: XMI text → CNX text via the XSLT path.
 fn transform_xmi(text: &str, args: &[&str]) -> Result<String, String> {
     let settings = ClientSettings {
@@ -635,36 +601,40 @@ fn render(text: &str, format: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// The digraph seed `demo`, `trace`/`stats` and `submit` hand to
+/// [`seed_transitive_closure`] (and `portal --seed` defaults to), so their
+/// journals are comparable.
+const EXAMPLE_DIGRAPH_SEED: u64 = 1;
+
+/// The matrix [`seed_transitive_closure`] deposits for that seed, to check
+/// results against.
+fn example_input() -> computational_neighborhood::tasks::Matrix {
+    computational_neighborhood::tasks::random_digraph(16, 0.25, 1..9, EXAMPLE_DIGRAPH_SEED)
+}
+
 /// `demo`: build the Figure 2/3 model, run the whole pipeline on a small
 /// random graph, and show every artifact.
 fn demo(workers: usize) -> Result<String, String> {
     use computational_neighborhood::cluster::NodeSpec;
     use computational_neighborhood::core::{DynamicArgs, Neighborhood};
-    use computational_neighborhood::tasks::{
-        self, floyd_sequential, random_digraph, seed_input, Matrix,
-    };
+    use computational_neighborhood::tasks::{self, floyd_sequential, Matrix};
 
     if workers == 0 {
         return Err("need at least one worker".to_string());
     }
     let nb = Neighborhood::deploy(NodeSpec::fleet(3, 8192, 16));
     tasks::publish_all_archives(nb.registry());
-    let input = random_digraph(16, 0.25, 1..9, 1);
-    let worker_names: Vec<String> = (1..=workers).map(|i| format!("tctask{i}")).collect();
-    let input2 = input.clone();
     let options = transform::PipelineOptions {
         settings: transform::figure2_settings(),
         dynamic: DynamicArgs::new(),
         timeout: std::time::Duration::from_secs(60),
-        seed: Some(Box::new(move |job| {
-            seed_input(job, "matrix.txt", &input2, &worker_names, "tctask999").expect("seed input");
-        })),
+        seed: Some(Box::new(|job| seed_transitive_closure(job, EXAMPLE_DIGRAPH_SEED))),
     };
     let run = transform::Pipeline::new(&nb).run(&transform::figure2_model(workers), options)?;
     let result =
         Matrix::from_userdata(run.reports[0].result("tctask999").ok_or("no joiner result")?)
             .map_err(|e| e.to_string())?;
-    let verified = result == floyd_sequential(&input);
+    let verified = result == floyd_sequential(&example_input());
     nb.shutdown();
 
     let mut out = String::new();
@@ -696,7 +666,7 @@ fn run_traced(
     use computational_neighborhood::cluster::NodeSpec;
     use computational_neighborhood::core::{DynamicArgs, Neighborhood, NeighborhoodConfig};
     use computational_neighborhood::observe::Recorder;
-    use computational_neighborhood::tasks::{self, random_digraph, seed_input};
+    use computational_neighborhood::tasks;
 
     let workers: usize = flag_value(args, "--workers")
         .map(|w| w.parse().map_err(|_| format!("bad worker count {w:?}")))
@@ -719,26 +689,13 @@ fn run_traced(
         NeighborhoodConfig { recorder: rec.clone(), ..NeighborhoodConfig::default() },
     );
     tasks::publish_all_archives(nb.registry());
-    let input = random_digraph(16, 0.25, 1..9, 1);
     let options = transform::PipelineOptions {
         settings: transform::figure2_settings(),
         dynamic: DynamicArgs::new(),
         timeout: std::time::Duration::from_secs(60),
-        // Model-agnostic seeding: if the composition looks like the
-        // transitive-closure example (a tctask0 splitter and a tctask999
-        // joiner), deposit the input matrix; anything else runs unseeded.
-        seed: Some(Box::new(move |job| {
-            let names = job.task_names();
-            if names.iter().any(|n| n == "tctask0") && names.iter().any(|n| n == "tctask999") {
-                let worker_names: Vec<String> = names
-                    .iter()
-                    .filter(|n| *n != "tctask0" && *n != "tctask999")
-                    .cloned()
-                    .collect();
-                seed_input(job, "matrix.txt", &input, &worker_names, "tctask999")
-                    .expect("seed input");
-            }
-        })),
+        // Model-agnostic: only a composition shaped like the
+        // transitive-closure example is seeded; anything else runs unseeded.
+        seed: Some(Box::new(|job| seed_transitive_closure(job, EXAMPLE_DIGRAPH_SEED))),
     };
     let outcome = transform::Pipeline::new(&nb).run(&graph, options).map(|_| ());
     nb.shutdown();
@@ -802,19 +759,27 @@ fn peers_from_args(args: &[&str]) -> Result<Vec<u16>, String> {
     }
 }
 
-/// Build the wire discovery mode from `--multicast` / `--peers`.
-fn discovery_from_args(
+/// The socket-fabric settings `serve`, `submit` and `portal` share:
+/// discovery from `--multicast` / `--peers`, `--no-batch`,
+/// `--reactor-shards`. The listen port stays ephemeral; `serve` sets it.
+fn wire_config_from_args(
     args: &[&str],
-) -> Result<computational_neighborhood::wire::Discovery, String> {
+) -> Result<computational_neighborhood::wire::WireConfig, String> {
     use computational_neighborhood::wire::{
         socket::{DEFAULT_MULTICAST_GROUP, DEFAULT_MULTICAST_PORT},
-        Discovery,
+        Discovery, WireConfig,
     };
-    if has_flag(args, "--multicast") {
-        Ok(Discovery::Multicast { group: DEFAULT_MULTICAST_GROUP, port: DEFAULT_MULTICAST_PORT })
+    let discovery = if has_flag(args, "--multicast") {
+        Discovery::Multicast { group: DEFAULT_MULTICAST_GROUP, port: DEFAULT_MULTICAST_PORT }
     } else {
-        Ok(Discovery::Loopback { peers: peers_from_args(args)? })
-    }
+        Discovery::Loopback { peers: peers_from_args(args)? }
+    };
+    Ok(WireConfig {
+        discovery,
+        batch: !has_flag(args, "--no-batch"),
+        reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
+        ..WireConfig::default()
+    })
 }
 
 fn parsed_flag<T: std::str::FromStr>(args: &[&str], flag: &str, default: T) -> Result<T, String> {
@@ -851,13 +816,7 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     let run_for: Option<u64> = flag_value(args, "--run-for")
         .map(|v| v.parse().map_err(|_| format!("bad value {v:?} for --run-for")))
         .transpose()?;
-    let cfg = WireConfig {
-        port,
-        discovery: discovery_from_args(args)?,
-        batch: !has_flag(args, "--no-batch"),
-        reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
-        ..WireConfig::default()
-    };
+    let cfg = WireConfig { port, ..wire_config_from_args(args)? };
 
     let rec = Recorder::new();
     let fabric =
@@ -911,8 +870,8 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
         execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
     };
     use computational_neighborhood::observe::{chrome_trace, journal_jsonl_filtered, Recorder};
-    use computational_neighborhood::tasks::{floyd_sequential, random_digraph, seed_input, Matrix};
-    use computational_neighborhood::wire::{FabricHandle, SocketFabric, WireConfig};
+    use computational_neighborhood::tasks::{floyd_sequential, Matrix};
+    use computational_neighborhood::wire::{FabricHandle, SocketFabric};
     use std::sync::Arc;
 
     let src = positional(args, 0)
@@ -929,14 +888,9 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
         cnx::parse_cnx(&text).map_err(|e| e.to_string())?
     };
 
-    let cfg = WireConfig {
-        discovery: discovery_from_args(args)?,
-        batch: !has_flag(args, "--no-batch"),
-        reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
-        ..WireConfig::default()
-    };
     let rec = Recorder::new();
-    let fabric = SocketFabric::new(cfg, rec.clone()).map_err(|e| format!("bind: {e}"))?;
+    let fabric = SocketFabric::new(wire_config_from_args(args)?, rec.clone())
+        .map_err(|e| format!("bind: {e}"))?;
     let port = fabric.port();
     let api = CnApi::over(
         FabricHandle::new(fabric),
@@ -946,18 +900,9 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
 
     // Same deterministic input as `cnctl trace`/`demo`, so a wire run and a
     // simulated run are structurally comparable.
-    let input = random_digraph(16, 0.25, 1..9, 1);
-    let input_for_seed = input.clone();
-    let seed = move |job: &mut computational_neighborhood::core::JobHandle| {
-        let names = job.task_names();
-        if names.iter().any(|n| n == "tctask0") && names.iter().any(|n| n == "tctask999") {
-            let worker_names: Vec<String> =
-                names.iter().filter(|n| *n != "tctask0" && *n != "tctask999").cloned().collect();
-            seed_input(job, "matrix.txt", &input_for_seed, &worker_names, "tctask999")
-                .expect("seed input");
-        }
-    };
-    let outcome = execute_with_api_seeded(&api, &doc, &DynamicArgs::new(), timeout, seed);
+    let outcome = execute_with_api_seeded(&api, &doc, &DynamicArgs::new(), timeout, |job| {
+        seed_transitive_closure(job, EXAMPLE_DIGRAPH_SEED)
+    });
 
     // Export observability artifacts even when the run failed: a partial
     // trace of a dead-worker run is exactly what you want to look at.
@@ -980,8 +925,8 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
             .first()
             .and_then(|r| r.result("tctask999"))
             .ok_or("no joiner result in report")?;
-        let verified =
-            Matrix::from_userdata(result).map_err(|e| e.to_string())? == floyd_sequential(&input);
+        let verified = Matrix::from_userdata(result).map_err(|e| e.to_string())?
+            == floyd_sequential(&example_input());
         let _ = writeln!(out, "verified={verified}");
         if !verified {
             return Err("wire result did not match sequential Floyd".to_string());
@@ -1019,7 +964,7 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
         board_ttl: Duration::from_secs(parsed_flag(args, "--board-ttl", 300)?),
     };
     let timeout = Duration::from_secs(parsed_flag(args, "--timeout", 60)?);
-    let digraph_seed: u64 = parsed_flag(args, "--seed", 1)?;
+    let digraph_seed: u64 = parsed_flag(args, "--seed", EXAMPLE_DIGRAPH_SEED)?;
     let run_for: Option<u64> = flag_value(args, "--run-for")
         .map(|v| v.parse().map_err(|_| format!("bad value {v:?} for --run-for")))
         .transpose()?;
@@ -1032,13 +977,16 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
             }
             Arc::new(SimRunner { nodes, timeout, digraph_seed })
         }
-        None => Arc::new(WireRunner {
-            discovery: discovery_from_args(args)?,
-            batch: !has_flag(args, "--no-batch"),
-            reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
-            timeout,
-            digraph_seed,
-        }),
+        None => {
+            let wire = wire_config_from_args(args)?;
+            Arc::new(WireRunner {
+                discovery: wire.discovery,
+                batch: wire.batch,
+                reactor_shards: wire.reactor_shards,
+                timeout,
+                digraph_seed,
+            })
+        }
     };
 
     let rec = Recorder::new();
