@@ -2,9 +2,9 @@
 //! placement (solicit/bid/assign), and task-to-task message round-trips,
 //! as the cluster grows. Also the scheduler-policy ablation.
 //!
-//! Expected shape: job creation is dominated by the bid window (constant);
-//! placement grows mildly with node count (more bids to collect); message
-//! round-trip is independent of cluster size.
+//! Expected shape: job creation and placement grow with node count (one
+//! wake-up per bidder; the bid window closes when all have answered);
+//! message round-trip is independent of cluster size.
 
 use std::time::Duration;
 

@@ -346,9 +346,7 @@ fn e3_runtime_overhead() {
         println!("{nodes:>7} {create_t:>16.2?} {place_t:>16.2?}");
         nb.shutdown();
     }
-    println!(
-        "[expected shape: both dominated by the fixed bid window; mild growth with node count]"
-    );
+    println!("[expected shape: one wake-up per bidder, linear in node count; no fixed bid window]");
 }
 
 /// E4: dynamic multiplicity sweep.

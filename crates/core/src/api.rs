@@ -21,6 +21,7 @@ use cn_wire::FabricHandle;
 use crate::message::{
     Bid, CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME,
 };
+use crate::pump::solicit;
 use crate::scheduler::{select, Policy};
 use crate::spaces::SpaceRegistry;
 use crate::tuplespace::{Tuple, TupleSpace};
@@ -66,7 +67,8 @@ impl std::error::Error for ClientError {}
 /// Client configuration.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// How long to collect JobManager bids.
+    /// Upper bound on one JobManager bid window: it closes as soon as every
+    /// server the solicitation addressed has bid ([`crate::pump::solicit`]).
     pub bid_window: Duration,
     /// How many times to re-multicast the solicitation when a bid window
     /// closes with no bids (willing managers can miss a window under
@@ -161,32 +163,24 @@ impl CnApi {
         let mut bids: Vec<Bid> = Vec::new();
         for _attempt in 0..=self.config.discovery_retries {
             self.c_solicits.inc();
-            self.net.multicast(
+            // Anything else heard on a fresh endpoint is a stray: dropped.
+            bids = solicit(
+                &self.net,
+                &rx,
                 addr,
-                cn_cluster::DISCOVERY_GROUP,
                 NetMsg::SolicitJobManager { job, requirements: *requirements, reply_to: addr },
+                self.config.bid_window,
+                |m| match m {
+                    NetMsg::JobManagerBid { job: bjob, bid } if *bjob == job => Some(bid.clone()),
+                    _ => None,
+                },
+                |_| {},
             );
-            let deadline = Instant::now() + self.config.bid_window;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                if let Ok(env) = rx.recv_timeout(remaining) {
-                    if let NetMsg::JobManagerBid { job: bjob, bid } = env.msg {
-                        if bjob == job && !bids.iter().any(|b| b.addr == bid.addr) {
-                            self.c_bids.inc();
-                            bids.push(bid);
-                        }
-                    }
-                } else {
-                    break;
-                }
-            }
             if !bids.is_empty() {
                 break;
             }
         }
+        self.c_bids.add(bids.len() as u64);
         let chosen = select(self.config.policy, &bids, 0).cloned().ok_or_else(|| {
             self.net.unregister(addr);
             self.rec.event_job(Severity::Warn, "job", job.0, "no willing JobManager responded");

@@ -422,6 +422,60 @@ mod tests {
         nb.shutdown();
     }
 
+    /// Three nodes whose clients and servers share one `bid_window`.
+    fn deploy_with_window(bid_window: Duration) -> (Neighborhood, CnApi) {
+        let nb = Neighborhood::deploy_with(
+            NodeSpec::fleet(3, 4000, 4),
+            NeighborhoodConfig {
+                server: ServerConfig { bid_window, ..ServerConfig::default() },
+                ..NeighborhoodConfig::default()
+            },
+        );
+        nb.registry().publish(echo_archive());
+        let api = CnApi::with_config(&nb, ClientConfig { bid_window, ..ClientConfig::default() });
+        (nb, api)
+    }
+
+    #[test]
+    fn healthy_cluster_closes_every_bid_window_on_quorum() {
+        // Five windows (one JobManager, four TaskManager solicitations) of
+        // a second each, if any of them ran to its bound.
+        let (nb, api) = deploy_with_window(Duration::from_secs(1));
+        let t0 = std::time::Instant::now();
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        for i in 0..4 {
+            let mut s = TaskSpec::new(format!("t{i}"), "echo.jar", "Echo");
+            s.memory_mb = 100;
+            job.add_task(s).unwrap();
+        }
+        job.start().unwrap();
+        job.wait(Duration::from_secs(10)).unwrap();
+        assert!(t0.elapsed() < Duration::from_millis(900), "{:?}", t0.elapsed());
+        nb.shutdown();
+    }
+
+    #[test]
+    fn silent_server_costs_one_window_per_solicitation() {
+        let window = Duration::from_millis(30);
+        let (nb, api) = deploy_with_window(window);
+        nb.node("node1").unwrap().crash();
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        for i in 0..3 {
+            let mut s = TaskSpec::new(format!("t{i}"), "echo.jar", "Echo");
+            s.memory_mb = 100;
+            let t0 = std::time::Instant::now();
+            job.add_task(s).unwrap();
+            // The dead server never answers: its window runs to the bound,
+            // once, and the task is placed from the bids that came.
+            assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
+            assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        }
+        assert!(job.placements().iter().all(|(_, server)| server != "node1"));
+        job.start().unwrap();
+        job.wait(Duration::from_secs(10)).unwrap();
+        nb.shutdown();
+    }
+
     #[test]
     fn client_can_cancel_a_running_job() {
         let nb = deploy(2);

@@ -35,7 +35,9 @@ use crate::tuplespace::Tuple;
 /// Tunables for a server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// How long the JobManager collects TaskManager bids before selecting.
+    /// Upper bound on one TaskManager bid window: it closes as soon as
+    /// every peer the solicitation addressed has bid
+    /// ([`crate::pump::solicit`]).
     pub bid_window: Duration,
     /// How long the JobManager waits for an AssignAck from a remote TM.
     pub assign_timeout: Duration,
@@ -106,7 +108,6 @@ impl CnServer {
             tm_tasks: HashMap::new(),
             uploaded: HashSet::new(),
             rr: RoundRobin::new(),
-            task_threads: Vec::new(),
             fairq: FairQueue::new(fair_quantum),
             draining: false,
             run_queue: VecDeque::new(),
@@ -208,7 +209,6 @@ struct ServerState {
     /// Jars this TaskManager has received.
     uploaded: HashSet<String>,
     rr: RoundRobin,
-    task_threads: Vec<JoinHandle<()>>,
     /// Per-client deficit-round-robin admission queue for `CreateTask`.
     fairq: FairQueue<(JobId, TaskSpec, Addr)>,
     /// Whether the fair-admission drain loop is already on the stack
@@ -254,16 +254,19 @@ impl ServerState {
             }
             self.handle(env);
         }
-        // Task threads are detached on shutdown: they hold their own clones
-        // of the network/registry and exit once their (timeout-bounded)
-        // receives return. Joining here would block shutdown behind a task
-        // stuck waiting for input that will never arrive.
-        self.task_threads.clear();
         self.net.unregister(self.addr);
     }
 
     fn send(&self, to: Addr, msg: NetMsg) {
         let _ = self.net.send(self.addr, to, msg);
+    }
+
+    /// Answer a solicitation. The solicitor may have closed its window and
+    /// left by now, and a `send` to a departed process waits out a whole
+    /// connect-retry cycle on this — the server's only — thread; a bid is
+    /// posted, never awaited.
+    fn post_bid(&self, to: Addr, bid: NetMsg) {
+        self.net.post(self.addr, to, bid);
     }
 
     /// Nested receive: wait for an envelope matching `want`, stashing
@@ -285,7 +288,7 @@ impl ServerState {
                     && self.node.free_slots() >= requirements.min_free_slots;
                 if willing {
                     self.c_jm_bids.inc();
-                    self.send(reply_to, NetMsg::JobManagerBid { job, bid: self.own_bid() });
+                    self.post_bid(reply_to, NetMsg::JobManagerBid { job, bid: self.own_bid() });
                 }
             }
 
@@ -333,7 +336,7 @@ impl ServerState {
                 if self.node.can_host(memory_mb) =>
             {
                 self.c_tm_bids.inc();
-                self.send(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
+                self.post_bid(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
             }
             NetMsg::UploadArchive { jar, .. } => self.tm_upload(&jar),
             NetMsg::AssignTask { job, spec, jm, reply_to } => {
@@ -459,34 +462,34 @@ impl ServerState {
             Some(_) => {}
         }
         // Multicast solicitation (the paper's "JobManager solicits
-        // TaskManager for the Tasks").
+        // TaskManager for the Tasks"); everything else the window hears is
+        // stashed for the main loop.
         self.c_task_solicits.inc();
-        self.net.multicast(
-            self.addr,
-            cn_cluster::DISCOVERY_GROUP,
-            NetMsg::SolicitTaskManager {
-                job,
-                task: spec.name.clone(),
-                memory_mb: spec.memory_mb,
-                reply_to: self.addr,
-            },
-        );
-        let mut bids: Vec<Bid> = Vec::new();
+        let solicitation = NetMsg::SolicitTaskManager {
+            job,
+            task: spec.name.clone(),
+            memory_mb: spec.memory_mb,
+            reply_to: self.addr,
+        };
         // Our own TM is evaluated locally (multicast excludes the sender).
+        let mut bids: Vec<Bid> = Vec::new();
         if self.node.can_host(spec.memory_mb) {
             bids.push(self.own_bid());
         }
-        let deadline = Instant::now() + self.config.bid_window;
-        while let Some(env) = self.pump.recv_deadline(deadline) {
-            match env.msg {
+        bids.extend(self.pump.solicit(
+            &self.net,
+            self.addr,
+            solicitation,
+            self.config.bid_window,
+            |m| match m {
                 NetMsg::TaskManagerBid { job: bjob, task, bid }
-                    if bjob == job && task == spec.name =>
+                    if *bjob == job && *task == spec.name =>
                 {
-                    bids.push(bid)
+                    Some(bid.clone())
                 }
-                _ => self.pump.stash(env),
-            }
-        }
+                _ => None,
+            },
+        ));
         // Try bidders in policy order: a TaskManager may still reject (its
         // state can change between bid and assignment) or time out, in
         // which case the JobManager falls back to the next-best bidder.
@@ -820,7 +823,10 @@ impl ServerState {
         let c_started = self.c_tasks_started.clone();
         let c_completed = self.c_tasks_completed.clone();
         let c_failed = self.c_tasks_failed.clone();
-        let handle = cn_sync::thread::Builder::new()
+        // Detached: a task holds its own clones of the network/registry,
+        // reports its end with `TaskExited`, and must not keep shutdown
+        // waiting on input that will never arrive.
+        cn_sync::thread::Builder::new()
             .name(format!("task-{}-{}", job.0, spec.name))
             .spawn(move || {
                 let mut instance = match registry.instantiate(&spec.jar, &spec.class) {
@@ -904,7 +910,6 @@ impl ServerState {
                 net.unregister(endpoint);
             })
             .expect("spawn task thread");
-        self.task_threads.push(handle);
     }
 
     fn tm_cancel(&mut self, job: JobId, task: &str) {
@@ -1285,7 +1290,7 @@ impl ServerState {
     /// away.
     fn spawn_forwarder(&mut self, old: Addr, rx: Receiver<Envelope<NetMsg>>, target: Addr) {
         let net = self.net.clone();
-        let handle = cn_sync::thread::Builder::new()
+        cn_sync::thread::Builder::new()
             .name(format!("steal-fwd-{}", old.0))
             .spawn(move || {
                 loop {
@@ -1303,6 +1308,80 @@ impl ServerState {
                 net.unregister(old);
             })
             .expect("spawn forwarder thread");
-        self.task_threads.push(handle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::JobRequirements;
+    use cn_cluster::NodeSpec;
+    use cn_wire::{Fabric, SocketFabric, WireConfig};
+
+    /// A bid to a solicitor that is gone must not hold the server: on a
+    /// socket fabric a `send` there waits out the whole connect-retry cycle.
+    #[test]
+    fn bid_to_a_departed_solicitor_does_not_hold_the_server() {
+        // A connect cycle long enough to tell waiting from not waiting.
+        let rec = Recorder::new();
+        let cfg = WireConfig {
+            max_retries: 2,
+            retry_base: Duration::from_millis(40),
+            ..WireConfig::default()
+        };
+        let fabric: SocketFabric<NetMsg> = SocketFabric::new(cfg, rec.clone()).unwrap();
+        let server = CnServer::spawn(
+            "w0",
+            NodeHandle::new(NodeSpec::new("w0", 4000, 4)),
+            FabricHandle::new(fabric),
+            Arc::new(ArchiveRegistry::new()),
+            Arc::new(SpaceRegistry::new()),
+            ServerConfig::default(),
+        );
+
+        let solicit = |reply_to| NetMsg::SolicitJobManager {
+            job: JobId(1),
+            requirements: JobRequirements::default(),
+            reply_to,
+        };
+        let client: SocketFabric<NetMsg> =
+            SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
+        let (me, rx) = client.register();
+        let bid_within = |limit| {
+            client.send(me, server.addr, solicit(me)).unwrap();
+            let t0 = Instant::now();
+            let env = rx.recv_timeout(limit).expect("a bid");
+            assert!(matches!(env.msg, NetMsg::JobManagerBid { .. }), "{:?}", env.msg);
+            t0.elapsed()
+        };
+        // Both directions connected before anything is timed.
+        bid_within(Duration::from_secs(5));
+
+        // The server's bid goes to an endpoint of a fabric that has already
+        // shut down; the solicitation behind it is answered at once. Three
+        // rounds, the quickest counts: the bound is a scheduling quantum, not
+        // the 120 ms of backoff a waiting server would sit through.
+        let quickest = (0..3)
+            .map(|_| {
+                let departed = {
+                    let gone: SocketFabric<NetMsg> =
+                        SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
+                    gone.register().0
+                };
+                client.send(me, server.addr, solicit(departed)).unwrap();
+                bid_within(Duration::from_secs(5))
+            })
+            .min()
+            .unwrap();
+        assert!(quickest < Duration::from_millis(20), "{quickest:?}");
+
+        // The reactor's connect cycle gives up behind the server's back and
+        // counts what it could not deliver.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rec.counter("wire.drops").get() < 3 {
+            assert!(Instant::now() < deadline, "drops: {}", rec.counter("wire.drops").get());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        server.shutdown();
     }
 }

@@ -9,7 +9,7 @@
 //! comparable with a simulated run of the same descriptor, the same
 //! differential `cnctl submit --journal` pins.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +21,7 @@ use cn_core::{
     execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
     JobHandle, Neighborhood, NeighborhoodConfig,
 };
-use cn_observe::{journal_jsonl_filtered, Recorder, LATENCY_BUCKETS_US};
+use cn_observe::{journal_jsonl_filtered, Counter, Recorder, LATENCY_BUCKETS_US};
 use cn_sync::Mutex;
 use cn_transform::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
 use cn_transform::BatchTransformer;
@@ -63,30 +63,43 @@ struct Entry {
     finished_at: Option<Instant>,
 }
 
-/// The job registry: connection handlers and workers share it.
-pub struct JobBoard {
-    entries: Mutex<HashMap<JobId, Entry>>,
-    next_id: AtomicU64,
+#[derive(Default)]
+struct Entries {
+    by_id: HashMap<JobId, Entry>,
+    /// Terminal entries, oldest-finished first — the eviction order of
+    /// both the TTL and the bound.
+    finished: VecDeque<JobId>,
 }
 
-impl Default for JobBoard {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The job registry: connection handlers and workers share it.
+///
+/// Bounded: queued and running entries are capped by admission, finished
+/// ones by `max_finished` (the oldest-finished goes first) and by the TTL
+/// of [`JobBoard::evict_expired`]. An evicted id answers `404` like any
+/// unknown job; `portal.board_evictions` counts them.
+pub struct JobBoard {
+    entries: Mutex<Entries>,
+    next_id: AtomicU64,
+    max_finished: usize,
+    evictions: Counter,
 }
 
 impl JobBoard {
-    pub fn new() -> JobBoard {
+    /// A board that keeps at most `max_finished` terminal entries and
+    /// counts evictions in `rec`.
+    pub fn new(max_finished: usize, rec: &Recorder) -> JobBoard {
         JobBoard {
-            entries: Mutex::named("portal.board", HashMap::new()),
+            entries: Mutex::named("portal.board", Entries::default()),
             next_id: AtomicU64::new(1),
+            max_finished,
+            evictions: rec.counter("portal.board_evictions"),
         }
     }
 
     /// Register a fresh submission in `Queued` state.
     pub fn create(&self) -> JobId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.entries.lock().insert(
+        self.entries.lock().by_id.insert(
             id,
             Entry {
                 state: JobState::Queued,
@@ -101,60 +114,85 @@ impl JobBoard {
 
     /// Drop an entry that was rejected at admission.
     pub fn discard(&self, id: JobId) {
-        self.entries.lock().remove(&id);
+        self.entries.lock().by_id.remove(&id);
     }
 
     pub fn mark_running(&self, id: JobId) {
-        if let Some(e) = self.entries.lock().get_mut(&id) {
+        if let Some(e) = self.entries.lock().by_id.get_mut(&id) {
             e.state = JobState::Running;
         }
     }
 
     pub fn complete(&self, id: JobId, journal: String, tasks: usize) {
-        if let Some(e) = self.entries.lock().get_mut(&id) {
+        self.finish(id, |e| {
             e.state = JobState::Done;
             e.journal = Some(Arc::new(journal));
             e.tasks = tasks;
-            e.finished_at = Some(Instant::now());
-        }
+        });
     }
 
     pub fn fail(&self, id: JobId, error: String) {
-        if let Some(e) = self.entries.lock().get_mut(&id) {
+        self.finish(id, |e| {
             e.state = JobState::Failed;
             e.journal = Some(Arc::new(format!("{{\"error\":{}}}\n", json_string(&error))));
             e.error = Some(error);
-            e.finished_at = Some(Instant::now());
+        });
+    }
+
+    /// Move an entry to a terminal state and evict the oldest-finished
+    /// entries beyond the bound.
+    fn finish(&self, id: JobId, terminal: impl FnOnce(&mut Entry)) {
+        let mut entries = self.entries.lock();
+        let Some(e) = entries.by_id.get_mut(&id) else { return };
+        terminal(e);
+        e.finished_at = Some(Instant::now());
+        entries.finished.push_back(id);
+        while entries.finished.len() > self.max_finished {
+            let oldest = entries.finished.pop_front().expect("non-empty");
+            entries.by_id.remove(&oldest);
+            self.evictions.inc();
         }
     }
 
     /// Evict terminal entries older than `ttl`, returning how many were
     /// dropped. Queued and running jobs never expire — only finished ones
-    /// whose journal has had `ttl` to be collected; after eviction the id
-    /// answers `404` like any unknown job. Keeps the board bounded under
-    /// a steady submission stream without a background sweeper thread
-    /// (the workers call this between jobs).
+    /// whose journal has had `ttl` to be collected. Keeps an idle portal's
+    /// board shrinking without a background sweeper thread (the workers
+    /// call this between jobs).
     pub fn evict_expired(&self, ttl: Duration) -> usize {
         let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|_, e| e.finished_at.is_none_or(|t| t.elapsed() < ttl));
-        before - entries.len()
+        let mut evicted = 0;
+        while let Some(&oldest) = entries.finished.front() {
+            let expired = entries
+                .by_id
+                .get(&oldest)
+                .and_then(|e| e.finished_at)
+                .is_none_or(|t| t.elapsed() >= ttl);
+            if !expired {
+                break;
+            }
+            entries.finished.pop_front();
+            entries.by_id.remove(&oldest);
+            evicted += 1;
+        }
+        self.evictions.add(evicted as u64);
+        evicted
     }
 
     pub fn state(&self, id: JobId) -> Option<JobState> {
-        self.entries.lock().get(&id).map(|e| e.state)
+        self.entries.lock().by_id.get(&id).map(|e| e.state)
     }
 
     /// The streamable journal: `None` until the job reaches a terminal
     /// state, then the full canonical journal (or the error rendering).
     pub fn journal(&self, id: JobId) -> Option<Option<Arc<String>>> {
-        self.entries.lock().get(&id).map(|e| e.journal.clone())
+        self.entries.lock().by_id.get(&id).map(|e| e.journal.clone())
     }
 
     /// The `GET /jobs/<id>` body.
     pub fn status_json(&self, id: JobId) -> Option<String> {
         let entries = self.entries.lock();
-        let e = entries.get(&id)?;
+        let e = entries.by_id.get(&id)?;
         let mut out = format!("{{\"id\":\"j-{id}\",\"state\":\"{}\"", e.state.as_str());
         if e.state == JobState::Done {
             out.push_str(&format!(",\"tasks\":{}", e.tasks));
@@ -399,10 +437,7 @@ fn worker_loop(
         // Board upkeep rides the worker loop: finished entries past their
         // TTL are dropped before taking on new work, so an idle-but-alive
         // portal keeps its board bounded too.
-        let evicted = board.evict_expired(board_ttl);
-        if evicted > 0 {
-            rec.counter("portal.board_evictions").add(evicted as u64);
-        }
+        board.evict_expired(board_ttl);
         let batch = admission.next_batch(TRANSLATE_BATCH, Duration::from_millis(100));
         if batch.is_empty() {
             if admission.is_closed() {
@@ -415,9 +450,7 @@ fn worker_loop(
         for ((key, work), compiled) in batch.into_iter().zip(compiled) {
             board.mark_running(work.id);
             let started = Instant::now();
-            let span = rec.span_start("portal", "job-run", None);
             let outcome = compiled.and_then(|job| runner.run(&job));
-            rec.span_end(span);
             rec.histogram("portal.job_us", LATENCY_BUCKETS_US)
                 .record(started.elapsed().as_micros() as u64);
             match outcome {
@@ -490,9 +523,13 @@ mod tests {
         cn_cnx::write_cnx(&cn_cnx::ast::figure2_descriptor(2))
     }
 
+    fn new_board(max_finished: usize) -> JobBoard {
+        JobBoard::new(max_finished, &Recorder::new())
+    }
+
     #[test]
     fn board_lifecycle_and_status_json() {
-        let board = JobBoard::new();
+        let board = new_board(16);
         let id = board.create();
         assert_eq!(board.state(id), Some(JobState::Queued));
         assert_eq!(board.journal(id), Some(None));
@@ -508,7 +545,7 @@ mod tests {
 
     #[test]
     fn failed_jobs_surface_the_error_in_both_views() {
-        let board = JobBoard::new();
+        let board = new_board(16);
         let id = board.create();
         board.fail(id, "boom \"quoted\"".to_string());
         let status = board.status_json(id).unwrap();
@@ -520,7 +557,7 @@ mod tests {
 
     #[test]
     fn eviction_drops_only_expired_terminal_entries() {
-        let board = JobBoard::new();
+        let board = new_board(16);
         let queued = board.create();
         let running = board.create();
         board.mark_running(running);
@@ -540,6 +577,46 @@ mod tests {
         assert_eq!(board.status_json(done), None);
         assert_eq!(board.state(queued), Some(JobState::Queued));
         assert_eq!(board.state(running), Some(JobState::Running));
+    }
+
+    #[test]
+    fn finished_entries_beyond_the_bound_evict_oldest_first() {
+        let rec = Recorder::new();
+        let board = JobBoard::new(3, &rec);
+        let queued = board.create();
+        let running = board.create();
+        board.mark_running(running);
+        let finished: Vec<JobId> = (0..5)
+            .map(|i| {
+                let id = board.create();
+                if i % 2 == 0 {
+                    board.complete(id, "{}\n".to_string(), 1);
+                } else {
+                    board.fail(id, "boom".to_string());
+                }
+                id
+            })
+            .collect();
+
+        // Two past the bound: the two that finished first answer 404 now
+        // (no status, no journal — a polling stream reads `job vanished`).
+        for &id in &finished[..2] {
+            assert_eq!(board.status_json(id), None);
+            assert_eq!(board.journal(id), None);
+        }
+        for &id in &finished[2..] {
+            assert!(board.journal(id).unwrap().is_some());
+        }
+        assert_eq!(rec.counter("portal.board_evictions").get(), 2);
+        // Live entries are not the bound's to take.
+        assert_eq!(board.state(queued), Some(JobState::Queued));
+        assert_eq!(board.state(running), Some(JobState::Running));
+
+        // The TTL walks the same order and shares the counter.
+        assert_eq!(board.evict_expired(Duration::ZERO), 3);
+        assert_eq!(rec.counter("portal.board_evictions").get(), 5);
+        board.complete(running, "{}\n".to_string(), 1);
+        assert_eq!(board.state(running), Some(JobState::Done));
     }
 
     #[test]
@@ -573,7 +650,7 @@ mod tests {
     #[test]
     fn workers_drain_compile_and_publish() {
         let admission: Arc<Admission<JobWork>> = Arc::new(Admission::new(8, 8));
-        let board = Arc::new(JobBoard::new());
+        let board = Arc::new(new_board(16));
         let rec = Recorder::new();
         let runner = Arc::new(StubRunner { journal: "{}\n".to_string(), delay: Duration::ZERO });
         let workers = spawn_workers(

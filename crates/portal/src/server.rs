@@ -62,8 +62,9 @@ pub struct PortalConfig {
     pub journal_wait: Duration,
     /// How long a finished job's board entry (status + journal) stays
     /// retrievable before the workers evict it (`portal.board_evictions`
-    /// counts the drops). Keeps the board bounded under a steady
-    /// submission stream.
+    /// counts the drops). The board also keeps at most
+    /// `2 × max_inflight` (never fewer than 16) finished entries, evicting
+    /// the oldest-finished first, so its size does not follow the job count.
     pub board_ttl: Duration,
 }
 
@@ -114,7 +115,9 @@ impl PortalServer {
         let shards =
             if cfg.reactor_shards == 0 { cn_reactor::default_shards() } else { cfg.reactor_shards };
         let reactor = Reactor::new(&format!("portal-{port}"), shards)?;
-        let board = Arc::new(JobBoard::new());
+        // Enough finished entries for every admitted job's status and
+        // journal to be read while as many again finish behind it.
+        let board = Arc::new(JobBoard::new((2 * cfg.max_inflight).max(16), &rec));
         let admission = Arc::new(Admission::new(cfg.max_inflight, cfg.per_addr_inflight));
         let workers = spawn_workers(
             cfg.workers,
@@ -302,13 +305,11 @@ impl ConnHandler {
     fn handle_request(&mut self, req: Request) {
         let started = Instant::now();
         self.inner.rec.counter("portal.http.requests").inc();
-        let span = self.inner.rec.span_start("portal", "http-request", None);
         let keep_alive = req.keep_alive;
         if !keep_alive {
             self.close_after_flush = true;
         }
         self.route(req, keep_alive);
-        self.inner.rec.span_end(span);
         self.inner
             .rec
             .histogram("portal.http_us", LATENCY_BUCKETS_US)
@@ -442,10 +443,15 @@ impl ConnHandler {
     /// Post-work bookkeeping shared by every wakeup: journal polling,
     /// flush, interest, the parse deadline, and close-when-drained.
     fn settle(&mut self, ctx: &mut ShardCtx<'_>, eof: bool) -> Action {
-        if self.streaming.is_some() {
-            let again = self.pump_journal();
-            if again && self.journal_timer.is_none() {
-                self.journal_timer = Some(ctx.arm_timer(JOURNAL_POLL, TAG_JOURNAL));
+        // A stream that ends hands the wire to the requests pipelined behind
+        // it, and one of those may open the next stream: pump until none is
+        // pending or one has to wait for its job.
+        while self.streaming.is_some() {
+            if self.pump_journal() {
+                if self.journal_timer.is_none() {
+                    self.journal_timer = Some(ctx.arm_timer(JOURNAL_POLL, TAG_JOURNAL));
+                }
+                break;
             }
         }
         let drained = match self.flush_out() {

@@ -204,6 +204,27 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
+fn pipelined_journal_requests_are_both_answered() {
+    let portal = start_portal(PortalConfig::default(), Duration::ZERO);
+    let mut c = connect(portal.port());
+    let id = job_id(&post_job(&mut c, figure2_cnx().as_bytes()));
+    wait_done(&mut c, &id);
+    // The first stream ends inside the pump that started it, and the second
+    // request is served from there; nothing else will ever wake the
+    // connection, so the second stream has to be pumped in the same pass.
+    c.stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let journal = format!("GET /jobs/{id}/journal HTTP/1.1\r\n\r\n");
+    c.write_all(format!("{journal}{journal}GET /healthz HTTP/1.1\r\n\r\n").as_bytes());
+    for _ in 0..2 {
+        let resp = c.read_response();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("transfer-encoding").unwrap(), "chunked");
+        assert_eq!(String::from_utf8_lossy(&resp.body), STUB_JOURNAL);
+    }
+    assert_eq!(c.read_response().body, b"ok\n");
+}
+
+#[test]
 fn routing_errors_and_metrics() {
     let portal = start_portal(PortalConfig::default(), Duration::ZERO);
     let mut c = connect(portal.port());

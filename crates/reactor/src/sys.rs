@@ -66,6 +66,7 @@ mod linux {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
         fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
         fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     }
@@ -95,6 +96,7 @@ mod linux {
     const SOCK_NONBLOCK: i32 = 0o4000;
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
+    const SO_REUSEADDR: i32 = 2;
     const SO_ERROR: i32 = 4;
     const EINPROGRESS: i32 = 115;
     const EINTR: i32 = 4;
@@ -210,6 +212,12 @@ mod linux {
             if fd < 0 {
                 return Err(io::Error::last_os_error());
             }
+            // The ephemeral port this socket draws outlives it in
+            // `TIME_WAIT`, and a listener's `bind(0)` (std sets the option)
+            // may only reuse a port whose remnants all had it set too.
+            // Best effort: a connect without it is still a connect.
+            let one: i32 = 1;
+            setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one as *const i32 as *const u8, 4);
             let sa = SockaddrIn {
                 sin_family: AF_INET as u16,
                 sin_port: addr.port().to_be(),
@@ -279,6 +287,31 @@ mod linux {
             }
         }
         Ok(fd_limits()?.0)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::net::{Ipv4Addr, TcpListener};
+
+        #[test]
+        fn outbound_sockets_carry_so_reuseaddr() {
+            let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+            let port = listener.local_addr().unwrap().port();
+            let (stream, _) =
+                connect_nonblocking(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port)).unwrap();
+            let (mut set, mut len) = (0i32, 4u32);
+            let rc = unsafe {
+                getsockopt(
+                    stream.as_raw_fd(),
+                    SOL_SOCKET,
+                    SO_REUSEADDR,
+                    &mut set as *mut i32 as *mut u8,
+                    &mut len,
+                )
+            };
+            assert_eq!((rc, set), (0, 1));
+        }
     }
 }
 

@@ -83,10 +83,26 @@ pub trait Fabric<M: Send + Clone + 'static>: Send + Sync {
         self.send(from, last, msg)?;
         Ok(tos.len())
     }
+    /// Unicast send that never waits: the message is handed to the
+    /// transport and delivered, or dropped and counted, behind the caller's
+    /// back. For replies to a peer that may be gone by now (bids), where a
+    /// send error would be ignored anyway and waiting for one stalls the
+    /// replier. The default is `send`, which is right for any fabric whose
+    /// `send` does not block.
+    fn post(&self, from: Addr, to: Addr, msg: M) {
+        let _ = self.send(from, to, msg);
+    }
     /// Multicast to every group member except the sender; returns how many
     /// destinations the message was addressed to (local members plus, for
     /// the socket fabric, remote datagrams sent).
     fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize;
+    /// Whether [`Fabric::multicast`]'s count enumerates endpoints, so that
+    /// many answers from distinct senders mean everyone addressed has
+    /// answered. False when one datagram reaches an unknown number of
+    /// processes (real UDP multicast) and for any fabric that does not say.
+    fn multicast_is_exact(&self) -> bool {
+        false
+    }
     /// The observability handle this fabric records into.
     fn recorder(&self) -> &Recorder;
     /// True when every endpoint lives in this process (so `Arc`-shared
@@ -118,6 +134,10 @@ impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
 
     fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
         Network::multicast(self, from, group, msg)
+    }
+
+    fn multicast_is_exact(&self) -> bool {
+        true
     }
 
     fn recorder(&self) -> &Recorder {
@@ -170,8 +190,16 @@ impl<M: Send + Clone + 'static> FabricHandle<M> {
         self.inner.send_many(from, tos, msg)
     }
 
+    pub fn post(&self, from: Addr, to: Addr, msg: M) {
+        self.inner.post(from, to, msg)
+    }
+
     pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
         self.inner.multicast(from, group, msg)
+    }
+
+    pub fn multicast_is_exact(&self) -> bool {
+        self.inner.multicast_is_exact()
     }
 
     pub fn recorder(&self) -> &Recorder {

@@ -92,7 +92,10 @@ impl PeerQueue {
     }
 
     /// Mark the queue dead: every later push reports [`PushOutcome::Dead`].
-    pub fn kill(&self) {
-        self.state.lock().dead = true;
+    /// Returns how many queued frames died with it.
+    pub fn kill(&self) -> usize {
+        let mut st = self.state.lock();
+        st.dead = true;
+        std::mem::take(&mut st.frames).len()
     }
 }

@@ -411,8 +411,23 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
         Ok(tos.len())
     }
 
+    fn post(&self, from: Addr, to: Addr, msg: M) {
+        if is_group_addr(to) || addr_port(to) == self.inner.port {
+            // Neither path touches a connection, so `send` never waits.
+            let _ = self.send(from, to, msg);
+        } else {
+            self.inner.post_frame(addr_port(to), Frame::encode(from, to, &msg));
+        }
+    }
+
     fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
         self.inner.do_multicast(from, group, msg)
+    }
+
+    /// Loopback discovery sends one datagram per configured peer process;
+    /// a real multicast group is one datagram to whoever joined.
+    fn multicast_is_exact(&self) -> bool {
+        matches!(self.inner.cfg.discovery, Discovery::Loopback { .. })
     }
 
     fn recorder(&self) -> &Recorder {
@@ -527,30 +542,52 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
     /// connection first if needed), reconnecting once if the reactor
     /// observed a dead stream since we last looked.
     fn enqueue_frame(&self, port: u16, frame: Frame, to: Addr) -> Result<(), SendError> {
-        for attempt in 0..2 {
+        for _ in 0..2 {
             let link = self.get_link(port, to)?;
-            match link.q.push_frame(frame.clone()) {
-                PushOutcome::Queued { was_empty } => {
-                    if was_empty {
-                        // The shard may be asleep with nothing to flush;
-                        // this is the one push that must ring its eventfd.
-                        let token = link.state.lock().token;
-                        self.reactor.notify(token);
-                    }
-                    return Ok(());
-                }
-                PushOutcome::Dead => {
-                    self.drop_conn_matching(port, &link, "connection dead at enqueue");
-                    if attempt == 0 {
-                        self.c.reconnects.inc();
-                        self.rec.event_with(Severity::Warn, "wire", None, || {
-                            format!("reconnecting to peer :{port} after connection death")
-                        });
-                    }
-                }
+            if self.push_on(port, &link, frame.clone()) {
+                return Ok(());
             }
         }
         Err(SendError::PeerClosed(to))
+    }
+
+    /// [`Fabric::post`]'s remote half: queue the frame on the peer's link
+    /// whatever its phase and return. A link still connecting flushes its
+    /// queue when it comes up; a connect cycle that fails drops and counts
+    /// what was queued (`wire.drops`).
+    fn post_frame(&self, port: u16, frame: Frame) {
+        for _ in 0..2 {
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let link = self.link_for(port);
+            if self.push_on(port, &link, frame.clone()) {
+                return;
+            }
+        }
+        self.c.drops.inc();
+    }
+
+    /// Queue `frame` on `link`, ringing its shard on the empty→non-empty
+    /// edge. `false` means the stream died since the link was looked up:
+    /// the link is dropped so the next lookup reconnects.
+    fn push_on(&self, port: u16, link: &Arc<PeerLink>, frame: Frame) -> bool {
+        match link.q.push_frame(frame) {
+            PushOutcome::Queued { was_empty } => {
+                if was_empty {
+                    // The shard may be asleep with nothing to flush;
+                    // this is the one push that must ring its eventfd.
+                    let token = link.state.lock().token;
+                    self.reactor.notify(token);
+                }
+                true
+            }
+            PushOutcome::Dead => {
+                self.c.reconnects.inc();
+                self.drop_conn_matching(port, link, "connection dead at enqueue");
+                false
+            }
+        }
     }
 
     /// Upper bound on how long one whole connect cycle (all attempts plus
@@ -565,47 +602,45 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
         total + Duration::from_secs(2)
     }
 
-    /// Resolve the link for `port`: reuse the live connection, or install
-    /// a [`PeerHandler`] on the reactor and wait for its connect cycle to
+    /// The link for `port`: the live (or still connecting) one, or a new
+    /// [`PeerHandler`] installed on the reactor, whose connect cycle starts
+    /// at once. Never waits.
+    fn link_for(&self, port: u16) -> Arc<PeerLink> {
+        if let Some(link) = self.conns.lock().get(&port).cloned() {
+            return link;
+        }
+        let _guard = self.connect_lock.lock();
+        // Double-check: another sender may have connected while we waited
+        // for the lock.
+        if let Some(link) = self.conns.lock().get(&port).cloned() {
+            return link;
+        }
+        let link = Arc::new(PeerLink::new(port));
+        let inner = self.weak.upgrade().expect("fabric alive during send");
+        let handler = PeerHandler {
+            inner,
+            link: Arc::clone(&link),
+            attempt: 0,
+            delay: self.cfg.retry_base,
+            last_timeout: false,
+            conn: PeerConn::Idle,
+            connect_timer: None,
+            read_timer: None,
+        };
+        let token = self.reactor.register_hashed(port as u64, Box::new(handler));
+        link.state.lock().token = token;
+        self.conns.lock().insert(port, Arc::clone(&link));
+        link
+    }
+
+    /// Resolve the link for `port` and wait for its connect cycle to
     /// resolve. Failures surface as the same typed errors (and counter
     /// increments) the blocking connect produced.
     fn get_link(&self, port: u16, to: Addr) -> Result<Arc<PeerLink>, SendError> {
         if self.stop.load(Ordering::Relaxed) {
             return Err(SendError::ConnectFailed(to));
         }
-        // Bind the fast-path lookup before matching: a lock guard living
-        // in the match scrutinee would still be held inside the arms.
-        let cached = self.conns.lock().get(&port).cloned();
-        let link = match cached {
-            Some(l) => l,
-            None => {
-                let _guard = self.connect_lock.lock();
-                // Double-check: another sender may have connected while we
-                // waited for the lock.
-                let existing = self.conns.lock().get(&port).cloned();
-                match existing {
-                    Some(l) => l,
-                    None => {
-                        let link = Arc::new(PeerLink::new(port));
-                        let inner = self.weak.upgrade().expect("fabric alive during send");
-                        let handler = PeerHandler {
-                            inner,
-                            link: Arc::clone(&link),
-                            attempt: 0,
-                            delay: self.cfg.retry_base,
-                            last_timeout: false,
-                            conn: PeerConn::Idle,
-                            connect_timer: None,
-                            read_timer: None,
-                        };
-                        let token = self.reactor.register_hashed(port as u64, Box::new(handler));
-                        link.state.lock().token = token;
-                        self.conns.lock().insert(port, Arc::clone(&link));
-                        link
-                    }
-                }
-            }
-        };
+        let link = self.link_for(port);
         let deadline = Instant::now() + self.connect_budget();
         let mut st = link.state.lock();
         loop {
@@ -720,7 +755,9 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
             self.delay = (self.delay * 2).min(MAX_BACKOFF);
             return Action::Continue;
         }
-        self.inner.c.drops.inc();
+        // Posted frames were queued while the cycle ran; each is a drop,
+        // and so is the frame of the `send` that waited on the cycle.
+        self.inner.c.drops.add((self.link.q.kill() as u64).max(1));
         let kind = if self.last_timeout {
             self.inner.c.timeouts.inc();
             FailKind::Timeout
