@@ -306,6 +306,45 @@ mod tests {
         nb.shutdown();
     }
 
+    /// A panic in `run` is a task failure like any other: reported at once,
+    /// with the slot, the memory and the run-queue place all given back.
+    #[test]
+    fn panicking_task_fails_the_job_and_frees_its_slot() {
+        // One node with one execution slot: a leaked slot would park the
+        // second job's task in the run queue for good.
+        let server = ServerConfig { exec_slots: Some(1), ..ServerConfig::default() };
+        let nb = Neighborhood::deploy_with(
+            NodeSpec::fleet(1, 4000, 4),
+            NeighborhoodConfig { server, ..NeighborhoodConfig::default() },
+        );
+        nb.registry().publish(echo_archive());
+        nb.registry().publish(TaskArchive::new("bad.jar").class("Panic", || {
+            Box::new(|ctx: &mut TaskContext| panic!("row {} out of range", ctx.name.len()))
+        }));
+        let api = CnApi::initialize(&nb);
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        job.add_task(TaskSpec::new("boom", "bad.jar", "Panic")).unwrap();
+        job.start().unwrap();
+        let started = std::time::Instant::now();
+        match job.wait(Duration::from_secs(10)) {
+            Err(ClientError::JobFailed(e)) => {
+                assert!(e.contains("\"boom\"") && e.contains("panicked: row 4 out of range"), "{e}")
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(started.elapsed() < Duration::from_secs(5), "reported only at the client timeout");
+        for node in nb.nodes() {
+            assert_eq!((node.free_slots(), node.free_memory_mb()), (4, 4000));
+        }
+
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        job.add_task(TaskSpec::new("t0", "echo.jar", "Echo")).unwrap();
+        job.start().unwrap();
+        let report = job.wait(Duration::from_secs(10)).unwrap();
+        assert_eq!(report.result("t0"), Some(&UserData::Text("echo:".into())));
+        nb.shutdown();
+    }
+
     #[test]
     fn tasks_exchange_user_messages() {
         let nb = deploy(2);

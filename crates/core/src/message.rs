@@ -15,6 +15,9 @@ use std::collections::HashMap;
 use cn_cluster::Addr;
 use cn_cnx::{Param, RunModel};
 
+use crate::scheduler::LoadSignal;
+use crate::tuplespace::Field;
+
 /// Job identifier, unique per client session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
@@ -127,249 +130,165 @@ pub struct Bid {
     pub free_slots: usize,
     /// Live load vector sampled when the bid was made — what
     /// `Policy::LoadAware` ranks on.
-    pub signal: crate::scheduler::LoadSignal,
+    pub signal: LoadSignal,
 }
 
-/// The well-defined CN protocol messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NetMsg {
-    // -- JobManager discovery (multicast) ------------------------------
-    /// Client → discovery group: who is willing to manage this job?
-    SolicitJobManager {
-        job: JobId,
-        requirements: JobRequirements,
-        reply_to: Addr,
-    },
-    /// Willing JobManager → client.
-    JobManagerBid {
-        job: JobId,
-        bid: Bid,
-    },
+/// The CN protocol vocabulary, declared once. A row is a message's doc
+/// comment, variant name, wire tag byte and fields **in wire order**; the
+/// [`NetMsg`] enum, [`NetMsg::kind`], its `WireEncode` impl (`wire.rs`) and
+/// the workspace's proptest strategy are all expansions of this table, so
+/// adding a message is one row here (DESIGN.md §9, "Adding a message").
+/// A tag is never reused or renumbered: it *is* the wire format.
+///
+/// `netmsg_table!(callback)` expands to `callback! { rows }`; field types
+/// are bare names resolved where the callback expands.
+#[macro_export]
+macro_rules! netmsg_table {
+    ($callback:ident) => {
+        $callback! {
+            // -- JobManager discovery (multicast) ------------------------------
+            /// Client → discovery group: who is willing to manage this job?
+            SolicitJobManager = 0 { job: JobId, requirements: JobRequirements, reply_to: Addr },
+            /// Willing JobManager → client.
+            JobManagerBid = 1 { job: JobId, bid: Bid },
 
-    // -- Job lifecycle (client ↔ selected JobManager) ------------------
-    CreateJob {
-        job: JobId,
-        client: Addr,
-        reply_to: Addr,
-    },
-    JobAck {
-        job: JobId,
-        accepted: bool,
-        reason: String,
-    },
-    /// Client → JM: create (and place) one task.
-    CreateTask {
-        job: JobId,
-        spec: TaskSpec,
-        reply_to: Addr,
-    },
-    /// JM → client: task placed on `server`, reachable at `task_addr`.
-    TaskAck {
-        job: JobId,
-        task: String,
-        accepted: bool,
-        reason: String,
-        server: String,
-        task_addr: Option<Addr>,
-    },
-    /// Client → JM: start executing (roots first, dependents as
-    /// dependencies complete).
-    StartJob {
-        job: JobId,
-    },
-    /// Client → JM: cancel the whole job (running tasks are interrupted).
-    CancelJob {
-        job: JobId,
-    },
+            // -- Job lifecycle (client ↔ selected JobManager) ------------------
+            CreateJob = 2 { job: JobId, client: Addr, reply_to: Addr },
+            JobAck = 3 { job: JobId, accepted: bool, reason: String },
+            /// Client → JM: create (and place) one task.
+            CreateTask = 4 { job: JobId, spec: TaskSpec, reply_to: Addr },
+            /// JM → client: task placed on `server`, reachable at `task_addr`.
+            TaskAck = 5 {
+                job: JobId,
+                task: String,
+                accepted: bool,
+                reason: String,
+                server: String,
+                task_addr: Option<Addr>,
+            },
+            /// Client → JM: start executing (roots first, dependents as
+            /// dependencies complete).
+            StartJob = 6 { job: JobId },
+            /// Client → JM: cancel the whole job (running tasks are interrupted).
+            CancelJob = 7 { job: JobId },
 
-    // -- Task placement (JM ↔ TaskManagers) ----------------------------
-    SolicitTaskManager {
-        job: JobId,
-        task: String,
-        memory_mb: u64,
-        reply_to: Addr,
-    },
-    TaskManagerBid {
-        job: JobId,
-        task: String,
-        bid: Bid,
-    },
-    /// JM → TM: ship the task archive ("the JobManager will upload the JAR
-    /// file to that TaskManager"). `size_bytes` models the transfer cost.
-    UploadArchive {
-        jar: String,
-        size_bytes: u64,
-    },
-    /// JM → TM: instantiate the task (sets up its message queue).
-    AssignTask {
-        job: JobId,
-        spec: TaskSpec,
-        jm: Addr,
-        reply_to: Addr,
-    },
-    AssignAck {
-        job: JobId,
-        task: String,
-        accepted: bool,
-        reason: String,
-        task_addr: Option<Addr>,
-    },
-    /// JM → TM: start a previously assigned task thread.
-    StartTask {
-        job: JobId,
-        task: String,
-        directory: HashMap<String, Addr>,
-        client: Addr,
-    },
-    /// JM → TM: cancel an assigned (possibly running) task.
-    CancelTask {
-        job: JobId,
-        task: String,
-    },
-    /// Task thread → its own TaskManager: the task thread has exited and
-    /// its bookkeeping entry can be dropped.
-    TaskExited {
-        job: JobId,
-        task: String,
-    },
+            // -- Task placement (JM ↔ TaskManagers) ----------------------------
+            SolicitTaskManager = 8 { job: JobId, task: String, memory_mb: u64, reply_to: Addr },
+            TaskManagerBid = 9 { job: JobId, task: String, bid: Bid },
+            /// JM → TM: ship the task archive ("the JobManager will upload the JAR
+            /// file to that TaskManager"). `size_bytes` models the transfer cost.
+            UploadArchive = 10 { jar: String, size_bytes: u64 },
+            /// JM → TM: instantiate the task (sets up its message queue).
+            AssignTask = 11 { job: JobId, spec: TaskSpec, jm: Addr, reply_to: Addr },
+            AssignAck = 12 {
+                job: JobId,
+                task: String,
+                accepted: bool,
+                reason: String,
+                task_addr: Option<Addr>,
+            },
+            /// JM → TM: start a previously assigned task thread.
+            StartTask = 13 {
+                job: JobId,
+                task: String,
+                directory: HashMap<String, Addr>,
+                client: Addr,
+            },
+            /// JM → TM: cancel an assigned (possibly running) task.
+            CancelTask = 14 { job: JobId, task: String },
+            /// Task thread → its own TaskManager: the task thread has exited and
+            /// its bookkeeping entry can be dropped.
+            TaskExited = 15 { job: JobId, task: String },
 
-    // -- Task lifecycle (TM → JM, relayed to client) --------------------
-    TaskStarted {
-        job: JobId,
-        task: String,
-    },
-    TaskCompleted {
-        job: JobId,
-        task: String,
-        result: UserData,
-    },
-    TaskFailed {
-        job: JobId,
-        task: String,
-        error: String,
-    },
+            // -- Task lifecycle (TM → JM, relayed to client) --------------------
+            TaskStarted = 16 { job: JobId, task: String },
+            TaskCompleted = 17 { job: JobId, task: String, result: UserData },
+            TaskFailed = 18 { job: JobId, task: String, error: String },
 
-    // -- Job completion (JM → client) ------------------------------------
-    JobCompleted {
-        job: JobId,
-        results: Vec<(String, UserData)>,
-    },
-    JobFailed {
-        job: JobId,
-        error: String,
-    },
+            // -- Job completion (JM → client) ------------------------------------
+            JobCompleted = 19 { job: JobId, results: Vec<(String, UserData)> },
+            JobFailed = 20 { job: JobId, error: String },
 
-    // -- User-defined messages (task ↔ task, task ↔ client) -------------
-    User {
-        job: JobId,
-        from_task: String,
-        tag: String,
-        data: UserData,
-    },
+            // -- User-defined messages (task ↔ task, task ↔ client) -------------
+            User = 21 { job: JobId, from_task: String, tag: String, data: UserData },
 
-    /// Client → JM (wire mode): deposit a tuple into the job's tuple
-    /// space before the job starts. On a shared-memory fabric the client
-    /// writes the space directly and this message is never sent; over the
-    /// wire the JM deposits it into its own replica and relays it to every
-    /// TaskManager assigned a task of the job.
-    SeedTuple {
-        job: JobId,
-        tuple: Vec<crate::tuplespace::Field>,
-    },
+            /// Client → JM (wire mode): deposit a tuple into the job's tuple
+            /// space before the job starts. On a shared-memory fabric the client
+            /// writes the space directly and this message is never sent; over the
+            /// wire the JM deposits it into its own replica and relays it to every
+            /// TaskManager assigned a task of the job.
+            SeedTuple = 22 { job: JobId, tuple: Vec<Field> },
 
-    // -- Control ----------------------------------------------------------
-    Shutdown,
+            // -- Control ----------------------------------------------------------
+            Shutdown = 23,
 
-    // -- Load-aware scheduling + work stealing (DESIGN.md §14) ----------
-    /// TM → discovery group (or unicast as a steal decline): event-driven
-    /// load heartbeat. Sent when the TaskManager's load signal changes,
-    /// throttled to one multicast per `StealConfig::heartbeat` interval —
-    /// a quiescent cluster sends none, so deterministic single-job runs
-    /// stay byte-identical.
-    LoadReport {
-        server: String,
-        addr: Addr,
-        signal: crate::scheduler::LoadSignal,
-    },
-    /// Idle TM → a loaded peer: ask for one queued task. `endpoint` is a
-    /// pre-registered task endpoint on the thief, so a grant needs no
-    /// extra round-trip before messages can be forwarded.
-    StealRequest {
-        thief: String,
-        reply_to: Addr,
-        endpoint: Addr,
-    },
-    /// Victim TM → thief: at-most-once handoff of one queued, never-started
-    /// task. The victim has already dequeued it and released its
-    /// reservation; exactly one of {thief commits via `TaskMigrated`,
-    /// thief bounces via `StealReturn`} follows.
-    StealGrant {
-        job: JobId,
-        spec: TaskSpec,
-        /// The JobManager the task reports lifecycle events to.
-        jm: Addr,
-        client: Addr,
-        directory: HashMap<String, Addr>,
-        victim: String,
-        /// The task's original endpoint on the victim; peers with stale
-        /// directories keep sending here, and the victim forwards.
-        old_endpoint: Addr,
-    },
-    /// Thief → victim: could not host the granted task after all (archive
-    /// missing or reservation failed); the victim re-queues it.
-    StealReturn {
-        job: JobId,
-        task: String,
-    },
-    /// Thief → JobManager *and* thief → victim after a successful steal:
-    /// the task now lives on `server` at `task_addr`. The JM updates its
-    /// placement table (cancel paths, later directories); the victim
-    /// starts forwarding the old endpoint's queue to `task_addr`.
-    TaskMigrated {
-        job: JobId,
-        task: String,
-        server: String,
-        tm: Addr,
-        task_addr: Addr,
-    },
-}
-
-impl NetMsg {
-    /// Short name for tracing/metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            NetMsg::SolicitJobManager { .. } => "SolicitJobManager",
-            NetMsg::JobManagerBid { .. } => "JobManagerBid",
-            NetMsg::CreateJob { .. } => "CreateJob",
-            NetMsg::JobAck { .. } => "JobAck",
-            NetMsg::CreateTask { .. } => "CreateTask",
-            NetMsg::TaskAck { .. } => "TaskAck",
-            NetMsg::StartJob { .. } => "StartJob",
-            NetMsg::CancelJob { .. } => "CancelJob",
-            NetMsg::SolicitTaskManager { .. } => "SolicitTaskManager",
-            NetMsg::TaskManagerBid { .. } => "TaskManagerBid",
-            NetMsg::UploadArchive { .. } => "UploadArchive",
-            NetMsg::AssignTask { .. } => "AssignTask",
-            NetMsg::AssignAck { .. } => "AssignAck",
-            NetMsg::StartTask { .. } => "StartTask",
-            NetMsg::CancelTask { .. } => "CancelTask",
-            NetMsg::TaskExited { .. } => "TaskExited",
-            NetMsg::TaskStarted { .. } => "TaskStarted",
-            NetMsg::TaskCompleted { .. } => "TaskCompleted",
-            NetMsg::TaskFailed { .. } => "TaskFailed",
-            NetMsg::JobCompleted { .. } => "JobCompleted",
-            NetMsg::JobFailed { .. } => "JobFailed",
-            NetMsg::User { .. } => "User",
-            NetMsg::SeedTuple { .. } => "SeedTuple",
-            NetMsg::Shutdown => "Shutdown",
-            NetMsg::LoadReport { .. } => "LoadReport",
-            NetMsg::StealRequest { .. } => "StealRequest",
-            NetMsg::StealGrant { .. } => "StealGrant",
-            NetMsg::StealReturn { .. } => "StealReturn",
-            NetMsg::TaskMigrated { .. } => "TaskMigrated",
+            // -- Load-aware scheduling + work stealing (DESIGN.md §14) ----------
+            /// TM → discovery group (or unicast as a steal decline): event-driven
+            /// load heartbeat. Sent when the TaskManager's load signal changes,
+            /// throttled to one multicast per `StealConfig::heartbeat` interval —
+            /// a quiescent cluster sends none, so deterministic single-job runs
+            /// stay byte-identical.
+            LoadReport = 24 { server: String, addr: Addr, signal: LoadSignal },
+            /// Idle TM → a loaded peer: ask for one queued task. `endpoint` is a
+            /// pre-registered task endpoint on the thief, so a grant needs no
+            /// extra round-trip before messages can be forwarded.
+            StealRequest = 25 { thief: String, reply_to: Addr, endpoint: Addr },
+            /// Victim TM → thief: at-most-once handoff of one queued, never-started
+            /// task. The victim has already dequeued it and released its
+            /// reservation; exactly one of {thief commits via `TaskMigrated`,
+            /// thief bounces via `StealReturn`} follows.
+            StealGrant = 26 {
+                job: JobId,
+                spec: TaskSpec,
+                /// The JobManager the task reports lifecycle events to.
+                jm: Addr,
+                client: Addr,
+                directory: HashMap<String, Addr>,
+                victim: String,
+                /// The task's original endpoint on the victim; peers with stale
+                /// directories keep sending here, and the victim forwards.
+                old_endpoint: Addr,
+            },
+            /// Thief → victim: could not host the granted task after all (archive
+            /// missing or reservation failed); the victim re-queues it.
+            StealReturn = 27 { job: JobId, task: String },
+            /// Thief → JobManager *and* thief → victim after a successful steal:
+            /// the task now lives on `server` at `task_addr`. The JM updates its
+            /// placement table (cancel paths, later directories); the victim
+            /// starts forwarding the old endpoint's queue to `task_addr`.
+            TaskMigrated = 28 { job: JobId, task: String, server: String, tm: Addr, task_addr: Addr },
         }
-    }
+    };
 }
+
+/// Expands the table into the enum and the accessors that name its rows.
+macro_rules! define_netmsg {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident = $tag:literal
+        $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)? })?
+    ),* $(,)?) => {
+        /// The well-defined CN protocol messages, generated from
+        /// [`netmsg_table!`](crate::netmsg_table).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum NetMsg {
+            $( $(#[$meta])* $name $({ $( $(#[$fmeta])* $field: $ty ),* })? ),*
+        }
+
+        impl NetMsg {
+            /// Every variant's name, in table order.
+            pub const KINDS: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// Short name for tracing/metrics.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( NetMsg::$name { .. } => stringify!($name) ),*
+                }
+            }
+        }
+    };
+}
+netmsg_table!(define_netmsg);
 
 /// A user-visible message delivered to a task or the client, decoded from
 /// [`NetMsg`] (the "Get Messages" surface of the CN API).
@@ -442,5 +361,6 @@ mod tests {
         let m = NetMsg::StartJob { job: JobId(1) };
         assert_eq!(m.kind(), "StartJob");
         assert_eq!(NetMsg::Shutdown.kind(), "Shutdown");
+        assert_eq!((NetMsg::KINDS[0], NetMsg::KINDS[6]), ("SolicitJobManager", "StartJob"));
     }
 }

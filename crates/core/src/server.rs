@@ -29,7 +29,7 @@ use crate::scheduler::{
     select, select_load_aware, Ewma, FairQueue, LoadSignal, Policy, RoundRobin, StealConfig,
 };
 use crate::spaces::SpaceRegistry;
-use crate::task::TaskContext;
+use crate::task::{TaskContext, TaskError};
 use crate::tuplespace::Tuple;
 
 /// Tunables for a server.
@@ -879,7 +879,18 @@ impl ServerState {
                     stash: Vec::new(),
                     work_scale,
                 };
-                let outcome = instance.run(&mut ctx);
+                // A panic in user code is one more way for the task to fail:
+                // unwinding past here would skip every report below, leaving
+                // the job waiting and the slot, reservation and endpoint held.
+                let run = std::panic::AssertUnwindSafe(|| instance.run(&mut ctx));
+                let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                    let text = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("non-string payload");
+                    Err(TaskError::new(format!("panicked: {text}")))
+                });
                 // The task span must close before TaskCompleted/TaskFailed is
                 // sent: the JobManager forwards completion to the client, which
                 // may immediately close the enclosing job span.

@@ -2,9 +2,11 @@
 //!
 //! Implements [`cn_wire::WireEncode`] for [`NetMsg`] and its component
 //! types so a [`cn_wire::SocketFabric`] can carry the same protocol the
-//! simulated fabric carries in-process. Every variant has a fixed tag
-//! byte; unknown tags and malformed fields decode to typed
-//! [`WireError`]s, never panics (fuzzed in the workspace proptest suite).
+//! simulated fabric carries in-process. A [`NetMsg`] is the tag byte its
+//! [`netmsg_table!`](crate::netmsg_table) row fixes, then that row's fields
+//! in order, each through its type's impl; unknown tags and malformed
+//! fields decode to typed [`WireError`]s, never panics (fuzzed in the
+//! workspace proptest suite).
 
 use std::collections::HashMap;
 
@@ -16,6 +18,22 @@ use crate::message::{Bid, JobId, JobRequirements, NetMsg, TaskSpec, UserData};
 use crate::scheduler::LoadSignal;
 use crate::tuplespace::Field;
 
+/// `WireEncode` for a struct whose wire form is its fields, in the order
+/// listed, each through its own type's impl.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl WireEncode for $ty {
+            fn encode(&self, w: &mut Writer) {
+                $( self.$field.encode(w); )*
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($ty { $( $field: WireEncode::decode(r)? ),* })
+            }
+        }
+    };
+}
+
 impl WireEncode for JobId {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.0);
@@ -25,6 +43,10 @@ impl WireEncode for JobId {
         Ok(JobId(r.get_u64()?))
     }
 }
+
+wire_struct!(JobRequirements { min_free_memory_mb, min_free_slots });
+wire_struct!(LoadSignal { queue_depth, in_flight, ewma_dispatch_us });
+wire_struct!(Bid { server, addr, load, free_memory_mb, free_slots, signal });
 
 impl WireEncode for UserData {
     fn encode(&self, w: &mut Writer) {
@@ -40,17 +62,11 @@ impl WireEncode for UserData {
             }
             UserData::I64s(v) => {
                 w.put_u8(3);
-                w.put_usize(v.len());
-                for x in v {
-                    w.put_i64(*x);
-                }
+                v.encode(w);
             }
             UserData::F64s(v) => {
                 w.put_u8(4);
-                w.put_usize(v.len());
-                for x in v {
-                    w.put_f64(*x);
-                }
+                v.encode(w);
             }
         }
     }
@@ -60,22 +76,8 @@ impl WireEncode for UserData {
             0 => Ok(UserData::Empty),
             1 => Ok(UserData::Text(r.get_str()?)),
             2 => Ok(UserData::Bytes(r.get_bytes()?)),
-            3 => {
-                let n = r.get_len()?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(r.get_i64()?);
-                }
-                Ok(UserData::I64s(v))
-            }
-            4 => {
-                let n = r.get_len()?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(r.get_f64()?);
-                }
-                Ok(UserData::F64s(v))
-            }
+            3 => Ok(UserData::I64s(Vec::decode(r)?)),
+            4 => Ok(UserData::F64s(Vec::decode(r)?)),
             t => Err(WireError::new(WireErrorKind::BadTag, format!("UserData tag {t}"))),
         }
     }
@@ -114,58 +116,6 @@ impl WireEncode for Field {
     }
 }
 
-impl WireEncode for JobRequirements {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.min_free_memory_mb);
-        w.put_usize(self.min_free_slots);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(JobRequirements {
-            min_free_memory_mb: r.get_u64()?,
-            min_free_slots: r.get_u32()? as usize,
-        })
-    }
-}
-
-impl WireEncode for LoadSignal {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.queue_depth);
-        w.put_u32(self.in_flight);
-        w.put_u64(self.ewma_dispatch_us);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LoadSignal {
-            queue_depth: r.get_u32()?,
-            in_flight: r.get_u32()?,
-            ewma_dispatch_us: r.get_u64()?,
-        })
-    }
-}
-
-impl WireEncode for Bid {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.server);
-        self.addr.encode(w);
-        w.put_f64(self.load);
-        w.put_u64(self.free_memory_mb);
-        w.put_usize(self.free_slots);
-        self.signal.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Bid {
-            server: r.get_str()?,
-            addr: Addr::decode(r)?,
-            load: r.get_f64()?,
-            free_memory_mb: r.get_u64()?,
-            free_slots: r.get_u32()? as usize,
-            signal: LoadSignal::decode(r)?,
-        })
-    }
-}
-
 /// `RunModel` on the wire: a tag byte (the CNX string forms are longer
 /// and already validated at parse time).
 fn put_runmodel(w: &mut Writer, rm: RunModel) {
@@ -197,15 +147,14 @@ fn get_param(r: &mut Reader<'_>) -> Result<Param, WireError> {
     Ok(Param::new(ty, value))
 }
 
+/// Hand-written: `RunModel` and `Param` are `cn-cnx` types, so the orphan
+/// rule keeps them out of the field-list form.
 impl WireEncode for TaskSpec {
     fn encode(&self, w: &mut Writer) {
         w.put_str(&self.name);
         w.put_str(&self.jar);
         w.put_str(&self.class);
-        w.put_usize(self.depends.len());
-        for d in &self.depends {
-            w.put_str(d);
-        }
+        self.depends.encode(w);
         w.put_u64(self.memory_mb);
         put_runmodel(w, self.runmodel);
         w.put_usize(self.params.len());
@@ -218,11 +167,7 @@ impl WireEncode for TaskSpec {
         let name = r.get_str()?;
         let jar = r.get_str()?;
         let class = r.get_str()?;
-        let n = r.get_len()?;
-        let mut depends = Vec::with_capacity(n);
-        for _ in 0..n {
-            depends.push(r.get_str()?);
-        }
+        let depends = Vec::decode(r)?;
         let memory_mb = r.get_u64()?;
         let runmodel = get_runmodel(r)?;
         let n = r.get_len()?;
@@ -234,368 +179,34 @@ impl WireEncode for TaskSpec {
     }
 }
 
-fn put_opt_addr(w: &mut Writer, a: &Option<Addr>) {
-    match a {
-        None => w.put_bool(false),
-        Some(a) => {
-            w.put_bool(true);
-            a.encode(w);
-        }
-    }
-}
-
-fn get_opt_addr(r: &mut Reader<'_>) -> Result<Option<Addr>, WireError> {
-    Ok(if r.get_bool()? { Some(Addr::decode(r)?) } else { None })
-}
-
-/// The task directory is encoded sorted by name so identical directories
-/// produce identical bytes regardless of `HashMap` iteration order.
-fn put_directory(w: &mut Writer, d: &HashMap<String, Addr>) {
-    let mut entries: Vec<(&String, &Addr)> = d.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    w.put_usize(entries.len());
-    for (name, addr) in entries {
-        w.put_str(name);
-        addr.encode(w);
-    }
-}
-
-fn get_directory(r: &mut Reader<'_>) -> Result<HashMap<String, Addr>, WireError> {
-    let n = r.get_len()?;
-    let mut d = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let name = r.get_str()?;
-        let addr = Addr::decode(r)?;
-        d.insert(name, addr);
-    }
-    Ok(d)
-}
-
-fn put_results(w: &mut Writer, results: &[(String, UserData)]) {
-    w.put_usize(results.len());
-    for (name, data) in results {
-        w.put_str(name);
-        data.encode(w);
-    }
-}
-
-fn get_results(r: &mut Reader<'_>) -> Result<Vec<(String, UserData)>, WireError> {
-    let n = r.get_len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.get_str()?;
-        let data = UserData::decode(r)?;
-        v.push((name, data));
-    }
-    Ok(v)
-}
-
-impl WireEncode for NetMsg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            NetMsg::SolicitJobManager { job, requirements, reply_to } => {
-                w.put_u8(0);
-                job.encode(w);
-                requirements.encode(w);
-                reply_to.encode(w);
-            }
-            NetMsg::JobManagerBid { job, bid } => {
-                w.put_u8(1);
-                job.encode(w);
-                bid.encode(w);
-            }
-            NetMsg::CreateJob { job, client, reply_to } => {
-                w.put_u8(2);
-                job.encode(w);
-                client.encode(w);
-                reply_to.encode(w);
-            }
-            NetMsg::JobAck { job, accepted, reason } => {
-                w.put_u8(3);
-                job.encode(w);
-                w.put_bool(*accepted);
-                w.put_str(reason);
-            }
-            NetMsg::CreateTask { job, spec, reply_to } => {
-                w.put_u8(4);
-                job.encode(w);
-                spec.encode(w);
-                reply_to.encode(w);
-            }
-            NetMsg::TaskAck { job, task, accepted, reason, server, task_addr } => {
-                w.put_u8(5);
-                job.encode(w);
-                w.put_str(task);
-                w.put_bool(*accepted);
-                w.put_str(reason);
-                w.put_str(server);
-                put_opt_addr(w, task_addr);
-            }
-            NetMsg::StartJob { job } => {
-                w.put_u8(6);
-                job.encode(w);
-            }
-            NetMsg::CancelJob { job } => {
-                w.put_u8(7);
-                job.encode(w);
-            }
-            NetMsg::SolicitTaskManager { job, task, memory_mb, reply_to } => {
-                w.put_u8(8);
-                job.encode(w);
-                w.put_str(task);
-                w.put_u64(*memory_mb);
-                reply_to.encode(w);
-            }
-            NetMsg::TaskManagerBid { job, task, bid } => {
-                w.put_u8(9);
-                job.encode(w);
-                w.put_str(task);
-                bid.encode(w);
-            }
-            NetMsg::UploadArchive { jar, size_bytes } => {
-                w.put_u8(10);
-                w.put_str(jar);
-                w.put_u64(*size_bytes);
-            }
-            NetMsg::AssignTask { job, spec, jm, reply_to } => {
-                w.put_u8(11);
-                job.encode(w);
-                spec.encode(w);
-                jm.encode(w);
-                reply_to.encode(w);
-            }
-            NetMsg::AssignAck { job, task, accepted, reason, task_addr } => {
-                w.put_u8(12);
-                job.encode(w);
-                w.put_str(task);
-                w.put_bool(*accepted);
-                w.put_str(reason);
-                put_opt_addr(w, task_addr);
-            }
-            NetMsg::StartTask { job, task, directory, client } => {
-                w.put_u8(13);
-                job.encode(w);
-                w.put_str(task);
-                put_directory(w, directory);
-                client.encode(w);
-            }
-            NetMsg::CancelTask { job, task } => {
-                w.put_u8(14);
-                job.encode(w);
-                w.put_str(task);
-            }
-            NetMsg::TaskExited { job, task } => {
-                w.put_u8(15);
-                job.encode(w);
-                w.put_str(task);
-            }
-            NetMsg::TaskStarted { job, task } => {
-                w.put_u8(16);
-                job.encode(w);
-                w.put_str(task);
-            }
-            NetMsg::TaskCompleted { job, task, result } => {
-                w.put_u8(17);
-                job.encode(w);
-                w.put_str(task);
-                result.encode(w);
-            }
-            NetMsg::TaskFailed { job, task, error } => {
-                w.put_u8(18);
-                job.encode(w);
-                w.put_str(task);
-                w.put_str(error);
-            }
-            NetMsg::JobCompleted { job, results } => {
-                w.put_u8(19);
-                job.encode(w);
-                put_results(w, results);
-            }
-            NetMsg::JobFailed { job, error } => {
-                w.put_u8(20);
-                job.encode(w);
-                w.put_str(error);
-            }
-            NetMsg::User { job, from_task, tag, data } => {
-                w.put_u8(21);
-                job.encode(w);
-                w.put_str(from_task);
-                w.put_str(tag);
-                data.encode(w);
-            }
-            NetMsg::SeedTuple { job, tuple } => {
-                w.put_u8(22);
-                job.encode(w);
-                w.put_usize(tuple.len());
-                for f in tuple {
-                    f.encode(w);
+/// Expands [`netmsg_table!`](crate::netmsg_table) into the codec: a row's
+/// tag byte, then its fields in table order, each through its type's impl.
+macro_rules! impl_netmsg_wire {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident = $tag:literal
+        $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)? })?
+    ),* $(,)?) => {
+        impl WireEncode for NetMsg {
+            fn encode(&self, w: &mut Writer) {
+                match self {
+                    $( NetMsg::$name $({ $($field),* })? => {
+                        w.put_u8($tag);
+                        $( $( $field.encode(w); )* )?
+                    } )*
                 }
             }
-            NetMsg::Shutdown => w.put_u8(23),
-            NetMsg::LoadReport { server, addr, signal } => {
-                w.put_u8(24);
-                w.put_str(server);
-                addr.encode(w);
-                signal.encode(w);
-            }
-            NetMsg::StealRequest { thief, reply_to, endpoint } => {
-                w.put_u8(25);
-                w.put_str(thief);
-                reply_to.encode(w);
-                endpoint.encode(w);
-            }
-            NetMsg::StealGrant { job, spec, jm, client, directory, victim, old_endpoint } => {
-                w.put_u8(26);
-                job.encode(w);
-                spec.encode(w);
-                jm.encode(w);
-                client.encode(w);
-                put_directory(w, directory);
-                w.put_str(victim);
-                old_endpoint.encode(w);
-            }
-            NetMsg::StealReturn { job, task } => {
-                w.put_u8(27);
-                job.encode(w);
-                w.put_str(task);
-            }
-            NetMsg::TaskMigrated { job, task, server, tm, task_addr } => {
-                w.put_u8(28);
-                job.encode(w);
-                w.put_str(task);
-                w.put_str(server);
-                tm.encode(w);
-                task_addr.encode(w);
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match r.get_u8()? {
+                    $( $tag => NetMsg::$name $({ $( $field: <$ty>::decode(r)? ),* })?, )*
+                    t => return Err(WireError::new(WireErrorKind::BadTag, format!("NetMsg tag {t}"))),
+                })
             }
         }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => NetMsg::SolicitJobManager {
-                job: JobId::decode(r)?,
-                requirements: JobRequirements::decode(r)?,
-                reply_to: Addr::decode(r)?,
-            },
-            1 => NetMsg::JobManagerBid { job: JobId::decode(r)?, bid: Bid::decode(r)? },
-            2 => NetMsg::CreateJob {
-                job: JobId::decode(r)?,
-                client: Addr::decode(r)?,
-                reply_to: Addr::decode(r)?,
-            },
-            3 => NetMsg::JobAck {
-                job: JobId::decode(r)?,
-                accepted: r.get_bool()?,
-                reason: r.get_str()?,
-            },
-            4 => NetMsg::CreateTask {
-                job: JobId::decode(r)?,
-                spec: TaskSpec::decode(r)?,
-                reply_to: Addr::decode(r)?,
-            },
-            5 => NetMsg::TaskAck {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                accepted: r.get_bool()?,
-                reason: r.get_str()?,
-                server: r.get_str()?,
-                task_addr: get_opt_addr(r)?,
-            },
-            6 => NetMsg::StartJob { job: JobId::decode(r)? },
-            7 => NetMsg::CancelJob { job: JobId::decode(r)? },
-            8 => NetMsg::SolicitTaskManager {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                memory_mb: r.get_u64()?,
-                reply_to: Addr::decode(r)?,
-            },
-            9 => NetMsg::TaskManagerBid {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                bid: Bid::decode(r)?,
-            },
-            10 => NetMsg::UploadArchive { jar: r.get_str()?, size_bytes: r.get_u64()? },
-            11 => NetMsg::AssignTask {
-                job: JobId::decode(r)?,
-                spec: TaskSpec::decode(r)?,
-                jm: Addr::decode(r)?,
-                reply_to: Addr::decode(r)?,
-            },
-            12 => NetMsg::AssignAck {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                accepted: r.get_bool()?,
-                reason: r.get_str()?,
-                task_addr: get_opt_addr(r)?,
-            },
-            13 => NetMsg::StartTask {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                directory: get_directory(r)?,
-                client: Addr::decode(r)?,
-            },
-            14 => NetMsg::CancelTask { job: JobId::decode(r)?, task: r.get_str()? },
-            15 => NetMsg::TaskExited { job: JobId::decode(r)?, task: r.get_str()? },
-            16 => NetMsg::TaskStarted { job: JobId::decode(r)?, task: r.get_str()? },
-            17 => NetMsg::TaskCompleted {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                result: UserData::decode(r)?,
-            },
-            18 => NetMsg::TaskFailed {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                error: r.get_str()?,
-            },
-            19 => NetMsg::JobCompleted { job: JobId::decode(r)?, results: get_results(r)? },
-            20 => NetMsg::JobFailed { job: JobId::decode(r)?, error: r.get_str()? },
-            21 => NetMsg::User {
-                job: JobId::decode(r)?,
-                from_task: r.get_str()?,
-                tag: r.get_str()?,
-                data: UserData::decode(r)?,
-            },
-            22 => {
-                let job = JobId::decode(r)?;
-                let n = r.get_len()?;
-                let mut tuple = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tuple.push(Field::decode(r)?);
-                }
-                NetMsg::SeedTuple { job, tuple }
-            }
-            23 => NetMsg::Shutdown,
-            24 => NetMsg::LoadReport {
-                server: r.get_str()?,
-                addr: Addr::decode(r)?,
-                signal: LoadSignal::decode(r)?,
-            },
-            25 => NetMsg::StealRequest {
-                thief: r.get_str()?,
-                reply_to: Addr::decode(r)?,
-                endpoint: Addr::decode(r)?,
-            },
-            26 => NetMsg::StealGrant {
-                job: JobId::decode(r)?,
-                spec: TaskSpec::decode(r)?,
-                jm: Addr::decode(r)?,
-                client: Addr::decode(r)?,
-                directory: get_directory(r)?,
-                victim: r.get_str()?,
-                old_endpoint: Addr::decode(r)?,
-            },
-            27 => NetMsg::StealReturn { job: JobId::decode(r)?, task: r.get_str()? },
-            28 => NetMsg::TaskMigrated {
-                job: JobId::decode(r)?,
-                task: r.get_str()?,
-                server: r.get_str()?,
-                tm: Addr::decode(r)?,
-                task_addr: Addr::decode(r)?,
-            },
-            t => return Err(WireError::new(WireErrorKind::BadTag, format!("NetMsg tag {t}"))),
-        })
-    }
+    };
 }
+crate::netmsg_table!(impl_netmsg_wire);
 
 #[cfg(test)]
 mod tests {
@@ -612,43 +223,6 @@ mod tests {
         bytes
     }
 
-    /// Exhaustive on purpose: a new `NetMsg` variant does not compile until
-    /// it is named here, and `every_variant_round_trips` then fails until
-    /// its sample list has a row for it.
-    fn variant_name(msg: &NetMsg) -> &'static str {
-        match msg {
-            NetMsg::SolicitJobManager { .. } => "SolicitJobManager",
-            NetMsg::JobManagerBid { .. } => "JobManagerBid",
-            NetMsg::CreateJob { .. } => "CreateJob",
-            NetMsg::JobAck { .. } => "JobAck",
-            NetMsg::CreateTask { .. } => "CreateTask",
-            NetMsg::TaskAck { .. } => "TaskAck",
-            NetMsg::StartJob { .. } => "StartJob",
-            NetMsg::CancelJob { .. } => "CancelJob",
-            NetMsg::SolicitTaskManager { .. } => "SolicitTaskManager",
-            NetMsg::TaskManagerBid { .. } => "TaskManagerBid",
-            NetMsg::UploadArchive { .. } => "UploadArchive",
-            NetMsg::AssignTask { .. } => "AssignTask",
-            NetMsg::AssignAck { .. } => "AssignAck",
-            NetMsg::StartTask { .. } => "StartTask",
-            NetMsg::CancelTask { .. } => "CancelTask",
-            NetMsg::TaskExited { .. } => "TaskExited",
-            NetMsg::TaskStarted { .. } => "TaskStarted",
-            NetMsg::TaskCompleted { .. } => "TaskCompleted",
-            NetMsg::TaskFailed { .. } => "TaskFailed",
-            NetMsg::JobCompleted { .. } => "JobCompleted",
-            NetMsg::JobFailed { .. } => "JobFailed",
-            NetMsg::User { .. } => "User",
-            NetMsg::SeedTuple { .. } => "SeedTuple",
-            NetMsg::Shutdown => "Shutdown",
-            NetMsg::LoadReport { .. } => "LoadReport",
-            NetMsg::StealRequest { .. } => "StealRequest",
-            NetMsg::StealGrant { .. } => "StealGrant",
-            NetMsg::StealReturn { .. } => "StealReturn",
-            NetMsg::TaskMigrated { .. } => "TaskMigrated",
-        }
-    }
-
     fn sample_spec() -> TaskSpec {
         let mut spec = TaskSpec::new("tctask1", "tctask.jar", "TCTask");
         spec.depends = vec!["tctask0".into()];
@@ -657,9 +231,10 @@ mod tests {
         spec
     }
 
-    /// One sample per variant round-trips, and its payload bytes are the
-    /// ones checked in as `tests/golden/netmsg_frames.hex` — today's wire
-    /// format, pinned (`REGENERATE_GOLDEN=1` rewrites the file).
+    /// One sample per table row round-trips, its payload bytes are the ones
+    /// checked in as `tests/golden/netmsg_frames.hex` — the wire format,
+    /// pinned (`REGENERATE_GOLDEN=1` rewrites the file) — and no prefix or
+    /// extension of those bytes decodes.
     #[test]
     fn every_variant_round_trips() {
         let bid = Bid {
@@ -774,21 +349,35 @@ mod tests {
             },
         ];
         let mut frames = String::new();
-        let mut names = std::collections::BTreeSet::new();
+        let mut names = Vec::new();
         for msg in msgs {
-            let name = variant_name(&msg);
-            assert!(names.insert(name), "two samples of {name}");
-            let hex: String = round_trip(msg).iter().map(|b| format!("{b:02x}")).collect();
+            let name = msg.kind();
+            names.push(name);
+            let payload = round_trip(msg);
+            // The corpus cut at every byte: each proper prefix is a typed
+            // error (never `Ok`, never a panic), one byte more is trailing.
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_payload::<NetMsg>(&payload[..cut]).is_err(),
+                    "{name} decoded from its first {cut} of {} bytes",
+                    payload.len()
+                );
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert_eq!(
+                decode_payload::<NetMsg>(&longer).unwrap_err().kind,
+                WireErrorKind::TrailingBytes,
+                "{name} plus one byte"
+            );
+            let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
             frames.push_str(&format!("{name} {hex}\n"));
         }
-        // Every tag the decoder knows has a sample (an unknown tag is the
-        // only `BadTag`; a known one wants its fields, or is `Shutdown`).
-        let known_tags = (0..=u8::MAX)
-            .filter(|&t| {
-                !matches!(NetMsg::decode(&mut Reader::new(&[t])), Err(e) if e.kind == WireErrorKind::BadTag)
-            })
-            .count();
-        assert_eq!(names.len(), known_tags, "a NetMsg variant has no sample row");
+        // One sample per table row, in table order (hence no duplicates).
+        for kind in NetMsg::KINDS {
+            assert!(names.contains(kind), "NetMsg::{kind} has no sample row in this test");
+        }
+        assert_eq!(names, NetMsg::KINDS, "samples follow the table's order");
 
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/netmsg_frames.hex");
@@ -805,23 +394,6 @@ mod tests {
             "wire bytes drifted from {}; rerun with REGENERATE_GOLDEN=1 if intended",
             path.display()
         );
-    }
-
-    #[test]
-    fn directory_bytes_are_order_independent() {
-        let mut w1 = Writer::new();
-        let mut w2 = Writer::new();
-        let mut d1 = HashMap::new();
-        let mut d2 = HashMap::new();
-        for i in 0..16 {
-            d1.insert(format!("t{i}"), Addr(i));
-        }
-        for i in (0..16).rev() {
-            d2.insert(format!("t{i}"), Addr(i));
-        }
-        put_directory(&mut w1, &d1);
-        put_directory(&mut w2, &d2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 
     #[test]

@@ -365,8 +365,18 @@ impl JobRunner for StubRunner {
 /// XMI2CNX stylesheet, anything else must already be CNX. Both end in
 /// parse + validate.
 pub fn compile_submission(body: &[u8]) -> Result<CompiledJob, String> {
+    let (text, is_xmi) = sniff(body)?;
+    compile_sniffed(text, is_xmi)
+}
+
+/// The body as text, and whether it is XMI.
+fn sniff(body: &[u8]) -> Result<(&str, bool), String> {
     let text = std::str::from_utf8(body).map_err(|_| "submission body is not UTF-8".to_string())?;
-    let cnx_text = if looks_like_xmi(text) {
+    Ok((text, looks_like_xmi(text)))
+}
+
+fn compile_sniffed(text: &str, is_xmi: bool) -> Result<CompiledJob, String> {
+    let cnx_text = if is_xmi {
         xmi_to_cnx_xslt(text, &ClientSettings::default()).map_err(|e| format!("XMI2CNX: {e}"))?
     } else {
         text.to_string()
@@ -380,15 +390,17 @@ fn compile_cnx(cnx_text: String) -> Result<CompiledJob, String> {
     Ok(CompiledJob { descriptor, cnx_text })
 }
 
-/// Does the body parse as XML with an `XMI` root?
+/// Is the body's first start tag an `XMI` element? Reads no further than
+/// that tag: whether the rest is well-formed is the compile's to say.
 pub fn looks_like_xmi(text: &str) -> bool {
-    cn_xml::parse(text)
-        .ok()
-        .and_then(|doc| {
-            let root = doc.root_element()?;
-            Some(doc.name(root)?.local() == "XMI")
-        })
-        .unwrap_or(false)
+    let mut reader = cn_xml::Reader::new(text);
+    loop {
+        match reader.next_event() {
+            Ok(cn_xml::Event::StartTag { name, .. }) => return name.local() == "XMI",
+            Ok(cn_xml::Event::Eof) | Err(_) => return false,
+            Ok(_) => {}
+        }
+    }
 }
 
 /// One queued unit of work: the job id plus the raw uploaded body.
@@ -475,42 +487,44 @@ fn worker_loop(
 /// bodies go straight to parse + validate. Result slots line up with the
 /// input batch.
 fn compile_batch(batch: &[(u64, JobWork)]) -> Vec<Result<CompiledJob, String>> {
-    let texts: Vec<Option<&str>> =
-        batch.iter().map(|(_, w)| std::str::from_utf8(&w.body).ok()).collect();
-    let xmi_idx: Vec<usize> = texts
+    let sniffed: Vec<Result<(&str, bool), String>> =
+        batch.iter().map(|(_, w)| sniff(&w.body)).collect();
+    let xmi: Vec<(usize, &str)> = sniffed
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.map(looks_like_xmi).unwrap_or(false))
-        .map(|(i, _)| i)
+        .filter_map(|(i, s)| match s {
+            Ok((text, true)) => Some((i, *text)),
+            _ => None,
+        })
         .collect();
 
     let mut xmi_results: HashMap<usize, Result<String, String>> = HashMap::new();
-    if xmi_idx.len() > 1 {
-        let inputs: Vec<String> =
-            xmi_idx.iter().map(|&i| texts[i].unwrap_or_default().to_string()).collect();
-        match BatchTransformer::xmi2cnx(xmi_idx.len()) {
+    if xmi.len() > 1 {
+        let inputs: Vec<String> = xmi.iter().map(|&(_, text)| text.to_string()).collect();
+        match BatchTransformer::xmi2cnx(xmi.len()) {
             Ok(batcher) => {
-                for (&i, cnx) in xmi_idx
-                    .iter()
-                    .zip(batcher.run_with_settings(&inputs, &ClientSettings::default()))
+                for (&(i, _), cnx) in
+                    xmi.iter().zip(batcher.run_with_settings(&inputs, &ClientSettings::default()))
                 {
                     xmi_results.insert(i, cnx.map_err(|e| format!("XMI2CNX: {e}")));
                 }
             }
             Err(e) => {
-                for &i in &xmi_idx {
+                for &(i, _) in &xmi {
                     xmi_results.insert(i, Err(format!("XMI2CNX: {e}")));
                 }
             }
         }
     }
 
-    batch
-        .iter()
+    // A body the batched pass did not take keeps the verdict it was given
+    // above; it is not sniffed again.
+    sniffed
+        .into_iter()
         .enumerate()
-        .map(|(i, (_, work))| match xmi_results.remove(&i) {
+        .map(|(i, sniffed)| match xmi_results.remove(&i) {
             Some(cnx) => cnx.and_then(compile_cnx),
-            None => compile_submission(&work.body),
+            None => sniffed.and_then(|(text, is_xmi)| compile_sniffed(text, is_xmi)),
         })
         .collect()
 }
@@ -635,6 +649,21 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.contains("CNX parse"), "{err}");
+        // An `<XMI` root is sniffed from its start tag alone, so a body cut
+        // off further down is the transform's error, not the CNX parser's.
+        let xmi = cn_xml::write_document(
+            &cn_model::export_xmi(&cn_transform::figure2_model(2)),
+            &cn_xml::WriteOptions::xmi(),
+        );
+        let truncated = &xmi[..xmi.len() / 2];
+        assert!(looks_like_xmi(truncated));
+        assert!(!looks_like_xmi("<?xml version=\"1.0\"?><!-- XMI --><cn2/>"));
+        assert!(!looks_like_xmi("<XMI"));
+        let err = match compile_submission(truncated.as_bytes()) {
+            Ok(_) => panic!("truncated XMI compiled"),
+            Err(e) => e,
+        };
+        assert!(err.starts_with("XMI2CNX: "), "{err}");
     }
 
     #[test]

@@ -11,11 +11,15 @@
 //! | 17     | ...   | message body (tag byte + fields) |
 //!
 //! The codec is deliberately hand-rolled: the build environment has no
-//! crates.io access, and the message vocabulary is small and stable.
+//! crates.io access, and the message vocabulary is small and stable. A
+//! message is its tag byte followed by its fields, each encoded by its
+//! type's [`WireEncode`] impl; the impls for the building blocks (scalars,
+//! `String`, `Option`, `Vec`, pairs, string-keyed maps) live here.
 //! Decoding NEVER panics on malformed input — every failure is a typed
 //! [`WireError`].
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -232,6 +236,12 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len checked")))
     }
 
+    /// The counterpart of [`Writer::put_usize`]: a plain number, not a
+    /// collection length (that is [`Reader::get_len`]).
+    pub fn get_usize(&mut self) -> Result<usize, WireError> {
+        Ok(self.get_u32()? as usize)
+    }
+
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
     }
@@ -297,6 +307,107 @@ impl WireEncode for Addr {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Addr(r.get_u64()?))
+    }
+}
+
+/// Scalars go through the `Writer`/`Reader` method pair named here.
+macro_rules! wire_scalar {
+    ($($ty:ty: $put:ident / $get:ident),* $(,)?) => {$(
+        impl WireEncode for $ty {
+            fn encode(&self, w: &mut Writer) {
+                w.$put(*self);
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+wire_scalar! {
+    bool: put_bool / get_bool,
+    u32: put_u32 / get_u32,
+    u64: put_u64 / get_u64,
+    i64: put_i64 / get_i64,
+    f64: put_f64 / get_f64,
+    usize: put_usize / get_usize,
+}
+
+impl WireEncode for String {
+    fn encode(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.get_str()
+    }
+}
+
+impl<T: WireEncode> WireEncode for Option<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(if r.get_bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+/// A count, then the elements. (`u8` has no impl on purpose: byte strings
+/// are `put_bytes`, one `memcpy`.)
+impl<T: WireEncode> WireEncode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_usize(self.len());
+        for v in self {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.get_len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Encoded sorted by key, so equal maps produce equal bytes regardless of
+/// `HashMap` iteration order.
+impl<V: WireEncode> WireEncode for HashMap<String, V> {
+    fn encode(&self, w: &mut Writer) {
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (key, value) in entries {
+            w.put_str(key);
+            value.encode(w);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.get_len()?;
+        let mut out = HashMap::with_capacity(n);
+        for _ in 0..n {
+            let key = r.get_str()?;
+            out.insert(key, V::decode(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -505,6 +616,47 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn containers_round_trip() {
+        type Sample = (Vec<(String, Option<u64>)>, HashMap<String, Vec<f64>>);
+        let sample: Sample = (
+            vec![("a".into(), Some(7)), (String::new(), None)],
+            HashMap::from([("k".to_string(), vec![1.5, -2.0]), ("j".to_string(), vec![])]),
+        );
+        let mut w = Writer::new();
+        sample.encode(&mut w);
+        (true, 9usize).encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Sample::decode(&mut r).unwrap(), sample);
+        assert_eq!(<(bool, usize)>::decode(&mut r).unwrap(), (true, 9));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn map_bytes_are_order_independent() {
+        let mut w1 = Writer::new();
+        let mut w2 = Writer::new();
+        let d1: HashMap<String, Addr> = (0..16).map(|i| (format!("t{i}"), Addr(i))).collect();
+        let d2: HashMap<String, Addr> = (0..16).rev().map(|i| (format!("t{i}"), Addr(i))).collect();
+        d1.encode(&mut w1);
+        d2.encode(&mut w2);
+        assert_eq!(w1.into_bytes(), w2.into_bytes());
+    }
+
+    #[test]
+    fn hostile_element_count_is_rejected_before_allocation() {
+        let mut w = Writer::new();
+        w.put_u32(MAX_FRAME_BYTES);
+        let bytes = w.into_bytes();
+        for kind in [
+            Vec::<u64>::decode(&mut Reader::new(&bytes)).unwrap_err().kind,
+            HashMap::<String, Addr>::decode(&mut Reader::new(&bytes)).unwrap_err().kind,
+        ] {
+            assert_eq!(kind, WireErrorKind::BadLength);
+        }
     }
 
     #[test]

@@ -1267,16 +1267,7 @@ mod tests {
     use crate::FabricHandle;
     use std::net::TcpListener;
 
-    // u64 is a fine stand-in message for transport tests.
-    impl WireEncode for u64 {
-        fn encode(&self, w: &mut crate::codec::Writer) {
-            w.put_u64(*self);
-        }
-
-        fn decode(r: &mut crate::codec::Reader<'_>) -> Result<Self, crate::codec::WireError> {
-            r.get_u64()
-        }
-    }
+    // u64 (a `WireEncode` scalar) is the stand-in message for transport tests.
 
     #[test]
     fn port_pair_is_redrawn_when_the_udp_twin_is_taken() {

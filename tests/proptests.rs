@@ -459,178 +459,155 @@ proptest! {
 
 // ---------- wire codec -----------------------------------------------------
 
+use std::collections::HashMap;
+
 use computational_neighborhood::cluster::{Addr, Envelope};
 use computational_neighborhood::core::message::Bid;
 use computational_neighborhood::core::scheduler::LoadSignal;
 use computational_neighborhood::core::{Field, JobId, JobRequirements, NetMsg, TaskSpec, UserData};
 use computational_neighborhood::wire::codec::{decode_payload, encode_payload};
 
-fn arb_addr() -> impl Strategy<Value = Addr> {
-    (0u64..u64::MAX).prop_map(Addr)
+/// A strategy per *field type* of the protocol table; `arb_netmsg` below
+/// is the table itself, one `Union` arm per row.
+trait Arb: Sized {
+    fn arb() -> BoxedStrategy<Self>;
 }
 
-fn arb_userdata() -> impl Strategy<Value = UserData> {
-    prop_oneof![
+macro_rules! arb {
+    ($($ty:ty => $strategy:expr;)*) => {$(
+        impl Arb for $ty {
+            fn arb() -> BoxedStrategy<Self> {
+                $strategy.boxed()
+            }
+        }
+    )*};
+}
+
+arb! {
+    bool => (0u8..2).prop_map(|b| b == 1);
+    u64 => 0u64..1_000_000;
+    usize => 0usize..64;
+    String => prop_oneof![name_str(), xml_text()];
+    Addr => (0u64..u64::MAX).prop_map(Addr);
+    JobId => (0u64..1000).prop_map(JobId);
+    JobRequirements => (u64::arb(), usize::arb()).prop_map(|(min_free_memory_mb, min_free_slots)| {
+        JobRequirements { min_free_memory_mb, min_free_slots }
+    });
+    UserData => prop_oneof![
         Just(UserData::Empty),
         xml_text().prop_map(UserData::Text),
         proptest::collection::vec(0u8..=255, 0..32).prop_map(UserData::Bytes),
         proptest::collection::vec(-1000i64..1000, 0..16).prop_map(UserData::I64s),
         proptest::collection::vec(-1e6f64..1e6, 0..16).prop_map(UserData::F64s),
-    ]
-}
-
-fn arb_field() -> impl Strategy<Value = Field> {
-    prop_oneof![
+    ];
+    Field => prop_oneof![
         (-1000i64..1000).prop_map(Field::I),
         (-1e6f64..1e6).prop_map(Field::F),
         xml_text().prop_map(Field::S),
         proptest::collection::vec(0u8..=255, 0..24).prop_map(Field::B),
-    ]
+    ];
+    LoadSignal => (0u32..1_000, 0u32..64, 0u64..10_000_000).prop_map(
+        |(queue_depth, in_flight, ewma_dispatch_us)| LoadSignal {
+            queue_depth,
+            in_flight,
+            ewma_dispatch_us,
+        }
+    );
+    Bid => (name_str(), Addr::arb(), 0.0f64..64.0, u64::arb(), usize::arb(), LoadSignal::arb())
+        .prop_map(|(server, addr, load, free_memory_mb, free_slots, signal)| Bid {
+            server,
+            addr,
+            load,
+            free_memory_mb,
+            free_slots,
+            signal,
+        });
+    TaskSpec => (
+        (name_str(), name_str(), name_str()),
+        proptest::collection::vec(name_str(), 0..4),
+        1u64..100_000,
+        bool::arb(),
+        proptest::collection::vec(-100i64..100, 0..3),
+        xml_text(),
+    )
+        .prop_map(|((name, jar, class), depends, memory_mb, process, ints, text)| {
+            let mut spec = TaskSpec::new(name, jar, class);
+            spec.depends = depends;
+            spec.memory_mb = memory_mb;
+            if process {
+                spec.runmodel = cnx::RunModel::RunAsProcess;
+            }
+            spec.params = ints.into_iter().map(Param::integer).collect();
+            spec.params.push(Param::string(text));
+            spec
+        });
 }
 
-prop_compose! {
-    fn arb_spec()(
-        name in name_str(),
-        jar in name_str(),
-        class in name_str(),
-        depends in proptest::collection::vec(name_str(), 0..4),
-        memory in 1u64..100_000,
-        thread in 0u8..2,
-        ints in proptest::collection::vec(-100i64..100, 0..3),
-        text in xml_text(),
-    ) -> TaskSpec {
-        let mut spec = TaskSpec::new(name, jar, class);
-        spec.depends = depends;
-        spec.memory_mb = memory;
-        spec.runmodel = if thread == 0 {
-            cnx::RunModel::RunAsThreadInTm
-        } else {
-            cnx::RunModel::RunAsProcess
-        };
-        spec.params = ints.into_iter().map(Param::integer).collect();
-        spec.params.push(Param::string(text));
-        spec
+impl<T: Arb + 'static> Arb for Option<T> {
+    fn arb() -> BoxedStrategy<Self> {
+        (bool::arb(), T::arb()).prop_map(|(some, v)| some.then_some(v)).boxed()
     }
 }
 
-prop_compose! {
-    fn arb_signal()(
-        queue_depth in 0u32..1_000,
-        in_flight in 0u32..64,
-        ewma_dispatch_us in 0u64..10_000_000,
-    ) -> LoadSignal {
-        LoadSignal { queue_depth, in_flight, ewma_dispatch_us }
+impl<T: Arb + 'static> Arb for Vec<T> {
+    fn arb() -> BoxedStrategy<Self> {
+        proptest::collection::vec(T::arb(), 0..6).boxed()
     }
 }
 
-prop_compose! {
-    fn arb_bid()(
-        server in name_str(),
-        addr in arb_addr(),
-        load in 0.0f64..64.0,
-        free_memory_mb in 0u64..1_000_000,
-        free_slots in 0usize..64,
-        signal in arb_signal(),
-    ) -> Bid {
-        Bid { server, addr, load, free_memory_mb, free_slots, signal }
+impl<A: Arb + 'static, B: Arb + 'static> Arb for (A, B) {
+    fn arb() -> BoxedStrategy<Self> {
+        (A::arb(), B::arb()).boxed()
     }
 }
 
-/// Every structurally distinct encoding shape in the protocol: plain
-/// fields, optional addresses, nested specs/bids, maps, vecs of pairs,
-/// tuples, and the fieldless control message.
-fn arb_netmsg() -> impl Strategy<Value = NetMsg> {
-    prop_oneof![
-        (0u64..1000, 0u64..100_000, 0usize..64, arb_addr()).prop_map(
-            |(job, min_free_memory_mb, min_free_slots, reply_to)| NetMsg::SolicitJobManager {
-                job: JobId(job),
-                requirements: JobRequirements { min_free_memory_mb, min_free_slots },
-                reply_to,
-            }
-        ),
-        (0u64..1000, arb_bid())
-            .prop_map(|(job, bid)| NetMsg::JobManagerBid { job: JobId(job), bid }),
-        (0u64..1000, arb_spec(), arb_addr()).prop_map(|(job, spec, reply_to)| {
-            NetMsg::CreateTask { job: JobId(job), spec, reply_to }
-        }),
-        (0u64..1000, name_str(), 0u8..2, xml_text(), name_str(), arb_addr(), 0u8..2).prop_map(
-            |(job, task, accepted, reason, server, addr, some)| NetMsg::TaskAck {
-                job: JobId(job),
-                task,
-                accepted: accepted == 1,
-                reason,
-                server,
-                task_addr: (some == 1).then_some(addr),
-            }
-        ),
-        (0u64..1000, arb_spec(), arb_addr(), arb_addr()).prop_map(|(job, spec, jm, reply_to)| {
-            NetMsg::AssignTask { job: JobId(job), spec, jm, reply_to }
-        }),
-        (
-            0u64..1000,
-            name_str(),
-            proptest::collection::vec((name_str(), arb_addr()), 0..5),
-            arb_addr()
-        )
-            .prop_map(|(job, task, dir, client)| NetMsg::StartTask {
-                job: JobId(job),
-                task,
-                directory: dir.into_iter().collect(),
-                client,
-            }),
-        (0u64..1000, name_str(), arb_userdata()).prop_map(|(job, task, result)| {
-            NetMsg::TaskCompleted { job: JobId(job), task, result }
-        }),
-        (0u64..1000, proptest::collection::vec((name_str(), arb_userdata()), 0..5))
-            .prop_map(|(job, results)| NetMsg::JobCompleted { job: JobId(job), results }),
-        (0u64..1000, name_str(), name_str(), arb_userdata()).prop_map(
-            |(job, from_task, tag, data)| NetMsg::User { job: JobId(job), from_task, tag, data }
-        ),
-        (0u64..1000, proptest::collection::vec(arb_field(), 0..6))
-            .prop_map(|(job, tuple)| { NetMsg::SeedTuple { job: JobId(job), tuple } }),
-        // Load-aware scheduling + work stealing (PR10).
-        (name_str(), arb_addr(), arb_signal())
-            .prop_map(|(server, addr, signal)| NetMsg::LoadReport { server, addr, signal }),
-        (name_str(), arb_addr(), arb_addr()).prop_map(|(thief, reply_to, endpoint)| {
-            NetMsg::StealRequest { thief, reply_to, endpoint }
-        }),
-        (
-            0u64..1000,
-            arb_spec(),
-            arb_addr(),
-            arb_addr(),
-            proptest::collection::vec((name_str(), arb_addr()), 0..5),
-            name_str(),
-            arb_addr()
-        )
-            .prop_map(|(job, spec, jm, client, dir, victim, old_endpoint)| {
-                NetMsg::StealGrant {
-                    job: JobId(job),
-                    spec,
-                    jm,
-                    client,
-                    directory: dir.into_iter().collect(),
-                    victim,
-                    old_endpoint,
-                }
-            }),
-        (0u64..1000, name_str())
-            .prop_map(|(job, task)| NetMsg::StealReturn { job: JobId(job), task }),
-        (0u64..1000, name_str(), name_str(), arb_addr(), arb_addr()).prop_map(
-            |(job, task, server, tm, task_addr)| NetMsg::TaskMigrated {
-                job: JobId(job),
-                task,
-                server,
-                tm,
-                task_addr,
-            }
-        ),
-        Just(NetMsg::Shutdown),
-    ]
+impl<V: Arb + 'static> Arb for HashMap<String, V> {
+    fn arb() -> BoxedStrategy<Self> {
+        proptest::collection::vec((name_str(), V::arb()), 0..5)
+            .prop_map(|entries| entries.into_iter().collect())
+            .boxed()
+    }
+}
+
+/// One table row → one strategy: the fields' strategies as a tuple, mapped
+/// into the variant (a fieldless row is the variant itself).
+macro_rules! arb_row {
+    ($name:ident) => {
+        Just(NetMsg::$name).boxed()
+    };
+    ($name:ident { $($field:ident : $ty:ty),* }) => {
+        ($(<$ty>::arb(),)*).prop_map(|($($field,)*)| NetMsg::$name { $($field),* }).boxed()
+    };
+}
+
+/// The callback handed to `netmsg_table!`: every row of the protocol table
+/// is an arm, so a new message is fuzzed the moment its row exists.
+macro_rules! arb_netmsg_from_table {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident = $tag:literal
+        $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)? })?
+    ),* $(,)?) => {
+        fn arb_netmsg() -> Union<NetMsg> {
+            Union::new(vec![$( arb_row!($name $({ $($field : $ty),* })?) ),*])
+        }
+    };
+}
+computational_neighborhood::core::netmsg_table!(arb_netmsg_from_table);
+
+/// The derived strategy reaches every row of the table (fixed seed).
+#[test]
+fn strategy_produces_every_netmsg_kind() {
+    let strategy = arb_netmsg();
+    let mut rng = proptest::test_runner::TestRng::for_case("netmsg-kinds", 0);
+    let seen: std::collections::BTreeSet<&str> =
+        (0..2_000).map(|_| strategy.generate(&mut rng).kind()).collect();
+    let missing: Vec<_> = NetMsg::KINDS.iter().filter(|k| !seen.contains(*k)).collect();
+    assert!(missing.is_empty(), "never generated: {missing:?}");
 }
 
 prop_compose! {
-    fn arb_envelope()(from in arb_addr(), to in arb_addr(), msg in arb_netmsg()) -> Envelope<NetMsg> {
+    fn arb_envelope()(from in Addr::arb(), to in Addr::arb(), msg in arb_netmsg()) -> Envelope<NetMsg> {
         Envelope { from, to, msg }
     }
 }
