@@ -321,7 +321,10 @@ fn e2_transform_throughput() {
 /// E3: runtime overhead table.
 fn e3_runtime_overhead() {
     banner("E3", "runtime overheads by cluster size");
-    println!("{:>7} {:>16} {:>16}", "nodes", "job_creation", "task_placement");
+    println!(
+        "{:>7} {:>16} {:>16} {:>18}",
+        "nodes", "job_creation", "task_placement", "in_a_burst_of_20"
+    );
     for &nodes in &[1usize, 2, 4, 8, 16] {
         let nb = bench_neighborhood(nodes, 100_000);
         nb.registry().publish(cn_core::TaskArchive::new("noop.jar").class("Noop", || {
@@ -335,18 +338,29 @@ fn e3_runtime_overhead() {
             jobs.push(api.create_job(&cn_core::JobRequirements::default()).expect("job"));
         }
         let create_t = t.elapsed() / iters;
+        let specs = || {
+            (0..iters).map(|i| {
+                let mut spec = cn_core::TaskSpec::new(format!("t{i}"), "noop.jar", "Noop");
+                spec.memory_mb = 1;
+                spec
+            })
+        };
+        // One round (solicit, bids, upload, assign) per task ...
         let mut job = jobs.pop().unwrap();
         let t = Instant::now();
-        for i in 0..iters {
-            let mut spec = cn_core::TaskSpec::new(format!("t{i}"), "noop.jar", "Noop");
-            spec.memory_mb = 1;
+        for spec in specs() {
             job.add_task(spec).expect("place");
         }
         let place_t = t.elapsed() / iters;
-        println!("{nodes:>7} {create_t:>16.2?} {place_t:>16.2?}");
+        // ... against one round for all twenty.
+        let mut job = jobs.pop().unwrap();
+        let t = Instant::now();
+        job.add_tasks(specs().collect()).expect("place");
+        let burst_t = t.elapsed() / iters;
+        println!("{nodes:>7} {create_t:>16.2?} {place_t:>16.2?} {burst_t:>18.2?}");
         nb.shutdown();
     }
-    println!("[expected shape: one wake-up per bidder, linear in node count; no fixed bid window]");
+    println!("[expected shape: one wake-up per bidder, linear in node count; no fixed bid window; a burst shares one solicitation]");
 }
 
 /// E4: dynamic multiplicity sweep.

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cn_cluster::{Addr, Envelope, LatencyModel, Network, DISCOVERY_GROUP};
 use cn_core::pump::MsgPump;
@@ -52,7 +52,7 @@ pub fn all() -> &'static [Scenario] {
         },
         Scenario {
             name: "core.server_drain",
-            about: "CnServer pending-queue drain: nested wait must stash, not drop",
+            about: "CnServer pending-queue drain: a round's CreateTask sweep must keep the rest, in order",
             fail_on_timeout_escape: true,
             run: server_drain,
         },
@@ -171,31 +171,37 @@ fn group_delivery() {
     assert_eq!(rx_b.recv().expect("b alive").msg, 42);
 }
 
-/// The CnServer event-loop invariant ported onto [`MsgPump`]: a nested
-/// wait (`wait_for`) consumes only the envelope it awaited; everything
-/// that raced it must be stashed and handed to the main loop in order.
-/// The `mutations` build discards instead of stashing, so the lifecycle
-/// message that the sender put *before* the ack is lost whenever the
-/// nested wait is entered first — an assertion failure under exactly
-/// those schedules.
+/// The CnServer event-loop invariant ported onto [`MsgPump`]: when a
+/// placement round starts, `take_matching` pulls the `CreateTask`s that
+/// have been delivered so far ahead of everything else, racing the peer
+/// that is still sending. What it passes over must come out of `next()`
+/// afterwards, in arrival order. The `mutations` build forgets what it
+/// passed over, so the lifecycle event the peer sent *behind* its
+/// `CreateTask` is lost whenever both were delivered before the round
+/// started — an assertion failure under exactly those schedules.
 fn server_drain() {
+    const SENT: [&str; 3] = ["started", "create", "completed"];
     let (tx, rx) = cn_sync::channel::unbounded_named("check.server");
     let mut pump: MsgPump<&'static str> = MsgPump::new(rx);
 
     let sender = thread::Builder::new()
         .name("peer".into())
         .spawn(move || {
-            tx.send(Envelope { from: Addr(1), to: Addr(0), msg: "lifecycle" }).expect("send");
-            tx.send(Envelope { from: Addr(1), to: Addr(0), msg: "ack" }).expect("send");
+            for msg in SENT {
+                tx.send(Envelope { from: Addr(1), to: Addr(0), msg }).expect("send");
+            }
         })
         .expect("spawn sender");
 
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let ack = pump.wait_for(deadline, |m| *m == "ack");
-    assert_eq!(ack.map(|e| e.msg), Some("ack"), "ack never arrived");
-    // The lifecycle message raced the nested wait; it must surface here.
-    let next = pump.next();
-    assert_eq!(next.map(|e| e.msg), Some("lifecycle"), "lifecycle event lost by nested wait");
+    // The main loop's receive, then a round starting behind it.
+    let mut seen = vec![pump.next().expect("peer alive").msg];
+    let taken = pump.take_matching(|m| *m == "create");
+    assert!(taken.iter().all(|env| env.msg == "create"), "drain took a non-matching envelope");
+    for _ in 0..SENT.len() - 1 - taken.len() {
+        seen.push(pump.next().expect("lifecycle event lost by the round's drain").msg);
+    }
+    seen.retain(|m| *m != "create");
+    assert_eq!(seen, ["started", "completed"], "drain reordered what it passed over");
     sender.join().expect("sender");
 }
 

@@ -71,9 +71,9 @@ fn mutated_group_delivery_deadlocks() {
     assert!(again.hazards.iter().any(|h| h.kind == HazardKind::Deadlock), "{:?}", again.hazards);
 }
 
-/// The mutated pump's nested wait discards instead of stashing: the
-/// lifecycle message racing the awaited ack is lost, and the scenario's
-/// assertion fails under exactly those schedules.
+/// The mutated pump's `take_matching` forgets what it passed over: the
+/// lifecycle event delivered behind the `CreateTask` a round sweeps up is
+/// lost, and the scenario's assertion fails under exactly those schedules.
 #[test]
 fn mutated_server_drain_drops_a_protocol_message() {
     let scenario = cn_check::find("core.server_drain").expect("registered");

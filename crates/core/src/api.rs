@@ -2,7 +2,8 @@
 //!
 //! * Initialize CN API (using the factory) → [`CnApi::initialize`]
 //! * Create Job in JobManager → [`CnApi::create_job`]
-//! * Create Tasks for the Job → [`JobHandle::add_task`]
+//! * Create Tasks for the Job → [`JobHandle::add_tasks`] (one at a time:
+//!   [`JobHandle::add_task`])
 //! * Start the Tasks → [`JobHandle::start`]
 //! * Get Messages from Tasks → [`JobHandle::recv_message`]
 //! * Send Messages to Tasks → [`JobHandle::send_to_task`]
@@ -163,7 +164,6 @@ impl CnApi {
         let mut bids: Vec<Bid> = Vec::new();
         for _attempt in 0..=self.config.discovery_retries {
             self.c_solicits.inc();
-            // Anything else heard on a fresh endpoint is a stray: dropped.
             bids = solicit(
                 &self.net,
                 &rx,
@@ -174,7 +174,6 @@ impl CnApi {
                     NetMsg::JobManagerBid { job: bjob, bid } if *bjob == job => Some(bid.clone()),
                     _ => None,
                 },
-                |_| {},
             );
             if !bids.is_empty() {
                 break;
@@ -402,46 +401,63 @@ impl JobHandle {
         }
     }
 
-    /// Create one task in the job. The JobManager places it on a willing
-    /// TaskManager immediately; on success the task's message queue exists
-    /// (but the task is not yet running).
+    /// Create one task in the job — the burst of one. The JobManager places
+    /// it on a willing TaskManager immediately; on success the task's
+    /// message queue exists (but the task is not yet running).
     pub fn add_task(&mut self, spec: TaskSpec) -> Result<(), ClientError> {
+        let names = vec![spec.name.clone()];
+        self.create(NetMsg::CreateTask { job: self.job, spec, reply_to: self.addr }, names)
+    }
+
+    /// Create the job's tasks as one burst: one message, which the
+    /// JobManager places in one round — one solicitation, every assignment
+    /// in flight at once — and acks task by task, in `specs` order. Every
+    /// task the JobManager could place is created; the error, if any, is
+    /// the first one it could not.
+    pub fn add_tasks(&mut self, specs: Vec<TaskSpec>) -> Result<(), ClientError> {
+        if specs.is_empty() {
+            return Ok(());
+        }
+        let names = specs.iter().map(|s| s.name.clone()).collect();
+        self.create(NetMsg::CreateTasks { job: self.job, specs, reply_to: self.addr }, names)
+    }
+
+    /// Send a creation request and collect the `TaskAck` of each task it
+    /// names, in order.
+    fn create(&mut self, request: NetMsg, names: Vec<String>) -> Result<(), ClientError> {
         if self.started {
             return Err(ClientError::Usage("add_task after start"));
         }
-        let name = spec.name.clone();
         let dispatch_start = Instant::now();
-        self.net
-            .send(
-                self.addr,
-                self.jm,
-                NetMsg::CreateTask { job: self.job, spec, reply_to: self.addr },
-            )
-            .map_err(|e| ClientError::Net(e.to_string()))?;
+        self.net.send(self.addr, self.jm, request).map_err(|e| ClientError::Net(e.to_string()))?;
         let job = self.job;
-        let want_name = name.clone();
-        let ack = self.wait_net(self.ack_timeout, |m| {
-            matches!(m, NetMsg::TaskAck { job: j, task, .. } if *j == job && *task == want_name)
-        })?;
-        // Dispatch latency: CreateTask send → TaskAck, i.e. the full
-        // solicit/bid/upload/assign round the JobManager ran on our behalf.
-        self.dispatch.record(dispatch_start.elapsed().as_micros() as u64);
-        match ack {
-            NetMsg::TaskAck { accepted: true, task_addr: Some(addr), server, .. } => {
-                self.c_tasks.inc();
-                self.directory.insert(name.clone(), addr);
-                self.placements.push((name.clone(), server));
-                self.task_names.push(name);
-                Ok(())
+        let mut first_failure = None;
+        for name in names {
+            let ack = self.wait_net(
+                self.ack_timeout,
+                |m| matches!(m, NetMsg::TaskAck { job: j, task, .. } if *j == job && *task == name),
+            )?;
+            // Dispatch latency: request sent → this task's TaskAck, i.e. the
+            // solicit/bid/upload/assign round the JobManager ran on our behalf.
+            self.dispatch.record(dispatch_start.elapsed().as_micros() as u64);
+            match ack {
+                NetMsg::TaskAck { accepted: true, task_addr: Some(addr), server, .. } => {
+                    self.c_tasks.inc();
+                    self.directory.insert(name.clone(), addr);
+                    self.placements.push((name.clone(), server));
+                    self.task_names.push(name);
+                }
+                NetMsg::TaskAck { reason, .. } => {
+                    self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
+                        format!("placement failed for task {name:?}: {reason}")
+                    });
+                    first_failure
+                        .get_or_insert(ClientError::PlacementFailed { task: name, reason });
+                }
+                _ => unreachable!("filtered on TaskAck"),
             }
-            NetMsg::TaskAck { reason, .. } => {
-                self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
-                    format!("placement failed for task {name:?}: {reason}")
-                });
-                Err(ClientError::PlacementFailed { task: name, reason })
-            }
-            _ => unreachable!("filtered on TaskAck"),
         }
+        first_failure.map_or(Ok(()), Err)
     }
 
     /// Deposit a tuple into the job's tuple space ("seeding" the input

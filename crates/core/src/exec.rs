@@ -189,8 +189,12 @@ pub fn execute_with_api_seeded(
     let mut reports = Vec::with_capacity(expanded.client.jobs.len());
     for job_decl in &expanded.client.jobs {
         let mut job = api.create_job(&JobRequirements::default())?;
-        for task in &job_decl.tasks {
-            job.add_task(TaskSpec::from_cnx(task))?;
+        if let Err(e) = job.add_tasks(job_decl.tasks.iter().map(TaskSpec::from_cnx).collect()) {
+            // The tasks that were placed hold their slots and memory until
+            // the JobManager hears the job is off; a dropped handle says
+            // nothing.
+            let _ = job.cancel(timeout);
+            return Err(e.into());
         }
         let rec = api.recorder();
         let seed_span =
@@ -314,6 +318,34 @@ mod tests {
         assert_eq!(reports[0].results.len(), 4);
         for i in 1..=4i64 {
             assert_eq!(reports[0].result(&format!("w_{i}")), Some(&UserData::I64s(vec![i])));
+        }
+        nb.shutdown();
+    }
+
+    #[test]
+    fn failed_placement_gives_back_what_the_burst_had_placed() {
+        let nb = Neighborhood::deploy(NodeSpec::fleet(2, 1000, 4));
+        nb.registry().publish(
+            TaskArchive::new("x.jar")
+                .class("X", || Box::new(|_ctx: &mut TaskContext| Ok(UserData::Empty))),
+        );
+        let mut fits = CnxTask::new("fits", "x.jar", "X");
+        fits.req.memory_mb = 600;
+        let mut too_big = CnxTask::new("too_big", "x.jar", "X");
+        too_big.req.memory_mb = 2000;
+        let doc = descriptor(vec![fits, too_big]);
+        match execute_descriptor(&nb, &doc, &DynamicArgs::new(), Duration::from_secs(5)) {
+            Err(ExecError::Client(ClientError::PlacementFailed { task, .. })) => {
+                assert_eq!(task, "too_big")
+            }
+            other => panic!("{other:?}"),
+        }
+        // `cancel` returned on the JobManager's word, which it gives after
+        // releasing its own TaskManager's share and telling the others.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 1000)) {
+            assert!(std::time::Instant::now() < deadline, "the placed task was never released");
+            std::thread::yield_now();
         }
         nb.shutdown();
     }

@@ -495,24 +495,156 @@ mod tests {
 
     #[test]
     fn silent_server_costs_one_window_per_solicitation() {
-        let window = Duration::from_millis(30);
+        let window = Duration::from_millis(50);
         let (nb, api) = deploy_with_window(window);
         nb.node("node1").unwrap().crash();
         let mut job = api.create_job(&JobRequirements::default()).unwrap();
-        for i in 0..3 {
-            let mut s = TaskSpec::new(format!("t{i}"), "echo.jar", "Echo");
+        let light = |name: String| {
+            let mut s = TaskSpec::new(name, "echo.jar", "Echo");
             s.memory_mb = 100;
+            s
+        };
+        for i in 0..3 {
             let t0 = std::time::Instant::now();
-            job.add_task(s).unwrap();
+            job.add_task(light(format!("t{i}"))).unwrap();
             // The dead server never answers: its window runs to the bound,
             // once, and the task is placed from the bids that came.
             assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
             assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
         }
+        // A burst is one solicitation, so the dead server costs it one
+        // window, not one per task.
+        let t0 = std::time::Instant::now();
+        job.add_tasks((0..3).map(|i| light(format!("b{i}"))).collect()).unwrap();
+        assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
+        assert!(t0.elapsed() < 2 * window, "{:?}", t0.elapsed());
+        assert_eq!(job.placements().len(), 6);
         assert!(job.placements().iter().all(|(_, server)| server != "node1"));
         job.start().unwrap();
         job.wait(Duration::from_secs(10)).unwrap();
         nb.shutdown();
+    }
+
+    #[test]
+    fn duplicate_name_in_a_burst_fails_that_task_and_places_the_rest() {
+        let nb = deploy(2);
+        let api = CnApi::initialize(&nb);
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        let specs = ["a", "a", "b"].map(|n| TaskSpec::new(n, "echo.jar", "Echo")).to_vec();
+        match job.add_tasks(specs).unwrap_err() {
+            ClientError::PlacementFailed { task, reason } => {
+                assert_eq!(task, "a");
+                assert!(reason.contains("already exists"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(job.task_names(), ["a", "b"]);
+        // And against what an earlier burst placed.
+        let again = job.add_tasks(vec![TaskSpec::new("b", "echo.jar", "Echo")]).unwrap_err();
+        assert!(matches!(again, ClientError::PlacementFailed { .. }), "{again:?}");
+        job.start().unwrap();
+        let report = job.wait(Duration::from_secs(10)).unwrap();
+        let names: Vec<&str> = report.results.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        nb.shutdown();
+    }
+
+    /// A neighborhood that counts, under `policy`.
+    fn deploy_counted(specs: Vec<NodeSpec>, policy: Policy) -> (Neighborhood, Recorder) {
+        let rec = Recorder::new();
+        let nb = Neighborhood::deploy_with(
+            specs,
+            NeighborhoodConfig {
+                server: ServerConfig { policy, ..ServerConfig::default() },
+                recorder: rec.clone(),
+                ..NeighborhoodConfig::default()
+            },
+        );
+        nb.registry().publish(echo_archive());
+        (nb, rec)
+    }
+
+    #[test]
+    fn thousand_task_burst_places_from_one_solicitation() {
+        let (nb, rec) = deploy_counted(NodeSpec::fleet(4, 1 << 20, 256), Policy::LeastLoaded);
+        let api = CnApi::initialize(&nb);
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        let specs: Vec<TaskSpec> = (0..1000)
+            .map(|i| {
+                let mut s = TaskSpec::new(format!("t{i}"), "echo.jar", "Echo");
+                s.memory_mb = 1;
+                s
+            })
+            .collect();
+        let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
+        job.add_tasks(specs).unwrap();
+        assert_eq!(rec.counter("server.task_solicitations").get(), 1);
+        assert_eq!(rec.counter("server.placement_rounds").get(), 1);
+        assert_eq!(rec.counter("server.tm_bids_sent").get(), 3);
+        assert_eq!(rec.counter("server.assigns_sent").get(), 750);
+        assert_eq!(rec.counter("api.tasks_created").get(), 1000);
+        // Acked in spec order, and spread by the policy: least-loaded keeps
+        // four equal nodes level, 250 each.
+        assert_eq!(job.task_names(), names);
+        for node in nb.nodes() {
+            let here = job.placements().iter().filter(|(_, s)| s == node.name()).count();
+            assert_eq!(here, 250, "{}", node.name());
+            assert_eq!(node.free_slots(), 6);
+        }
+        job.cancel(Duration::from_secs(10)).unwrap();
+        nb.shutdown();
+    }
+
+    /// The round books each choice on its bid table, so a burst is placed
+    /// exactly as one auction per task would place it on a quiescent
+    /// cluster — including past the point where a node fills up.
+    #[test]
+    fn a_burst_places_like_one_auction_per_task() {
+        let uniform = || NodeSpec::fleet(3, 4000, 4);
+        // Unequal slots and memory: node "b" runs out of slots and "c" out
+        // of memory part-way through ten 300 MB tasks.
+        let unequal = || {
+            vec![
+                NodeSpec::new("a", 8000, 8),
+                NodeSpec::new("b", 4000, 2),
+                NodeSpec::new("c", 1000, 6),
+            ]
+        };
+        let specs = |n: usize| -> Vec<TaskSpec> {
+            (0..n)
+                .map(|i| {
+                    let mut s = TaskSpec::new(format!("t{i}"), "echo.jar", "Echo");
+                    s.memory_mb = 300;
+                    s
+                })
+                .collect()
+        };
+        let place = |fleet: Vec<NodeSpec>, policy, n, burst: bool| {
+            let (nb, rec) = deploy_counted(fleet, policy);
+            let api = CnApi::initialize(&nb);
+            let mut job = api.create_job(&JobRequirements::default()).unwrap();
+            if burst {
+                job.add_tasks(specs(n)).unwrap();
+            } else {
+                specs(n).into_iter().for_each(|s| job.add_task(s).unwrap());
+            }
+            let expected = if burst { 1 } else { n as u64 };
+            assert_eq!(rec.counter("server.task_solicitations").get(), expected);
+            let placements = job.placements().to_vec();
+            job.cancel(Duration::from_secs(10)).unwrap();
+            nb.shutdown();
+            placements
+        };
+        for policy in [Policy::LeastLoaded, Policy::RoundRobin, Policy::LoadAware] {
+            for (fleet, n) in [(uniform as fn() -> Vec<NodeSpec>, 12), (unequal, 10)] {
+                let one_by_one = place(fleet(), policy, n, false);
+                let burst = place(fleet(), policy, n, true);
+                assert_eq!(burst, one_by_one, "{policy:?}");
+                let servers: std::collections::HashSet<&str> =
+                    burst.iter().map(|(_, s)| s.as_str()).collect();
+                assert!(servers.len() > 1, "{policy:?} piled everything on {servers:?}");
+            }
+        }
     }
 
     #[test]

@@ -257,6 +257,13 @@ macro_rules! netmsg_table {
             /// placement table (cancel paths, later directories); the victim
             /// starts forwarding the old endpoint's queue to `task_addr`.
             TaskMigrated = 28 { job: JobId, task: String, server: String, tm: Addr, task_addr: Addr },
+
+            // -- Burst creation (DESIGN.md §14, "Fair admission") ----------------
+            /// Client → JM: create a job's tasks as one burst ("Create Tasks for
+            /// the Job"). The JobManager places them in one round — one
+            /// solicitation — and answers one `TaskAck` per spec, in burst order.
+            /// `CreateTask` is the burst of one.
+            CreateTasks = 29 { job: JobId, specs: Vec<TaskSpec>, reply_to: Addr },
         }
     };
 }

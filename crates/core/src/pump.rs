@@ -1,33 +1,75 @@
-//! Message pump: the pending-queue / nested-wait machinery of the CNServer
-//! event loop, extracted so `cn-check` can drive it under the model
-//! checker without standing up a whole server.
+//! Message pump and bid window: the receive side of the CNServer event
+//! loop and the one solicitation window of the runtime, extracted so
+//! `cn-check` can drive the pump under the model checker without standing up
+//! a whole server.
 //!
-//! The invariant the pump maintains is that a nested wait ([`MsgPump::
-//! wait_for`]) consumes *only* the envelope it was waiting for: everything
-//! else that arrives meanwhile is stashed and replayed, in order, to the
-//! main loop ([`MsgPump::next`]). Losing a stashed envelope loses a
-//! protocol message — bids, acks, and task lifecycle events all ride the
-//! same queue.
+//! The server never waits inside a handler: an open bid window or an
+//! outstanding assignment is a deadline its loop receives against
+//! ([`MsgPump::next_before`]). The one place envelopes leave arrival order
+//! is [`MsgPump::take_matching`], which pulls a burst's `CreateTask`s forward
+//! for fair admission; everything it passes over must still come out of
+//! [`MsgPump::next`], in order. Losing one loses a protocol message — bids,
+//! acks, and task lifecycle events all ride the same queue.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope, DISCOVERY_GROUP};
-use cn_sync::channel::Receiver;
+use cn_sync::channel::{Receiver, RecvTimeoutError};
 use cn_wire::FabricHandle;
 
-/// Multicast `solicitation` into the discovery group and collect the
-/// answers to it — the one bid window of the runtime, used by the client
-/// (JobManager bids) and the JobManager (TaskManager bids).
-///
-/// `answer` looks at each *new* message heard on `rx` and extracts an
-/// answer to this solicitation, if it is one; every other envelope goes
-/// to `other`. At most one answer per sender is kept.
-/// The window closes when everyone the multicast addressed has answered,
+/// One solicitation's bid window: who was addressed, who has answered, and
+/// the bound. It closes when everyone the multicast addressed has answered,
 /// if the fabric can say how many that is
-/// ([`cn_wire::Fabric::multicast_is_exact`]); `window` is the upper bound,
-/// paid for a peer that never answers (dead, partitioned, unwilling, busy
-/// in a nested wait) and on a fabric whose reach is unknown.
+/// ([`cn_wire::Fabric::multicast_is_exact`]); the deadline is the upper
+/// bound, paid for a peer that never answers (dead, partitioned, unwilling)
+/// and on a fabric whose reach is unknown. The client sits in its window
+/// ([`solicit`]); the server keeps its own as an entry of its loop.
+#[derive(Debug)]
+pub struct Window {
+    quorum: usize,
+    answered: Vec<Addr>,
+    deadline: Instant,
+}
+
+impl Window {
+    /// Multicast `solicitation` into the discovery group and open its
+    /// window, at most `bound` long.
+    pub fn open<M: Send + Clone + 'static>(
+        net: &FabricHandle<M>,
+        from: Addr,
+        solicitation: M,
+        bound: Duration,
+    ) -> Window {
+        let addressed = net.multicast(from, DISCOVERY_GROUP, solicitation);
+        let quorum = if net.multicast_is_exact() { addressed } else { usize::MAX };
+        Window { quorum, answered: Vec::new(), deadline: Instant::now() + bound }
+    }
+
+    /// Count an answer from `from`. `false` for a sender that has answered
+    /// already: at most one answer per sender is kept.
+    pub fn admit(&mut self, from: Addr) -> bool {
+        let new = !self.answered.contains(&from);
+        if new {
+            self.answered.push(from);
+        }
+        new
+    }
+
+    /// Everyone the solicitation addressed has answered.
+    pub fn is_complete(&self) -> bool {
+        self.answered.len() >= self.quorum
+    }
+
+    pub fn deadline(&self) -> Instant {
+        self.deadline
+    }
+}
+
+/// Multicast `solicitation` and sit in its [`Window`] on `rx` — how the
+/// client collects JobManager bids. `answer` looks at each message heard and
+/// extracts an answer to this solicitation, if it is one; anything else on
+/// the (fresh) endpoint is a stray and is dropped.
 pub fn solicit<M: Send + Clone + 'static, A>(
     net: &FabricHandle<M>,
     rx: &Receiver<Envelope<M>>,
@@ -35,26 +77,19 @@ pub fn solicit<M: Send + Clone + 'static, A>(
     solicitation: M,
     window: Duration,
     mut answer: impl FnMut(&M) -> Option<A>,
-    mut other: impl FnMut(Envelope<M>),
 ) -> Vec<A> {
-    let addressed = net.multicast(from, DISCOVERY_GROUP, solicitation);
-    let quorum = if net.multicast_is_exact() { addressed } else { usize::MAX };
-    let deadline = Instant::now() + window;
-    let mut answered: Vec<Addr> = Vec::new();
+    let mut window = Window::open(net, from, solicitation, window);
     let mut answers = Vec::new();
-    while answered.len() < quorum {
-        let remaining = deadline.saturating_duration_since(Instant::now());
+    while !window.is_complete() {
+        let remaining = window.deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             break;
         }
         let Ok(env) = rx.recv_timeout(remaining) else { break };
-        match answer(&env.msg) {
-            Some(a) if !answered.contains(&env.from) => {
-                answered.push(env.from);
+        if let Some(a) = answer(&env.msg) {
+            if window.admit(env.from) {
                 answers.push(a);
             }
-            Some(_) => {}
-            None => other(env),
         }
     }
     answers
@@ -63,7 +98,8 @@ pub fn solicit<M: Send + Clone + 'static, A>(
 /// Pending-queue wrapper around an endpoint's receive channel.
 pub struct MsgPump<M> {
     rx: Receiver<Envelope<M>>,
-    /// Envelopes stashed during nested waits, replayed FIFO.
+    /// Envelopes read ahead of the main loop (a coalesced batch, or what
+    /// [`MsgPump::take_matching`] passed over), replayed FIFO.
     pending: VecDeque<Envelope<M>>,
 }
 
@@ -78,69 +114,37 @@ impl<M> MsgPump<M> {
     /// disconnected.
     #[allow(clippy::should_implement_trait)] // blocking receive, not an Iterator
     pub fn next(&mut self) -> Option<Envelope<M>> {
+        self.next_before(None).ok()
+    }
+
+    /// [`MsgPump::next`] that gives up at `deadline`, so the loop can act on
+    /// a timer (a bid window's bound, an assignment's timeout) between
+    /// envelopes instead of waiting inside a handler.
+    pub fn next_before(
+        &mut self,
+        deadline: Option<Instant>,
+    ) -> Result<Envelope<M>, RecvTimeoutError> {
         if let Some(env) = self.pending.pop_front() {
-            return Some(env);
+            return Ok(env);
         }
-        let env = self.rx.recv().ok()?;
+        let env = match deadline {
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)?,
+            Some(deadline) => {
+                self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))?
+            }
+        };
         while let Ok(extra) = self.rx.try_recv() {
             self.pending.push_back(extra);
         }
-        Some(env)
-    }
-
-    /// Nested receive: wait for an envelope matching `want`, stashing
-    /// everything else for the main loop.
-    pub fn wait_for(
-        &mut self,
-        deadline: Instant,
-        mut want: impl FnMut(&M) -> bool,
-    ) -> Option<Envelope<M>> {
-        // The main loop drains coalesced batches into `pending`, so the
-        // envelope we want may already be there.
-        if let Some(pos) = self.pending.iter().position(|env| want(&env.msg)) {
-            return self.pending.remove(pos);
-        }
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            match self.rx.recv_timeout(remaining) {
-                Ok(env) if want(&env.msg) => return Some(env),
-                #[cfg(not(feature = "mutations"))]
-                Ok(env) => self.pending.push_back(env),
-                // Injected ordering bug for cn-check: a nested wait that
-                // discards everything it wasn't waiting for. Any envelope
-                // racing the awaited one is silently lost.
-                #[cfg(feature = "mutations")]
-                Ok(_) => {}
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// [`solicit`] from inside the server loop: whatever the window hears
-    /// that is not an answer is stashed for the main loop, in arrival order.
-    pub fn solicit<A>(
-        &mut self,
-        net: &FabricHandle<M>,
-        from: Addr,
-        solicitation: M,
-        window: Duration,
-        answer: impl FnMut(&M) -> Option<A>,
-    ) -> Vec<A>
-    where
-        M: Send + Clone + 'static,
-    {
-        let pending = &mut self.pending;
-        solicit(net, &self.rx, from, solicitation, window, answer, |env| pending.push_back(env))
+        Ok(env)
     }
 
     /// Pull every already-delivered envelope matching `pred` out of the
     /// pump (pending queue plus whatever sits unread in the channel),
     /// preserving arrival order among both the taken and the kept. Used by
-    /// the server's fair-admission drain so deficit round-robin sees the
-    /// whole burst of contending `CreateTask`s, not just the first arrival.
+    /// the server when a placement round starts, so deficit round-robin sees
+    /// the whole burst of contending `CreateTask`s, not just the first
+    /// arrival.
     pub fn take_matching(&mut self, mut pred: impl FnMut(&M) -> bool) -> Vec<Envelope<M>> {
         while let Ok(env) = self.rx.try_recv() {
             self.pending.push_back(env);
@@ -154,13 +158,12 @@ impl<M> MsgPump<M> {
                 kept.push_back(env);
             }
         }
+        // Injected ordering bug for cn-check: a drain that forgets what it
+        // passed over. Any envelope that raced the burst is silently lost.
+        #[cfg(feature = "mutations")]
+        kept.clear();
         self.pending = kept;
         taken
-    }
-
-    /// Number of stashed envelopes (diagnostic).
-    pub fn stashed(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -191,7 +194,7 @@ mod tests {
     struct Rig {
         net: Network<Msg>,
         me: Addr,
-        pump: MsgPump<Msg>,
+        rx: Receiver<Envelope<Msg>>,
         peers: Vec<Addr>,
         _peer_rxs: Vec<Receiver<Envelope<Msg>>>,
     }
@@ -206,30 +209,30 @@ mod tests {
                 (addr, rx)
             })
             .unzip();
-        Rig { net, me, pump: MsgPump::new(rx), peers, _peer_rxs }
+        Rig { net, me, rx, peers, _peer_rxs }
     }
 
     #[test]
     fn window_closes_when_everyone_addressed_has_answered() {
-        let Rig { net, me, mut pump, peers, _peer_rxs } = rig(3);
+        let Rig { net, me, rx, peers, _peer_rxs } = rig(3);
         for (p, who) in peers.iter().zip(["a", "b", "c"]) {
             net.send(*p, me, Msg::Bid(7, who)).unwrap();
         }
         let t0 = Instant::now();
         let bids =
-            pump.solicit(&net.into(), me, Msg::Solicit(7), Duration::from_secs(1), bid_for(7));
+            solicit(&net.into(), &rx, me, Msg::Solicit(7), Duration::from_secs(1), bid_for(7));
         assert_eq!(bids, ["a", "b", "c"]);
         assert!(t0.elapsed() < Duration::from_millis(500), "{:?}", t0.elapsed());
     }
 
     #[test]
     fn a_silent_peer_costs_the_whole_window_and_no_more() {
-        let Rig { net, me, mut pump, peers, _peer_rxs } = rig(3);
+        let Rig { net, me, rx, peers, _peer_rxs } = rig(3);
         net.send(peers[0], me, Msg::Bid(7, "a")).unwrap();
         net.send(peers[2], me, Msg::Bid(7, "c")).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids = pump.solicit(&net.into(), me, Msg::Solicit(7), window, bid_for(7));
+        let bids = solicit(&net.into(), &rx, me, Msg::Solicit(7), window, bid_for(7));
         assert_eq!(bids, ["a", "c"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
         assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
@@ -237,7 +240,7 @@ mod tests {
 
     #[test]
     fn only_distinct_answers_to_this_solicitation_count() {
-        let Rig { net, me, mut pump, peers, _peer_rxs } = rig(2);
+        let Rig { net, me, rx, peers, _peer_rxs } = rig(2);
         net.send(peers[0], me, Msg::Other(1)).unwrap();
         net.send(peers[0], me, Msg::Bid(7, "a")).unwrap();
         net.send(peers[1], me, Msg::Bid(8, "late, for another task")).unwrap();
@@ -245,15 +248,39 @@ mod tests {
         net.send(peers[1], me, Msg::Other(2)).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids = pump.solicit(&net.into(), me, Msg::Solicit(7), window, bid_for(7));
+        let bids = solicit(&net.into(), &rx, me, Msg::Solicit(7), window, bid_for(7));
         // Two peers were addressed and only one answered: neither its second
         // answer nor the other peer's answer to something else is quorum.
         assert_eq!(bids, ["a"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
-        // What was not an answer waits for the main loop, in arrival order.
-        assert_eq!(pump.stashed(), 3);
-        let stashed: Vec<Msg> = (0..3).map(|_| pump.next().unwrap().msg).collect();
-        assert_eq!(stashed, [Msg::Other(1), Msg::Bid(8, "late, for another task"), Msg::Other(2)]);
+    }
+
+    #[test]
+    fn the_pump_hands_out_what_a_sweep_passed_over_in_arrival_order() {
+        let Rig { net, me, rx, peers, _peer_rxs } = rig(1);
+        let mut pump = MsgPump::new(rx);
+        for msg in [Msg::Other(1), Msg::Bid(7, "a"), Msg::Other(2), Msg::Bid(8, "b"), Msg::Other(3)]
+        {
+            net.send(peers[0], me, msg).unwrap();
+        }
+        // The main loop's receive reads the batch ahead; the sweep then looks
+        // at both what was read ahead and what still sits in the channel.
+        assert_eq!(pump.next().unwrap().msg, Msg::Other(1));
+        net.send(peers[0], me, Msg::Bid(9, "c")).unwrap();
+        let swept: Vec<Msg> = pump
+            .take_matching(|m| matches!(m, Msg::Bid(..)))
+            .into_iter()
+            .map(|env| env.msg)
+            .collect();
+        assert_eq!(swept, [Msg::Bid(7, "a"), Msg::Bid(8, "b"), Msg::Bid(9, "c")]);
+        let soon = Some(Instant::now() + Duration::from_secs(1));
+        assert_eq!(pump.next_before(soon).unwrap().msg, Msg::Other(2));
+        assert_eq!(pump.next().unwrap().msg, Msg::Other(3));
+        // Nothing left: a deadline-bound receive gives up at its deadline.
+        let t0 = Instant::now();
+        let err = pump.next_before(Some(t0 + Duration::from_millis(20))).unwrap_err();
+        assert_eq!(err, RecvTimeoutError::Timeout);
+        assert!(t0.elapsed() >= Duration::from_millis(20), "{:?}", t0.elapsed());
     }
 
     /// A fabric that, like UDP multicast, cannot say whom it reached.
@@ -288,13 +315,13 @@ mod tests {
 
     #[test]
     fn unknown_reach_runs_the_full_window() {
-        let Rig { net, me, mut pump, peers, _peer_rxs } = rig(2);
+        let Rig { net, me, rx, peers, _peer_rxs } = rig(2);
         net.send(peers[0], me, Msg::Bid(7, "a")).unwrap();
         net.send(peers[1], me, Msg::Bid(7, "b")).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids =
-            pump.solicit(&FabricHandle::new(Inexact(net)), me, Msg::Solicit(7), window, bid_for(7));
+        let net = FabricHandle::new(Inexact(net));
+        let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
         assert_eq!(bids, ["a", "b"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
     }

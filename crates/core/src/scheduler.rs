@@ -130,6 +130,35 @@ impl Default for StealConfig {
     }
 }
 
+/// A placement round keeps the bids of its one solicitation as a table and
+/// places every task of the round against it: after each choice the
+/// JobManager books the task on the chosen entry itself, so the next choice
+/// sees what a fresh auction on a quiescent cluster would have seen.
+impl Bid {
+    /// Whether this bidder, as last heard from and less what the round has
+    /// booked on it since, still has a slot and `memory_mb` to spare — the
+    /// TaskManager's own willingness check (`NodeHandle::can_host`).
+    pub fn can_host(&self, memory_mb: u64) -> bool {
+        self.free_slots > 0 && self.free_memory_mb >= memory_mb
+    }
+
+    /// Book one task of `memory_mb` on this entry: one slot, the memory, and
+    /// `load` as the node would report it next. A bid carries the free slot
+    /// count and `load = used / total` but not the total; `free / (1 − load)`
+    /// gives it back — exactly, once rounded, for any slot count a node has
+    /// (unit-tested to 64) — so `Bid` keeps its wire form.
+    pub fn debit(&mut self, memory_mb: u64) {
+        let total = (self.free_slots as f64 / (1.0 - self.load)).round();
+        self.free_slots = self.free_slots.saturating_sub(1);
+        self.free_memory_mb = self.free_memory_mb.saturating_sub(memory_mb);
+        // A bid that claims free slots at load ≥ 1 has no total to recover;
+        // its load stays what it said.
+        if total.is_finite() && total >= 1.0 {
+            self.load = (total - self.free_slots as f64) / total;
+        }
+    }
+}
+
 /// Select a bid per `policy`. `rr_counter` carries round-robin state (pass
 /// 0 for stateless policies). `LoadAware` here is the stateless reference
 /// (no rotation fallback); servers use [`select_load_aware`].
@@ -432,6 +461,39 @@ mod tests {
                 "uniform signals must reproduce the round-robin sequence"
             );
         }
+    }
+
+    #[test]
+    fn debit_books_a_task_as_the_node_would_report_it() {
+        // Every used < total ≤ 64: the recovered total is exact, so the new
+        // load is bit for bit what `NodeHandle::load` computes.
+        for total in 1..=64usize {
+            for used in 0..total {
+                let mut b = Bid {
+                    load: used as f64 / total as f64,
+                    free_slots: total - used,
+                    ..bid("n", 0.0, 1000)
+                };
+                assert!(b.can_host(1000) && !b.can_host(1001));
+                b.debit(300);
+                assert_eq!(b.free_slots, total - used - 1);
+                assert_eq!(b.free_memory_mb, 700);
+                assert_eq!(b.load, (used + 1) as f64 / total as f64, "{used}/{total}");
+                assert_eq!(b.can_host(1), used + 1 < total);
+            }
+        }
+    }
+
+    #[test]
+    fn debit_keeps_the_load_of_a_bid_with_no_recoverable_total() {
+        // Free slots at load 1.0 (a scripted bidder): nothing to divide by.
+        let mut b = Bid { free_slots: 4, ..bid("odd", 1.0, 100) };
+        b.debit(10);
+        assert_eq!((b.free_slots, b.free_memory_mb, b.load), (3, 90, 1.0));
+        // An idle bidder of 2^20 slots is no longer quite idle afterwards.
+        let mut b = Bid { free_slots: 1 << 20, ..bid("big", 0.0, 100) };
+        b.debit(10);
+        assert!(b.load > 0.0 && b.load < 1e-5, "{}", b.load);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!
 //! Each server runs an event loop on its own thread, joined to the CN
 //! discovery multicast group. The JobManager half answers solicitations,
-//! manages job DAGs and relays task lifecycle messages to the client; the
-//! TaskManager half bids for tasks, receives archive uploads, sets up
-//! per-task message queues and runs each task in its own thread
-//! (`RUN_AS_THREAD_IN_TM`).
+//! places admitted tasks a round at a time (one solicitation per round, see
+//! [`Round`]), manages job DAGs and relays task lifecycle messages to the
+//! client; the TaskManager half bids for tasks, receives archive uploads,
+//! sets up per-task message queues and runs each task in its own thread
+//! (`RUN_AS_THREAD_IN_TM`). Nothing waits inside a handler: an open bid
+//! window and every outstanding assignment are entries of the loop, each
+//! with a deadline the loop's receive honours.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -18,18 +21,18 @@ use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope, NodeHandle};
 use cn_observe::{Counter, Gauge, Recorder, Severity};
-use cn_sync::channel::Receiver;
+use cn_sync::channel::{Receiver, RecvTimeoutError};
 use cn_sync::thread::JoinHandle;
 use cn_wire::FabricHandle;
 
 use crate::archive::ArchiveRegistry;
 use crate::message::{Bid, JobId, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME};
-use crate::pump::MsgPump;
+use crate::pump::{MsgPump, Window};
 use crate::scheduler::{
     select, select_load_aware, Ewma, FairQueue, LoadSignal, Policy, RoundRobin, StealConfig,
 };
 use crate::spaces::SpaceRegistry;
-use crate::task::{TaskContext, TaskError};
+use crate::task::{panic_text, TaskContext, TaskError};
 use crate::tuplespace::Tuple;
 
 /// Tunables for a server.
@@ -37,9 +40,10 @@ use crate::tuplespace::Tuple;
 pub struct ServerConfig {
     /// Upper bound on one TaskManager bid window: it closes as soon as
     /// every peer the solicitation addressed has bid
-    /// ([`crate::pump::solicit`]).
+    /// ([`crate::pump::Window`]).
     pub bid_window: Duration,
-    /// How long the JobManager waits for an AssignAck from a remote TM.
+    /// How long an assignment may go without its AssignAck before the
+    /// JobManager offers the task to the next-best bidder.
     pub assign_timeout: Duration,
     /// Bid selection policy for task placement.
     pub policy: Policy,
@@ -53,7 +57,7 @@ pub struct ServerConfig {
     /// journal free of steal events.
     pub steal: Option<StealConfig>,
     /// Deficit-round-robin quantum (in task `memory_mb` cost units) for
-    /// per-client fair admission of `CreateTask` bursts.
+    /// per-client fair admission of `CreateTask`/`CreateTasks` bursts.
     pub fair_quantum_mb: u64,
 }
 
@@ -109,7 +113,7 @@ impl CnServer {
             uploaded: HashSet::new(),
             rr: RoundRobin::new(),
             fairq: FairQueue::new(fair_quantum),
-            draining: false,
+            round: None,
             run_queue: VecDeque::new(),
             running: 0,
             dispatch_ewma: Ewma::default(),
@@ -121,6 +125,8 @@ impl CnServer {
             c_jm_bids: rec.counter("server.jm_bids_sent"),
             c_tm_bids: rec.counter("server.tm_bids_sent"),
             c_task_solicits: rec.counter("server.task_solicitations"),
+            c_rounds: rec.counter("server.placement_rounds"),
+            c_assigns: rec.counter("server.assigns_sent"),
             c_tasks_started: rec.counter("server.tasks_started"),
             c_tasks_completed: rec.counter("server.tasks_completed"),
             c_tasks_failed: rec.counter("server.tasks_failed"),
@@ -195,6 +201,86 @@ struct TmTask {
     stolen_from: Option<Addr>,
 }
 
+/// One admitted task on its way through a placement round.
+struct Placing {
+    job: JobId,
+    spec: TaskSpec,
+    reply_to: Addr,
+    /// Bidders this task has been offered to; none is asked twice.
+    tried: Vec<Addr>,
+    /// `server: reason` of every offer that fell through.
+    failures: Vec<String>,
+    state: Offer,
+}
+
+/// Where a [`Placing`] stands.
+enum Offer {
+    /// Waiting to be offered: the bid window is still open, or the last
+    /// offer fell through.
+    Unplaced,
+    /// `AssignTask` is on the wire to `tm`; its `AssignAck` is due by
+    /// `deadline`.
+    InFlight { tm: Addr, server: String, deadline: Instant },
+    /// `(tm server addr, task endpoint, server name)`, or why not.
+    Settled(Result<(Addr, Addr, String), String>),
+}
+
+/// A placement round: everything the fair queue held when it started, in
+/// DRR order, placed from **one** solicitation. The bids become a table;
+/// each task goes to the policy's choice among the entries that can still
+/// host it, the choice is booked on its entry ([`Bid::debit`]), and every
+/// assignment is on the wire before any `AssignAck` is looked at. A
+/// rejected or timed-out assignment falls to the next-best entry of the
+/// same table. Tasks leave the front as they settle, so `TaskAck`s go out
+/// and `JmJob::specs` grows in burst order.
+///
+/// A task is refused for want of a bidder only by a table everybody addressed
+/// has answered into (`complete`). One that missed somebody — a peer slow to
+/// bid — and whose other entries are used up is not a verdict: the round asks
+/// again for the tasks still unplaced, up to one solicitation per task in
+/// all (`asks_left`), which is what placing them one auction at a time would
+/// have spent before refusing any.
+struct Round {
+    tasks: VecDeque<Placing>,
+    /// The `(job, task)` the solicitation — and so every bid — is keyed
+    /// by: the first task it is for.
+    key: (JobId, String),
+    /// Open until every addressed peer has bid or `bid_window` passes.
+    window: Option<Window>,
+    /// The bid table: our own bid first (evaluated locally — JM and TM
+    /// share this process), then arrival order.
+    bids: Vec<Bid>,
+    /// Everyone the solicitation addressed has bid.
+    complete: bool,
+    /// Solicitations the round may still make.
+    asks_left: usize,
+}
+
+impl Round {
+    /// Record an `AssignAck` from `from` — the task's endpoint, or why it was
+    /// rejected, in which case the task goes back to be offered to the
+    /// next-best bidder. `false` if no offer of this round was waiting for
+    /// it — matched on the sender too, so a late ack from a bidder that
+    /// already timed out is not taken for the current one's.
+    fn acked(&mut self, from: Addr, job: JobId, task: &str, ack: Result<Addr, String>) -> bool {
+        let awaited = |t: &&mut Placing| {
+            t.job == job
+                && t.spec.name == task
+                && matches!(t.state, Offer::InFlight { tm, .. } if tm == from)
+        };
+        let Some(placing) = self.tasks.iter_mut().find(awaited) else { return false };
+        let Offer::InFlight { server, .. } = std::mem::replace(&mut placing.state, Offer::Unplaced)
+        else {
+            unreachable!("matched on InFlight")
+        };
+        match ack {
+            Ok(task_addr) => placing.state = Offer::Settled(Ok((from, task_addr, server))),
+            Err(reason) => placing.failures.push(format!("{server}: rejected: {reason}")),
+        }
+        true
+    }
+}
+
 struct ServerState {
     name: String,
     addr: Addr,
@@ -209,11 +295,11 @@ struct ServerState {
     /// Jars this TaskManager has received.
     uploaded: HashSet<String>,
     rr: RoundRobin,
-    /// Per-client deficit-round-robin admission queue for `CreateTask`.
+    /// Per-client deficit-round-robin admission queue for created tasks.
     fairq: FairQueue<(JobId, TaskSpec, Addr)>,
-    /// Whether the fair-admission drain loop is already on the stack
-    /// (placement recurses into `handle` via nested waits).
-    draining: bool,
+    /// The placement round in progress; what is admitted meanwhile waits in
+    /// `fairq` for the next one.
+    round: Option<Round>,
     /// Started-but-not-launched tasks waiting for an execution slot.
     run_queue: VecDeque<(JobId, String)>,
     /// Task threads currently executing (launched, not yet exited).
@@ -235,6 +321,10 @@ struct ServerState {
     c_jm_bids: Counter,
     c_tm_bids: Counter,
     c_task_solicits: Counter,
+    c_rounds: Counter,
+    /// `AssignTask`s sent to remote TaskManagers (a task placed on this
+    /// server's own TaskManager sends none).
+    c_assigns: Counter,
     c_tasks_started: Counter,
     c_tasks_completed: Counter,
     c_tasks_failed: Counter,
@@ -247,12 +337,15 @@ struct ServerState {
 
 impl ServerState {
     fn run(mut self) {
-        // `None` from the pump means the network is gone.
-        while let Some(env) = self.pump.next() {
-            if matches!(env.msg, NetMsg::Shutdown) {
-                break;
+        loop {
+            match self.pump.next_before(self.next_deadline()) {
+                Ok(env) if matches!(env.msg, NetMsg::Shutdown) => break,
+                Ok(env) => self.handle(env),
+                Err(RecvTimeoutError::Timeout) => {}
+                // The network is gone.
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-            self.handle(env);
+            self.advance_round();
         }
         self.net.unregister(self.addr);
     }
@@ -267,16 +360,6 @@ impl ServerState {
     /// posted, never awaited.
     fn post_bid(&self, to: Addr, bid: NetMsg) {
         self.net.post(self.addr, to, bid);
-    }
-
-    /// Nested receive: wait for an envelope matching `want`, stashing
-    /// everything else for the main loop.
-    fn wait_for(
-        &mut self,
-        deadline: Instant,
-        want: impl FnMut(&NetMsg) -> bool,
-    ) -> Option<Envelope<NetMsg>> {
-        self.pump.wait_for(deadline, want)
     }
 
     fn handle(&mut self, env: Envelope<NetMsg>) {
@@ -318,15 +401,9 @@ impl ServerState {
                     },
                 );
             }
-            NetMsg::CreateTask { job, spec, reply_to } => {
-                // Admission is deficit-round-robin over per-client queues:
-                // a client flooding heavyweight tasks cannot starve one
-                // submitting light ones. A lone client degenerates to FIFO,
-                // so single-client placement order (and the journal) is
-                // unchanged.
-                let cost = spec.memory_mb;
-                self.fairq.push(reply_to.0, cost, (job, spec, reply_to));
-                self.drain_fair_queue();
+            msg @ (NetMsg::CreateTask { .. } | NetMsg::CreateTasks { .. }) => {
+                self.admit(msg);
+                self.start_round();
             }
             NetMsg::StartJob { job } => self.jm_start_ready(job),
             NetMsg::CancelJob { job } => self.jm_cancel_job(job),
@@ -337,6 +414,24 @@ impl ServerState {
             {
                 self.c_tm_bids.inc();
                 self.post_bid(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
+            }
+            NetMsg::TaskManagerBid { job, task, bid } => {
+                // A bid for anything but the open window is late: dropped.
+                if let Some(Round { key, window: Some(window), bids, .. }) = &mut self.round {
+                    if *key == (job, task) && window.admit(env.from) {
+                        bids.push(bid);
+                    }
+                }
+            }
+            NetMsg::AssignAck { job, task, accepted, reason, task_addr } => {
+                let ack = task_addr.filter(|_| accepted).ok_or(reason);
+                let awaited =
+                    self.round.as_mut().is_some_and(|r| r.acked(env.from, job, &task, ack));
+                if !awaited && accepted {
+                    // Nothing is waiting for this ack — the offer timed out
+                    // and moved on: release what the TaskManager set up.
+                    self.send(env.from, NetMsg::CancelTask { job, task });
+                }
             }
             NetMsg::UploadArchive { jar, .. } => self.tm_upload(&jar),
             NetMsg::AssignTask { job, spec, jm, reply_to } => {
@@ -449,130 +544,6 @@ impl ServerState {
     }
 
     // ---- JobManager internals ------------------------------------------
-
-    /// Place one task: solicit TaskManagers (including our own, evaluated
-    /// locally — JM and TM share this process), select per policy, upload
-    /// the archive, assign.
-    fn place_task(&mut self, job: JobId, spec: TaskSpec) -> Result<(Addr, Addr, String), String> {
-        match self.jm_jobs.get(&job) {
-            None => return Err(format!("no such job {job}")),
-            Some(j) if j.assigned.contains_key(&spec.name) => {
-                return Err(format!("task name {:?} already exists in {job}", spec.name))
-            }
-            Some(_) => {}
-        }
-        // Multicast solicitation (the paper's "JobManager solicits
-        // TaskManager for the Tasks"); everything else the window hears is
-        // stashed for the main loop.
-        self.c_task_solicits.inc();
-        let solicitation = NetMsg::SolicitTaskManager {
-            job,
-            task: spec.name.clone(),
-            memory_mb: spec.memory_mb,
-            reply_to: self.addr,
-        };
-        // Our own TM is evaluated locally (multicast excludes the sender).
-        let mut bids: Vec<Bid> = Vec::new();
-        if self.node.can_host(spec.memory_mb) {
-            bids.push(self.own_bid());
-        }
-        bids.extend(self.pump.solicit(
-            &self.net,
-            self.addr,
-            solicitation,
-            self.config.bid_window,
-            |m| match m {
-                NetMsg::TaskManagerBid { job: bjob, task, bid }
-                    if *bjob == job && *task == spec.name =>
-                {
-                    Some(bid.clone())
-                }
-                _ => None,
-            },
-        ));
-        // Try bidders in policy order: a TaskManager may still reject (its
-        // state can change between bid and assignment) or time out, in
-        // which case the JobManager falls back to the next-best bidder.
-        self.rec.event_with(Severity::Debug, "job", Some(job.0), || {
-            format!("[{}] task {:?} drew {} TaskManager bid(s)", self.name, spec.name, bids.len())
-        });
-        let mut failures: Vec<String> = Vec::new();
-        let mut remaining = bids;
-        while !remaining.is_empty() {
-            let chosen = match self.config.policy {
-                Policy::RoundRobin => self.rr.select(&remaining).cloned(),
-                // Load-aware shares the round-robin rotation state so a
-                // uniformly loaded neighborhood places identically to
-                // `RoundRobin` (the journal-differential property).
-                Policy::LoadAware => select_load_aware(&mut self.rr, &remaining).cloned(),
-                p => select(p, &remaining, 0).cloned(),
-            }
-            .expect("remaining is non-empty");
-            remaining.retain(|b| b.addr != chosen.addr);
-            match self.try_assign(job, &spec, &chosen) {
-                Ok(task_addr) => return Ok((chosen.addr, task_addr, chosen.server)),
-                Err(reason) => failures.push(format!("{}: {reason}", chosen.server)),
-            }
-        }
-        if failures.is_empty() {
-            Err(format!("no willing TaskManager for task {:?}", spec.name))
-        } else {
-            Err(format!(
-                "every willing TaskManager failed for task {:?}: {}",
-                spec.name,
-                failures.join("; ")
-            ))
-        }
-    }
-
-    /// Attempt one assignment on a specific bidder.
-    fn try_assign(&mut self, job: JobId, spec: &TaskSpec, chosen: &Bid) -> Result<Addr, String> {
-        if chosen.addr == self.addr {
-            // Local fast path: same process.
-            self.tm_upload(&spec.jar);
-            return self.tm_assign(job, spec.clone(), self.addr);
-        }
-        let size = self.registry.get(&spec.jar).map(|a| a.size_bytes).unwrap_or(0);
-        self.send(chosen.addr, NetMsg::UploadArchive { jar: spec.jar.clone(), size_bytes: size });
-        self.send(
-            chosen.addr,
-            NetMsg::AssignTask { job, spec: spec.clone(), jm: self.addr, reply_to: self.addr },
-        );
-        let deadline = Instant::now() + self.config.assign_timeout;
-        let task_name = spec.name.clone();
-        let tm_addr = chosen.addr;
-        // Match on the sender too: a late ack from a previously timed-out
-        // bidder must not be attributed to this attempt.
-        let ack = self.wait_for(deadline, |m| {
-            matches!(m, NetMsg::AssignAck { job: j, task, .. } if *j == job && *task == task_name)
-        });
-        let Some(ack) = ack else {
-            // The TM may have accepted after we gave up; tell it to release
-            // the assignment (best effort — idempotent on the TM side).
-            self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
-                format!(
-                    "[{}] AssignAck timeout from {} for {:?}",
-                    self.name, chosen.server, spec.name
-                )
-            });
-            self.send(tm_addr, NetMsg::CancelTask { job, task: task_name });
-            return Err("AssignAck timeout".to_string());
-        };
-        if ack.from != tm_addr {
-            // Stale ack from an earlier bidder: release whatever it set up
-            // and report this attempt as failed.
-            self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
-                format!("[{}] stale AssignAck from {} for {:?}", self.name, ack.from, spec.name)
-            });
-            self.send(ack.from, NetMsg::CancelTask { job, task: task_name });
-            return Err(format!("stale AssignAck from {}", ack.from));
-        }
-        match ack.msg {
-            NetMsg::AssignAck { accepted: true, task_addr: Some(addr), .. } => Ok(addr),
-            NetMsg::AssignAck { reason, .. } => Err(format!("rejected: {reason}")),
-            _ => unreachable!("wait_for filtered on AssignAck"),
-        }
-    }
 
     /// Start every not-yet-started task whose dependencies are complete.
     fn jm_start_ready(&mut self, job: JobId) {
@@ -884,12 +855,7 @@ impl ServerState {
                 // the job waiting and the slot, reservation and endpoint held.
                 let run = std::panic::AssertUnwindSafe(|| instance.run(&mut ctx));
                 let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                    let text = payload
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("non-string payload");
-                    Err(TaskError::new(format!("panicked: {text}")))
+                    Err(TaskError::new(format!("panicked: {}", panic_text(&*payload))))
                 });
                 // The task span must close before TaskCompleted/TaskFailed is
                 // sent: the JobManager forwards completion to the client, which
@@ -974,66 +940,266 @@ impl ServerState {
         self.maybe_steal();
     }
 
-    // ---- Fair admission -------------------------------------------------
+    // ---- Fair admission & placement rounds -------------------------------
 
-    /// Serve queued `CreateTask`s in deficit-round-robin order. Before
-    /// each pick, envelopes that already arrived (coalesced bursts from
-    /// other clients, or stashed during the previous placement's bid
-    /// window) are absorbed into the fair queue so every contender is
-    /// visible to DRR — not just the first arrival.
-    fn drain_fair_queue(&mut self) {
-        if self.draining {
-            // Placement nests into the pump, which can re-enter handle();
-            // the outer drain loop will pick up whatever gets queued.
-            return;
+    /// Queue the task(s) of a `CreateTask`/`CreateTasks` for placement.
+    /// Admission is deficit-round-robin over per-client queues: a client
+    /// flooding heavyweight tasks cannot starve one submitting light ones.
+    /// A lone client degenerates to FIFO, so single-client placement order
+    /// (and the journal) follows the burst.
+    fn admit(&mut self, msg: NetMsg) {
+        let (job, specs, reply_to) = match msg {
+            NetMsg::CreateTask { job, spec, reply_to } => (job, vec![spec], reply_to),
+            NetMsg::CreateTasks { job, specs, reply_to } => (job, specs, reply_to),
+            _ => return,
+        };
+        for spec in specs {
+            self.fairq.push(reply_to.0, spec.memory_mb, (job, spec, reply_to));
         }
-        self.draining = true;
-        loop {
-            for env in self.pump.take_matching(|m| matches!(m, NetMsg::CreateTask { .. })) {
-                if let NetMsg::CreateTask { job, spec, reply_to } = env.msg {
-                    let cost = spec.memory_mb;
-                    self.fairq.push(reply_to.0, cost, (job, spec, reply_to));
-                }
-            }
-            let Some((job, spec, reply_to)) = self.fairq.pop() else { break };
-            self.jm_create_task(job, spec, reply_to);
-        }
-        self.draining = false;
     }
 
-    /// Place one admitted task and ack the client.
-    fn jm_create_task(&mut self, job: JobId, spec: TaskSpec, reply_to: Addr) {
-        match self.place_task(job, spec.clone()) {
-            Ok((tm_addr, task_addr, server)) => {
-                if let Some(j) = self.jm_jobs.get_mut(&job) {
-                    j.specs.push(spec.clone());
-                    j.assigned.insert(spec.name.clone(), (tm_addr, task_addr, server.clone()));
+    /// Start a placement round with everything admitted so far, unless one
+    /// is in progress (it starts the next as it ends). Creations that have
+    /// already arrived behind the one being handled are admitted first, so
+    /// every contender is visible to DRR — not just the first arrival.
+    fn start_round(&mut self) {
+        if self.round.is_some() {
+            return;
+        }
+        let creations =
+            |m: &NetMsg| matches!(m, NetMsg::CreateTask { .. } | NetMsg::CreateTasks { .. });
+        for env in self.pump.take_matching(creations) {
+            self.admit(env.msg);
+        }
+        let mut tasks = VecDeque::with_capacity(self.fairq.len());
+        let mut names: HashSet<(JobId, String)> = HashSet::new();
+        while let Some((job, spec, reply_to)) = self.fairq.pop() {
+            let state = match self.jm_jobs.get(&job) {
+                None => Offer::Settled(Err(format!("no such job {job}"))),
+                Some(j)
+                    if j.assigned.contains_key(&spec.name)
+                        || !names.insert((job, spec.name.clone())) =>
+                {
+                    Offer::Settled(Err(format!(
+                        "task name {:?} already exists in {job}",
+                        spec.name
+                    )))
                 }
-                self.send(
-                    reply_to,
-                    NetMsg::TaskAck {
-                        job,
-                        task: spec.name,
-                        accepted: true,
-                        reason: String::new(),
-                        server,
-                        task_addr: Some(task_addr),
-                    },
-                );
+                Some(_) => Offer::Unplaced,
+            };
+            tasks.push_back(Placing {
+                job,
+                spec,
+                reply_to,
+                tried: Vec::new(),
+                failures: Vec::new(),
+                state,
+            });
+        }
+        let placeable = tasks.iter().filter(|t| matches!(t.state, Offer::Unplaced)).count();
+        if placeable == 0 {
+            // Nothing to place (or nothing admitted at all): refusals only.
+            self.ack_settled(&mut tasks);
+            return;
+        }
+        self.c_rounds.inc();
+        self.round = Some(self.solicit(tasks, placeable));
+    }
+
+    /// One multicast solicitation for all of `tasks` that are unplaced (the
+    /// paper's "JobManager solicits TaskManager for the Tasks"): whoever can
+    /// host the smallest of them bids, the table decides the rest.
+    fn solicit(&mut self, tasks: VecDeque<Placing>, asks_left: usize) -> Round {
+        let mut unplaced = tasks.iter().filter(|t| matches!(t.state, Offer::Unplaced));
+        let first = unplaced.next().expect("a solicitation is for some task");
+        let key = (first.job, first.spec.name.clone());
+        let memory_mb = unplaced.map(|t| t.spec.memory_mb).fold(first.spec.memory_mb, u64::min);
+        let solicitation = NetMsg::SolicitTaskManager {
+            job: key.0,
+            task: key.1.clone(),
+            memory_mb,
+            reply_to: self.addr,
+        };
+        // Our own TM is evaluated locally (multicast excludes the sender).
+        let bids = if self.node.can_host(memory_mb) { vec![self.own_bid()] } else { Vec::new() };
+        self.c_task_solicits.inc();
+        let window = Window::open(&self.net, self.addr, solicitation, self.config.bid_window);
+        let asks_left = asks_left.saturating_sub(1);
+        Round { tasks, key, window: Some(window), bids, complete: false, asks_left }
+    }
+
+    /// The earliest instant the open round needs the loop's attention.
+    fn next_deadline(&self) -> Option<Instant> {
+        let round = self.round.as_ref()?;
+        let offers = round.tasks.iter().filter_map(|t| match t.state {
+            Offer::InFlight { deadline, .. } => Some(deadline),
+            _ => None,
+        });
+        round.window.iter().map(Window::deadline).chain(offers).min()
+    }
+
+    /// Advance the round in progress. The handlers only record what arrived
+    /// — a bid, an ack; the loop calls this after every message and at every
+    /// deadline to act on it: time out overdue assignments, close the window
+    /// when it is due, offer whatever is unplaced, ack what has settled, and
+    /// start the next round when this one is done.
+    fn advance_round(&mut self) {
+        while let Some(mut round) = self.round.take() {
+            let now = Instant::now();
+            for task in &mut round.tasks {
+                let Offer::InFlight { tm, server, deadline } = &task.state else { continue };
+                if now < *deadline {
+                    continue;
+                }
+                self.rec.event_with(Severity::Warn, "job", Some(task.job.0), || {
+                    format!(
+                        "[{}] AssignAck timeout from {server} for {:?}",
+                        self.name, task.spec.name
+                    )
+                });
+                // The TM may have accepted after we gave up; tell it to
+                // release the assignment (best effort — idempotent on the TM
+                // side).
+                self.send(*tm, NetMsg::CancelTask { job: task.job, task: task.spec.name.clone() });
+                task.failures.push(format!("{server}: AssignAck timeout"));
+                task.state = Offer::Unplaced;
             }
-            Err(reason) => {
-                self.send(
-                    reply_to,
-                    NetMsg::TaskAck {
-                        job,
-                        task: spec.name,
-                        accepted: false,
-                        reason,
-                        server: String::new(),
-                        task_addr: None,
-                    },
-                );
+            loop {
+                if let Some(window) =
+                    round.window.take_if(|w| w.is_complete() || now >= w.deadline())
+                {
+                    round.complete = window.is_complete();
+                    self.rec.event_with(Severity::Debug, "job", Some(round.key.0 .0), || {
+                        format!(
+                            "[{}] round of {} task(s) drew {} TaskManager bid(s)",
+                            self.name,
+                            round.tasks.len(),
+                            round.bids.len()
+                        )
+                    });
+                }
+                let unplaced =
+                    |r: &Round| r.tasks.iter().any(|t| matches!(t.state, Offer::Unplaced));
+                if round.window.is_some() || !unplaced(&round) {
+                    break;
+                }
+                for i in 0..round.tasks.len() {
+                    if matches!(round.tasks[i].state, Offer::Unplaced) {
+                        self.offer(&mut round, i);
+                    }
+                }
+                // What the table could neither host nor refuse is asked for
+                // again (a lone server's window is closed as it opens).
+                if unplaced(&round) {
+                    round = self.solicit(round.tasks, round.asks_left);
+                }
             }
+            self.ack_settled(&mut round.tasks);
+            if !round.tasks.is_empty() {
+                self.round = Some(round);
+                return;
+            }
+            self.start_round();
+        }
+    }
+
+    /// Offer task `i` to the policy's choice among the closed table's
+    /// entries that can still host it and that it has not tried: a
+    /// TaskManager may still reject (its state can change between bid and
+    /// assignment) or time out, in which case the task comes back here for
+    /// the next-best one.
+    fn offer(&mut self, round: &mut Round, i: usize) {
+        let Round { tasks, bids, complete, asks_left, .. } = round;
+        let task = &mut tasks[i];
+        task.state = loop {
+            let candidates: Vec<Bid> = bids
+                .iter()
+                .filter(|b| b.can_host(task.spec.memory_mb) && !task.tried.contains(&b.addr))
+                .cloned()
+                .collect();
+            let chosen = match self.config.policy {
+                Policy::RoundRobin => self.rr.select(&candidates),
+                // Load-aware shares the round-robin rotation state so a
+                // uniformly loaded neighborhood places identically to
+                // `RoundRobin` (the journal-differential property).
+                Policy::LoadAware => select_load_aware(&mut self.rr, &candidates),
+                p => select(p, &candidates, 0),
+            };
+            let Some(chosen) = chosen else {
+                if !*complete && *asks_left > 0 {
+                    // Someone was slow to bid and the rest of the table is
+                    // used up: not a refusal yet, ask again.
+                    break Offer::Unplaced;
+                }
+                break Offer::Settled(Err(if task.failures.is_empty() {
+                    format!("no willing TaskManager for task {:?}", task.spec.name)
+                } else {
+                    format!(
+                        "every willing TaskManager failed for task {:?}: {}",
+                        task.spec.name,
+                        task.failures.join("; ")
+                    )
+                }));
+            };
+            let (tm, server) = (chosen.addr, chosen.server.clone());
+            task.tried.push(tm);
+            if let Some(entry) = bids.iter_mut().find(|b| b.addr == tm) {
+                entry.debit(task.spec.memory_mb);
+            }
+            if tm == self.addr {
+                // Local fast path: same process.
+                self.tm_upload(&task.spec.jar);
+                match self.tm_assign(task.job, task.spec.clone(), self.addr) {
+                    Ok(task_addr) => break Offer::Settled(Ok((tm, task_addr, server))),
+                    Err(reason) => task.failures.push(format!("{server}: {reason}")),
+                }
+            } else {
+                let size = self.registry.get(&task.spec.jar).map(|a| a.size_bytes).unwrap_or(0);
+                let jar = task.spec.jar.clone();
+                self.send(tm, NetMsg::UploadArchive { jar, size_bytes: size });
+                let (job, spec) = (task.job, task.spec.clone());
+                self.send(tm, NetMsg::AssignTask { job, spec, jm: self.addr, reply_to: self.addr });
+                self.c_assigns.inc();
+                let deadline = Instant::now() + self.config.assign_timeout;
+                break Offer::InFlight { tm, server, deadline };
+            }
+        };
+    }
+
+    /// Ack the settled tasks at the front of the round, in burst order, and
+    /// record the placed ones in their job.
+    fn ack_settled(&mut self, tasks: &mut VecDeque<Placing>) {
+        while matches!(tasks.front(), Some(Placing { state: Offer::Settled(_), .. })) {
+            let Some(Placing { job, spec, reply_to, state: Offer::Settled(outcome), .. }) =
+                tasks.pop_front()
+            else {
+                unreachable!("front is settled")
+            };
+            let task = spec.name.clone();
+            let outcome = outcome.and_then(|(tm, task_addr, server)| {
+                match self.jm_jobs.get_mut(&job) {
+                    Some(j) => {
+                        j.assigned.insert(task.clone(), (tm, task_addr, server.clone()));
+                        j.specs.push(spec);
+                        Ok((server, task_addr))
+                    }
+                    None => {
+                        // The job went away (cancelled, failed) while the
+                        // assignment was in flight: release it.
+                        if tm == self.addr {
+                            self.tm_cancel(job, &task);
+                        } else {
+                            self.send(tm, NetMsg::CancelTask { job, task: task.clone() });
+                        }
+                        Err(format!("no such job {job}"))
+                    }
+                }
+            });
+            let (accepted, reason, server, task_addr) = match outcome {
+                Ok((server, task_addr)) => (true, String::new(), server, Some(task_addr)),
+                Err(reason) => (false, reason, String::new(), None),
+            };
+            self.send(reply_to, NetMsg::TaskAck { job, task, accepted, reason, server, task_addr });
         }
     }
 
@@ -1325,9 +1491,286 @@ impl ServerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::TaskArchive;
     use crate::message::JobRequirements;
-    use cn_cluster::NodeSpec;
+    use crate::{Neighborhood, NeighborhoodConfig};
+    use cn_cluster::{Network, NodeSpec, DISCOVERY_GROUP};
     use cn_wire::{Fabric, SocketFabric, WireConfig};
+
+    /// A party on a simulated neighborhood's network that the test plays by
+    /// hand: a client, a scripted TaskManager, a group member that says
+    /// nothing. Every step waits on a message, never on a clock.
+    struct Party {
+        net: Network<NetMsg>,
+        addr: Addr,
+        rx: Receiver<Envelope<NetMsg>>,
+    }
+
+    impl Party {
+        fn join(nb: &Neighborhood, in_discovery_group: bool) -> Party {
+            let net = nb.network().clone();
+            let (addr, rx) = net.register();
+            if in_discovery_group {
+                net.join_group(addr, DISCOVERY_GROUP);
+            }
+            Party { net, addr, rx }
+        }
+
+        fn send(&self, to: Addr, msg: NetMsg) {
+            self.net.send(self.addr, to, msg).expect("send");
+        }
+
+        /// The next message `want` picks, skipping what it does not.
+        fn expect<T>(&self, mut want: impl FnMut(NetMsg) -> Option<T>) -> T {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let env = self.rx.recv_timeout(left).expect("the awaited message");
+                if let Some(found) = want(env.msg) {
+                    return found;
+                }
+            }
+        }
+
+        fn create_job(&self, jm: Addr, job: JobId) {
+            self.send(jm, NetMsg::CreateJob { job, client: self.addr, reply_to: self.addr });
+            self.expect(|m| matches!(m, NetMsg::JobAck { accepted: true, .. }).then_some(()));
+        }
+    }
+
+    fn deploy(nodes: usize, bid_window: Duration) -> Neighborhood {
+        let nb = Neighborhood::deploy_with(
+            NodeSpec::fleet(nodes, 4000, 4),
+            NeighborhoodConfig {
+                server: ServerConfig { bid_window, ..ServerConfig::default() },
+                ..NeighborhoodConfig::default()
+            },
+        );
+        nb.registry().publish(
+            TaskArchive::new("x.jar")
+                .class("X", || Box::new(|_ctx: &mut TaskContext| Ok(UserData::Empty))),
+        );
+        nb
+    }
+
+    fn light(name: &str) -> TaskSpec {
+        let mut spec = TaskSpec::new(name, "x.jar", "X");
+        spec.memory_mb = 100;
+        spec
+    }
+
+    /// The window is an entry of the loop, not a wait inside a handler: a
+    /// server holding a round open for a peer that never bids goes on
+    /// answering other JobManagers and relaying lifecycle events.
+    #[test]
+    fn an_open_window_does_not_hold_the_server() {
+        let window = Duration::from_secs(1);
+        let nb = deploy(1, window);
+        let server = nb.server_addr("node0").unwrap();
+        // Addressed by every solicitation; never answers.
+        let silent = Party::join(&nb, true);
+        let client = Party::join(&nb, false);
+        let other = Party::join(&nb, false);
+        client.create_job(server, JobId(901));
+        other.create_job(server, JobId(902));
+
+        let t0 = Instant::now();
+        let spec = light("t");
+        client.send(server, NetMsg::CreateTask { job: JobId(901), spec, reply_to: client.addr });
+        // The round is open once its solicitation is out.
+        silent.expect(|m| matches!(m, NetMsg::SolicitTaskManager { .. }).then_some(()));
+
+        let asked = Instant::now();
+        other.send(
+            server,
+            NetMsg::SolicitTaskManager {
+                job: JobId(77),
+                task: "foreign".into(),
+                memory_mb: 1,
+                reply_to: other.addr,
+            },
+        );
+        other.send(server, NetMsg::TaskStarted { job: JobId(902), task: "relayed".into() });
+        other.expect(|m| matches!(m, NetMsg::TaskManagerBid { job: JobId(77), .. }).then_some(()));
+        other.expect(|m| matches!(m, NetMsg::TaskStarted { job: JobId(902), .. }).then_some(()));
+        assert!(asked.elapsed() < Duration::from_millis(100), "{:?}", asked.elapsed());
+
+        // The round itself runs to its bound, then places the task from the
+        // one bid it has: the server's own.
+        let placed_on = client.expect(|m| match m {
+            NetMsg::TaskAck { accepted: true, server, .. } => Some(server),
+            _ => None,
+        });
+        assert_eq!(placed_on, "node0");
+        assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
+        nb.shutdown();
+    }
+
+    /// A bidder that misses the window is missing from the table, not from
+    /// the cluster: when the table is used up the round asks again for what
+    /// is left — a burst is not refused over a slow bid.
+    #[test]
+    fn a_used_up_table_that_missed_a_bidder_is_asked_for_again() {
+        let nb = deploy(1, Duration::from_millis(40));
+        let jm = nb.server_addr("node0").unwrap();
+        let client = Party::join(&nb, false);
+        let slow = Party::join(&nb, true);
+        let job = JobId(904);
+        client.create_job(jm, job);
+        // Five tasks, four slots on the one real node.
+        let specs: Vec<TaskSpec> = (0..5).map(|i| light(&format!("t{i}"))).collect();
+        client.send(jm, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
+
+        // The first solicitation goes unanswered; the second, for the task
+        // the server's own four slots had no room for, is answered.
+        let solicited = |m| match m {
+            NetMsg::SolicitTaskManager { task, reply_to, .. } => Some((task, reply_to)),
+            _ => None,
+        };
+        assert_eq!(slow.expect(solicited).0, "t0");
+        let (task, reply_to) = slow.expect(solicited);
+        assert_eq!(task, "t4");
+        let bid = Bid {
+            server: "zz-slow".into(),
+            addr: slow.addr,
+            load: 0.5,
+            free_memory_mb: 1000,
+            free_slots: 1,
+            signal: LoadSignal::default(),
+        };
+        slow.send(reply_to, NetMsg::TaskManagerBid { job, task, bid });
+        let assigned = slow.expect(|m| match m {
+            NetMsg::AssignTask { spec, .. } => Some(spec.name),
+            _ => None,
+        });
+        assert_eq!(assigned, "t4");
+        slow.send(
+            jm,
+            NetMsg::AssignAck {
+                job,
+                task: assigned,
+                accepted: true,
+                reason: String::new(),
+                task_addr: Some(slow.addr),
+            },
+        );
+        let placed: Vec<(String, String)> = (0..5)
+            .map(|_| {
+                client.expect(|m| match m {
+                    NetMsg::TaskAck { accepted: true, task, server, .. } => Some((task, server)),
+                    _ => None,
+                })
+            })
+            .collect();
+        let on = |server: &str, tasks: &[&str]| -> Vec<(String, String)> {
+            tasks.iter().map(|t| (t.to_string(), server.to_string())).collect()
+        };
+        assert_eq!(
+            placed,
+            [on("node0", &["t0", "t1", "t2", "t3"]), on("zz-slow", &["t4"])].concat()
+        );
+        nb.shutdown();
+    }
+
+    /// The re-asking is bounded by what one auction per task would have
+    /// spent: two tasks, two solicitations, then the refusal stands.
+    #[test]
+    fn a_round_asks_no_more_often_than_it_has_tasks() {
+        let window = Duration::from_millis(30);
+        let nb = deploy(1, window);
+        let jm = nb.server_addr("node0").unwrap();
+        let client = Party::join(&nb, false);
+        let silent = Party::join(&nb, true);
+        let job = JobId(905);
+        client.create_job(jm, job);
+        // The one real node has memory for the first task only.
+        let mut specs = vec![light("t0"), light("t1")];
+        specs.iter_mut().for_each(|s| s.memory_mb = 2500);
+        let t0 = Instant::now();
+        client.send(jm, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
+        let acks: Vec<(String, bool)> = (0..2)
+            .map(|_| {
+                client.expect(|m| match m {
+                    NetMsg::TaskAck { task, accepted, .. } => Some((task, accepted)),
+                    _ => None,
+                })
+            })
+            .collect();
+        assert_eq!(acks, [("t0".to_string(), true), ("t1".to_string(), false)]);
+        assert!(t0.elapsed() >= 2 * window, "{:?}", t0.elapsed());
+        let asked = std::iter::from_fn(|| silent.rx.try_recv().ok())
+            .filter(|env| matches!(env.msg, NetMsg::SolicitTaskManager { .. }))
+            .count();
+        assert_eq!(asked, 2);
+        nb.shutdown();
+    }
+
+    /// `CancelJob` overtakes a round whose assignments are still in flight:
+    /// whatever the round then settles is released again, wherever it landed.
+    #[test]
+    fn cancel_during_a_round_frees_every_assignment() {
+        let nb = deploy(3, Duration::from_secs(1));
+        let jm = nb.server_addr("node0").unwrap();
+        let client = Party::join(&nb, false);
+        // Outbids every real server, then sits on its assignment.
+        let slow = Party::join(&nb, true);
+        let job = JobId(903);
+        client.create_job(jm, job);
+        let specs = vec![light("t0"), light("t1"), light("t2")];
+        client.send(jm, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
+
+        let (task, reply_to) = slow.expect(|m| match m {
+            NetMsg::SolicitTaskManager { task, reply_to, .. } => Some((task, reply_to)),
+            _ => None,
+        });
+        let bid = Bid {
+            server: "zz-slow".into(),
+            addr: slow.addr,
+            load: 0.0,
+            free_memory_mb: 1 << 40,
+            free_slots: 1 << 20,
+            signal: LoadSignal::default(),
+        };
+        slow.send(reply_to, NetMsg::TaskManagerBid { job, task, bid });
+        // t0 is on its way to the slow bidder, t1 and t2 to real servers,
+        // and nothing has been acked: t0 is the front of the burst.
+        let assigned = slow.expect(|m| match m {
+            NetMsg::AssignTask { spec, .. } => Some(spec.name),
+            _ => None,
+        });
+        assert_eq!(assigned, "t0");
+
+        client.send(jm, NetMsg::CancelJob { job });
+        client.expect(|m| matches!(m, NetMsg::JobFailed { .. }).then_some(()));
+        slow.send(
+            jm,
+            NetMsg::AssignAck {
+                job,
+                task: assigned,
+                accepted: true,
+                reason: String::new(),
+                task_addr: Some(slow.addr),
+            },
+        );
+        // The late assignment is handed back, and every task of the burst is
+        // refused in order.
+        slow.expect(|m| matches!(m, NetMsg::CancelTask { .. }).then_some(()));
+        for name in ["t0", "t1", "t2"] {
+            let (task, reason) = client.expect(|m| match m {
+                NetMsg::TaskAck { accepted: false, task, reason, .. } => Some((task, reason)),
+                _ => None,
+            });
+            assert_eq!(task, name);
+            assert!(reason.contains("no such job"), "{reason}");
+        }
+        // The real servers release theirs as the cancels reach them.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 4000)) {
+            assert!(Instant::now() < deadline, "an assignment was never released");
+            std::thread::yield_now();
+        }
+        nb.shutdown();
+    }
 
     /// A bid to a solicitor that is gone must not hold the server: on a
     /// socket fabric a `send` there waits out the whole connect-retry cycle.

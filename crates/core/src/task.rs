@@ -39,6 +39,16 @@ impl fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
+/// What a caught panic said, for the failure report of whatever contained
+/// it (a task thread here, a portal worker's runner in `cn-portal`).
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload")
+}
+
 /// The user task interface. `run` executes on a TaskManager thread
 /// (`RUN_AS_THREAD_IN_TM`); its return value is reported to the client as
 /// the task result.

@@ -347,6 +347,11 @@ mod tests {
                 tm: Addr(3),
                 task_addr: Addr(88),
             },
+            NetMsg::CreateTasks {
+                job: JobId(1),
+                specs: vec![sample_spec(), TaskSpec::new("tctask999", "taskjoin.jar", "TaskJoin")],
+                reply_to: Addr(9),
+            },
         ];
         let mut frames = String::new();
         let mut names = Vec::new();

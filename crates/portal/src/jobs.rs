@@ -462,7 +462,15 @@ fn worker_loop(
         for ((key, work), compiled) in batch.into_iter().zip(compiled) {
             board.mark_running(work.id);
             let started = Instant::now();
-            let outcome = compiled.and_then(|job| runner.run(&job));
+            // A panic in the runner is one more way for the job to fail:
+            // unwinding past here would leave the board entry `running`, the
+            // admission slot taken and this worker gone for good.
+            let outcome = compiled.and_then(|job| {
+                let run = std::panic::AssertUnwindSafe(|| runner.run(&job));
+                std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                    Err(format!("runner panicked: {}", cn_core::task::panic_text(&*payload)))
+                })
+            });
             rec.histogram("portal.job_us", LATENCY_BUCKETS_US)
                 .record(started.elapsed().as_micros() as u64);
             match outcome {

@@ -32,9 +32,20 @@ use crate::jobs::{json_string, parse_job_id, spawn_workers, JobBoard, JobRunner,
 const MAX_READS_PER_WAKE: usize = 16;
 /// Journal bytes per chunk when streaming.
 const JOURNAL_CHUNK: usize = 16 * 1024;
-/// How often a connection re-checks a still-running job while streaming
-/// its journal.
-const JOURNAL_POLL: Duration = Duration::from_millis(20);
+/// When a connection streaming the journal of a still-running job looks at
+/// the board again: three timer-wheel ticks after it parked, then every
+/// tick. The first look is placed where a healthy job has finished on a
+/// slow box as well as on a quiet one, so a closed loop reads one grid
+/// point whatever the box does; a job still running then is in the tail,
+/// and is answered on the first tick after it ends. Still a poll — what a
+/// wake-up would need, and why the first look is no earlier, is in
+/// DESIGN.md §13.
+const JOURNAL_FIRST_LOOK: Duration = Duration::from_millis(15);
+const JOURNAL_NEXT_LOOK: Duration = Duration::from_millis(5);
+// The wheel rounds a delay up to whole ticks: a wait that is not a multiple
+// of the tick is longer than it says.
+const _: () = assert!((JOURNAL_FIRST_LOOK.as_millis() as u64).is_multiple_of(cn_reactor::TICK_MS));
+const _: () = assert!((JOURNAL_NEXT_LOOK.as_millis() as u64).is_multiple_of(cn_reactor::TICK_MS));
 
 const TAG_DEADLINE: u64 = 1;
 const TAG_JOURNAL: u64 = 2;
@@ -243,6 +254,8 @@ struct JournalStream {
     give_up: Instant,
     /// Whether the connection stays open after the terminal chunk.
     keep_alive: bool,
+    /// Whether the stream has parked on the timer wheel before.
+    parked: bool,
 }
 
 /// One HTTP connection: incremental parse → route → ordered pipelined
@@ -336,6 +349,7 @@ impl ConnHandler {
                             sent: 0,
                             give_up: Instant::now() + self.inner.cfg.journal_wait,
                             keep_alive,
+                            parked: false,
                         });
                         // Chunks flow from pump_journal; headers are out.
                         self.close_after_flush = false;
@@ -448,8 +462,10 @@ impl ConnHandler {
         // pending or one has to wait for its job.
         while self.streaming.is_some() {
             if self.pump_journal() {
-                if self.journal_timer.is_none() {
-                    self.journal_timer = Some(ctx.arm_timer(JOURNAL_POLL, TAG_JOURNAL));
+                if let (None, Some(s)) = (self.journal_timer, &mut self.streaming) {
+                    let wait = if s.parked { JOURNAL_NEXT_LOOK } else { JOURNAL_FIRST_LOOK };
+                    s.parked = true;
+                    self.journal_timer = Some(ctx.arm_timer(wait, TAG_JOURNAL));
                 }
                 break;
             }

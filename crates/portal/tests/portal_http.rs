@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use cn_observe::Recorder;
 use cn_portal::http::ChunkedDecoder;
-use cn_portal::{PortalConfig, PortalServer, StubRunner};
+use cn_portal::{CompiledJob, JobRunner, PortalConfig, PortalServer, RunOutcome, StubRunner};
 
 const STUB_JOURNAL: &str = "{\"seq\":1,\"cat\":\"wire\"}\n{\"seq\":2,\"cat\":\"wire\"}\n";
 
@@ -189,6 +189,77 @@ fn journal_streams_while_job_still_running() {
     let journal = get(&mut c, &format!("/jobs/{id}/journal"));
     assert_eq!(journal.status, 200);
     assert_eq!(String::from_utf8_lossy(&journal.body), STUB_JOURNAL);
+}
+
+/// The quickest of four closed-loop rounds (submit, stream the journal,
+/// submit again on the same connection) against a runner that takes
+/// `delay`. A round before them is not counted: it starts anywhere between
+/// two wheel ticks, the later ones start on the tick that answered the one
+/// before.
+fn quickest_round(delay: Duration) -> Duration {
+    let portal = start_portal(PortalConfig::default(), delay);
+    let mut c = connect(portal.port());
+    let body = figure2_cnx();
+    let mut round = || {
+        let t0 = Instant::now();
+        let resp = post_job(&mut c, body.as_bytes());
+        assert_eq!(resp.status, 202);
+        let journal = get(&mut c, &format!("/jobs/{}/journal", job_id(&resp)));
+        let took = t0.elapsed();
+        assert_eq!(String::from_utf8_lossy(&journal.body), STUB_JOURNAL);
+        took
+    };
+    round();
+    (0..4).map(|_| round()).min().unwrap()
+}
+
+/// A waiting stream looks again three wheel ticks after it parked and then
+/// every tick: a 2 ms job is answered at 15 ms, not at the 20 ms of a
+/// four-tick poll, and a job that ends just after the first look is
+/// answered on the next tick (20 or 25 ms), not a whole period later (30).
+#[test]
+fn journal_stream_looks_again_after_three_ticks_then_every_tick() {
+    let short = quickest_round(Duration::from_millis(2));
+    assert!(short < Duration::from_millis(19), "{short:?}");
+    let late = quickest_round(Duration::from_millis(16));
+    assert!(late < Duration::from_millis(29), "{late:?}");
+}
+
+/// Panics on its first job, runs every later one.
+struct PanicsOnce(std::sync::atomic::AtomicBool);
+
+impl JobRunner for PanicsOnce {
+    fn run(&self, job: &CompiledJob) -> Result<RunOutcome, String> {
+        if !self.0.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            panic!("seed input: the JobManager's link is gone");
+        }
+        Ok(RunOutcome { journal: STUB_JOURNAL.to_string(), tasks: job.descriptor.task_count() })
+    }
+}
+
+#[test]
+fn panicking_runner_fails_its_job_and_keeps_the_worker() {
+    // One worker: if the panic took it, nothing would ever run job 2.
+    let cfg = PortalConfig { workers: 1, ..PortalConfig::default() };
+    let runner = Arc::new(PanicsOnce(Default::default()));
+    let portal = PortalServer::start(cfg, runner, Recorder::new()).expect("portal start");
+    let mut c = connect(portal.port());
+    let body = figure2_cnx();
+
+    let first = job_id(&post_job(&mut c, body.as_bytes()));
+    let journal = get(&mut c, &format!("/jobs/{first}/journal"));
+    let line = String::from_utf8_lossy(&journal.body).to_string();
+    assert!(line.starts_with("{\"error\""), "{line}");
+    assert!(line.contains("runner panicked: seed input: the JobManager's link is gone"), "{line}");
+    let status = get(&mut c, &format!("/jobs/{first}"));
+    assert!(String::from_utf8_lossy(&status.body).contains("\"failed\""));
+
+    // The slot came back and the worker is still there.
+    let second = job_id(&post_job(&mut c, body.as_bytes()));
+    let journal = get(&mut c, &format!("/jobs/{second}/journal"));
+    assert_eq!(String::from_utf8_lossy(&journal.body), STUB_JOURNAL);
+    assert_eq!(portal.recorder().counter("portal.jobs.failed").get(), 1);
+    assert_eq!(portal.recorder().counter("portal.jobs.completed").get(), 1);
 }
 
 #[test]

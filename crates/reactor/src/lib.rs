@@ -20,7 +20,7 @@ pub mod sys;
 pub mod wheel;
 
 pub use mailbox::{Mailbox, NoopWaker, Waker};
-pub use reactor::{Action, EventHandler, Reactor, ShardCtx, Token};
+pub use reactor::{Action, EventHandler, Reactor, ShardCtx, Token, TICK_MS};
 pub use wheel::{Expired, TimerId, TimerWheel};
 
 /// Default shard count: one per available core, capped so a large host

@@ -39,8 +39,9 @@ fn shard_of(token: Token) -> usize {
     (token >> SHARD_SHIFT) as usize
 }
 
-/// Milliseconds per timer-wheel tick.
-const TICK_MS: u64 = 5;
+/// Milliseconds per timer-wheel tick: the resolution of every
+/// [`ShardCtx::arm_timer`] delay, which is rounded up to whole ticks.
+pub const TICK_MS: u64 = 5;
 /// Wheel slots per shard (horizon = slots * TICK_MS per revolution).
 const WHEEL_SLOTS: usize = 512;
 /// Longest `epoll_wait` nap even with no timers armed, so a shard always

@@ -217,11 +217,13 @@ enum FakeBehaviour {
 #[test]
 fn placement_retries_after_rejection_and_after_timeout() {
     for behaviour in [FakeBehaviour::Reject, FakeBehaviour::Silent] {
+        let rec = computational_neighborhood::observe::Recorder::new();
         let config = NeighborhoodConfig {
             server: core::ServerConfig {
                 assign_timeout: Duration::from_millis(150),
                 ..Default::default()
             },
+            recorder: rec.clone(),
             ..Default::default()
         };
         let nb = Neighborhood::deploy_with(NodeSpec::fleet(2, 4096, 8), config);
@@ -233,12 +235,25 @@ fn placement_retries_after_rejection_and_after_timeout() {
         let fake = spawn_fake_taskmanager(&nb, "zz-fake", behaviour);
         let api = CnApi::initialize(&nb);
         let mut job = api.create_job(&JobRequirements::default()).unwrap();
-        let mut t = TaskSpec::new("t", "x.jar", "X");
-        t.memory_mb = 64;
-        job.add_task(t).unwrap();
+        let small = |name: &str| {
+            let mut t = TaskSpec::new(name, "x.jar", "X");
+            t.memory_mb = 64;
+            t
+        };
+        job.add_task(small("t")).unwrap();
+        // A burst falls back inside its one round: whatever the fake was
+        // offered goes to the next-best entry of the same bid table.
+        let solicitations = rec.counter("server.task_solicitations");
+        let before = solicitations.get();
+        job.add_tasks(vec![small("b0"), small("b1"), small("b2")]).unwrap();
+        assert_eq!(solicitations.get() - before, 1);
+        assert_eq!(job.placements().len(), 4);
+        assert!(job.placements().iter().all(|(_, server)| server.starts_with("node")));
         job.start().unwrap();
         let report = job.wait(Duration::from_secs(10)).unwrap();
-        assert_eq!(report.result("t"), Some(&UserData::Text("ran".into())));
+        for task in ["t", "b0", "b1", "b2"] {
+            assert_eq!(report.result(task), Some(&UserData::Text("ran".into())));
+        }
         nb.shutdown();
         drop(fake); // fake thread exits on its own receive timeout
     }
