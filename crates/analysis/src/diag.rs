@@ -82,27 +82,10 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal (no serde in this
-/// workspace; the shape is small enough to emit by hand).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cn_observe::export::json_escape;
 
     #[test]
     fn severity_orders_by_badness() {

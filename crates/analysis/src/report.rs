@@ -1,7 +1,8 @@
 //! The lint report: an ordered collection of diagnostics with text and JSON
 //! renderings and the severity summary the CLI exit code derives from.
 
-use crate::diag::{json_escape, Diagnostic, Severity};
+use crate::diag::{Diagnostic, Severity};
+use cn_observe::export::json_escape;
 
 /// Result of a lint run. Diagnostics are kept sorted by span (spanless ones
 /// last), then code, then message — a deterministic order independent of

@@ -71,10 +71,6 @@ pub struct ClientConfig {
     /// Upper bound on one JobManager bid window: it closes as soon as every
     /// server the solicitation addressed has bid ([`crate::pump::solicit`]).
     pub bid_window: Duration,
-    /// How many times to re-multicast the solicitation when a bid window
-    /// closes with no bids (willing managers can miss a window under
-    /// load; discovery is cheap to retry).
-    pub discovery_retries: u32,
     /// JobManager selection policy.
     pub policy: Policy,
     /// Timeout for individual acks (job create, task create).
@@ -85,12 +81,16 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             bid_window: Duration::from_millis(5),
-            discovery_retries: 3,
             policy: Policy::LeastLoaded,
             ack_timeout: Duration::from_secs(5),
         }
     }
 }
+
+/// How many times `create_job` re-multicasts the solicitation when a bid
+/// window closes with no bids (willing managers can miss a window under
+/// load; discovery is cheap to retry).
+const DISCOVERY_RETRIES: u32 = 3;
 
 /// Process-wide job id source: JobManagers key state by [`JobId`], and
 /// several clients may talk to the same neighborhood.
@@ -162,7 +162,7 @@ impl CnApi {
         let span = self.rec.span_start_job("job", "job", None, Some(job.0), None);
         let (addr, rx) = self.net.register();
         let mut bids: Vec<Bid> = Vec::new();
-        for _attempt in 0..=self.config.discovery_retries {
+        for _attempt in 0..=DISCOVERY_RETRIES {
             self.c_solicits.inc();
             bids = solicit(
                 &self.net,

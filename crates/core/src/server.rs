@@ -350,16 +350,14 @@ impl ServerState {
         self.net.unregister(self.addr);
     }
 
+    /// Everything the event loop sends is posted, never awaited: the peer —
+    /// a solicitor whose window closed, the client of a job that timed out —
+    /// may be gone by now, a waiting `send` to a departed process sits out a
+    /// whole connect-retry cycle on this, the server's only, thread, and the
+    /// loop never acted on a send's result anyway. What cannot be delivered
+    /// is dropped and counted behind its back (`wire.drops`).
     fn send(&self, to: Addr, msg: NetMsg) {
-        let _ = self.net.send(self.addr, to, msg);
-    }
-
-    /// Answer a solicitation. The solicitor may have closed its window and
-    /// left by now, and a `send` to a departed process waits out a whole
-    /// connect-retry cycle on this — the server's only — thread; a bid is
-    /// posted, never awaited.
-    fn post_bid(&self, to: Addr, bid: NetMsg) {
-        self.net.post(self.addr, to, bid);
+        self.net.post(self.addr, to, msg);
     }
 
     fn handle(&mut self, env: Envelope<NetMsg>) {
@@ -371,7 +369,7 @@ impl ServerState {
                     && self.node.free_slots() >= requirements.min_free_slots;
                 if willing {
                     self.c_jm_bids.inc();
-                    self.post_bid(reply_to, NetMsg::JobManagerBid { job, bid: self.own_bid() });
+                    self.send(reply_to, NetMsg::JobManagerBid { job, bid: self.own_bid() });
                 }
             }
 
@@ -413,7 +411,7 @@ impl ServerState {
                 if self.node.can_host(memory_mb) =>
             {
                 self.c_tm_bids.inc();
-                self.post_bid(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
+                self.send(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
             }
             NetMsg::TaskManagerBid { job, task, bid } => {
                 // A bid for anything but the open window is late: dropped.
@@ -1772,70 +1770,112 @@ mod tests {
         nb.shutdown();
     }
 
+    /// A server on a socket fabric whose connect cycle is long enough to
+    /// tell waiting from not waiting (120 ms of backoff), and a client on a
+    /// fabric of its own, both directions connected before anything is timed.
+    struct Departures {
+        rec: Recorder,
+        server: CnServer,
+        client: SocketFabric<NetMsg>,
+        me: Addr,
+        rx: Receiver<Envelope<NetMsg>>,
+    }
+
+    impl Departures {
+        fn new() -> Departures {
+            let rec = Recorder::new();
+            let cfg = WireConfig {
+                max_retries: 2,
+                retry_base: Duration::from_millis(40),
+                ..WireConfig::default()
+            };
+            let fabric: SocketFabric<NetMsg> = SocketFabric::new(cfg, rec.clone()).unwrap();
+            let server = CnServer::spawn(
+                "w0",
+                NodeHandle::new(NodeSpec::new("w0", 4000, 4)),
+                FabricHandle::new(fabric),
+                Arc::new(ArchiveRegistry::new()),
+                Arc::new(SpaceRegistry::new()),
+                ServerConfig::default(),
+            );
+            let client: SocketFabric<NetMsg> =
+                SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
+            let (me, rx) = client.register();
+            let d = Departures { rec, server, client, me, rx };
+            d.bid_within(Duration::from_secs(5));
+            d
+        }
+
+        /// An endpoint of a fabric that has already shut down.
+        fn departed() -> Addr {
+            let gone: SocketFabric<NetMsg> =
+                SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
+            gone.register().0
+        }
+
+        fn send(&self, msg: NetMsg) {
+            self.client.send(self.me, self.server.addr, msg).unwrap();
+        }
+
+        fn solicit(&self, reply_to: Addr) {
+            self.send(NetMsg::SolicitJobManager {
+                job: JobId(1),
+                requirements: JobRequirements::default(),
+                reply_to,
+            });
+        }
+
+        /// How long the server takes to answer a solicitation sent now.
+        fn bid_within(&self, limit: Duration) -> Duration {
+            self.solicit(self.me);
+            let t0 = Instant::now();
+            let env = self.rx.recv_timeout(limit).expect("a bid");
+            assert!(matches!(env.msg, NetMsg::JobManagerBid { .. }), "{:?}", env.msg);
+            t0.elapsed()
+        }
+
+        /// The quickest of three rounds of `behind`, each of which leaves the
+        /// server something for a departed peer, is answered within a
+        /// scheduling quantum — not the connect cycle a waiting server would
+        /// sit through — and the reactor, giving up behind the server's
+        /// back, counts what it could not deliver.
+        fn assert_not_held(self, behind: impl Fn(&Departures, u64)) {
+            let quickest = (0..3)
+                .map(|round| {
+                    behind(&self, round);
+                    self.bid_within(Duration::from_secs(5))
+                })
+                .min()
+                .unwrap();
+            assert!(quickest < Duration::from_millis(20), "{quickest:?}");
+            let drops = self.rec.counter("wire.drops");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while drops.get() < 3 {
+                assert!(Instant::now() < deadline, "drops: {}", drops.get());
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            self.server.shutdown();
+        }
+    }
+
     /// A bid to a solicitor that is gone must not hold the server: on a
     /// socket fabric a `send` there waits out the whole connect-retry cycle.
     #[test]
     fn bid_to_a_departed_solicitor_does_not_hold_the_server() {
-        // A connect cycle long enough to tell waiting from not waiting.
-        let rec = Recorder::new();
-        let cfg = WireConfig {
-            max_retries: 2,
-            retry_base: Duration::from_millis(40),
-            ..WireConfig::default()
-        };
-        let fabric: SocketFabric<NetMsg> = SocketFabric::new(cfg, rec.clone()).unwrap();
-        let server = CnServer::spawn(
-            "w0",
-            NodeHandle::new(NodeSpec::new("w0", 4000, 4)),
-            FabricHandle::new(fabric),
-            Arc::new(ArchiveRegistry::new()),
-            Arc::new(SpaceRegistry::new()),
-            ServerConfig::default(),
-        );
+        Departures::new().assert_not_held(|d, _| d.solicit(Departures::departed()));
+    }
 
-        let solicit = |reply_to| NetMsg::SolicitJobManager {
-            job: JobId(1),
-            requirements: JobRequirements::default(),
-            reply_to,
-        };
-        let client: SocketFabric<NetMsg> =
-            SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
-        let (me, rx) = client.register();
-        let bid_within = |limit| {
-            client.send(me, server.addr, solicit(me)).unwrap();
-            let t0 = Instant::now();
-            let env = rx.recv_timeout(limit).expect("a bid");
-            assert!(matches!(env.msg, NetMsg::JobManagerBid { .. }), "{:?}", env.msg);
-            t0.elapsed()
-        };
-        // Both directions connected before anything is timed.
-        bid_within(Duration::from_secs(5));
-
-        // The server's bid goes to an endpoint of a fabric that has already
-        // shut down; the solicitation behind it is answered at once. Three
-        // rounds, the quickest counts: the bound is a scheduling quantum, not
-        // the 120 ms of backoff a waiting server would sit through.
-        let quickest = (0..3)
-            .map(|_| {
-                let departed = {
-                    let gone: SocketFabric<NetMsg> =
-                        SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
-                    gone.register().0
-                };
-                client.send(me, server.addr, solicit(departed)).unwrap();
-                bid_within(Duration::from_secs(5))
-            })
-            .min()
-            .unwrap();
-        assert!(quickest < Duration::from_millis(20), "{quickest:?}");
-
-        // The reactor's connect cycle gives up behind the server's back and
-        // counts what it could not deliver.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while rec.counter("wire.drops").get() < 3 {
-            assert!(Instant::now() < deadline, "drops: {}", rec.counter("wire.drops").get());
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        server.shutdown();
+    /// Nor must anything else the loop sends: a `TaskStarted` relayed to a
+    /// job whose client has torn its fabric down (a portal job that timed
+    /// out) is posted like a bid.
+    #[test]
+    fn relay_to_a_departed_client_does_not_hold_the_server() {
+        Departures::new().assert_not_held(|d, round| {
+            let job = JobId(10 + round);
+            d.send(NetMsg::CreateJob { job, client: Departures::departed(), reply_to: d.me });
+            let ack = d.rx.recv_timeout(Duration::from_secs(5)).expect("a JobAck");
+            assert!(matches!(ack.msg, NetMsg::JobAck { accepted: true, .. }), "{:?}", ack.msg);
+            d.send(NetMsg::TaskStarted { job, task: "t".to_string() });
+        });
     }
 }

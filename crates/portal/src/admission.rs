@@ -139,8 +139,10 @@ impl<T> Admission<T> {
         batch.pop()
     }
 
-    /// Drain up to `max` admitted submissions in one wakeup (workers
-    /// batch-translate XMI bodies). Empty on timeout or shutdown.
+    /// Drain up to `max` admitted submissions in one wakeup. Empty on
+    /// timeout or shutdown. The portal's workers take one at a time
+    /// ([`next`](Admission::next)): whatever else is queued is an idle
+    /// worker's to take.
     pub fn next_batch(&self, max: usize, timeout: Duration) -> Vec<(u64, T)> {
         let mut st = self.state.lock();
         if st.queue.is_empty() && !st.closed {

@@ -21,10 +21,10 @@ use cn_core::{
     execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
     JobHandle, Neighborhood, NeighborhoodConfig,
 };
+use cn_observe::export::json_escape;
 use cn_observe::{journal_jsonl_filtered, Counter, Recorder, LATENCY_BUCKETS_US};
 use cn_sync::Mutex;
 use cn_transform::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
-use cn_transform::BatchTransformer;
 use cn_wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
 
 use crate::admission::Admission;
@@ -205,24 +205,10 @@ impl JobBoard {
     }
 }
 
-/// Minimal JSON string escaping, for the identifiers and error texts the
-/// portal's status bodies and `cnctl check --format json` embed.
+/// A quoted JSON string, for the identifiers and error texts the portal's
+/// status bodies and `cnctl check --format json` embed.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json_escape(s))
 }
 
 /// Parse the wire-format job id (`j-<n>`) out of a request path segment.
@@ -365,26 +351,12 @@ impl JobRunner for StubRunner {
 /// XMI2CNX stylesheet, anything else must already be CNX. Both end in
 /// parse + validate.
 pub fn compile_submission(body: &[u8]) -> Result<CompiledJob, String> {
-    let (text, is_xmi) = sniff(body)?;
-    compile_sniffed(text, is_xmi)
-}
-
-/// The body as text, and whether it is XMI.
-fn sniff(body: &[u8]) -> Result<(&str, bool), String> {
     let text = std::str::from_utf8(body).map_err(|_| "submission body is not UTF-8".to_string())?;
-    Ok((text, looks_like_xmi(text)))
-}
-
-fn compile_sniffed(text: &str, is_xmi: bool) -> Result<CompiledJob, String> {
-    let cnx_text = if is_xmi {
+    let cnx_text = if looks_like_xmi(text) {
         xmi_to_cnx_xslt(text, &ClientSettings::default()).map_err(|e| format!("XMI2CNX: {e}"))?
     } else {
         text.to_string()
     };
-    compile_cnx(cnx_text)
-}
-
-fn compile_cnx(cnx_text: String) -> Result<CompiledJob, String> {
     let descriptor = cn_cnx::parse_cnx(&cnx_text).map_err(|e| format!("CNX parse: {e}"))?;
     cn_cnx::validate(&descriptor).map_err(|e| format!("CNX validation: {e}"))?;
     Ok(CompiledJob { descriptor, cnx_text })
@@ -409,13 +381,10 @@ pub struct JobWork {
     pub body: Vec<u8>,
 }
 
-/// Max submissions one worker wakeup drains (XMI bodies in the same
-/// drain share one `BatchTransformer` pass).
-const TRANSLATE_BATCH: usize = 8;
-
-/// Spawn the submission workers that drain the admission queue: compile
-/// (batched for XMI), execute via the runner, publish the journal on the
-/// board, release the admission slots.
+/// Spawn the submission workers that drain the admission queue, one
+/// submission per wake-up: compile, execute via the runner, publish the
+/// journal on the board, release the admission slot. A worker that is
+/// busy leaves what is queued to the idle ones.
 pub fn spawn_workers(
     n: usize,
     admission: Arc<Admission<JobWork>>,
@@ -450,91 +419,42 @@ fn worker_loop(
         // TTL are dropped before taking on new work, so an idle-but-alive
         // portal keeps its board bounded too.
         board.evict_expired(board_ttl);
-        let batch = admission.next_batch(TRANSLATE_BATCH, Duration::from_millis(100));
-        if batch.is_empty() {
+        let Some((key, work)) = admission.next(Duration::from_millis(100)) else {
             if admission.is_closed() {
                 return;
             }
             continue;
-        }
+        };
         rec.counter("portal.worker.batches").inc();
-        let compiled = compile_batch(&batch);
-        for ((key, work), compiled) in batch.into_iter().zip(compiled) {
-            board.mark_running(work.id);
-            let started = Instant::now();
-            // A panic in the runner is one more way for the job to fail:
-            // unwinding past here would leave the board entry `running`, the
-            // admission slot taken and this worker gone for good.
-            let outcome = compiled.and_then(|job| {
-                let run = std::panic::AssertUnwindSafe(|| runner.run(&job));
-                std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                    Err(format!("runner panicked: {}", cn_core::task::panic_text(&*payload)))
-                })
-            });
-            rec.histogram("portal.job_us", LATENCY_BUCKETS_US)
-                .record(started.elapsed().as_micros() as u64);
-            match outcome {
-                Ok(out) => {
-                    board.complete(work.id, out.journal, out.tasks);
-                    rec.counter("portal.jobs.completed").inc();
-                }
-                Err(e) => {
-                    rec.event_with(cn_observe::Severity::Warn, "portal", None, || {
-                        format!("job j-{} failed: {e}", work.id)
-                    });
-                    board.fail(work.id, e);
-                    rec.counter("portal.jobs.failed").inc();
-                }
-            }
-            admission.finish(key);
-        }
-    }
-}
-
-/// Compile a drained batch: XMI bodies share one batched XSLT pass, CNX
-/// bodies go straight to parse + validate. Result slots line up with the
-/// input batch.
-fn compile_batch(batch: &[(u64, JobWork)]) -> Vec<Result<CompiledJob, String>> {
-    let sniffed: Vec<Result<(&str, bool), String>> =
-        batch.iter().map(|(_, w)| sniff(&w.body)).collect();
-    let xmi: Vec<(usize, &str)> = sniffed
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| match s {
-            Ok((text, true)) => Some((i, *text)),
-            _ => None,
-        })
-        .collect();
-
-    let mut xmi_results: HashMap<usize, Result<String, String>> = HashMap::new();
-    if xmi.len() > 1 {
-        let inputs: Vec<String> = xmi.iter().map(|&(_, text)| text.to_string()).collect();
-        match BatchTransformer::xmi2cnx(xmi.len()) {
-            Ok(batcher) => {
-                for (&(i, _), cnx) in
-                    xmi.iter().zip(batcher.run_with_settings(&inputs, &ClientSettings::default()))
-                {
-                    xmi_results.insert(i, cnx.map_err(|e| format!("XMI2CNX: {e}")));
-                }
+        let compiled = compile_submission(&work.body);
+        board.mark_running(work.id);
+        let started = Instant::now();
+        // A panic in the runner is one more way for the job to fail:
+        // unwinding past here would leave the board entry `running`, the
+        // admission slot taken and this worker gone for good.
+        let outcome = compiled.and_then(|job| {
+            let run = std::panic::AssertUnwindSafe(|| runner.run(&job));
+            std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                Err(format!("runner panicked: {}", cn_core::task::panic_text(&*payload)))
+            })
+        });
+        rec.histogram("portal.job_us", LATENCY_BUCKETS_US)
+            .record(started.elapsed().as_micros() as u64);
+        match outcome {
+            Ok(out) => {
+                board.complete(work.id, out.journal, out.tasks);
+                rec.counter("portal.jobs.completed").inc();
             }
             Err(e) => {
-                for &(i, _) in &xmi {
-                    xmi_results.insert(i, Err(format!("XMI2CNX: {e}")));
-                }
+                rec.event_with(cn_observe::Severity::Warn, "portal", None, || {
+                    format!("job j-{} failed: {e}", work.id)
+                });
+                board.fail(work.id, e);
+                rec.counter("portal.jobs.failed").inc();
             }
         }
+        admission.finish(key);
     }
-
-    // A body the batched pass did not take keeps the verdict it was given
-    // above; it is not sniffed again.
-    sniffed
-        .into_iter()
-        .enumerate()
-        .map(|(i, sniffed)| match xmi_results.remove(&i) {
-            Some(cnx) => cnx.and_then(compile_cnx),
-            None => sniffed.and_then(|(text, is_xmi)| compile_sniffed(text, is_xmi)),
-        })
-        .collect()
 }
 
 #[cfg(test)]

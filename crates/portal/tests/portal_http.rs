@@ -225,6 +225,32 @@ fn journal_stream_looks_again_after_three_ticks_then_every_tick() {
     assert!(late < Duration::from_millis(29), "{late:?}");
 }
 
+/// Two submissions admitted before any worker wakes run side by side on
+/// the two default workers: a worker takes one submission per wake-up and
+/// leaves the other to its idle neighbour, instead of draining both and
+/// running them one after the other.
+#[test]
+fn two_queued_submissions_run_on_two_workers() {
+    let portal = start_portal(PortalConfig::default(), Duration::from_millis(200));
+    let mut c = connect(portal.port());
+    let body = figure2_cnx();
+    let post = format!("POST /jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len());
+    let t0 = Instant::now();
+    c.write_all(format!("{post}{post}").as_bytes());
+    let ids: Vec<String> = (0..2)
+        .map(|_| {
+            let resp = c.read_response();
+            assert_eq!(resp.status, 202, "{}", String::from_utf8_lossy(&resp.body));
+            job_id(&resp)
+        })
+        .collect();
+    for id in &ids {
+        wait_done(&mut c, id);
+    }
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(350), "{took:?}");
+}
+
 /// Panics on its first job, runs every later one.
 struct PanicsOnce(std::sync::atomic::AtomicBool);
 

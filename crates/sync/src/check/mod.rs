@@ -1,4 +1,4 @@
-//! The controlled scheduler behind the `check` feature.
+//! The controlled scheduler behind the facade.
 //!
 //! A model run serializes the program onto one *running* task at a time:
 //! every instrumented operation (lock, unlock, condvar wait/notify, channel
@@ -16,8 +16,7 @@
 //! needs one to make progress has lost a wakeup.
 //!
 //! Exploration strategies: seeded PCT-style randomized priorities
-//! ([`Strategy::Pct`]), bounded-preemption exhaustive DFS
-//! ([`Strategy::Dfs`]), and explicit-schedule replay ([`Strategy::Replay`])
+//! ([`Strategy::Pct`]) and explicit-schedule replay ([`Strategy::Replay`])
 //! for reproducing counterexamples.
 
 use std::cell::RefCell;
@@ -39,10 +38,6 @@ pub enum Strategy {
     /// random priorities to tasks from a per-schedule seed and demotes the
     /// highest-priority runnable task at a few random change points.
     Pct { seed: u64, schedules: u32 },
-    /// Exhaustive stateless DFS over scheduling choices, bounded by the
-    /// number of preemptions (switches away from a runnable task) per
-    /// schedule and a total schedule budget.
-    Dfs { max_preemptions: u32, max_schedules: u32 },
     /// Replay an explicit choice list (a counterexample schedule).
     Replay { schedule: Vec<u32> },
 }
@@ -117,20 +112,6 @@ where
                 }
             }
         }
-        Strategy::Dfs { max_preemptions, max_schedules } => {
-            let mut strat = StratState::new_dfs(max_preemptions);
-            loop {
-                let out =
-                    run_one(Arc::clone(&f), strat, opts.max_steps, opts.fail_on_timeout_escape);
-                strat = out.strat.clone();
-                if finish(&mut report, out, 0) {
-                    break;
-                }
-                if report.schedules >= max_schedules as u64 || !strat.dfs_advance() {
-                    break;
-                }
-            }
-        }
         Strategy::Replay { schedule } => {
             let out = run_one(
                 Arc::clone(&f),
@@ -169,16 +150,8 @@ impl Rng {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct DfsChoice {
-    ord: u32,
-    options: u32,
-}
-
-#[derive(Clone)]
 enum StratState {
     Pct { rng_state: u64, priorities: Vec<i64>, change_points: Vec<u64>, next_low: i64 },
-    Dfs { stack: Vec<DfsChoice>, cursor: usize, preemptions: u32, max_preemptions: u32 },
     Replay { schedule: Vec<u32>, cursor: usize },
 }
 
@@ -198,28 +171,6 @@ impl StratState {
         }
     }
 
-    fn new_dfs(max_preemptions: u32) -> StratState {
-        StratState::Dfs { stack: Vec::new(), cursor: 0, preemptions: 0, max_preemptions }
-    }
-
-    /// Advance the DFS odometer to the next unexplored schedule. Returns
-    /// false when the bounded space is exhausted.
-    fn dfs_advance(&mut self) -> bool {
-        let StratState::Dfs { stack, cursor, preemptions, .. } = self else {
-            return false;
-        };
-        *cursor = 0;
-        *preemptions = 0;
-        while let Some(top) = stack.last_mut() {
-            top.ord += 1;
-            if top.ord < top.options {
-                return true;
-            }
-            stack.pop();
-        }
-        false
-    }
-
     fn on_task_registered(&mut self) {
         if let StratState::Pct { rng_state, priorities, .. } = self {
             let mut rng = Rng(*rng_state);
@@ -230,7 +181,7 @@ impl StratState {
     }
 
     /// Pick an index into the ascending-id runnable set.
-    fn pick(&mut self, steps: u64, prev_active: Option<u32>, runnable: &[u32]) -> usize {
+    fn pick(&mut self, steps: u64, runnable: &[u32]) -> usize {
         match self {
             StratState::Pct { rng_state, priorities, change_points, next_low } => {
                 if change_points.contains(&steps) {
@@ -252,32 +203,6 @@ impl StratState {
                     }
                 }
                 best
-            }
-            StratState::Dfs { stack, cursor, preemptions, max_preemptions } => {
-                let default_idx =
-                    prev_active.and_then(|p| runnable.iter().position(|&t| t == p)).unwrap_or(0);
-                let forced = *preemptions >= *max_preemptions;
-                let options = if forced { 1 } else { runnable.len() as u32 };
-                let ord = if *cursor < stack.len() {
-                    stack[*cursor].ord
-                } else {
-                    stack.push(DfsChoice { ord: 0, options });
-                    0
-                };
-                *cursor += 1;
-                let idx = if ord == 0 {
-                    default_idx
-                } else {
-                    // ord-th non-default index, ascending.
-                    (0..runnable.len())
-                        .filter(|&i| i != default_idx)
-                        .nth(ord as usize - 1)
-                        .unwrap_or(default_idx)
-                };
-                if idx != default_idx {
-                    *preemptions += 1;
-                }
-                idx
             }
             StratState::Replay { schedule, cursor } => {
                 let idx = schedule.get(*cursor).copied().unwrap_or(0) as usize;
@@ -361,7 +286,6 @@ struct ChanState {
 struct Sched {
     tasks: Vec<TaskInfo>,
     active: Option<u32>,
-    prev_active: Option<u32>,
     locks: HashMap<usize, LockState>,
     anon_locks: u32,
     chans: HashMap<u64, ChanState>,
@@ -452,7 +376,6 @@ impl Controller {
             st: StdMutex::new(Sched {
                 tasks: Vec::new(),
                 active: None,
-                prev_active: None,
                 locks: HashMap::new(),
                 anon_locks: 0,
                 chans: HashMap::new(),
@@ -566,15 +489,13 @@ impl Controller {
                     0
                 } else {
                     let steps = g.steps;
-                    let prev = g.prev_active;
-                    let idx = g.strat.pick(steps, prev, &runnable);
+                    let idx = g.strat.pick(steps, &runnable);
                     g.choices.push(idx as u32);
                     idx
                 };
                 let t = runnable[idx];
                 g.tasks[t as usize].state = TaskState::Running;
                 g.active = Some(t);
-                g.prev_active = Some(t);
                 return;
             }
             if g.tasks.iter().all(|t| t.state == TaskState::Finished) {
@@ -1105,7 +1026,6 @@ struct RunOutcome {
     cv_hold: BTreeSet<(String, String)>,
     timeout_escapes: u64,
     steps: u64,
-    strat: StratState,
 }
 
 fn run_one(
@@ -1148,9 +1068,5 @@ fn run_one(
         cv_hold: std::mem::take(&mut g.cv_hold),
         timeout_escapes: g.timeout_escapes,
         steps: g.steps,
-        strat: std::mem::replace(
-            &mut g.strat,
-            StratState::Replay { schedule: Vec::new(), cursor: 0 },
-        ),
     }
 }

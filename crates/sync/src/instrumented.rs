@@ -1,11 +1,11 @@
-//! The checked facade: same API as `plain`, but every operation first asks
-//! the controlled scheduler (when the calling thread is a model task) so
-//! interleavings become explorable and blocking becomes modeled.
+//! The facade: every operation first asks the controlled scheduler (when
+//! the calling thread is a model task) so interleavings become explorable
+//! and blocking becomes modeled.
 //!
 //! Threads that are *not* model tasks — everything outside
-//! [`crate::check::explore`] — take a fast path (one relaxed atomic load)
-//! and behave exactly like the plain facade, so compiling this feature into
-//! a binary does not change the semantics of uninstrumented code paths.
+//! [`crate::check::explore`], i.e. all of production — take a fast path
+//! (one relaxed atomic load) and then use the vendored `parking_lot` /
+//! `crossbeam` / `std::thread` primitive directly.
 //!
 //! Model invariant: the real primitive is only ever acquired after the
 //! scheduler granted it, so real acquisition never contends and real
@@ -30,7 +30,7 @@ fn thin_addr<T: ?Sized>(p: *const T) -> usize {
     p as *const () as usize
 }
 
-/// Mutual exclusion; checked builds route acquisition through the model.
+/// Mutual exclusion; model tasks route acquisition through the scheduler.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized> {
     name: Option<&'static str>,
@@ -549,5 +549,42 @@ pub mod thread {
         T: Send + 'static,
     {
         Builder::new().spawn(f).expect("failed to spawn thread")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The path outside an explorer — the one production takes.
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn facade_roundtrip() {
+        let m = Mutex::named("test.m", 1);
+        *m.lock() += 1;
+        assert_eq!(m.into_inner(), 2);
+        let l = RwLock::named("test.l", vec![1]);
+        l.write().push(2);
+        assert_eq!(l.read().len(), 2);
+    }
+
+    #[test]
+    fn condvar_and_channel_work() {
+        let pair = Arc::new((Mutex::new(false), Condvar::named("test.cv")));
+        let p2 = Arc::clone(&pair);
+        let t = thread::spawn(move || {
+            let (m, cv) = &*p2;
+            let mut ready = m.lock();
+            while !*ready {
+                cv.wait(&mut ready);
+            }
+        });
+        *pair.0.lock() = true;
+        pair.1.notify_all();
+        t.join().unwrap();
+
+        let (tx, rx) = channel::unbounded_named("test.chan");
+        tx.send(5).unwrap();
+        assert_eq!(rx.recv(), Ok(5));
     }
 }

@@ -1,8 +1,7 @@
 //! Model-run vocabulary: the types a model-check run produces.
 //!
-//! Always compiled — with or without the `check` feature — so downstream
-//! crates (`cn-check`, `cn-analysis`, `cnctl`) can name schedule traces,
-//! hazards, and lock-order graphs unconditionally. Everything here renders
+//! Downstream crates (`cn-check`, `cn-analysis`, `cnctl`) name schedule
+//! traces, hazards, and lock-order graphs with these. Everything here renders
 //! deterministically: no addresses, no wall-clock timestamps, canonical
 //! orderings throughout, so the same seed always yields the same bytes.
 

@@ -67,8 +67,6 @@ pub struct WireConfig {
     pub discovery: Discovery,
     /// TCP connect timeout per attempt.
     pub connect_timeout: Duration,
-    /// Deadline for reading the rest of a frame once its header arrived.
-    pub read_timeout: Duration,
     /// Extra connect attempts after the first fails.
     pub max_retries: u32,
     /// Backoff before retry N is `retry_base * 2^(N-1)`, capped at 1s.
@@ -78,10 +76,6 @@ pub struct WireConfig {
     /// flush was in flight into one `writev`. Off, every frame is its own
     /// write syscall.
     pub batch: bool,
-    /// Most frames a single coalesced flush may carry.
-    pub batch_max_frames: usize,
-    /// Soft byte cap per coalesced flush (a single frame may exceed it).
-    pub batch_max_bytes: usize,
     /// Reactor event-loop threads; peers hash to a shard. 0 means one per
     /// available core (capped — see [`cn_reactor::default_shards`]).
     pub reactor_shards: usize,
@@ -93,17 +87,20 @@ impl Default for WireConfig {
             port: 0,
             discovery: Discovery::Loopback { peers: Vec::new() },
             connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_secs(5),
             max_retries: 3,
             retry_base: Duration::from_millis(50),
             batch: true,
-            batch_max_frames: 128,
-            batch_max_bytes: 256 * 1024,
             reactor_shards: 0,
         }
     }
 }
 
+/// Deadline for reading the rest of a frame once its header arrived.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most frames a single coalesced flush may carry.
+const BATCH_MAX_FRAMES: usize = 128;
+/// Soft byte cap per coalesced flush (a single frame may exceed it).
+const BATCH_MAX_BYTES: usize = 256 * 1024;
 /// How often waiting senders re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// Backoff cap between connect retries.
@@ -811,7 +808,7 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
     fn flush(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
         let cfg = &self.inner.cfg;
         let (max_frames, max_bytes) =
-            if cfg.batch { (cfg.batch_max_frames, cfg.batch_max_bytes) } else { (1, usize::MAX) };
+            if cfg.batch { (BATCH_MAX_FRAMES, BATCH_MAX_BYTES) } else { (1, usize::MAX) };
         let PeerConn::Up { stream, inflight, skip } = &mut self.conn else {
             return Action::Continue;
         };
@@ -1013,7 +1010,7 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for AcceptHandler<M> {
 /// Per-inbound-connection frame reader: each `read` takes whatever the
 /// socket has — one frame or a coalesced batch — and [`FrameDecoder`]
 /// splits it, so a flush of N frames costs one syscall, not 2N. A frame
-/// left part-way in past `read_timeout` drops the connection (the
+/// left part-way in past [`READ_TIMEOUT`] drops the connection (the
 /// deadline rides the shard's timer wheel; idle waiting between frames
 /// stays unbounded).
 struct InboundHandler<M: WireEncode + Send + Clone + 'static> {
@@ -1113,8 +1110,7 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for InboundHandler<M> 
         match outcome {
             ReadOutcome::KeepOpen => {
                 if self.dec.has_partial() {
-                    self.read_timer =
-                        Some(ctx.arm_timer(self.inner.cfg.read_timeout, TAG_READ_DEADLINE));
+                    self.read_timer = Some(ctx.arm_timer(READ_TIMEOUT, TAG_READ_DEADLINE));
                 }
                 Action::Continue
             }
