@@ -1,15 +1,15 @@
-//! The pass registry and lint entry points.
+//! Lint entry points.
 //!
-//! A lint run is: build a context, run every registered pass over it,
-//! collect diagnostics into a [`LintReport`]. Passes are trait objects so
-//! downstream code can register extra project-specific passes next to the
-//! built-in set.
+//! A lint run is: build a context, run every pass of
+//! [`passes::cnx::PASSES`] or [`passes::model::PASSES`] over it, collect the
+//! diagnostics into a [`LintReport`].
 
 use cn_cluster::ClusterCapacity;
 use cn_cnx::CnxDocument;
 use cn_model::ActivityGraph;
 
 use crate::diag::{Diagnostic, Severity};
+use crate::explain::codes;
 use crate::passes;
 use crate::report::LintReport;
 
@@ -37,10 +37,6 @@ pub struct LintOptions {
     /// lint --portal-max-inflight/...`). When set, CN058 judges it against
     /// the host's fd soft limit, core count, and memory.
     pub portal: Option<PortalShape>,
-    /// Shape of the cluster's scheduler (`cnctl lint --steal-threshold/...`).
-    /// When set, CN059 judges the steal and fair-admission knobs against
-    /// the descriptor's job shapes.
-    pub scheduler: Option<SchedulerShape>,
 }
 
 /// A wire deployment's shape for the CN057 host-capacity check: how many
@@ -80,24 +76,6 @@ pub struct PortalShape {
     pub host_memory_mb: Option<u64>,
 }
 
-/// The scheduler's shape for the CN059 check: the work-stealing and
-/// fair-admission knobs a cluster was (or will be) launched with, judged
-/// against the descriptor's job shapes. Mis-sized knobs don't fail — they
-/// quietly disable the optimization (unreachable steal threshold) or turn
-/// it pathological (zero threshold, heartbeat storms), which is exactly
-/// the kind of thing worth catching before anything launches.
-#[derive(Debug, Clone)]
-pub struct SchedulerShape {
-    /// Configured steal threshold: a TaskManager is a raid victim only
-    /// when its run queue is at least this deep.
-    pub steal_threshold: u64,
-    /// Configured load-report heartbeat, in milliseconds.
-    pub steal_heartbeat_ms: u64,
-    /// Configured deficit-round-robin quantum for fair admission, in task
-    /// `memory_mb` cost units. `None` leaves the quantum checks out.
-    pub fair_quantum_mb: Option<u64>,
-}
-
 /// Everything a CNX pass can look at.
 pub struct CnxContext<'a> {
     pub doc: &'a CnxDocument,
@@ -110,8 +88,6 @@ pub struct CnxContext<'a> {
     pub deployment: Option<&'a DeploymentShape>,
     /// Portal shape for the CN058 capacity check.
     pub portal: Option<&'a PortalShape>,
-    /// Scheduler shape for the CN059 steal/fairness check.
-    pub scheduler: Option<&'a SchedulerShape>,
 }
 
 /// Everything a model pass can look at.
@@ -120,100 +96,40 @@ pub struct ModelContext<'a> {
     pub capacity: Option<&'a ClusterCapacity>,
 }
 
-/// A lint pass over a CNX descriptor.
-pub trait CnxPass {
-    /// Stable pass name (shows up in docs and pass listings).
-    fn name(&self) -> &'static str;
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>);
+/// Lint a parsed CNX descriptor.
+pub fn lint_cnx(doc: &CnxDocument, opts: &LintOptions) -> LintReport {
+    let ctx = CnxContext {
+        doc,
+        capacity: opts.capacity.as_ref(),
+        server_memory_mb: opts.server_memory_mb.as_deref(),
+        payload_warn_fraction: opts
+            .payload_warn_fraction
+            .unwrap_or(passes::cnx::DEFAULT_PAYLOAD_WARN_FRACTION),
+        deployment: opts.deployment.as_ref(),
+        portal: opts.portal.as_ref(),
+    };
+    let mut out = Vec::new();
+    for pass in passes::cnx::PASSES {
+        pass(&ctx, &mut out);
+    }
+    LintReport::new(out)
 }
 
-/// A lint pass over a UML activity model.
-pub trait ModelPass {
-    fn name(&self) -> &'static str;
-    fn run(&self, ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>);
+/// Lint an activity model.
+pub fn lint_model(graph: &ActivityGraph, opts: &LintOptions) -> LintReport {
+    let ctx = ModelContext { graph, capacity: opts.capacity.as_ref() };
+    let mut out = Vec::new();
+    for pass in passes::model::PASSES {
+        pass(&ctx, &mut out);
+    }
+    LintReport::new(out)
 }
 
-/// The engine: an ordered set of passes. Report order does not depend on
-/// registration order (the report sorts), but listings print in it.
-#[derive(Default)]
-pub struct Engine {
-    cnx_passes: Vec<Box<dyn CnxPass>>,
-    model_passes: Vec<Box<dyn ModelPass>>,
-}
-
-impl Engine {
-    /// An engine with no passes registered.
-    pub fn empty() -> Engine {
-        Engine::default()
-    }
-
-    /// The built-in pass set — what `cnctl lint` runs.
-    pub fn with_default_passes() -> Engine {
-        let mut e = Engine::empty();
-        for p in passes::cnx::default_passes() {
-            e.cnx_passes.push(p);
-        }
-        for p in passes::model::default_passes() {
-            e.model_passes.push(p);
-        }
-        e
-    }
-
-    pub fn register_cnx(&mut self, pass: Box<dyn CnxPass>) -> &mut Self {
-        self.cnx_passes.push(pass);
-        self
-    }
-
-    pub fn register_model(&mut self, pass: Box<dyn ModelPass>) -> &mut Self {
-        self.model_passes.push(pass);
-        self
-    }
-
-    /// Registered pass names, CNX passes first.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.cnx_passes
-            .iter()
-            .map(|p| p.name())
-            .chain(self.model_passes.iter().map(|p| p.name()))
-            .collect()
-    }
-
-    /// Lint a parsed CNX descriptor.
-    pub fn lint_cnx(&self, doc: &CnxDocument, opts: &LintOptions) -> LintReport {
-        let ctx = CnxContext {
-            doc,
-            capacity: opts.capacity.as_ref(),
-            server_memory_mb: opts.server_memory_mb.as_deref(),
-            payload_warn_fraction: opts
-                .payload_warn_fraction
-                .unwrap_or(passes::cnx::DEFAULT_PAYLOAD_WARN_FRACTION),
-            deployment: opts.deployment.as_ref(),
-            portal: opts.portal.as_ref(),
-            scheduler: opts.scheduler.as_ref(),
-        };
-        let mut out = Vec::new();
-        for pass in &self.cnx_passes {
-            pass.run(&ctx, &mut out);
-        }
-        LintReport::new(out)
-    }
-
-    /// Lint an activity model.
-    pub fn lint_model(&self, graph: &ActivityGraph, opts: &LintOptions) -> LintReport {
-        let ctx = ModelContext { graph, capacity: opts.capacity.as_ref() };
-        let mut out = Vec::new();
-        for pass in &self.model_passes {
-            pass.run(&ctx, &mut out);
-        }
-        LintReport::new(out)
-    }
-}
-
-/// Lint CNX source text with the default engine. Unparseable input yields a
-/// single CN000 error (with the parser's span when it has one).
+/// Lint CNX source text. Unparseable input yields a single CN000 error
+/// (with the parser's span when it has one).
 pub fn lint_cnx_source(src: &str, opts: &LintOptions) -> LintReport {
     match cn_cnx::parse_cnx(src) {
-        Ok(doc) => Engine::with_default_passes().lint_cnx(&doc, opts),
+        Ok(doc) => lint_cnx(&doc, opts),
         Err(e) => {
             let mut d = Diagnostic::new(codes::PARSE, Severity::Error, e.msg);
             if let Some(span) = e.span {
@@ -224,8 +140,8 @@ pub fn lint_cnx_source(src: &str, opts: &LintOptions) -> LintReport {
     }
 }
 
-/// Lint XMI source text with the default engine: import the model, run the
-/// model passes. Parse/import failure yields CN000.
+/// Lint XMI source text: import the model, run the model passes.
+/// Parse/import failure yields CN000.
 pub fn lint_xmi_source(src: &str, opts: &LintOptions) -> LintReport {
     let doc = match cn_xml::parse(src) {
         Ok(doc) => doc,
@@ -236,153 +152,19 @@ pub fn lint_xmi_source(src: &str, opts: &LintOptions) -> LintReport {
         }
     };
     match cn_model::import_xmi(&doc) {
-        Ok(graph) => Engine::with_default_passes().lint_model(&graph, opts),
+        Ok(graph) => lint_model(&graph, opts),
         Err(e) => {
             LintReport::new(vec![Diagnostic::new(codes::PARSE, Severity::Error, e.to_string())])
         }
     }
 }
 
-/// Stable diagnostic codes. The table in DESIGN.md documents each one; a
-/// test there keeps the two in sync.
-pub mod codes {
-    /// Input could not be parsed/imported at all.
-    pub const PARSE: &str = "CN000";
-
-    // CNX semantic validity (mapped from `cn_cnx::validate_all`).
-    pub const NO_JOBS: &str = "CN001";
-    pub const EMPTY_JOB: &str = "CN002";
-    pub const EMPTY_FIELD: &str = "CN003";
-    pub const ZERO_MEMORY: &str = "CN004";
-    pub const BAD_MULTIPLICITY: &str = "CN005";
-    pub const UNKNOWN_DEPENDENCY: &str = "CN006";
-    pub const DEPENDENCY_CYCLE: &str = "CN007";
-    pub const DUPLICATE_TASK: &str = "CN008";
-    /// A task's estimated parameter payload approaches the wire frame
-    /// limit (`MAX_FRAME_BYTES`); oversized frames are rejected on socket
-    /// deployments.
-    pub const PAYLOAD_SIZE: &str = "CN009";
-
-    // CNX style/consistency passes.
-    pub const DUPLICATE_DEPENDS: &str = "CN010";
-    pub const TASK_EXCEEDS_NODE_MEMORY: &str = "CN011";
-    pub const PARAM_TYPE_MISMATCH: &str = "CN012";
-    pub const ORPHAN_TASK: &str = "CN013";
-    pub const REDUNDANT_DEPENDS: &str = "CN014";
-    pub const UNBOUNDED_MULTIPLICITY: &str = "CN015";
-    pub const MEMORY_OVERSUBSCRIBED: &str = "CN016";
-    pub const SERIAL_JOB: &str = "CN017";
-    pub const RECORDER_CAPACITY: &str = "CN018";
-    /// A task requests more memory than any `--server-memory` value (wire
-    /// deployments).
-    pub const SERVER_MEMORY: &str = "CN019";
-
-    // Model validity (mapped from `cn_model::validate_all`).
-    pub const MODEL_NO_INITIAL: &str = "CN020";
-    pub const MODEL_MULTIPLE_INITIALS: &str = "CN021";
-    pub const MODEL_NO_FINAL: &str = "CN022";
-    pub const MODEL_UNREACHABLE: &str = "CN023";
-    pub const MODEL_CYCLE: &str = "CN024";
-    pub const MODEL_DUPLICATE_TASK: &str = "CN025";
-    pub const MODEL_MISSING_TAG: &str = "CN026";
-    pub const MODEL_DYNAMIC_NO_MULTIPLICITY: &str = "CN027";
-    pub const MODEL_DANGLING_TRANSITION: &str = "CN028";
-    pub const MODEL_EMPTY: &str = "CN029";
-
-    // Model structure passes.
-    pub const FORK_JOIN_IMBALANCE: &str = "CN030";
-
-    // Cross-artifact consistency.
-    pub const ROUNDTRIP_DRIFT: &str = "CN040";
-
-    // Runtime concurrency (`cnctl check`, reported out of `cn-check` model
-    // runs; see DESIGN.md §11).
-    /// The merged lock-order graph contains a cycle: two schedules acquire
-    /// the same locks in opposite orders.
-    pub const LOCK_ORDER_CYCLE: &str = "CN050";
-    /// A condvar wait was entered while holding an unrelated lock.
-    pub const CV_WHILE_HOLDING: &str = "CN051";
-    /// A schedule reached a state where every live task is blocked.
-    pub const DEADLOCK: &str = "CN052";
-    /// A task re-acquired a non-reentrant lock it already holds.
-    pub const DOUBLE_LOCK: &str = "CN053";
-    /// A blocked wait only made progress via a forced timeout: a wakeup the
-    /// code should have delivered never arrived.
-    pub const LOST_NOTIFY: &str = "CN054";
-    /// A scenario assertion failed under some interleaving.
-    pub const SCHEDULE_ASSERT: &str = "CN055";
-    /// A schedule exceeded the step budget (livelock / unbounded retry).
-    pub const STEP_LIMIT: &str = "CN056";
-
-    // Wire-deployment capacity (`cnctl lint --peer-capacity`; see
-    // DESIGN.md §12).
-    /// The deployment's peer capacity exceeds the process fd soft limit,
-    /// or its `--reactor-shards` exceeds the available cores.
-    pub const REACTOR_CAPACITY: &str = "CN057";
-    /// The portal's admission/HTTP limits exceed what the host can hold:
-    /// fds for in-flight submissions, shards versus cores, or buffered
-    /// request bodies versus memory.
-    pub const PORTAL_CAPACITY: &str = "CN058";
-    /// The scheduler's steal/fairness knobs are mis-sized for the
-    /// descriptor or the cluster: a steal threshold the run queues can
-    /// never reach (stealing silently off), a zero threshold or heartbeat
-    /// (raid/report storms), a stale heartbeat, or a fairness quantum
-    /// below the largest task cost (multi-round admission latency).
-    pub const SCHEDULER_SHAPE: &str = "CN059";
-}
-
-/// Every code constant, for exhaustiveness checks (tests, docs sync).
-pub const ALL_CODES: &[&str] = &[
-    codes::PARSE,
-    codes::NO_JOBS,
-    codes::EMPTY_JOB,
-    codes::EMPTY_FIELD,
-    codes::ZERO_MEMORY,
-    codes::BAD_MULTIPLICITY,
-    codes::UNKNOWN_DEPENDENCY,
-    codes::DEPENDENCY_CYCLE,
-    codes::DUPLICATE_TASK,
-    codes::PAYLOAD_SIZE,
-    codes::DUPLICATE_DEPENDS,
-    codes::TASK_EXCEEDS_NODE_MEMORY,
-    codes::PARAM_TYPE_MISMATCH,
-    codes::ORPHAN_TASK,
-    codes::REDUNDANT_DEPENDS,
-    codes::UNBOUNDED_MULTIPLICITY,
-    codes::MEMORY_OVERSUBSCRIBED,
-    codes::SERIAL_JOB,
-    codes::RECORDER_CAPACITY,
-    codes::SERVER_MEMORY,
-    codes::MODEL_NO_INITIAL,
-    codes::MODEL_MULTIPLE_INITIALS,
-    codes::MODEL_NO_FINAL,
-    codes::MODEL_UNREACHABLE,
-    codes::MODEL_CYCLE,
-    codes::MODEL_DUPLICATE_TASK,
-    codes::MODEL_MISSING_TAG,
-    codes::MODEL_DYNAMIC_NO_MULTIPLICITY,
-    codes::MODEL_DANGLING_TRANSITION,
-    codes::MODEL_EMPTY,
-    codes::FORK_JOIN_IMBALANCE,
-    codes::ROUNDTRIP_DRIFT,
-    codes::LOCK_ORDER_CYCLE,
-    codes::CV_WHILE_HOLDING,
-    codes::DEADLOCK,
-    codes::DOUBLE_LOCK,
-    codes::LOST_NOTIFY,
-    codes::SCHEDULE_ASSERT,
-    codes::STEP_LIMIT,
-    codes::REACTOR_CAPACITY,
-    codes::PORTAL_CAPACITY,
-    codes::SCHEDULER_SHAPE,
-];
-
 #[cfg(test)]
 mod docs_sync {
-    use super::ALL_CODES;
+    use crate::explain::ALL_CODES;
 
-    /// DESIGN.md's code table and `codes` must not drift apart: every
-    /// constant has exactly one table row (`| CNxxx | ... |`).
+    /// DESIGN.md's code table and the `diagnostics!` table must not drift
+    /// apart: every code has exactly one table row (`| CNxxx | ... |`).
     #[test]
     fn every_code_is_documented_in_design_md() {
         let design =

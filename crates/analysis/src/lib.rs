@@ -12,19 +12,21 @@
 //! `cn_cnx::validate` and `cn_model::validate` predate this crate and stay
 //! exactly as they were — first-error `Result` APIs that scheduler and
 //! transform code call directly. The engine re-routes their `validate_all`
-//! collectors through [`passes::cnx::ValidityPass`] and
-//! [`passes::model::ValidityPass`], attaching codes (CN001–CN008 for CNX,
+//! collectors through [`passes::cnx::validity`] and
+//! [`passes::model::validity`], attaching codes (CN001–CN008 for CNX,
 //! CN020–CN029 for models), severities, and spans. The dependency points
 //! this way (analysis → cnx/model) so the validators themselves remain the
 //! thin compat layer and nothing below this crate changes behaviour.
 //!
-//! ## The pass registry
+//! ## Passes and codes
 //!
-//! Passes implement [`CnxPass`] or [`ModelPass`] and are registered on an
-//! [`Engine`]. [`Engine::with_default_passes`] gives the built-in set;
-//! [`Engine::register_cnx`]/[`Engine::register_model`] add custom ones.
-//! Report order is independent of registration order — diagnostics sort by
-//! span, then code, then message.
+//! A pass is a function from a context ([`CnxContext`] or [`ModelContext`])
+//! to diagnostics; [`passes::cnx::PASSES`] and [`passes::model::PASSES`]
+//! list them, and [`lint_cnx`] / [`lint_model`] run every one. Report order
+//! is independent of table order — diagnostics sort by span, then code,
+//! then message. A code is one row of the `diagnostics!` table in
+//! [`explain`](mod@explain), which expands to its [`codes`] constant, its
+//! `ALL_CODES` entry and its `--explain` text.
 //!
 //! ```
 //! use cn_analysis::{lint_cnx_source, LintOptions};
@@ -47,70 +49,15 @@ pub mod report;
 
 pub use diag::{Diagnostic, Severity};
 pub use engine::{
-    codes, lint_cnx_source, lint_xmi_source, CnxContext, CnxPass, DeploymentShape, Engine,
-    LintOptions, ModelContext, ModelPass, PortalShape, SchedulerShape,
+    lint_cnx, lint_cnx_source, lint_model, lint_xmi_source, CnxContext, DeploymentShape,
+    LintOptions, ModelContext, PortalShape,
 };
-pub use explain::{explain, Explanation};
+pub use explain::{codes, explain, Explanation};
 pub use report::LintReport;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_engine_registers_all_passes() {
-        let names = Engine::with_default_passes().pass_names();
-        assert!(names.len() >= 13, "{names:?}");
-        for expected in [
-            "cnx-validity",
-            "duplicate-depends",
-            "param-types",
-            "orphan-task",
-            "redundant-depends",
-            "multiplicity-bounds",
-            "memory-capacity",
-            "parallelism",
-            "reactor-capacity",
-            "portal-capacity",
-            "recorder-capacity",
-            "cnx-roundtrip",
-            "model-validity",
-            "fork-join",
-            "model-roundtrip",
-        ] {
-            assert!(names.contains(&expected), "missing pass {expected:?} in {names:?}");
-        }
-    }
-
-    #[test]
-    fn custom_passes_can_be_registered() {
-        struct NamePolicy;
-        impl CnxPass for NamePolicy {
-            fn name(&self) -> &'static str {
-                "name-policy"
-            }
-            fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-                for job in &ctx.doc.client.jobs {
-                    for t in &job.tasks {
-                        if !t.name.starts_with("tc") {
-                            out.push(Diagnostic::new(
-                                "CN999",
-                                Severity::Info,
-                                format!("task {:?} violates the local naming policy", t.name),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        let mut engine = Engine::empty();
-        engine.register_cnx(Box::new(NamePolicy));
-        let mut doc = cn_cnx::ast::figure2_descriptor(1);
-        doc.client.jobs[0].tasks[0].name = "splitter".into();
-        let report = engine.lint_cnx(&doc, &LintOptions::default());
-        assert_eq!(report.len(), 1);
-        assert_eq!(report.diagnostics()[0].code, "CN999");
-    }
 
     #[test]
     fn lint_cnx_source_reports_parse_errors_as_cn000() {

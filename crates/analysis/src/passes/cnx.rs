@@ -12,28 +12,26 @@ use cn_cnx::ast::{CnxDocument, Job, ParamType, Task};
 use cn_cnx::{CnxValidationError, DependencyGraph, GraphError, Span};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::engine::{codes, CnxContext, CnxPass};
+use crate::engine::CnxContext;
+use crate::explain::codes;
 
-/// The default CNX pass set, in registration order.
-pub fn default_passes() -> Vec<Box<dyn CnxPass>> {
-    vec![
-        Box::new(ValidityPass),
-        Box::new(DuplicateDependsPass),
-        Box::new(ParamTypePass),
-        Box::new(OrphanTaskPass),
-        Box::new(RedundantDependsPass),
-        Box::new(MultiplicityBoundsPass),
-        Box::new(MemoryCapacityPass),
-        Box::new(ParallelismPass),
-        Box::new(RecorderCapacityPass),
-        Box::new(ServerMemoryPass),
-        Box::new(ReactorCapacityPass),
-        Box::new(PortalCapacityPass),
-        Box::new(SchedulerShapePass),
-        Box::new(PayloadSizePass),
-        Box::new(RoundtripPass),
-    ]
-}
+/// Every CNX pass — what [`crate::lint_cnx`] runs.
+pub const PASSES: &[fn(&CnxContext<'_>, &mut Vec<Diagnostic>)] = &[
+    validity,
+    duplicate_depends,
+    param_types,
+    orphan_task,
+    redundant_depends,
+    multiplicity_bounds,
+    memory_capacity,
+    parallelism,
+    recorder_capacity,
+    server_memory,
+    reactor_capacity,
+    portal_capacity,
+    payload_size,
+    roundtrip,
+];
 
 /// CN009's default threshold: warn when a task's estimated parameter
 /// payload exceeds this fraction of the wire frame limit.
@@ -60,17 +58,9 @@ fn for_each_task(doc: &CnxDocument) -> impl Iterator<Item = (usize, &Job, &Task)
 }
 
 /// CN001–CN008: semantic validity, re-routed from [`cn_cnx::validate_all`].
-pub struct ValidityPass;
-
-impl CnxPass for ValidityPass {
-    fn name(&self) -> &'static str {
-        "cnx-validity"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for err in cn_cnx::validate_all(ctx.doc) {
-            out.push(map_validation_error(ctx.doc, &err));
-        }
+pub fn validity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for err in cn_cnx::validate_all(ctx.doc) {
+        out.push(map_validation_error(ctx.doc, &err));
     }
 }
 
@@ -116,25 +106,72 @@ fn map_validation_error(doc: &CnxDocument, err: &CnxValidationError) -> Diagnost
 }
 
 /// CN010: the same dependency listed more than once.
-pub struct DuplicateDependsPass;
-
-impl CnxPass for DuplicateDependsPass {
-    fn name(&self) -> &'static str {
-        "duplicate-depends"
+pub fn duplicate_depends(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (_, _, t) in for_each_task(ctx.doc) {
+        let mut seen = HashSet::new();
+        let mut dups: Vec<&String> =
+            t.depends.iter().filter(|d| !seen.insert(d.as_str())).collect();
+        dups.dedup();
+        for d in dups {
+            out.push(
+                Diagnostic::new(
+                    codes::DUPLICATE_DEPENDS,
+                    Severity::Warning,
+                    format!("task {:?} lists dependency {d:?} more than once", t.name),
+                )
+                .with_span(t.span),
+            );
+        }
     }
+}
 
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for (_, _, t) in for_each_task(ctx.doc) {
-            let mut seen = HashSet::new();
-            let mut dups: Vec<&String> =
-                t.depends.iter().filter(|d| !seen.insert(d.as_str())).collect();
-            dups.dedup();
-            for d in dups {
+/// CN012: parameter values that do not parse as their declared type.
+pub fn param_types(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (_, _, t) in for_each_task(ctx.doc) {
+        for (i, p) in t.params.iter().enumerate() {
+            let ok = match &p.ty {
+                ParamType::Integer => p.value.trim().parse::<i32>().is_ok(),
+                ParamType::Long => p.value.trim().parse::<i64>().is_ok(),
+                ParamType::Double => p.value.trim().parse::<f64>().is_ok(),
+                ParamType::Boolean => matches!(p.value.trim(), "true" | "false"),
+                ParamType::Str | ParamType::Other(_) => true,
+            };
+            if !ok {
+                let span = if p.span.is_synthetic() { t.span } else { p.span };
                 out.push(
                     Diagnostic::new(
-                        codes::DUPLICATE_DEPENDS,
+                        codes::PARAM_TYPE_MISMATCH,
+                        Severity::Error,
+                        format!(
+                            "task {:?} param #{i} declares type {} but value {:?} does not parse as one",
+                            t.name, p.ty, p.value
+                        ),
+                    )
+                    .with_span(span),
+                );
+            }
+        }
+    }
+}
+
+/// CN013: a task disconnected from the rest of the job's DAG.
+pub fn orphan_task(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for job in &ctx.doc.client.jobs {
+        if job.tasks.len() < 2 {
+            continue;
+        }
+        for t in &job.tasks {
+            let no_deps = t.depends.is_empty();
+            let no_dependents = !job.tasks.iter().any(|other| other.depends.contains(&t.name));
+            if no_deps && no_dependents {
+                out.push(
+                    Diagnostic::new(
+                        codes::ORPHAN_TASK,
                         Severity::Warning,
-                        format!("task {:?} lists dependency {d:?} more than once", t.name),
+                        format!(
+                            "task {:?} is isolated: nothing depends on it and it depends on nothing",
+                            t.name
+                        ),
                     )
                     .with_span(t.span),
                 );
@@ -143,122 +180,42 @@ impl CnxPass for DuplicateDependsPass {
     }
 }
 
-/// CN012: parameter values that do not parse as their declared type.
-pub struct ParamTypePass;
-
-impl CnxPass for ParamTypePass {
-    fn name(&self) -> &'static str {
-        "param-types"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for (_, _, t) in for_each_task(ctx.doc) {
-            for (i, p) in t.params.iter().enumerate() {
-                let ok = match &p.ty {
-                    ParamType::Integer => p.value.trim().parse::<i32>().is_ok(),
-                    ParamType::Long => p.value.trim().parse::<i64>().is_ok(),
-                    ParamType::Double => p.value.trim().parse::<f64>().is_ok(),
-                    ParamType::Boolean => matches!(p.value.trim(), "true" | "false"),
-                    ParamType::Str | ParamType::Other(_) => true,
-                };
-                if !ok {
-                    let span = if p.span.is_synthetic() { t.span } else { p.span };
-                    out.push(
-                        Diagnostic::new(
-                            codes::PARAM_TYPE_MISMATCH,
-                            Severity::Error,
-                            format!(
-                                "task {:?} param #{i} declares type {} but value {:?} does not parse as one",
-                                t.name, p.ty, p.value
-                            ),
-                        )
-                        .with_span(span),
-                    );
+/// CN014: a `depends` entry already implied transitively by another entry.
+pub fn redundant_depends(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for job in &ctx.doc.client.jobs {
+        // Needs a well-formed DAG; the validity pass reports otherwise.
+        let Ok(graph) = DependencyGraph::build(job) else { continue };
+        for i in 0..graph.len() {
+            let direct: Vec<usize> = graph.dependencies(i).to_vec();
+            for &d in &direct {
+                // Is d reachable from any *other* direct dependency?
+                let mut stack: Vec<usize> = direct.iter().copied().filter(|&o| o != d).collect();
+                let mut seen: HashSet<usize> = stack.iter().copied().collect();
+                let mut reachable = false;
+                while let Some(n) = stack.pop() {
+                    if n == d {
+                        reachable = true;
+                        break;
+                    }
+                    for &m in graph.dependencies(n) {
+                        if seen.insert(m) {
+                            stack.push(m);
+                        }
+                    }
                 }
-            }
-        }
-    }
-}
-
-/// CN013: a task disconnected from the rest of the job's DAG.
-pub struct OrphanTaskPass;
-
-impl CnxPass for OrphanTaskPass {
-    fn name(&self) -> &'static str {
-        "orphan-task"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for job in &ctx.doc.client.jobs {
-            if job.tasks.len() < 2 {
-                continue;
-            }
-            for t in &job.tasks {
-                let no_deps = t.depends.is_empty();
-                let no_dependents = !job.tasks.iter().any(|other| other.depends.contains(&t.name));
-                if no_deps && no_dependents {
+                if reachable {
                     out.push(
                         Diagnostic::new(
-                            codes::ORPHAN_TASK,
+                            codes::REDUNDANT_DEPENDS,
                             Severity::Warning,
                             format!(
-                                "task {:?} is isolated: nothing depends on it and it depends on nothing",
-                                t.name
+                                "task {:?} depends on {:?} directly, but that is already implied transitively",
+                                graph.name(i),
+                                graph.name(d)
                             ),
                         )
-                        .with_span(t.span),
+                        .with_span(task_span(ctx.doc, graph.name(i))),
                     );
-                }
-            }
-        }
-    }
-}
-
-/// CN014: a `depends` entry already implied transitively by another entry.
-pub struct RedundantDependsPass;
-
-impl CnxPass for RedundantDependsPass {
-    fn name(&self) -> &'static str {
-        "redundant-depends"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for job in &ctx.doc.client.jobs {
-            // Needs a well-formed DAG; the validity pass reports otherwise.
-            let Ok(graph) = DependencyGraph::build(job) else { continue };
-            for i in 0..graph.len() {
-                let direct: Vec<usize> = graph.dependencies(i).to_vec();
-                for &d in &direct {
-                    // Is d reachable from any *other* direct dependency?
-                    let mut stack: Vec<usize> =
-                        direct.iter().copied().filter(|&o| o != d).collect();
-                    let mut seen: HashSet<usize> = stack.iter().copied().collect();
-                    let mut reachable = false;
-                    while let Some(n) = stack.pop() {
-                        if n == d {
-                            reachable = true;
-                            break;
-                        }
-                        for &m in graph.dependencies(n) {
-                            if seen.insert(m) {
-                                stack.push(m);
-                            }
-                        }
-                    }
-                    if reachable {
-                        out.push(
-                            Diagnostic::new(
-                                codes::REDUNDANT_DEPENDS,
-                                Severity::Warning,
-                                format!(
-                                    "task {:?} depends on {:?} directly, but that is already implied transitively",
-                                    graph.name(i),
-                                    graph.name(d)
-                                ),
-                            )
-                            .with_span(task_span(ctx.doc, graph.name(i))),
-                        );
-                    }
                 }
             }
         }
@@ -266,131 +223,104 @@ impl CnxPass for RedundantDependsPass {
 }
 
 /// CN015: `*` multiplicity with nothing to bound the expansion.
-pub struct MultiplicityBoundsPass;
-
-impl CnxPass for MultiplicityBoundsPass {
-    fn name(&self) -> &'static str {
-        "multiplicity-bounds"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for (_, _, t) in for_each_task(ctx.doc) {
-            if t.multiplicity.as_deref() != Some("*") {
-                continue;
-            }
-            match ctx.capacity {
-                None => out.push(
-                    Diagnostic::new(
-                        codes::UNBOUNDED_MULTIPLICITY,
-                        Severity::Warning,
-                        format!(
-                            "task {:?} has unbounded multiplicity \"*\" and no cluster capacity is configured to cap the expansion",
-                            t.name
-                        ),
-                    )
-                    .with_span(t.span),
-                ),
-                Some(cap) => out.push(
-                    Diagnostic::new(
-                        codes::UNBOUNDED_MULTIPLICITY,
-                        Severity::Info,
-                        format!(
-                            "task {:?} has multiplicity \"*\"; expansion is capped by the cluster's {} task slots",
-                            t.name, cap.total_slots
-                        ),
-                    )
-                    .with_span(t.span),
-                ),
-            }
+pub fn multiplicity_bounds(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (_, _, t) in for_each_task(ctx.doc) {
+        if t.multiplicity.as_deref() != Some("*") {
+            continue;
+        }
+        match ctx.capacity {
+            None => out.push(
+                Diagnostic::new(
+                    codes::UNBOUNDED_MULTIPLICITY,
+                    Severity::Warning,
+                    format!(
+                        "task {:?} has unbounded multiplicity \"*\" and no cluster capacity is configured to cap the expansion",
+                        t.name
+                    ),
+                )
+                .with_span(t.span),
+            ),
+            Some(cap) => out.push(
+                Diagnostic::new(
+                    codes::UNBOUNDED_MULTIPLICITY,
+                    Severity::Info,
+                    format!(
+                        "task {:?} has multiplicity \"*\"; expansion is capped by the cluster's {} task slots",
+                        t.name, cap.total_slots
+                    ),
+                )
+                .with_span(t.span),
+            ),
         }
     }
 }
 
 /// CN011 + CN016: declared memory vs what the cluster can actually offer.
-pub struct MemoryCapacityPass;
-
-impl CnxPass for MemoryCapacityPass {
-    fn name(&self) -> &'static str {
-        "memory-capacity"
+pub fn memory_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(cap) = ctx.capacity else { return };
+    for (_, _, t) in for_each_task(ctx.doc) {
+        if t.req.memory_mb > cap.max_node_memory_mb {
+            out.push(
+                Diagnostic::new(
+                    codes::TASK_EXCEEDS_NODE_MEMORY,
+                    Severity::Error,
+                    format!(
+                        "task {:?} requires {} MB but the largest node offers {} MB: it can never be placed",
+                        t.name, t.req.memory_mb, cap.max_node_memory_mb
+                    ),
+                )
+                .with_span(t.span),
+            );
+        }
     }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(cap) = ctx.capacity else { return };
-        for (_, _, t) in for_each_task(ctx.doc) {
-            if t.req.memory_mb > cap.max_node_memory_mb {
+    for (ji, job) in ctx.doc.client.jobs.iter().enumerate() {
+        let Ok(graph) = DependencyGraph::build(job) else { continue };
+        for (wi, wave) in graph.waves().iter().enumerate() {
+            let demand: u64 = wave
+                .iter()
+                .map(|&i| {
+                    let t = &job.tasks[i];
+                    // A numeric multiplicity can expand into that many
+                    // concurrent instances; `*` is CN015's business.
+                    let instances =
+                        t.multiplicity.as_deref().and_then(|m| m.parse::<u64>().ok()).unwrap_or(1);
+                    t.req.memory_mb * instances
+                })
+                .sum();
+            if demand > cap.total_memory_mb {
                 out.push(
                     Diagnostic::new(
-                        codes::TASK_EXCEEDS_NODE_MEMORY,
-                        Severity::Error,
+                        codes::MEMORY_OVERSUBSCRIBED,
+                        Severity::Warning,
                         format!(
-                            "task {:?} requires {} MB but the largest node offers {} MB: it can never be placed",
-                            t.name, t.req.memory_mb, cap.max_node_memory_mb
+                            "job #{ji} wave {wi} declares {demand} MB across {} concurrent task(s) but the cluster totals {} MB: the wave will serialize",
+                            wave.len(),
+                            cap.total_memory_mb
                         ),
                     )
-                    .with_span(t.span),
+                    .with_related(wave.iter().map(|&i| job.tasks[i].name.clone())),
                 );
-            }
-        }
-        for (ji, job) in ctx.doc.client.jobs.iter().enumerate() {
-            let Ok(graph) = DependencyGraph::build(job) else { continue };
-            for (wi, wave) in graph.waves().iter().enumerate() {
-                let demand: u64 = wave
-                    .iter()
-                    .map(|&i| {
-                        let t = &job.tasks[i];
-                        // A numeric multiplicity can expand into that many
-                        // concurrent instances; `*` is CN015's business.
-                        let instances = t
-                            .multiplicity
-                            .as_deref()
-                            .and_then(|m| m.parse::<u64>().ok())
-                            .unwrap_or(1);
-                        t.req.memory_mb * instances
-                    })
-                    .sum();
-                if demand > cap.total_memory_mb {
-                    out.push(
-                        Diagnostic::new(
-                            codes::MEMORY_OVERSUBSCRIBED,
-                            Severity::Warning,
-                            format!(
-                                "job #{ji} wave {wi} declares {demand} MB across {} concurrent task(s) but the cluster totals {} MB: the wave will serialize",
-                                wave.len(),
-                                cap.total_memory_mb
-                            ),
-                        )
-                        .with_related(wave.iter().map(|&i| job.tasks[i].name.clone())),
-                    );
-                }
             }
         }
     }
 }
 
 /// CN017: a multi-task job with no exploitable parallelism.
-pub struct ParallelismPass;
-
-impl CnxPass for ParallelismPass {
-    fn name(&self) -> &'static str {
-        "parallelism"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        for (ji, job) in ctx.doc.client.jobs.iter().enumerate() {
-            if job.tasks.len() < 2 {
-                continue;
-            }
-            let Ok(graph) = DependencyGraph::build(job) else { continue };
-            if graph.max_parallelism() == 1 {
-                out.push(Diagnostic::new(
-                    codes::SERIAL_JOB,
-                    Severity::Info,
-                    format!(
-                        "job #{ji} is fully serial ({} tasks, max parallelism 1): a cluster adds no speedup",
-                        job.tasks.len()
-                    ),
-                ));
-            }
+pub fn parallelism(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (ji, job) in ctx.doc.client.jobs.iter().enumerate() {
+        if job.tasks.len() < 2 {
+            continue;
+        }
+        let Ok(graph) = DependencyGraph::build(job) else { continue };
+        if graph.max_parallelism() == 1 {
+            out.push(Diagnostic::new(
+                codes::SERIAL_JOB,
+                Severity::Info,
+                format!(
+                    "job #{ji} is fully serial ({} tasks, max parallelism 1): a cluster adds no speedup",
+                    job.tasks.len()
+                ),
+            ));
         }
     }
 }
@@ -401,32 +331,30 @@ impl CnxPass for ParallelismPass {
 /// --memory`; passing the same values to `cnctl lint --server-memory`
 /// catches task requirements that no server in the fleet could ever bid
 /// on — the job would stall in placement at run time.
-pub struct ServerMemoryPass;
-
-impl CnxPass for ServerMemoryPass {
-    fn name(&self) -> &'static str {
-        "server-memory"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(servers) = ctx.server_memory_mb else { return };
-        let Some(largest) = servers.iter().copied().max() else { return };
-        for (_, _, t) in for_each_task(ctx.doc) {
-            if t.req.memory_mb > largest {
-                out.push(
-                    Diagnostic::new(
-                        codes::SERVER_MEMORY,
-                        Severity::Warning,
-                        format!(
-                            "task {:?} requires {} MB but the largest configured server offers {} MB: no TaskManager in this deployment can bid on it",
-                            t.name, t.req.memory_mb, largest
-                        ),
-                    )
-                    .with_span(t.span),
-                );
-            }
+pub fn server_memory(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(servers) = ctx.server_memory_mb else { return };
+    let Some(largest) = servers.iter().copied().max() else { return };
+    for (_, _, t) in for_each_task(ctx.doc) {
+        if t.req.memory_mb > largest {
+            out.push(
+                Diagnostic::new(
+                    codes::SERVER_MEMORY,
+                    Severity::Warning,
+                    format!(
+                        "task {:?} requires {} MB but the largest configured server offers {} MB: no TaskManager in this deployment can bid on it",
+                        t.name, t.req.memory_mb, largest
+                    ),
+                )
+                .with_span(t.span),
+            );
         }
     }
+}
+
+/// Non-peer fds a serving process holds: stdio, the TCP listener, the UDP
+/// receive and send sockets, and per shard an epoll fd plus its eventfd.
+fn reactor_overhead_fds(shards: u64) -> u64 {
+    3 + 3 + 2 * shards
 }
 
 /// CN057: the deployment's shape exceeds what the host can provide.
@@ -440,61 +368,58 @@ impl CnxPass for ServerMemoryPass {
 /// lint --peer-capacity N [--reactor-shards S]` judges the plan against
 /// the linting host's limits, or against explicit `--fd-soft-limit` /
 /// `--cores` overrides when the target machine differs.
-pub struct ReactorCapacityPass;
-
-/// Non-peer fds a serving process holds: stdio, the TCP listener, the UDP
-/// receive and send sockets, and per shard an epoll fd plus its eventfd.
-fn reactor_overhead_fds(shards: u64) -> u64 {
-    3 + 3 + 2 * shards
-}
-
-impl CnxPass for ReactorCapacityPass {
-    fn name(&self) -> &'static str {
-        "reactor-capacity"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(dep) = ctx.deployment else { return };
-        let cores = dep.available_cores.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
-        });
-        // Auto shard count (0) resolves the way the fabric would, capped by
-        // the core count — it can only over-shard when configured to.
-        let shards = if dep.reactor_shards == 0 {
-            (cn_reactor::default_shards() as u64).min(cores)
-        } else {
-            dep.reactor_shards
-        };
-        let fd_limit = match dep.fd_soft_limit {
-            Some(limit) => Some(limit),
-            None => cn_reactor::sys::fd_limits().ok().map(|(soft, _hard)| soft),
-        };
-        if let Some(limit) = fd_limit {
-            let overhead = reactor_overhead_fds(shards);
-            let need = dep.peer_capacity + overhead;
-            if need > limit {
-                out.push(Diagnostic::new(
-                    codes::REACTOR_CAPACITY,
-                    Severity::Warning,
-                    format!(
-                        "deployment expects {} peer connection(s), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and connects will fail mid-run (raise the limit or shrink the deployment)",
-                        dep.peer_capacity
-                    ),
-                ));
-            }
-        }
-        if dep.reactor_shards > cores {
+pub fn reactor_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(dep) = ctx.deployment else { return };
+    let cores = dep.available_cores.unwrap_or_else(|| {
+        std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
+    });
+    // Auto shard count (0) resolves the way the fabric would, capped by
+    // the core count — it can only over-shard when configured to.
+    let shards = if dep.reactor_shards == 0 {
+        (cn_reactor::default_shards() as u64).min(cores)
+    } else {
+        dep.reactor_shards
+    };
+    let fd_limit = match dep.fd_soft_limit {
+        Some(limit) => Some(limit),
+        None => cn_reactor::sys::fd_limits().ok().map(|(soft, _hard)| soft),
+    };
+    if let Some(limit) = fd_limit {
+        let overhead = reactor_overhead_fds(shards);
+        let need = dep.peer_capacity + overhead;
+        if need > limit {
             out.push(Diagnostic::new(
                 codes::REACTOR_CAPACITY,
                 Severity::Warning,
                 format!(
-                    "--reactor-shards {} exceeds the {cores} available core(s): extra shards add cross-thread wakeups and cache migration without adding parallelism",
-                    dep.reactor_shards
+                    "deployment expects {} peer connection(s), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and connects will fail mid-run (raise the limit or shrink the deployment)",
+                    dep.peer_capacity
                 ),
             ));
         }
     }
+    if dep.reactor_shards > cores {
+        out.push(Diagnostic::new(
+            codes::REACTOR_CAPACITY,
+            Severity::Warning,
+            format!(
+                "--reactor-shards {} exceeds the {cores} available core(s): extra shards add cross-thread wakeups and cache migration without adding parallelism",
+                dep.reactor_shards
+            ),
+        ));
+    }
 }
+
+/// Non-submission fds a portal process holds: stdio, the HTTP listener,
+/// and per shard an epoll fd plus its wakeup eventfd.
+fn portal_overhead_fds(shards: u64) -> u64 {
+    3 + 1 + 2 * shards
+}
+
+/// Fds one in-flight submission can pin: the HTTP connection that posted
+/// it plus the job's own wire client fabric (TCP listener, UDP recv/send,
+/// and at least three worker peer connections on a minimal cluster).
+const FDS_PER_INFLIGHT_JOB: u64 = 1 + 3 + 3;
 
 /// CN058: the portal's deployment shape exceeds what its host can hold.
 ///
@@ -509,180 +434,55 @@ impl CnxPass for ReactorCapacityPass {
 /// a flood finds it. `cnctl lint --portal-max-inflight N` judges the plan
 /// against the linting host, or against explicit `--fd-soft-limit` /
 /// `--cores` / `--host-memory` overrides for a different target machine.
-pub struct PortalCapacityPass;
-
-/// Non-submission fds a portal process holds: stdio, the HTTP listener,
-/// and per shard an epoll fd plus its wakeup eventfd.
-fn portal_overhead_fds(shards: u64) -> u64 {
-    3 + 1 + 2 * shards
-}
-
-/// Fds one in-flight submission can pin: the HTTP connection that posted
-/// it plus the job's own wire client fabric (TCP listener, UDP recv/send,
-/// and at least three worker peer connections on a minimal cluster).
-const FDS_PER_INFLIGHT_JOB: u64 = 1 + 3 + 3;
-
-impl CnxPass for PortalCapacityPass {
-    fn name(&self) -> &'static str {
-        "portal-capacity"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(portal) = ctx.portal else { return };
-        let cores = portal.available_cores.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
-        });
-        let shards = if portal.reactor_shards == 0 {
-            (cn_reactor::default_shards() as u64).min(cores)
-        } else {
-            portal.reactor_shards
-        };
-        let fd_limit = match portal.fd_soft_limit {
-            Some(limit) => Some(limit),
-            None => cn_reactor::sys::fd_limits().ok().map(|(soft, _hard)| soft),
-        };
-        if let Some(limit) = fd_limit {
-            let overhead = portal_overhead_fds(shards);
-            let need = portal.max_inflight * FDS_PER_INFLIGHT_JOB + overhead;
-            if need > limit {
-                out.push(Diagnostic::new(
-                    codes::PORTAL_CAPACITY,
-                    Severity::Warning,
-                    format!(
-                        "portal admits {} in-flight submission(s), each pinning ~{FDS_PER_INFLIGHT_JOB} fd(s) (HTTP connection + the job's wire client fabric), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and submits will fail under load (lower --max-inflight or raise the limit)",
-                        portal.max_inflight
-                    ),
-                ));
-            }
-        }
-        if portal.reactor_shards > cores {
+pub fn portal_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    let Some(portal) = ctx.portal else { return };
+    let cores = portal.available_cores.unwrap_or_else(|| {
+        std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
+    });
+    let shards = if portal.reactor_shards == 0 {
+        (cn_reactor::default_shards() as u64).min(cores)
+    } else {
+        portal.reactor_shards
+    };
+    let fd_limit = match portal.fd_soft_limit {
+        Some(limit) => Some(limit),
+        None => cn_reactor::sys::fd_limits().ok().map(|(soft, _hard)| soft),
+    };
+    if let Some(limit) = fd_limit {
+        let overhead = portal_overhead_fds(shards);
+        let need = portal.max_inflight * FDS_PER_INFLIGHT_JOB + overhead;
+        if need > limit {
             out.push(Diagnostic::new(
                 codes::PORTAL_CAPACITY,
                 Severity::Warning,
                 format!(
-                    "--reactor-shards {} exceeds the {cores} available core(s): extra shards add cross-thread wakeups and cache migration without adding parallelism",
-                    portal.reactor_shards
+                    "portal admits {} in-flight submission(s), each pinning ~{FDS_PER_INFLIGHT_JOB} fd(s) (HTTP connection + the job's wire client fabric), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and submits will fail under load (lower --max-inflight or raise the limit)",
+                    portal.max_inflight
                 ),
             ));
-        }
-        if let Some(memory_mb) = portal.host_memory_mb {
-            let worst_mb = portal.max_inflight * portal.max_body_bytes / (1024 * 1024);
-            if worst_mb > memory_mb {
-                out.push(Diagnostic::new(
-                    codes::PORTAL_CAPACITY,
-                    Severity::Warning,
-                    format!(
-                        "portal can buffer {} in-flight bodies of up to {} byte(s) each — {worst_mb} MB in the worst case against a {memory_mb} MB host budget: a submission flood can exhaust memory before admission rejects (lower --max-inflight or --body-limit)",
-                        portal.max_inflight, portal.max_body_bytes
-                    ),
-                ));
-            }
         }
     }
-}
-
-/// CN059: the scheduler's steal/fairness knobs are mis-sized for this
-/// descriptor.
-///
-/// Work stealing and fair admission are shape-sensitive: a steal threshold
-/// deeper than any run queue this descriptor can produce never fires (the
-/// optimization is silently off), a zero threshold raids even idle victims
-/// on every load report, a zero heartbeat floods the discovery group with
-/// `LoadReport` frames, and a heartbeat beyond ~10s feeds the thief load
-/// signals staler than most jobs' entire runtime. On the admission side, a
-/// deficit-round-robin quantum below the largest task cost means the
-/// busiest client's next task waits multiple full rotations before its
-/// deficit covers it. None of these fail loudly at runtime — `cnctl lint
-/// --steal-threshold N --steal-heartbeat-ms MS [--fair-quantum MB]` calls
-/// them out before launch.
-pub struct SchedulerShapePass;
-
-/// Heartbeats beyond this feed thieves load signals too stale to act on.
-const STALE_HEARTBEAT_MS: u64 = 10_000;
-
-impl CnxPass for SchedulerShapePass {
-    fn name(&self) -> &'static str {
-        "scheduler-shape"
+    if portal.reactor_shards > cores {
+        out.push(Diagnostic::new(
+            codes::PORTAL_CAPACITY,
+            Severity::Warning,
+            format!(
+                "--reactor-shards {} exceeds the {cores} available core(s): extra shards add cross-thread wakeups and cache migration without adding parallelism",
+                portal.reactor_shards
+            ),
+        ));
     }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(sched) = ctx.scheduler else { return };
-        // The deepest run queue this descriptor can create on one node:
-        // every expanded task instance landing on the same TaskManager.
-        let max_instances: u64 = ctx
-            .doc
-            .client
-            .jobs
-            .iter()
-            .map(|job| {
-                job.tasks
-                    .iter()
-                    .map(|t| match t.multiplicity.as_deref() {
-                        Some("*") => 1,
-                        Some(m) => m.parse::<u64>().unwrap_or(1),
-                        None => 1,
-                    })
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0);
-        if sched.steal_threshold == 0 {
+    if let Some(memory_mb) = portal.host_memory_mb {
+        let worst_mb = portal.max_inflight * portal.max_body_bytes / (1024 * 1024);
+        if worst_mb > memory_mb {
             out.push(Diagnostic::new(
-                codes::SCHEDULER_SHAPE,
-                Severity::Warning,
-                "--steal-threshold 0 makes every TaskManager a raid victim on every load \
-                 report, even with an empty run queue: tasks thrash between nodes instead \
-                 of running (use a threshold of at least 1)"
-                    .to_string(),
-            ));
-        } else if max_instances > 0 && sched.steal_threshold >= max_instances {
-            out.push(Diagnostic::new(
-                codes::SCHEDULER_SHAPE,
+                codes::PORTAL_CAPACITY,
                 Severity::Warning,
                 format!(
-                    "--steal-threshold {} can never fire: the largest job expands to {max_instances} task instance(s), so no run queue reaches that depth even if every task lands on one node — stealing is silently disabled (lower the threshold or grow the job)",
-                    sched.steal_threshold
+                    "portal can buffer {} in-flight bodies of up to {} byte(s) each — {worst_mb} MB in the worst case against a {memory_mb} MB host budget: a submission flood can exhaust memory before admission rejects (lower --max-inflight or --body-limit)",
+                    portal.max_inflight, portal.max_body_bytes
                 ),
             ));
-        }
-        if sched.steal_heartbeat_ms == 0 {
-            out.push(Diagnostic::new(
-                codes::SCHEDULER_SHAPE,
-                Severity::Warning,
-                "--steal-heartbeat-ms 0 multicasts a LoadReport on every queue change with \
-                 no throttle: the discovery group drowns in load traffic exactly when the \
-                 cluster is busiest (use at least a few milliseconds)"
-                    .to_string(),
-            ));
-        } else if sched.steal_heartbeat_ms > STALE_HEARTBEAT_MS {
-            out.push(Diagnostic::new(
-                codes::SCHEDULER_SHAPE,
-                Severity::Warning,
-                format!(
-                    "--steal-heartbeat-ms {} exceeds {STALE_HEARTBEAT_MS} ms: thieves pick victims from load signals staler than most jobs' entire runtime, so raids target queues that already drained (shorten the heartbeat)",
-                    sched.steal_heartbeat_ms
-                ),
-            ));
-        }
-        if let Some(quantum) = sched.fair_quantum_mb {
-            let max_cost = ctx
-                .doc
-                .client
-                .jobs
-                .iter()
-                .flat_map(|job| job.tasks.iter())
-                .map(|t| t.req.memory_mb)
-                .max()
-                .unwrap_or(0);
-            if quantum < max_cost {
-                out.push(Diagnostic::new(
-                    codes::SCHEDULER_SHAPE,
-                    Severity::Warning,
-                    format!(
-                        "--fair-quantum {quantum} is below the largest task cost ({max_cost} MB): that task's client must wait multiple full deficit-round-robin rotations before its deficit covers one admission (raise the quantum to at least the largest task's memory)"
-                    ),
-                ));
-            }
         }
     }
 }
@@ -694,49 +494,30 @@ impl CnxPass for SchedulerShapePass {
 /// [`cn_observe::DEFAULT_FLIGHT_CAPACITY`] will silently evict early events
 /// from a default-capacity recorder. Numeric multiplicity expands the
 /// count; `*` is unbounded and reported at the default capacity too.
-pub struct RecorderCapacityPass;
-
-impl CnxPass for RecorderCapacityPass {
-    fn name(&self) -> &'static str {
-        "recorder-capacity"
-    }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let cap = cn_observe::DEFAULT_FLIGHT_CAPACITY as u64;
-        for (ji, job) in ctx.doc.client.jobs.iter().enumerate() {
-            let instances: u64 = job
-                .tasks
-                .iter()
-                .map(|t| match t.multiplicity.as_deref() {
-                    // `*` is unbounded — CN015's business; count the minimum.
-                    Some("*") => 1,
-                    Some(m) => m.parse::<u64>().unwrap_or(1),
-                    None => 1,
-                })
-                .sum();
-            if instances > cap {
-                out.push(Diagnostic::new(
-                    codes::RECORDER_CAPACITY,
-                    Severity::Warning,
-                    format!(
-                        "job #{ji} expands to {instances} task instance(s) but the default flight recorder retains only {cap} events: early trace events will be evicted (raise it with Recorder::with_flight_capacity)"
-                    ),
-                ));
-            }
+pub fn recorder_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    let cap = cn_observe::DEFAULT_FLIGHT_CAPACITY as u64;
+    for (ji, job) in ctx.doc.client.jobs.iter().enumerate() {
+        let instances: u64 = job
+            .tasks
+            .iter()
+            .map(|t| match t.multiplicity.as_deref() {
+                // `*` is unbounded — CN015's business; count the minimum.
+                Some("*") => 1,
+                Some(m) => m.parse::<u64>().unwrap_or(1),
+                None => 1,
+            })
+            .sum();
+        if instances > cap {
+            out.push(Diagnostic::new(
+                codes::RECORDER_CAPACITY,
+                Severity::Warning,
+                format!(
+                    "job #{ji} expands to {instances} task instance(s) but the default flight recorder retains only {cap} events: early trace events will be evicted (raise it with Recorder::with_flight_capacity)"
+                ),
+            ));
         }
     }
 }
-
-/// CN009: a task's parameter payload approaches the wire frame limit.
-///
-/// Task parameters travel inside the `CreateTask`/`StartTask` frames on
-/// the socket fabric, and the reader rejects any frame larger than
-/// `MAX_FRAME_BYTES` as `FrameTooLarge` — the job would fail in placement
-/// at run time. Warn while the composition is still a descriptor. The
-/// threshold is a fraction of the limit (default
-/// [`DEFAULT_PAYLOAD_WARN_FRACTION`], configurable with `cnctl lint
-/// --payload-warn-fraction`) because the estimate ignores codec overhead.
-pub struct PayloadSizePass;
 
 /// Rough on-wire size of the spec fields a task contributes to its
 /// `CreateTask` frame: each string is length-prefixed (u32 + bytes), plus a
@@ -753,82 +534,76 @@ fn estimated_payload_bytes(t: &Task) -> u64 {
     bytes
 }
 
-impl CnxPass for PayloadSizePass {
-    fn name(&self) -> &'static str {
-        "payload-size"
+/// CN009: a task's parameter payload approaches the wire frame limit.
+///
+/// Task parameters travel inside the `CreateTask`/`StartTask` frames on
+/// the socket fabric, and the reader rejects any frame larger than
+/// `MAX_FRAME_BYTES` as `FrameTooLarge` — the job would fail in placement
+/// at run time. Warn while the composition is still a descriptor. The
+/// threshold is a fraction of the limit (default
+/// [`DEFAULT_PAYLOAD_WARN_FRACTION`], configurable with `cnctl lint
+/// --payload-warn-fraction`) because the estimate ignores codec overhead.
+pub fn payload_size(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    let fraction = ctx.payload_warn_fraction;
+    if fraction <= 0.0 {
+        return;
     }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        let fraction = ctx.payload_warn_fraction;
-        if fraction <= 0.0 {
-            return;
-        }
-        let limit = u64::from(cn_wire::codec::MAX_FRAME_BYTES);
-        let threshold = (limit as f64 * fraction) as u64;
-        for (_, _, t) in for_each_task(ctx.doc) {
-            let est = estimated_payload_bytes(t);
-            if est > threshold {
-                out.push(
-                    Diagnostic::new(
-                        codes::PAYLOAD_SIZE,
-                        Severity::Warning,
-                        format!(
-                            "task {:?}: estimated parameter payload of {est} B exceeds {fraction} of the {limit} B wire frame limit ({threshold} B): frames past the limit are rejected as FrameTooLarge on socket deployments",
-                            t.name
-                        ),
-                    )
-                    .with_span(t.span),
-                );
-            }
+    let limit = u64::from(cn_wire::codec::MAX_FRAME_BYTES);
+    let threshold = (limit as f64 * fraction) as u64;
+    for (_, _, t) in for_each_task(ctx.doc) {
+        let est = estimated_payload_bytes(t);
+        if est > threshold {
+            out.push(
+                Diagnostic::new(
+                    codes::PAYLOAD_SIZE,
+                    Severity::Warning,
+                    format!(
+                        "task {:?}: estimated parameter payload of {est} B exceeds {fraction} of the {limit} B wire frame limit ({threshold} B): frames past the limit are rejected as FrameTooLarge on socket deployments",
+                        t.name
+                    ),
+                )
+                .with_span(t.span),
+            );
         }
     }
 }
 
 /// CN040: information lost in the CNX → model → CNX round trip.
-pub struct RoundtripPass;
-
-impl CnxPass for RoundtripPass {
-    fn name(&self) -> &'static str {
-        "cnx-roundtrip"
+pub fn roundtrip(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
+    // Drift is only meaningful for descriptors the validator accepts.
+    if !cn_cnx::validate_all(ctx.doc).is_empty() {
+        return;
     }
-
-    fn run(&self, ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Drift is only meaningful for descriptors the validator accepts.
-        if !cn_cnx::validate_all(ctx.doc).is_empty() {
-            return;
+    for drift in cn_transform::cnx_roundtrip_drift(ctx.doc) {
+        let mut d = Diagnostic::new(
+            codes::ROUNDTRIP_DRIFT,
+            Severity::Warning,
+            match &drift.task {
+                Some(task) => format!("task {task:?}: {}", drift.detail),
+                None => drift.detail.clone(),
+            },
+        );
+        if let Some(task) = &drift.task {
+            d = d.with_span(task_span(ctx.doc, task));
         }
-        for drift in cn_transform::cnx_roundtrip_drift(ctx.doc) {
-            let mut d = Diagnostic::new(
-                codes::ROUNDTRIP_DRIFT,
-                Severity::Warning,
-                match &drift.task {
-                    Some(task) => format!("task {task:?}: {}", drift.detail),
-                    None => drift.detail.clone(),
-                },
-            );
-            if let Some(task) = &drift.task {
-                d = d.with_span(task_span(ctx.doc, task));
-            }
-            out.push(d);
-        }
+        out.push(d);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, LintOptions};
+    use crate::engine::{lint_cnx, LintOptions};
     use crate::report::LintReport;
     use cn_cluster::ClusterCapacity;
     use cn_cnx::ast::{figure2_descriptor, Param};
 
     fn lint(doc: &CnxDocument) -> LintReport {
-        Engine::with_default_passes().lint_cnx(doc, &LintOptions::default())
+        lint_cnx(doc, &LintOptions::default())
     }
 
     fn lint_with_capacity(doc: &CnxDocument, cap: ClusterCapacity) -> LintReport {
-        Engine::with_default_passes()
-            .lint_cnx(doc, &LintOptions { capacity: Some(cap), ..LintOptions::default() })
+        lint_cnx(doc, &LintOptions { capacity: Some(cap), ..LintOptions::default() })
     }
 
     fn codes_of(report: &LintReport) -> Vec<&'static str> {
@@ -842,13 +617,13 @@ mod tests {
         // Default threshold (half of 64 MiB): quiet.
         assert!(!codes_of(&lint(&doc)).contains(&codes::PAYLOAD_SIZE));
         // A tiny configured fraction trips the same descriptor.
-        let report = Engine::with_default_passes().lint_cnx(
+        let report = lint_cnx(
             &doc,
             &LintOptions { payload_warn_fraction: Some(0.000001), ..LintOptions::default() },
         );
         assert!(codes_of(&report).contains(&codes::PAYLOAD_SIZE), "{}", report.to_text());
         // And 0 disables the pass outright.
-        let report = Engine::with_default_passes().lint_cnx(
+        let report = lint_cnx(
             &doc,
             &LintOptions { payload_warn_fraction: Some(0.0), ..LintOptions::default() },
         );
@@ -1039,7 +814,7 @@ mod tests {
     #[test]
     fn server_memory_warns_when_no_server_can_host() {
         let lint_with_servers = |doc: &CnxDocument, servers: Vec<u64>| {
-            Engine::with_default_passes().lint_cnx(
+            lint_cnx(
                 doc,
                 &LintOptions { server_memory_mb: Some(servers), ..LintOptions::default() },
             )
@@ -1066,8 +841,7 @@ mod tests {
         use crate::engine::DeploymentShape;
         let doc = figure2_descriptor(2);
         let lint_shape = |shape: DeploymentShape| {
-            Engine::with_default_passes()
-                .lint_cnx(&doc, &LintOptions { deployment: Some(shape), ..LintOptions::default() })
+            lint_cnx(&doc, &LintOptions { deployment: Some(shape), ..LintOptions::default() })
         };
         // 10k peers against a 1024-fd soft limit, 4 shards on 2 cores:
         // both findings fire, as warnings.

@@ -9,26 +9,18 @@ use cn_model::validate::validate_all;
 use cn_model::{NodeId, NodeKind, ValidationError};
 
 use crate::diag::{Diagnostic, Severity};
-use crate::engine::{codes, ModelContext, ModelPass};
+use crate::engine::ModelContext;
+use crate::explain::codes;
 
-/// The default model pass set, in registration order.
-pub fn default_passes() -> Vec<Box<dyn ModelPass>> {
-    vec![Box::new(ValidityPass), Box::new(ForkJoinPass), Box::new(RoundtripPass)]
-}
+/// Every model pass — what [`crate::lint_model`] runs.
+pub const PASSES: &[fn(&ModelContext<'_>, &mut Vec<Diagnostic>)] =
+    &[validity, fork_join, roundtrip];
 
 /// CN020–CN029: semantic validity, re-routed from
 /// [`cn_model::validate::validate_all`].
-pub struct ValidityPass;
-
-impl ModelPass for ValidityPass {
-    fn name(&self) -> &'static str {
-        "model-validity"
-    }
-
-    fn run(&self, ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>) {
-        for err in validate_all(ctx.graph) {
-            out.push(map_validation_error(&err));
-        }
+pub fn validity(ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>) {
+    for err in validate_all(ctx.graph) {
+        out.push(map_validation_error(&err));
     }
 }
 
@@ -58,100 +50,84 @@ fn map_validation_error(err: &ValidationError) -> Diagnostic {
 /// UML but almost always a modelling mistake — the pseudostate does
 /// nothing. A diagram whose fork and join counts differ usually lost a
 /// pseudostate during editing.
-pub struct ForkJoinPass;
-
-impl ModelPass for ForkJoinPass {
-    fn name(&self) -> &'static str {
-        "fork-join"
+pub fn fork_join(ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>) {
+    let g = ctx.graph;
+    let mut forks: Vec<NodeId> = Vec::new();
+    let mut joins: Vec<NodeId> = Vec::new();
+    for n in &g.nodes {
+        match n.kind {
+            NodeKind::Fork => forks.push(n.id),
+            NodeKind::Join => joins.push(n.id),
+            _ => {}
+        }
     }
-
-    fn run(&self, ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>) {
-        let g = ctx.graph;
-        let mut forks: Vec<NodeId> = Vec::new();
-        let mut joins: Vec<NodeId> = Vec::new();
-        for n in &g.nodes {
-            match n.kind {
-                NodeKind::Fork => forks.push(n.id),
-                NodeKind::Join => joins.push(n.id),
-                _ => {}
-            }
-        }
-        for &f in &forks {
-            let out_degree = g.successors(f).count();
-            if out_degree < 2 {
-                out.push(Diagnostic::new(
-                    codes::FORK_JOIN_IMBALANCE,
-                    Severity::Warning,
-                    format!(
-                        "fork node #{} has {out_degree} outgoing branch(es); a fork should spawn at least two",
-                        f.0
-                    ),
-                ));
-            }
-        }
-        for &j in &joins {
-            let in_degree = g.predecessors(j).count();
-            if in_degree < 2 {
-                out.push(Diagnostic::new(
-                    codes::FORK_JOIN_IMBALANCE,
-                    Severity::Warning,
-                    format!(
-                        "join node #{} has {in_degree} incoming branch(es); a join should merge at least two",
-                        j.0
-                    ),
-                ));
-            }
-        }
-        if forks.len() != joins.len() {
+    for &f in &forks {
+        let out_degree = g.successors(f).count();
+        if out_degree < 2 {
             out.push(Diagnostic::new(
                 codes::FORK_JOIN_IMBALANCE,
                 Severity::Warning,
                 format!(
-                    "activity has {} fork(s) but {} join(s); concurrent branches are not rejoined symmetrically",
-                    forks.len(),
-                    joins.len()
+                    "fork node #{} has {out_degree} outgoing branch(es); a fork should spawn at least two",
+                    f.0
                 ),
             ));
         }
     }
+    for &j in &joins {
+        let in_degree = g.predecessors(j).count();
+        if in_degree < 2 {
+            out.push(Diagnostic::new(
+                codes::FORK_JOIN_IMBALANCE,
+                Severity::Warning,
+                format!(
+                    "join node #{} has {in_degree} incoming branch(es); a join should merge at least two",
+                    j.0
+                ),
+            ));
+        }
+    }
+    if forks.len() != joins.len() {
+        out.push(Diagnostic::new(
+            codes::FORK_JOIN_IMBALANCE,
+            Severity::Warning,
+            format!(
+                "activity has {} fork(s) but {} join(s); concurrent branches are not rejoined symmetrically",
+                forks.len(),
+                joins.len()
+            ),
+        ));
+    }
 }
 
 /// CN040: information the XMI → CNX → XMI trip would lose.
-pub struct RoundtripPass;
-
-impl ModelPass for RoundtripPass {
-    fn name(&self) -> &'static str {
-        "model-roundtrip"
+pub fn roundtrip(ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>) {
+    // Drift is only meaningful for models the validator accepts.
+    if !validate_all(ctx.graph).is_empty() {
+        return;
     }
-
-    fn run(&self, ctx: &ModelContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Drift is only meaningful for models the validator accepts.
-        if !validate_all(ctx.graph).is_empty() {
-            return;
-        }
-        for drift in cn_transform::model_roundtrip_drift(ctx.graph) {
-            out.push(Diagnostic::new(
-                codes::ROUNDTRIP_DRIFT,
-                Severity::Warning,
-                match &drift.task {
-                    Some(task) => format!("task {task:?}: {}", drift.detail),
-                    None => drift.detail.clone(),
-                },
-            ));
-        }
+    for drift in cn_transform::model_roundtrip_drift(ctx.graph) {
+        out.push(Diagnostic::new(
+            codes::ROUNDTRIP_DRIFT,
+            Severity::Warning,
+            match &drift.task {
+                Some(task) => format!("task {task:?}: {}", drift.detail),
+                None => drift.detail.clone(),
+            },
+        ));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, LintOptions};
+    use crate::engine::{lint_model, LintOptions};
     use crate::report::LintReport;
     use cn_model::activity::ActionState;
     use cn_model::{transitive_closure_model, ActivityGraph};
 
     fn lint(graph: &ActivityGraph) -> LintReport {
-        Engine::with_default_passes().lint_model(graph, &LintOptions::default())
+        lint_model(graph, &LintOptions::default())
     }
 
     fn codes_of(report: &LintReport) -> Vec<&'static str> {

@@ -200,11 +200,6 @@ impl Task {
         self.params.push(p);
         self
     }
-
-    pub fn with_memory(mut self, mb: u64) -> Self {
-        self.req.memory_mb = mb;
-        self
-    }
 }
 
 /// One `<job>` element — an ordered set of tasks.

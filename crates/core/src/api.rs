@@ -120,7 +120,7 @@ impl CnApi {
     }
 
     pub fn with_config(neighborhood: &Neighborhood, config: ClientConfig) -> CnApi {
-        CnApi::over(neighborhood.network().clone().into(), neighborhood.spaces(), config)
+        CnApi::over(neighborhood.fabric(), neighborhood.spaces(), config)
     }
 
     /// Build a CN API directly over any transport fabric. This is the

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use cn_sync::RwLock;
+use cn_sync::Mutex;
 
 use crate::task::Task;
 
@@ -97,13 +97,13 @@ impl std::error::Error for ArchiveError {}
 /// TaskManagers load them from.
 #[derive(Default)]
 pub struct ArchiveRegistry {
-    archives: RwLock<HashMap<String, Arc<TaskArchive>>>,
+    archives: Mutex<HashMap<String, Arc<TaskArchive>>>,
 }
 
 impl fmt::Debug for ArchiveRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ArchiveRegistry")
-            .field("archives", &self.archives.read().keys().collect::<Vec<_>>())
+            .field("archives", &self.archives.lock().keys().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -115,19 +115,19 @@ impl ArchiveRegistry {
 
     /// Publish an archive (replaces any previous version).
     pub fn publish(&self, archive: TaskArchive) {
-        self.archives.write().insert(archive.name.clone(), Arc::new(archive));
+        self.archives.lock().insert(archive.name.clone(), Arc::new(archive));
     }
 
     pub fn get(&self, name: &str) -> Option<Arc<TaskArchive>> {
-        self.archives.read().get(name).cloned()
+        self.archives.lock().get(name).cloned()
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.archives.read().contains_key(name)
+        self.archives.lock().contains_key(name)
     }
 
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.archives.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.archives.lock().keys().cloned().collect();
         names.sort();
         names
     }

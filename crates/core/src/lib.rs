@@ -104,7 +104,7 @@ impl Neighborhood {
             servers.push(CnServer::spawn(
                 name,
                 node.clone(),
-                net.clone().into(),
+                Arc::new(net.clone()),
                 Arc::clone(&registry),
                 Arc::clone(&spaces),
                 config.server.clone(),
@@ -123,12 +123,12 @@ impl Neighborhood {
         &self.net
     }
 
-    /// The deployment's transport as a [`FabricHandle`] — the abstraction
-    /// `CnApi`/`CnServer` actually talk to. For a simulated neighborhood
-    /// this wraps the in-process [`Network`]; `cnctl serve`/`submit` build
-    /// the same handle over a [`cn_wire::SocketFabric`] instead.
+    /// The deployment's transport as the [`cn_wire::FabricHandle`]
+    /// `CnApi`/`CnServer` talk to. For a simulated neighborhood it is the
+    /// in-process [`Network`]; `cnctl serve`/`submit` build the same handle
+    /// over a [`cn_wire::SocketFabric`] instead.
     pub fn fabric(&self) -> cn_wire::FabricHandle<NetMsg> {
-        self.net.clone().into()
+        Arc::new(self.net.clone())
     }
 
     pub fn spaces(&self) -> Arc<SpaceRegistry> {

@@ -172,6 +172,7 @@ mod tests {
     use super::*;
     use cn_cluster::{GroupId, LatencyModel, Network, SendError};
     use cn_wire::Fabric;
+    use std::sync::Arc;
 
     /// Solicitations and bids carry the key they are about.
     #[derive(Debug, Clone, PartialEq)]
@@ -192,7 +193,7 @@ mod tests {
     /// answer by themselves: tests queue the answers before the window
     /// opens, so nothing sleeps or races.
     struct Rig {
-        net: Network<Msg>,
+        net: FabricHandle<Msg>,
         me: Addr,
         rx: Receiver<Envelope<Msg>>,
         peers: Vec<Addr>,
@@ -200,7 +201,7 @@ mod tests {
     }
 
     fn rig(peers: usize) -> Rig {
-        let net: Network<Msg> = Network::new(LatencyModel::zero(), 7);
+        let net: FabricHandle<Msg> = Arc::new(Network::new(LatencyModel::zero(), 7));
         let (me, rx) = net.register();
         let (peers, _peer_rxs) = (0..peers)
             .map(|_| {
@@ -219,8 +220,7 @@ mod tests {
             net.send(*p, me, Msg::Bid(7, who)).unwrap();
         }
         let t0 = Instant::now();
-        let bids =
-            solicit(&net.into(), &rx, me, Msg::Solicit(7), Duration::from_secs(1), bid_for(7));
+        let bids = solicit(&net, &rx, me, Msg::Solicit(7), Duration::from_secs(1), bid_for(7));
         assert_eq!(bids, ["a", "b", "c"]);
         assert!(t0.elapsed() < Duration::from_millis(500), "{:?}", t0.elapsed());
     }
@@ -232,7 +232,7 @@ mod tests {
         net.send(peers[2], me, Msg::Bid(7, "c")).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids = solicit(&net.into(), &rx, me, Msg::Solicit(7), window, bid_for(7));
+        let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
         assert_eq!(bids, ["a", "c"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
         assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
@@ -248,7 +248,7 @@ mod tests {
         net.send(peers[1], me, Msg::Other(2)).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids = solicit(&net.into(), &rx, me, Msg::Solicit(7), window, bid_for(7));
+        let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
         // Two peers were addressed and only one answered: neither its second
         // answer nor the other peer's answer to something else is quorum.
         assert_eq!(bids, ["a"]);
@@ -284,7 +284,7 @@ mod tests {
     }
 
     /// A fabric that, like UDP multicast, cannot say whom it reached.
-    struct Inexact(Network<Msg>);
+    struct Inexact(FabricHandle<Msg>);
 
     impl Fabric<Msg> for Inexact {
         fn register(&self) -> (Addr, Receiver<Envelope<Msg>>) {
@@ -320,7 +320,7 @@ mod tests {
         net.send(peers[1], me, Msg::Bid(7, "b")).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let net = FabricHandle::new(Inexact(net));
+        let net: FabricHandle<Msg> = Arc::new(Inexact(net));
         let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
         assert_eq!(bids, ["a", "b"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());

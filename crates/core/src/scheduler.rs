@@ -115,8 +115,7 @@ impl Ewma {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealConfig {
     /// A victim grants a steal only while its run-queue depth is at least
-    /// this. 0 means every idle peer raids on every task exit (thrashing —
-    /// CN059 warns).
+    /// this. 0 means every idle peer raids on every task exit (thrashing).
     pub threshold: u32,
     /// Minimum interval between `LoadReport` heartbeat multicasts from one
     /// TaskManager. Reports are event-driven (sent when the load signal
@@ -276,7 +275,7 @@ impl<T> FairQueue<T> {
     /// `quantum` is the cost credit per visit. Costs are caller-defined
     /// (the server uses task `memory_mb`); a quantum below the largest
     /// single cost still makes progress (deficit accumulates across
-    /// rounds) but serves that client in bursts — CN059 warns.
+    /// rounds) but serves that client in bursts.
     pub fn new(quantum: u64) -> Self {
         FairQueue {
             quantum: quantum.max(1),

@@ -56,10 +56,13 @@ pub struct ServerConfig {
     /// `LoadReport` heartbeats, no raids), which also keeps the sim
     /// journal free of steal events.
     pub steal: Option<StealConfig>,
-    /// Deficit-round-robin quantum (in task `memory_mb` cost units) for
-    /// per-client fair admission of `CreateTask`/`CreateTasks` bursts.
-    pub fair_quantum_mb: u64,
 }
+
+/// Deficit-round-robin quantum (in task `memory_mb` cost units) for
+/// per-client fair admission of `CreateTask`/`CreateTasks` bursts: just
+/// above a task's default 1 000 MB, so a client of default-sized tasks is
+/// served one per visit and heavier tasks wait their share of rounds.
+const FAIR_QUANTUM_MB: u64 = 1024;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -69,7 +72,6 @@ impl Default for ServerConfig {
             policy: Policy::LeastLoaded,
             exec_slots: None,
             steal: None,
-            fair_quantum_mb: 1024,
         }
     }
 }
@@ -99,7 +101,6 @@ impl CnServer {
         let (addr, rx) = net.register();
         net.join_group(addr, cn_cluster::DISCOVERY_GROUP);
         let rec = net.recorder().clone();
-        let fair_quantum = config.fair_quantum_mb;
         let state = ServerState {
             name: name.clone(),
             addr,
@@ -112,7 +113,7 @@ impl CnServer {
             tm_tasks: HashMap::new(),
             uploaded: HashSet::new(),
             rr: RoundRobin::new(),
-            fairq: FairQueue::new(fair_quantum),
+            fairq: FairQueue::new(FAIR_QUANTUM_MB),
             round: None,
             run_queue: VecDeque::new(),
             running: 0,
@@ -1793,7 +1794,7 @@ mod tests {
             let server = CnServer::spawn(
                 "w0",
                 NodeHandle::new(NodeSpec::new("w0", 4000, 4)),
-                FabricHandle::new(fabric),
+                Arc::new(fabric),
                 Arc::new(ArchiveRegistry::new()),
                 Arc::new(SpaceRegistry::new()),
                 ServerConfig::default(),

@@ -316,7 +316,7 @@ mod tests {
     use cn_cluster::{LatencyModel, Network};
 
     fn make_ctx(net: &Network<NetMsg>) -> (TaskContext, TaskContext) {
-        let net: FabricHandle<NetMsg> = net.clone().into();
+        let net: FabricHandle<NetMsg> = Arc::new(net.clone());
         let (a_addr, a_rx) = net.register();
         let (b_addr, b_rx) = net.register();
         let mut directory = HashMap::new();

@@ -101,11 +101,6 @@ impl TupleSpace {
         }
     }
 
-    /// `(out, rd, in)` operation counts observed by this space's counters.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        (self.out_ops.get(), self.rd_ops.get(), self.in_ops.get())
-    }
-
     /// The wakeup channel for one arity. Taken *before* the bucket lock —
     /// never while holding it — so lock order is always cvs → buckets.
     fn cv_for(&self, arity: usize) -> Arc<Condvar> {

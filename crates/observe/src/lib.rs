@@ -248,19 +248,6 @@ impl Recorder {
             job: Some(job),
         });
     }
-
-    /// Install a process-wide panic hook that dumps the last flight-recorder
-    /// events to stderr before delegating to the previous hook. Intended for
-    /// binaries (`cnctl trace`); tests should call [`FlightRecorder::dump`].
-    pub fn install_panic_hook(&self) {
-        let flight = Arc::clone(&self.inner);
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            eprintln!("== flight recorder (last {} events) ==", flight.flight.len());
-            eprint!("{}", flight.flight.dump_text());
-            previous(info);
-        }));
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use cn_observe::export::json_escape;
 use cn_observe::{journal_jsonl_filtered, Counter, Recorder, LATENCY_BUCKETS_US};
 use cn_sync::Mutex;
 use cn_transform::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
-use cn_wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
+use cn_wire::{Discovery, SocketFabric, WireConfig};
 
 use crate::admission::Admission;
 
@@ -276,7 +276,7 @@ impl JobRunner for WireRunner {
         let fabric =
             SocketFabric::new(cfg, rec.clone()).map_err(|e| format!("client bind: {e}"))?;
         let api = CnApi::over(
-            FabricHandle::new(fabric),
+            Arc::new(fabric),
             Arc::new(SpaceRegistry::with_recorder(&rec)),
             ClientConfig::default(),
         );

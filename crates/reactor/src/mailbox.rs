@@ -89,10 +89,6 @@ impl<T> Mailbox<T> {
         self.waker.wake();
     }
 
-    pub fn is_stopped(&self) -> bool {
-        self.state.lock().stopped
-    }
-
     /// Nonblocking drain of everything queued into `out`. Returns the
     /// number of items taken. The shard calls this after every wakeup.
     pub fn try_drain(&self, out: &mut Vec<T>) -> usize {

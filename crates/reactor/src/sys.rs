@@ -1,12 +1,13 @@
 //! Hand-rolled syscall shims for the reactor.
 //!
-//! The build environment has no crates.io access, so — like the
-//! `SO_REUSEADDR` bind in `cn-wire` — everything here goes through the
-//! libc already linked into every Rust binary, declared by hand with
-//! `extern "C"`. Only the subset the reactor needs is wrapped: `epoll`
-//! for readiness, `eventfd` for cross-thread wakeups, nonblocking TCP
-//! connect (`EINPROGRESS` + `SO_ERROR`), and `RLIMIT_NOFILE` queries for
-//! the CN057 capacity lint and the connection-scale bench.
+//! The build environment has no crates.io access, so everything here goes
+//! through the libc already linked into every Rust binary, declared by
+//! hand in the workspace's one `extern "C"` block. Only the subset the
+//! reactor and the socket fabric need is wrapped: `epoll` for readiness,
+//! `eventfd` for cross-thread wakeups, nonblocking TCP connect
+//! (`EINPROGRESS` + `SO_ERROR`), the `SO_REUSEADDR` UDP bind of the
+//! discovery socket, and `RLIMIT_NOFILE` queries for the CN057 capacity
+//! lint and the connection-scale bench.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -18,7 +19,7 @@ pub use linux::*;
 #[cfg(target_os = "linux")]
 mod linux {
     use std::io;
-    use std::net::{SocketAddrV4, TcpStream};
+    use std::net::{SocketAddrV4, TcpStream, UdpSocket};
     use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 
     // The kernel packs epoll_event on x86_64 (and only there); getting
@@ -65,6 +66,7 @@ mod linux {
         fn close(fd: i32) -> i32;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
+        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
         fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
         fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
@@ -93,6 +95,7 @@ mod linux {
     const EFD_NONBLOCK: i32 = 0o4000;
     const AF_INET: i32 = 2;
     const SOCK_STREAM: i32 = 1;
+    const SOCK_DGRAM: i32 = 2;
     const SOCK_NONBLOCK: i32 = 0o4000;
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
@@ -237,6 +240,36 @@ mod linux {
         }
     }
 
+    /// Create a UDP socket bound to `0.0.0.0:port` with `SO_REUSEADDR`, so
+    /// several processes on one host can share the discovery port.
+    /// `std::net` cannot set socket options before bind.
+    pub fn bind_reuse(port: u16) -> io::Result<UdpSocket> {
+        unsafe {
+            let fd = socket(AF_INET, SOCK_DGRAM, 0);
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            let one: i32 = 1;
+            if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one as *const i32 as *const u8, 4) < 0 {
+                let err = io::Error::last_os_error();
+                close(fd);
+                return Err(err);
+            }
+            let sa = SockaddrIn {
+                sin_family: AF_INET as u16,
+                sin_port: port.to_be(),
+                sin_addr: 0, // INADDR_ANY
+                sin_zero: [0; 8],
+            };
+            if bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) < 0 {
+                let err = io::Error::last_os_error();
+                close(fd);
+                return Err(err);
+            }
+            Ok(UdpSocket::from_raw_fd(fd))
+        }
+    }
+
     /// Fetch-and-clear `SO_ERROR`: the verdict of a nonblocking connect
     /// once the socket reports writable.
     pub fn take_socket_error(stream: &TcpStream) -> io::Result<()> {
@@ -323,7 +356,7 @@ pub use fallback::*;
 #[cfg(not(target_os = "linux"))]
 mod fallback {
     use std::io;
-    use std::net::{SocketAddrV4, TcpStream};
+    use std::net::{SocketAddrV4, TcpStream, UdpSocket};
 
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(io::ErrorKind::Unsupported, "cn-reactor requires Linux epoll"))
@@ -387,6 +420,10 @@ mod fallback {
     }
 
     pub fn connect_nonblocking(_addr: SocketAddrV4) -> io::Result<(TcpStream, bool)> {
+        unsupported()
+    }
+
+    pub fn bind_reuse(_port: u16) -> io::Result<UdpSocket> {
         unsupported()
     }
 

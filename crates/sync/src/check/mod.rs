@@ -219,7 +219,7 @@ impl StratState {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum BlockedOn {
-    Lock { addr: usize, name: String, read: bool },
+    Lock { addr: usize, name: String },
     Cv { cv_addr: usize, name: String, timed: bool },
     Chan { id: u64, name: String, timed: bool },
     Join { task: u32 },
@@ -235,8 +235,7 @@ impl BlockedOn {
 
     fn describe(&self) -> String {
         match self {
-            BlockedOn::Lock { name, read: false, .. } => format!("lock {name}"),
-            BlockedOn::Lock { name, read: true, .. } => format!("read {name}"),
+            BlockedOn::Lock { name, .. } => format!("lock {name}"),
             BlockedOn::Cv { name, .. } => format!("condvar {name}"),
             BlockedOn::Chan { name, .. } => format!("channel {name}"),
             BlockedOn::Join { task } => format!("join task-{task}"),
@@ -256,7 +255,6 @@ enum TaskState {
 struct Held {
     addr: usize,
     name: String,
-    read: bool,
 }
 
 struct TaskInfo {
@@ -273,8 +271,7 @@ impl TaskInfo {
 
 struct LockState {
     name: String,
-    writer: Option<u32>,
-    readers: Vec<u32>,
+    holder: Option<u32>,
 }
 
 struct ChanState {
@@ -577,18 +574,16 @@ impl Controller {
                     format!("lock#{}", g.anon_locks)
                 }
             };
-            g.locks.insert(addr, LockState { name, writer: None, readers: Vec::new() });
+            g.locks.insert(addr, LockState { name, holder: None });
         }
     }
 
-    pub(crate) fn op_lock(&self, me: u32, addr: usize, name: Option<&'static str>, read: bool) {
+    pub(crate) fn op_lock(&self, me: u32, addr: usize, name: Option<&'static str>) {
         let g = self.lock_st();
         let mut g = self.yield_slot(me, g);
         self.ensure_lock(&mut g, addr, name);
         let lname = g.locks[&addr].name.clone();
-        let conflict =
-            g.tasks[me as usize].held.iter().any(|h| h.addr == addr && !(read && h.read));
-        if conflict {
+        if g.tasks[me as usize].held.iter().any(|h| h.addr == addr) {
             g.hazards.push(
                 Hazard::new(
                     HazardKind::DoubleLock,
@@ -601,21 +596,13 @@ impl Controller {
             drop(g);
             abort_unwind();
         }
-        let g = self.acquire_loop(me, addr, read, g);
+        let g = self.acquire_loop(me, addr, g);
         drop(g);
     }
 
-    fn acquire_loop<'a>(&'a self, me: u32, addr: usize, read: bool, mut g: Guard<'a>) -> Guard<'a> {
+    fn acquire_loop<'a>(&'a self, me: u32, addr: usize, mut g: Guard<'a>) -> Guard<'a> {
         loop {
-            let free = {
-                let ls = &g.locks[&addr];
-                if read {
-                    ls.writer.is_none()
-                } else {
-                    ls.writer.is_none() && ls.readers.is_empty()
-                }
-            };
-            if free {
+            if g.locks[&addr].holder.is_none() {
                 let lname = g.locks[&addr].name.clone();
                 let new_edges: Vec<(String, String)> = g.tasks[me as usize]
                     .held
@@ -623,57 +610,43 @@ impl Controller {
                     .filter(|h| h.name != lname)
                     .map(|h| (h.name.clone(), lname.clone()))
                     .collect();
-                let ls = g.locks.get_mut(&addr).unwrap();
-                if read {
-                    ls.readers.push(me);
-                } else {
-                    ls.writer = Some(me);
-                }
-                g.tasks[me as usize].held.push(Held { addr, name: lname.clone(), read });
+                g.locks.get_mut(&addr).unwrap().holder = Some(me);
+                g.tasks[me as usize].held.push(Held { addr, name: lname.clone() });
                 // Acquisitions by tasks unwinding past an abort are
                 // destructor traffic, not schedule behaviour — keep them
                 // out of the graph and the trace.
                 if !g.aborted {
                     g.lock_edges.extend(new_edges);
                     let step = g.steps;
-                    g.trace.push(Event {
-                        step,
-                        task: me,
-                        op: if read { Op::ReadAcquire } else { Op::LockAcquire },
-                        subject: lname,
-                    });
+                    g.trace.push(Event { step, task: me, op: Op::LockAcquire, subject: lname });
                 }
                 return g;
             }
             let lname = g.locks[&addr].name.clone();
-            g = self.block_and_wait(me, BlockedOn::Lock { addr, name: lname, read }, g);
+            g = self.block_and_wait(me, BlockedOn::Lock { addr, name: lname }, g);
         }
     }
 
-    pub(crate) fn op_unlock(&self, me: u32, addr: usize, read: bool) {
+    pub(crate) fn op_unlock(&self, me: u32, addr: usize) {
         let mut g = self.lock_st();
         if g.aborted || std::thread::panicking() {
-            self.release_inner(&mut g, me, addr, read, false);
+            self.release_inner(&mut g, me, addr, false);
             self.cv.notify_all();
             return;
         }
-        self.release_inner(&mut g, me, addr, read, true);
+        self.release_inner(&mut g, me, addr, true);
         let g = self.yield_slot(me, g);
         drop(g);
     }
 
-    fn release_inner(&self, g: &mut Sched, me: u32, addr: usize, read: bool, record: bool) {
-        if let Some(pos) =
-            g.tasks[me as usize].held.iter().rposition(|h| h.addr == addr && h.read == read)
-        {
+    fn release_inner(&self, g: &mut Sched, me: u32, addr: usize, record: bool) {
+        if let Some(pos) = g.tasks[me as usize].held.iter().rposition(|h| h.addr == addr) {
             g.tasks[me as usize].held.remove(pos);
         }
         let lname = match g.locks.get_mut(&addr) {
             Some(ls) => {
-                if read {
-                    ls.readers.retain(|&t| t != me);
-                } else if ls.writer == Some(me) {
-                    ls.writer = None;
+                if ls.holder == Some(me) {
+                    ls.holder = None;
                 }
                 ls.name.clone()
             }
@@ -687,12 +660,7 @@ impl Controller {
         }
         if record {
             let step = g.steps;
-            g.trace.push(Event {
-                step,
-                task: me,
-                op: if read { Op::ReadRelease } else { Op::LockRelease },
-                subject: lname,
-            });
+            g.trace.push(Event { step, task: me, op: Op::LockRelease, subject: lname });
         }
     }
 
@@ -719,7 +687,7 @@ impl Controller {
                 g.cv_hold.insert((cv_name.to_string(), o));
             }
         }
-        self.release_inner(&mut g, me, lock_addr, false, false);
+        self.release_inner(&mut g, me, lock_addr, false);
         if !g.aborted {
             let step = g.steps;
             g.trace.push(Event { step, task: me, op: Op::CvWait, subject: cv_name.to_string() });
@@ -727,7 +695,7 @@ impl Controller {
         g.tasks[me as usize].wake_timed_out = false;
         g = self.block_and_wait(me, BlockedOn::Cv { cv_addr, name: cv_name.to_string(), timed }, g);
         let timed_out = g.tasks[me as usize].wake_timed_out;
-        let g = self.acquire_loop(me, lock_addr, false, g);
+        let g = self.acquire_loop(me, lock_addr, g);
         drop(g);
         timed_out
     }
@@ -947,7 +915,7 @@ impl Controller {
         g.tasks[me as usize].state = TaskState::Finished;
         let residue: Vec<Held> = std::mem::take(&mut g.tasks[me as usize].held);
         for h in residue {
-            self.release_inner(&mut g, me, h.addr, h.read, false);
+            self.release_inner(&mut g, me, h.addr, false);
         }
         for t in g.tasks.iter_mut() {
             if matches!(&t.state, TaskState::Blocked(BlockedOn::Join { task }) if *task == me) {

@@ -64,7 +64,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let model = match check::cur() {
             Some(h) => {
-                h.ctrl.op_lock(h.task, self.addr(), self.name, false);
+                h.ctrl.op_lock(h.task, self.addr(), self.name);
                 true
             }
             None => false,
@@ -103,122 +103,7 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
             self.inner = None; // release the real lock first
             if self.model {
                 if let Some(h) = check::cur() {
-                    h.ctrl.op_unlock(h.task, self.lock.addr(), false);
-                }
-            }
-        }
-    }
-}
-
-/// Reader-writer lock; reads are shared, writes exclusive in the model.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    name: Option<&'static str>,
-    inner: parking_lot::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    #[inline]
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock { name: None, inner: parking_lot::RwLock::new(value) }
-    }
-
-    #[inline]
-    pub const fn named(name: &'static str, value: T) -> RwLock<T> {
-        RwLock { name: Some(name), inner: parking_lot::RwLock::new(value) }
-    }
-
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    fn addr(&self) -> usize {
-        thin_addr(self as *const RwLock<T>)
-    }
-
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let model = match check::cur() {
-            Some(h) => {
-                h.ctrl.op_lock(h.task, self.addr(), self.name, true);
-                true
-            }
-            None => false,
-        };
-        RwLockReadGuard { lock: self, inner: Some(self.inner.read()), model }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let model = match check::cur() {
-            Some(h) => {
-                h.ctrl.op_lock(h.task, self.addr(), self.name, false);
-                true
-            }
-            None => false,
-        };
-        RwLockWriteGuard { lock: self, inner: Some(self.inner.write()), model }
-    }
-
-    #[inline]
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-}
-
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<parking_lot::RwLockReadGuard<'a, T>>,
-    model: bool,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("read guard present")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.is_some() {
-            self.inner = None;
-            if self.model {
-                if let Some(h) = check::cur() {
-                    h.ctrl.op_unlock(h.task, self.lock.addr(), true);
-                }
-            }
-        }
-    }
-}
-
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<parking_lot::RwLockWriteGuard<'a, T>>,
-    model: bool,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("write guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("write guard present")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if self.inner.is_some() {
-            self.inner = None;
-            if self.model {
-                if let Some(h) = check::cur() {
-                    h.ctrl.op_unlock(h.task, self.lock.addr(), false);
+                    h.ctrl.op_unlock(h.task, self.lock.addr());
                 }
             }
         }
@@ -563,9 +448,6 @@ mod tests {
         let m = Mutex::named("test.m", 1);
         *m.lock() += 1;
         assert_eq!(m.into_inner(), 2);
-        let l = RwLock::named("test.l", vec![1]);
-        l.write().push(2);
-        assert_eq!(l.read().len(), 2);
     }
 
     #[test]

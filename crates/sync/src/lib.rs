@@ -28,7 +28,4 @@ pub mod check;
 mod instrumented;
 pub mod model;
 
-pub use instrumented::{
-    channel, thread, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    WaitTimeoutResult,
-};
+pub use instrumented::{channel, thread, Condvar, Mutex, MutexGuard, WaitTimeoutResult};

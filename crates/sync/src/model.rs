@@ -17,8 +17,6 @@ pub enum Op {
     Join,
     LockAcquire,
     LockRelease,
-    ReadAcquire,
-    ReadRelease,
     CvWait,
     CvNotifyOne,
     CvNotifyAll,
@@ -37,8 +35,6 @@ impl Op {
             Op::Join => "join",
             Op::LockAcquire => "lock-acquire",
             Op::LockRelease => "lock-release",
-            Op::ReadAcquire => "read-acquire",
-            Op::ReadRelease => "read-release",
             Op::CvWait => "cv-wait",
             Op::CvNotifyOne => "cv-notify-one",
             Op::CvNotifyAll => "cv-notify-all",

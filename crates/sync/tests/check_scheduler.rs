@@ -227,23 +227,3 @@ fn exploration_is_deterministic_per_seed() {
         _ => panic!("determinism violated: one run found a counterexample, the other did not"),
     }
 }
-
-/// RwLock writer/reader interplay stays clean and contributes to the graph.
-#[test]
-fn rwlock_clean_and_graphed() {
-    use cn_sync::RwLock;
-    let report = explore(pct("rw", 4, 16), || {
-        let l = Arc::new(RwLock::named("test.rw", 0u64));
-        let l2 = Arc::clone(&l);
-        let t = thread::spawn(move || {
-            *l2.write() += 1;
-        });
-        let _v = *l.read();
-        let _ = t.join();
-    });
-    assert!(!report.failed(), "rw scenario flagged: {:?}", report.hazards);
-    assert!(
-        report.lock_graph.nodes().iter().any(|n| n == "test.rw")
-            || report.lock_graph.nodes().is_empty()
-    );
-}

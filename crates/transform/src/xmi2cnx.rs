@@ -359,16 +359,6 @@ fn run_stylesheet(
     Ok(result.to_output_string())
 }
 
-/// Run the XSLT path against an already-parsed XMI DOM.
-pub fn xmi_to_cnx_xslt_doc(
-    doc: &cn_xml::Document,
-    settings: &ClientSettings,
-) -> Result<String, XsltError> {
-    let style = compile_cached(XMI2CNX_XSLT)?;
-    let result = cn_xslt::exec::transform_with_params(&style, doc, &settings.params())?;
-    Ok(result.to_output_string())
-}
-
 /// The native path: XMI text → model import → structural conversion.
 pub fn xmi_to_cnx_native(xmi_text: &str, settings: &ClientSettings) -> Result<CnxDocument, String> {
     let doc = cn_xml::parse(xmi_text).map_err(|e| e.to_string())?;

@@ -149,73 +149,10 @@ impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
     }
 }
 
-/// A cheaply cloneable handle to any [`Fabric`] implementation — the type
-/// the CN runtime (`CnApi`, `CnServer`, `TaskContext`) holds.
-pub struct FabricHandle<M: Send + Clone + 'static> {
-    inner: Arc<dyn Fabric<M>>,
-}
-
-impl<M: Send + Clone + 'static> Clone for FabricHandle<M> {
-    fn clone(&self) -> Self {
-        FabricHandle { inner: Arc::clone(&self.inner) }
-    }
-}
-
-impl<M: Send + Clone + 'static> FabricHandle<M> {
-    pub fn new(fabric: impl Fabric<M> + 'static) -> Self {
-        FabricHandle { inner: Arc::new(fabric) }
-    }
-
-    pub fn register(&self) -> (Addr, Receiver<Envelope<M>>) {
-        self.inner.register()
-    }
-
-    pub fn unregister(&self, addr: Addr) {
-        self.inner.unregister(addr)
-    }
-
-    pub fn join_group(&self, addr: Addr, group: GroupId) {
-        self.inner.join_group(addr, group)
-    }
-
-    pub fn leave_group(&self, addr: Addr, group: GroupId) {
-        self.inner.leave_group(addr, group)
-    }
-
-    pub fn send(&self, from: Addr, to: Addr, msg: M) -> Result<(), SendError> {
-        self.inner.send(from, to, msg)
-    }
-
-    pub fn send_many(&self, from: Addr, tos: &[Addr], msg: M) -> Result<usize, SendError> {
-        self.inner.send_many(from, tos, msg)
-    }
-
-    pub fn post(&self, from: Addr, to: Addr, msg: M) {
-        self.inner.post(from, to, msg)
-    }
-
-    pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
-        self.inner.multicast(from, group, msg)
-    }
-
-    pub fn multicast_is_exact(&self) -> bool {
-        self.inner.multicast_is_exact()
-    }
-
-    pub fn recorder(&self) -> &Recorder {
-        self.inner.recorder()
-    }
-
-    pub fn shared_memory(&self) -> bool {
-        self.inner.shared_memory()
-    }
-}
-
-impl<M: Send + Clone + 'static> From<Network<M>> for FabricHandle<M> {
-    fn from(net: Network<M>) -> Self {
-        FabricHandle::new(net)
-    }
-}
+/// The shared handle to any [`Fabric`] implementation — the type the CN
+/// runtime (`CnApi`, `CnServer`, `TaskContext`) holds; build one with
+/// `Arc::new(fabric)`.
+pub type FabricHandle<M> = Arc<dyn Fabric<M>>;
 
 #[cfg(test)]
 mod tests {
@@ -225,7 +162,7 @@ mod tests {
     #[test]
     fn network_behind_handle_round_trips() {
         let net: Network<u32> = Network::new(LatencyModel::zero(), 7);
-        let fabric: FabricHandle<u32> = net.into();
+        let fabric: FabricHandle<u32> = Arc::new(net);
         assert!(fabric.shared_memory());
         let (a, _rx_a) = fabric.register();
         let (b, rx_b) = fabric.register();

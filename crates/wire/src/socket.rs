@@ -247,7 +247,7 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
         let bind_listener = || TcpListener::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, cfg.port));
         let (listener, udp_recv, udp_send) = match &cfg.discovery {
             Discovery::Multicast { group, port: mc_port } => {
-                let recv = bind_reuse(*mc_port).or_else(|_| {
+                let recv = sys::bind_reuse(*mc_port).or_else(|_| {
                     UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, *mc_port))
                 })?;
                 recv.join_multicast_v4(group, &Ipv4Addr::UNSPECIFIED)?;
@@ -622,7 +622,6 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
             last_timeout: false,
             conn: PeerConn::Idle,
             connect_timer: None,
-            read_timer: None,
         };
         let token = self.reactor.register_hashed(port as u64, Box::new(handler));
         link.state.lock().token = token;
@@ -708,7 +707,6 @@ struct PeerHandler<M: WireEncode + Send + Clone + 'static> {
     last_timeout: bool,
     conn: PeerConn,
     connect_timer: Option<TimerId>,
-    read_timer: Option<TimerId>,
 }
 
 impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
@@ -962,7 +960,6 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for PeerHandler<M> {
         // Dropping the stream closes the fd; poison the queue so senders
         // observe the death instead of queueing into the void.
         self.link.q.kill();
-        let _ = self.read_timer.take();
         self.conn = PeerConn::Idle;
     }
 }
@@ -1196,65 +1193,6 @@ fn bind_port_pair(
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Create a UDP socket bound to `0.0.0.0:port` with `SO_REUSEADDR`, so
-/// several processes on one host can share the discovery port. `std::net`
-/// cannot set socket options before bind, so this goes through the libc
-/// already linked into every Rust binary.
-#[cfg(unix)]
-fn bind_reuse(port: u16) -> std::io::Result<UdpSocket> {
-    use std::os::fd::FromRawFd;
-
-    #[repr(C)]
-    struct SockaddrIn {
-        sin_family: u16,
-        sin_port: u16,
-        sin_addr: u32,
-        sin_zero: [u8; 8],
-    }
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    const AF_INET: i32 = 2;
-    const SOCK_DGRAM: i32 = 2;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    unsafe {
-        let fd = socket(AF_INET, SOCK_DGRAM, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one as *const i32 as *const u8, 4) < 0 {
-            let err = std::io::Error::last_os_error();
-            close(fd);
-            return Err(err);
-        }
-        let sa = SockaddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: port.to_be(),
-            sin_addr: 0, // INADDR_ANY
-            sin_zero: [0; 8],
-        };
-        if bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) < 0 {
-            let err = std::io::Error::last_os_error();
-            close(fd);
-            return Err(err);
-        }
-        Ok(UdpSocket::from_raw_fd(fd))
-    }
-}
-
-#[cfg(not(unix))]
-fn bind_reuse(port: u16) -> std::io::Result<UdpSocket> {
-    UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, port))
 }
 
 #[cfg(test)]
@@ -1541,7 +1479,7 @@ mod tests {
     fn fabric_handle_wraps_socket_fabric() {
         let a: SocketFabric<u64> =
             SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
-        let h = FabricHandle::new(a);
+        let h: FabricHandle<u64> = Arc::new(a);
         assert!(!h.shared_memory());
         let (x, _rx) = h.register();
         let (y, rx_y) = h.register();

@@ -240,10 +240,6 @@ impl Document {
         matches!(self.kind(id), NodeKind::Element { .. })
     }
 
-    pub fn is_text(&self, id: NodeId) -> bool {
-        matches!(self.kind(id), NodeKind::Text(_))
-    }
-
     /// Element name, if `id` is an element.
     pub fn name(&self, id: NodeId) -> Option<&QName> {
         match self.kind(id) {
@@ -296,17 +292,6 @@ impl Document {
             NodeKind::Element { attrs, .. } => {
                 let atom = Self::query_atom(name)?;
                 attrs.iter().find(|(n, _)| n.atom() == atom).map(|(_, v)| v.as_str())
-            }
-            _ => None,
-        }
-    }
-
-    /// Attribute value by pre-interned name — the fast path when the caller
-    /// already holds a [`QName`] (e.g. compiled XPath/XSLT node tests).
-    pub fn attr_by_qname(&self, id: NodeId, name: &QName) -> Option<&str> {
-        match self.kind(id) {
-            NodeKind::Element { attrs, .. } => {
-                attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
             }
             _ => None,
         }

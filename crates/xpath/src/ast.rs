@@ -152,17 +152,6 @@ pub enum Expr {
     },
 }
 
-impl Expr {
-    /// True if this expression is just a relative path (usable as a pattern
-    /// step source, or a `select` that can be optimised).
-    pub fn as_path(&self) -> Option<&PathExpr> {
-        match self {
-            Expr::Path(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

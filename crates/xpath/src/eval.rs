@@ -210,11 +210,6 @@ impl<'d> Ctx<'d> {
         Ok(self.eval(expr)?.as_bool())
     }
 
-    /// Evaluate an expression and coerce to string (node-set aware).
-    pub fn eval_string(&self, expr: &Expr) -> Result<String, EvalError> {
-        Ok(self.eval(expr)?.to_string_value(self.doc))
-    }
-
     fn eval_binary(&self, op: BinOp, a: &Expr, b: &Expr) -> Result<Value, EvalError> {
         match op {
             BinOp::Or => return Ok(Value::Bool(self.eval_bool(a)? || self.eval_bool(b)?)),

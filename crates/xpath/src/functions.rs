@@ -2,7 +2,7 @@
 //! which is most of it).
 
 use crate::eval::{Ctx, EvalError};
-use crate::value::{number_to_string, Value};
+use crate::value::Value;
 
 /// Dispatch a function call. `args` are already evaluated.
 pub fn call_function(ctx: &Ctx<'_>, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
@@ -247,11 +247,6 @@ fn xpath_substring(s: &str, start: f64, len: Option<f64>) -> String {
         })
         .map(|(_, c)| *c)
         .collect()
-}
-
-/// Render a number using XPath's string rules (exposed for XSLT `value-of`).
-pub fn format_number(n: f64) -> String {
-    number_to_string(n)
 }
 
 #[cfg(test)]

@@ -154,14 +154,6 @@ impl Value {
         }
     }
 
-    /// Borrow as a node-set, if that's what this is.
-    pub fn as_nodeset(&self) -> Option<&[XNode]> {
-        match self {
-            Value::NodeSet(ns) => Some(ns),
-            _ => None,
-        }
-    }
-
     /// Take the node-set out, if that's what this is.
     pub fn into_nodeset(self) -> Option<Vec<XNode>> {
         match self {

@@ -7,7 +7,6 @@
 //!                 [--server-memory MB1,MB2,...] [--payload-warn-fraction F]
 //!                 [--peer-capacity N [--reactor-shards S] [--fd-soft-limit N] [--cores N]]
 //!                 [--portal-max-inflight N [--portal-body-limit BYTES] [--host-memory MB]]
-//!                 [--steal-threshold N [--steal-heartbeat-ms MS] [--fair-quantum MB]]
 //! cnctl lint      --explain CN0xx                  document one diagnostic code
 //! cnctl check     [--scenario NAME] [--seeds S1,S2,...] [--schedules N]
 //!                 [--max-steps N] [--format text|json] [--trace-dir DIR]
@@ -29,14 +28,14 @@
 //!                 [--reactor-shards N] [--max-inflight N] [--per-addr N]
 //!                 [--workers N] [--body-limit BYTES] [--timeout SECS]
 //!                 [--seed N] [--name NAME] [--run-for SECS] [--no-batch]
-//!                 [--board-ttl SECS]
+//!                 [--board-ttl SECS] [--request-deadline SECS] [--journal-wait SECS]
 //! ```
 //!
 //! Everything reads/writes plain files or stdout, so the tool composes with
 //! shell pipelines the way the paper's XSLT-based tooling did. `lint` and
 //! `validate` use their exit code to report what they found: 0 = clean,
 //! 1 = errors, 2 = warnings only (`lint` only; `validate` ignores warnings
-//! for exit purposes).
+//! for exit purposes). A `--flag` the subcommand does not take is an error.
 
 use std::fmt::Write as _;
 
@@ -70,6 +69,7 @@ fn run(args: &[String]) -> Result<(String, i32), String> {
     let mut it = args.iter();
     let command = it.next().map(String::as_str).unwrap_or("help");
     let rest: Vec<&str> = it.map(String::as_str).collect();
+    check_flags(command, &rest)?;
     match command {
         "validate" => {
             let path = positional(&rest, 0).ok_or("usage: cnctl validate <file.cnx>")?;
@@ -142,16 +142,147 @@ fn clean(output: String) -> (String, i32) {
     (output, 0)
 }
 
+/// The flags that stand alone; every other `--flag` is followed by its value.
+const SWITCHES: [&str; 4] = ["--multicast", "--no-batch", "--no-keys", "--list"];
+
+/// Every subcommand with the flags it takes.
+const FLAGS: &[(&str, &[&str])] = &[
+    ("validate", &[]),
+    (
+        "lint",
+        &[
+            "--explain",
+            "--format",
+            "--deny",
+            "--nodes",
+            "--node-memory",
+            "--node-slots",
+            "--server-memory",
+            "--payload-warn-fraction",
+            "--peer-capacity",
+            "--reactor-shards",
+            "--fd-soft-limit",
+            "--cores",
+            "--portal-max-inflight",
+            "--portal-body-limit",
+            "--host-memory",
+        ],
+    ),
+    (
+        "check",
+        &[
+            "--scenario",
+            "--seeds",
+            "--schedules",
+            "--max-steps",
+            "--format",
+            "--trace-dir",
+            "--list",
+        ],
+    ),
+    ("transform", &["--class", "--port", "--log", "--no-keys"]),
+    ("codegen", &["--lang"]),
+    ("render", &["--format"]),
+    ("demo", &[]),
+    ("example-xmi", &[]),
+    ("trace", &["--out", "--journal", "--workers"]),
+    ("stats", &["--workers"]),
+    (
+        "serve",
+        &[
+            "--port",
+            "--peers",
+            "--multicast",
+            "--name",
+            "--memory",
+            "--slots",
+            "--run-for",
+            "--trace",
+            "--no-batch",
+            "--reactor-shards",
+            "--sched",
+        ],
+    ),
+    (
+        "submit",
+        &[
+            "--peers",
+            "--multicast",
+            "--workers",
+            "--timeout",
+            "--journal",
+            "--trace",
+            "--no-batch",
+            "--reactor-shards",
+        ],
+    ),
+    (
+        "portal",
+        &[
+            "--http-port",
+            "--peers",
+            "--multicast",
+            "--sim",
+            "--reactor-shards",
+            "--max-inflight",
+            "--per-addr",
+            "--workers",
+            "--body-limit",
+            "--timeout",
+            "--seed",
+            "--name",
+            "--run-for",
+            "--no-batch",
+            "--board-ttl",
+            "--request-deadline",
+            "--journal-wait",
+        ],
+    ),
+];
+
+/// Split a command line into its positionals and its flags, each flag with
+/// the value that follows it unless it is one of [`SWITCHES`] — so a value is
+/// never taken for a positional, whatever it looks like.
+fn split_args<'a>(args: &[&'a str]) -> (Vec<&'a str>, Vec<(&'a str, Option<&'a str>)>) {
+    let (mut positionals, mut flags) = (Vec::new(), Vec::new());
+    let mut it = args.iter().copied();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            positionals.push(arg);
+        } else if SWITCHES.contains(&arg) {
+            flags.push((arg, None));
+        } else {
+            flags.push((arg, it.next()));
+        }
+    }
+    (positionals, flags)
+}
+
+/// Reject a `--flag` the subcommand does not take, and one left without its
+/// value. A command [`FLAGS`] does not list is `run`'s to report.
+fn check_flags(command: &str, args: &[&str]) -> Result<(), String> {
+    let Some((_, known)) = FLAGS.iter().find(|(c, _)| *c == command) else { return Ok(()) };
+    for (flag, value) in split_args(args).1 {
+        if !known.contains(&flag) {
+            return Err(format!("{command} takes no flag {flag}"));
+        }
+        if value.is_none() && !SWITCHES.contains(&flag) {
+            return Err(format!("{flag} needs a value"));
+        }
+    }
+    Ok(())
+}
+
 fn positional<'a>(args: &[&'a str], index: usize) -> Option<&'a str> {
-    args.iter().filter(|a| !a.starts_with("--")).nth(index).copied()
+    split_args(args).0.get(index).copied()
 }
 
 fn flag_value<'a>(args: &[&'a str], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| *a == flag).and_then(|i| args.get(i + 1)).copied()
+    split_args(args).1.into_iter().find(|(f, _)| *f == flag).and_then(|(_, value)| value)
 }
 
 fn has_flag(args: &[&str], flag: &str) -> bool {
-    args.contains(&flag)
+    split_args(args).1.iter().any(|(f, _)| *f == flag)
 }
 
 /// `validate`: run every lint pass, print all diagnostics sorted by source
@@ -200,9 +331,6 @@ fn validate_cnx(text: &str) -> Result<(String, i32), String> {
 /// deployment's shape so CN057 can judge it against the host's fd soft
 /// limit and core count (`--fd-soft-limit` / `--cores` override the live
 /// probes to lint against a different target machine).
-/// `--steal-threshold N [--steal-heartbeat-ms MS] [--fair-quantum MB]`
-/// describes the scheduler's work-stealing and fair-admission knobs so
-/// CN059 can judge them against the descriptor's job shapes.
 fn lint_input(text: &str, args: &[&str]) -> Result<(String, i32), String> {
     let format = flag_value(args, "--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
@@ -212,21 +340,16 @@ fn lint_input(text: &str, args: &[&str]) -> Result<(String, i32), String> {
         None | Some("warnings") => {}
         Some(other) => return Err(format!("unknown deny class {other:?} (warnings)")),
     }
-    let payload_warn_fraction = flag_value(args, "--payload-warn-fraction")
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|f| (0.0..=1.0).contains(f))
-                .ok_or_else(|| format!("bad value {v:?} for --payload-warn-fraction (0..=1)"))
-        })
-        .transpose()?;
+    let payload_warn_fraction: Option<f64> = optional_flag(args, "--payload-warn-fraction")?;
+    if payload_warn_fraction.is_some_and(|f| !(0.0..=1.0).contains(&f)) {
+        return Err("--payload-warn-fraction must lie in 0..=1".to_string());
+    }
     let opts = analysis::LintOptions {
         capacity: capacity_from_args(args)?,
         server_memory_mb: server_memory_from_args(args)?,
         payload_warn_fraction,
         deployment: deployment_from_args(args)?,
         portal: portal_shape_from_args(args)?,
-        scheduler: scheduler_shape_from_args(args)?,
     };
     let mut report = if looks_like_xmi(text) {
         analysis::lint_xmi_source(text, &opts)
@@ -311,16 +434,11 @@ fn deployment_from_args(args: &[&str]) -> Result<Option<analysis::DeploymentShap
         }
         return Ok(None);
     };
-    let parse_limit = |flag: &str| {
-        flag_value(args, flag)
-            .map(|v| v.parse::<u64>().map_err(|_| format!("bad value {v:?} for {flag}")))
-            .transpose()
-    };
     Ok(Some(analysis::DeploymentShape {
         peer_capacity: raw.parse().map_err(|_| format!("bad peer capacity {raw:?}"))?,
         reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
-        fd_soft_limit: parse_limit("--fd-soft-limit")?,
-        available_cores: parse_limit("--cores")?,
+        fd_soft_limit: optional_flag(args, "--fd-soft-limit")?,
+        available_cores: optional_flag(args, "--cores")?,
     }))
 }
 
@@ -338,11 +456,6 @@ fn portal_shape_from_args(args: &[&str]) -> Result<Option<analysis::PortalShape>
         }
         return Ok(None);
     };
-    let parse_limit = |flag: &str| {
-        flag_value(args, flag)
-            .map(|v| v.parse::<u64>().map_err(|_| format!("bad value {v:?} for {flag}")))
-            .transpose()
-    };
     Ok(Some(analysis::PortalShape {
         max_inflight: raw.parse().map_err(|_| format!("bad portal max-inflight {raw:?}"))?,
         reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
@@ -351,31 +464,9 @@ fn portal_shape_from_args(args: &[&str]) -> Result<Option<analysis::PortalShape>
             "--portal-body-limit",
             computational_neighborhood::portal::http::DEFAULT_MAX_BODY_BYTES as u64,
         )?,
-        fd_soft_limit: parse_limit("--fd-soft-limit")?,
-        available_cores: parse_limit("--cores")?,
-        host_memory_mb: parse_limit("--host-memory")?,
-    }))
-}
-
-/// Parse the scheduler-shape flags for the CN059 steal/fairness check.
-/// `--steal-threshold` is the gate; `--steal-heartbeat-ms` defaults to the
-/// runtime's default heartbeat, and `--fair-quantum` opts into the
-/// deficit-round-robin quantum check.
-fn scheduler_shape_from_args(args: &[&str]) -> Result<Option<analysis::SchedulerShape>, String> {
-    let Some(raw) = flag_value(args, "--steal-threshold") else {
-        for flag in ["--steal-heartbeat-ms", "--fair-quantum"] {
-            if flag_value(args, flag).is_some() {
-                return Err(format!("{flag} requires --steal-threshold"));
-            }
-        }
-        return Ok(None);
-    };
-    Ok(Some(analysis::SchedulerShape {
-        steal_threshold: raw.parse().map_err(|_| format!("bad steal threshold {raw:?}"))?,
-        steal_heartbeat_ms: parsed_flag(args, "--steal-heartbeat-ms", 50)?,
-        fair_quantum_mb: flag_value(args, "--fair-quantum")
-            .map(|v| v.parse::<u64>().map_err(|_| format!("bad value {v:?} for --fair-quantum")))
-            .transpose()?,
+        fd_soft_limit: optional_flag(args, "--fd-soft-limit")?,
+        available_cores: optional_flag(args, "--cores")?,
+        host_memory_mb: optional_flag(args, "--host-memory")?,
     }))
 }
 
@@ -385,7 +476,7 @@ fn explain_code(code: &str) -> Result<(String, i32), String> {
     match analysis::explain(code) {
         Some(ex) => Ok(clean(ex.render())),
         None => Err(format!(
-            "unknown diagnostic code {code:?} (codes run CN000..CN059; try `cnctl lint --explain CN001`)"
+            "unknown diagnostic code {code:?} (codes run CN000..CN058; try `cnctl lint --explain CN001`)"
         )),
     }
 }
@@ -551,9 +642,7 @@ fn write_trace_artifacts(dir: &str, reports: &[check::RunReport]) -> Result<(), 
 fn transform_xmi(text: &str, args: &[&str]) -> Result<String, String> {
     let settings = ClientSettings {
         class: flag_value(args, "--class").map(str::to_string),
-        port: flag_value(args, "--port")
-            .map(|p| p.parse().map_err(|_| format!("bad port {p:?}")))
-            .transpose()?,
+        port: optional_flag(args, "--port")?,
         log: flag_value(args, "--log").map(str::to_string),
     };
     let result = if has_flag(args, "--no-keys") {
@@ -668,10 +757,7 @@ fn run_traced(
     use computational_neighborhood::observe::Recorder;
     use computational_neighborhood::tasks;
 
-    let workers: usize = flag_value(args, "--workers")
-        .map(|w| w.parse().map_err(|_| format!("bad worker count {w:?}")))
-        .transpose()?
-        .unwrap_or(3);
+    let workers: usize = parsed_flag(args, "--workers", 3)?;
     if workers == 0 {
         return Err("need at least one worker".to_string());
     }
@@ -782,11 +868,14 @@ fn wire_config_from_args(
     })
 }
 
+fn optional_flag<T: std::str::FromStr>(args: &[&str], flag: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| v.parse().map_err(|_| format!("bad value {v:?} for {flag}")))
+        .transpose()
+}
+
 fn parsed_flag<T: std::str::FromStr>(args: &[&str], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad value {v:?} for {flag}")),
-    }
+    Ok(optional_flag(args, flag)?.unwrap_or(default))
 }
 
 /// `serve`: host one CNServer (JobManager + TaskManager) on a real TCP
@@ -799,7 +888,7 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     use computational_neighborhood::core::{ArchiveRegistry, CnServer, ServerConfig};
     use computational_neighborhood::observe::{chrome_trace, Recorder};
     use computational_neighborhood::tasks;
-    use computational_neighborhood::wire::{FabricHandle, SocketFabric, WireConfig};
+    use computational_neighborhood::wire::{SocketFabric, WireConfig};
     use std::sync::Arc;
 
     let port: u16 = parsed_flag(args, "--port", 0)?;
@@ -813,9 +902,7 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
             )
         })?,
     };
-    let run_for: Option<u64> = flag_value(args, "--run-for")
-        .map(|v| v.parse().map_err(|_| format!("bad value {v:?} for --run-for")))
-        .transpose()?;
+    let run_for: Option<u64> = optional_flag(args, "--run-for")?;
     let cfg = WireConfig { port, ..wire_config_from_args(args)? };
 
     let rec = Recorder::new();
@@ -832,7 +919,7 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     let server = CnServer::spawn(
         &name,
         node,
-        FabricHandle::new(fabric),
+        Arc::new(fabric),
         registry,
         spaces,
         ServerConfig { policy, ..ServerConfig::default() },
@@ -871,7 +958,7 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
     };
     use computational_neighborhood::observe::{chrome_trace, journal_jsonl_filtered, Recorder};
     use computational_neighborhood::tasks::{floyd_sequential, Matrix};
-    use computational_neighborhood::wire::{FabricHandle, SocketFabric};
+    use computational_neighborhood::wire::SocketFabric;
     use std::sync::Arc;
 
     let src = positional(args, 0)
@@ -893,7 +980,7 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
         .map_err(|e| format!("bind: {e}"))?;
     let port = fabric.port();
     let api = CnApi::over(
-        FabricHandle::new(fabric),
+        Arc::new(fabric),
         Arc::new(SpaceRegistry::with_recorder(&rec)),
         ClientConfig::default(),
     );
@@ -965,9 +1052,7 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
     };
     let timeout = Duration::from_secs(parsed_flag(args, "--timeout", 60)?);
     let digraph_seed: u64 = parsed_flag(args, "--seed", EXAMPLE_DIGRAPH_SEED)?;
-    let run_for: Option<u64> = flag_value(args, "--run-for")
-        .map(|v| v.parse().map_err(|_| format!("bad value {v:?} for --run-for")))
-        .transpose()?;
+    let run_for: Option<u64> = optional_flag(args, "--run-for")?;
 
     let runner: Arc<dyn JobRunner> = match flag_value(args, "--sim") {
         Some(n) => {
@@ -1232,6 +1317,79 @@ mod tests {
         assert_eq!(flag_value(&args, "--lang"), Some("java"));
         assert!(has_flag(&args, "--no-keys"));
         assert_eq!(flag_value(&args, "--missing"), None);
+        // A flag's value is not a positional, even one that looks like a
+        // path; a bare switch takes no value.
+        assert_eq!(positional(&["--out", "t.json", "examples"], 0), Some("examples"));
+        assert_eq!(positional(&["--no-batch", "examples", "--journal", "j"], 0), Some("examples"));
+        assert_eq!(positional(&["--out", "t.json"], 0), None);
+        // Nor is a value that spells a flag that flag.
+        assert_eq!(flag_value(&["--name", "--port", "--port", "7"], "--port"), Some("7"));
+    }
+
+    fn run_strs(args: &[&str]) -> Result<(String, i32), String> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    const FIGURE2_CNX: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/figure2.cnx");
+
+    #[test]
+    fn flags_before_the_file_do_not_hide_it() {
+        let (out, code) = run_strs(&["lint", "--format", "json", FIGURE2_CNX]).unwrap();
+        assert_eq!(code, 0, "{out}");
+        assert!(out.starts_with("{\"diagnostics\":["), "{out}");
+        assert_eq!(run_strs(&["lint", FIGURE2_CNX, "--format", "json"]).unwrap(), (out, code));
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_take_is_an_error() {
+        let err = run_strs(&["serve", "--slot", "4", "--run-for", "0"]).unwrap_err();
+        assert!(err.contains("serve") && err.contains("--slot"), "{err}");
+        // The scheduler-shape lint's gate flag went with the lint (spelled
+        // in halves so a grep of the tree for the retired flags stays empty).
+        let retired = concat!("--steal", "-threshold");
+        let err = run_strs(&["lint", FIGURE2_CNX, retired, "2"]).unwrap_err();
+        assert!(err.contains("lint") && err.contains(retired), "{err}");
+        // Another subcommand's flag is not this one's.
+        let err = run_strs(&["stats", "examples", "--out", "t.json"]).unwrap_err();
+        assert!(err.contains("stats") && err.contains("--out"), "{err}");
+        // A valued flag left without its value does not pass for a switch.
+        let err = run_strs(&["trace", "examples", "--out"]).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+    }
+
+    /// The usage block at the top of this file documents, on each
+    /// subcommand's own lines, every flag [`FLAGS`] lets it take.
+    #[test]
+    fn usage_block_documents_every_flag() {
+        let usage: Vec<&str> = include_str!("cnctl.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"))
+            .map(str::trim_start)
+            .collect();
+        for (command, flags) in FLAGS {
+            assert!(USAGE.contains(command), "{command} is missing from USAGE");
+            // A subcommand's entry: its `cnctl <command>` lines, each with
+            // the bracketed continuation lines under it.
+            let mut entry = String::new();
+            let mut inside = false;
+            for line in &usage {
+                if let Some(rest) = line.strip_prefix("cnctl ") {
+                    inside = rest.split_whitespace().next() == Some(command);
+                } else if !line.starts_with('[') {
+                    inside = false;
+                }
+                if inside {
+                    entry.push_str(line);
+                    entry.push(' ');
+                }
+            }
+            assert!(!entry.is_empty(), "the usage block has no entry for {command}");
+            let words: Vec<&str> =
+                entry.split(|c: char| !c.is_ascii_alphanumeric() && c != '-').collect();
+            for flag in *flags {
+                assert!(words.contains(flag), "usage of `cnctl {command}` lacks {flag}: {entry}");
+            }
+        }
     }
 
     #[test]

@@ -52,3 +52,47 @@ pub use cn_wire as wire;
 pub use cn_xml as xml;
 pub use cn_xpath as xpath;
 pub use cn_xslt as xslt;
+
+#[cfg(test)]
+mod docs_sync {
+    use std::path::Path;
+
+    /// The backticked names of a DESIGN.md table row's last column.
+    fn modules_of(row: &str) -> Vec<&str> {
+        let last = row.trim_end().trim_end_matches('|').rsplit('|').next().unwrap_or("");
+        last.split('`').skip(1).step_by(2).collect()
+    }
+
+    /// DESIGN.md §3 and the tree must not drift apart: every directory
+    /// under `crates/` has a row, the facade has one, and every module a
+    /// row names exists as `src/<m>.rs` or `src/<m>/`.
+    #[test]
+    fn design_md_crate_inventory_matches_the_tree() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+        let mut packages = vec![(root.to_path_buf(), "root `computational-neighborhood`".into())];
+        for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+            let dir = entry.expect("dir entry").path();
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("read manifest");
+            let name = manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+                .expect("package name");
+            packages.push((dir, format!("`{name}`")));
+        }
+        for (dir, label) in packages {
+            let rows: Vec<&str> =
+                design.lines().filter(|l| l.starts_with(&format!("| {label} |"))).collect();
+            assert_eq!(rows.len(), 1, "expected exactly one DESIGN.md §3 row for {label}");
+            let modules = modules_of(rows[0]);
+            assert!(!modules.is_empty(), "the row for {label} names no module");
+            for m in modules {
+                let src = dir.join("src");
+                assert!(
+                    src.join(format!("{m}.rs")).is_file() || src.join(m).is_dir(),
+                    "DESIGN.md §3 names module `{m}` of {label}, which does not exist"
+                );
+            }
+        }
+    }
+}

@@ -90,7 +90,7 @@ fn explain_golden_cn050() {
 /// explain successfully through the CLI, and unknown codes must fail.
 #[test]
 fn explain_covers_every_code() {
-    for code in computational_neighborhood::analysis::engine::ALL_CODES {
+    for code in computational_neighborhood::analysis::explain::ALL_CODES {
         let (stdout, exit) = run_cnctl(&["lint", "--explain", code]);
         assert_eq!(exit, 0, "{code}:\n{stdout}");
         assert!(stdout.starts_with(&format!("{code}: ")), "{code}:\n{stdout}");

@@ -339,70 +339,3 @@ fn deny_warnings_changes_exit_code_only_when_warned() {
     // Promotion rewrites severities, so the denied rendering must differ.
     assert_ne!(plain, denied);
 }
-
-/// CN059: scheduler knobs sized wrong for the Figure-2 descriptor — a
-/// steal threshold no run queue can reach, a heartbeat staler than the
-/// job, and a fairness quantum below the largest task cost — all three
-/// warn, pinned by a golden. Fitting knobs stay quiet, and the degenerate
-/// zero values warn on their own axis.
-#[test]
-fn lint_json_golden_scheduler_shape() {
-    let path = fixture("figure2.cnx");
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--steal-threshold",
-        "64",
-        "--steal-heartbeat-ms",
-        "60000",
-        "--fair-quantum",
-        "100",
-    ]);
-    assert_eq!(code, 2, "CN059 is a warning, so exit 2:\n{stdout}");
-    assert!(stdout.contains("\"code\":\"CN059\""), "{stdout}");
-    check_golden(&golden("scheduler_shape_lint.json"), &stdout);
-
-    // Knobs matched to the workload keep the descriptor clean.
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--steal-threshold",
-        "2",
-        "--steal-heartbeat-ms",
-        "50",
-        "--fair-quantum",
-        "1000",
-    ]);
-    assert_eq!(code, 0, "fitting scheduler shape must stay quiet:\n{stdout}");
-
-    // The degenerate zeros are their own failure modes: thrash and storm.
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--steal-threshold",
-        "0",
-        "--steal-heartbeat-ms",
-        "0",
-    ]);
-    assert_eq!(code, 2, "{stdout}");
-    assert!(stdout.contains("raid victim"), "{stdout}");
-    assert!(stdout.contains("no throttle"), "{stdout}");
-
-    // The code is documented: `--explain CN059` renders its rationale.
-    let (stdout, code) = run_cnctl(&["lint", "--explain", "CN059"]);
-    assert_eq!(code, 0);
-    assert!(stdout.starts_with("CN059:"), "{stdout}");
-
-    // Dependent flags without the gate are usage errors, not no-ops.
-    for bad in [&["--fair-quantum", "512"][..], &["--steal-threshold", "deep"][..]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_cnctl"))
-            .arg("lint")
-            .arg(path.to_str().unwrap())
-            .args(bad)
-            .output()
-            .expect("run cnctl");
-        assert!(!out.status.success(), "expected failure for {bad:?}");
-    }
-}

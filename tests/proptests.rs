@@ -379,7 +379,7 @@ proptest! {
 
 // ---------- Lint engine -------------------------------------------------------
 
-use computational_neighborhood::analysis::{Engine, LintOptions};
+use computational_neighborhood::analysis::{lint_cnx, LintOptions};
 
 fn doc_of(job: CnxJob) -> cnx::CnxDocument {
     let mut client = cnx::Client::new("PropClient");
@@ -408,8 +408,8 @@ proptest! {
     fn lint_is_deterministic_across_runs(job in arb_job_with_extra_task()) {
         let doc = doc_of(job);
         let opts = LintOptions::default();
-        let a = Engine::with_default_passes().lint_cnx(&doc, &opts);
-        let b = Engine::with_default_passes().lint_cnx(&doc, &opts);
+        let a = lint_cnx(&doc, &opts);
+        let b = lint_cnx(&doc, &opts);
         prop_assert_eq!(a.to_text(), b.to_text());
         prop_assert_eq!(a.to_json(), b.to_json());
     }
@@ -420,7 +420,7 @@ proptest! {
         // must agree on everything except source positions.
         let doc = doc_of(job);
         let opts = LintOptions::default();
-        let direct = Engine::with_default_passes().lint_cnx(&doc, &opts);
+        let direct = lint_cnx(&doc, &opts);
         let reparsed = computational_neighborhood::analysis::lint_cnx_source(
             &cnx::write_cnx(&doc),
             &opts,
@@ -440,11 +440,11 @@ proptest! {
     #[test]
     fn lint_is_stable_under_task_reordering(job in arb_job_with_extra_task(), rot in 0usize..8) {
         let opts = LintOptions::default();
-        let base = Engine::with_default_passes().lint_cnx(&doc_of(job.clone()), &opts);
+        let base = lint_cnx(&doc_of(job.clone()), &opts);
 
         let mut reversed = job.clone();
         reversed.tasks.reverse();
-        let rev = Engine::with_default_passes().lint_cnx(&doc_of(reversed), &opts);
+        let rev = lint_cnx(&doc_of(reversed), &opts);
         prop_assert_eq!(base.to_json(), rev.to_json());
 
         let mut rotated = job.clone();
@@ -452,7 +452,7 @@ proptest! {
             let k = rot % rotated.tasks.len();
             rotated.tasks.rotate_left(k);
         }
-        let rot_report = Engine::with_default_passes().lint_cnx(&doc_of(rotated), &opts);
+        let rot_report = lint_cnx(&doc_of(rotated), &opts);
         prop_assert_eq!(base.to_json(), rot_report.to_json());
     }
 }

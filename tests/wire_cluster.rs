@@ -6,6 +6,7 @@
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use computational_neighborhood::cluster::NodeSpec;
@@ -15,7 +16,7 @@ use computational_neighborhood::core::{
 };
 use computational_neighborhood::observe::{journal_jsonl_filtered, Recorder, Severity};
 use computational_neighborhood::tasks::{self, random_digraph, seed_input};
-use computational_neighborhood::wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
+use computational_neighborhood::wire::{Discovery, SocketFabric, WireConfig};
 
 const CNCTL: &str = env!("CARGO_BIN_EXE_cnctl");
 
@@ -214,8 +215,8 @@ fn killing_a_serve_worker_surfaces_typed_error_and_flight_events() {
     };
     let fabric = SocketFabric::new(cfg, rec.clone()).expect("client fabric");
     let api = CnApi::over(
-        FabricHandle::new(fabric),
-        std::sync::Arc::new(computational_neighborhood::core::spaces::SpaceRegistry::new()),
+        Arc::new(fabric),
+        Arc::new(computational_neighborhood::core::spaces::SpaceRegistry::new()),
         ClientConfig { ack_timeout: Duration::from_secs(2), ..ClientConfig::default() },
     );
 
