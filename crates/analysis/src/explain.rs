@@ -264,9 +264,9 @@ diagnostics! {
          --reactor-shards.";
     PORTAL_CAPACITY = "CN058" =>
         "portal deployment shape exceeds the host's capacity",
-        "Every submission the portal admits pins file descriptors — the \
-         HTTP connection that posted it plus the job's own wire client \
-         fabric (listener, discovery sockets, worker peers) — so \
+        "Every submission the portal admits pins the HTTP connection that \
+         posted it, on top of what the process holds once (its listener, \
+         reactor and the one client fabric every job runs on), so \
          --max-inflight near the process fd soft limit makes accepts and \
          submits fail exactly when the portal is busiest. Reactor shards \
          beyond the available cores add wakeups without parallelism, and \

@@ -411,23 +411,25 @@ pub fn reactor_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 /// Non-submission fds a portal process holds: stdio, the HTTP listener,
-/// and per shard an epoll fd plus its wakeup eventfd.
+/// per shard an epoll fd plus its wakeup eventfd, and the one client fabric
+/// every job runs on — its TCP listener, UDP recv/send pair, a reactor of
+/// as many shards, and a connection each way to each of at least three
+/// workers.
 fn portal_overhead_fds(shards: u64) -> u64 {
-    3 + 1 + 2 * shards
+    let client_fabric = 1 + 2 + 2 * shards + 2 * 3;
+    3 + 1 + 2 * shards + client_fabric
 }
 
 /// Fds one in-flight submission can pin: the HTTP connection that posted
-/// it plus the job's own wire client fabric (TCP listener, UDP recv/send,
-/// and at least three worker peer connections on a minimal cluster).
-const FDS_PER_INFLIGHT_JOB: u64 = 1 + 3 + 3;
+/// it.
+const FDS_PER_INFLIGHT_JOB: u64 = 1;
 
 /// CN058: the portal's deployment shape exceeds what its host can hold.
 ///
 /// Every in-flight submission the portal admits holds an HTTP connection
-/// fd, and each executing job opens a wire client fabric of its own (a
-/// TCP listener, UDP discovery sockets, and per-worker peer connections),
-/// so `--max-inflight` near the fd soft limit makes accepts and connects
-/// fail exactly when the portal is busiest. `--reactor-shards` beyond the
+/// fd on top of what the process holds once (its listener and reactor, and
+/// the client fabric all jobs share), so `--max-inflight` near the fd soft
+/// limit makes accepts fail exactly when the portal is busiest. `--reactor-shards` beyond the
 /// core count adds wakeups without parallelism (same physics as CN057),
 /// and `max_inflight × body-limit` bounds the memory queued request
 /// bodies can pin — a cap worth checking against the host's budget before
@@ -456,7 +458,7 @@ pub fn portal_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
                 codes::PORTAL_CAPACITY,
                 Severity::Warning,
                 format!(
-                    "portal admits {} in-flight submission(s), each pinning ~{FDS_PER_INFLIGHT_JOB} fd(s) (HTTP connection + the job's wire client fabric), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and submits will fail under load (lower --max-inflight or raise the limit)",
+                    "portal admits {} in-flight submission(s), each pinning {FDS_PER_INFLIGHT_JOB} fd (its HTTP connection), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and submits will fail under load (lower --max-inflight or raise the limit)",
                     portal.max_inflight
                 ),
             ));

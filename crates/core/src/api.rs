@@ -120,19 +120,27 @@ impl CnApi {
     }
 
     pub fn with_config(neighborhood: &Neighborhood, config: ClientConfig) -> CnApi {
-        CnApi::over(neighborhood.fabric(), neighborhood.spaces(), config)
+        CnApi::over(
+            neighborhood.fabric(),
+            neighborhood.spaces(),
+            config,
+            neighborhood.recorder().clone(),
+        )
     }
 
     /// Build a CN API directly over any transport fabric. This is the
     /// entry point for multi-process deployments: `cnctl submit` hands it
     /// a [`cn_wire::SocketFabric`] and a fresh client-local space
-    /// registry, and the same protocol runs over real sockets.
+    /// registry, and the same protocol runs over real sockets. The API and
+    /// its jobs record into `rec`, which need not be the fabric's: the
+    /// portal keeps one fabric for the life of the process and gives each
+    /// job a recorder of its own.
     pub fn over(
         net: FabricHandle<NetMsg>,
         spaces: Arc<SpaceRegistry>,
         config: ClientConfig,
+        rec: Recorder,
     ) -> CnApi {
-        let rec = net.recorder().clone();
         CnApi {
             net,
             spaces,
@@ -146,8 +154,7 @@ impl CnApi {
         }
     }
 
-    /// The recorder this API (and its job handles) records into — the
-    /// fabric's recorder.
+    /// The recorder this API (and its job handles) records into.
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
@@ -212,6 +219,7 @@ impl CnApi {
             task_names: Vec::new(),
             placements: Vec::new(),
             started: false,
+            held: false,
             space: self.spaces.get_or_create(job),
             spaces: Arc::clone(&self.spaces),
             stash: Vec::new(),
@@ -232,6 +240,7 @@ impl CnApi {
         )? {
             NetMsg::JobAck { accepted: true, .. } => {
                 self.c_jobs.inc();
+                handle.held = true;
                 Ok(handle)
             }
             NetMsg::JobAck { reason, .. } => Err(ClientError::JobRejected(reason)),
@@ -257,6 +266,9 @@ pub struct JobHandle {
     /// placement policies.
     placements: Vec<(String, String)>,
     started: bool,
+    /// The JobManager accepted the job and has not reported its end: a
+    /// handle dropped now abandons a job that still holds its placements.
+    held: bool,
     space: Arc<TupleSpace>,
     spaces: Arc<SpaceRegistry>,
     /// Messages received while waiting for protocol acks.
@@ -280,7 +292,11 @@ pub struct JobHandle {
 
 impl Drop for JobHandle {
     fn drop(&mut self) {
-        // Idempotent: wait()/cancel() have usually unregistered already.
+        // An abandoned job would keep every slot and megabyte it was placed
+        // on: tell its JobManager, without waiting for it to agree.
+        if self.held {
+            self.net.post(self.addr, self.jm, NetMsg::CancelJob { job: self.job });
+        }
         self.net.unregister(self.addr);
         self.spaces.remove(self.job);
         for (_, span) in self.shadow.drain() {
@@ -542,7 +558,8 @@ impl JobHandle {
 
     /// Cancel the job: every running task is interrupted (it observes
     /// [`crate::RecvError::Shutdown`] at its next receive) and the
-    /// JobManager reports the job as failed. Consumes the handle.
+    /// JobManager reports the job as failed. Consumes the handle; the
+    /// endpoint and the job's space go with it (`impl Drop`).
     pub fn cancel(mut self, timeout: Duration) -> Result<(), ClientError> {
         self.net
             .send(self.addr, self.jm, NetMsg::CancelJob { job: self.job })
@@ -555,16 +572,14 @@ impl JobHandle {
             }
             match self.recv_message(remaining)? {
                 CnMessage::JobFailed { .. } => {
-                    self.spaces.remove(self.job);
-                    self.net.unregister(self.addr);
+                    self.held = false;
                     self.rec.event_job(Severity::Warn, "job", self.job.0, "cancelled by client");
                     self.rec.span_end(self.span.take());
                     return Ok(());
                 }
                 CnMessage::JobCompleted { .. } => {
                     // The job finished before the cancel arrived.
-                    self.spaces.remove(self.job);
-                    self.net.unregister(self.addr);
+                    self.held = false;
                     self.rec.span_end(self.span.take());
                     return Ok(());
                 }
@@ -584,14 +599,12 @@ impl JobHandle {
             }
             match self.recv_message(remaining)? {
                 CnMessage::JobCompleted { results } => {
-                    self.spaces.remove(self.job);
-                    self.net.unregister(self.addr);
+                    self.held = false;
                     self.rec.span_end(self.span.take());
                     return Ok(JobReport { results, events, elapsed: start.elapsed() });
                 }
                 CnMessage::JobFailed { error } => {
-                    self.spaces.remove(self.job);
-                    self.net.unregister(self.addr);
+                    self.held = false;
                     self.rec.event_with(Severity::Error, "job", Some(self.job.0), || {
                         format!("job failed: {error}")
                     });

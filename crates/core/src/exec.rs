@@ -191,8 +191,9 @@ pub fn execute_with_api_seeded(
         let mut job = api.create_job(&JobRequirements::default())?;
         if let Err(e) = job.add_tasks(job_decl.tasks.iter().map(TaskSpec::from_cnx).collect()) {
             // The tasks that were placed hold their slots and memory until
-            // the JobManager hears the job is off; a dropped handle says
-            // nothing.
+            // the JobManager hears the job is off. A dropped handle posts
+            // that too, but only `cancel` returns once it was heard — a
+            // `cnctl submit` about to exit may close its fabric first.
             let _ = job.cancel(timeout);
             return Err(e.into());
         }

@@ -685,6 +685,26 @@ mod tests {
         nb.shutdown();
     }
 
+    /// A client that drops its handle gives the job up: the handle tells the
+    /// JobManager, and whatever the job had placed comes back.
+    #[test]
+    fn a_dropped_handle_releases_what_its_job_had_placed() {
+        let nb = deploy(3);
+        let api = CnApi::initialize(&nb);
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        job.add_tasks((0..6).map(|i| TaskSpec::new(format!("t{i}"), "echo.jar", "Echo")).collect())
+            .unwrap();
+        let full = |n: &NodeHandle| (n.free_slots(), n.free_memory_mb()) == (4, 4000);
+        assert!(!nb.nodes().iter().all(full));
+        drop(job);
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while !nb.nodes().iter().all(full) {
+            assert!(std::time::Instant::now() < deadline, "the abandoned job kept its placements");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        nb.shutdown();
+    }
+
     #[test]
     fn all_nodes_down_means_no_managers() {
         let nb = deploy(2);

@@ -10,18 +10,20 @@
 //! places admitted tasks a round at a time (one solicitation per round, see
 //! [`Round`]), manages job DAGs and relays task lifecycle messages to the
 //! client; the TaskManager half bids for tasks, receives archive uploads,
-//! sets up per-task message queues and runs each task in its own thread
-//! (`RUN_AS_THREAD_IN_TM`). Nothing waits inside a handler: an open bid
+//! sets up per-task message queues and runs each task in a thread of its own
+//! (`RUN_AS_THREAD_IN_TM`), one a finished task left parked when there is
+//! one (`TaskPool`). Nothing waits inside a handler: an open bid
 //! window and every outstanding assignment are entries of the loop, each
 //! with a deadline the loop's receive honours.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope, NodeHandle};
 use cn_observe::{Counter, Gauge, Recorder, Severity};
-use cn_sync::channel::{Receiver, RecvTimeoutError};
+use cn_sync::channel::{Receiver, RecvTimeoutError, Sender};
 use cn_sync::thread::JoinHandle;
 use cn_wire::FabricHandle;
 
@@ -98,47 +100,8 @@ impl CnServer {
         config: ServerConfig,
     ) -> CnServer {
         let name = name.into();
-        let (addr, rx) = net.register();
-        net.join_group(addr, cn_cluster::DISCOVERY_GROUP);
-        let rec = net.recorder().clone();
-        let state = ServerState {
-            name: name.clone(),
-            addr,
-            pump: MsgPump::new(rx),
-            node,
-            registry,
-            spaces,
-            config,
-            jm_jobs: HashMap::new(),
-            tm_tasks: HashMap::new(),
-            uploaded: HashSet::new(),
-            rr: RoundRobin::new(),
-            fairq: FairQueue::new(FAIR_QUANTUM_MB),
-            round: None,
-            run_queue: VecDeque::new(),
-            running: 0,
-            dispatch_ewma: Ewma::default(),
-            peer_loads: HashMap::new(),
-            steal_pending: None,
-            steal_endpoint: None,
-            last_reported: None,
-            last_report_at: None,
-            c_jm_bids: rec.counter("server.jm_bids_sent"),
-            c_tm_bids: rec.counter("server.tm_bids_sent"),
-            c_task_solicits: rec.counter("server.task_solicitations"),
-            c_rounds: rec.counter("server.placement_rounds"),
-            c_assigns: rec.counter("server.assigns_sent"),
-            c_tasks_started: rec.counter("server.tasks_started"),
-            c_tasks_completed: rec.counter("server.tasks_completed"),
-            c_tasks_failed: rec.counter("server.tasks_failed"),
-            c_steals: rec.counter("server.steals"),
-            c_steal_requests: rec.counter("server.steal_requests"),
-            c_steal_returns: rec.counter("server.steal_returns"),
-            g_queue_depth: rec.gauge("server.run_queue_depth"),
-            g_inflight: rec.gauge("server.tasks_inflight"),
-            rec,
-            net: net.clone(),
-        };
+        let state = ServerState::new(name.clone(), node, net.clone(), registry, spaces, config);
+        let addr = state.addr;
         let thread = cn_sync::thread::Builder::new()
             .name(format!("cnserver-{name}"))
             .spawn(move || state.run())
@@ -186,7 +149,7 @@ struct TmTask {
     reservation: Option<cn_cluster::node::Reservation>,
     /// `StartTask` received (dedup guard).
     started: bool,
-    /// Task thread spawned. `started && !launched` means the task sits in
+    /// Task handed to a thread. `started && !launched` means the task sits in
     /// the run queue waiting for an execution slot.
     launched: bool,
     /// Directory + client held while the task waits in the run queue.
@@ -282,6 +245,93 @@ impl Round {
     }
 }
 
+/// How long a parked task thread waits for its next task before it exits.
+const TASK_THREAD_IDLE: Duration = Duration::from_secs(10);
+
+/// A task's turn on a pool thread: it runs the task and returns the task's
+/// report, which the thread sends once it is parked again — so a launch the
+/// report makes possible (the next task of the DAG, the next job) finds the
+/// thread waiting instead of spawning another.
+type TaskRun = Box<dyn FnOnce() -> Box<dyn FnOnce() + Send> + Send>;
+
+/// Starts a thread named by the first argument running the second.
+type SpawnThread = fn(String, Box<dyn FnOnce() + Send>) -> std::io::Result<()>;
+
+/// The threads a server runs its tasks on. A finished task's thread parks
+/// for the next launch instead of exiting; a launch hands its run to a
+/// parked thread, or spawns one when none is. The pool never holds a task
+/// back: a Figure-3 worker blocks on its peers' rows, and a pool smaller
+/// than a job's blocked tasks would deadlock it. Where `exec_slots` is set
+/// the run queue already bounds it to that many threads. Parked threads
+/// exit after [`TASK_THREAD_IDLE`], and when the server drops the pool.
+struct TaskPool {
+    name: String,
+    /// Runs handed to parked threads; every thread receives on `parked_rx`.
+    runs: Sender<TaskRun>,
+    parked_rx: Receiver<TaskRun>,
+    /// Parked threads no launch has claimed yet.
+    parked: Arc<AtomicUsize>,
+    /// Starts a thread (a test refuses to).
+    spawn: SpawnThread,
+    c_spawned: Counter,
+    c_reused: Counter,
+}
+
+impl TaskPool {
+    fn new(server: &str, rec: &Recorder) -> TaskPool {
+        let (runs, parked_rx) = cn_sync::channel::unbounded_named("server.task_pool");
+        TaskPool {
+            name: format!("task-{server}"),
+            runs,
+            parked_rx,
+            parked: Arc::new(AtomicUsize::new(0)),
+            spawn: |name, main| cn_sync::thread::Builder::new().name(name).spawn(main).map(drop),
+            c_spawned: rec.counter("server.task_threads_spawned"),
+            c_reused: rec.counter("server.task_threads_reused"),
+        }
+    }
+
+    /// Run `run` on a parked thread, or on a new one. A refused spawn is
+    /// returned; `run`, and whatever it holds, is dropped with it.
+    fn launch(&self, run: TaskRun) -> std::io::Result<()> {
+        if claim(&self.parked) {
+            self.c_reused.inc();
+            // Cannot fail: the pool holds a receiver.
+            let _ = self.runs.send(run);
+            return Ok(());
+        }
+        let (runs, parked) = (self.parked_rx.clone(), Arc::clone(&self.parked));
+        (self.spawn)(self.name.clone(), Box::new(move || pool_thread(run, &runs, &parked)))?;
+        self.c_spawned.inc();
+        Ok(())
+    }
+}
+
+/// Take one unit of `parked`, if there is one.
+fn claim(parked: &AtomicUsize) -> bool {
+    parked.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok()
+}
+
+/// A pool thread: run, park, report, wait for the next run.
+fn pool_thread(mut run: TaskRun, runs: &Receiver<TaskRun>, parked: &AtomicUsize) {
+    loop {
+        let report = run();
+        parked.fetch_add(1, Ordering::SeqCst);
+        report();
+        run = loop {
+            match runs.recv_timeout(TASK_THREAD_IDLE) {
+                Ok(next) => break next,
+                // Leave only with a unit of our own: if a launch claimed the
+                // last one, its run is on the way.
+                Err(RecvTimeoutError::Timeout) if claim(parked) => return,
+                Err(RecvTimeoutError::Timeout) => {}
+                // The server dropped the pool.
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+        };
+    }
+}
+
 struct ServerState {
     name: String,
     addr: Addr,
@@ -305,6 +355,8 @@ struct ServerState {
     run_queue: VecDeque<(JobId, String)>,
     /// Task threads currently executing (launched, not yet exited).
     running: usize,
+    /// The threads tasks run on.
+    pool: TaskPool,
     /// Enqueue→launch latency smoother; third component of [`LoadSignal`].
     dispatch_ewma: Ewma,
     /// Last load signal heard from each peer server (steal mode only).
@@ -337,6 +389,60 @@ struct ServerState {
 }
 
 impl ServerState {
+    /// A server for `node` with its endpoint registered and joined to the
+    /// discovery group, ready to [`ServerState::run`].
+    fn new(
+        name: String,
+        node: NodeHandle,
+        net: FabricHandle<NetMsg>,
+        registry: Arc<ArchiveRegistry>,
+        spaces: Arc<SpaceRegistry>,
+        config: ServerConfig,
+    ) -> ServerState {
+        let (addr, rx) = net.register();
+        net.join_group(addr, cn_cluster::DISCOVERY_GROUP);
+        let rec = net.recorder().clone();
+        ServerState {
+            pool: TaskPool::new(&name, &rec),
+            name,
+            addr,
+            pump: MsgPump::new(rx),
+            node,
+            registry,
+            spaces,
+            config,
+            jm_jobs: HashMap::new(),
+            tm_tasks: HashMap::new(),
+            uploaded: HashSet::new(),
+            rr: RoundRobin::new(),
+            fairq: FairQueue::new(FAIR_QUANTUM_MB),
+            round: None,
+            run_queue: VecDeque::new(),
+            running: 0,
+            dispatch_ewma: Ewma::default(),
+            peer_loads: HashMap::new(),
+            steal_pending: None,
+            steal_endpoint: None,
+            last_reported: None,
+            last_report_at: None,
+            c_jm_bids: rec.counter("server.jm_bids_sent"),
+            c_tm_bids: rec.counter("server.tm_bids_sent"),
+            c_task_solicits: rec.counter("server.task_solicitations"),
+            c_rounds: rec.counter("server.placement_rounds"),
+            c_assigns: rec.counter("server.assigns_sent"),
+            c_tasks_started: rec.counter("server.tasks_started"),
+            c_tasks_completed: rec.counter("server.tasks_completed"),
+            c_tasks_failed: rec.counter("server.tasks_failed"),
+            c_steals: rec.counter("server.steals"),
+            c_steal_requests: rec.counter("server.steal_requests"),
+            c_steal_returns: rec.counter("server.steal_returns"),
+            g_queue_depth: rec.gauge("server.run_queue_depth"),
+            g_inflight: rec.gauge("server.tasks_inflight"),
+            rec,
+            net,
+        }
+    }
+
     fn run(mut self) {
         loop {
             match self.pump.next_before(self.next_deadline()) {
@@ -761,7 +867,7 @@ impl ServerState {
         }
     }
 
-    /// Run an assigned task on its own thread.
+    /// Run an assigned task on a thread of the pool.
     fn launch_task(
         &mut self,
         job: JobId,
@@ -793,99 +899,102 @@ impl ServerState {
         let c_started = self.c_tasks_started.clone();
         let c_completed = self.c_tasks_completed.clone();
         let c_failed = self.c_tasks_failed.clone();
-        // Detached: a task holds its own clones of the network/registry,
-        // reports its end with `TaskExited`, and must not keep shutdown
-        // waiting on input that will never arrive.
-        cn_sync::thread::Builder::new()
-            .name(format!("task-{}-{}", job.0, spec.name))
-            .spawn(move || {
-                let mut instance = match registry.instantiate(&spec.jar, &spec.class) {
-                    Ok(i) => i,
-                    Err(e) => {
-                        // Release capacity before reporting: a client that
-                        // observes the failure may immediately inspect nodes.
-                        drop(reservation);
-                        c_failed.inc();
-                        rec.event_with(Severity::Error, "task", Some(job.0), || {
-                            format!("[{server_name}] could not instantiate {:?}: {e}", spec.name)
-                        });
-                        let _ = net.send(
-                            endpoint,
-                            jm,
-                            NetMsg::TaskFailed {
-                                job,
-                                task: spec.name.clone(),
-                                error: format!("[{server_name}] {e}"),
-                            },
-                        );
-                        let _ = net.send(
-                            endpoint,
-                            local_tm,
-                            NetMsg::TaskExited { job, task: spec.name.clone() },
-                        );
-                        net.unregister(endpoint);
-                        return;
+        // A task holds its own clones of the network/registry and reports
+        // its end with `TaskExited`; pool threads are never joined, so a task
+        // waiting on input that will never arrive does not hold up shutdown.
+        let run: TaskRun = Box::new(move || {
+            let end = match registry.instantiate(&spec.jar, &spec.class) {
+                Err(e) => {
+                    // Release capacity before reporting: a client that
+                    // observes the failure may immediately inspect nodes.
+                    drop(reservation);
+                    c_failed.inc();
+                    rec.event_with(Severity::Error, "task", Some(job.0), || {
+                        format!("[{server_name}] could not instantiate {:?}: {e}", spec.name)
+                    });
+                    NetMsg::TaskFailed {
+                        job,
+                        task: spec.name.clone(),
+                        error: format!("[{server_name}] {e}"),
                     }
-                };
-                let _ =
-                    net.send(endpoint, jm, NetMsg::TaskStarted { job, task: spec.name.clone() });
-                c_started.inc();
-                let span = rec.span_start_job(
-                    "task",
-                    &spec.name,
-                    rec.job_span(job.0),
-                    Some(job.0),
-                    Some(&spec.name),
-                );
-                let mut ctx = TaskContext {
-                    job,
-                    name: spec.name.clone(),
-                    params: spec.params.clone(),
-                    net: net.clone(),
-                    addr: endpoint,
-                    rx,
-                    directory,
-                    space,
-                    stash: Vec::new(),
-                    work_scale,
-                };
-                // A panic in user code is one more way for the task to fail:
-                // unwinding past here would skip every report below, leaving
-                // the job waiting and the slot, reservation and endpoint held.
-                let run = std::panic::AssertUnwindSafe(|| instance.run(&mut ctx));
-                let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-                    Err(TaskError::new(format!("panicked: {}", panic_text(&*payload))))
-                });
-                // The task span must close before TaskCompleted/TaskFailed is
-                // sent: the JobManager forwards completion to the client, which
-                // may immediately close the enclosing job span.
-                rec.span_end(span);
-                // Release the node reservation before TaskCompleted goes out:
-                // the client unblocks on JobCompleted and may assert that all
-                // slots/memory are free, so the release must happen first.
-                drop(reservation);
-                let msg = match outcome {
-                    Ok(result) => {
-                        c_completed.inc();
-                        NetMsg::TaskCompleted { job, task: spec.name.clone(), result }
+                }
+                Ok(mut instance) => {
+                    let _ = net.send(
+                        endpoint,
+                        jm,
+                        NetMsg::TaskStarted { job, task: spec.name.clone() },
+                    );
+                    c_started.inc();
+                    let span = rec.span_start_job(
+                        "task",
+                        &spec.name,
+                        rec.job_span(job.0),
+                        Some(job.0),
+                        Some(&spec.name),
+                    );
+                    let mut ctx = TaskContext {
+                        job,
+                        name: spec.name.clone(),
+                        params: spec.params.clone(),
+                        net: net.clone(),
+                        addr: endpoint,
+                        rx,
+                        directory,
+                        space,
+                        stash: Vec::new(),
+                        work_scale,
+                    };
+                    // A panic in user code is one more way for the task to
+                    // fail: unwinding past here would skip the report, leaving
+                    // the job waiting and the slot, reservation and endpoint
+                    // held — and the thread would not come back to the pool.
+                    let run = std::panic::AssertUnwindSafe(|| instance.run(&mut ctx));
+                    let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+                        Err(TaskError::new(format!("panicked: {}", panic_text(&*payload))))
+                    });
+                    // The task span must close before TaskCompleted/TaskFailed
+                    // is sent: the JobManager forwards completion to the
+                    // client, which may immediately close the enclosing job
+                    // span.
+                    rec.span_end(span);
+                    // Release the node reservation before TaskCompleted goes
+                    // out: the client unblocks on JobCompleted and may assert
+                    // that all slots/memory are free, so the release must
+                    // happen first.
+                    drop(reservation);
+                    match outcome {
+                        Ok(result) => {
+                            c_completed.inc();
+                            NetMsg::TaskCompleted { job, task: spec.name.clone(), result }
+                        }
+                        Err(e) => {
+                            c_failed.inc();
+                            rec.event_with(Severity::Error, "task", Some(job.0), || {
+                                format!("[{server_name}] task {:?} failed: {}", spec.name, e.msg)
+                            });
+                            NetMsg::TaskFailed { job, task: spec.name.clone(), error: e.msg }
+                        }
                     }
-                    Err(e) => {
-                        c_failed.inc();
-                        rec.event_with(Severity::Error, "task", Some(job.0), || {
-                            format!("[{server_name}] task {:?} failed: {}", spec.name, e.msg)
-                        });
-                        NetMsg::TaskFailed { job, task: spec.name.clone(), error: e.msg }
-                    }
-                };
-                let _ = net.send(endpoint, jm, msg);
-                let _ = net.send(
-                    endpoint,
-                    local_tm,
-                    NetMsg::TaskExited { job, task: spec.name.clone() },
-                );
+                }
+            };
+            Box::new(move || {
+                let _ = net.send(endpoint, jm, end);
+                let _ = net.send(endpoint, local_tm, NetMsg::TaskExited { job, task: spec.name });
                 net.unregister(endpoint);
             })
-            .expect("spawn task thread");
+        });
+        if let Err(e) = self.pool.launch(run) {
+            // The run went with the refused spawn, and the reservation and the
+            // task's receive side with it: what is left is the report.
+            self.c_tasks_failed.inc();
+            self.rec.event_with(Severity::Error, "task", Some(job.0), || {
+                format!("[{}] no thread for task {task:?}: {e}", self.name)
+            });
+            self.net.unregister(endpoint);
+            self.send(self.addr, NetMsg::TaskExited { job, task: task.to_string() });
+            let error = format!("[{}] could not start a thread for the task: {e}", self.name);
+            self.send(jm, NetMsg::TaskFailed { job, task: task.to_string(), error });
+        }
     }
 
     fn tm_cancel(&mut self, job: JobId, task: &str) {
@@ -1864,6 +1973,98 @@ mod tests {
     #[test]
     fn bid_to_a_departed_solicitor_does_not_hold_the_server() {
         Departures::new().assert_not_held(|d, _| d.solicit(Departures::departed()));
+    }
+
+    /// A finished run's thread takes the next launch; a launch that finds
+    /// none parked spawns one, and a refused spawn is the launch's error.
+    #[test]
+    fn a_pool_reuses_parked_threads_and_reports_a_refused_spawn() {
+        let rec = Recorder::new();
+        let pool = TaskPool::new("t", &rec);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let run = |done: std::sync::mpsc::Sender<u32>, n: u32| -> TaskRun {
+            Box::new(move || Box::new(move || done.send(n).unwrap()))
+        };
+        for n in 0..3 {
+            pool.launch(run(done_tx.clone(), n)).unwrap();
+            assert_eq!(done_rx.recv_timeout(Duration::from_secs(5)), Ok(n));
+        }
+        // The report is sent once the thread is parked, so every launch after
+        // the first found it waiting.
+        assert_eq!(rec.counter("server.task_threads_spawned").get(), 1);
+        assert_eq!(rec.counter("server.task_threads_reused").get(), 2);
+
+        let mut refusing = TaskPool::new("t", &rec);
+        refusing.spawn = |_, _| Err(std::io::Error::from_raw_os_error(11));
+        let held = Arc::new(());
+        let holder = Arc::clone(&held);
+        let err = refusing
+            .launch(Box::new(move || {
+                drop(holder);
+                Box::new(|| {})
+            }))
+            .unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(11));
+        assert_eq!(Arc::strong_count(&held), 1, "the refused run is dropped");
+        assert_eq!(rec.counter("server.task_threads_spawned").get(), 1);
+    }
+
+    /// A task the server cannot give a thread fails like any task: its
+    /// JobManager hears the OS error, its reservation and endpoint are
+    /// released, and the server loop goes on serving.
+    #[test]
+    fn a_refused_task_thread_fails_the_task_and_keeps_the_server() {
+        let nb = deploy(0, Duration::from_millis(5));
+        let node = NodeHandle::new(NodeSpec::new("w0", 4000, 4));
+        let mut state = ServerState::new(
+            "w0".into(),
+            node.clone(),
+            nb.fabric(),
+            Arc::clone(nb.registry()),
+            nb.spaces(),
+            ServerConfig::default(),
+        );
+        state.pool.spawn = |_, _| Err(std::io::Error::from_raw_os_error(11));
+        let server = state.addr;
+        let serving = std::thread::spawn(move || state.run());
+
+        let jm = Party::join(&nb, false);
+        let job = JobId(907);
+        jm.send(server, NetMsg::UploadArchive { jar: "x.jar".into(), size_bytes: 1 });
+        jm.send(
+            server,
+            NetMsg::AssignTask { job, spec: light("t"), jm: jm.addr, reply_to: jm.addr },
+        );
+        let task_addr = jm.expect(|m| match m {
+            NetMsg::AssignAck { accepted: true, task_addr, .. } => task_addr,
+            _ => None,
+        });
+        assert_eq!(node.free_slots(), 3);
+        let directory = HashMap::from([("t".to_string(), task_addr)]);
+        jm.send(server, NetMsg::StartTask { job, task: "t".into(), directory, client: jm.addr });
+        let error = jm.expect(|m| match m {
+            NetMsg::TaskFailed { task, error, .. } if task == "t" => Some(error),
+            _ => None,
+        });
+        let os = std::io::Error::from_raw_os_error(11).to_string();
+        assert!(error.contains("could not start a thread") && error.contains(&os), "{error}");
+        assert_eq!((node.free_slots(), node.free_memory_mb()), (4, 4000));
+        assert!(jm.net.send(jm.addr, task_addr, NetMsg::Shutdown).is_err(), "endpoint kept");
+
+        // Still serving, and the slot is off its books too.
+        let reply_to = jm.addr;
+        jm.send(
+            server,
+            NetMsg::SolicitJobManager { job, requirements: JobRequirements::default(), reply_to },
+        );
+        let bid = jm.expect(|m| match m {
+            NetMsg::JobManagerBid { bid, .. } => Some(bid),
+            _ => None,
+        });
+        assert_eq!(bid.signal.in_flight, 0);
+        jm.send(server, NetMsg::Shutdown);
+        serving.join().unwrap();
+        nb.shutdown();
     }
 
     /// Nor must anything else the loop sends: a `TaskStarted` relayed to a

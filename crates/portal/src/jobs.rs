@@ -19,13 +19,13 @@ use cn_cnx::ast::CnxDocument;
 use cn_core::spaces::SpaceRegistry;
 use cn_core::{
     execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
-    JobHandle, Neighborhood, NeighborhoodConfig,
+    JobHandle, Neighborhood, NeighborhoodConfig, NetMsg,
 };
 use cn_observe::export::json_escape;
 use cn_observe::{journal_jsonl_filtered, Counter, Recorder, LATENCY_BUCKETS_US};
 use cn_sync::Mutex;
 use cn_transform::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
-use cn_wire::{Discovery, SocketFabric, WireConfig};
+use cn_wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
 
 use crate::admission::Admission;
 
@@ -254,8 +254,10 @@ pub fn seed_transitive_closure(job: &mut JobHandle, digraph_seed: u64) {
 }
 
 /// Runs jobs over the real socket fabric against `cnctl serve` workers —
-/// the production path. Each job gets its own client fabric and recorder,
-/// exactly like one `cnctl submit` invocation.
+/// the production path. The process binds one client fabric per cluster on
+/// its first job and keeps it: each job registers an endpoint of its own on
+/// it and runs against a recorder of its own, so its journal is exactly
+/// what one `cnctl submit` invocation would write.
 pub struct WireRunner {
     pub discovery: Discovery,
     pub batch: bool,
@@ -264,21 +266,50 @@ pub struct WireRunner {
     pub digraph_seed: u64,
 }
 
-impl JobRunner for WireRunner {
-    fn run(&self, job: &CompiledJob) -> Result<RunOutcome, String> {
-        let rec = Recorder::new();
+/// What a client fabric is bound for: a `WireRunner`'s discovery, batching
+/// and shard count.
+type FabricKey = (Discovery, bool, usize);
+
+/// The process's client fabrics, each created by the first job that needed
+/// it and kept for the life of the process, as the paper's client acquires
+/// its CN API factory once. A table rather than a `WireRunner` field only
+/// because callers outside this crate build the runner with a struct
+/// literal. Each fabric records its own `wire.*` counters and connection
+/// spans.
+static CLIENT_FABRICS: Mutex<Vec<(FabricKey, FabricHandle<NetMsg>)>> =
+    Mutex::named("portal.client_fabrics", Vec::new());
+
+impl WireRunner {
+    /// This runner's client fabric: the one an earlier job bound, or a new
+    /// one.
+    fn fabric(&self) -> Result<FabricHandle<NetMsg>, String> {
+        let key = (self.discovery.clone(), self.batch, self.reactor_shards);
+        let mut fabrics = CLIENT_FABRICS.lock();
+        if let Some((_, fabric)) = fabrics.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(fabric));
+        }
         let cfg = WireConfig {
             discovery: self.discovery.clone(),
             batch: self.batch,
             reactor_shards: self.reactor_shards,
             ..WireConfig::default()
         };
-        let fabric =
-            SocketFabric::new(cfg, rec.clone()).map_err(|e| format!("client bind: {e}"))?;
+        let fabric: FabricHandle<NetMsg> = Arc::new(
+            SocketFabric::new(cfg, Recorder::new()).map_err(|e| format!("client bind: {e}"))?,
+        );
+        fabrics.push((key, Arc::clone(&fabric)));
+        Ok(fabric)
+    }
+}
+
+impl JobRunner for WireRunner {
+    fn run(&self, job: &CompiledJob) -> Result<RunOutcome, String> {
+        let rec = Recorder::new();
         let api = CnApi::over(
-            Arc::new(fabric),
+            self.fabric()?,
             Arc::new(SpaceRegistry::with_recorder(&rec)),
             ClientConfig::default(),
+            rec.clone(),
         );
         let seed = self.digraph_seed;
         let reports = execute_with_api_seeded(

@@ -33,14 +33,14 @@ const MAX_READS_PER_WAKE: usize = 16;
 /// Journal bytes per chunk when streaming.
 const JOURNAL_CHUNK: usize = 16 * 1024;
 /// When a connection streaming the journal of a still-running job looks at
-/// the board again: three timer-wheel ticks after it parked, then every
+/// the board again: two timer-wheel ticks after it parked, then every
 /// tick. The first look is placed where a healthy job has finished on a
 /// slow box as well as on a quiet one, so a closed loop reads one grid
 /// point whatever the box does; a job still running then is in the tail,
 /// and is answered on the first tick after it ends. Still a poll — what a
-/// wake-up would need, and why the first look is no earlier, is in
-/// DESIGN.md §13.
-const JOURNAL_FIRST_LOOK: Duration = Duration::from_millis(15);
+/// wake-up would need, and why two ticks are steady now and were not
+/// before, is in DESIGN.md §13.
+const JOURNAL_FIRST_LOOK: Duration = Duration::from_millis(10);
 const JOURNAL_NEXT_LOOK: Duration = Duration::from_millis(5);
 // The wheel rounds a delay up to whole ticks: a wait that is not a multiple
 // of the tick is longer than it says.

@@ -213,16 +213,17 @@ fn quickest_round(delay: Duration) -> Duration {
     (0..4).map(|_| round()).min().unwrap()
 }
 
-/// A waiting stream looks again three wheel ticks after it parked and then
-/// every tick: a 2 ms job is answered at 15 ms, not at the 20 ms of a
-/// four-tick poll, and a job that ends just after the first look is
-/// answered on the next tick (20 or 25 ms), not a whole period later (30).
+/// A waiting stream looks again two wheel ticks after it parked and then
+/// every tick: a 2 ms job is answered at 10 ms, not at the 15 ms of a
+/// three-tick first look, and a job that ends just after the first look is
+/// answered on the next tick (15 or 20 ms), not a whole period later (20
+/// or 30).
 #[test]
-fn journal_stream_looks_again_after_three_ticks_then_every_tick() {
+fn journal_stream_looks_again_after_two_ticks_then_every_tick() {
     let short = quickest_round(Duration::from_millis(2));
-    assert!(short < Duration::from_millis(19), "{short:?}");
-    let late = quickest_round(Duration::from_millis(16));
-    assert!(late < Duration::from_millis(29), "{late:?}");
+    assert!(short < Duration::from_millis(14), "{short:?}");
+    let late = quickest_round(Duration::from_millis(11));
+    assert!(late < Duration::from_millis(19), "{late:?}");
 }
 
 /// Two submissions admitted before any worker wakes run side by side on

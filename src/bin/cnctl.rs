@@ -983,6 +983,7 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
         Arc::new(fabric),
         Arc::new(SpaceRegistry::with_recorder(&rec)),
         ClientConfig::default(),
+        rec.clone(),
     );
 
     // Same deterministic input as `cnctl trace`/`demo`, so a wire run and a

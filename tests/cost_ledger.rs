@@ -38,27 +38,38 @@ const ROWS: &[&str] = &[
     "server.tasks_started",
     "server.tasks_completed",
     "server.tasks_failed",
+    "server.task_threads_spawned",
 ];
 
-/// Run the transitive-closure job with `workers` rows on a fresh simulated
-/// cluster (the portal's `--sim 3` shape) and render its ledger.
-fn ledger(workers: usize) -> String {
+/// A fresh simulated cluster (the portal's `--sim 3` shape) that counts.
+fn deploy() -> (Neighborhood, Recorder) {
     let rec = Recorder::new();
     let nb = Neighborhood::deploy_with(
         NodeSpec::fleet(3, 8192, 16),
         NeighborhoodConfig { recorder: rec.clone(), ..NeighborhoodConfig::default() },
     );
     tasks::publish_all_archives(nb.registry());
+    (nb, rec)
+}
+
+/// Run the transitive-closure job with `workers` rows on `nb`.
+fn run(nb: &Neighborhood, workers: usize) {
     let reports = execute_descriptor_seeded(
-        &nb,
+        nb,
         &figure2_descriptor(workers),
         &DynamicArgs::new(),
         Duration::from_secs(60),
         |job| seed_transitive_closure(job, 3),
     )
     .expect("job runs");
-    nb.shutdown();
     assert_eq!(reports[0].results.len(), workers + 2);
+}
+
+/// Run the job with `workers` rows on a fresh cluster and render its ledger.
+fn ledger(workers: usize) -> String {
+    let (nb, rec) = deploy();
+    run(&nb, workers);
+    nb.shutdown();
     ROWS.iter().map(|row| format!("{row} {}\n", rec.counter(row).get())).collect()
 }
 
@@ -87,4 +98,18 @@ fn figure3_job_costs_what_the_ledger_says() {
 #[test]
 fn wide_job_costs_what_the_ledger_says() {
     check_golden("cost_wide_sim.txt", &ledger(7));
+}
+
+/// Task threads belong to the server, not to the task: a second Figure-3
+/// job on the same cluster runs on the threads the first one left parked.
+#[test]
+fn a_second_job_spawns_no_task_thread() {
+    let (nb, rec) = deploy();
+    run(&nb, 5);
+    let spawned = rec.counter("server.task_threads_spawned").get();
+    let reused = rec.counter("server.task_threads_reused").get();
+    run(&nb, 5);
+    nb.shutdown();
+    assert_eq!(rec.counter("server.task_threads_spawned").get(), spawned);
+    assert_eq!(rec.counter("server.task_threads_reused").get(), reused + 7);
 }

@@ -243,7 +243,7 @@ fn lint_json_golden_reactor_capacity() {
 }
 
 /// CN058: a portal planned for 200 in-flight submissions with 4 reactor
-/// shards and 4 MiB bodies against an explicit 1024-fd / 2-core / 256 MB
+/// shards and 4 MiB bodies against an explicit 200-fd / 2-core / 256 MB
 /// host — all three axes warn, pinned by a golden. The explicit overrides
 /// keep the output independent of the machine running the test.
 #[test]
@@ -261,7 +261,7 @@ fn lint_json_golden_portal_capacity() {
         "--portal-body-limit",
         "4194304",
         "--fd-soft-limit",
-        "1024",
+        "200",
         "--cores",
         "2",
         "--host-memory",

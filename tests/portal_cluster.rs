@@ -7,6 +7,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
 use computational_neighborhood::cluster::NodeSpec;
@@ -15,11 +16,18 @@ use computational_neighborhood::core::{
 };
 use computational_neighborhood::observe::{journal_jsonl_filtered, Recorder};
 use computational_neighborhood::portal::http::ChunkedDecoder;
-use computational_neighborhood::portal::{compile_submission, seed_transitive_closure};
+use computational_neighborhood::portal::{
+    compile_submission, seed_transitive_closure, JobRunner, WireRunner,
+};
 use computational_neighborhood::tasks;
 use computational_neighborhood::transform::figure2_model;
+use computational_neighborhood::wire::Discovery;
 
 const CNCTL: &str = env!("CARGO_BIN_EXE_cnctl");
+
+/// Every test opens descriptors in this process (child pipes, sockets); the
+/// one that counts them runs alone.
+static FDS: RwLock<()> = RwLock::new(());
 
 /// Reserve `n` distinct ports by binding ephemeral listeners, then release
 /// them. A later bind can race another process, but the window is tiny.
@@ -202,6 +210,7 @@ fn field<'a>(json: &'a str, key: &str) -> &'a str {
 /// same XMI through the same compile path.
 #[test]
 fn portal_streamed_journal_matches_simulated_run() {
+    let _fds = FDS.read().unwrap_or_else(|e| e.into_inner());
     let ports = free_ports(4);
     let (http_port, serve_ports) = (ports[0], &ports[1..]);
     let _serves = launch_serves(serve_ports);
@@ -239,8 +248,16 @@ fn portal_streamed_journal_matches_simulated_run() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("portal-journal.jsonl"), &wire_journal).unwrap();
 
-    // The same XMI through the same compile path, run on the simulated
-    // fabric with the same deterministic input seed the portal uses.
+    assert_eq!(
+        wire_journal,
+        simulated_journal(&xmi),
+        "canonical journals diverged between the portal run and the simulated run"
+    );
+}
+
+/// The same XMI through the same compile path, run on the simulated fabric
+/// with the same deterministic input seed the portal uses.
+fn simulated_journal(xmi: &str) -> String {
     let compiled = compile_submission(xmi.as_bytes()).expect("compile figure-3 XMI");
     let rec = Recorder::new();
     let nb = Neighborhood::deploy_with(
@@ -257,12 +274,75 @@ fn portal_streamed_journal_matches_simulated_run() {
     )
     .expect("simulated run");
     nb.shutdown();
-    let sim_journal = journal_jsonl_filtered(&rec, &["wire"]);
+    journal_jsonl_filtered(&rec, &["wire"])
+}
 
-    assert_eq!(
-        wire_journal, sim_journal,
-        "canonical journals diverged between the portal run and the simulated run"
+/// ROADMAP direction 1's acceptance: four HTTP clients submit fifty
+/// Figure-3 jobs each, concurrently, to the 5-process cluster. Every job
+/// completes on its first submission and streams the reference journal —
+/// the jobs share the portal's one client fabric and the servers' task
+/// threads, and none sees another's messages.
+#[test]
+fn concurrent_clients_all_get_the_reference_journal() {
+    let _fds = FDS.read().unwrap_or_else(|e| e.into_inner());
+    let ports = free_ports(4);
+    let (http_port, serve_ports) = (ports[0], &ports[1..]);
+    let _serves = launch_serves(serve_ports);
+    // Room for all four clients from one address, with a slot to spare for
+    // the moment between a job's journal and its admission slot coming back.
+    let _portal = launch_portal(http_port, serve_ports, &["--timeout", "60", "--per-addr", "8"]);
+    let xmi = figure3_xmi(2);
+    let reference = simulated_journal(&xmi);
+
+    std::thread::scope(|s| {
+        for client in 0..4 {
+            let (xmi, reference) = (&xmi, &reference);
+            s.spawn(move || {
+                let mut http = Http::connect(http_port);
+                for n in 0..50 {
+                    let (status, body) = http.roundtrip("POST", "/jobs", xmi.as_bytes());
+                    let accepted = String::from_utf8(body).expect("utf8 submit response");
+                    assert_eq!(status, 202, "client {client}, job {n}: {accepted}");
+                    let id = field(&accepted, "id");
+                    let (status, journal) =
+                        http.roundtrip("GET", &format!("/jobs/{id}/journal"), b"");
+                    assert_eq!(status, 200);
+                    let journal = String::from_utf8(journal).expect("utf8 journal");
+                    assert!(&journal == reference, "client {client}, job {n} ({id}): {journal}");
+                }
+            });
+        }
+    });
+}
+
+/// The portal's client fabric is bound by its first job and kept: after the
+/// second job the process holds descriptors it did not hold before the
+/// first, and eighteen jobs later it holds exactly as many.
+#[test]
+fn wire_jobs_share_one_client_fabric() {
+    let _alone = FDS.write().unwrap_or_else(|e| e.into_inner());
+    let ports = free_ports(1);
+    let _serves = launch_serves(&ports);
+    let runner = WireRunner {
+        discovery: Discovery::Loopback { peers: ports },
+        batch: true,
+        reactor_shards: 0,
+        timeout: Duration::from_secs(60),
+        digraph_seed: 1,
+    };
+    let job = compile_submission(figure3_xmi(2).as_bytes()).expect("compile figure-3 XMI");
+    let fds = || std::fs::read_dir("/proc/self/fd").expect("/proc/self/fd").count();
+    let before = fds();
+    let mut after = Vec::new();
+    for n in 1..=20 {
+        runner.run(&job).unwrap_or_else(|e| panic!("job {n}: {e}"));
+        after.push(fds());
+    }
+    assert!(
+        after[1] > before,
+        "the client fabric went with its job: {before} fds before, {after:?}"
     );
+    assert_eq!(after[19], after[1], "fd counts after each job: {after:?}");
 }
 
 /// The portal readiness line is machine-readable (the CI job and this
@@ -270,6 +350,7 @@ fn portal_streamed_journal_matches_simulated_run() {
 /// without any serve workers having done work yet.
 #[test]
 fn portal_prints_readiness_line_and_serves_metrics() {
+    let _fds = FDS.read().unwrap_or_else(|e| e.into_inner());
     let ports = free_ports(1);
     let _portal = launch_portal(ports[0], &[], &["--sim", "2"]);
     let mut http = Http::connect(ports[0]);

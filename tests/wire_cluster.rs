@@ -218,6 +218,7 @@ fn killing_a_serve_worker_surfaces_typed_error_and_flight_events() {
         Arc::new(fabric),
         Arc::new(computational_neighborhood::core::spaces::SpaceRegistry::new()),
         ClientConfig { ack_timeout: Duration::from_secs(2), ..ClientConfig::default() },
+        rec.clone(),
     );
 
     // Healthy start: discovery finds the JM and the job is created.
