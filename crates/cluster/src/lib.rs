@@ -10,20 +10,21 @@
 //!   `task-req` admission the JobManager performs,
 //! * [`network`] — a message fabric with unicast and **multicast groups**
 //!   (the paper's JobManager discovery is multicast-based), a configurable
-//!   latency/jitter/loss model, and per-message metrics,
-//! * [`failure`] — failure injection: node crash and network partition,
-//! * [`metrics`] — the snapshot view of the fabric's `net.*` counters.
+//!   latency/jitter/loss model, and `net.*` counters in its recorder,
+//! * [`endpoints`] — the endpoint and group table every fabric, this one
+//!   and `cn-wire`'s socket fabric, delivers through,
+//! * [`failure`] — failure injection: node crash and network partition.
 //!
 //! Everything stochastic (jitter, loss) is driven by a caller-provided seed,
 //! so simulations are reproducible.
 
+pub mod endpoints;
 pub mod failure;
-pub mod metrics;
 pub mod network;
 pub mod node;
 
 pub use cn_observe::{Recorder, Severity};
-pub use metrics::MetricsSnapshot;
+pub use endpoints::Endpoints;
 pub use network::{Addr, Envelope, GroupId, LatencyModel, Network, SendError, DISCOVERY_GROUP};
 pub use node::{ClusterCapacity, NodeHandle, NodeSpec, ReserveError};
 

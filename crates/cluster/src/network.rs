@@ -6,10 +6,11 @@
 //! groups natively; CNServers join the discovery group, clients multicast
 //! into it.
 //!
-//! Delivery is via per-endpoint channels. With a zero latency model,
-//! messages are handed over synchronously; with a non-zero model, a fabric
-//! thread delays each message by `base ± jitter` and applies seeded random
-//! loss — deterministic for a fixed seed and send order.
+//! Endpoints and groups live in an [`Endpoints`] table, the one the socket
+//! fabric delivers through too. With a zero latency model, messages are
+//! handed over synchronously; with a non-zero model, a fabric thread delays
+//! each message by `base ± jitter` and applies seeded random loss —
+//! deterministic for a fixed seed and send order.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
@@ -18,12 +19,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_observe::{Counter, Recorder, Severity};
-use cn_sync::channel::{unbounded_named, Receiver, Sender};
+use cn_sync::channel::Receiver;
 use cn_sync::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::MetricsSnapshot;
+use crate::endpoints::Endpoints;
 
 /// An endpoint address on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,8 +147,7 @@ impl<M> Ord for Pending<M> {
 }
 
 struct Shared<M> {
-    endpoints: Mutex<HashMap<Addr, Sender<Envelope<M>>>>,
-    groups: Mutex<HashMap<GroupId, HashSet<Addr>>>,
+    table: Endpoints<M>,
     partitioned: Mutex<HashSet<Addr>>,
     /// One-shot faults: drop the next N messages addressed to an endpoint.
     drop_next: Mutex<HashMap<Addr, u32>>,
@@ -157,7 +157,6 @@ struct Shared<M> {
     /// Messages popped from the delay queue but not yet handed to their
     /// endpoint (keeps `quiesce` honest).
     in_flight: AtomicU64,
-    next_addr: AtomicU64,
     next_seq: AtomicU64,
     model: LatencyModel,
     rng: Mutex<StdRng>,
@@ -168,6 +167,14 @@ struct Shared<M> {
     dropped: Counter,
     multicasts: Counter,
     recorder: Recorder,
+}
+
+impl<M> Shared<M> {
+    /// Count `attempted` hand-overs to the table, `failed` of which failed.
+    fn tally(&self, attempted: usize, failed: usize) {
+        self.delivered.add((attempted - failed) as u64);
+        self.dropped.add(failed as u64);
+    }
 }
 
 /// The network fabric. Cheap to clone; the fabric thread (if any) stops when
@@ -192,15 +199,13 @@ impl<M: Send + Clone + 'static> Network<M> {
     /// registry (`net.*`) and whose fault injection writes flight events.
     pub fn with_recorder(model: LatencyModel, seed: u64, recorder: Recorder) -> Self {
         let shared = Arc::new(Shared {
-            endpoints: Mutex::named("net.endpoints", HashMap::new()),
-            groups: Mutex::named("net.groups", HashMap::new()),
+            table: Endpoints::new(0),
             partitioned: Mutex::named("net.partitioned", HashSet::new()),
             drop_next: Mutex::named("net.drop_next", HashMap::new()),
             queue: Mutex::named("net.delay_queue", BinaryHeap::new()),
             queue_cv: Condvar::named("net.delay_cv"),
             stop: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            next_addr: AtomicU64::new(1),
             next_seq: AtomicU64::new(0),
             model,
             rng: Mutex::named("net.rng", StdRng::seed_from_u64(seed)),
@@ -222,55 +227,17 @@ impl<M: Send + Clone + 'static> Network<M> {
 
     /// Register a new endpoint; returns its address and receive channel.
     pub fn register(&self) -> (Addr, Receiver<Envelope<M>>) {
-        let addr = Addr(self.shared.next_addr.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded_named("net.endpoint");
-        self.shared.endpoints.lock().insert(addr, tx);
-        (addr, rx)
+        self.shared.table.register()
     }
 
     /// Remove an endpoint (its receiver will see disconnection).
     pub fn unregister(&self, addr: Addr) {
-        self.shared.endpoints.lock().remove(&addr);
-        for members in self.shared.groups.lock().values_mut() {
-            members.remove(&addr);
-        }
+        self.shared.table.unregister(addr)
     }
 
     /// Join a multicast group.
-    #[cfg(not(feature = "mutations"))]
     pub fn join_group(&self, addr: Addr, group: GroupId) {
-        self.shared.groups.lock().entry(group).or_default().insert(addr);
-    }
-
-    /// Injected ordering bug for cn-check: "validate" the address while
-    /// holding the groups lock, taking groups → endpoints — the opposite of
-    /// the mutated [`Network::multicast`], which nests endpoints → groups.
-    #[cfg(feature = "mutations")]
-    pub fn join_group(&self, addr: Addr, group: GroupId) {
-        let mut groups = self.shared.groups.lock();
-        if self.shared.endpoints.lock().contains_key(&addr) {
-            groups.entry(group).or_default().insert(addr);
-        }
-    }
-
-    /// Leave a multicast group.
-    pub fn leave_group(&self, addr: Addr, group: GroupId) {
-        if let Some(members) = self.shared.groups.lock().get_mut(&group) {
-            members.remove(&addr);
-        }
-    }
-
-    /// Members of a group (snapshot).
-    pub fn group_members(&self, group: GroupId) -> Vec<Addr> {
-        let mut v: Vec<Addr> = self
-            .shared
-            .groups
-            .lock()
-            .get(&group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
+        self.shared.table.join(addr, group)
     }
 
     /// Unicast send.
@@ -279,63 +246,32 @@ impl<M: Send + Clone + 'static> Network<M> {
         if self.dropped_by_fault(from, to) {
             return Ok(()); // silently lost, like the wire
         }
-        self.deliver(Envelope { from, to, msg })
-    }
-
-    /// Injected ordering bug for cn-check: deliver the whole group under
-    /// one endpoints lock "for efficiency", reading membership while that
-    /// lock is held — endpoints → groups, the opposite nesting of the
-    /// mutated [`Network::join_group`].
-    #[cfg(feature = "mutations")]
-    pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
-        let endpoints = self.shared.endpoints.lock();
-        let mut members: Vec<Addr> = self
-            .shared
-            .groups
-            .lock()
-            .get(&group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        members.sort_unstable();
-        members.retain(|&to| to != from);
-        self.shared.multicasts.inc();
-        let count = members.len();
-        for to in members {
-            self.shared.sent.inc();
-            if let Some(tx) = endpoints.get(&to) {
-                if tx.send(Envelope { from, to, msg: msg.clone() }).is_ok() {
-                    self.shared.delivered.inc();
-                } else {
-                    self.shared.dropped.inc();
-                }
-            }
+        let env = Envelope { from, to, msg };
+        if !self.shared.model.is_instant() {
+            self.delay(env);
+            return Ok(());
         }
-        count
+        let result = self.shared.table.deliver(env);
+        self.shared.tally(1, result.is_err() as usize);
+        result
     }
 
     /// Multicast to every group member except the sender. Returns how many
     /// endpoints the message was addressed to.
-    #[cfg(not(feature = "mutations"))]
     pub fn multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
-        let mut members = self.group_members(group);
-        members.retain(|&to| to != from);
-        self.shared.multicasts.inc();
+        let mut members = self.shared.table.members(group, from);
         let count = members.len();
-        // The last recipient takes the message by move: k members cost
-        // k-1 clones, and the common single-member case costs none.
-        let mut msg = Some(msg);
-        for (i, to) in members.iter().copied().enumerate() {
-            self.shared.sent.inc();
-            if self.dropped_by_fault(from, to) {
-                continue;
+        self.shared.multicasts.inc();
+        self.shared.sent.add(count as u64);
+        members.retain(|&to| !self.dropped_by_fault(from, to));
+        if self.shared.model.is_instant() {
+            // Unknown/closed members are skipped (they left) and counted.
+            let failed = self.shared.table.deliver_each(from, &members, msg).len();
+            self.shared.tally(members.len(), failed);
+        } else {
+            for to in members {
+                self.delay(Envelope { from, to, msg: msg.clone() });
             }
-            let m = if i + 1 == count {
-                msg.take().expect("moved once")
-            } else {
-                msg.as_ref().expect("live until last").clone()
-            };
-            // Unknown/closed members are skipped silently (they left).
-            let _ = self.deliver(Envelope { from, to, msg: m });
         }
         count
     }
@@ -381,10 +317,8 @@ impl<M: Send + Clone + 'static> Network<M> {
         false
     }
 
-    fn deliver(&self, env: Envelope<M>) -> Result<(), SendError> {
-        if self.shared.model.is_instant() {
-            return self.deliver_now(env);
-        }
+    /// Queue `env` for the fabric thread, due `base ± jitter` from now.
+    fn delay(&self, env: Envelope<M>) {
         let extra = if self.shared.model.jitter.is_zero() {
             Duration::ZERO
         } else {
@@ -395,26 +329,6 @@ impl<M: Send + Clone + 'static> Network<M> {
         let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
         self.shared.queue.lock().push(Pending { due, seq, env });
         self.shared.queue_cv.notify_one();
-        Ok(())
-    }
-
-    fn deliver_now(&self, env: Envelope<M>) -> Result<(), SendError> {
-        let endpoints = self.shared.endpoints.lock();
-        match endpoints.get(&env.to) {
-            Some(tx) => {
-                let to = env.to;
-                if tx.send(env).is_err() {
-                    self.shared.dropped.inc();
-                    return Err(SendError::Closed(to));
-                }
-                self.shared.delivered.inc();
-                Ok(())
-            }
-            None => {
-                self.shared.dropped.inc();
-                Err(SendError::UnknownAddr(env.to))
-            }
-        }
     }
 
     /// Partition an endpoint: all traffic to/from it is dropped until
@@ -447,16 +361,6 @@ impl<M: Send + Clone + 'static> Network<M> {
             self.shared.recorder.event_with(Severity::Warn, "fault", None, || {
                 format!("armed drop of next {n} messages to {addr}")
             });
-        }
-    }
-
-    /// Metrics snapshot.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            sent: self.shared.sent.get(),
-            delivered: self.shared.delivered.get(),
-            dropped: self.shared.dropped.get(),
-            multicasts: self.shared.multicasts.get(),
         }
     }
 
@@ -520,23 +424,10 @@ fn fabric_loop<M: Send + Clone + 'static>(weak: std::sync::Weak<Shared<M>>) {
                 shared.queue_cv.wait_for(&mut queue, wait.min(Duration::from_millis(5)));
             }
         }
-        // Deliver the whole due batch under one endpoints lock: a burst of
-        // N messages costs one lock acquisition, not N.
         if !due_now.is_empty() {
             let n = due_now.len();
-            {
-                let endpoints = shared.endpoints.lock();
-                for env in due_now {
-                    if let Some(tx) = endpoints.get(&env.to) {
-                        if tx.send(env).is_ok() {
-                            shared.delivered.inc();
-                        } else {
-                            shared.dropped.inc();
-                        }
-                    } else {
-                        shared.dropped.inc();
-                    }
-                }
+            for env in due_now {
+                shared.tally(1, shared.table.deliver(env).is_err() as usize);
             }
             shared.in_flight.fetch_sub(n as u64, Ordering::Relaxed);
         }
@@ -548,6 +439,10 @@ fn fabric_loop<M: Send + Clone + 'static>(weak: std::sync::Weak<Shared<M>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn count<M: Send + Clone + 'static>(net: &Network<M>, counter: &str) -> u64 {
+        net.recorder().counter(counter).get()
+    }
 
     #[test]
     fn unicast_roundtrip() {
@@ -584,18 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn leave_group_stops_delivery() {
-        let net: Network<u8> = Network::new(LatencyModel::zero(), 7);
-        let (a, _rx_a) = net.register();
-        let (b, rx_b) = net.register();
-        net.join_group(b, DISCOVERY_GROUP);
-        net.join_group(a, DISCOVERY_GROUP);
-        net.leave_group(b, DISCOVERY_GROUP);
-        assert_eq!(net.multicast(a, DISCOVERY_GROUP, 1), 0);
-        assert!(rx_b.try_recv().is_err());
-    }
-
-    #[test]
     fn partition_drops_traffic_then_heals() {
         let net: Network<u8> = Network::new(LatencyModel::zero(), 7);
         let (a, _rx_a) = net.register();
@@ -606,9 +489,8 @@ mod tests {
         net.heal(b);
         net.send(a, b, 2).unwrap();
         assert_eq!(rx_b.recv().unwrap().msg, 2);
-        let m = net.metrics();
-        assert_eq!(m.dropped, 1);
-        assert_eq!(m.delivered, 1);
+        assert_eq!(count(&net, "net.dropped"), 1);
+        assert_eq!(count(&net, "net.delivered"), 1);
     }
 
     #[test]
@@ -623,6 +505,22 @@ mod tests {
         let env = rx_b.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(env.msg, 9);
         assert!(start.elapsed() >= Duration::from_millis(4), "delivered too early");
+    }
+
+    #[test]
+    fn latency_delays_multicasts_too() {
+        let model =
+            LatencyModel { base: Duration::from_millis(5), jitter: Duration::ZERO, drop_rate: 0.0 };
+        let net: Network<u8> = Network::new(model, 7);
+        let (a, _rx_a) = net.register();
+        let members: Vec<_> = (0..2).map(|_| net.register()).collect();
+        members.iter().for_each(|(addr, _)| net.join_group(*addr, DISCOVERY_GROUP));
+        assert_eq!(net.multicast(a, DISCOVERY_GROUP, 9), 2);
+        for (_, rx) in &members {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap().msg, 9);
+        }
+        net.quiesce();
+        assert_eq!(count(&net, "net.delivered"), 2);
     }
 
     #[test]
@@ -666,10 +564,9 @@ mod tests {
         net.join_group(b, DISCOVERY_GROUP);
         net.send(a, b, 1).unwrap();
         net.multicast(a, DISCOVERY_GROUP, 2);
-        let m = net.metrics();
-        assert_eq!(m.sent, 2);
-        assert_eq!(m.multicasts, 1);
-        assert_eq!(m.delivered, 2);
+        assert_eq!(count(&net, "net.sent"), 2);
+        assert_eq!(count(&net, "net.multicasts"), 1);
+        assert_eq!(count(&net, "net.delivered"), 2);
     }
 
     #[test]
@@ -683,7 +580,7 @@ mod tests {
         net.send(a, b, 3).unwrap();
         assert_eq!(rx_b.recv().unwrap().msg, 3);
         assert!(rx_b.try_recv().is_err());
-        assert_eq!(net.metrics().dropped, 2);
+        assert_eq!(count(&net, "net.dropped"), 2);
         // heal_all clears pending drop counters too.
         net.drop_next(b, 5);
         net.heal_all();
@@ -697,8 +594,9 @@ mod tests {
         let (a, _rx) = net.register();
         net.join_group(a, GroupId(3));
         net.unregister(a);
-        assert!(net.group_members(GroupId(3)).is_empty());
         let (b, _rxb) = net.register();
+        net.join_group(b, GroupId(3));
+        assert_eq!(net.multicast(b, GroupId(3), 1), 0);
         assert_eq!(net.send(b, a, 1), Err(SendError::UnknownAddr(a)));
     }
 }

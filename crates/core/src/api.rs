@@ -16,13 +16,12 @@ use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope};
 use cn_observe::{Counter, Histogram, Recorder, Severity, SpanId, LATENCY_BUCKETS_US};
-use cn_sync::channel::Receiver;
 use cn_wire::FabricHandle;
 
 use crate::message::{
     Bid, CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME,
 };
-use crate::pump::solicit;
+use crate::pump::{solicit, MsgPump};
 use crate::scheduler::{select, Policy};
 use crate::spaces::SpaceRegistry;
 use crate::tuplespace::{Tuple, TupleSpace};
@@ -214,7 +213,7 @@ impl CnApi {
             jm_server: chosen.server,
             net: self.net.clone(),
             addr,
-            rx,
+            pump: MsgPump::new(rx),
             directory: HashMap::new(),
             task_names: Vec::new(),
             placements: Vec::new(),
@@ -222,7 +221,6 @@ impl CnApi {
             held: false,
             space: self.spaces.get_or_create(job),
             spaces: Arc::clone(&self.spaces),
-            stash: Vec::new(),
             shadow: HashMap::new(),
             ack_timeout: self.config.ack_timeout,
             rec: self.rec.clone(),
@@ -257,7 +255,9 @@ pub struct JobHandle {
     pub jm_server: String,
     net: FabricHandle<NetMsg>,
     addr: Addr,
-    rx: Receiver<Envelope<NetMsg>>,
+    /// The client's message queue: protocol acks are picked out of it, and
+    /// what arrives meanwhile waits there for [`JobHandle::recv_message`].
+    pump: MsgPump<NetMsg>,
     /// task name → task endpoint (learned from TaskAcks).
     directory: HashMap<String, Addr>,
     task_names: Vec<String>,
@@ -271,8 +271,6 @@ pub struct JobHandle {
     held: bool,
     space: Arc<TupleSpace>,
     spaces: Arc<SpaceRegistry>,
-    /// Messages received while waiting for protocol acks.
-    stash: Vec<CnMessage>,
     /// Wire mode only: client-side shadow spans for remote task
     /// executions, keyed by task name. On a shared-memory fabric the
     /// TaskManagers record task spans into the same recorder and no
@@ -391,30 +389,15 @@ impl JobHandle {
         }
     }
 
-    /// Wait for a protocol message matching `want`; user-visible messages
-    /// that arrive meanwhile are stashed for [`JobHandle::recv_message`].
+    /// Wait for a protocol message matching `want`; what arrives meanwhile
+    /// stays queued for [`JobHandle::recv_message`].
     fn wait_net(
         &mut self,
         timeout: Duration,
-        mut want: impl FnMut(&NetMsg) -> bool,
+        want: impl FnMut(&NetMsg) -> bool,
     ) -> Result<NetMsg, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClientError::Timeout("protocol ack"));
-            }
-            let received = self.rx.recv_timeout(remaining);
-            match received {
-                Ok(env) if want(&env.msg) => return Ok(env.msg),
-                Ok(env) => {
-                    if let Some(m) = self.decode(env) {
-                        self.stash.push(m);
-                    }
-                }
-                Err(_) => return Err(ClientError::Timeout("protocol ack")),
-            }
-        }
+        let env = self.pump.next_matching(Some(Instant::now() + timeout), want);
+        env.map(|env| env.msg).map_err(|_| ClientError::Timeout("protocol ack"))
     }
 
     /// Create one task in the job — the burst of one. The JobManager places
@@ -527,31 +510,14 @@ impl JobHandle {
     }
 
     /// Receive the next message from CN (lifecycle or user-defined).
+    /// Protocol messages nothing waits for any more are skipped.
     pub fn recv_message(&mut self, timeout: Duration) -> Result<CnMessage, ClientError> {
-        if !self.stash.is_empty() {
-            return Ok(self.stash.remove(0));
-        }
         let deadline = Instant::now() + timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClientError::Timeout("message"));
-            }
-            let received = self.rx.recv_timeout(remaining);
-            match received {
-                Ok(env) => {
-                    if let Some(m) = self.decode(env) {
-                        // One wakeup absorbs a whole coalesced batch: stash
-                        // everything that already arrived behind this one.
-                        while let Ok(extra) = self.rx.try_recv() {
-                            if let Some(m) = self.decode(extra) {
-                                self.stash.push(m);
-                            }
-                        }
-                        return Ok(m);
-                    }
-                }
-                Err(_) => return Err(ClientError::Timeout("message")),
+            let env = self.pump.next_before(Some(deadline));
+            let env = env.map_err(|_| ClientError::Timeout("message"))?;
+            if let Some(m) = self.decode(env) {
+                return Ok(m);
             }
         }
     }

@@ -153,13 +153,9 @@ impl Neighborhood {
         self.servers.len()
     }
 
-    /// Network metrics snapshot.
-    pub fn metrics(&self) -> cn_cluster::MetricsSnapshot {
-        self.net.metrics()
-    }
-
     /// The observability handle this deployment records into (the one from
     /// [`NeighborhoodConfig::recorder`]; disabled unless one was supplied).
+    /// Its registry holds the network's `net.*` counters either way.
     pub fn recorder(&self) -> &Recorder {
         self.net.recorder()
     }

@@ -1,15 +1,16 @@
-//! Message pump and bid window: the receive side of the CNServer event
-//! loop and the one solicitation window of the runtime, extracted so
-//! `cn-check` can drive the pump under the model checker without standing up
-//! a whole server.
+//! Message pump and bid window: the receive side of every endpoint the
+//! runtime reads — the CNServer event loop, tasks, clients — and the one
+//! solicitation window, extracted so `cn-check` can drive the pump under the
+//! model checker without standing up a whole server.
 //!
 //! The server never waits inside a handler: an open bid window or an
 //! outstanding assignment is a deadline its loop receives against
-//! ([`MsgPump::next_before`]). The one place envelopes leave arrival order
-//! is [`MsgPump::take_matching`], which pulls a burst's `CreateTask`s forward
-//! for fair admission; everything it passes over must still come out of
-//! [`MsgPump::next`], in order. Losing one loses a protocol message — bids,
-//! acks, and task lifecycle events all ride the same queue.
+//! ([`MsgPump::next_before`]). Envelopes leave arrival order in two places:
+//! [`MsgPump::take_matching`], which pulls a burst's `CreateTask`s forward
+//! for fair admission, and [`MsgPump::next_matching`], the selective receive
+//! tasks and clients wait on. Everything either passes over must still come
+//! out of [`MsgPump::next`], in order. Losing one loses a protocol message —
+//! bids, acks, and task lifecycle events all ride the same queue.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -95,11 +96,14 @@ pub fn solicit<M: Send + Clone + 'static, A>(
     answers
 }
 
-/// Pending-queue wrapper around an endpoint's receive channel.
+/// Pending-queue wrapper around an endpoint's receive channel — the one
+/// receive side of the runtime: the server's loop, every task's
+/// [`crate::TaskContext`] and every client's [`crate::JobHandle`] read
+/// through one.
 pub struct MsgPump<M> {
     rx: Receiver<Envelope<M>>,
-    /// Envelopes read ahead of the main loop (a coalesced batch, or what
-    /// [`MsgPump::take_matching`] passed over), replayed FIFO.
+    /// Envelopes read ahead of their receive (a coalesced batch, or what a
+    /// selective receive passed over), replayed FIFO.
     pending: VecDeque<Envelope<M>>,
 }
 
@@ -108,10 +112,8 @@ impl<M> MsgPump<M> {
         MsgPump { rx, pending: VecDeque::new() }
     }
 
-    /// Main-loop receive: pending envelopes first, then a blocking receive
-    /// that also drains whatever arrived in the same coalesced batch (one
-    /// wakeup services the whole flush). `None` means the channel
-    /// disconnected.
+    /// Blocking receive: pending envelopes first, then the channel. `None`
+    /// means the channel disconnected.
     #[allow(clippy::should_implement_trait)] // blocking receive, not an Iterator
     pub fn next(&mut self) -> Option<Envelope<M>> {
         self.next_before(None).ok()
@@ -124,19 +126,36 @@ impl<M> MsgPump<M> {
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<Envelope<M>, RecvTimeoutError> {
-        if let Some(env) = self.pending.pop_front() {
-            return Ok(env);
-        }
-        let env = match deadline {
-            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)?,
-            Some(deadline) => {
-                self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))?
+        self.next_matching(deadline, |_| true)
+    }
+
+    /// Selective receive: the first envelope, in arrival order, that `pred`
+    /// accepts. What it passes over stays pending, in order, for later
+    /// receives. It blocks only for envelopes it has not looked at yet, and
+    /// each wake-up also drains whatever arrived in the same coalesced batch
+    /// (one wake-up services the whole flush).
+    pub fn next_matching(
+        &mut self,
+        deadline: Option<Instant>,
+        mut pred: impl FnMut(&M) -> bool,
+    ) -> Result<Envelope<M>, RecvTimeoutError> {
+        let mut looked = 0;
+        loop {
+            if let Some(i) = self.pending.range(looked..).position(|env| pred(&env.msg)) {
+                return Ok(self.pending.remove(looked + i).expect("found above"));
             }
-        };
-        while let Ok(extra) = self.rx.try_recv() {
-            self.pending.push_back(extra);
+            looked = self.pending.len();
+            let env = match deadline {
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected)?,
+                Some(deadline) => {
+                    self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))?
+                }
+            };
+            self.pending.push_back(env);
+            while let Ok(extra) = self.rx.try_recv() {
+                self.pending.push_back(extra);
+            }
         }
-        Ok(env)
     }
 
     /// Pull every already-delivered envelope matching `pred` out of the
@@ -281,6 +300,27 @@ mod tests {
         let err = pump.next_before(Some(t0 + Duration::from_millis(20))).unwrap_err();
         assert_eq!(err, RecvTimeoutError::Timeout);
         assert!(t0.elapsed() >= Duration::from_millis(20), "{:?}", t0.elapsed());
+
+        // A selective receive takes the first match in arrival order, across
+        // what was read ahead and what still sits in the channel.
+        for msg in [Msg::Other(4), Msg::Bid(1, "x"), Msg::Other(5), Msg::Bid(2, "y")] {
+            net.send(peers[0], me, msg).unwrap();
+        }
+        assert_eq!(pump.next().unwrap().msg, Msg::Other(4));
+        net.send(peers[0], me, Msg::Other(6)).unwrap();
+        let bid = |m: &Msg| matches!(m, Msg::Bid(..));
+        assert_eq!(pump.next_matching(soon, bid).unwrap().msg, Msg::Bid(1, "x"));
+        let six = |m: &Msg| *m == Msg::Other(6);
+        assert_eq!(pump.next_matching(soon, six).unwrap().msg, Msg::Other(6));
+        // Nothing new matches: it returns at its deadline, keeping what it saw.
+        let t0 = Instant::now();
+        let never = |m: &Msg| *m == Msg::Solicit(0);
+        let err = pump.next_matching(Some(t0 + Duration::from_millis(20)), never).unwrap_err();
+        assert_eq!(err, RecvTimeoutError::Timeout);
+        assert!(t0.elapsed() >= Duration::from_millis(20), "{:?}", t0.elapsed());
+        // What the selective receives passed over comes out of `next`, in order.
+        assert_eq!(pump.next().unwrap().msg, Msg::Other(5));
+        assert_eq!(pump.next().unwrap().msg, Msg::Bid(2, "y"));
     }
 
     /// A fabric that, like UDP multicast, cannot say whom it reached.
@@ -295,9 +335,6 @@ mod tests {
         }
         fn join_group(&self, addr: Addr, group: GroupId) {
             self.0.join_group(addr, group)
-        }
-        fn leave_group(&self, addr: Addr, group: GroupId) {
-            self.0.leave_group(addr, group)
         }
         fn send(&self, from: Addr, to: Addr, msg: Msg) -> Result<(), SendError> {
             self.0.send(from, to, msg)

@@ -136,7 +136,6 @@ struct JmJob {
     completed: HashMap<String, UserData>,
     started: HashSet<String>,
     job_started: bool,
-    failed: bool,
 }
 
 /// TaskManager-side record of an assigned task.
@@ -493,7 +492,6 @@ impl ServerState {
                             completed: HashMap::new(),
                             started: HashSet::new(),
                             job_started: false,
-                            failed: false,
                         },
                     );
                 }
@@ -654,15 +652,9 @@ impl ServerState {
     fn jm_start_ready(&mut self, job: JobId) {
         let Some(j) = self.jm_jobs.get_mut(&job) else { return };
         j.job_started = true;
-        if j.failed {
-            return;
-        }
         if j.specs.is_empty() {
             // A job with no tasks is vacuously complete.
-            let client = j.client;
-            self.jm_jobs.remove(&job);
-            self.send(client, NetMsg::JobCompleted { job, results: Vec::new() });
-            return;
+            return self.jm_end_job(job, None, NetMsg::JobCompleted { job, results: Vec::new() });
         }
         // Build the full directory once per call (client included).
         let mut directory: HashMap<String, Addr> =
@@ -698,29 +690,18 @@ impl ServerState {
         let Some(j) = self.jm_jobs.get_mut(&job) else { return };
         j.completed.insert(task.clone(), result.clone());
         let client = j.client;
-        let all_done = j.completed.len() == j.specs.len();
-        let results: Vec<(String, UserData)> = if all_done {
-            j.specs
+        self.send(client, NetMsg::TaskCompleted { job, task, result });
+        let j = &self.jm_jobs[&job];
+        if j.completed.len() == j.specs.len() {
+            let results = j
+                .specs
                 .iter()
                 .map(|s| {
                     (s.name.clone(), j.completed.get(&s.name).cloned().unwrap_or(UserData::Empty))
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let job_started = j.job_started;
-        self.send(client, NetMsg::TaskCompleted { job, task, result });
-        if all_done {
-            // The job is finished; drop its JobManager state (and, in wire
-            // mode, its local tuple-space replica — client job ids restart
-            // per process, so a stale space could leak into a later job).
-            self.jm_jobs.remove(&job);
-            if !self.net.shared_memory() {
-                self.spaces.remove(job);
-            }
-            self.send(client, NetMsg::JobCompleted { job, results });
-        } else if job_started {
+                .collect();
+            self.jm_end_job(job, None, NetMsg::JobCompleted { job, results });
+        } else if j.job_started {
             self.jm_start_ready(job);
         }
     }
@@ -728,71 +709,48 @@ impl ServerState {
     /// Client-requested cancellation: interrupt everything in flight and
     /// report the job as failed.
     fn jm_cancel_job(&mut self, job: JobId) {
-        let Some(j) = self.jm_jobs.get_mut(&job) else { return };
-        if j.failed {
+        if !self.jm_jobs.contains_key(&job) {
             return;
         }
-        j.failed = true;
-        let client = j.client;
         self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
             format!("[{}] job cancelled by client", self.name)
         });
-        // Everything assigned and not yet complete is cancelled — including
-        // tasks that never started (their reservations must be released).
-        let to_cancel: Vec<(String, Addr)> = j
-            .assigned
-            .iter()
-            .filter(|(t, _)| !j.completed.contains_key(*t))
-            .map(|(t, (tm, _, _))| (t.clone(), *tm))
-            .collect();
-        for (t, tm_addr) in to_cancel {
-            if tm_addr == self.addr {
-                self.tm_cancel(job, &t);
-            } else {
-                self.send(tm_addr, NetMsg::CancelTask { job, task: t });
-            }
-        }
-        self.jm_jobs.remove(&job);
-        if !self.net.shared_memory() {
-            self.spaces.remove(job);
-        }
-        self.send(client, NetMsg::JobFailed { job, error: "cancelled by client".to_string() });
+        self.jm_end_job(job, None, NetMsg::JobFailed { job, error: "cancelled by client".into() });
     }
 
     fn jm_task_failed(&mut self, job: JobId, task: String, error: String) {
-        let Some(j) = self.jm_jobs.get_mut(&job) else { return };
-        let first_failure = !j.failed;
-        j.failed = true;
+        let Some(j) = self.jm_jobs.get(&job) else { return };
         let client = j.client;
         self.rec.event_with(Severity::Error, "job", Some(job.0), || {
             format!("[{}] task {task:?} failed: {error}; cancelling the job", self.name)
         });
-        // Cancel everything assigned and not complete — running tasks are
-        // interrupted, never-started ones release their reservations.
-        let to_cancel: Vec<(String, Addr)> = j
-            .assigned
-            .iter()
-            .filter(|(t, _)| !j.completed.contains_key(*t) && **t != task)
-            .map(|(t, (tm, _, _))| (t.clone(), *tm))
-            .collect();
-        for (t, tm_addr) in to_cancel {
-            if tm_addr == self.addr {
-                self.tm_cancel(job, &t);
-            } else {
-                self.send(tm_addr, NetMsg::CancelTask { job, task: t });
-            }
-        }
         self.send(client, NetMsg::TaskFailed { job, task: task.clone(), error: error.clone() });
-        if first_failure {
-            self.jm_jobs.remove(&job);
-            if !self.net.shared_memory() {
-                self.spaces.remove(job);
+        let end = NetMsg::JobFailed { job, error: format!("task {task:?} failed: {error}") };
+        self.jm_end_job(job, Some(&task), end);
+    }
+
+    /// The one way a job ends: every assigned task that has not completed
+    /// but `except` is cancelled — running ones are interrupted, never-started
+    /// ones release their reservations — the job's state goes (and, in wire
+    /// mode, its local tuple-space replica: client job ids restart per
+    /// process, so a stale space could leak into a later job), and the
+    /// client hears `end`.
+    fn jm_end_job(&mut self, job: JobId, except: Option<&str>, end: NetMsg) {
+        let Some(j) = self.jm_jobs.remove(&job) else { return };
+        for (task, (tm, _, _)) in j.assigned {
+            if j.completed.contains_key(&task) || except == Some(task.as_str()) {
+                continue;
             }
-            self.send(
-                client,
-                NetMsg::JobFailed { job, error: format!("task {task:?} failed: {error}") },
-            );
+            if tm == self.addr {
+                self.tm_cancel(job, &task);
+            } else {
+                self.send(tm, NetMsg::CancelTask { job, task });
+            }
         }
+        if !self.net.shared_memory() {
+            self.spaces.remove(job);
+        }
+        self.send(j.client, end);
     }
 
     // ---- TaskManager internals ------------------------------------------
@@ -938,10 +896,9 @@ impl ServerState {
                         params: spec.params.clone(),
                         net: net.clone(),
                         addr: endpoint,
-                        rx,
+                        pump: MsgPump::new(rx),
                         directory,
                         space,
-                        stash: Vec::new(),
                         work_scale,
                     };
                     // A panic in user code is one more way for the task to

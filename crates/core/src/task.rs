@@ -9,14 +9,15 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope};
 use cn_cnx::Param;
-use cn_sync::channel::Receiver;
+use cn_sync::channel::RecvTimeoutError;
 use cn_wire::FabricHandle;
 
 use crate::message::{CnMessage, JobId, NetMsg, UserData, CLIENT_TASK_NAME};
+use crate::pump::MsgPump;
 use crate::tuplespace::TupleSpace;
 
 /// Task failure.
@@ -87,6 +88,15 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
+impl From<RecvTimeoutError> for RecvError {
+    fn from(e: RecvTimeoutError) -> RecvError {
+        match e {
+            RecvTimeoutError::Timeout => RecvError::Timeout,
+            RecvTimeoutError::Disconnected => RecvError::Disconnected,
+        }
+    }
+}
+
 /// Execution context handed to [`Task::run`].
 pub struct TaskContext {
     pub job: JobId,
@@ -96,7 +106,8 @@ pub struct TaskContext {
     pub params: Vec<Param>,
     pub(crate) net: FabricHandle<NetMsg>,
     pub(crate) addr: Addr,
-    pub(crate) rx: Receiver<Envelope<NetMsg>>,
+    /// The task's message queue.
+    pub(crate) pump: MsgPump<NetMsg>,
     /// task name → endpoint address, for the whole job (the client is
     /// reachable as [`CLIENT_TASK_NAME`]).
     pub(crate) directory: HashMap<String, Addr>,
@@ -107,9 +118,6 @@ pub struct TaskContext {
     /// see `NodeSpec::speed_pct`). [`TaskContext::simulate_work`] applies
     /// it so simulated workloads run slower on straggler nodes.
     pub(crate) work_scale: f64,
-    /// Messages that arrived while a selective receive was looking for
-    /// something else.
-    pub(crate) stash: Vec<CnMessage>,
 }
 
 impl TaskContext {
@@ -223,47 +231,16 @@ impl TaskContext {
         }
     }
 
-    /// Batched queue drain: block until at least one *new* decodable
-    /// message is stashed (a selective receive calls this with a stash that
-    /// already holds other tags), then absorb every envelope already sitting
-    /// in the channel — a coalesced flush of N frames costs one condvar
-    /// wakeup, not N.
-    fn fill_stash(&mut self, timeout: Duration) -> Result<(), RecvError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let had = self.stash.len();
-        while self.stash.len() == had {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(RecvError::Timeout);
-            }
-            match self.rx.recv_timeout(remaining) {
-                Ok(env) => {
-                    if let Some(m) = self.decode(env) {
-                        self.stash.push(m);
-                    }
-                }
-                Err(cn_sync::channel::RecvTimeoutError::Timeout) => return Err(RecvError::Timeout),
-                Err(cn_sync::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(RecvError::Disconnected)
-                }
-            }
-        }
-        while let Ok(env) = self.rx.try_recv() {
-            if let Some(m) = self.decode(env) {
-                self.stash.push(m);
-            }
-        }
-        Ok(())
-    }
-
-    /// Blocking receive with timeout.
+    /// Blocking receive with timeout. Protocol noise is skipped.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<CnMessage, RecvError> {
-        if self.stash.is_empty() {
-            self.fill_stash(timeout)?;
-        }
-        match self.stash.remove(0) {
-            CnMessage::Shutdown => Err(RecvError::Shutdown),
-            m => Ok(m),
+        let deadline = Instant::now() + timeout;
+        loop {
+            let env = self.pump.next_before(Some(deadline))?;
+            match self.decode(env) {
+                Some(CnMessage::Shutdown) => return Err(RecvError::Shutdown),
+                Some(m) => return Ok(m),
+                None => {}
+            }
         }
     }
 
@@ -272,40 +249,24 @@ impl TaskContext {
         self.recv_timeout(Duration::from_secs(30))
     }
 
-    /// Receive the next user message whose tag matches, stashing anything
-    /// else for later `recv` calls. This is the selective-receive idiom the
-    /// transitive-closure tasks use while waiting for "row k".
+    /// Receive the next user message whose tag matches, leaving anything
+    /// else for later `recv` calls — unless a shutdown arrived first. This
+    /// is the selective-receive idiom the transitive-closure tasks use while
+    /// waiting for "row k".
     pub fn recv_tagged(
         &mut self,
         tag: &str,
         timeout: Duration,
     ) -> Result<(String, UserData), RecvError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            // Scan the stash in arrival order: the earliest matching
-            // message wins unless a Shutdown arrived before it.
-            let shutdown = self.stash.iter().position(|m| matches!(m, CnMessage::Shutdown));
-            let matched = self
-                .stash
-                .iter()
-                .position(|m| matches!(m, CnMessage::User { tag: t, .. } if t == tag));
-            match (matched, shutdown) {
-                (Some(p), s) if s.is_none_or(|s| p < s) => {
-                    if let CnMessage::User { from_task, data, .. } = self.stash.remove(p) {
-                        return Ok((from_task, data));
-                    }
-                }
-                (_, Some(s)) => {
-                    self.stash.remove(s);
-                    return Err(RecvError::Shutdown);
-                }
-                _ => {}
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(RecvError::Timeout);
-            }
-            self.fill_stash(remaining)?;
+        let wanted = |m: &NetMsg| match m {
+            NetMsg::User { tag: t, .. } => t == tag,
+            NetMsg::Shutdown | NetMsg::CancelTask { .. } => true,
+            _ => false,
+        };
+        let env = self.pump.next_matching(Some(Instant::now() + timeout), wanted)?;
+        match self.decode(env) {
+            Some(CnMessage::User { from_task, data, .. }) => Ok((from_task, data)),
+            _ => Err(RecvError::Shutdown),
         }
     }
 }
@@ -329,11 +290,10 @@ mod tests {
             params: vec![Param::integer(7), Param::string("file.txt")],
             net: net.clone(),
             addr: a_addr,
-            rx: a_rx,
+            pump: MsgPump::new(a_rx),
             directory: directory.clone(),
             space: space.clone(),
             work_scale: 1.0,
-            stash: Vec::new(),
         };
         let b = TaskContext {
             job: JobId(1),
@@ -341,11 +301,10 @@ mod tests {
             params: vec![],
             net: net.clone(),
             addr: b_addr,
-            rx: b_rx,
+            pump: MsgPump::new(b_rx),
             directory,
             space,
             work_scale: 1.0,
-            stash: Vec::new(),
         };
         (a, b)
     }

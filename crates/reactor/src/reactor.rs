@@ -5,8 +5,10 @@
 //! shard's eventfd. Callers register [`EventHandler`]s (each owning at
 //! most one fd); handlers are pinned to a shard for life, so everything a
 //! handler touches is single-threaded — no locks inside handlers, per-fd
-//! ordering for free. Cross-thread interaction is exactly two commands:
-//! `Notify` (data was queued for you, flush when ready) and `Close`.
+//! ordering for free. Besides installing a handler and stopping the shard,
+//! cross-thread interaction with a handler is one command, `Notify` (data
+//! was queued for you, flush when ready); a handler closes itself by
+//! returning [`Action::Close`].
 //!
 //! The wakeup protocol: a producer pushes a command, and iff the mailbox
 //! was empty it rings the shard's eventfd; `epoll_wait` returns, the
@@ -82,8 +84,8 @@ pub trait EventHandler: Send {
         Action::Continue
     }
 
-    /// The handler is being removed (explicit close, `Action::Close`, or
-    /// reactor shutdown). The fd is already out of the epoll set.
+    /// The handler is being removed (`Action::Close` or reactor shutdown).
+    /// The fd is already out of the epoll set.
     fn on_close(&mut self) {}
 }
 
@@ -173,7 +175,6 @@ impl ShardCtx<'_> {
 enum Command {
     Add { token: Token, handler: Box<dyn EventHandler> },
     Notify { token: Token },
-    Close { token: Token },
     Shutdown,
 }
 
@@ -196,17 +197,13 @@ struct ShardHandle {
     wakeup: Arc<EventFd>,
 }
 
-struct Shared {
+/// The sharded event loop, owned by whoever serves on it; shuts down when
+/// [`Reactor::shutdown`] is called or it drops.
+pub struct Reactor {
     shards: Vec<ShardHandle>,
     next_token: AtomicU64,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
-}
-
-/// Handle to the sharded event loop; cheap to clone, shuts down when
-/// [`Reactor::shutdown`] is called (or the last handle drops).
-pub struct Reactor {
-    shared: Arc<Shared>,
 }
 
 impl Reactor {
@@ -215,7 +212,7 @@ impl Reactor {
         let shards = shards.max(1);
         let mut handles = Vec::with_capacity(shards);
         let mut runners = Vec::with_capacity(shards);
-        for idx in 0..shards {
+        for _ in 0..shards {
             let wakeup = Arc::new(EventFd::new()?);
             let epoll = Epoll::new()?;
             epoll.add(wakeup.as_raw_fd(), sys::EPOLLIN, WAKE_TOKEN)?;
@@ -232,14 +229,13 @@ impl Reactor {
                 scratch: vec![0; SCRATCH_BYTES],
                 shutting_down: false,
             });
-            let _ = idx;
         }
-        let shared = Arc::new(Shared {
+        let reactor = Reactor {
             shards: handles,
             next_token: AtomicU64::new(1),
             threads: Mutex::named("reactor.threads", Vec::new()),
             stopped: AtomicBool::new(false),
-        });
+        };
         let mut threads = Vec::with_capacity(shards);
         for (idx, shard) in runners.into_iter().enumerate() {
             let t = thread::Builder::new()
@@ -248,12 +244,12 @@ impl Reactor {
                 .map_err(|e| io::Error::other(format!("spawn reactor shard: {e}")))?;
             threads.push(t);
         }
-        *shared.threads.lock() = threads;
-        Ok(Reactor { shared })
+        *reactor.threads.lock() = threads;
+        Ok(reactor)
     }
 
     pub fn shards(&self) -> usize {
-        self.shared.shards.len()
+        self.shards.len()
     }
 
     /// Install a handler on the shard `key` hashes to and return its
@@ -261,60 +257,46 @@ impl Reactor {
     /// shard; if the reactor is already shut down the handler is simply
     /// dropped (its `Drop` releases the fd).
     pub fn register_hashed(&self, key: u64, handler: Box<dyn EventHandler>) -> Token {
-        self.register_on((key % self.shared.shards.len() as u64) as usize, handler)
+        self.register_on((key % self.shards.len() as u64) as usize, handler)
     }
 
     /// Install a handler on a specific shard.
     pub fn register_on(&self, shard: usize, handler: Box<dyn EventHandler>) -> Token {
-        let shard = shard % self.shared.shards.len();
-        let seq = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+        let shard = shard % self.shards.len();
+        let seq = self.next_token.fetch_add(1, Ordering::Relaxed);
         let token = ((shard as u64) << SHARD_SHIFT) | (seq & ((1 << SHARD_SHIFT) - 1));
-        self.shared.shards[shard].mailbox.push(Command::Add { token, handler });
+        self.shards[shard].mailbox.push(Command::Add { token, handler });
         token
     }
 
     /// Tell `token`'s handler that cross-thread work was queued for it.
     pub fn notify(&self, token: Token) {
-        let shard = shard_of(token) % self.shared.shards.len();
-        self.shared.shards[shard].mailbox.push(Command::Notify { token });
-    }
-
-    /// Tear down `token`'s handler asynchronously.
-    pub fn close(&self, token: Token) {
-        let shard = shard_of(token) % self.shared.shards.len();
-        self.shared.shards[shard].mailbox.push(Command::Close { token });
+        let shard = shard_of(token) % self.shards.len();
+        self.shards[shard].mailbox.push(Command::Notify { token });
     }
 
     /// Stop every shard and join the threads. Idempotent. Must not be
     /// called from inside a handler callback (it joins the very thread
     /// the callback runs on).
     pub fn shutdown(&self) {
-        if self.shared.stopped.swap(true, Ordering::SeqCst) {
+        if self.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
-        for shard in &self.shared.shards {
+        for shard in &self.shards {
             shard.mailbox.push(Command::Shutdown);
             shard.mailbox.stop();
             shard.wakeup.ring();
         }
-        let threads = std::mem::take(&mut *self.shared.threads.lock());
+        let threads = std::mem::take(&mut *self.threads.lock());
         for t in threads {
             let _ = t.join();
         }
     }
 }
 
-impl Clone for Reactor {
-    fn clone(&self) -> Reactor {
-        Reactor { shared: Arc::clone(&self.shared) }
-    }
-}
-
 impl Drop for Reactor {
     fn drop(&mut self) {
-        if Arc::strong_count(&self.shared) == 1 {
-            self.shutdown();
-        }
+        self.shutdown();
     }
 }
 
@@ -371,11 +353,6 @@ impl Shard {
                     }
                     Command::Notify { token } => {
                         self.invoke(token, |h, ctx| h.on_notify(ctx));
-                    }
-                    Command::Close { token } => {
-                        if let Some(slot) = self.slots.remove(&token) {
-                            self.teardown(slot);
-                        }
                     }
                     Command::Shutdown => self.shutting_down = true,
                 }

@@ -66,8 +66,6 @@ pub trait Fabric<M: Send + Clone + 'static>: Send + Sync {
     fn unregister(&self, addr: Addr);
     /// Join a multicast group.
     fn join_group(&self, addr: Addr, group: GroupId);
-    /// Leave a multicast group.
-    fn leave_group(&self, addr: Addr, group: GroupId);
     /// Unicast send.
     fn send(&self, from: Addr, to: Addr, msg: M) -> Result<(), SendError>;
     /// Unicast the same message to many destinations (task broadcast).
@@ -122,10 +120,6 @@ impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
 
     fn join_group(&self, addr: Addr, group: GroupId) {
         Network::join_group(self, addr, group)
-    }
-
-    fn leave_group(&self, addr: Addr, group: GroupId) {
-        Network::leave_group(self, addr, group)
     }
 
     fn send(&self, from: Addr, to: Addr, msg: M) -> Result<(), SendError> {

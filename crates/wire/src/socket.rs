@@ -23,7 +23,7 @@
 //! Faults are first-class: every drop, timeout and reconnect lands in the
 //! flight recorder with a `wire.*` counter.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
@@ -31,10 +31,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cn_cluster::{Addr, Envelope, GroupId, SendError};
+use cn_cluster::{Addr, Endpoints, Envelope, GroupId, SendError};
 use cn_observe::{Counter, Recorder, Severity, SpanId};
 use cn_reactor::{sys, Action, EventHandler, Reactor, ShardCtx, TimerId, Token};
-use cn_sync::channel::{unbounded_named, Receiver, Sender};
+use cn_sync::channel::Receiver;
 use cn_sync::{Condvar, Mutex};
 
 use crate::codec::{
@@ -213,8 +213,9 @@ struct Inner<M> {
     cfg: WireConfig,
     rec: Recorder,
     c: WireCounters,
-    endpoints: Mutex<HashMap<u64, Sender<Envelope<M>>>>,
-    groups: Mutex<HashMap<u32, HashSet<Addr>>>,
+    /// This process's endpoints: local sends and every frame or datagram
+    /// that arrives are delivered through it.
+    table: Endpoints<M>,
     /// Outbound connections, one per peer port. Each peer's frames drain
     /// on a single reactor shard in FIFO order — that is the per-peer
     /// ordering guarantee.
@@ -226,7 +227,6 @@ struct Inner<M> {
     /// Blocking discovery send socket (the nonblocking receive socket
     /// lives on the reactor).
     udp_send: UdpSocket,
-    next_ep: AtomicU64,
     /// Round-robins inbound connections across reactor shards.
     next_inbound: AtomicU64,
     stop: AtomicBool,
@@ -278,13 +278,11 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
             c: WireCounters::new(&rec),
             rec,
             cfg,
-            endpoints: Mutex::named("wire.endpoints", HashMap::new()),
-            groups: Mutex::named("wire.groups", HashMap::new()),
+            table: Endpoints::new((port as u64) << ADDR_PORT_SHIFT),
             conns: Mutex::named("wire.conns", HashMap::new()),
             connect_lock: Mutex::named("wire.connect", ()),
             reactor,
             udp_send,
-            next_ep: AtomicU64::new(1),
             next_inbound: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             weak: weak.clone(),
@@ -340,28 +338,15 @@ impl<M: WireEncode + Send + Clone + 'static> Drop for SocketFabric<M> {
 
 impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
     fn register(&self) -> (Addr, Receiver<Envelope<M>>) {
-        let ep = self.inner.next_ep.fetch_add(1, Ordering::Relaxed);
-        let addr = Addr(((self.inner.port as u64) << ADDR_PORT_SHIFT) | ep);
-        let (tx, rx) = unbounded_named("wire.endpoint");
-        self.inner.endpoints.lock().insert(addr.0, tx);
-        (addr, rx)
+        self.inner.table.register()
     }
 
     fn unregister(&self, addr: Addr) {
-        self.inner.endpoints.lock().remove(&addr.0);
-        for members in self.inner.groups.lock().values_mut() {
-            members.remove(&addr);
-        }
+        self.inner.table.unregister(addr)
     }
 
     fn join_group(&self, addr: Addr, group: GroupId) {
-        self.inner.groups.lock().entry(group.0).or_default().insert(addr);
-    }
-
-    fn leave_group(&self, addr: Addr, group: GroupId) {
-        if let Some(members) = self.inner.groups.lock().get_mut(&group.0) {
-            members.remove(&addr);
-        }
+        self.inner.table.join(addr, group)
     }
 
     fn send(&self, from: Addr, to: Addr, msg: M) -> Result<(), SendError> {
@@ -370,7 +355,7 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
             return Ok(());
         }
         if addr_port(to) == self.inner.port {
-            return self.inner.deliver_local(Envelope { from, to, msg });
+            return self.inner.table.deliver(Envelope { from, to, msg });
         }
         self.inner.enqueue_frame(addr_port(to), Frame::encode(from, to, &msg), to)
     }
@@ -398,14 +383,12 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
             }
             inner.enqueue_frame(addr_port(first), base, first)?;
         }
-        // Local members last so the final one takes the message by move.
-        if let Some((&last, rest)) = local.split_last() {
-            for &to in rest {
-                inner.deliver_local(Envelope { from, to, msg: msg.clone() })?;
-            }
-            inner.deliver_local(Envelope { from, to: last, msg })?;
+        // Local members last so the final one takes the message by move;
+        // each is tried, and the first that failed is the answer.
+        match inner.table.deliver_each(from, &local, msg).first() {
+            Some(&failed) => Err(failed),
+            None => Ok(tos.len()),
         }
-        Ok(tos.len())
     }
 
     fn post(&self, from: Addr, to: Addr, msg: M) {
@@ -437,66 +420,30 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
 }
 
 impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
-    fn deliver_local(&self, env: Envelope<M>) -> Result<(), SendError> {
-        let to = env.to;
-        let tx = self.endpoints.lock().get(&to.0).cloned();
-        match tx {
-            Some(tx) => {
-                if tx.send(env).is_err() {
-                    self.endpoints.lock().remove(&to.0);
-                    return Err(SendError::Closed(to));
-                }
-                Ok(())
-            }
-            None => Err(SendError::UnknownAddr(to)),
-        }
-    }
-
     /// Deliver an envelope that arrived off the wire. Unknown endpoints
     /// are counted, not errors — the sender is in another process.
     fn dispatch(&self, env: Envelope<M>) {
         self.c.frames_recv.inc();
-        if is_group_addr(env.to) {
-            // Our own discovery datagram echoed back (multicast loop is on
-            // so *other* processes on this host hear us): local members
-            // already got a direct delivery at send time.
-            if addr_port(env.from) == self.port {
-                return;
+        if !is_group_addr(env.to) {
+            if self.table.deliver(env).is_err() {
+                self.c.drops.inc();
             }
-            let gid = addr_group(env.to);
-            let mut members: Vec<Addr> = self
-                .groups
-                .lock()
-                .get(&gid.0)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            members.retain(|&to| to != env.from);
-            // Decode-once fan-out: the last member takes the message by
-            // move, so k members cost k-1 clones (and one member, none).
-            let Some((&last, rest)) = members.split_last() else { return };
-            for &to in rest {
-                let _ = self.deliver_local(Envelope { from: env.from, to, msg: env.msg.clone() });
-            }
-            let _ = self.deliver_local(Envelope { from: env.from, to: last, msg: env.msg });
             return;
         }
-        if self.deliver_local(env).is_err() {
-            self.c.drops.inc();
+        // Our own discovery datagram echoed back (multicast loop is on so
+        // *other* processes on this host hear us): local members already
+        // got a direct delivery at send time.
+        if addr_port(env.from) != self.port {
+            let members = self.table.members(addr_group(env.to), env.from);
+            self.table.deliver_each(env.from, &members, env.msg);
         }
     }
 
     fn do_multicast(&self, from: Addr, group: GroupId, msg: M) -> usize {
-        let mut members: Vec<Addr> = self
-            .groups
-            .lock()
-            .get(&group.0)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        members.retain(|&to| to != from);
-        let mut count = members.len();
+        let members = self.table.members(group, from);
         // One serialization feeds every remote datagram, straight from the
         // thread's scratch buffer — no per-destination encode or alloc.
-        count += with_scratch(|w| {
+        let datagrams = with_scratch(|w| {
             encode_payload_into(from, group_addr(group), &msg, w);
             let payload = w.as_slice();
             let mut sent = 0;
@@ -525,14 +472,8 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
             }
             sent
         });
-        // Local members: the last one takes the message by move.
-        if let Some((&last, rest)) = members.split_last() {
-            for &to in rest {
-                let _ = self.deliver_local(Envelope { from, to, msg: msg.clone() });
-            }
-            let _ = self.deliver_local(Envelope { from, to: last, msg });
-        }
-        count
+        self.table.deliver_each(from, &members, msg);
+        members.len() + datagrams
     }
 
     /// Hand a frame to the peer's connection queue (establishing the

@@ -52,10 +52,12 @@ fn main() {
     assert_eq!(result, reference);
     println!("  tuple-space workers (4): {:?}", t.elapsed());
 
-    let m = neighborhood.metrics();
+    let net = |counter: &str| neighborhood.recorder().counter(counter).get();
     println!(
         "network: {} messages sent, {} delivered, {} multicasts",
-        m.sent, m.delivered, m.multicasts
+        net("net.sent"),
+        net("net.delivered"),
+        net("net.multicasts")
     );
     neighborhood.shutdown();
 }

@@ -38,7 +38,7 @@ fn main() {
     assert_eq!(c, matmul::matmul_sequential(n, &a, &b));
     println!("16×16 distributed matmul verified against the sequential kernel");
 
-    let m = neighborhood.metrics();
-    println!("total fabric traffic: {} messages", m.sent);
+    let sent = neighborhood.recorder().counter("net.sent").get();
+    println!("total fabric traffic: {sent} messages");
     neighborhood.shutdown();
 }

@@ -154,7 +154,7 @@ fn placement_survives_lost_solicitation() {
     job.start().unwrap();
     let report = job.wait(Duration::from_secs(10)).unwrap();
     assert_eq!(report.result("t"), Some(&UserData::Text("ran".into())));
-    assert!(nb.metrics().dropped >= 1);
+    assert!(nb.recorder().counter("net.dropped").get() >= 1);
     nb.shutdown();
 }
 
