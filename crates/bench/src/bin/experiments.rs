@@ -432,9 +432,7 @@ fn e7_contention() {
     use std::sync::{Arc, Barrier};
 
     use cn_bench::{bench_client_config, contention_neighborhood};
-    use cn_core::{
-        CnApi, JobRequirements, Policy, StealConfig, TaskArchive, TaskContext, TaskSpec, UserData,
-    };
+    use cn_core::{CnApi, JobRequirements, Policy, TaskArchive, TaskContext, TaskSpec, UserData};
     use cn_observe::{journal_jsonl, Recorder};
 
     banner("E7", "multi-job contention: round-robin vs load-aware + work stealing");
@@ -458,7 +456,7 @@ fn e7_contention() {
 
     // One contention trial: all clients submit concurrently; returns the
     // makespan plus steal counters.
-    let trial = |policy: Policy, steal: Option<StealConfig>| -> (f64, u64, u64) {
+    let trial = |policy: Policy, steal: bool| -> (f64, u64, u64) {
         let rec = Recorder::new();
         let nb = contention_neighborhood(speeds, exec_slots, policy, steal, rec.clone());
         nb.registry().publish(work_archive());
@@ -500,12 +498,11 @@ fn e7_contention() {
 
     // Best of two: the workload is sleep-dominated, but placement races and
     // box noise still jitter the tail.
-    let best = |policy: Policy, steal: Option<StealConfig>| {
+    let best = |policy: Policy, steal: bool| {
         (0..2).map(|_| trial(policy, steal)).min_by(|x, y| x.0.partial_cmp(&y.0).unwrap()).unwrap()
     };
-    let (rr_s, _, _) = best(Policy::RoundRobin, None);
-    let steal_cfg = StealConfig { threshold: 1, heartbeat: Duration::from_millis(5) };
-    let (la_s, steals, steal_returns) = best(Policy::LoadAware, Some(steal_cfg));
+    let (rr_s, _, _) = best(Policy::RoundRobin, false);
+    let (la_s, steals, steal_returns) = best(Policy::LoadAware, true);
     let speedup = rr_s / la_s.max(1e-9);
     println!(
         "{clients} clients x {jobs_per_client} jobs x {tasks_per_job} tasks ({work_ms} ms each), \
@@ -527,7 +524,7 @@ fn e7_contention() {
     // policies (load-aware degrades to the round-robin rotation on ties).
     let deterministic = |policy: Policy| -> (Vec<(String, String)>, String) {
         let rec = Recorder::new();
-        let nb = contention_neighborhood(&[100, 100, 100], exec_slots, policy, None, rec.clone());
+        let nb = contention_neighborhood(&[100, 100, 100], exec_slots, policy, false, rec.clone());
         nb.registry().publish(work_archive());
         let api = CnApi::with_config(&nb, bench_client_config());
         let mut job = api.create_job(&JobRequirements::default()).expect("create job");

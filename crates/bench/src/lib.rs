@@ -24,13 +24,13 @@ pub fn bench_client_config() -> cn_core::ClientConfig {
 /// A neighborhood for the E7 contention experiment: one node per entry of
 /// `speeds` (`speed_pct` values; 100 = nominal, 25 = a 4x straggler),
 /// every TaskManager capped at `exec_slots` concurrent task threads so
-/// run queues actually form, with the given placement `policy` and
-/// optional work stealing.
+/// run queues actually form, with the given placement `policy` and work
+/// stealing on or off.
 pub fn contention_neighborhood(
     speeds: &[u32],
     exec_slots: usize,
     policy: cn_core::Policy,
-    steal: Option<cn_core::StealConfig>,
+    steal: bool,
     recorder: cn_observe::Recorder,
 ) -> Neighborhood {
     let config = NeighborhoodConfig {

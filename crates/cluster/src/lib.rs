@@ -10,16 +10,15 @@
 //!   `task-req` admission the JobManager performs,
 //! * [`network`] — a message fabric with unicast and **multicast groups**
 //!   (the paper's JobManager discovery is multicast-based), a configurable
-//!   latency/jitter/loss model, and `net.*` counters in its recorder,
+//!   latency/jitter/loss model, partitions, and `net.*` counters in its
+//!   recorder,
 //! * [`endpoints`] — the endpoint and group table every fabric, this one
-//!   and `cn-wire`'s socket fabric, delivers through,
-//! * [`failure`] — failure injection: node crash and network partition.
+//!   and `cn-wire`'s socket fabric, delivers through.
 //!
 //! Everything stochastic (jitter, loss) is driven by a caller-provided seed,
 //! so simulations are reproducible.
 
 pub mod endpoints;
-pub mod failure;
 pub mod network;
 pub mod node;
 

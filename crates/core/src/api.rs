@@ -21,7 +21,7 @@ use cn_wire::FabricHandle;
 use crate::message::{
     Bid, CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME,
 };
-use crate::pump::{solicit, MsgPump};
+use crate::pump::MsgPump;
 use crate::scheduler::{select, Policy};
 use crate::spaces::SpaceRegistry;
 use crate::tuplespace::{Tuple, TupleSpace};
@@ -68,7 +68,7 @@ impl std::error::Error for ClientError {}
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Upper bound on one JobManager bid window: it closes as soon as every
-    /// server the solicitation addressed has bid ([`crate::pump::solicit`]).
+    /// server the solicitation addressed has bid ([`MsgPump::solicit`]).
     pub bid_window: Duration,
     /// JobManager selection policy.
     pub policy: Policy,
@@ -167,12 +167,12 @@ impl CnApi {
         // field, which exporters remap to a stable rank.
         let span = self.rec.span_start_job("job", "job", None, Some(job.0), None);
         let (addr, rx) = self.net.register();
+        let mut pump = MsgPump::new(rx);
         let mut bids: Vec<Bid> = Vec::new();
         for _attempt in 0..=DISCOVERY_RETRIES {
             self.c_solicits.inc();
-            bids = solicit(
+            bids = pump.solicit(
                 &self.net,
-                &rx,
                 addr,
                 NetMsg::SolicitJobManager { job, requirements: *requirements, reply_to: addr },
                 self.config.bid_window,
@@ -213,14 +213,13 @@ impl CnApi {
             jm_server: chosen.server,
             net: self.net.clone(),
             addr,
-            pump: MsgPump::new(rx),
+            pump,
             directory: HashMap::new(),
             task_names: Vec::new(),
             placements: Vec::new(),
             started: false,
             held: false,
             space: self.spaces.get_or_create(job),
-            spaces: Arc::clone(&self.spaces),
             shadow: HashMap::new(),
             ack_timeout: self.config.ack_timeout,
             rec: self.rec.clone(),
@@ -269,8 +268,9 @@ pub struct JobHandle {
     /// The JobManager accepted the job and has not reported its end: a
     /// handle dropped now abandons a job that still holds its placements.
     held: bool,
+    /// The job's tuple space; it goes with the last of this handle and the
+    /// job's tasks ([`SpaceRegistry`]).
     space: Arc<TupleSpace>,
-    spaces: Arc<SpaceRegistry>,
     /// Wire mode only: client-side shadow spans for remote task
     /// executions, keyed by task name. On a shared-memory fabric the
     /// TaskManagers record task spans into the same recorder and no
@@ -296,7 +296,6 @@ impl Drop for JobHandle {
             self.net.post(self.addr, self.jm, NetMsg::CancelJob { job: self.job });
         }
         self.net.unregister(self.addr);
-        self.spaces.remove(self.job);
         for (_, span) in self.shadow.drain() {
             self.rec.span_end(span);
         }

@@ -38,7 +38,7 @@ pub use exec::{
     execute_descriptor, execute_descriptor_seeded, execute_with_api_seeded, DynamicArgs, ExecError,
 };
 pub use message::{CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData};
-pub use scheduler::{LoadSignal, Policy, StealConfig};
+pub use scheduler::{LoadSignal, Policy};
 pub use server::{CnServer, ServerConfig};
 pub use task::{RecvError, Task, TaskContext, TaskError};
 pub use tuplespace::{Field, Pattern, Tuple, TupleSpace};

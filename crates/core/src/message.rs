@@ -224,15 +224,14 @@ macro_rules! netmsg_table {
 
             // -- Load-aware scheduling + work stealing (DESIGN.md §14) ----------
             /// TM → discovery group (or unicast as a steal decline): event-driven
-            /// load heartbeat. Sent when the TaskManager's load signal changes,
-            /// throttled to one multicast per `StealConfig::heartbeat` interval —
-            /// a quiescent cluster sends none, so deterministic single-job runs
-            /// stay byte-identical.
+            /// load heartbeat, sent only where `ServerConfig::steal` is set. Sent
+            /// when the TaskManager's load signal changes, at most once per 5 ms
+            /// heartbeat — a quiescent cluster sends none, so deterministic
+            /// single-job runs stay byte-identical.
             LoadReport = 24 { server: String, addr: Addr, signal: LoadSignal },
-            /// Idle TM → a loaded peer: ask for one queued task. `endpoint` is a
-            /// pre-registered task endpoint on the thief, so a grant needs no
-            /// extra round-trip before messages can be forwarded.
-            StealRequest = 25 { thief: String, reply_to: Addr, endpoint: Addr },
+            /// Idle TM → a loaded peer: ask for one queued task. The thief
+            /// registers the task's new endpoint when a grant arrives.
+            StealRequest = 25 { thief: String, reply_to: Addr },
             /// Victim TM → thief: at-most-once handoff of one queued, never-started
             /// task. The victim has already dequeued it and released its
             /// reservation; exactly one of {thief commits via `TaskMigrated`,
@@ -246,7 +245,9 @@ macro_rules! netmsg_table {
                 directory: HashMap<String, Addr>,
                 victim: String,
                 /// The task's original endpoint on the victim; peers with stale
-                /// directories keep sending here, and the victim forwards.
+                /// directories keep sending here, and the victim's loop sends it
+                /// on. The thief's `Shutdown` here, once the task has exited,
+                /// ends that.
                 old_endpoint: Addr,
             },
             /// Thief → victim: could not host the granted task after all (archive
@@ -255,7 +256,9 @@ macro_rules! netmsg_table {
             /// Thief → JobManager *and* thief → victim after a successful steal:
             /// the task now lives on `server` at `task_addr`. The JM updates its
             /// placement table (cancel paths, later directories); the victim
-            /// starts forwarding the old endpoint's queue to `task_addr`.
+            /// makes the old endpoint an alias of its own address, sends what
+            /// already sat in the task's queue on to `task_addr`, and from then
+            /// on sends on whatever reaches the old address.
             TaskMigrated = 28 { job: JobId, task: String, server: String, tm: Addr, task_addr: Addr },
 
             // -- Burst creation (DESIGN.md §14, "Fair admission") ----------------

@@ -8,7 +8,8 @@
 //! ([`MsgPump::next_before`]). Envelopes leave arrival order in two places:
 //! [`MsgPump::take_matching`], which pulls a burst's `CreateTask`s forward
 //! for fair admission, and [`MsgPump::next_matching`], the selective receive
-//! tasks and clients wait on. Everything either passes over must still come
+//! tasks and clients wait on (a client's bid window, [`MsgPump::solicit`],
+//! too). Everything either passes over must still come
 //! out of [`MsgPump::next`], in order. Losing one loses a protocol message —
 //! bids, acks, and task lifecycle events all ride the same queue.
 
@@ -25,7 +26,7 @@ use cn_wire::FabricHandle;
 /// ([`cn_wire::Fabric::multicast_is_exact`]); the deadline is the upper
 /// bound, paid for a peer that never answers (dead, partitioned, unwilling)
 /// and on a fabric whose reach is unknown. The client sits in its window
-/// ([`solicit`]); the server keeps its own as an entry of its loop.
+/// ([`MsgPump::solicit`]); the server keeps its own as an entry of its loop.
 #[derive(Debug)]
 pub struct Window {
     quorum: usize,
@@ -65,35 +66,6 @@ impl Window {
     pub fn deadline(&self) -> Instant {
         self.deadline
     }
-}
-
-/// Multicast `solicitation` and sit in its [`Window`] on `rx` — how the
-/// client collects JobManager bids. `answer` looks at each message heard and
-/// extracts an answer to this solicitation, if it is one; anything else on
-/// the (fresh) endpoint is a stray and is dropped.
-pub fn solicit<M: Send + Clone + 'static, A>(
-    net: &FabricHandle<M>,
-    rx: &Receiver<Envelope<M>>,
-    from: Addr,
-    solicitation: M,
-    window: Duration,
-    mut answer: impl FnMut(&M) -> Option<A>,
-) -> Vec<A> {
-    let mut window = Window::open(net, from, solicitation, window);
-    let mut answers = Vec::new();
-    while !window.is_complete() {
-        let remaining = window.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        let Ok(env) = rx.recv_timeout(remaining) else { break };
-        if let Some(a) = answer(&env.msg) {
-            if window.admit(env.from) {
-                answers.push(a);
-            }
-        }
-    }
-    answers
 }
 
 /// Pending-queue wrapper around an endpoint's receive channel — the one
@@ -156,6 +128,35 @@ impl<M> MsgPump<M> {
                 self.pending.push_back(extra);
             }
         }
+    }
+
+    /// Multicast `solicitation` and sit in its [`Window`] — how the client
+    /// collects JobManager bids. `answer` extracts an answer to this
+    /// solicitation from a message, if it is one; anything else stays pending
+    /// for later receives.
+    pub fn solicit<A>(
+        &mut self,
+        net: &FabricHandle<M>,
+        from: Addr,
+        solicitation: M,
+        window: Duration,
+        mut answer: impl FnMut(&M) -> Option<A>,
+    ) -> Vec<A>
+    where
+        M: Send + Clone + 'static,
+    {
+        let mut window = Window::open(net, from, solicitation, window);
+        let mut answers = Vec::new();
+        while !window.is_complete() {
+            let mut heard = None;
+            let is_answer = |m: &M| {
+                heard = answer(m);
+                heard.is_some()
+            };
+            let Ok(env) = self.next_matching(Some(window.deadline), is_answer) else { break };
+            answers.extend(heard.filter(|_| window.admit(env.from)));
+        }
+        answers
     }
 
     /// Pull every already-delivered envelope matching `pred` out of the
@@ -239,7 +240,8 @@ mod tests {
             net.send(*p, me, Msg::Bid(7, who)).unwrap();
         }
         let t0 = Instant::now();
-        let bids = solicit(&net, &rx, me, Msg::Solicit(7), Duration::from_secs(1), bid_for(7));
+        let bids =
+            MsgPump::new(rx).solicit(&net, me, Msg::Solicit(7), Duration::from_secs(1), bid_for(7));
         assert_eq!(bids, ["a", "b", "c"]);
         assert!(t0.elapsed() < Duration::from_millis(500), "{:?}", t0.elapsed());
     }
@@ -251,7 +253,7 @@ mod tests {
         net.send(peers[2], me, Msg::Bid(7, "c")).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
+        let bids = MsgPump::new(rx).solicit(&net, me, Msg::Solicit(7), window, bid_for(7));
         assert_eq!(bids, ["a", "c"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
         assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
@@ -267,11 +269,16 @@ mod tests {
         net.send(peers[1], me, Msg::Other(2)).unwrap();
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
-        let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
+        let mut pump = MsgPump::new(rx);
+        let bids = pump.solicit(&net, me, Msg::Solicit(7), window, bid_for(7));
         // Two peers were addressed and only one answered: neither its second
         // answer nor the other peer's answer to something else is quorum.
         assert_eq!(bids, ["a"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
+        // What is not an answer stays for later receives, in order.
+        assert_eq!(pump.next().unwrap().msg, Msg::Other(1));
+        assert_eq!(pump.next().unwrap().msg, Msg::Bid(8, "late, for another task"));
+        assert_eq!(pump.next().unwrap().msg, Msg::Other(2));
     }
 
     #[test]
@@ -333,6 +340,9 @@ mod tests {
         fn unregister(&self, addr: Addr) {
             self.0.unregister(addr)
         }
+        fn alias(&self, old: Addr, onto: Addr) -> bool {
+            self.0.alias(old, onto)
+        }
         fn join_group(&self, addr: Addr, group: GroupId) {
             self.0.join_group(addr, group)
         }
@@ -358,7 +368,7 @@ mod tests {
         let window = Duration::from_millis(40);
         let t0 = Instant::now();
         let net: FabricHandle<Msg> = Arc::new(Inexact(net));
-        let bids = solicit(&net, &rx, me, Msg::Solicit(7), window, bid_for(7));
+        let bids = MsgPump::new(rx).solicit(&net, me, Msg::Solicit(7), window, bid_for(7));
         assert_eq!(bids, ["a", "b"]);
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
     }

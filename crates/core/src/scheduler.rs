@@ -11,12 +11,11 @@
 //! on every bid, [`Policy::LoadAware`] weights placement by it (falling back
 //! to round-robin rotation when every bidder reports the same quantized
 //! score, so uniform-load runs stay journal-identical to `RoundRobin`),
-//! [`FairQueue`] is the deficit-round-robin admission queue that keeps N
-//! concurrent clients from starving each other, and [`StealConfig`] shapes
-//! the work-stealing protocol between TaskManagers.
+//! and [`FairQueue`] is the deficit-round-robin admission queue that keeps
+//! N concurrent clients from starving each other. The work-stealing protocol
+//! between TaskManagers lives in the server (`ServerConfig::steal`).
 
 use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
 
 use crate::message::Bid;
 
@@ -107,25 +106,6 @@ impl Ewma {
 
     pub fn get(&self) -> u64 {
         self.value
-    }
-}
-
-/// Work-stealing shape: when a TaskManager goes idle it raids queued tasks
-/// from loaded peers (DESIGN.md §14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealConfig {
-    /// A victim grants a steal only while its run-queue depth is at least
-    /// this. 0 means every idle peer raids on every task exit (thrashing).
-    pub threshold: u32,
-    /// Minimum interval between `LoadReport` heartbeat multicasts from one
-    /// TaskManager. Reports are event-driven (sent when the load signal
-    /// changes), so an idle quiescent cluster sends none.
-    pub heartbeat: Duration,
-}
-
-impl Default for StealConfig {
-    fn default() -> Self {
-        StealConfig { threshold: 2, heartbeat: Duration::from_millis(50) }
     }
 }
 

@@ -31,11 +31,11 @@ use crate::archive::ArchiveRegistry;
 use crate::message::{Bid, JobId, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME};
 use crate::pump::{MsgPump, Window};
 use crate::scheduler::{
-    select, select_load_aware, Ewma, FairQueue, LoadSignal, Policy, RoundRobin, StealConfig,
+    select, select_load_aware, Ewma, FairQueue, LoadSignal, Policy, RoundRobin,
 };
 use crate::spaces::SpaceRegistry;
 use crate::task::{panic_text, TaskContext, TaskError};
-use crate::tuplespace::Tuple;
+use crate::tuplespace::{Tuple, TupleSpace};
 
 /// Tunables for a server.
 #[derive(Debug, Clone)]
@@ -54,11 +54,19 @@ pub struct ServerConfig {
     /// immediately); with a cap, started tasks beyond it wait in the run
     /// queue — the queue that feeds [`LoadSignal`] and the steal protocol.
     pub exec_slots: Option<usize>,
-    /// Work-stealing shape; `None` disables stealing entirely (no
-    /// `LoadReport` heartbeats, no raids), which also keeps the sim
-    /// journal free of steal events.
-    pub steal: Option<StealConfig>,
+    /// Work stealing: an idle TaskManager raids queued tasks from loaded
+    /// peers (DESIGN.md §14). Off means no `LoadReport` heartbeats and no
+    /// raids, which also keeps the sim journal free of steal events.
+    pub steal: bool,
 }
+
+/// A victim grants a steal only while its run queue holds at least this
+/// many tasks.
+const STEAL_THRESHOLD: u32 = 1;
+
+/// Least interval between one TaskManager's `LoadReport` multicasts
+/// ([`ServerState::load_changed`]).
+const STEAL_HEARTBEAT: Duration = Duration::from_millis(5);
 
 /// Deficit-round-robin quantum (in task `memory_mb` cost units) for
 /// per-client fair admission of `CreateTask`/`CreateTasks` bursts: just
@@ -73,7 +81,7 @@ impl Default for ServerConfig {
             assign_timeout: Duration::from_secs(2),
             policy: Policy::LeastLoaded,
             exec_slots: None,
-            steal: None,
+            steal: false,
         }
     }
 }
@@ -145,6 +153,9 @@ struct TmTask {
     jm: Addr,
     endpoint: Addr,
     rx: Option<Receiver<Envelope<NetMsg>>>,
+    /// The job's tuple space, held from assignment: it lives while any of
+    /// the job's tasks here does ([`SpaceRegistry`]).
+    space: Arc<TupleSpace>,
     reservation: Option<cn_cluster::node::Reservation>,
     /// `StartTask` received (dedup guard).
     started: bool,
@@ -159,8 +170,8 @@ struct TmTask {
     /// task is off the run queue until `TaskMigrated` commits the handoff
     /// or `StealReturn` bounces it back.
     migrated: bool,
-    /// Thief side: the task's old endpoint at the victim, told to shut its
-    /// forwarder down when the stolen task exits.
+    /// Thief side: the task's old endpoint at the victim, sent `Shutdown`
+    /// when the stolen task exits so that the victim retires it.
     stolen_from: Option<Addr>,
 }
 
@@ -364,8 +375,10 @@ struct ServerState {
     /// by any `LoadReport` from the victim (the decline path) or by the
     /// grant; the timestamp is a staleness escape hatch.
     steal_pending: Option<(Addr, Instant)>,
-    /// Pre-registered endpoint reused across steal requests.
-    steal_endpoint: Option<(Addr, Receiver<Envelope<NetMsg>>)>,
+    /// Victim side: the old endpoint of each task stolen from here → its new
+    /// one. The old endpoint is an alias of this server's address
+    /// ([`cn_wire::Fabric::alias`]) until the thief says the task exited.
+    moved: HashMap<Addr, Addr>,
     /// Throttle state for `LoadReport` multicasts.
     last_reported: Option<LoadSignal>,
     last_report_at: Option<Instant>,
@@ -421,7 +434,7 @@ impl ServerState {
             dispatch_ewma: Ewma::default(),
             peer_loads: HashMap::new(),
             steal_pending: None,
-            steal_endpoint: None,
+            moved: HashMap::new(),
             last_reported: None,
             last_report_at: None,
             c_jm_bids: rec.counter("server.jm_bids_sent"),
@@ -445,7 +458,7 @@ impl ServerState {
     fn run(mut self) {
         loop {
             match self.pump.next_before(self.next_deadline()) {
-                Ok(env) if matches!(env.msg, NetMsg::Shutdown) => break,
+                Ok(env) if matches!(env.msg, NetMsg::Shutdown) && env.to == self.addr => break,
                 Ok(env) => self.handle(env),
                 Err(RecvTimeoutError::Timeout) => {}
                 // The network is gone.
@@ -453,6 +466,7 @@ impl ServerState {
             }
             self.advance_round();
         }
+        self.moved.keys().for_each(|old| self.net.unregister(*old));
         self.net.unregister(self.addr);
     }
 
@@ -467,6 +481,9 @@ impl ServerState {
     }
 
     fn handle(&mut self, env: Envelope<NetMsg>) {
+        if env.to != self.addr {
+            return self.forward_moved(env);
+        }
         match env.msg {
             // ---- JobManager: discovery --------------------------------
             NetMsg::SolicitJobManager { job, requirements, reply_to } => {
@@ -574,9 +591,7 @@ impl ServerState {
                 self.maybe_steal();
             }
             NetMsg::LoadReport { .. } => {}
-            NetMsg::StealRequest { thief, reply_to, endpoint } => {
-                self.tm_steal_request(thief, reply_to, endpoint)
-            }
+            NetMsg::StealRequest { thief, reply_to } => self.tm_steal_request(thief, reply_to),
             NetMsg::StealGrant { job, spec, jm, client, directory, victim, old_endpoint } => self
                 .tm_steal_grant(env.from, job, spec, jm, client, directory, victim, old_endpoint),
             NetMsg::StealReturn { job, task } => self.tm_steal_return(job, task),
@@ -731,9 +746,7 @@ impl ServerState {
 
     /// The one way a job ends: every assigned task that has not completed
     /// but `except` is cancelled — running ones are interrupted, never-started
-    /// ones release their reservations — the job's state goes (and, in wire
-    /// mode, its local tuple-space replica: client job ids restart per
-    /// process, so a stale space could leak into a later job), and the
+    /// ones release their reservations — the job's state goes, and the
     /// client hears `end`.
     fn jm_end_job(&mut self, job: JobId, except: Option<&str>, end: NetMsg) {
         let Some(j) = self.jm_jobs.remove(&job) else { return };
@@ -746,9 +759,6 @@ impl ServerState {
             } else {
                 self.send(tm, NetMsg::CancelTask { job, task });
             }
-        }
-        if !self.net.shared_memory() {
-            self.spaces.remove(job);
         }
         self.send(j.client, end);
     }
@@ -777,6 +787,7 @@ impl ServerState {
                 jm,
                 endpoint,
                 rx: Some(rx),
+                space: self.spaces.get_or_create(job),
                 reservation: Some(reservation),
                 started: false,
                 launched: false,
@@ -851,7 +862,7 @@ impl ServerState {
         let work_scale = self.node.work_scale();
         let local_tm = self.addr;
         let registry = Arc::clone(&self.registry);
-        let space = self.spaces.get_or_create(job);
+        let space = Arc::clone(&t.space);
         let server_name = self.name.clone();
         let rec = self.rec.clone();
         let c_started = self.c_tasks_started.clone();
@@ -971,6 +982,9 @@ impl ServerState {
                 self.g_queue_depth.add(-1);
             }
             self.net.unregister(t.endpoint);
+            if let Some(old_endpoint) = t.stolen_from {
+                self.send(old_endpoint, NetMsg::Shutdown);
+            }
             drop(t); // reservation released here
             self.load_changed();
         }
@@ -985,20 +999,11 @@ impl ServerState {
                 self.running = self.running.saturating_sub(1);
                 self.g_inflight.add(-1);
             }
-            // Thief side of a migration: the victim keeps a forwarder
-            // thread alive on the task's old endpoint; shut it down now
-            // that nothing will ever answer there.
+            // Thief side of a migration: the victim still serves the task's
+            // old endpoint; nothing will ever answer there now.
             if let Some(old_endpoint) = t.stolen_from {
                 self.send(old_endpoint, NetMsg::Shutdown);
             }
-        }
-        // Wire mode: this process owns a private replica of the job's
-        // tuple space; drop it once the last local task of the job is
-        // gone. (On a shared-memory fabric the client's JobHandle owns
-        // that cleanup — removing here would hand later tasks of the same
-        // job a fresh empty space.)
-        if !self.net.shared_memory() && !self.tm_tasks.keys().any(|(j, _)| *j == job) {
-            self.spaces.remove(job);
         }
         self.launch_next_queued();
         self.load_changed();
@@ -1271,21 +1276,19 @@ impl ServerState {
     // ---- Work stealing --------------------------------------------------
 
     /// Multicast a `LoadReport` when the load signal changed, throttled to
-    /// the configured heartbeat — except that the edge *into* stealable
+    /// [`STEAL_HEARTBEAT`] — except that the edge *into* stealable
     /// territory is always reported immediately so idle peers learn about
     /// new prey promptly. No-op unless stealing is enabled, which keeps
     /// non-stealing runs free of extra traffic.
     fn load_changed(&mut self) {
-        let Some(steal) = self.config.steal else { return };
         let sig = self.load_signal();
-        if self.last_reported == Some(sig) {
+        if !self.config.steal || self.last_reported == Some(sig) {
             return;
         }
         let now = Instant::now();
-        let due = self.last_report_at.is_none_or(|at| now.duration_since(at) >= steal.heartbeat);
-        let threshold = steal.threshold.max(1);
-        let crossing = sig.queue_depth >= threshold
-            && self.last_reported.is_none_or(|s| s.queue_depth < threshold);
+        let due = self.last_report_at.is_none_or(|at| now.duration_since(at) >= STEAL_HEARTBEAT);
+        let crossing = sig.queue_depth >= STEAL_THRESHOLD
+            && self.last_reported.is_none_or(|s| s.queue_depth < STEAL_THRESHOLD);
         if !due && !crossing {
             return;
         }
@@ -1304,8 +1307,7 @@ impl ServerState {
     /// `LoadReport` from the victim (decline) or a grant clears it, and a
     /// staleness timeout lets us re-arm if the victim vanished.
     fn maybe_steal(&mut self) {
-        let Some(steal) = self.config.steal else { return };
-        if !self.run_queue.is_empty() {
+        if !self.config.steal || !self.run_queue.is_empty() {
             return;
         }
         let cap = self.config.exec_slots.unwrap_or(usize::MAX);
@@ -1317,28 +1319,16 @@ impl ServerState {
                 return;
             }
         }
-        let threshold = steal.threshold.max(1);
         let victim = self
             .peer_loads
             .iter()
-            .filter(|(addr, (_, sig))| **addr != self.addr && sig.queue_depth >= threshold)
+            .filter(|(addr, (_, sig))| **addr != self.addr && sig.queue_depth >= STEAL_THRESHOLD)
             .max_by_key(|(addr, (_, sig))| (sig.queue_depth, std::cmp::Reverse(addr.0)))
             .map(|(addr, _)| *addr);
         let Some(victim) = victim else { return };
-        let endpoint = match &self.steal_endpoint {
-            Some((addr, _)) => *addr,
-            None => {
-                let (addr, rx) = self.net.register();
-                self.steal_endpoint = Some((addr, rx));
-                addr
-            }
-        };
         self.c_steal_requests.inc();
         self.steal_pending = Some((victim, Instant::now()));
-        self.send(
-            victim,
-            NetMsg::StealRequest { thief: self.name.clone(), reply_to: self.addr, endpoint },
-        );
+        self.send(victim, NetMsg::StealRequest { thief: self.name.clone(), reply_to: self.addr });
     }
 
     /// Victim side: grant the newest queued never-launched task to the
@@ -1346,9 +1336,8 @@ impl ServerState {
     /// reservation and marks the entry migrated; the entry stays until the
     /// thief commits (`TaskMigrated`) or bounces (`StealReturn`) — exactly
     /// one of which arrives, making the handoff at-most-once.
-    fn tm_steal_request(&mut self, thief: String, reply_to: Addr, _thief_endpoint: Addr) {
-        let threshold = self.config.steal.map_or(u32::MAX, |s| s.threshold.max(1));
-        let grantable = (self.run_queue.len() as u32) >= threshold;
+    fn tm_steal_request(&mut self, thief: String, reply_to: Addr) {
+        let grantable = self.config.steal && self.run_queue.len() as u32 >= STEAL_THRESHOLD;
         let Some((job, task)) = (if grantable { self.run_queue.pop_back() } else { None }) else {
             // Decline: a unicast report refreshes the thief's view of us
             // and clears its pending-request latch.
@@ -1385,7 +1374,7 @@ impl ServerState {
 
     /// Thief side: try to take ownership of a granted task. Success means
     /// reserving locally and announcing `TaskMigrated` to both the
-    /// JobManager (placement table) and the victim (forwarding); any
+    /// JobManager (placement table) and the victim (the old address); any
     /// failure bounces the task back with `StealReturn`.
     #[allow(clippy::too_many_arguments)]
     fn tm_steal_grant(
@@ -1411,15 +1400,10 @@ impl ServerState {
             self.send(victim_addr, NetMsg::StealReturn { job, task });
             return;
         };
-        // Reuse the pre-registered steal endpoint as the task's new home;
-        // the next raid will register a fresh one.
-        let (endpoint, rx) = match self.steal_endpoint.take() {
-            Some(pair) => pair,
-            None => self.net.register(),
-        };
+        let (endpoint, rx) = self.net.register();
         self.uploaded.insert(spec.jar.clone());
         // The task's own directory entry must point at its new home so
-        // self-addressed sends do not loop through the forwarder.
+        // self-addressed sends do not detour through the victim.
         directory.insert(task.clone(), endpoint);
         self.tm_tasks.insert(
             (job, task.clone()),
@@ -1428,6 +1412,7 @@ impl ServerState {
                 jm,
                 endpoint,
                 rx: Some(rx),
+                space: self.spaces.get_or_create(job),
                 reservation: Some(reservation),
                 started: true,
                 launched: false,
@@ -1498,11 +1483,13 @@ impl ServerState {
 
     /// `TaskMigrated` lands on two parties. As the task's JobManager we
     /// repoint the placement table so later `StartTask`/`CancelTask`/
-    /// directory builds go to the thief. As the victim we hand the task's
-    /// old endpoint to a forwarder thread so in-flight peer messages —
-    /// sent against the stale directory — still reach the task at its new
-    /// home (the Figure-3 journals stay canonical because every message
-    /// arrives exactly once, just via one extra hop).
+    /// directory builds go to the thief. As the victim we make the task's
+    /// old endpoint an alias of our own address, so that messages sent
+    /// against a stale directory come to this loop, which sends them on to
+    /// the task's new home ([`ServerState::forward_moved`]) behind what
+    /// already sat in the old queue. The Figure-3 journals stay canonical
+    /// because every message arrives exactly once, in order, just via one
+    /// extra hop.
     fn task_migrated(
         &mut self,
         job: JobId,
@@ -1517,39 +1504,30 @@ impl ServerState {
             }
         }
         let key = (job, task);
-        if self.tm_tasks.get(&key).is_some_and(|t| t.migrated) {
-            let mut t = self.tm_tasks.remove(&key).expect("checked above");
-            if let Some(rx) = t.rx.take() {
-                self.spawn_forwarder(t.endpoint, rx, task_addr);
-            } else {
-                self.net.unregister(t.endpoint);
-            }
+        if !self.tm_tasks.get(&key).is_some_and(|t| t.migrated) {
+            return;
+        }
+        let t = self.tm_tasks.remove(&key).expect("checked above");
+        if self.net.alias(t.endpoint, self.addr) {
+            self.moved.insert(t.endpoint, task_addr);
+        }
+        // Nothing enters the old queue once it is an alias.
+        let Some(rx) = t.rx else { return };
+        while let Ok(env) = rx.try_recv() {
+            self.forward_moved(env);
         }
     }
 
-    /// Drain a migrated-out task's old endpoint into its new home until
-    /// the thief signals the task exited (`Shutdown`) or the fabric goes
-    /// away.
-    fn spawn_forwarder(&mut self, old: Addr, rx: Receiver<Envelope<NetMsg>>, target: Addr) {
-        let net = self.net.clone();
-        cn_sync::thread::Builder::new()
-            .name(format!("steal-fwd-{}", old.0))
-            .spawn(move || {
-                loop {
-                    match rx.recv_timeout(Duration::from_millis(200)) {
-                        Ok(env) => {
-                            if matches!(env.msg, NetMsg::Shutdown) {
-                                break;
-                            }
-                            let _ = net.send(old, target, env.msg);
-                        }
-                        Err(cn_sync::channel::RecvTimeoutError::Timeout) => continue,
-                        Err(_) => break,
-                    }
-                }
-                net.unregister(old);
-            })
-            .expect("spawn forwarder thread");
+    /// Victim side: a message for the old endpoint of a task stolen from
+    /// here goes on to its new one — but the thief's `Shutdown`, sent when
+    /// the task has exited, retires the old endpoint.
+    fn forward_moved(&mut self, env: Envelope<NetMsg>) {
+        if matches!(env.msg, NetMsg::Shutdown) {
+            self.moved.remove(&env.to);
+            self.net.unregister(env.to);
+        } else if let Some(&new) = self.moved.get(&env.to) {
+            self.net.post(env.from, new, env.msg);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! service).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use cn_observe::{Counter, Recorder};
 use cn_sync::Mutex;
@@ -11,10 +11,14 @@ use cn_sync::Mutex;
 use crate::message::JobId;
 use crate::tuplespace::TupleSpace;
 
-/// Lazily creates one [`TupleSpace`] per job.
+/// Lazily creates one [`TupleSpace`] per job. The registry does not keep a
+/// space alive: its holders do — the client's job handle and each task a
+/// TaskManager was assigned — and the last of them to go frees it, so a
+/// later job with the same id (client job ids restart per process) starts
+/// with an empty space.
 #[derive(Debug, Default)]
 pub struct SpaceRegistry {
-    spaces: Mutex<HashMap<JobId, Arc<TupleSpace>>>,
+    spaces: Mutex<HashMap<JobId, Weak<TupleSpace>>>,
     /// Neighborhood-wide `space.out` / `space.rd` / `space.in` counters,
     /// shared by every job's space. `None` for standalone registries.
     counters: Option<(Counter, Counter, Counter)>,
@@ -35,26 +39,29 @@ impl SpaceRegistry {
         }
     }
 
+    /// The job's space while anything holds it, else a new one (and the
+    /// entries of spaces nothing holds any more go).
     pub fn get_or_create(&self, job: JobId) -> Arc<TupleSpace> {
-        Arc::clone(self.spaces.lock().entry(job).or_insert_with(|| {
-            Arc::new(match &self.counters {
-                Some((o, r, i)) => TupleSpace::with_counters(o.clone(), r.clone(), i.clone()),
-                None => TupleSpace::new(),
-            })
-        }))
+        let mut spaces = self.spaces.lock();
+        if let Some(space) = spaces.get(&job).and_then(Weak::upgrade) {
+            return space;
+        }
+        spaces.retain(|_, space| space.strong_count() > 0);
+        let space = Arc::new(match &self.counters {
+            Some((o, r, i)) => TupleSpace::with_counters(o.clone(), r.clone(), i.clone()),
+            None => TupleSpace::new(),
+        });
+        spaces.insert(job, Arc::downgrade(&space));
+        space
     }
 
-    /// Drop a job's space (when the job completes).
-    pub fn remove(&self, job: JobId) {
-        self.spaces.lock().remove(&job);
-    }
-
+    /// Spaces something still holds.
     pub fn len(&self) -> usize {
-        self.spaces.lock().len()
+        self.spaces.lock().values().filter(|space| space.strong_count() > 0).count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spaces.lock().is_empty()
+        self.len() == 0
     }
 }
 
@@ -99,13 +106,19 @@ mod tests {
     }
 
     #[test]
-    fn remove_clears_entry() {
+    fn a_space_goes_with_its_last_holder() {
         let reg = SpaceRegistry::new();
-        let a = reg.get_or_create(JobId(1));
-        a.out(vec![Field::I(1)]);
-        reg.remove(JobId(1));
-        // A fresh space is created on next access.
-        let b = reg.get_or_create(JobId(1));
-        assert!(b.is_empty());
+        let client = reg.get_or_create(JobId(1));
+        let task = reg.get_or_create(JobId(1));
+        client.out(vec![Field::I(1)]);
+        drop(client);
+        assert_eq!((reg.len(), task.len()), (1, 1), "a holder is left");
+        drop(task);
+        assert!(reg.is_empty());
+        // The dead entry goes as the next space is made...
+        let _other = reg.get_or_create(JobId(2));
+        assert_eq!(reg.spaces.lock().len(), 1);
+        // ...and a later job with the same id starts empty.
+        assert!(reg.get_or_create(JobId(1)).is_empty());
     }
 }

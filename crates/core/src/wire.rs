@@ -329,7 +329,7 @@ mod tests {
                 addr: Addr(7),
                 signal: LoadSignal { queue_depth: 9, in_flight: 1, ewma_dispatch_us: 12_345 },
             },
-            NetMsg::StealRequest { thief: "node2".into(), reply_to: Addr(3), endpoint: Addr(88) },
+            NetMsg::StealRequest { thief: "node2".into(), reply_to: Addr(3) },
             NetMsg::StealGrant {
                 job: JobId(1),
                 spec: sample_spec(),

@@ -70,7 +70,6 @@ mod linux {
         fn getsockopt(fd: i32, level: i32, name: i32, value: *mut u8, len: *mut u32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
         fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
     }
 
     #[repr(C)]
@@ -302,26 +301,6 @@ mod linux {
         Ok((rl.rlim_cur, rl.rlim_max))
     }
 
-    /// Best-effort raise of the fd soft limit to `target` (also the hard
-    /// limit when the process may — root in a container may). Returns the
-    /// soft limit actually in effect afterwards.
-    pub fn raise_fd_limit(target: u64) -> io::Result<u64> {
-        let (soft, hard) = fd_limits()?;
-        if soft >= target {
-            return Ok(soft);
-        }
-        let want_hard = hard.max(target);
-        let rl = Rlimit { rlim_cur: target.min(want_hard), rlim_max: want_hard };
-        if unsafe { setrlimit(RLIMIT_NOFILE, &rl) } < 0 {
-            // Retry within the existing hard limit before giving up.
-            let rl = Rlimit { rlim_cur: target.min(hard), rlim_max: hard };
-            if unsafe { setrlimit(RLIMIT_NOFILE, &rl) } < 0 {
-                return Ok(soft);
-            }
-        }
-        Ok(fd_limits()?.0)
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -432,10 +411,6 @@ mod fallback {
     }
 
     pub fn fd_limits() -> io::Result<(u64, u64)> {
-        unsupported()
-    }
-
-    pub fn raise_fd_limit(_target: u64) -> io::Result<u64> {
         unsupported()
     }
 }
