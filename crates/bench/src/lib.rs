@@ -39,7 +39,6 @@ pub fn contention_neighborhood(
             policy,
             exec_slots: Some(exec_slots),
             steal,
-            ..Default::default()
         },
         recorder,
         ..Default::default()

@@ -24,6 +24,7 @@ pub mod api;
 pub mod archive;
 pub mod exec;
 pub mod message;
+mod placement;
 pub mod pump;
 pub mod scheduler;
 pub mod server;

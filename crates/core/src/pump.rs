@@ -4,14 +4,15 @@
 //! model checker without standing up a whole server.
 //!
 //! The server never waits inside a handler: an open bid window or an
-//! outstanding assignment is a deadline its loop receives against
-//! ([`MsgPump::next_before`]). Envelopes leave arrival order in two places:
-//! [`MsgPump::take_matching`], which pulls a burst's `CreateTask`s forward
-//! for fair admission, and [`MsgPump::next_matching`], the selective receive
-//! tasks and clients wait on (a client's bid window, [`MsgPump::solicit`],
-//! too). Everything either passes over must still come
-//! out of [`MsgPump::next`], in order. Losing one loses a protocol message —
-//! bids, acks, and task lifecycle events all ride the same queue.
+//! outstanding assignment is a deadline of its placement round that its
+//! loop receives against ([`MsgPump::next_before`]). Envelopes leave
+//! arrival order in two places: [`MsgPump::take_matching`], which pulls a
+//! burst's `CreateTask`s forward for fair admission, and
+//! [`MsgPump::next_matching`], the selective receive tasks and clients wait
+//! on (a client's bid window, [`MsgPump::solicit`], too). Everything either
+//! passes over must still come out of [`MsgPump::next`], in order. Losing
+//! one loses a protocol message — bids, acks, and task lifecycle events all
+//! ride the same queue.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -25,8 +26,9 @@ use cn_wire::FabricHandle;
 /// if the fabric can say how many that is
 /// ([`cn_wire::Fabric::multicast_is_exact`]); the deadline is the upper
 /// bound, paid for a peer that never answers (dead, partitioned, unwilling)
-/// and on a fabric whose reach is unknown. The client sits in its window
-/// ([`MsgPump::solicit`]); the server keeps its own as an entry of its loop.
+/// and on a fabric whose reach is unknown. A pure value: the client sits in
+/// its window ([`MsgPump::solicit`]); the server's placement round holds its
+/// own (`placement::Round`), whose deadline the server's loop receives against.
 #[derive(Debug)]
 pub struct Window {
     quorum: usize,
@@ -35,6 +37,11 @@ pub struct Window {
 }
 
 impl Window {
+    /// A window that closes on `quorum` distinct answers, or at `deadline`.
+    pub fn new(quorum: usize, deadline: Instant) -> Window {
+        Window { quorum, answered: Vec::new(), deadline }
+    }
+
     /// Multicast `solicitation` into the discovery group and open its
     /// window, at most `bound` long.
     pub fn open<M: Send + Clone + 'static>(
@@ -45,7 +52,7 @@ impl Window {
     ) -> Window {
         let addressed = net.multicast(from, DISCOVERY_GROUP, solicitation);
         let quorum = if net.multicast_is_exact() { addressed } else { usize::MAX };
-        Window { quorum, answered: Vec::new(), deadline: Instant::now() + bound }
+        Window::new(quorum, Instant::now() + bound)
     }
 
     /// Count an answer from `from`. `false` for a sender that has answered

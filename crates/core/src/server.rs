@@ -7,15 +7,17 @@
 //!
 //! Each server runs an event loop on its own thread, joined to the CN
 //! discovery multicast group. The JobManager half answers solicitations,
-//! places admitted tasks a round at a time (one solicitation per round, see
-//! [`Round`]), manages job DAGs and relays task lifecycle messages to the
-//! client; the TaskManager half bids for tasks, receives archive uploads,
-//! sets up per-task message queues and runs each task in a thread of its own
-//! (`RUN_AS_THREAD_IN_TM`), one a finished task left parked when there is
-//! one (`TaskPool`). Nothing waits inside a handler: an open bid
-//! window and every outstanding assignment are entries of the loop, each
-//! with a deadline the loop's receive honours.
+//! admits created tasks into placement rounds (one solicitation per round;
+//! the round is `placement::Round`, and the loop only carries bids, acks and
+//! deadlines in and its actions out), manages job DAGs and relays task
+//! lifecycle messages to the client; the TaskManager half bids for tasks,
+//! receives archive uploads, sets up per-task message queues and runs each
+//! task in a thread of its own (`RUN_AS_THREAD_IN_TM`), one a finished task
+//! left parked when there is one (`TaskPool`). Nothing waits inside a
+//! handler: an open bid window and every outstanding assignment are
+//! deadlines of the round, which the loop's receive honours.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -29,10 +31,9 @@ use cn_wire::FabricHandle;
 
 use crate::archive::ArchiveRegistry;
 use crate::message::{Bid, JobId, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME};
+use crate::placement::{Action, Event, Round};
 use crate::pump::{MsgPump, Window};
-use crate::scheduler::{
-    select, select_load_aware, Ewma, FairQueue, LoadSignal, Policy, RoundRobin,
-};
+use crate::scheduler::{Ewma, FairQueue, LoadSignal, Policy, RoundRobin};
 use crate::spaces::SpaceRegistry;
 use crate::task::{panic_text, TaskContext, TaskError};
 use crate::tuplespace::{Tuple, TupleSpace};
@@ -44,9 +45,6 @@ pub struct ServerConfig {
     /// every peer the solicitation addressed has bid
     /// ([`crate::pump::Window`]).
     pub bid_window: Duration,
-    /// How long an assignment may go without its AssignAck before the
-    /// JobManager offers the task to the next-best bidder.
-    pub assign_timeout: Duration,
     /// Bid selection policy for task placement.
     pub policy: Policy,
     /// Maximum task threads running concurrently on this TaskManager.
@@ -59,6 +57,10 @@ pub struct ServerConfig {
     /// raids, which also keeps the sim journal free of steal events.
     pub steal: bool,
 }
+
+/// How long an assignment may go without its AssignAck before the
+/// JobManager offers the task to the next-best bidder.
+const ASSIGN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A victim grants a steal only while its run queue holds at least this
 /// many tasks.
@@ -78,7 +80,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             bid_window: Duration::from_millis(5),
-            assign_timeout: Duration::from_secs(2),
             policy: Policy::LeastLoaded,
             exec_slots: None,
             steal: false,
@@ -118,11 +119,8 @@ impl CnServer {
     }
 
     /// Ask the server to stop and wait for its event loop to exit.
-    pub fn shutdown(mut self) {
-        let _ = self.net.send(self.addr, self.addr, NetMsg::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self)
     }
 }
 
@@ -173,86 +171,6 @@ struct TmTask {
     /// Thief side: the task's old endpoint at the victim, sent `Shutdown`
     /// when the stolen task exits so that the victim retires it.
     stolen_from: Option<Addr>,
-}
-
-/// One admitted task on its way through a placement round.
-struct Placing {
-    job: JobId,
-    spec: TaskSpec,
-    reply_to: Addr,
-    /// Bidders this task has been offered to; none is asked twice.
-    tried: Vec<Addr>,
-    /// `server: reason` of every offer that fell through.
-    failures: Vec<String>,
-    state: Offer,
-}
-
-/// Where a [`Placing`] stands.
-enum Offer {
-    /// Waiting to be offered: the bid window is still open, or the last
-    /// offer fell through.
-    Unplaced,
-    /// `AssignTask` is on the wire to `tm`; its `AssignAck` is due by
-    /// `deadline`.
-    InFlight { tm: Addr, server: String, deadline: Instant },
-    /// `(tm server addr, task endpoint, server name)`, or why not.
-    Settled(Result<(Addr, Addr, String), String>),
-}
-
-/// A placement round: everything the fair queue held when it started, in
-/// DRR order, placed from **one** solicitation. The bids become a table;
-/// each task goes to the policy's choice among the entries that can still
-/// host it, the choice is booked on its entry ([`Bid::debit`]), and every
-/// assignment is on the wire before any `AssignAck` is looked at. A
-/// rejected or timed-out assignment falls to the next-best entry of the
-/// same table. Tasks leave the front as they settle, so `TaskAck`s go out
-/// and `JmJob::specs` grows in burst order.
-///
-/// A task is refused for want of a bidder only by a table everybody addressed
-/// has answered into (`complete`). One that missed somebody — a peer slow to
-/// bid — and whose other entries are used up is not a verdict: the round asks
-/// again for the tasks still unplaced, up to one solicitation per task in
-/// all (`asks_left`), which is what placing them one auction at a time would
-/// have spent before refusing any.
-struct Round {
-    tasks: VecDeque<Placing>,
-    /// The `(job, task)` the solicitation — and so every bid — is keyed
-    /// by: the first task it is for.
-    key: (JobId, String),
-    /// Open until every addressed peer has bid or `bid_window` passes.
-    window: Option<Window>,
-    /// The bid table: our own bid first (evaluated locally — JM and TM
-    /// share this process), then arrival order.
-    bids: Vec<Bid>,
-    /// Everyone the solicitation addressed has bid.
-    complete: bool,
-    /// Solicitations the round may still make.
-    asks_left: usize,
-}
-
-impl Round {
-    /// Record an `AssignAck` from `from` — the task's endpoint, or why it was
-    /// rejected, in which case the task goes back to be offered to the
-    /// next-best bidder. `false` if no offer of this round was waiting for
-    /// it — matched on the sender too, so a late ack from a bidder that
-    /// already timed out is not taken for the current one's.
-    fn acked(&mut self, from: Addr, job: JobId, task: &str, ack: Result<Addr, String>) -> bool {
-        let awaited = |t: &&mut Placing| {
-            t.job == job
-                && t.spec.name == task
-                && matches!(t.state, Offer::InFlight { tm, .. } if tm == from)
-        };
-        let Some(placing) = self.tasks.iter_mut().find(awaited) else { return false };
-        let Offer::InFlight { server, .. } = std::mem::replace(&mut placing.state, Offer::Unplaced)
-        else {
-            unreachable!("matched on InFlight")
-        };
-        match ack {
-            Ok(task_addr) => placing.state = Offer::Settled(Ok((from, task_addr, server))),
-            Err(reason) => placing.failures.push(format!("{server}: rejected: {reason}")),
-        }
-        true
-    }
 }
 
 /// How long a parked task thread waits for its next task before it exits.
@@ -355,6 +273,7 @@ struct ServerState {
     tm_tasks: HashMap<(JobId, String), TmTask>,
     /// Jars this TaskManager has received.
     uploaded: HashSet<String>,
+    /// The placement rotation, lent to each round: it outlives them.
     rr: RoundRobin,
     /// Per-client deficit-round-robin admission queue for created tasks.
     fairq: FairQueue<(JobId, TaskSpec, Addr)>,
@@ -457,14 +376,19 @@ impl ServerState {
 
     fn run(mut self) {
         loop {
-            match self.pump.next_before(self.next_deadline()) {
+            let deadline = self.round.as_ref().and_then(Round::deadline);
+            match self.pump.next_before(deadline) {
                 Ok(env) if matches!(env.msg, NetMsg::Shutdown) && env.to == self.addr => break,
                 Ok(env) => self.handle(env),
                 Err(RecvTimeoutError::Timeout) => {}
                 // The network is gone.
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            self.advance_round();
+            // A deadline that was due is acted on even if messages kept
+            // the receive from timing out (a tick with nothing due is a no-op).
+            if deadline.is_some_and(|d| d <= Instant::now()) {
+                self.place(Event::Tick);
+            }
         }
         self.moved.keys().for_each(|old| self.net.unregister(*old));
         self.net.unregister(self.addr);
@@ -512,14 +436,8 @@ impl ServerState {
                         },
                     );
                 }
-                self.send(
-                    reply_to,
-                    NetMsg::JobAck {
-                        job,
-                        accepted,
-                        reason: if accepted { String::new() } else { "job already exists".into() },
-                    },
-                );
+                let reason = if accepted { String::new() } else { "job already exists".into() };
+                self.send(reply_to, NetMsg::JobAck { job, accepted, reason });
             }
             msg @ (NetMsg::CreateTask { .. } | NetMsg::CreateTasks { .. }) => {
                 self.admit(msg);
@@ -536,42 +454,27 @@ impl ServerState {
                 self.send(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
             }
             NetMsg::TaskManagerBid { job, task, bid } => {
-                // A bid for anything but the open window is late: dropped.
-                if let Some(Round { key, window: Some(window), bids, .. }) = &mut self.round {
-                    if *key == (job, task) && window.admit(env.from) {
-                        bids.push(bid);
-                    }
-                }
+                self.place(Event::Bid { from: env.from, job, task, bid })
             }
             NetMsg::AssignAck { job, task, accepted, reason, task_addr } => {
                 let ack = task_addr.filter(|_| accepted).ok_or(reason);
-                let awaited =
-                    self.round.as_mut().is_some_and(|r| r.acked(env.from, job, &task, ack));
-                if !awaited && accepted {
-                    // Nothing is waiting for this ack — the offer timed out
-                    // and moved on: release what the TaskManager set up.
+                if self.round.is_some() {
+                    self.place(Event::Ack { from: env.from, job, task, ack });
+                } else if accepted {
+                    // No round waits for it: release what the TaskManager set up.
                     self.send(env.from, NetMsg::CancelTask { job, task });
                 }
             }
-            NetMsg::UploadArchive { jar, .. } => self.tm_upload(&jar),
+            NetMsg::UploadArchive { jar, .. } => {
+                self.uploaded.insert(jar);
+            }
             NetMsg::AssignTask { job, spec, jm, reply_to } => {
                 let task = spec.name.clone();
-                match self.tm_assign(job, spec, jm) {
-                    Ok(task_addr) => self.send(
-                        reply_to,
-                        NetMsg::AssignAck {
-                            job,
-                            task,
-                            accepted: true,
-                            reason: String::new(),
-                            task_addr: Some(task_addr),
-                        },
-                    ),
-                    Err(reason) => self.send(
-                        reply_to,
-                        NetMsg::AssignAck { job, task, accepted: false, reason, task_addr: None },
-                    ),
-                }
+                let (accepted, reason, task_addr) = match self.tm_assign(job, spec, jm) {
+                    Ok(task_addr) => (true, String::new(), Some(task_addr)),
+                    Err(reason) => (false, reason, None),
+                };
+                self.send(reply_to, NetMsg::AssignAck { job, task, accepted, reason, task_addr });
             }
             NetMsg::StartTask { job, task, directory, client } => {
                 self.tm_start(job, &task, directory, client)
@@ -584,9 +487,7 @@ impl ServerState {
                 // A report from the pending victim doubles as the decline
                 // signal: clear the outstanding request so the thief may
                 // retry (possibly at a different victim).
-                if self.steal_pending.is_some_and(|(v, _)| v == addr) {
-                    self.steal_pending = None;
-                }
+                self.steal_pending = self.steal_pending.filter(|(v, _)| *v != addr);
                 self.peer_loads.insert(addr, (server, signal));
                 self.maybe_steal();
             }
@@ -604,8 +505,7 @@ impl ServerState {
 
             // ---- JobManager: task lifecycle from TMs -------------------
             NetMsg::TaskStarted { job, task } => {
-                if let Some(j) = self.jm_jobs.get(&job) {
-                    let client = j.client;
+                if let Some(client) = self.jm_jobs.get(&job).map(|j| j.client) {
                     self.send(client, NetMsg::TaskStarted { job, task });
                 }
             }
@@ -628,14 +528,10 @@ impl ServerState {
         self.spaces.get_or_create(job).out(tuple.clone());
         let Some(j) = self.jm_jobs.get(&job) else { return };
         let mut relayed: HashSet<Addr> = HashSet::new();
-        let targets: Vec<Addr> = j
-            .assigned
-            .values()
-            .map(|(tm, _, _)| *tm)
-            .filter(|tm| *tm != self.addr && relayed.insert(*tm))
-            .collect();
-        for tm in targets {
-            self.send(tm, NetMsg::SeedTuple { job, tuple: tuple.clone() });
+        for &(tm, _, _) in j.assigned.values() {
+            if tm != self.addr && relayed.insert(tm) {
+                self.send(tm, NetMsg::SeedTuple { job, tuple: tuple.clone() });
+            }
         }
     }
 
@@ -648,6 +544,10 @@ impl ServerState {
             in_flight: self.running as u32,
             ewma_dispatch_us: self.dispatch_ewma.get(),
         }
+    }
+
+    fn load_report(&self, signal: LoadSignal) -> NetMsg {
+        NetMsg::LoadReport { server: self.name.clone(), addr: self.addr, signal }
     }
 
     fn own_bid(&self) -> Bid {
@@ -686,17 +586,13 @@ impl ServerState {
             })
             .filter_map(|s| j.assigned.get(&s.name).map(|(tm, _, _)| (s.name.clone(), *tm)))
             .collect();
-        for (task, _) in &ready {
-            j.started.insert(task.clone());
-        }
+        j.started.extend(ready.iter().map(|(task, _)| task.clone()));
         for (task, tm_addr) in ready {
+            let directory = directory.clone();
             if tm_addr == self.addr {
-                self.tm_start(job, &task, directory.clone(), client);
+                self.tm_start(job, &task, directory, client);
             } else {
-                self.send(
-                    tm_addr,
-                    NetMsg::StartTask { job, task, directory: directory.clone(), client },
-                );
+                self.send(tm_addr, NetMsg::StartTask { job, task, directory, client });
             }
         }
     }
@@ -708,13 +604,8 @@ impl ServerState {
         self.send(client, NetMsg::TaskCompleted { job, task, result });
         let j = &self.jm_jobs[&job];
         if j.completed.len() == j.specs.len() {
-            let results = j
-                .specs
-                .iter()
-                .map(|s| {
-                    (s.name.clone(), j.completed.get(&s.name).cloned().unwrap_or(UserData::Empty))
-                })
-                .collect();
+            let done = |s: &TaskSpec| j.completed.get(&s.name).cloned().unwrap_or(UserData::Empty);
+            let results = j.specs.iter().map(|s| (s.name.clone(), done(s))).collect();
             self.jm_end_job(job, None, NetMsg::JobCompleted { job, results });
         } else if j.job_started {
             self.jm_start_ready(job);
@@ -751,52 +642,55 @@ impl ServerState {
     fn jm_end_job(&mut self, job: JobId, except: Option<&str>, end: NetMsg) {
         let Some(j) = self.jm_jobs.remove(&job) else { return };
         for (task, (tm, _, _)) in j.assigned {
-            if j.completed.contains_key(&task) || except == Some(task.as_str()) {
-                continue;
-            }
-            if tm == self.addr {
-                self.tm_cancel(job, &task);
-            } else {
-                self.send(tm, NetMsg::CancelTask { job, task });
+            if !j.completed.contains_key(&task) && except != Some(task.as_str()) {
+                self.cancel_on(tm, job, task);
             }
         }
         self.send(j.client, end);
     }
 
-    // ---- TaskManager internals ------------------------------------------
-
-    fn tm_upload(&mut self, jar: &str) {
-        self.uploaded.insert(jar.to_string());
+    /// Cancel `task` of `job` on the TaskManager at `tm`, in place if it is
+    /// this server's own.
+    fn cancel_on(&mut self, tm: Addr, job: JobId, task: String) {
+        if tm == self.addr {
+            self.tm_cancel(job, &task);
+        } else {
+            self.send(tm, NetMsg::CancelTask { job, task });
+        }
     }
+
+    // ---- TaskManager internals ------------------------------------------
 
     /// Reserve resources and set up the task's message queue.
     fn tm_assign(&mut self, job: JobId, spec: TaskSpec, jm: Addr) -> Result<Addr, String> {
         if !self.uploaded.contains(&spec.jar) {
             return Err(format!("archive {:?} was not uploaded", spec.jar));
         }
+        self.tm_host(job, spec, jm)
+    }
+
+    /// Reserve what `spec` needs and set up its message queue.
+    fn tm_host(&mut self, job: JobId, spec: TaskSpec, jm: Addr) -> Result<Addr, String> {
         if !self.registry.contains(&spec.jar) {
             return Err(format!("archive {:?} not present in the registry", spec.jar));
         }
         let reservation = self.node.reserve(spec.memory_mb).map_err(|e| e.to_string())?;
         let (endpoint, rx) = self.net.register();
-        let key = (job, spec.name.clone());
-        self.tm_tasks.insert(
-            key,
-            TmTask {
-                spec,
-                jm,
-                endpoint,
-                rx: Some(rx),
-                space: self.spaces.get_or_create(job),
-                reservation: Some(reservation),
-                started: false,
-                launched: false,
-                start_info: None,
-                enqueued_at: None,
-                migrated: false,
-                stolen_from: None,
-            },
-        );
+        let t = TmTask {
+            spec,
+            jm,
+            endpoint,
+            rx: Some(rx),
+            space: self.spaces.get_or_create(job),
+            reservation: Some(reservation),
+            started: false,
+            launched: false,
+            start_info: None,
+            enqueued_at: None,
+            migrated: false,
+            stolen_from: None,
+        };
+        self.tm_tasks.insert((job, t.spec.name.clone()), t);
         Ok(endpoint)
     }
 
@@ -836,13 +730,14 @@ impl ServerState {
         }
     }
 
-    /// Run an assigned task on a thread of the pool.
+    /// Run an assigned task on a thread of the pool; it has waited to
+    /// launch since `at` (the dispatch EWMA's sample).
     fn launch_task(
         &mut self,
         job: JobId,
         task: &str,
         directory: HashMap<String, Addr>,
-        queued_since: Instant,
+        at: Instant,
     ) {
         let Some(t) = self.tm_tasks.get_mut(&(job, task.to_string())) else { return };
         if t.launched {
@@ -850,24 +745,15 @@ impl ServerState {
         }
         t.launched = true;
         let Some(rx) = t.rx.take() else { return };
-        self.dispatch_ewma.observe(queued_since.elapsed().as_micros() as u64);
+        let reservation = t.reservation.take();
+        let (spec, endpoint, jm, space) = (t.spec.clone(), t.endpoint, t.jm, Arc::clone(&t.space));
+        self.dispatch_ewma.observe(at.elapsed().as_micros() as u64);
         self.running += 1;
         self.g_inflight.add(1);
-        let t = self.tm_tasks.get_mut(&(job, task.to_string())).expect("present above");
-        let reservation = t.reservation.take();
-        let spec = t.spec.clone();
-        let endpoint = t.endpoint;
-        let net = self.net.clone();
-        let jm = t.jm;
-        let work_scale = self.node.work_scale();
-        let local_tm = self.addr;
-        let registry = Arc::clone(&self.registry);
-        let space = Arc::clone(&t.space);
-        let server_name = self.name.clone();
-        let rec = self.rec.clone();
-        let c_started = self.c_tasks_started.clone();
-        let c_completed = self.c_tasks_completed.clone();
-        let c_failed = self.c_tasks_failed.clone();
+        let (net, work_scale, local_tm) = (self.net.clone(), self.node.work_scale(), self.addr);
+        let (registry, server_name) = (Arc::clone(&self.registry), self.name.clone());
+        let (rec, c_started) = (self.rec.clone(), self.c_tasks_started.clone());
+        let (c_completed, c_failed) = (self.c_tasks_completed.clone(), self.c_tasks_failed.clone());
         // A task holds its own clones of the network/registry and reports
         // its end with `TaskExited`; pool threads are never joined, so a task
         // waiting on input that will never arrive does not hold up shutdown.
@@ -881,18 +767,12 @@ impl ServerState {
                     rec.event_with(Severity::Error, "task", Some(job.0), || {
                         format!("[{server_name}] could not instantiate {:?}: {e}", spec.name)
                     });
-                    NetMsg::TaskFailed {
-                        job,
-                        task: spec.name.clone(),
-                        error: format!("[{server_name}] {e}"),
-                    }
+                    let error = format!("[{server_name}] {e}");
+                    NetMsg::TaskFailed { job, task: spec.name.clone(), error }
                 }
                 Ok(mut instance) => {
-                    let _ = net.send(
-                        endpoint,
-                        jm,
-                        NetMsg::TaskStarted { job, task: spec.name.clone() },
-                    );
+                    let started = NetMsg::TaskStarted { job, task: spec.name.clone() };
+                    let _ = net.send(endpoint, jm, started);
                     c_started.inc();
                     let span = rec.span_start_job(
                         "task",
@@ -967,16 +847,16 @@ impl ServerState {
 
     fn tm_cancel(&mut self, job: JobId, task: &str) {
         let key = (job, task.to_string());
-        let Some(t) = self.tm_tasks.get(&key) else { return };
-        if t.launched {
+        let Entry::Occupied(entry) = self.tm_tasks.entry(key.clone()) else { return };
+        if entry.get().launched {
             // Poke the task's queue; it sees Shutdown at its next recv. The
             // bookkeeping entry is dropped when the thread reports
             // TaskExited.
-            let _ = self.net.send(self.addr, t.endpoint, NetMsg::Shutdown);
+            let _ = self.net.send(self.addr, entry.get().endpoint, NetMsg::Shutdown);
         } else {
             // Never launched: release the reservation and the queue (and
             // the run-queue slot, if it was parked waiting to execute).
-            let t = self.tm_tasks.remove(&key).expect("checked above");
+            let t = entry.remove();
             if self.run_queue.contains(&key) {
                 self.run_queue.retain(|k| *k != key);
                 self.g_queue_depth.add(-1);
@@ -1031,7 +911,9 @@ impl ServerState {
     /// Start a placement round with everything admitted so far, unless one
     /// is in progress (it starts the next as it ends). Creations that have
     /// already arrived behind the one being handled are admitted first, so
-    /// every contender is visible to DRR — not just the first arrival.
+    /// every contender is visible to DRR — not just the first arrival. A
+    /// task of a job this JobManager does not hold, or whose name its job
+    /// already has, is refused in its turn.
     fn start_round(&mut self) {
         if self.round.is_some() {
             return;
@@ -1041,236 +923,109 @@ impl ServerState {
         for env in self.pump.take_matching(creations) {
             self.admit(env.msg);
         }
-        let mut tasks = VecDeque::with_capacity(self.fairq.len());
+        let mut tasks = Vec::with_capacity(self.fairq.len());
         let mut names: HashSet<(JobId, String)> = HashSet::new();
         while let Some((job, spec, reply_to)) = self.fairq.pop() {
-            let state = match self.jm_jobs.get(&job) {
-                None => Offer::Settled(Err(format!("no such job {job}"))),
+            let admitted = match self.jm_jobs.get(&job) {
+                None => Err(format!("no such job {job}")),
                 Some(j)
                     if j.assigned.contains_key(&spec.name)
                         || !names.insert((job, spec.name.clone())) =>
                 {
-                    Offer::Settled(Err(format!(
-                        "task name {:?} already exists in {job}",
-                        spec.name
-                    )))
+                    Err(format!("task name {:?} already exists in {job}", spec.name))
                 }
-                Some(_) => Offer::Unplaced,
+                Some(_) => Ok(()),
             };
-            tasks.push_back(Placing {
-                job,
-                spec,
-                reply_to,
-                tried: Vec::new(),
-                failures: Vec::new(),
-                state,
-            });
+            tasks.push((job, spec, reply_to, admitted));
         }
-        let placeable = tasks.iter().filter(|t| matches!(t.state, Offer::Unplaced)).count();
-        if placeable == 0 {
-            // Nothing to place (or nothing admitted at all): refusals only.
-            self.ack_settled(&mut tasks);
+        if tasks.is_empty() {
             return;
         }
-        self.c_rounds.inc();
-        self.round = Some(self.solicit(tasks, placeable));
+        if tasks.iter().any(|t| t.3.is_ok()) {
+            self.c_rounds.inc();
+        }
+        let rr = std::mem::take(&mut self.rr);
+        self.round = Some(Round::new(tasks, self.config.policy, rr, ASSIGN_TIMEOUT));
+        self.place(Event::Tick);
     }
 
-    /// One multicast solicitation for all of `tasks` that are unplaced (the
-    /// paper's "JobManager solicits TaskManager for the Tasks"): whoever can
-    /// host the smallest of them bids, the table decides the rest.
-    fn solicit(&mut self, tasks: VecDeque<Placing>, asks_left: usize) -> Round {
-        let mut unplaced = tasks.iter().filter(|t| matches!(t.state, Offer::Unplaced));
-        let first = unplaced.next().expect("a solicitation is for some task");
-        let key = (first.job, first.spec.name.clone());
-        let memory_mb = unplaced.map(|t| t.spec.memory_mb).fold(first.spec.memory_mb, u64::min);
-        let solicitation = NetMsg::SolicitTaskManager {
-            job: key.0,
-            task: key.1.clone(),
-            memory_mb,
-            reply_to: self.addr,
-        };
-        // Our own TM is evaluated locally (multicast excludes the sender).
-        let bids = if self.node.can_host(memory_mb) { vec![self.own_bid()] } else { Vec::new() };
-        self.c_task_solicits.inc();
-        let window = Window::open(&self.net, self.addr, solicitation, self.config.bid_window);
-        let asks_left = asks_left.saturating_sub(1);
-        Round { tasks, key, window: Some(window), bids, complete: false, asks_left }
-    }
-
-    /// The earliest instant the open round needs the loop's attention.
-    fn next_deadline(&self) -> Option<Instant> {
-        let round = self.round.as_ref()?;
-        let offers = round.tasks.iter().filter_map(|t| match t.state {
-            Offer::InFlight { deadline, .. } => Some(deadline),
-            _ => None,
-        });
-        round.window.iter().map(Window::deadline).chain(offers).min()
-    }
-
-    /// Advance the round in progress. The handlers only record what arrived
-    /// — a bid, an ack; the loop calls this after every message and at every
-    /// deadline to act on it: time out overdue assignments, close the window
-    /// when it is due, offer whatever is unplaced, ack what has settled, and
-    /// start the next round when this one is done.
-    fn advance_round(&mut self) {
-        while let Some(mut round) = self.round.take() {
-            let now = Instant::now();
-            for task in &mut round.tasks {
-                let Offer::InFlight { tm, server, deadline } = &task.state else { continue };
-                if now < *deadline {
-                    continue;
-                }
-                self.rec.event_with(Severity::Warn, "job", Some(task.job.0), || {
-                    format!(
-                        "[{}] AssignAck timeout from {server} for {:?}",
-                        self.name, task.spec.name
-                    )
-                });
-                // The TM may have accepted after we gave up; tell it to
-                // release the assignment (best effort — idempotent on the TM
-                // side).
-                self.send(*tm, NetMsg::CancelTask { job: task.job, task: task.spec.name.clone() });
-                task.failures.push(format!("{server}: AssignAck timeout"));
-                task.state = Offer::Unplaced;
+    /// Carry `event` into the round in progress and its actions out, until
+    /// the round has nothing left to say; then start the next round if this
+    /// one is done.
+    fn place(&mut self, event: Event) {
+        let Some(mut round) = self.round.take() else { return };
+        let mut events = VecDeque::from([event]);
+        while let Some(event) = events.pop_front() {
+            for action in round.on(event, Instant::now()) {
+                events.extend(self.carry_out(&mut round, action));
             }
-            loop {
-                if let Some(window) =
-                    round.window.take_if(|w| w.is_complete() || now >= w.deadline())
-                {
-                    round.complete = window.is_complete();
-                    self.rec.event_with(Severity::Debug, "job", Some(round.key.0 .0), || {
-                        format!(
-                            "[{}] round of {} task(s) drew {} TaskManager bid(s)",
-                            self.name,
-                            round.tasks.len(),
-                            round.bids.len()
-                        )
+        }
+        match round.finish() {
+            Some(rr) => {
+                self.rr = rr;
+                self.start_round();
+            }
+            None => self.round = Some(round),
+        }
+    }
+
+    /// Do what the round asked. An assignment to this server's own TaskManager
+    /// runs in place and its result goes back in as an ack; a solicitation's
+    /// window, as a tick.
+    fn carry_out(&mut self, round: &mut Round, action: Action) -> Option<Event> {
+        match action {
+            Action::Solicit { job, task, memory_mb } => {
+                let own = self.node.can_host(memory_mb).then(|| self.own_bid());
+                self.c_task_solicits.inc();
+                let ask = NetMsg::SolicitTaskManager { job, task, memory_mb, reply_to: self.addr };
+                round.asked(Window::open(&self.net, self.addr, ask, self.config.bid_window), own);
+                return Some(Event::Tick);
+            }
+            Action::Assign { tm, job, spec } if tm == self.addr => {
+                self.uploaded.insert(spec.jar.clone());
+                let task = spec.name.clone();
+                let ack = self.tm_assign(job, spec, tm);
+                return Some(Event::Ack { from: tm, job, task, ack });
+            }
+            Action::Assign { tm, job, spec } => {
+                let size_bytes = self.registry.get(&spec.jar).map_or(0, |a| a.size_bytes);
+                self.send(tm, NetMsg::UploadArchive { jar: spec.jar.clone(), size_bytes });
+                let (jm, reply_to) = (self.addr, self.addr);
+                self.send(tm, NetMsg::AssignTask { job, spec, jm, reply_to });
+                self.c_assigns.inc();
+            }
+            Action::Cancel { tm, job, task, timed_out } => {
+                if let Some(server) = timed_out {
+                    self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
+                        format!("[{}] AssignAck timeout from {server} for {task:?}", self.name)
                     });
                 }
-                let unplaced =
-                    |r: &Round| r.tasks.iter().any(|t| matches!(t.state, Offer::Unplaced));
-                if round.window.is_some() || !unplaced(&round) {
-                    break;
-                }
-                for i in 0..round.tasks.len() {
-                    if matches!(round.tasks[i].state, Offer::Unplaced) {
-                        self.offer(&mut round, i);
-                    }
-                }
-                // What the table could neither host nor refuse is asked for
-                // again (a lone server's window is closed as it opens).
-                if unplaced(&round) {
-                    round = self.solicit(round.tasks, round.asks_left);
-                }
+                self.send(tm, NetMsg::CancelTask { job, task });
             }
-            self.ack_settled(&mut round.tasks);
-            if !round.tasks.is_empty() {
-                self.round = Some(round);
-                return;
+            // Record the task in its job. If the job has gone meanwhile
+            // (cancelled, failed), release the assignment where it landed.
+            Action::TaskAck { job, spec, reply_to, placed } => {
+                let task = spec.name.clone();
+                let placed = placed.and_then(|(tm, task_addr, server)| {
+                    let Some(j) = self.jm_jobs.get_mut(&job) else {
+                        self.cancel_on(tm, job, task.clone());
+                        return Err(format!("no such job {job}"));
+                    };
+                    j.assigned.insert(task.clone(), (tm, task_addr, server.clone()));
+                    j.specs.push(spec);
+                    Ok((server, task_addr))
+                });
+                let (accepted, reason, server, task_addr) = match placed {
+                    Ok((server, task_addr)) => (true, String::new(), server, Some(task_addr)),
+                    Err(reason) => (false, reason, String::new(), None),
+                };
+                self.send(
+                    reply_to,
+                    NetMsg::TaskAck { job, task, accepted, reason, server, task_addr },
+                );
             }
-            self.start_round();
         }
-    }
-
-    /// Offer task `i` to the policy's choice among the closed table's
-    /// entries that can still host it and that it has not tried: a
-    /// TaskManager may still reject (its state can change between bid and
-    /// assignment) or time out, in which case the task comes back here for
-    /// the next-best one.
-    fn offer(&mut self, round: &mut Round, i: usize) {
-        let Round { tasks, bids, complete, asks_left, .. } = round;
-        let task = &mut tasks[i];
-        task.state = loop {
-            let candidates: Vec<Bid> = bids
-                .iter()
-                .filter(|b| b.can_host(task.spec.memory_mb) && !task.tried.contains(&b.addr))
-                .cloned()
-                .collect();
-            let chosen = match self.config.policy {
-                Policy::RoundRobin => self.rr.select(&candidates),
-                // Load-aware shares the round-robin rotation state so a
-                // uniformly loaded neighborhood places identically to
-                // `RoundRobin` (the journal-differential property).
-                Policy::LoadAware => select_load_aware(&mut self.rr, &candidates),
-                p => select(p, &candidates, 0),
-            };
-            let Some(chosen) = chosen else {
-                if !*complete && *asks_left > 0 {
-                    // Someone was slow to bid and the rest of the table is
-                    // used up: not a refusal yet, ask again.
-                    break Offer::Unplaced;
-                }
-                break Offer::Settled(Err(if task.failures.is_empty() {
-                    format!("no willing TaskManager for task {:?}", task.spec.name)
-                } else {
-                    format!(
-                        "every willing TaskManager failed for task {:?}: {}",
-                        task.spec.name,
-                        task.failures.join("; ")
-                    )
-                }));
-            };
-            let (tm, server) = (chosen.addr, chosen.server.clone());
-            task.tried.push(tm);
-            if let Some(entry) = bids.iter_mut().find(|b| b.addr == tm) {
-                entry.debit(task.spec.memory_mb);
-            }
-            if tm == self.addr {
-                // Local fast path: same process.
-                self.tm_upload(&task.spec.jar);
-                match self.tm_assign(task.job, task.spec.clone(), self.addr) {
-                    Ok(task_addr) => break Offer::Settled(Ok((tm, task_addr, server))),
-                    Err(reason) => task.failures.push(format!("{server}: {reason}")),
-                }
-            } else {
-                let size = self.registry.get(&task.spec.jar).map(|a| a.size_bytes).unwrap_or(0);
-                let jar = task.spec.jar.clone();
-                self.send(tm, NetMsg::UploadArchive { jar, size_bytes: size });
-                let (job, spec) = (task.job, task.spec.clone());
-                self.send(tm, NetMsg::AssignTask { job, spec, jm: self.addr, reply_to: self.addr });
-                self.c_assigns.inc();
-                let deadline = Instant::now() + self.config.assign_timeout;
-                break Offer::InFlight { tm, server, deadline };
-            }
-        };
-    }
-
-    /// Ack the settled tasks at the front of the round, in burst order, and
-    /// record the placed ones in their job.
-    fn ack_settled(&mut self, tasks: &mut VecDeque<Placing>) {
-        while matches!(tasks.front(), Some(Placing { state: Offer::Settled(_), .. })) {
-            let Some(Placing { job, spec, reply_to, state: Offer::Settled(outcome), .. }) =
-                tasks.pop_front()
-            else {
-                unreachable!("front is settled")
-            };
-            let task = spec.name.clone();
-            let outcome = outcome.and_then(|(tm, task_addr, server)| {
-                match self.jm_jobs.get_mut(&job) {
-                    Some(j) => {
-                        j.assigned.insert(task.clone(), (tm, task_addr, server.clone()));
-                        j.specs.push(spec);
-                        Ok((server, task_addr))
-                    }
-                    None => {
-                        // The job went away (cancelled, failed) while the
-                        // assignment was in flight: release it.
-                        if tm == self.addr {
-                            self.tm_cancel(job, &task);
-                        } else {
-                            self.send(tm, NetMsg::CancelTask { job, task: task.clone() });
-                        }
-                        Err(format!("no such job {job}"))
-                    }
-                }
-            });
-            let (accepted, reason, server, task_addr) = match outcome {
-                Ok((server, task_addr)) => (true, String::new(), server, Some(task_addr)),
-                Err(reason) => (false, reason, String::new(), None),
-            };
-            self.send(reply_to, NetMsg::TaskAck { job, task, accepted, reason, server, task_addr });
-        }
+        None
     }
 
     // ---- Work stealing --------------------------------------------------
@@ -1294,11 +1049,7 @@ impl ServerState {
         }
         self.last_reported = Some(sig);
         self.last_report_at = Some(now);
-        self.net.multicast(
-            self.addr,
-            cn_cluster::DISCOVERY_GROUP,
-            NetMsg::LoadReport { server: self.name.clone(), addr: self.addr, signal: sig },
-        );
+        self.net.multicast(self.addr, cn_cluster::DISCOVERY_GROUP, self.load_report(sig));
     }
 
     /// Thief side: if we have a free execution slot and an empty run
@@ -1314,10 +1065,8 @@ impl ServerState {
         if self.running >= cap {
             return;
         }
-        if let Some((_, since)) = self.steal_pending {
-            if since.elapsed() < Duration::from_secs(1) {
-                return;
-            }
+        if self.steal_pending.is_some_and(|(_, since)| since.elapsed() < Duration::from_secs(1)) {
+            return;
         }
         let victim = self
             .peer_loads
@@ -1341,12 +1090,7 @@ impl ServerState {
         let Some((job, task)) = (if grantable { self.run_queue.pop_back() } else { None }) else {
             // Decline: a unicast report refreshes the thief's view of us
             // and clears its pending-request latch.
-            let report = NetMsg::LoadReport {
-                server: self.name.clone(),
-                addr: self.addr,
-                signal: self.load_signal(),
-            };
-            self.send(reply_to, report);
+            self.send(reply_to, self.load_report(self.load_signal()));
             return;
         };
         self.g_queue_depth.add(-1);
@@ -1356,15 +1100,9 @@ impl ServerState {
         t.migrated = true;
         t.enqueued_at = None;
         t.reservation = None; // free memory + slot for local work
-        let grant = NetMsg::StealGrant {
-            job,
-            spec: t.spec.clone(),
-            jm: t.jm,
-            client,
-            directory,
-            victim: self.name.clone(),
-            old_endpoint: t.endpoint,
-        };
+        let (spec, jm, victim, old_endpoint) =
+            (t.spec.clone(), t.jm, self.name.clone(), t.endpoint);
+        let grant = NetMsg::StealGrant { job, spec, jm, client, directory, victim, old_endpoint };
         self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
             format!("[{}] granting steal of task {task:?} to {thief}", self.name)
         });
@@ -1389,46 +1127,24 @@ impl ServerState {
         old_endpoint: Addr,
     ) {
         self.steal_pending = None;
-        let task = spec.name.clone();
-        if !self.registry.contains(&spec.jar) {
-            self.c_steal_returns.inc();
-            self.send(victim_addr, NetMsg::StealReturn { job, task });
-            return;
-        }
-        let Ok(reservation) = self.node.reserve(spec.memory_mb) else {
+        let (task, jar) = (spec.name.clone(), spec.jar.clone());
+        let Ok(endpoint) = self.tm_host(job, spec, jm) else {
             self.c_steal_returns.inc();
             self.send(victim_addr, NetMsg::StealReturn { job, task });
             return;
         };
-        let (endpoint, rx) = self.net.register();
-        self.uploaded.insert(spec.jar.clone());
+        self.uploaded.insert(jar);
         // The task's own directory entry must point at its new home so
         // self-addressed sends do not detour through the victim.
         directory.insert(task.clone(), endpoint);
-        self.tm_tasks.insert(
-            (job, task.clone()),
-            TmTask {
-                spec,
-                jm,
-                endpoint,
-                rx: Some(rx),
-                space: self.spaces.get_or_create(job),
-                reservation: Some(reservation),
-                started: true,
-                launched: false,
-                start_info: Some((directory, client)),
-                enqueued_at: Some(Instant::now()),
-                migrated: false,
-                stolen_from: Some(old_endpoint),
-            },
-        );
-        let commit = NetMsg::TaskMigrated {
-            job,
-            task: task.clone(),
-            server: self.name.clone(),
-            tm: self.addr,
-            task_addr: endpoint,
-        };
+        if let Some(t) = self.tm_tasks.get_mut(&(job, task.clone())) {
+            t.started = true;
+            t.start_info = Some((directory, client));
+            t.enqueued_at = Some(Instant::now());
+            t.stolen_from = Some(old_endpoint);
+        }
+        let (server, tm, task_addr) = (self.name.clone(), self.addr, endpoint);
+        let commit = NetMsg::TaskMigrated { job, task: task.clone(), server, tm, task_addr };
         self.send(jm, commit.clone());
         if victim_addr != jm {
             self.send(victim_addr, commit);
@@ -1464,19 +1180,12 @@ impl ServerState {
                 self.load_changed();
             }
             Err(e) => {
-                let jm = t.jm;
-                let endpoint = t.endpoint;
+                let (jm, endpoint) = (t.jm, t.endpoint);
                 self.tm_tasks.remove(&key);
                 self.net.unregister(endpoint);
                 self.c_tasks_failed.inc();
-                self.send(
-                    jm,
-                    NetMsg::TaskFailed {
-                        job,
-                        task,
-                        error: format!("steal return could not re-reserve: {e}"),
-                    },
-                );
+                let error = format!("steal return could not re-reserve: {e}");
+                self.send(jm, NetMsg::TaskFailed { job, task, error });
             }
         }
     }
@@ -1498,16 +1207,14 @@ impl ServerState {
         tm: Addr,
         task_addr: Addr,
     ) {
-        if let Some(j) = self.jm_jobs.get_mut(&job) {
-            if let Some(entry) = j.assigned.get_mut(&task) {
-                *entry = (tm, task_addr, server);
-            }
+        if let Some(entry) = self.jm_jobs.get_mut(&job).and_then(|j| j.assigned.get_mut(&task)) {
+            *entry = (tm, task_addr, server);
         }
-        let key = (job, task);
-        if !self.tm_tasks.get(&key).is_some_and(|t| t.migrated) {
+        let Entry::Occupied(entry) = self.tm_tasks.entry((job, task)) else { return };
+        if !entry.get().migrated {
             return;
         }
-        let t = self.tm_tasks.remove(&key).expect("checked above");
+        let t = entry.remove();
         if self.net.alias(t.endpoint, self.addr) {
             self.moved.insert(t.endpoint, task_addr);
         }
@@ -1646,105 +1353,6 @@ mod tests {
         });
         assert_eq!(placed_on, "node0");
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
-        nb.shutdown();
-    }
-
-    /// A bidder that misses the window is missing from the table, not from
-    /// the cluster: when the table is used up the round asks again for what
-    /// is left — a burst is not refused over a slow bid.
-    #[test]
-    fn a_used_up_table_that_missed_a_bidder_is_asked_for_again() {
-        let nb = deploy(1, Duration::from_millis(40));
-        let jm = nb.server_addr("node0").unwrap();
-        let client = Party::join(&nb, false);
-        let slow = Party::join(&nb, true);
-        let job = JobId(904);
-        client.create_job(jm, job);
-        // Five tasks, four slots on the one real node.
-        let specs: Vec<TaskSpec> = (0..5).map(|i| light(&format!("t{i}"))).collect();
-        client.send(jm, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
-
-        // The first solicitation goes unanswered; the second, for the task
-        // the server's own four slots had no room for, is answered.
-        let solicited = |m| match m {
-            NetMsg::SolicitTaskManager { task, reply_to, .. } => Some((task, reply_to)),
-            _ => None,
-        };
-        assert_eq!(slow.expect(solicited).0, "t0");
-        let (task, reply_to) = slow.expect(solicited);
-        assert_eq!(task, "t4");
-        let bid = Bid {
-            server: "zz-slow".into(),
-            addr: slow.addr,
-            load: 0.5,
-            free_memory_mb: 1000,
-            free_slots: 1,
-            signal: LoadSignal::default(),
-        };
-        slow.send(reply_to, NetMsg::TaskManagerBid { job, task, bid });
-        let assigned = slow.expect(|m| match m {
-            NetMsg::AssignTask { spec, .. } => Some(spec.name),
-            _ => None,
-        });
-        assert_eq!(assigned, "t4");
-        slow.send(
-            jm,
-            NetMsg::AssignAck {
-                job,
-                task: assigned,
-                accepted: true,
-                reason: String::new(),
-                task_addr: Some(slow.addr),
-            },
-        );
-        let placed: Vec<(String, String)> = (0..5)
-            .map(|_| {
-                client.expect(|m| match m {
-                    NetMsg::TaskAck { accepted: true, task, server, .. } => Some((task, server)),
-                    _ => None,
-                })
-            })
-            .collect();
-        let on = |server: &str, tasks: &[&str]| -> Vec<(String, String)> {
-            tasks.iter().map(|t| (t.to_string(), server.to_string())).collect()
-        };
-        assert_eq!(
-            placed,
-            [on("node0", &["t0", "t1", "t2", "t3"]), on("zz-slow", &["t4"])].concat()
-        );
-        nb.shutdown();
-    }
-
-    /// The re-asking is bounded by what one auction per task would have
-    /// spent: two tasks, two solicitations, then the refusal stands.
-    #[test]
-    fn a_round_asks_no_more_often_than_it_has_tasks() {
-        let window = Duration::from_millis(30);
-        let nb = deploy(1, window);
-        let jm = nb.server_addr("node0").unwrap();
-        let client = Party::join(&nb, false);
-        let silent = Party::join(&nb, true);
-        let job = JobId(905);
-        client.create_job(jm, job);
-        // The one real node has memory for the first task only.
-        let mut specs = vec![light("t0"), light("t1")];
-        specs.iter_mut().for_each(|s| s.memory_mb = 2500);
-        let t0 = Instant::now();
-        client.send(jm, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
-        let acks: Vec<(String, bool)> = (0..2)
-            .map(|_| {
-                client.expect(|m| match m {
-                    NetMsg::TaskAck { task, accepted, .. } => Some((task, accepted)),
-                    _ => None,
-                })
-            })
-            .collect();
-        assert_eq!(acks, [("t0".to_string(), true), ("t1".to_string(), false)]);
-        assert!(t0.elapsed() >= 2 * window, "{:?}", t0.elapsed());
-        let asked = std::iter::from_fn(|| silent.rx.try_recv().ok())
-            .filter(|env| matches!(env.msg, NetMsg::SolicitTaskManager { .. }))
-            .count();
-        assert_eq!(asked, 2);
         nb.shutdown();
     }
 

@@ -218,14 +218,7 @@ enum FakeBehaviour {
 fn placement_retries_after_rejection_and_after_timeout() {
     for behaviour in [FakeBehaviour::Reject, FakeBehaviour::Silent] {
         let rec = computational_neighborhood::observe::Recorder::new();
-        let config = NeighborhoodConfig {
-            server: core::ServerConfig {
-                assign_timeout: Duration::from_millis(150),
-                ..Default::default()
-            },
-            recorder: rec.clone(),
-            ..Default::default()
-        };
+        let config = NeighborhoodConfig { recorder: rec.clone(), ..Default::default() };
         let nb = Neighborhood::deploy_with(NodeSpec::fleet(2, 4096, 8), config);
         nb.registry().publish(core::TaskArchive::new("x.jar").class("X", || {
             Box::new(|_ctx: &mut core::TaskContext| Ok(UserData::Text("ran".into())))

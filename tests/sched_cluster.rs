@@ -31,7 +31,6 @@ fn skewed_fleet(
             policy,
             exec_slots: Some(exec_slots),
             steal,
-            ..Default::default()
         },
         recorder,
         ..Default::default()
