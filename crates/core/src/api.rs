@@ -72,19 +72,16 @@ pub struct ClientConfig {
     pub bid_window: Duration,
     /// JobManager selection policy.
     pub policy: Policy,
-    /// Timeout for individual acks (job create, task create).
-    pub ack_timeout: Duration,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig {
-            bid_window: Duration::from_millis(5),
-            policy: Policy::LeastLoaded,
-            ack_timeout: Duration::from_secs(5),
-        }
+        ClientConfig { bid_window: Duration::from_millis(5), policy: Policy::LeastLoaded }
     }
 }
+
+/// How long the client waits for each ack (job create, task create).
+const ACK_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How many times `create_job` re-multicasts the solicitation when a bid
 /// window closes with no bids (willing managers can miss a window under
@@ -221,7 +218,6 @@ impl CnApi {
             held: false,
             space: self.spaces.get_or_create(job),
             shadow: HashMap::new(),
-            ack_timeout: self.config.ack_timeout,
             rec: self.rec.clone(),
             span,
             c_tasks: self.c_tasks.clone(),
@@ -231,10 +227,9 @@ impl CnApi {
         // On any failure path the handle is dropped here, which unregisters
         // the endpoint and closes the job span (see `impl Drop for
         // JobHandle`).
-        match handle.wait_net(
-            handle.ack_timeout,
-            |m| matches!(m, NetMsg::JobAck { job: j, .. } if *j == job),
-        )? {
+        match handle
+            .wait_net(ACK_TIMEOUT, |m| matches!(m, NetMsg::JobAck { job: j, .. } if *j == job))?
+        {
             NetMsg::JobAck { accepted: true, .. } => {
                 self.c_jobs.inc();
                 handle.held = true;
@@ -279,7 +274,6 @@ pub struct JobHandle {
     /// forest from TaskStarted/TaskCompleted/TaskFailed lifecycle
     /// messages — keeping the exported forest identical across fabrics.
     shadow: HashMap<String, Option<SpanId>>,
-    ack_timeout: Duration,
     rec: Recorder,
     /// The job span, closed on completion/failure/cancel (or in Drop).
     span: Option<SpanId>,
@@ -432,7 +426,7 @@ impl JobHandle {
         let mut first_failure = None;
         for name in names {
             let ack = self.wait_net(
-                self.ack_timeout,
+                ACK_TIMEOUT,
                 |m| matches!(m, NetMsg::TaskAck { job: j, task, .. } if *j == job && *task == name),
             )?;
             // Dispatch latency: request sent → this task's TaskAck, i.e. the

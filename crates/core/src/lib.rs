@@ -23,6 +23,7 @@
 pub mod api;
 pub mod archive;
 pub mod exec;
+mod job;
 pub mod message;
 mod placement;
 pub mod pump;
@@ -697,6 +698,51 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(1);
         while !nb.nodes().iter().all(full) {
             assert!(std::time::Instant::now() < deadline, "the abandoned job kept its placements");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        nb.shutdown();
+    }
+
+    /// A job that can never finish — a task depends on one never created,
+    /// or on one whose placement was refused — fails at `start` instead of
+    /// hanging, and every slot it had placed comes back.
+    #[test]
+    fn a_job_that_can_never_finish_fails_instead_of_hanging() {
+        let nb = deploy(2);
+        let api = CnApi::initialize(&nb);
+        let full = |n: &NodeHandle| (n.free_slots(), n.free_memory_mb()) == (4, 4000);
+        let after = |name: &str, depends: &str| {
+            let mut spec = TaskSpec::new(name, "echo.jar", "Echo");
+            spec.depends = vec![depends.into()];
+            spec
+        };
+        let mut never_created = api.create_job(&JobRequirements::default()).unwrap();
+        never_created
+            .add_tasks(vec![TaskSpec::new("a", "echo.jar", "Echo"), after("b", "ghost")])
+            .unwrap();
+        let mut refused = api.create_job(&JobRequirements::default()).unwrap();
+        let mut big = TaskSpec::new("big", "echo.jar", "Echo");
+        big.memory_mb = 1_000_000;
+        let err = refused.add_tasks(vec![big, after("c", "big")]).unwrap_err();
+        assert!(matches!(err, ClientError::PlacementFailed { .. }), "{err:?}");
+        assert!(!nb.nodes().iter().all(full));
+
+        for (mut job, task, missing) in [(never_created, "b", "ghost"), (refused, "c", "big")] {
+            job.start().unwrap();
+            let started = std::time::Instant::now();
+            match job.wait(Duration::from_secs(10)) {
+                Err(ClientError::JobFailed(e)) => assert!(
+                    e.contains(&format!("task {task:?} can never start"))
+                        && e.contains(&format!("{missing:?}")),
+                    "{e}"
+                ),
+                other => panic!("{other:?}"),
+            }
+            assert!(started.elapsed() < Duration::from_secs(2), "{:?}", started.elapsed());
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !nb.nodes().iter().all(full) {
+            assert!(std::time::Instant::now() < deadline, "the failed jobs kept their placements");
             std::thread::sleep(Duration::from_millis(1));
         }
         nb.shutdown();

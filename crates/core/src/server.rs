@@ -9,8 +9,9 @@
 //! discovery multicast group. The JobManager half answers solicitations,
 //! admits created tasks into placement rounds (one solicitation per round;
 //! the round is `placement::Round`, and the loop only carries bids, acks and
-//! deadlines in and its actions out), manages job DAGs and relays task
-//! lifecycle messages to the client; the TaskManager half bids for tasks,
+//! deadlines in and its actions out) and keeps each job as a `job::Job`,
+//! whose lifecycle messages the loop carries in and whose starts, cancels
+//! and client reports it carries out; the TaskManager half bids for tasks,
 //! receives archive uploads, sets up per-task message queues and runs each
 //! task in a thread of its own (`RUN_AS_THREAD_IN_TM`), one a finished task
 //! left parked when there is one (`TaskPool`). Nothing waits inside a
@@ -30,7 +31,8 @@ use cn_sync::thread::JoinHandle;
 use cn_wire::FabricHandle;
 
 use crate::archive::ArchiveRegistry;
-use crate::message::{Bid, JobId, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME};
+use crate::job::{Action as JobAction, Event as JobEvent, Job};
+use crate::message::{Bid, JobId, NetMsg, TaskSpec};
 use crate::placement::{Action, Event, Round};
 use crate::pump::{MsgPump, Window};
 use crate::scheduler::{Ewma, FairQueue, LoadSignal, Policy, RoundRobin};
@@ -131,17 +133,6 @@ impl Drop for CnServer {
             let _ = t.join();
         }
     }
-}
-
-/// JobManager-side record of a job.
-struct JmJob {
-    client: Addr,
-    specs: Vec<TaskSpec>,
-    /// task name → (tm server addr, task endpoint, server name).
-    assigned: HashMap<String, (Addr, Addr, String)>,
-    completed: HashMap<String, UserData>,
-    started: HashSet<String>,
-    job_started: bool,
 }
 
 /// TaskManager-side record of an assigned task.
@@ -269,7 +260,7 @@ struct ServerState {
     registry: Arc<ArchiveRegistry>,
     spaces: Arc<SpaceRegistry>,
     config: ServerConfig,
-    jm_jobs: HashMap<JobId, JmJob>,
+    jobs: HashMap<JobId, Job>,
     tm_tasks: HashMap<(JobId, String), TmTask>,
     /// Jars this TaskManager has received.
     uploaded: HashSet<String>,
@@ -342,7 +333,7 @@ impl ServerState {
             registry,
             spaces,
             config,
-            jm_jobs: HashMap::new(),
+            jobs: HashMap::new(),
             tm_tasks: HashMap::new(),
             uploaded: HashSet::new(),
             rr: RoundRobin::new(),
@@ -422,19 +413,9 @@ impl ServerState {
 
             // ---- JobManager: job lifecycle ----------------------------
             NetMsg::CreateJob { job, client, reply_to } => {
-                let accepted = !self.jm_jobs.contains_key(&job);
+                let accepted = !self.jobs.contains_key(&job);
                 if accepted {
-                    self.jm_jobs.insert(
-                        job,
-                        JmJob {
-                            client,
-                            specs: Vec::new(),
-                            assigned: HashMap::new(),
-                            completed: HashMap::new(),
-                            started: HashSet::new(),
-                            job_started: false,
-                        },
-                    );
+                    self.jobs.insert(job, Job::new(job, client));
                 }
                 let reason = if accepted { String::new() } else { "job already exists".into() };
                 self.send(reply_to, NetMsg::JobAck { job, accepted, reason });
@@ -443,8 +424,13 @@ impl ServerState {
                 self.admit(msg);
                 self.start_round();
             }
-            NetMsg::StartJob { job } => self.jm_start_ready(job),
-            NetMsg::CancelJob { job } => self.jm_cancel_job(job),
+            NetMsg::StartJob { job } => self.job_on(job, JobEvent::Start),
+            NetMsg::CancelJob { job } if self.jobs.contains_key(&job) => {
+                self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
+                    format!("[{}] job cancelled by client", self.name)
+                });
+                self.job_on(job, JobEvent::Cancel)
+            }
 
             // ---- TaskManager: placement -------------------------------
             NetMsg::SolicitTaskManager { job, task, memory_mb, reply_to }
@@ -496,8 +482,10 @@ impl ServerState {
             NetMsg::StealGrant { job, spec, jm, client, directory, victim, old_endpoint } => self
                 .tm_steal_grant(env.from, job, spec, jm, client, directory, victim, old_endpoint),
             NetMsg::StealReturn { job, task } => self.tm_steal_return(job, task),
-            NetMsg::TaskMigrated { job, task, server, tm, task_addr } => {
-                self.task_migrated(job, task, server, tm, task_addr)
+            NetMsg::TaskMigrated { job, task, tm, task_addr, .. } => {
+                let (name, depends) = (task.clone(), None);
+                self.job_on(job, JobEvent::Placed { task: name, depends, tm, task_addr });
+                self.task_migrated(job, task, task_addr)
             }
 
             // ---- Tuple seeding (wire mode) ----------------------------
@@ -505,14 +493,16 @@ impl ServerState {
 
             // ---- JobManager: task lifecycle from TMs -------------------
             NetMsg::TaskStarted { job, task } => {
-                if let Some(client) = self.jm_jobs.get(&job).map(|j| j.client) {
+                if let Some(client) = self.jobs.get(&job).map(Job::client) {
                     self.send(client, NetMsg::TaskStarted { job, task });
                 }
             }
             NetMsg::TaskCompleted { job, task, result } => {
-                self.jm_task_completed(job, task, result)
+                self.job_on(job, JobEvent::Completed { task, result })
             }
-            NetMsg::TaskFailed { job, task, error } => self.jm_task_failed(job, task, error),
+            NetMsg::TaskFailed { job, task, error } => {
+                self.job_on(job, JobEvent::Failed { task, error })
+            }
 
             // Not for the server: ignore.
             _ => {}
@@ -526,9 +516,9 @@ impl ServerState {
     /// lands before any later `StartTask` to the same TaskManager.
     fn seed_tuple(&mut self, job: JobId, tuple: Tuple) {
         self.spaces.get_or_create(job).out(tuple.clone());
-        let Some(j) = self.jm_jobs.get(&job) else { return };
+        let Some(j) = self.jobs.get(&job) else { return };
         let mut relayed: HashSet<Addr> = HashSet::new();
-        for &(tm, _, _) in j.assigned.values() {
+        for tm in j.tms() {
             if tm != self.addr && relayed.insert(tm) {
                 self.send(tm, NetMsg::SeedTuple { job, tuple: tuple.clone() });
             }
@@ -563,99 +553,40 @@ impl ServerState {
 
     // ---- JobManager internals ------------------------------------------
 
-    /// Start every not-yet-started task whose dependencies are complete.
-    fn jm_start_ready(&mut self, job: JobId) {
-        let Some(j) = self.jm_jobs.get_mut(&job) else { return };
-        j.job_started = true;
-        if j.specs.is_empty() {
-            // A job with no tasks is vacuously complete.
-            return self.jm_end_job(job, None, NetMsg::JobCompleted { job, results: Vec::new() });
+    /// Hand `event` to `job` and carry its actions out.
+    fn job_on(&mut self, job: JobId, event: JobEvent) {
+        let Some(j) = self.jobs.get_mut(&job) else { return };
+        let client = j.client();
+        for action in j.on(event) {
+            self.job_action(job, client, action);
         }
-        // Build the full directory once per call (client included).
-        let mut directory: HashMap<String, Addr> =
-            j.assigned.iter().map(|(name, (_, task_addr, _))| (name.clone(), *task_addr)).collect();
-        directory.insert(CLIENT_TASK_NAME.to_string(), j.client);
-        let client = j.client;
-        let ready: Vec<(String, Addr)> = j
-            .specs
-            .iter()
-            .filter(|s| {
-                !j.started.contains(&s.name)
-                    && !j.completed.contains_key(&s.name)
-                    && s.depends.iter().all(|d| j.completed.contains_key(d))
-            })
-            .filter_map(|s| j.assigned.get(&s.name).map(|(tm, _, _)| (s.name.clone(), *tm)))
-            .collect();
-        j.started.extend(ready.iter().map(|(task, _)| task.clone()));
-        for (task, tm_addr) in ready {
-            let directory = directory.clone();
-            if tm_addr == self.addr {
-                self.tm_start(job, &task, directory, client);
-            } else {
-                self.send(tm_addr, NetMsg::StartTask { job, task, directory, client });
+    }
+
+    /// Do what a job asked. A start or cancel for this server's own
+    /// TaskManager runs in place.
+    fn job_action(&mut self, job: JobId, client: Addr, action: JobAction) {
+        match action {
+            JobAction::StartTask { tm, task, directory } if tm == self.addr => {
+                self.tm_start(job, &task, directory, client)
             }
-        }
-    }
-
-    fn jm_task_completed(&mut self, job: JobId, task: String, result: UserData) {
-        let Some(j) = self.jm_jobs.get_mut(&job) else { return };
-        j.completed.insert(task.clone(), result.clone());
-        let client = j.client;
-        self.send(client, NetMsg::TaskCompleted { job, task, result });
-        let j = &self.jm_jobs[&job];
-        if j.completed.len() == j.specs.len() {
-            let done = |s: &TaskSpec| j.completed.get(&s.name).cloned().unwrap_or(UserData::Empty);
-            let results = j.specs.iter().map(|s| (s.name.clone(), done(s))).collect();
-            self.jm_end_job(job, None, NetMsg::JobCompleted { job, results });
-        } else if j.job_started {
-            self.jm_start_ready(job);
-        }
-    }
-
-    /// Client-requested cancellation: interrupt everything in flight and
-    /// report the job as failed.
-    fn jm_cancel_job(&mut self, job: JobId) {
-        if !self.jm_jobs.contains_key(&job) {
-            return;
-        }
-        self.rec.event_with(Severity::Warn, "job", Some(job.0), || {
-            format!("[{}] job cancelled by client", self.name)
-        });
-        self.jm_end_job(job, None, NetMsg::JobFailed { job, error: "cancelled by client".into() });
-    }
-
-    fn jm_task_failed(&mut self, job: JobId, task: String, error: String) {
-        let Some(j) = self.jm_jobs.get(&job) else { return };
-        let client = j.client;
-        self.rec.event_with(Severity::Error, "job", Some(job.0), || {
-            format!("[{}] task {task:?} failed: {error}; cancelling the job", self.name)
-        });
-        self.send(client, NetMsg::TaskFailed { job, task: task.clone(), error: error.clone() });
-        let end = NetMsg::JobFailed { job, error: format!("task {task:?} failed: {error}") };
-        self.jm_end_job(job, Some(&task), end);
-    }
-
-    /// The one way a job ends: every assigned task that has not completed
-    /// but `except` is cancelled — running ones are interrupted, never-started
-    /// ones release their reservations — the job's state goes, and the
-    /// client hears `end`.
-    fn jm_end_job(&mut self, job: JobId, except: Option<&str>, end: NetMsg) {
-        let Some(j) = self.jm_jobs.remove(&job) else { return };
-        for (task, (tm, _, _)) in j.assigned {
-            if !j.completed.contains_key(&task) && except != Some(task.as_str()) {
-                self.cancel_on(tm, job, task);
+            JobAction::StartTask { tm, task, directory } => {
+                self.send(tm, NetMsg::StartTask { job, task, directory, client })
             }
-        }
-        self.send(j.client, end);
-    }
-
-    /// Cancel `task` of `job` on the TaskManager at `tm`, in place if it is
-    /// this server's own.
-    fn cancel_on(&mut self, tm: Addr, job: JobId, task: String) {
-        if tm == self.addr {
-            self.tm_cancel(job, &task);
-        } else {
-            self.send(tm, NetMsg::CancelTask { job, task });
+            JobAction::ToClient(msg) => {
+                // A job reports a task's failure only as it ends over it.
+                if let NetMsg::TaskFailed { task, error, .. } = &msg {
+                    self.rec.event_with(Severity::Error, "job", Some(job.0), || {
+                        format!("[{}] task {task:?} failed: {error}; cancelling the job", self.name)
+                    });
+                }
+                self.send(client, msg)
+            }
+            JobAction::CancelTask { tm, task } if tm == self.addr => self.tm_cancel(job, &task),
+            JobAction::CancelTask { tm, task } => self.send(tm, NetMsg::CancelTask { job, task }),
+            JobAction::End(msg) => {
+                self.jobs.remove(&job);
+                self.send(client, msg)
+            }
         }
     }
 
@@ -926,12 +857,9 @@ impl ServerState {
         let mut tasks = Vec::with_capacity(self.fairq.len());
         let mut names: HashSet<(JobId, String)> = HashSet::new();
         while let Some((job, spec, reply_to)) = self.fairq.pop() {
-            let admitted = match self.jm_jobs.get(&job) {
+            let admitted = match self.jobs.get(&job) {
                 None => Err(format!("no such job {job}")),
-                Some(j)
-                    if j.assigned.contains_key(&spec.name)
-                        || !names.insert((job, spec.name.clone())) =>
-                {
+                Some(j) if j.holds(&spec.name) || !names.insert((job, spec.name.clone())) => {
                     Err(format!("task name {:?} already exists in {job}", spec.name))
                 }
                 Some(_) => Ok(()),
@@ -1002,17 +930,18 @@ impl ServerState {
                 }
                 self.send(tm, NetMsg::CancelTask { job, task });
             }
-            // Record the task in its job. If the job has gone meanwhile
+            // Place the task in its job. If the job has gone meanwhile
             // (cancelled, failed), release the assignment where it landed.
             Action::TaskAck { job, spec, reply_to, placed } => {
                 let task = spec.name.clone();
                 let placed = placed.and_then(|(tm, task_addr, server)| {
-                    let Some(j) = self.jm_jobs.get_mut(&job) else {
-                        self.cancel_on(tm, job, task.clone());
+                    if !self.jobs.contains_key(&job) {
+                        let cancel = JobAction::CancelTask { tm, task: task.clone() };
+                        self.job_action(job, reply_to, cancel);
                         return Err(format!("no such job {job}"));
-                    };
-                    j.assigned.insert(task.clone(), (tm, task_addr, server.clone()));
-                    j.specs.push(spec);
+                    }
+                    let (task, depends) = (task.clone(), Some(spec.depends));
+                    self.job_on(job, JobEvent::Placed { task, depends, tm, task_addr });
                     Ok((server, task_addr))
                 });
                 let (accepted, reason, server, task_addr) = match placed {
@@ -1190,26 +1119,16 @@ impl ServerState {
         }
     }
 
-    /// `TaskMigrated` lands on two parties. As the task's JobManager we
-    /// repoint the placement table so later `StartTask`/`CancelTask`/
-    /// directory builds go to the thief. As the victim we make the task's
+    /// `TaskMigrated` lands on two parties. The task's JobManager repoints
+    /// it in its job (`Placed`), so later `StartTask`/`CancelTask`/directory
+    /// builds go to the thief. As the victim we make the task's
     /// old endpoint an alias of our own address, so that messages sent
     /// against a stale directory come to this loop, which sends them on to
     /// the task's new home ([`ServerState::forward_moved`]) behind what
     /// already sat in the old queue. The Figure-3 journals stay canonical
     /// because every message arrives exactly once, in order, just via one
     /// extra hop.
-    fn task_migrated(
-        &mut self,
-        job: JobId,
-        task: String,
-        server: String,
-        tm: Addr,
-        task_addr: Addr,
-    ) {
-        if let Some(entry) = self.jm_jobs.get_mut(&job).and_then(|j| j.assigned.get_mut(&task)) {
-            *entry = (tm, task_addr, server);
-        }
+    fn task_migrated(&mut self, job: JobId, task: String, task_addr: Addr) {
         let Entry::Occupied(entry) = self.tm_tasks.entry((job, task)) else { return };
         if !entry.get().migrated {
             return;
@@ -1242,7 +1161,7 @@ impl ServerState {
 mod tests {
     use super::*;
     use crate::archive::TaskArchive;
-    use crate::message::JobRequirements;
+    use crate::message::{JobRequirements, UserData};
     use crate::{Neighborhood, NeighborhoodConfig};
     use cn_cluster::{Network, NodeSpec, DISCOVERY_GROUP};
     use cn_wire::{Fabric, SocketFabric, WireConfig};
@@ -1423,8 +1342,8 @@ mod tests {
         nb.shutdown();
     }
 
-    /// A server on a socket fabric whose connect cycle is long enough to
-    /// tell waiting from not waiting (120 ms of backoff), and a client on a
+    /// A server on a socket fabric, whose connect cycle is long enough to
+    /// tell waiting from not waiting (350 ms of backoff), and a client on a
     /// fabric of its own, both directions connected before anything is timed.
     struct Departures {
         rec: Recorder,
@@ -1437,12 +1356,8 @@ mod tests {
     impl Departures {
         fn new() -> Departures {
             let rec = Recorder::new();
-            let cfg = WireConfig {
-                max_retries: 2,
-                retry_base: Duration::from_millis(40),
-                ..WireConfig::default()
-            };
-            let fabric: SocketFabric<NetMsg> = SocketFabric::new(cfg, rec.clone()).unwrap();
+            let fabric: SocketFabric<NetMsg> =
+                SocketFabric::new(WireConfig::default(), rec.clone()).unwrap();
             let server = CnServer::spawn(
                 "w0",
                 NodeHandle::new(NodeSpec::new("w0", 4000, 4)),

@@ -65,12 +65,6 @@ pub struct WireConfig {
     /// TCP listen port (0 picks an ephemeral port).
     pub port: u16,
     pub discovery: Discovery,
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
-    /// Extra connect attempts after the first fails.
-    pub max_retries: u32,
-    /// Backoff before retry N is `retry_base * 2^(N-1)`, capped at 1s.
-    pub retry_base: Duration,
     /// Coalesce writes per peer: sends enqueue on the connection's queue
     /// and the reactor packs whatever accumulated while the previous
     /// flush was in flight into one `writev`. Off, every frame is its own
@@ -86,15 +80,18 @@ impl Default for WireConfig {
         WireConfig {
             port: 0,
             discovery: Discovery::Loopback { peers: Vec::new() },
-            connect_timeout: Duration::from_millis(500),
-            max_retries: 3,
-            retry_base: Duration::from_millis(50),
             batch: true,
             reactor_shards: 0,
         }
     }
 }
 
+/// TCP connect timeout per attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Extra connect attempts after the first fails.
+const MAX_RETRIES: u32 = 3;
+/// Backoff before retry N is `RETRY_BASE * 2^(N-1)`, capped at [`MAX_BACKOFF`].
+const RETRY_BASE: Duration = Duration::from_millis(50);
 /// Deadline for reading the rest of a frame once its header arrived.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Most frames a single coalesced flush may carry.
@@ -535,9 +532,9 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
     /// Upper bound on how long one whole connect cycle (all attempts plus
     /// backoff) may take, used to bound the sender-side wait.
     fn connect_budget(&self) -> Duration {
-        let mut total = self.cfg.connect_timeout * (self.cfg.max_retries + 1);
-        let mut delay = self.cfg.retry_base;
-        for _ in 0..self.cfg.max_retries {
+        let mut total = CONNECT_TIMEOUT * (MAX_RETRIES + 1);
+        let mut delay = RETRY_BASE;
+        for _ in 0..MAX_RETRIES {
             total += delay;
             delay = (delay * 2).min(MAX_BACKOFF);
         }
@@ -563,7 +560,7 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
             inner,
             link: Arc::clone(&link),
             attempt: 0,
-            delay: self.cfg.retry_base,
+            delay: RETRY_BASE,
             last_timeout: false,
             conn: PeerConn::Idle,
             connect_timer: None,
@@ -667,8 +664,7 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
                 if ctx.register_fd(stream.as_raw_fd(), false, true).is_err() {
                     return self.retry_or_fail(ctx, false, "epoll register failed");
                 }
-                self.connect_timer =
-                    Some(ctx.arm_timer(self.inner.cfg.connect_timeout, TAG_CONNECT));
+                self.connect_timer = Some(ctx.arm_timer(CONNECT_TIMEOUT, TAG_CONNECT));
                 self.conn = PeerConn::Connecting(stream);
                 Action::Continue
             }
@@ -685,7 +681,7 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
         }
         self.conn = PeerConn::Idle;
         self.last_timeout = timed_out;
-        let (port, attempt, max) = (self.port(), self.attempt, self.inner.cfg.max_retries);
+        let (port, attempt, max) = (self.port(), self.attempt, MAX_RETRIES);
         self.inner.rec.event_with(Severity::Warn, "wire", None, || {
             format!("connect to :{port} failed (attempt {}/{}): {err}", attempt + 1, max + 1)
         });
@@ -1233,13 +1229,7 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().port()
         };
-        let cfg = WireConfig {
-            max_retries: 2,
-            retry_base: Duration::from_millis(5),
-            connect_timeout: Duration::from_millis(200),
-            ..WireConfig::default()
-        };
-        let a: SocketFabric<u64> = SocketFabric::new(cfg, rec.clone()).unwrap();
+        let a: SocketFabric<u64> = SocketFabric::new(WireConfig::default(), rec.clone()).unwrap();
         let (addr_a, _rx) = a.register();
         let dead = Addr(((dead_port as u64) << ADDR_PORT_SHIFT) | 1);
         let t0 = Instant::now();
@@ -1251,7 +1241,7 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(5), "bounded backoff");
         assert_eq!(
             rec.counter("wire.connect_retries").get(),
-            2,
+            u64::from(MAX_RETRIES),
             "exponential backoff retries recorded"
         );
     }
@@ -1261,15 +1251,7 @@ mod tests {
         let rec = Recorder::new();
         let a: SocketFabric<u64> =
             SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
-        let b: SocketFabric<u64> = SocketFabric::new(
-            WireConfig {
-                max_retries: 0,
-                connect_timeout: Duration::from_millis(200),
-                ..WireConfig::default()
-            },
-            rec.clone(),
-        )
-        .unwrap();
+        let b: SocketFabric<u64> = SocketFabric::new(WireConfig::default(), rec.clone()).unwrap();
         let (addr_a, rx_a) = a.register();
         let (addr_b, _rx_b) = b.register();
         b.send(addr_b, addr_a, 1).unwrap();

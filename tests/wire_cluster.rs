@@ -209,15 +209,13 @@ fn killing_a_serve_worker_surfaces_typed_error_and_flight_events() {
     let rec = Recorder::new();
     let cfg = WireConfig {
         discovery: Discovery::Loopback { peers: ports.clone() },
-        connect_timeout: Duration::from_millis(200),
-        retry_base: Duration::from_millis(10),
         ..WireConfig::default()
     };
     let fabric = SocketFabric::new(cfg, rec.clone()).expect("client fabric");
     let api = CnApi::over(
         Arc::new(fabric),
         Arc::new(computational_neighborhood::core::spaces::SpaceRegistry::new()),
-        ClientConfig { ack_timeout: Duration::from_secs(2), ..ClientConfig::default() },
+        ClientConfig::default(),
         rec.clone(),
     );
 
