@@ -74,6 +74,12 @@ pub fn all() -> &'static [Scenario] {
             fail_on_timeout_escape: true,
             run: portal_http_parser,
         },
+        Scenario {
+            name: "portal.journal_wake",
+            about: "job board: a parked journal stream woken by the worker that completes or fails its job",
+            fail_on_timeout_escape: true,
+            run: portal_journal_wake,
+        },
     ]
 }
 
@@ -382,4 +388,57 @@ fn portal_http_parser() {
     assert_eq!(reader.join().expect("reader"), REQUESTS, "parser lost a pipelined request");
     let order = responder.join().expect("responder");
     assert_eq!(order, vec![0, 1], "admission broke FIFO response order");
+}
+
+/// The journal stream's park with the reactor removed: a "connection"
+/// asks the [`JobBoard`](cn_portal::JobBoard) for a journal with
+/// `journal_or_wait`, and if the job has not finished waits for its wake
+/// on a channel (the shard's `Reactor::notify` stand-in), while a "worker"
+/// completes one job and fails another. The check and the registration
+/// share the board lock, so whatever the interleaving the stream either
+/// reads the journal at once or is woken exactly once after it is
+/// published; with `fail_on_timeout_escape` a stream that only proceeds
+/// because its wait was force-fired is a lost wakeup — what the
+/// `mutations` build, whose `finish` drops its waiters unwoken, yields.
+fn portal_journal_wake() {
+    use cn_portal::JobBoard;
+
+    let (wake_tx, wakes) = cn_sync::channel::unbounded_named("check.portal.wakes");
+    let board = Arc::new(JobBoard::new(
+        16,
+        &cn_observe::Recorder::disabled(),
+        Box::new(move |token| wake_tx.send(token).expect("connection alive")),
+    ));
+    let done = board.create();
+    let failed = board.create();
+
+    let worker = {
+        let board = Arc::clone(&board);
+        thread::Builder::new()
+            .name("worker".into())
+            .spawn(move || {
+                board.mark_running(done);
+                board.complete(done, "{}\n".to_string(), 1);
+                board.mark_running(failed);
+                board.fail(failed, "boom".to_string());
+            })
+            .expect("spawn worker")
+    };
+
+    // The connection streams both journals, one after the other, each
+    // under its own token.
+    for (token, id) in [(1, done), (2, failed)] {
+        let journal = match board.journal_or_wait(id, token).expect("job on the board") {
+            Some(journal) => journal,
+            None => {
+                let woken = wakes.recv_timeout(Duration::from_millis(50));
+                assert_eq!(woken.expect("published journal never woke its stream"), token);
+                let again = board.journal_or_wait(id, token).expect("job on the board");
+                again.expect("woken before the journal was published")
+            }
+        };
+        assert!(!journal.is_empty(), "empty journal for j-{id}");
+    }
+    worker.join().expect("worker");
+    assert!(wakes.try_recv().is_err(), "a stream was woken twice");
 }

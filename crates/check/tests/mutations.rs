@@ -151,3 +151,28 @@ fn mutated_portal_admission_loses_the_worker_wakeup() {
     let replayed = again.counterexample.expect("replay counterexample");
     assert_eq!(replayed.trace_jsonl(), cx.trace_jsonl(), "replay diverged from recording");
 }
+
+/// The mutated job board takes a finished job's waiters off its entry and
+/// never wakes them: a stream that parked before the worker published its
+/// journal waits on, and only the force-fired timeout lets it look again,
+/// which the checker reports as a lost notification.
+#[test]
+fn mutated_journal_wake_loses_the_stream_wakeup() {
+    let scenario = cn_check::find("portal.journal_wake").expect("registered");
+    let report = run_scenario(&scenario, &test_config());
+    assert!(report.failed(), "mutation not caught: {report:?}");
+    assert!(
+        report.hazards.iter().any(|h| h.kind == HazardKind::LostNotify),
+        "{:?}",
+        report.hazards
+    );
+
+    let diags = diagnose(&report);
+    assert!(diags.iter().any(|d| d.code == codes::LOST_NOTIFY), "{diags:?}");
+
+    let cx = report.counterexample.as_ref().expect("counterexample");
+    let again = replay(&scenario, cx);
+    assert!(again.failed(), "replay did not reproduce");
+    let replayed = again.counterexample.expect("replay counterexample");
+    assert_eq!(replayed.trace_jsonl(), cx.trace_jsonl(), "replay diverged from recording");
+}

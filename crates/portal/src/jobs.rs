@@ -23,6 +23,7 @@ use cn_core::{
 };
 use cn_observe::export::json_escape;
 use cn_observe::{journal_jsonl_filtered, Counter, Recorder, LATENCY_BUCKETS_US};
+use cn_reactor::Token;
 use cn_sync::Mutex;
 use cn_transform::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
 use cn_wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
@@ -61,6 +62,11 @@ struct Entry {
     /// When the job reached a terminal state — the eviction clock for
     /// [`JobBoard::evict_expired`].
     finished_at: Option<Instant>,
+    /// Reactor tokens of the connections streaming this journal, parked
+    /// until the job finishes: each at most once, and a connection that
+    /// closes takes its token back, so the list is bounded by the open
+    /// connections streaming this job.
+    waiters: Vec<Token>,
 }
 
 #[derive(Default)]
@@ -77,22 +83,34 @@ struct Entries {
 /// ones by `max_finished` (the oldest-finished goes first) and by the TTL
 /// of [`JobBoard::evict_expired`]. An evicted id answers `404` like any
 /// unknown job; `portal.board_evictions` counts them.
+///
+/// A connection that finds a journal not yet published is recorded on
+/// its entry ([`JobBoard::journal_or_wait`]), and the worker that
+/// publishes it calls the board's wake function with that connection's
+/// token, outside the board lock.
 pub struct JobBoard {
     entries: Mutex<Entries>,
     next_id: AtomicU64,
     max_finished: usize,
     evictions: Counter,
+    wake: Box<dyn Fn(Token) + Send + Sync>,
 }
 
 impl JobBoard {
-    /// A board that keeps at most `max_finished` terminal entries and
-    /// counts evictions in `rec`.
-    pub fn new(max_finished: usize, rec: &Recorder) -> JobBoard {
+    /// A board that keeps at most `max_finished` terminal entries, counts
+    /// evictions in `rec`, and calls `wake` once for each connection
+    /// waiting on a job when the job finishes.
+    pub fn new(
+        max_finished: usize,
+        rec: &Recorder,
+        wake: Box<dyn Fn(Token) + Send + Sync>,
+    ) -> JobBoard {
         JobBoard {
             entries: Mutex::named("portal.board", Entries::default()),
             next_id: AtomicU64::new(1),
             max_finished,
             evictions: rec.counter("portal.board_evictions"),
+            wake,
         }
     }
 
@@ -107,6 +125,7 @@ impl JobBoard {
                 error: None,
                 tasks: 0,
                 finished_at: None,
+                waiters: Vec::new(),
             },
         );
         id
@@ -139,18 +158,33 @@ impl JobBoard {
         });
     }
 
-    /// Move an entry to a terminal state and evict the oldest-finished
-    /// entries beyond the bound.
+    /// Move an entry to a terminal state, evict the oldest-finished
+    /// entries beyond the bound, and wake the connections that waited on
+    /// it once the lock is released.
     fn finish(&self, id: JobId, terminal: impl FnOnce(&mut Entry)) {
-        let mut entries = self.entries.lock();
-        let Some(e) = entries.by_id.get_mut(&id) else { return };
-        terminal(e);
-        e.finished_at = Some(Instant::now());
-        entries.finished.push_back(id);
-        while entries.finished.len() > self.max_finished {
-            let oldest = entries.finished.pop_front().expect("non-empty");
-            entries.by_id.remove(&oldest);
-            self.evictions.inc();
+        let waiters = {
+            let mut entries = self.entries.lock();
+            let Some(e) = entries.by_id.get_mut(&id) else { return };
+            terminal(e);
+            e.finished_at = Some(Instant::now());
+            let waiters = std::mem::take(&mut e.waiters);
+            entries.finished.push_back(id);
+            while entries.finished.len() > self.max_finished {
+                let oldest = entries.finished.pop_front().expect("non-empty");
+                entries.by_id.remove(&oldest);
+                self.evictions.inc();
+            }
+            waiters
+        };
+        // Injected ordering bug for cn-check: the waiters are taken off the
+        // entry and never woken, so a parked stream only ends at its give-up.
+        #[cfg(feature = "mutations")]
+        let waiters: Vec<Token> = {
+            drop(waiters);
+            Vec::new()
+        };
+        for token in waiters {
+            (self.wake)(token);
         }
     }
 
@@ -183,10 +217,24 @@ impl JobBoard {
         self.entries.lock().by_id.get(&id).map(|e| e.state)
     }
 
-    /// The streamable journal: `None` until the job reaches a terminal
-    /// state, then the full canonical journal (or the error rendering).
-    pub fn journal(&self, id: JobId) -> Option<Option<Arc<String>>> {
-        self.entries.lock().by_id.get(&id).map(|e| e.journal.clone())
+    /// The streamable journal: the full canonical journal (or the error
+    /// rendering) once the job is terminal, else `None` with `token`
+    /// recorded to be woken when it gets there. Reading and recording
+    /// share one critical section, so a publish cannot fall between them.
+    pub fn journal_or_wait(&self, id: JobId, token: Token) -> Option<Option<Arc<String>>> {
+        let mut entries = self.entries.lock();
+        let e = entries.by_id.get_mut(&id)?;
+        if e.journal.is_none() && !e.waiters.contains(&token) {
+            e.waiters.push(token);
+        }
+        Some(e.journal.clone())
+    }
+
+    /// Take `token` off `id`'s waiters: its connection stopped waiting.
+    pub fn stop_waiting(&self, id: JobId, token: Token) {
+        if let Some(e) = self.entries.lock().by_id.get_mut(&id) {
+            e.waiters.retain(|t| *t != token);
+        }
     }
 
     /// The `GET /jobs/<id>` body.
@@ -471,17 +519,20 @@ fn worker_loop(
         });
         rec.histogram("portal.job_us", LATENCY_BUCKETS_US)
             .record(started.elapsed().as_micros() as u64);
+        // Counted before the board publishes: publishing wakes the streams
+        // parked on the job, and a client that has read the journal must
+        // find the job counted.
         match outcome {
             Ok(out) => {
-                board.complete(work.id, out.journal, out.tasks);
                 rec.counter("portal.jobs.completed").inc();
+                board.complete(work.id, out.journal, out.tasks);
             }
             Err(e) => {
                 rec.event_with(cn_observe::Severity::Warn, "portal", None, || {
                     format!("job j-{} failed: {e}", work.id)
                 });
-                board.fail(work.id, e);
                 rec.counter("portal.jobs.failed").inc();
+                board.fail(work.id, e);
             }
         }
         admission.finish(key);
@@ -497,7 +548,19 @@ mod tests {
     }
 
     fn new_board(max_finished: usize) -> JobBoard {
-        JobBoard::new(max_finished, &Recorder::new())
+        JobBoard::new(max_finished, &Recorder::new(), Box::new(|_| {}))
+    }
+
+    /// A board whose wake function reports each token it is called with.
+    fn watched_board() -> (Arc<JobBoard>, cn_sync::channel::Receiver<Token>) {
+        let (tx, rx) = cn_sync::channel::unbounded();
+        let wake = Box::new(move |token| tx.send(token).expect("test alive"));
+        (Arc::new(JobBoard::new(16, &Recorder::new(), wake)), rx)
+    }
+
+    /// Every token woken so far.
+    fn woken(wakes: &cn_sync::channel::Receiver<Token>) -> Vec<Token> {
+        std::iter::from_fn(|| wakes.try_recv().ok()).collect()
     }
 
     #[test]
@@ -505,14 +568,14 @@ mod tests {
         let board = new_board(16);
         let id = board.create();
         assert_eq!(board.state(id), Some(JobState::Queued));
-        assert_eq!(board.journal(id), Some(None));
+        assert_eq!(board.journal_or_wait(id, 1), Some(None));
         board.mark_running(id);
         assert!(board.status_json(id).unwrap().contains("\"running\""));
         board.complete(id, "{\"x\":1}\n".to_string(), 4);
         let status = board.status_json(id).unwrap();
         assert!(status.contains("\"done\""), "{status}");
         assert!(status.contains("\"tasks\":4"), "{status}");
-        assert_eq!(board.journal(id).unwrap().unwrap().as_str(), "{\"x\":1}\n");
+        assert_eq!(board.journal_or_wait(id, 1).unwrap().unwrap().as_str(), "{\"x\":1}\n");
         assert_eq!(board.status_json(999), None);
     }
 
@@ -524,7 +587,7 @@ mod tests {
         let status = board.status_json(id).unwrap();
         assert!(status.contains("\"failed\""), "{status}");
         assert!(status.contains("boom \\\"quoted\\\""), "{status}");
-        let journal = board.journal(id).unwrap().unwrap();
+        let journal = board.journal_or_wait(id, 1).unwrap().unwrap();
         assert!(journal.starts_with("{\"error\":"), "{journal}");
     }
 
@@ -555,7 +618,7 @@ mod tests {
     #[test]
     fn finished_entries_beyond_the_bound_evict_oldest_first() {
         let rec = Recorder::new();
-        let board = JobBoard::new(3, &rec);
+        let board = JobBoard::new(3, &rec, Box::new(|_| {}));
         let queued = board.create();
         let running = board.create();
         board.mark_running(running);
@@ -572,13 +635,13 @@ mod tests {
             .collect();
 
         // Two past the bound: the two that finished first answer 404 now
-        // (no status, no journal — a polling stream reads `job vanished`).
+        // (no status, no journal — a stream reading it gets `job vanished`).
         for &id in &finished[..2] {
             assert_eq!(board.status_json(id), None);
-            assert_eq!(board.journal(id), None);
+            assert_eq!(board.journal_or_wait(id, 1), None);
         }
         for &id in &finished[2..] {
-            assert!(board.journal(id).unwrap().is_some());
+            assert!(board.journal_or_wait(id, 1).unwrap().is_some());
         }
         assert_eq!(rec.counter("portal.board_evictions").get(), 2);
         // Live entries are not the bound's to take.
@@ -590,6 +653,81 @@ mod tests {
         assert_eq!(rec.counter("portal.board_evictions").get(), 5);
         board.complete(running, "{}\n".to_string(), 1);
         assert_eq!(board.state(running), Some(JobState::Done));
+    }
+
+    #[test]
+    fn a_waiting_token_is_recorded_once() {
+        let (board, wakes) = watched_board();
+        let id = board.create();
+        assert_eq!(board.journal_or_wait(id, 7), Some(None));
+        board.mark_running(id);
+        assert_eq!(board.journal_or_wait(id, 7), Some(None));
+        board.complete(id, "{}\n".to_string(), 1);
+        assert_eq!(wakes.try_recv(), Ok(7));
+        assert!(wakes.try_recv().is_err(), "one token, woken twice");
+        // A finished job answers at once and records nobody.
+        assert!(board.journal_or_wait(id, 8).unwrap().is_some());
+    }
+
+    #[test]
+    fn complete_and_fail_each_wake_their_waiters_exactly_once() {
+        let (board, wakes) = watched_board();
+        let done = board.create();
+        let failed = board.create();
+        assert_eq!(board.journal_or_wait(done, 1), Some(None));
+        assert_eq!(board.journal_or_wait(done, 2), Some(None));
+        assert_eq!(board.journal_or_wait(failed, 3), Some(None));
+
+        board.complete(done, "{}\n".to_string(), 1);
+        let mut first = woken(&wakes);
+        first.sort_unstable();
+        assert_eq!(first, [1, 2]);
+        board.fail(failed, "boom".to_string());
+        assert_eq!(woken(&wakes), [3]);
+
+        // A second finish of either finds no one left to wake.
+        board.complete(done, "{}\n".to_string(), 1);
+        board.fail(failed, "boom".to_string());
+        assert!(wakes.try_recv().is_err(), "a waiter was woken twice");
+    }
+
+    #[test]
+    fn the_wake_runs_outside_the_board_lock() {
+        // The wake function reads the board itself: called with the board
+        // lock held, it would deadlock rather than report.
+        let (tx, rx) = cn_sync::channel::unbounded();
+        let slot: Arc<std::sync::OnceLock<std::sync::Weak<JobBoard>>> = Arc::default();
+        let wake = {
+            let slot = Arc::clone(&slot);
+            Box::new(move |token: Token| {
+                let board = slot.get().and_then(std::sync::Weak::upgrade).expect("board alive");
+                tx.send(board.state(token)).expect("test alive");
+            })
+        };
+        let board = Arc::new(JobBoard::new(16, &Recorder::new(), wake));
+        assert!(slot.set(Arc::downgrade(&board)).is_ok());
+        let id = board.create();
+        assert_eq!(board.journal_or_wait(id, id), Some(None));
+
+        let worker = {
+            let board = Arc::clone(&board);
+            std::thread::spawn(move || board.complete(id, "{}\n".to_string(), 1))
+        };
+        let seen = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(seen, Ok(Some(JobState::Done)), "wake ran under the board lock");
+        worker.join().expect("worker");
+    }
+
+    #[test]
+    fn a_token_that_stopped_waiting_is_not_woken() {
+        let (board, wakes) = watched_board();
+        let id = board.create();
+        assert_eq!(board.journal_or_wait(id, 1), Some(None));
+        assert_eq!(board.journal_or_wait(id, 2), Some(None));
+        board.stop_waiting(id, 1);
+        board.stop_waiting(999, 2);
+        board.complete(id, "{}\n".to_string(), 1);
+        assert_eq!(woken(&wakes), [2]);
     }
 
     #[test]
@@ -662,7 +800,7 @@ mod tests {
             assert!(Instant::now() < deadline, "workers never finished the jobs");
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(board.journal(good).unwrap().unwrap().as_str(), "{}\n");
+        assert_eq!(board.journal_or_wait(good, 1).unwrap().unwrap().as_str(), "{}\n");
         assert_eq!(rec.counter("portal.jobs.completed").get(), 1);
         assert_eq!(rec.counter("portal.jobs.failed").get(), 1);
 

@@ -6,9 +6,12 @@
 //! incremental [`RequestParser`] (any TCP segmentation), writing
 //! pipelined responses in order, streaming finished-job journals with
 //! chunked transfer encoding, and riding the shard timer wheel for
-//! request deadlines (`408`) and journal-completion polling. Submission
-//! execution never happens on a shard: `POST /jobs` hands the body to the
-//! bounded [`Admission`] queue and answers `202` immediately.
+//! request deadlines (`408`) and a journal stream's hold and give-up.
+//! Submission execution never happens on a shard: `POST /jobs` hands the
+//! body to the bounded [`Admission`] queue and answers `202` immediately.
+//! A stream whose job is still running is held to the next wheel tick
+//! and then parks on the [`JobBoard`]; the worker that publishes the
+//! journal wakes it through [`Reactor::notify`].
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -18,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_observe::{Recorder, RegistrySnapshot, LATENCY_BUCKETS_US};
-use cn_reactor::{sys, Action, EventHandler, Reactor, ShardCtx, TimerId};
+use cn_reactor::{sys, Action, EventHandler, Reactor, ShardCtx, TimerId, Token};
 
 use crate::admission::Admission;
 use crate::http::{
@@ -32,20 +35,15 @@ use crate::jobs::{json_string, parse_job_id, spawn_workers, JobBoard, JobRunner,
 const MAX_READS_PER_WAKE: usize = 16;
 /// Journal bytes per chunk when streaming.
 const JOURNAL_CHUNK: usize = 16 * 1024;
-/// When a connection streaming the journal of a still-running job looks at
-/// the board again: two timer-wheel ticks after it parked, then every
-/// tick. The first look is placed where a healthy job has finished on a
-/// slow box as well as on a quiet one, so a closed loop reads one grid
-/// point whatever the box does; a job still running then is in the tail,
-/// and is answered on the first tick after it ends. Still a poll — what a
-/// wake-up would need, and why two ticks are steady now and were not
-/// before, is in DESIGN.md §13.
-const JOURNAL_FIRST_LOOK: Duration = Duration::from_millis(10);
-const JOURNAL_NEXT_LOOK: Duration = Duration::from_millis(5);
-// The wheel rounds a delay up to whole ticks: a wait that is not a multiple
-// of the tick is longer than it says.
-const _: () = assert!((JOURNAL_FIRST_LOOK.as_millis() as u64).is_multiple_of(cn_reactor::TICK_MS));
-const _: () = assert!((JOURNAL_NEXT_LOOK.as_millis() as u64).is_multiple_of(cn_reactor::TICK_MS));
+/// How long a stream that finds its job still running is held: to the
+/// next timer-wheel tick, after which it is answered the moment the
+/// worker publishes. A healthy job ends inside the tick, so a closed loop
+/// runs at the tick's pace, not at the box's: answered on the wake-up
+/// alone, a job's time followed the machine's speed from one run to the
+/// next. A job that outlasts the tick is answered when it ends, and the
+/// next one starts mid-tick and is held only to that tick's end, so a
+/// slow job costs no more than its own overrun.
+const JOURNAL_HOLD: Duration = Duration::from_millis(cn_reactor::TICK_MS);
 
 const TAG_DEADLINE: u64 = 1;
 const TAG_JOURNAL: u64 = 2;
@@ -96,7 +94,7 @@ impl Default for PortalConfig {
 }
 
 struct Inner {
-    reactor: Reactor,
+    reactor: Arc<Reactor>,
     board: Arc<JobBoard>,
     admission: Arc<Admission<JobWork>>,
     rec: Recorder,
@@ -125,10 +123,18 @@ impl PortalServer {
         let port = listener.local_addr()?.port();
         let shards =
             if cfg.reactor_shards == 0 { cn_reactor::default_shards() } else { cfg.reactor_shards };
-        let reactor = Reactor::new(&format!("portal-{port}"), shards)?;
+        let reactor = Arc::new(Reactor::new(&format!("portal-{port}"), shards)?);
+        // A worker that publishes a journal wakes the streams parked on it.
+        // The board holds the reactor weakly: it does not outlive shutdown.
+        let shards_of = Arc::downgrade(&reactor);
+        let wake = Box::new(move |token| {
+            if let Some(reactor) = shards_of.upgrade() {
+                reactor.notify(token);
+            }
+        });
         // Enough finished entries for every admitted job's status and
         // journal to be read while as many again finish behind it.
-        let board = Arc::new(JobBoard::new((2 * cfg.max_inflight).max(16), &rec));
+        let board = Arc::new(JobBoard::new((2 * cfg.max_inflight).max(16), &rec, wake));
         let admission = Arc::new(Admission::new(cfg.max_inflight, cfg.per_addr_inflight));
         let workers = spawn_workers(
             cfg.workers,
@@ -215,6 +221,7 @@ impl EventHandler for AcceptHandler {
                         shard,
                         Box::new(ConnHandler {
                             inner: Arc::clone(&self.inner),
+                            token: 0,
                             stream,
                             parser,
                             addr_key,
@@ -254,14 +261,30 @@ struct JournalStream {
     give_up: Instant,
     /// Whether the connection stays open after the terminal chunk.
     keep_alive: bool,
-    /// Whether the stream has parked on the timer wheel before.
-    parked: bool,
+    /// Where the stream is in its wait for a job it found running.
+    wait: Wait,
+}
+
+/// A journal stream's wait: each stream parks at most once, held to the
+/// wheel tick ([`JOURNAL_HOLD`]) and then until the worker's wake-up.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// It has not found its job running.
+    Looking,
+    /// Found it running; the board is not read again until the hold's
+    /// tick, even if the job ends before it.
+    Held,
+    /// Past the tick: answered the moment the worker publishes.
+    Parked,
 }
 
 /// One HTTP connection: incremental parse → route → ordered pipelined
 /// responses, with journal streaming and deadlines on the timer wheel.
 struct ConnHandler {
     inner: Arc<Inner>,
+    /// This connection's reactor token, set on registration: what the
+    /// board wakes when a journal it waits on is published.
+    token: Token,
     stream: TcpStream,
     parser: RequestParser,
     addr_key: u64,
@@ -271,6 +294,7 @@ struct ConnHandler {
     close_after_flush: bool,
     deadline: Option<TimerId>,
     streaming: Option<JournalStream>,
+    /// The parked stream's give-up timer.
     journal_timer: Option<TimerId>,
 }
 
@@ -349,7 +373,7 @@ impl ConnHandler {
                             sent: 0,
                             give_up: Instant::now() + self.inner.cfg.journal_wait,
                             keep_alive,
-                            parked: false,
+                            wait: Wait::Looking,
                         });
                         // Chunks flow from pump_journal; headers are out.
                         self.close_after_flush = false;
@@ -394,10 +418,14 @@ impl ConnHandler {
     }
 
     /// Move available journal bytes into the output buffer. Returns
-    /// `true` when the stream needs another poll (job still running).
+    /// `true` when the stream parks (held to its tick, or its job still
+    /// running and this connection recorded to be woken when it ends).
     fn pump_journal(&mut self) -> bool {
         let Some(s) = &mut self.streaming else { return false };
-        match self.inner.board.journal(s.job) {
+        if s.wait == Wait::Held {
+            return true;
+        }
+        match self.inner.board.journal_or_wait(s.job, self.token) {
             Some(Some(journal)) => {
                 let bytes = journal.as_bytes();
                 while s.sent < bytes.len() {
@@ -417,6 +445,7 @@ impl ConnHandler {
             }
             Some(None) => {
                 if Instant::now() >= s.give_up {
+                    self.inner.board.stop_waiting(s.job, self.token);
                     // Terminal chunk with an in-band error line: chunked
                     // framing has no way to change the status mid-stream.
                     write_chunk(&mut self.out, b"{\"error\":\"journal wait timed out\"}\n");
@@ -454,7 +483,7 @@ impl ConnHandler {
         Ok(true)
     }
 
-    /// Post-work bookkeeping shared by every wakeup: journal polling,
+    /// Post-work bookkeeping shared by every wakeup: journal streaming,
     /// flush, interest, the parse deadline, and close-when-drained.
     fn settle(&mut self, ctx: &mut ShardCtx<'_>, eof: bool) -> Action {
         // A stream that ends hands the wire to the requests pipelined behind
@@ -462,12 +491,23 @@ impl ConnHandler {
         // pending or one has to wait for its job.
         while self.streaming.is_some() {
             if self.pump_journal() {
+                // Held to the next tick, then parked until the publishing
+                // worker's notify with the give-up as the one timer (the
+                // wheel may fire it a tick early, and then it is armed
+                // again for what is left).
                 if let (None, Some(s)) = (self.journal_timer, &mut self.streaming) {
-                    let wait = if s.parked { JOURNAL_NEXT_LOOK } else { JOURNAL_FIRST_LOOK };
-                    s.parked = true;
+                    let wait = if s.wait == Wait::Looking {
+                        s.wait = Wait::Held;
+                        JOURNAL_HOLD
+                    } else {
+                        s.give_up.saturating_duration_since(Instant::now())
+                    };
                     self.journal_timer = Some(ctx.arm_timer(wait, TAG_JOURNAL));
                 }
                 break;
+            }
+            if let Some(t) = self.journal_timer.take() {
+                ctx.cancel_timer(t);
             }
         }
         let drained = match self.flush_out() {
@@ -501,6 +541,7 @@ impl ConnHandler {
 
 impl EventHandler for ConnHandler {
     fn on_register(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
+        self.token = ctx.token();
         match ctx.register_fd(self.stream.as_raw_fd(), true, false) {
             Ok(()) => Action::Continue,
             Err(_) => Action::Close,
@@ -537,13 +578,25 @@ impl EventHandler for ConnHandler {
             }
             TAG_JOURNAL => {
                 self.journal_timer = None;
+                if let Some(s) = &mut self.streaming {
+                    s.wait = Wait::Parked;
+                }
                 self.settle(ctx, false)
             }
             _ => Action::Continue,
         }
     }
 
+    /// A worker published the journal this connection waits on.
+    fn on_notify(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
+        self.settle(ctx, false)
+    }
+
     fn on_close(&mut self) {
+        // A connection that goes while it waits leaves the job's waiters.
+        if let Some(s) = &self.streaming {
+            self.inner.board.stop_waiting(s.job, self.token);
+        }
         self.inner.rec.gauge("portal.conns.open").add(-1);
     }
 }

@@ -180,7 +180,7 @@ fn submit_poll_and_stream_journal_on_one_keepalive_connection() {
 #[test]
 fn journal_streams_while_job_still_running() {
     // The stub sleeps, so the journal GET must wait for completion and
-    // then stream — exercising the timer-wheel polling path.
+    // then stream — exercising the park and the worker's wake-up.
     let portal = start_portal(PortalConfig::default(), Duration::from_millis(300));
     let mut c = connect(portal.port());
     let resp = post_job(&mut c, figure2_cnx().as_bytes());
@@ -191,12 +191,11 @@ fn journal_streams_while_job_still_running() {
     assert_eq!(String::from_utf8_lossy(&journal.body), STUB_JOURNAL);
 }
 
-/// The quickest of four closed-loop rounds (submit, stream the journal,
-/// submit again on the same connection) against a runner that takes
-/// `delay`. A round before them is not counted: it starts anywhere between
-/// two wheel ticks, the later ones start on the tick that answered the one
-/// before.
-fn quickest_round(delay: Duration) -> Duration {
+/// Four closed-loop rounds (submit, stream the journal, submit again on
+/// the same connection) against a runner that takes `delay`, after one
+/// round that is not counted: it starts anywhere in a wheel tick, the later
+/// ones start where the one before was answered.
+fn rounds(delay: Duration) -> Vec<Duration> {
     let portal = start_portal(PortalConfig::default(), delay);
     let mut c = connect(portal.port());
     let body = figure2_cnx();
@@ -210,20 +209,22 @@ fn quickest_round(delay: Duration) -> Duration {
         took
     };
     round();
-    (0..4).map(|_| round()).min().unwrap()
+    (0..4).map(|_| round()).collect()
 }
 
-/// A waiting stream looks again two wheel ticks after it parked and then
-/// every tick: a 2 ms job is answered at 10 ms, not at the 15 ms of a
-/// three-tick first look, and a job that ends just after the first look is
-/// answered on the next tick (15 or 20 ms), not a whole period later (20
-/// or 30).
+/// A stream that finds its job running is held to the next 5 ms wheel
+/// tick, then answered when the job ends: a 2 ms job is answered on the
+/// tick (not at 2 ms, and not at the 10 ms of a two-tick first look), and
+/// an 11 ms job when it ends (not on the 15 ms tick after it).
 #[test]
-fn journal_stream_looks_again_after_two_ticks_then_every_tick() {
-    let short = quickest_round(Duration::from_millis(2));
-    assert!(short < Duration::from_millis(14), "{short:?}");
-    let late = quickest_round(Duration::from_millis(11));
-    assert!(late < Duration::from_millis(19), "{late:?}");
+fn journal_stream_holds_to_the_tick_then_answers_when_the_job_ends() {
+    let short = rounds(Duration::from_millis(2));
+    let (quickest, slowest) = (short.iter().min().unwrap(), short.iter().max().unwrap());
+    assert!(*slowest >= Duration::from_millis(4), "never held to the tick: {short:?}");
+    assert!(*quickest < Duration::from_millis(9), "held past one tick: {short:?}");
+    let late = rounds(Duration::from_millis(11));
+    let quickest = late.iter().min().unwrap();
+    assert!(*quickest < Duration::from_millis(14), "{late:?}");
 }
 
 /// Two submissions admitted before any worker wakes run side by side on

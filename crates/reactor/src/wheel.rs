@@ -1,17 +1,19 @@
-//! Hashed timer wheel: O(1) insert/cancel, slot-bucketed expiry.
+//! Hashed timer wheel: O(1) insert, slot-bucketed expiry and cancel.
 //!
 //! Deadlines are abstract ticks (the shard maps one tick to a fixed wall
 //! duration), which keeps the wheel clock-free — the proptest model and
 //! the `cn-check` scenario drive it with a virtual clock. Entries whose
 //! deadline lies beyond one wheel revolution stay in their slot and ride
-//! additional `rounds`; cancellation is lazy (a tombstone set consulted
-//! at expiry), so `cancel` never searches a slot.
-
-use std::collections::HashSet;
+//! additional `rounds`. A [`TimerId`] names its slot, so `cancel` searches
+//! that one slot and removes the entry: a cancelled timer leaves nothing
+//! behind, however far off its deadline was.
 
 /// Handle for cancelling one armed timer. Ids are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    id: u64,
+    slot: usize,
+}
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -40,8 +42,7 @@ pub struct TimerWheel {
     /// `deadline <= now` has fired or been cancelled).
     now: u64,
     next_id: u64,
-    cancelled: HashSet<u64>,
-    /// Live (armed, not cancelled) entry count.
+    /// Armed entry count.
     live: usize,
 }
 
@@ -50,13 +51,7 @@ impl TimerWheel {
     /// entries touched per tick. Must be a power of two.
     pub fn new(slots: usize) -> TimerWheel {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
-        TimerWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            now: 0,
-            next_id: 1,
-            cancelled: HashSet::new(),
-            live: 0,
-        }
+        TimerWheel { slots: (0..slots).map(|_| Vec::new()).collect(), now: 0, next_id: 1, live: 0 }
     }
 
     pub fn now(&self) -> u64 {
@@ -76,20 +71,20 @@ impl TimerWheel {
         let slot = (deadline as usize) & (self.slots.len() - 1);
         self.slots[slot].push(Entry { id, deadline, token, tag });
         self.live += 1;
-        TimerId(id)
+        TimerId { id, slot }
     }
 
     /// Cancel an armed timer. False if it already fired or was cancelled.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        // The tombstone only sticks if the id is still somewhere in a
-        // slot; ids of fired timers are gone and must not leak memory.
-        let armed = self.slots.iter().any(|s| s.iter().any(|e| e.id == id.0))
-            && !self.cancelled.contains(&id.0);
-        if armed {
-            self.cancelled.insert(id.0);
-            self.live -= 1;
+        let entries = &mut self.slots[id.slot];
+        match entries.iter().position(|e| e.id == id.id) {
+            Some(i) => {
+                entries.swap_remove(i);
+                self.live -= 1;
+                true
+            }
+            None => false,
         }
-        armed
     }
 
     /// Advance the clock to `now`, appending everything that expired (in
@@ -112,7 +107,7 @@ impl TimerWheel {
             }
         }
         self.now = now;
-        fired[start..].sort_by_key(|e| (e.deadline, e.id.0));
+        fired[start..].sort_by_key(|e| (e.deadline, e.id.id));
     }
 
     fn expire_slot(&mut self, slot: usize, now: u64, fired: &mut Vec<Expired>) {
@@ -121,12 +116,9 @@ impl TimerWheel {
         while i < entries.len() {
             if entries[i].deadline <= now {
                 let e = entries.swap_remove(i);
-                if self.cancelled.remove(&e.id) {
-                    continue;
-                }
                 self.live -= 1;
                 fired.push(Expired {
-                    id: TimerId(e.id),
+                    id: TimerId { id: e.id, slot },
                     token: e.token,
                     tag: e.tag,
                     deadline: e.deadline,
@@ -141,16 +133,7 @@ impl TimerWheel {
     /// The earliest live deadline, if any — what bounds the shard's
     /// `epoll_wait` timeout.
     pub fn next_deadline(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for slot in &self.slots {
-            for e in slot {
-                if self.cancelled.contains(&e.id) {
-                    continue;
-                }
-                best = Some(best.map_or(e.deadline, |b: u64| b.min(e.deadline)));
-            }
-        }
-        best
+        self.slots.iter().flatten().map(|e| e.deadline).min()
     }
 }
 

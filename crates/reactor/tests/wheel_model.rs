@@ -1,9 +1,9 @@
 //! Property test: the hashed timer wheel is behaviorally identical to a
 //! naive sorted-list timer model over arbitrary insert/cancel/advance
 //! sequences — same firing order, same cancel results, same emptiness,
-//! same next deadline. The wheel's slot hashing, multi-revolution rounds,
-//! and lazy tombstones are all invisible at this interface, and this test
-//! is what pins that.
+//! same next deadline. The wheel's slot hashing, multi-revolution rounds
+//! and slot-local cancels are all invisible at this interface, and this
+//! test is what pins that.
 
 use cn_reactor::{TimerId, TimerWheel};
 use proptest::prelude::*;

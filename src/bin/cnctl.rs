@@ -905,7 +905,10 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     let run_for: Option<u64> = optional_flag(args, "--run-for")?;
     let cfg = WireConfig { port, ..wire_config_from_args(args)? };
 
-    let rec = Recorder::new();
+    // Spans are kept only for `--trace` to write at exit: a capturing
+    // recorder nobody reads grows with every job the process serves.
+    let trace = flag_value(args, "--trace");
+    let rec = if trace.is_some() { Recorder::new() } else { Recorder::disabled() };
     let fabric =
         SocketFabric::new(cfg, rec.clone()).map_err(|e| format!("bind port {port}: {e}"))?;
     let port = fabric.port();
@@ -938,7 +941,7 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
         },
     }
     server.shutdown();
-    if let Some(path) = flag_value(args, "--trace") {
+    if let Some(path) = trace {
         write_atomic(path, &chrome_trace(&rec))?;
     }
     Ok(format!("{name} served for {}s\n", run_for.unwrap_or(0)))

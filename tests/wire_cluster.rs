@@ -10,13 +10,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use computational_neighborhood::cluster::NodeSpec;
+use computational_neighborhood::core::spaces::SpaceRegistry;
 use computational_neighborhood::core::{
-    execute_descriptor_seeded, ClientConfig, ClientError, CnApi, DynamicArgs, JobRequirements,
-    Neighborhood, NeighborhoodConfig, TaskSpec,
+    execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, ClientError, CnApi,
+    DynamicArgs, JobRequirements, Neighborhood, NeighborhoodConfig, NetMsg, TaskSpec,
 };
 use computational_neighborhood::observe::{journal_jsonl_filtered, Recorder, Severity};
 use computational_neighborhood::tasks::{self, random_digraph, seed_input};
-use computational_neighborhood::wire::{Discovery, SocketFabric, WireConfig};
+use computational_neighborhood::wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
 
 const CNCTL: &str = env!("CARGO_BIN_EXE_cnctl");
 
@@ -296,4 +297,60 @@ fn serve_prints_readiness_line() {
     assert_eq!(line.trim(), format!("serving w0 on 127.0.0.1:{}", ports[0]));
     let _ = child.kill();
     let _ = child.wait();
+}
+
+/// A process's resident set in KB, from `/proc/<pid>/status`.
+fn rss_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmRSS line")
+}
+
+/// A `cnctl serve` keeps nothing for a job once the job is over: across
+/// 1 500 Figure-3 jobs from one client fabric (the portal's shape), each
+/// serve's resident set grows by less than 256 KB between job 300 and the
+/// last job. A recorder that kept every span read ≈ 0.5 MB per 1 000 jobs.
+#[test]
+fn serve_memory_does_not_grow_with_the_jobs_it_serves() {
+    const JOBS: usize = 1_500;
+    const WARM: usize = 300;
+    const GROWTH_KB: u64 = 256;
+    let ports = free_ports(3);
+    let serves = launch_serves(&ports);
+    let cfg = WireConfig {
+        discovery: Discovery::Loopback { peers: ports.clone() },
+        ..WireConfig::default()
+    };
+    let fabric: FabricHandle<NetMsg> =
+        Arc::new(SocketFabric::new(cfg, Recorder::disabled()).expect("client fabric"));
+    let doc = computational_neighborhood::cnx::ast::figure2_descriptor(2);
+    let rss = || serves.0.iter().map(|c| rss_kb(c.id())).collect::<Vec<_>>();
+
+    let mut warm = Vec::new();
+    for i in 0..JOBS {
+        if i == WARM {
+            warm = rss();
+        }
+        let rec = Recorder::disabled();
+        let api = CnApi::over(
+            Arc::clone(&fabric),
+            Arc::new(SpaceRegistry::with_recorder(&rec)),
+            ClientConfig::default(),
+            rec,
+        );
+        execute_with_api_seeded(&api, &doc, &DynamicArgs::new(), Duration::from_secs(60), |job| {
+            seed_figure3(job)
+        })
+        .unwrap_or_else(|e| panic!("job {i}: {e}"));
+    }
+    let last = rss();
+    for ((port, before), after) in ports.iter().zip(&warm).zip(&last) {
+        assert!(
+            after.saturating_sub(*before) < GROWTH_KB,
+            "serve on {port} grew {before} → {after} KB over jobs {WARM}..{JOBS}"
+        );
+    }
 }
