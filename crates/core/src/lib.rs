@@ -31,6 +31,7 @@ pub mod scheduler;
 pub mod server;
 pub mod spaces;
 pub mod task;
+mod tm;
 pub mod tuplespace;
 pub mod wire;
 

@@ -251,14 +251,17 @@ macro_rules! netmsg_table {
                 old_endpoint: Addr,
             },
             /// Thief → victim: could not host the granted task after all (archive
-            /// missing or reservation failed); the victim re-queues it.
+            /// missing or reservation failed); the victim re-queues it, or drops
+            /// it if its job ended meanwhile.
             StealReturn = 27 { job: JobId, task: String },
             /// Thief → JobManager *and* thief → victim after a successful steal:
             /// the task now lives on `server` at `task_addr`. The JM updates its
             /// placement table (cancel paths, later directories); the victim
             /// makes the old endpoint an alias of its own address, sends what
             /// already sat in the task's queue on to `task_addr`, and from then
-            /// on sends on whatever reaches the old address.
+            /// on sends on whatever reaches the old address — unless the task's
+            /// job ended while the grant was in flight: then the victim answers
+            /// the thief with `CancelTask`.
             TaskMigrated = 28 { job: JobId, task: String, server: String, tm: Addr, task_addr: Addr },
 
             // -- Burst creation (DESIGN.md §14, "Fair admission") ----------------

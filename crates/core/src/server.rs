@@ -6,24 +6,21 @@
 //! JobManager can support multiple Jobs." (paper Section 3)
 //!
 //! Each server runs an event loop on its own thread, joined to the CN
-//! discovery multicast group. The JobManager half answers solicitations,
-//! admits created tasks into placement rounds (one solicitation per round;
-//! the round is `placement::Round`, and the loop only carries bids, acks and
-//! deadlines in and its actions out) and keeps each job as a `job::Job`,
-//! whose lifecycle messages the loop carries in and whose starts, cancels
-//! and client reports it carries out; the TaskManager half bids for tasks,
-//! receives archive uploads, sets up per-task message queues and runs each
-//! task in a thread of its own (`RUN_AS_THREAD_IN_TM`), one a finished task
-//! left parked when there is one (`TaskPool`). Nothing waits inside a
-//! handler: an open bid window and every outstanding assignment are
-//! deadlines of the round, which the loop's receive honours.
+//! discovery multicast group. What the server decides lives in three values
+//! with no I/O in them: each placement round (`placement::Round`), each job
+//! (`job::Job`) and the TaskManager's tasks (`tm::Tasks`, which hosts, queues
+//! and runs them, and steals). The loop answers solicitations, carries
+//! messages and due deadlines into those values and their actions out:
+//! posts, endpoints registered and reserved for, and tasks run on threads of
+//! their own (`RUN_AS_THREAD_IN_TM`), one a finished task left parked when
+//! there is one (`TaskPool`). Nothing waits inside a handler.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cn_cluster::node::Reservation;
 use cn_cluster::{Addr, Envelope, NodeHandle};
 use cn_observe::{Counter, Gauge, Recorder, Severity};
 use cn_sync::channel::{Receiver, RecvTimeoutError, Sender};
@@ -35,9 +32,10 @@ use crate::job::{Action as JobAction, Event as JobEvent, Job};
 use crate::message::{Bid, JobId, NetMsg, TaskSpec};
 use crate::placement::{Action, Event, Round};
 use crate::pump::{MsgPump, Window};
-use crate::scheduler::{Ewma, FairQueue, LoadSignal, Policy, RoundRobin};
+use crate::scheduler::{FairQueue, Policy, RoundRobin};
 use crate::spaces::SpaceRegistry;
 use crate::task::{panic_text, TaskContext, TaskError};
+use crate::tm::{self, Tasks};
 use crate::tuplespace::{Tuple, TupleSpace};
 
 /// Tunables for a server.
@@ -52,7 +50,7 @@ pub struct ServerConfig {
     /// Maximum task threads running concurrently on this TaskManager.
     /// `None` keeps the historical behavior (every started task launches
     /// immediately); with a cap, started tasks beyond it wait in the run
-    /// queue — the queue that feeds [`LoadSignal`] and the steal protocol.
+    /// queue — the queue that feeds `LoadSignal` and the steal protocol.
     pub exec_slots: Option<usize>,
     /// Work stealing: an idle TaskManager raids queued tasks from loaded
     /// peers (DESIGN.md §14). Off means no `LoadReport` heartbeats and no
@@ -63,14 +61,6 @@ pub struct ServerConfig {
 /// How long an assignment may go without its AssignAck before the
 /// JobManager offers the task to the next-best bidder.
 const ASSIGN_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// A victim grants a steal only while its run queue holds at least this
-/// many tasks.
-const STEAL_THRESHOLD: u32 = 1;
-
-/// Least interval between one TaskManager's `LoadReport` multicasts
-/// ([`ServerState::load_changed`]).
-const STEAL_HEARTBEAT: Duration = Duration::from_millis(5);
 
 /// Deficit-round-robin quantum (in task `memory_mb` cost units) for
 /// per-client fair admission of `CreateTask`/`CreateTasks` bursts: just
@@ -135,34 +125,13 @@ impl Drop for CnServer {
     }
 }
 
-/// TaskManager-side record of an assigned task.
-struct TmTask {
-    spec: TaskSpec,
-    /// The JobManager this task reports lifecycle events to.
-    jm: Addr,
-    endpoint: Addr,
-    rx: Option<Receiver<Envelope<NetMsg>>>,
-    /// The job's tuple space, held from assignment: it lives while any of
-    /// the job's tasks here does ([`SpaceRegistry`]).
-    space: Arc<TupleSpace>,
-    reservation: Option<cn_cluster::node::Reservation>,
-    /// `StartTask` received (dedup guard).
-    started: bool,
-    /// Task handed to a thread. `started && !launched` means the task sits in
-    /// the run queue waiting for an execution slot.
-    launched: bool,
-    /// Directory + client held while the task waits in the run queue.
-    start_info: Option<(HashMap<String, Addr>, Addr)>,
-    /// When the task entered the run queue (feeds the dispatch EWMA).
-    enqueued_at: Option<Instant>,
-    /// A `StealGrant` is outstanding: the reservation is released and the
-    /// task is off the run queue until `TaskMigrated` commits the handoff
-    /// or `StealReturn` bounces it back.
-    migrated: bool,
-    /// Thief side: the task's old endpoint at the victim, sent `Shutdown`
-    /// when the stolen task exits so that the victim retires it.
-    stolen_from: Option<Addr>,
-}
+/// What the server holds for a task hosted here until it runs or moves: its
+/// endpoint's receive side, and its job's tuple space, which lives while any
+/// of the job's tasks here does ([`SpaceRegistry`]).
+type Hosted = (Receiver<Envelope<NetMsg>>, Arc<TupleSpace>);
+
+type TmEvent = tm::Event<Hosted, Reservation>;
+type TmAction = tm::Action<Hosted, Reservation>;
 
 /// How long a parked task thread waits for its next task before it exits.
 const TASK_THREAD_IDLE: Duration = Duration::from_secs(10);
@@ -261,7 +230,8 @@ struct ServerState {
     spaces: Arc<SpaceRegistry>,
     config: ServerConfig,
     jobs: HashMap<JobId, Job>,
-    tm_tasks: HashMap<(JobId, String), TmTask>,
+    /// The TaskManager's tasks, its run queue and both halves of stealing.
+    tasks: Tasks<Hosted, Reservation>,
     /// Jars this TaskManager has received.
     uploaded: HashSet<String>,
     /// The placement rotation, lent to each round: it outlives them.
@@ -271,27 +241,8 @@ struct ServerState {
     /// The placement round in progress; what is admitted meanwhile waits in
     /// `fairq` for the next one.
     round: Option<Round>,
-    /// Started-but-not-launched tasks waiting for an execution slot.
-    run_queue: VecDeque<(JobId, String)>,
-    /// Task threads currently executing (launched, not yet exited).
-    running: usize,
     /// The threads tasks run on.
     pool: TaskPool,
-    /// Enqueue→launch latency smoother; third component of [`LoadSignal`].
-    dispatch_ewma: Ewma,
-    /// Last load signal heard from each peer server (steal mode only).
-    peer_loads: HashMap<Addr, (String, LoadSignal)>,
-    /// Outstanding steal request: victim addr + when it was sent. Cleared
-    /// by any `LoadReport` from the victim (the decline path) or by the
-    /// grant; the timestamp is a staleness escape hatch.
-    steal_pending: Option<(Addr, Instant)>,
-    /// Victim side: the old endpoint of each task stolen from here → its new
-    /// one. The old endpoint is an alias of this server's address
-    /// ([`cn_wire::Fabric::alias`]) until the thief says the task exited.
-    moved: HashMap<Addr, Addr>,
-    /// Throttle state for `LoadReport` multicasts.
-    last_reported: Option<LoadSignal>,
-    last_report_at: Option<Instant>,
     rec: Recorder,
     c_jm_bids: Counter,
     c_tm_bids: Counter,
@@ -326,6 +277,7 @@ impl ServerState {
         let rec = net.recorder().clone();
         ServerState {
             pool: TaskPool::new(&name, &rec),
+            tasks: Tasks::new(name.clone(), addr, config.exec_slots, config.steal),
             name,
             addr,
             pump: MsgPump::new(rx),
@@ -334,19 +286,10 @@ impl ServerState {
             spaces,
             config,
             jobs: HashMap::new(),
-            tm_tasks: HashMap::new(),
             uploaded: HashSet::new(),
             rr: RoundRobin::new(),
             fairq: FairQueue::new(FAIR_QUANTUM_MB),
             round: None,
-            run_queue: VecDeque::new(),
-            running: 0,
-            dispatch_ewma: Ewma::default(),
-            peer_loads: HashMap::new(),
-            steal_pending: None,
-            moved: HashMap::new(),
-            last_reported: None,
-            last_report_at: None,
             c_jm_bids: rec.counter("server.jm_bids_sent"),
             c_tm_bids: rec.counter("server.tm_bids_sent"),
             c_task_solicits: rec.counter("server.task_solicitations"),
@@ -381,7 +324,7 @@ impl ServerState {
                 self.place(Event::Tick);
             }
         }
-        self.moved.keys().for_each(|old| self.net.unregister(*old));
+        self.tasks.aliases().for_each(|old| self.net.unregister(old));
         self.net.unregister(self.addr);
     }
 
@@ -397,7 +340,7 @@ impl ServerState {
 
     fn handle(&mut self, env: Envelope<NetMsg>) {
         if env.to != self.addr {
-            return self.forward_moved(env);
+            return self.tm(TmEvent::Net(env));
         }
         match env.msg {
             // ---- JobManager: discovery --------------------------------
@@ -456,38 +399,13 @@ impl ServerState {
             }
             NetMsg::AssignTask { job, spec, jm, reply_to } => {
                 let task = spec.name.clone();
-                let (accepted, reason, task_addr) = match self.tm_assign(job, spec, jm) {
+                let msg = NetMsg::AssignTask { job, spec, jm, reply_to };
+                let (accepted, reason, task_addr) = match self.host(Envelope { msg, ..env }) {
                     Ok(task_addr) => (true, String::new(), Some(task_addr)),
                     Err(reason) => (false, reason, None),
                 };
                 self.send(reply_to, NetMsg::AssignAck { job, task, accepted, reason, task_addr });
             }
-            NetMsg::StartTask { job, task, directory, client } => {
-                self.tm_start(job, &task, directory, client)
-            }
-            NetMsg::CancelTask { job, task } => self.tm_cancel(job, &task),
-            NetMsg::TaskExited { job, task } => self.tm_task_exited(job, task),
-
-            // ---- Load-aware scheduling & work stealing -----------------
-            NetMsg::LoadReport { server, addr, signal } if addr != self.addr => {
-                // A report from the pending victim doubles as the decline
-                // signal: clear the outstanding request so the thief may
-                // retry (possibly at a different victim).
-                self.steal_pending = self.steal_pending.filter(|(v, _)| *v != addr);
-                self.peer_loads.insert(addr, (server, signal));
-                self.maybe_steal();
-            }
-            NetMsg::LoadReport { .. } => {}
-            NetMsg::StealRequest { thief, reply_to } => self.tm_steal_request(thief, reply_to),
-            NetMsg::StealGrant { job, spec, jm, client, directory, victim, old_endpoint } => self
-                .tm_steal_grant(env.from, job, spec, jm, client, directory, victim, old_endpoint),
-            NetMsg::StealReturn { job, task } => self.tm_steal_return(job, task),
-            NetMsg::TaskMigrated { job, task, tm, task_addr, .. } => {
-                let (name, depends) = (task.clone(), None);
-                self.job_on(job, JobEvent::Placed { task: name, depends, tm, task_addr });
-                self.task_migrated(job, task, task_addr)
-            }
-
             // ---- Tuple seeding (wire mode) ----------------------------
             NetMsg::SeedTuple { job, tuple } => self.seed_tuple(job, tuple),
 
@@ -504,8 +422,8 @@ impl ServerState {
                 self.job_on(job, JobEvent::Failed { task, error })
             }
 
-            // Not for the server: ignore.
-            _ => {}
+            // ---- TaskManager: its tasks and work stealing ----------------
+            msg => self.tm_message(Envelope { msg, ..env }),
         }
     }
 
@@ -525,21 +443,6 @@ impl ServerState {
         }
     }
 
-    /// The live load vector this TaskManager advertises: run-queue depth,
-    /// in-flight task threads, smoothed dispatch latency. Piggybacked on
-    /// every bid and multicast in `LoadReport` heartbeats.
-    fn load_signal(&self) -> LoadSignal {
-        LoadSignal {
-            queue_depth: self.run_queue.len() as u32,
-            in_flight: self.running as u32,
-            ewma_dispatch_us: self.dispatch_ewma.get(),
-        }
-    }
-
-    fn load_report(&self, signal: LoadSignal) -> NetMsg {
-        NetMsg::LoadReport { server: self.name.clone(), addr: self.addr, signal }
-    }
-
     fn own_bid(&self) -> Bid {
         Bid {
             server: self.name.clone(),
@@ -547,7 +450,7 @@ impl ServerState {
             load: self.node.load(),
             free_memory_mb: self.node.free_memory_mb(),
             free_slots: self.node.free_slots(),
-            signal: self.load_signal(),
+            signal: self.tasks.signal(),
         }
     }
 
@@ -566,11 +469,8 @@ impl ServerState {
     /// TaskManager runs in place.
     fn job_action(&mut self, job: JobId, client: Addr, action: JobAction) {
         match action {
-            JobAction::StartTask { tm, task, directory } if tm == self.addr => {
-                self.tm_start(job, &task, directory, client)
-            }
             JobAction::StartTask { tm, task, directory } => {
-                self.send(tm, NetMsg::StartTask { job, task, directory, client })
+                self.send_tm(tm, NetMsg::StartTask { job, task, directory, client })
             }
             JobAction::ToClient(msg) => {
                 // A job reports a task's failure only as it ends over it.
@@ -581,8 +481,9 @@ impl ServerState {
                 }
                 self.send(client, msg)
             }
-            JobAction::CancelTask { tm, task } if tm == self.addr => self.tm_cancel(job, &task),
-            JobAction::CancelTask { tm, task } => self.send(tm, NetMsg::CancelTask { job, task }),
+            JobAction::CancelTask { tm, task } => {
+                self.send_tm(tm, NetMsg::CancelTask { job, task })
+            }
             JobAction::End(msg) => {
                 self.jobs.remove(&job);
                 self.send(client, msg)
@@ -592,95 +493,116 @@ impl ServerState {
 
     // ---- TaskManager internals ------------------------------------------
 
-    /// Reserve resources and set up the task's message queue.
-    fn tm_assign(&mut self, job: JobId, spec: TaskSpec, jm: Addr) -> Result<Addr, String> {
-        if !self.uploaded.contains(&spec.jar) {
-            return Err(format!("archive {:?} was not uploaded", spec.jar));
-        }
-        self.tm_host(job, spec, jm)
-    }
-
-    /// Reserve what `spec` needs and set up its message queue.
-    fn tm_host(&mut self, job: JobId, spec: TaskSpec, jm: Addr) -> Result<Addr, String> {
-        if !self.registry.contains(&spec.jar) {
-            return Err(format!("archive {:?} not present in the registry", spec.jar));
-        }
-        let reservation = self.node.reserve(spec.memory_mb).map_err(|e| e.to_string())?;
-        let (endpoint, rx) = self.net.register();
-        let t = TmTask {
-            spec,
-            jm,
-            endpoint,
-            rx: Some(rx),
-            space: self.spaces.get_or_create(job),
-            reservation: Some(reservation),
-            started: false,
-            launched: false,
-            start_info: None,
-            enqueued_at: None,
-            migrated: false,
-            stolen_from: None,
-        };
-        self.tm_tasks.insert((job, t.spec.name.clone()), t);
-        Ok(endpoint)
-    }
-
-    /// Admit a started task: launch immediately while an execution slot is
-    /// free, otherwise park it in the run queue (where it becomes steal
-    /// bait). With `exec_slots: None` every task launches immediately —
-    /// the historical behavior.
-    fn tm_start(&mut self, job: JobId, task: &str, directory: HashMap<String, Addr>, client: Addr) {
-        let key = (job, task.to_string());
-        let Some(t) = self.tm_tasks.get_mut(&key) else { return };
-        if t.started {
-            return;
-        }
-        t.started = true;
-        let cap = self.config.exec_slots.unwrap_or(usize::MAX);
-        if self.running < cap {
-            self.launch_task(job, task, directory, Instant::now());
+    /// Send `msg` to the TaskManager `tm`; this server's own takes it in place.
+    fn send_tm(&mut self, tm: Addr, msg: NetMsg) {
+        if tm == self.addr {
+            self.tm(TmEvent::Net(Envelope { from: tm, to: tm, msg }))
         } else {
-            t.start_info = Some((directory, client));
-            t.enqueued_at = Some(Instant::now());
-            self.run_queue.push_back(key);
-            self.g_queue_depth.add(1);
-            self.load_changed();
+            self.send(tm, msg)
         }
     }
 
-    /// Launch the next queued task(s) while execution slots are free.
-    fn launch_next_queued(&mut self) {
-        let cap = self.config.exec_slots.unwrap_or(usize::MAX);
-        while self.running < cap {
-            let Some((job, task)) = self.run_queue.pop_front() else { break };
-            self.g_queue_depth.add(-1);
-            let Some(t) = self.tm_tasks.get_mut(&(job, task.clone())) else { continue };
-            let Some((directory, _client)) = t.start_info.take() else { continue };
-            let since = t.enqueued_at.take().unwrap_or_else(Instant::now);
-            self.launch_task(job, &task, directory, since);
+    /// A TaskManager message, for the tasks. The task of a `StealGrant` is
+    /// hosted first (the grant brings its archive) and counted as stolen if it
+    /// was, a `TaskMigrated` repoints the task in its job first, and a
+    /// `StealReturn` is counted as it comes.
+    fn tm_message(&mut self, env: Envelope<NetMsg>) {
+        match &env.msg {
+            NetMsg::StealGrant { job, spec, victim, .. } => {
+                self.uploaded.insert(spec.jar.clone());
+                let (job, task, victim) = (*job, spec.name.clone(), victim.clone());
+                if self.host(env).is_ok() {
+                    self.c_steals.inc();
+                    self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
+                        format!("[{}] stole task {task:?} from {victim}", self.name)
+                    });
+                }
+                return;
+            }
+            NetMsg::TaskMigrated { job, task, tm, task_addr, .. } => {
+                let (task, depends, tm, task_addr) = (task.clone(), None, *tm, *task_addr);
+                self.job_on(*job, JobEvent::Placed { task, depends, tm, task_addr });
+            }
+            NetMsg::StealReturn { .. } => self.c_steal_returns.inc(),
+            _ => {}
         }
+        self.tm(TmEvent::Net(env))
     }
 
-    /// Run an assigned task on a thread of the pool; it has waited to
-    /// launch since `at` (the dispatch EWMA's sample).
-    fn launch_task(
-        &mut self,
-        job: JobId,
-        task: &str,
-        directory: HashMap<String, Addr>,
-        at: Instant,
-    ) {
-        let Some(t) = self.tm_tasks.get_mut(&(job, task.to_string())) else { return };
-        if t.launched {
-            return;
+    /// Host the task of the `AssignTask` or `StealGrant` in `env` — its
+    /// archive checked, what it needs reserved, its endpoint registered —
+    /// and hand the outcome to the tasks: the task's endpoint, or why not.
+    fn host(&mut self, env: Envelope<NetMsg>) -> Result<Addr, String> {
+        let (NetMsg::AssignTask { job, spec, .. } | NetMsg::StealGrant { job, spec, .. }) =
+            &env.msg
+        else {
+            return Err("nothing to host".into());
+        };
+        let hosted = if !self.uploaded.contains(&spec.jar) {
+            Err(format!("archive {:?} was not uploaded", spec.jar))
+        } else if !self.registry.contains(&spec.jar) {
+            Err(format!("archive {:?} not present in the registry", spec.jar))
+        } else {
+            self.node.reserve(spec.memory_mb).map_err(|e| e.to_string()).map(|reservation| {
+                let (endpoint, rx) = self.net.register();
+                (endpoint, (rx, self.spaces.get_or_create(*job)), reservation)
+            })
+        };
+        let endpoint = hosted.as_ref().map(|(endpoint, ..)| *endpoint).map_err(String::clone);
+        self.tm(TmEvent::Hosted { env, hosted });
+        endpoint
+    }
+
+    /// Hand `event` to the tasks and carry their actions out, until they have
+    /// nothing left to say; then show their counts. What goes out is counted.
+    fn tm(&mut self, event: TmEvent) {
+        let (now, was) = (Instant::now(), self.tasks.signal());
+        let mut events = VecDeque::from([event]);
+        while let Some(event) = events.pop_front() {
+            for action in self.tasks.on(event, now) {
+                match action {
+                    TmAction::Post { from, to, msg } => {
+                        match msg {
+                            NetMsg::StealRequest { .. } => self.c_steal_requests.inc(),
+                            NetMsg::StealReturn { .. } => self.c_steal_returns.inc(),
+                            NetMsg::TaskFailed { .. } => self.c_tasks_failed.inc(),
+                            _ => {}
+                        }
+                        self.net.post(from, to, msg)
+                    }
+                    TmAction::Report(report) => {
+                        self.net.multicast(self.addr, cn_cluster::DISCOVERY_GROUP, report);
+                    }
+                    TmAction::Launch(launch) => self.launch(launch),
+                    TmAction::Release { endpoint } => self.net.unregister(endpoint),
+                    TmAction::Alias { old, held: (rx, _) } => {
+                        // Nothing enters the old queue once it is an alias.
+                        self.net.alias(old, self.addr);
+                        events.extend(std::iter::from_fn(|| rx.try_recv().ok()).map(TmEvent::Net));
+                    }
+                    TmAction::Reserve { job, task, memory_mb } => {
+                        let reserved = self.node.reserve(memory_mb).map_err(|e| e.to_string());
+                        events.push_back(TmEvent::Reserved { job, task, reserved });
+                    }
+                    TmAction::Granted { job, task, thief } => {
+                        self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
+                            format!("[{}] granting steal of task {task:?} to {thief}", self.name)
+                        });
+                    }
+                }
+            }
         }
-        t.launched = true;
-        let Some(rx) = t.rx.take() else { return };
-        let reservation = t.reservation.take();
-        let (spec, endpoint, jm, space) = (t.spec.clone(), t.endpoint, t.jm, Arc::clone(&t.space));
-        self.dispatch_ewma.observe(at.elapsed().as_micros() as u64);
-        self.running += 1;
-        self.g_inflight.add(1);
+        // Every server of a simulated neighborhood shares the recorder, so
+        // each adds its change.
+        let is = self.tasks.signal();
+        self.g_queue_depth.add(i64::from(is.queue_depth) - i64::from(was.queue_depth));
+        self.g_inflight.add(i64::from(is.in_flight) - i64::from(was.in_flight));
+    }
+
+    /// Run a task on a thread of the pool.
+    fn launch(&mut self, launch: tm::Launch<Hosted, Reservation>) {
+        let tm::Launch { job, spec, jm, endpoint, directory, held, reservation } = launch;
+        let ((rx, space), task) = (held, spec.name.clone());
         let (net, work_scale, local_tm) = (self.net.clone(), self.node.work_scale(), self.addr);
         let (registry, server_name) = (Arc::clone(&self.registry), self.name.clone());
         let (rec, c_started) = (self.rec.clone(), self.c_tasks_started.clone());
@@ -770,55 +692,10 @@ impl ServerState {
                 format!("[{}] no thread for task {task:?}: {e}", self.name)
             });
             self.net.unregister(endpoint);
-            self.send(self.addr, NetMsg::TaskExited { job, task: task.to_string() });
+            self.send(self.addr, NetMsg::TaskExited { job, task: task.clone() });
             let error = format!("[{}] could not start a thread for the task: {e}", self.name);
-            self.send(jm, NetMsg::TaskFailed { job, task: task.to_string(), error });
+            self.send(jm, NetMsg::TaskFailed { job, task, error });
         }
-    }
-
-    fn tm_cancel(&mut self, job: JobId, task: &str) {
-        let key = (job, task.to_string());
-        let Entry::Occupied(entry) = self.tm_tasks.entry(key.clone()) else { return };
-        if entry.get().launched {
-            // Poke the task's queue; it sees Shutdown at its next recv. The
-            // bookkeeping entry is dropped when the thread reports
-            // TaskExited.
-            let _ = self.net.send(self.addr, entry.get().endpoint, NetMsg::Shutdown);
-        } else {
-            // Never launched: release the reservation and the queue (and
-            // the run-queue slot, if it was parked waiting to execute).
-            let t = entry.remove();
-            if self.run_queue.contains(&key) {
-                self.run_queue.retain(|k| *k != key);
-                self.g_queue_depth.add(-1);
-            }
-            self.net.unregister(t.endpoint);
-            if let Some(old_endpoint) = t.stolen_from {
-                self.send(old_endpoint, NetMsg::Shutdown);
-            }
-            drop(t); // reservation released here
-            self.load_changed();
-        }
-    }
-
-    /// A task thread finished (completed, failed, or was cancelled): free
-    /// its slot, launch queued work, and — now that we may be idle — go
-    /// raiding.
-    fn tm_task_exited(&mut self, job: JobId, task: String) {
-        if let Some(t) = self.tm_tasks.remove(&(job, task)) {
-            if t.launched {
-                self.running = self.running.saturating_sub(1);
-                self.g_inflight.add(-1);
-            }
-            // Thief side of a migration: the victim still serves the task's
-            // old endpoint; nothing will ever answer there now.
-            if let Some(old_endpoint) = t.stolen_from {
-                self.send(old_endpoint, NetMsg::Shutdown);
-            }
-        }
-        self.launch_next_queued();
-        self.load_changed();
-        self.maybe_steal();
     }
 
     // ---- Fair admission & placement rounds -------------------------------
@@ -912,7 +789,8 @@ impl ServerState {
             Action::Assign { tm, job, spec } if tm == self.addr => {
                 self.uploaded.insert(spec.jar.clone());
                 let task = spec.name.clone();
-                let ack = self.tm_assign(job, spec, tm);
+                let msg = NetMsg::AssignTask { job, spec, jm: tm, reply_to: tm };
+                let ack = self.host(Envelope { from: tm, to: tm, msg });
                 return Some(Event::Ack { from: tm, job, task, ack });
             }
             Action::Assign { tm, job, spec } => {
@@ -956,205 +834,6 @@ impl ServerState {
         }
         None
     }
-
-    // ---- Work stealing --------------------------------------------------
-
-    /// Multicast a `LoadReport` when the load signal changed, throttled to
-    /// [`STEAL_HEARTBEAT`] — except that the edge *into* stealable
-    /// territory is always reported immediately so idle peers learn about
-    /// new prey promptly. No-op unless stealing is enabled, which keeps
-    /// non-stealing runs free of extra traffic.
-    fn load_changed(&mut self) {
-        let sig = self.load_signal();
-        if !self.config.steal || self.last_reported == Some(sig) {
-            return;
-        }
-        let now = Instant::now();
-        let due = self.last_report_at.is_none_or(|at| now.duration_since(at) >= STEAL_HEARTBEAT);
-        let crossing = sig.queue_depth >= STEAL_THRESHOLD
-            && self.last_reported.is_none_or(|s| s.queue_depth < STEAL_THRESHOLD);
-        if !due && !crossing {
-            return;
-        }
-        self.last_reported = Some(sig);
-        self.last_report_at = Some(now);
-        self.net.multicast(self.addr, cn_cluster::DISCOVERY_GROUP, self.load_report(sig));
-    }
-
-    /// Thief side: if we have a free execution slot and an empty run
-    /// queue, raid the most-loaded peer whose last report meets the steal
-    /// threshold. At most one request is in flight at a time; a
-    /// `LoadReport` from the victim (decline) or a grant clears it, and a
-    /// staleness timeout lets us re-arm if the victim vanished.
-    fn maybe_steal(&mut self) {
-        if !self.config.steal || !self.run_queue.is_empty() {
-            return;
-        }
-        let cap = self.config.exec_slots.unwrap_or(usize::MAX);
-        if self.running >= cap {
-            return;
-        }
-        if self.steal_pending.is_some_and(|(_, since)| since.elapsed() < Duration::from_secs(1)) {
-            return;
-        }
-        let victim = self
-            .peer_loads
-            .iter()
-            .filter(|(addr, (_, sig))| **addr != self.addr && sig.queue_depth >= STEAL_THRESHOLD)
-            .max_by_key(|(addr, (_, sig))| (sig.queue_depth, std::cmp::Reverse(addr.0)))
-            .map(|(addr, _)| *addr);
-        let Some(victim) = victim else { return };
-        self.c_steal_requests.inc();
-        self.steal_pending = Some((victim, Instant::now()));
-        self.send(victim, NetMsg::StealRequest { thief: self.name.clone(), reply_to: self.addr });
-    }
-
-    /// Victim side: grant the newest queued never-launched task to the
-    /// thief, or decline with a fresh `LoadReport`. Granting releases our
-    /// reservation and marks the entry migrated; the entry stays until the
-    /// thief commits (`TaskMigrated`) or bounces (`StealReturn`) — exactly
-    /// one of which arrives, making the handoff at-most-once.
-    fn tm_steal_request(&mut self, thief: String, reply_to: Addr) {
-        let grantable = self.config.steal && self.run_queue.len() as u32 >= STEAL_THRESHOLD;
-        let Some((job, task)) = (if grantable { self.run_queue.pop_back() } else { None }) else {
-            // Decline: a unicast report refreshes the thief's view of us
-            // and clears its pending-request latch.
-            self.send(reply_to, self.load_report(self.load_signal()));
-            return;
-        };
-        self.g_queue_depth.add(-1);
-        let key = (job, task.clone());
-        let Some(t) = self.tm_tasks.get_mut(&key) else { return };
-        let Some((directory, client)) = t.start_info.clone() else { return };
-        t.migrated = true;
-        t.enqueued_at = None;
-        t.reservation = None; // free memory + slot for local work
-        let (spec, jm, victim, old_endpoint) =
-            (t.spec.clone(), t.jm, self.name.clone(), t.endpoint);
-        let grant = NetMsg::StealGrant { job, spec, jm, client, directory, victim, old_endpoint };
-        self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
-            format!("[{}] granting steal of task {task:?} to {thief}", self.name)
-        });
-        self.send(reply_to, grant);
-        self.load_changed();
-    }
-
-    /// Thief side: try to take ownership of a granted task. Success means
-    /// reserving locally and announcing `TaskMigrated` to both the
-    /// JobManager (placement table) and the victim (the old address); any
-    /// failure bounces the task back with `StealReturn`.
-    #[allow(clippy::too_many_arguments)]
-    fn tm_steal_grant(
-        &mut self,
-        victim_addr: Addr,
-        job: JobId,
-        spec: TaskSpec,
-        jm: Addr,
-        client: Addr,
-        mut directory: HashMap<String, Addr>,
-        victim: String,
-        old_endpoint: Addr,
-    ) {
-        self.steal_pending = None;
-        let (task, jar) = (spec.name.clone(), spec.jar.clone());
-        let Ok(endpoint) = self.tm_host(job, spec, jm) else {
-            self.c_steal_returns.inc();
-            self.send(victim_addr, NetMsg::StealReturn { job, task });
-            return;
-        };
-        self.uploaded.insert(jar);
-        // The task's own directory entry must point at its new home so
-        // self-addressed sends do not detour through the victim.
-        directory.insert(task.clone(), endpoint);
-        if let Some(t) = self.tm_tasks.get_mut(&(job, task.clone())) {
-            t.started = true;
-            t.start_info = Some((directory, client));
-            t.enqueued_at = Some(Instant::now());
-            t.stolen_from = Some(old_endpoint);
-        }
-        let (server, tm, task_addr) = (self.name.clone(), self.addr, endpoint);
-        let commit = NetMsg::TaskMigrated { job, task: task.clone(), server, tm, task_addr };
-        self.send(jm, commit.clone());
-        if victim_addr != jm {
-            self.send(victim_addr, commit);
-        }
-        self.c_steals.inc();
-        self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
-            format!("[{}] stole task {task:?} from {victim}", self.name)
-        });
-        self.run_queue.push_back((job, task));
-        self.g_queue_depth.add(1);
-        self.launch_next_queued();
-        self.load_changed();
-    }
-
-    /// Victim side: the thief could not take the task after all. Re-reserve
-    /// and re-queue it; if even that fails now, the task fails loudly
-    /// rather than vanishing.
-    fn tm_steal_return(&mut self, job: JobId, task: String) {
-        self.c_steal_returns.inc();
-        let key = (job, task.clone());
-        let Some(t) = self.tm_tasks.get_mut(&key) else { return };
-        if !t.migrated {
-            return;
-        }
-        match self.node.reserve(t.spec.memory_mb) {
-            Ok(reservation) => {
-                t.reservation = Some(reservation);
-                t.migrated = false;
-                t.enqueued_at = Some(Instant::now());
-                self.run_queue.push_back(key);
-                self.g_queue_depth.add(1);
-                self.launch_next_queued();
-                self.load_changed();
-            }
-            Err(e) => {
-                let (jm, endpoint) = (t.jm, t.endpoint);
-                self.tm_tasks.remove(&key);
-                self.net.unregister(endpoint);
-                self.c_tasks_failed.inc();
-                let error = format!("steal return could not re-reserve: {e}");
-                self.send(jm, NetMsg::TaskFailed { job, task, error });
-            }
-        }
-    }
-
-    /// `TaskMigrated` lands on two parties. The task's JobManager repoints
-    /// it in its job (`Placed`), so later `StartTask`/`CancelTask`/directory
-    /// builds go to the thief. As the victim we make the task's
-    /// old endpoint an alias of our own address, so that messages sent
-    /// against a stale directory come to this loop, which sends them on to
-    /// the task's new home ([`ServerState::forward_moved`]) behind what
-    /// already sat in the old queue. The Figure-3 journals stay canonical
-    /// because every message arrives exactly once, in order, just via one
-    /// extra hop.
-    fn task_migrated(&mut self, job: JobId, task: String, task_addr: Addr) {
-        let Entry::Occupied(entry) = self.tm_tasks.entry((job, task)) else { return };
-        if !entry.get().migrated {
-            return;
-        }
-        let t = entry.remove();
-        if self.net.alias(t.endpoint, self.addr) {
-            self.moved.insert(t.endpoint, task_addr);
-        }
-        // Nothing enters the old queue once it is an alias.
-        let Some(rx) = t.rx else { return };
-        while let Ok(env) = rx.try_recv() {
-            self.forward_moved(env);
-        }
-    }
-
-    /// Victim side: a message for the old endpoint of a task stolen from
-    /// here goes on to its new one — but the thief's `Shutdown`, sent when
-    /// the task has exited, retires the old endpoint.
-    fn forward_moved(&mut self, env: Envelope<NetMsg>) {
-        if matches!(env.msg, NetMsg::Shutdown) {
-            self.moved.remove(&env.to);
-            self.net.unregister(env.to);
-        } else if let Some(&new) = self.moved.get(&env.to) {
-            self.net.post(env.from, new, env.msg);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1162,6 +841,7 @@ mod tests {
     use super::*;
     use crate::archive::TaskArchive;
     use crate::message::{JobRequirements, UserData};
+    use crate::scheduler::LoadSignal;
     use crate::{Neighborhood, NeighborhoodConfig};
     use cn_cluster::{Network, NodeSpec, DISCOVERY_GROUP};
     use cn_wire::{Fabric, SocketFabric, WireConfig};
@@ -1337,6 +1017,68 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 4000)) {
             assert!(Instant::now() < deadline, "an assignment was never released");
+            std::thread::yield_now();
+        }
+        nb.shutdown();
+    }
+
+    /// A task stolen while its job ends does not run at its thief for good.
+    /// The victim grants its queued task, the client cancels the job, and
+    /// only then does the thief's commit arrive: the victim answers it with
+    /// `CancelTask`, and the task's old endpoint goes rather than becoming an
+    /// alias. The test plays the client and the thief by hand.
+    #[test]
+    fn a_task_stolen_while_its_job_ends_is_cancelled_at_its_thief() {
+        let server = ServerConfig { exec_slots: Some(1), steal: true, ..ServerConfig::default() };
+        let config = NeighborhoodConfig { server, ..NeighborhoodConfig::default() };
+        let nb = Neighborhood::deploy_with(NodeSpec::fleet(1, 4000, 4), config);
+        let block = || -> Box<dyn crate::Task> {
+            Box::new(|ctx: &mut TaskContext| {
+                let _ = ctx.recv();
+                Ok(UserData::Empty)
+            })
+        };
+        nb.registry().publish(TaskArchive::new("x.jar").class("X", block));
+        let victim = nb.server_addr("node0").unwrap();
+        let client = Party::join(&nb, false);
+        // In the discovery group, so it hears the victim's load; it never bids.
+        let thief = Party::join(&nb, true);
+        let job = JobId(908);
+        client.create_job(victim, job);
+        let specs = vec![light("t0"), light("t1")];
+        client.send(victim, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
+        for _ in 0..2 {
+            client.expect(|m| matches!(m, NetMsg::TaskAck { accepted: true, .. }).then_some(()));
+        }
+        client.send(victim, NetMsg::StartJob { job });
+        // t0 holds the one slot, and t1 waits in the queue.
+        thief.expect(|m| match m {
+            NetMsg::LoadReport { signal, .. } if signal.queue_depth == 1 => Some(()),
+            _ => None,
+        });
+        thief.send(victim, NetMsg::StealRequest { thief: "thief".into(), reply_to: thief.addr });
+        let old_endpoint = thief.expect(|m| match m {
+            NetMsg::StealGrant { spec, old_endpoint, .. } if spec.name == "t1" => {
+                Some(old_endpoint)
+            }
+            _ => None,
+        });
+
+        client.send(victim, NetMsg::CancelJob { job });
+        client.expect(|m| matches!(m, NetMsg::JobFailed { .. }).then_some(()));
+        let (server, tm, task_addr) = ("thief".to_string(), thief.addr, thief.addr);
+        let task = "t1".to_string();
+        thief.send(victim, NetMsg::TaskMigrated { job, task, server, tm, task_addr });
+        let cancelled = thief.expect(|m| match m {
+            NetMsg::CancelTask { task, .. } => Some(task),
+            _ => None,
+        });
+        assert_eq!(cancelled, "t1");
+        assert!(thief.net.send(thief.addr, old_endpoint, NetMsg::Shutdown).is_err(), "aliased");
+        // t0 was told to stop, and t1's reservation went with its grant.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 4000)) {
+            assert!(Instant::now() < deadline, "a slot was never released");
             std::thread::yield_now();
         }
         nb.shutdown();
