@@ -20,74 +20,19 @@ pub struct LintOptions {
     /// the capacity passes (CN011/CN015/CN016) stay quiet or degrade to
     /// their capacity-free variants.
     pub capacity: Option<ClusterCapacity>,
-    /// Per-server memory, as configured on a wire deployment's `cnctl
-    /// serve --memory` flags. When set, CN019 warns about tasks that no
-    /// configured server could ever host.
-    pub server_memory_mb: Option<Vec<u64>>,
     /// Fraction of the wire frame limit (`MAX_FRAME_BYTES`) a task's
     /// estimated parameter payload may reach before CN009 warns. `None`
     /// uses [`passes::cnx::DEFAULT_PAYLOAD_WARN_FRACTION`]; `0` disables
     /// the check.
     pub payload_warn_fraction: Option<f64>,
-    /// Shape of the wire deployment the descriptor will run on (`cnctl
-    /// lint --peer-capacity/--reactor-shards`). When set, CN057 judges it
-    /// against the host's fd soft limit and core count.
-    pub deployment: Option<DeploymentShape>,
-    /// Shape of the portal deployment in front of the cluster (`cnctl
-    /// lint --portal-max-inflight/...`). When set, CN058 judges it against
-    /// the host's fd soft limit, core count, and memory.
-    pub portal: Option<PortalShape>,
-}
-
-/// A wire deployment's shape for the CN057 host-capacity check: how many
-/// peer connections a serving process is expected to hold and how many
-/// reactor shards it was configured with, plus optional host-limit
-/// overrides so a plan can be judged against a *target* machine (and so
-/// goldens stay reproducible) instead of the machine running the lint.
-#[derive(Debug, Clone)]
-pub struct DeploymentShape {
-    /// Concurrent peer connections the process is expected to hold.
-    pub peer_capacity: u64,
-    /// Configured `--reactor-shards` value (0 = auto).
-    pub reactor_shards: u64,
-    /// Process fd soft limit; `None` probes the live rlimit.
-    pub fd_soft_limit: Option<u64>,
-    /// Core count; `None` probes the live machine.
-    pub available_cores: Option<u64>,
-}
-
-/// A portal deployment's shape for the CN058 capacity check: the
-/// admission and HTTP limits `cnctl portal` was (or will be) launched
-/// with, plus optional host-limit overrides so a plan can be judged
-/// against a *target* machine (and so goldens stay reproducible).
-#[derive(Debug, Clone)]
-pub struct PortalShape {
-    /// Configured `--max-inflight` admission cap.
-    pub max_inflight: u64,
-    /// Configured `--reactor-shards` value (0 = auto).
-    pub reactor_shards: u64,
-    /// Configured `--body-limit` request body cap, in bytes.
-    pub max_body_bytes: u64,
-    /// Process fd soft limit; `None` probes the live rlimit.
-    pub fd_soft_limit: Option<u64>,
-    /// Core count; `None` probes the live machine.
-    pub available_cores: Option<u64>,
-    /// Host memory budget for buffered bodies; `None` skips that check.
-    pub host_memory_mb: Option<u64>,
 }
 
 /// Everything a CNX pass can look at.
 pub struct CnxContext<'a> {
     pub doc: &'a CnxDocument,
     pub capacity: Option<&'a ClusterCapacity>,
-    /// `--server-memory` values for the CN019 wire-deployment check.
-    pub server_memory_mb: Option<&'a [u64]>,
     /// Resolved CN009 threshold as a fraction of the wire frame limit.
     pub payload_warn_fraction: f64,
-    /// Deployment shape for the CN057 host-capacity check.
-    pub deployment: Option<&'a DeploymentShape>,
-    /// Portal shape for the CN058 capacity check.
-    pub portal: Option<&'a PortalShape>,
 }
 
 /// Everything a model pass can look at.
@@ -101,12 +46,9 @@ pub fn lint_cnx(doc: &CnxDocument, opts: &LintOptions) -> LintReport {
     let ctx = CnxContext {
         doc,
         capacity: opts.capacity.as_ref(),
-        server_memory_mb: opts.server_memory_mb.as_deref(),
         payload_warn_fraction: opts
             .payload_warn_fraction
             .unwrap_or(passes::cnx::DEFAULT_PAYLOAD_WARN_FRACTION),
-        deployment: opts.deployment.as_ref(),
-        portal: opts.portal.as_ref(),
     };
     let mut out = Vec::new();
     for pass in passes::cnx::PASSES {

@@ -141,10 +141,13 @@ diagnostics! {
          its own earliest events, making post-mortem traces incomplete. \
          Raise the recorder capacity for jobs this size.";
     SERVER_MEMORY = "CN019" =>
-        "task exceeds every configured server's memory",
-        "With the given --server-memory values, no CN server could ever \
-         host this task's requirement; submission would stall in manager \
-         selection.";
+        "task exceeds every TaskManager's node memory",
+        "Every TaskManager the JobManager asked answered with a Decline: \
+         the task's memory requirement is more than its whole node has, so \
+         no amount of waiting places it. The JobManager refuses the task \
+         at once, naming the largest capacity it heard, instead of asking \
+         again. Give the task less memory or start a server with more \
+         (cnctl serve --memory).";
     // Model validity (mapped from `cn_model::validate_all`).
     MODEL_NO_INITIAL = "CN020" =>
         "activity model has no initial node",
@@ -250,13 +253,14 @@ diagnostics! {
          (spin-retry loops, or two tasks repeatedly undoing each other). \
          If the scenario is legitimately long, raise the budget; otherwise \
          inspect the trace tail for the repeating cycle.";
-    // Deployment capacity (`cnctl lint --peer-capacity` /
-    // `--portal-max-inflight`; see DESIGN.md §12).
+    // Deployment capacity, judged by `cnctl serve` / `cnctl portal` as they
+    // start (`deployment`; see DESIGN.md §12).
     REACTOR_CAPACITY = "CN057" =>
         "deployment shape exceeds the host's process limits",
-        "Every peer connection on the socket fabric holds one file \
+        "cnctl serve judges its own shape as it starts and prints this on \
+         stderr. Every peer connection on the socket fabric holds one file \
          descriptor, and each reactor shard holds an epoll instance plus \
-         its wakeup eventfd, so a peer capacity near the process fd soft \
+         its wakeup eventfd, so a peer count near the process fd soft \
          limit fails in accept/connect exactly when the cluster is \
          busiest. Shards beyond the available cores add cross-thread \
          wakeups and cache migration without adding parallelism. Raise \
@@ -264,17 +268,18 @@ diagnostics! {
          --reactor-shards.";
     PORTAL_CAPACITY = "CN058" =>
         "portal deployment shape exceeds the host's capacity",
-        "Every submission the portal admits pins the HTTP connection that \
-         posted it, on top of what the process holds once (its listener, \
-         reactor and the one client fabric every job runs on), so \
-         --max-inflight near the process fd soft limit makes accepts and \
-         submits fail exactly when the portal is busiest. Reactor shards \
-         beyond the available cores add wakeups without parallelism, and \
-         max-inflight times the request body limit bounds the memory a \
-         submission flood can pin in buffered bodies before admission \
-         pushes back. All three are knowable before launch: lower \
-         --max-inflight or --body-limit, raise the fd limit (ulimit -n), \
-         or match --reactor-shards to the cores.";
+        "cnctl portal judges its own shape as it starts and prints this \
+         on stderr. Every submission the portal admits pins the HTTP \
+         connection that posted it, on top of what the process holds once \
+         (its listener, reactor and the one client fabric every job runs \
+         on), so --max-inflight near the process fd soft limit makes \
+         accepts and submits fail exactly when the portal is busiest. \
+         Reactor shards beyond the available cores add wakeups without \
+         parallelism, and max-inflight times the request body limit \
+         bounds the memory a submission flood can pin in buffered bodies \
+         before admission pushes back. Lower --max-inflight or \
+         --body-limit, raise the fd limit (ulimit -n), or match \
+         --reactor-shards to the cores.";
 }
 
 #[cfg(test)]

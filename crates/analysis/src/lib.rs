@@ -28,6 +28,11 @@
 //! [`explain`](mod@explain), which expands to its [`codes`] constant, its
 //! `ALL_CODES` entry and its `--explain` text.
 //!
+//! Three codes judge no artifact. CN057 and CN058 are [`deployment`]'s
+//! judges of a starting `cnctl serve` / `cnctl portal` against its host,
+//! and CN019 names the JobManager's refusal of a task that every
+//! TaskManager declined as too big for its node.
+//!
 //! ```
 //! use cn_analysis::{lint_cnx_source, LintOptions};
 //!
@@ -41,16 +46,17 @@
 //! assert_eq!(report.diagnostics()[0].code, "CN006"); // unknown dependency
 //! ```
 
+pub mod deployment;
 pub mod diag;
 pub mod engine;
 pub mod explain;
 pub mod passes;
 pub mod report;
 
+pub use deployment::{judge_portal, judge_serve, HostFacts, PortalShape, ServeShape};
 pub use diag::{Diagnostic, Severity};
 pub use engine::{
-    lint_cnx, lint_cnx_source, lint_model, lint_xmi_source, CnxContext, DeploymentShape,
-    LintOptions, ModelContext, PortalShape,
+    lint_cnx, lint_cnx_source, lint_model, lint_xmi_source, CnxContext, LintOptions, ModelContext,
 };
 pub use explain::{codes, explain, Explanation};
 pub use report::LintReport;

@@ -26,9 +26,6 @@ pub const PASSES: &[fn(&CnxContext<'_>, &mut Vec<Diagnostic>)] = &[
     memory_capacity,
     parallelism,
     recorder_capacity,
-    server_memory,
-    reactor_capacity,
-    portal_capacity,
     payload_size,
     roundtrip,
 ];
@@ -319,170 +316,6 @@ pub fn parallelism(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
                 format!(
                     "job #{ji} is fully serial ({} tasks, max parallelism 1): a cluster adds no speedup",
                     job.tasks.len()
-                ),
-            ));
-        }
-    }
-}
-
-/// CN019: a task requests more memory than any configured server offers.
-///
-/// Wire deployments declare per-process capacity with `cnctl serve
-/// --memory`; passing the same values to `cnctl lint --server-memory`
-/// catches task requirements that no server in the fleet could ever bid
-/// on — the job would stall in placement at run time.
-pub fn server_memory(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(servers) = ctx.server_memory_mb else { return };
-    let Some(largest) = servers.iter().copied().max() else { return };
-    for (_, _, t) in for_each_task(ctx.doc) {
-        if t.req.memory_mb > largest {
-            out.push(
-                Diagnostic::new(
-                    codes::SERVER_MEMORY,
-                    Severity::Warning,
-                    format!(
-                        "task {:?} requires {} MB but the largest configured server offers {} MB: no TaskManager in this deployment can bid on it",
-                        t.name, t.req.memory_mb, largest
-                    ),
-                )
-                .with_span(t.span),
-            );
-        }
-    }
-}
-
-/// Non-peer fds a serving process holds: stdio, the TCP listener, the UDP
-/// receive and send sockets, and per shard an epoll fd plus its eventfd.
-fn reactor_overhead_fds(shards: u64) -> u64 {
-    3 + 3 + 2 * shards
-}
-
-/// CN057: the deployment's shape exceeds what the host can provide.
-///
-/// Every peer connection on the socket fabric holds one file descriptor,
-/// and each reactor shard holds an epoll instance plus its wakeup eventfd,
-/// so a peer capacity near the process fd soft limit fails in
-/// accept/connect exactly when the cluster is busiest — and shards beyond
-/// the core count add cross-thread wakeups and cache migration without
-/// adding parallelism. Both are knowable before anything launches: `cnctl
-/// lint --peer-capacity N [--reactor-shards S]` judges the plan against
-/// the linting host's limits, or against explicit `--fd-soft-limit` /
-/// `--cores` overrides when the target machine differs.
-pub fn reactor_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(dep) = ctx.deployment else { return };
-    let cores = dep.available_cores.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
-    });
-    // Auto shard count (0) resolves the way the fabric would, capped by
-    // the core count — it can only over-shard when configured to.
-    let shards = if dep.reactor_shards == 0 {
-        (cn_reactor::default_shards() as u64).min(cores)
-    } else {
-        dep.reactor_shards
-    };
-    let fd_limit = match dep.fd_soft_limit {
-        Some(limit) => Some(limit),
-        None => cn_reactor::sys::fd_limits().ok().map(|(soft, _hard)| soft),
-    };
-    if let Some(limit) = fd_limit {
-        let overhead = reactor_overhead_fds(shards);
-        let need = dep.peer_capacity + overhead;
-        if need > limit {
-            out.push(Diagnostic::new(
-                codes::REACTOR_CAPACITY,
-                Severity::Warning,
-                format!(
-                    "deployment expects {} peer connection(s), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and connects will fail mid-run (raise the limit or shrink the deployment)",
-                    dep.peer_capacity
-                ),
-            ));
-        }
-    }
-    if dep.reactor_shards > cores {
-        out.push(Diagnostic::new(
-            codes::REACTOR_CAPACITY,
-            Severity::Warning,
-            format!(
-                "--reactor-shards {} exceeds the {cores} available core(s): extra shards add cross-thread wakeups and cache migration without adding parallelism",
-                dep.reactor_shards
-            ),
-        ));
-    }
-}
-
-/// Non-submission fds a portal process holds: stdio, the HTTP listener,
-/// per shard an epoll fd plus its wakeup eventfd, and the one client fabric
-/// every job runs on — its TCP listener, UDP recv/send pair, a reactor of
-/// as many shards, and a connection each way to each of at least three
-/// workers.
-fn portal_overhead_fds(shards: u64) -> u64 {
-    let client_fabric = 1 + 2 + 2 * shards + 2 * 3;
-    3 + 1 + 2 * shards + client_fabric
-}
-
-/// Fds one in-flight submission can pin: the HTTP connection that posted
-/// it.
-const FDS_PER_INFLIGHT_JOB: u64 = 1;
-
-/// CN058: the portal's deployment shape exceeds what its host can hold.
-///
-/// Every in-flight submission the portal admits holds an HTTP connection
-/// fd on top of what the process holds once (its listener and reactor, and
-/// the client fabric all jobs share), so `--max-inflight` near the fd soft
-/// limit makes accepts fail exactly when the portal is busiest. `--reactor-shards` beyond the
-/// core count adds wakeups without parallelism (same physics as CN057),
-/// and `max_inflight × body-limit` bounds the memory queued request
-/// bodies can pin — a cap worth checking against the host's budget before
-/// a flood finds it. `cnctl lint --portal-max-inflight N` judges the plan
-/// against the linting host, or against explicit `--fd-soft-limit` /
-/// `--cores` / `--host-memory` overrides for a different target machine.
-pub fn portal_capacity(ctx: &CnxContext<'_>, out: &mut Vec<Diagnostic>) {
-    let Some(portal) = ctx.portal else { return };
-    let cores = portal.available_cores.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
-    });
-    let shards = if portal.reactor_shards == 0 {
-        (cn_reactor::default_shards() as u64).min(cores)
-    } else {
-        portal.reactor_shards
-    };
-    let fd_limit = match portal.fd_soft_limit {
-        Some(limit) => Some(limit),
-        None => cn_reactor::sys::fd_limits().ok().map(|(soft, _hard)| soft),
-    };
-    if let Some(limit) = fd_limit {
-        let overhead = portal_overhead_fds(shards);
-        let need = portal.max_inflight * FDS_PER_INFLIGHT_JOB + overhead;
-        if need > limit {
-            out.push(Diagnostic::new(
-                codes::PORTAL_CAPACITY,
-                Severity::Warning,
-                format!(
-                    "portal admits {} in-flight submission(s), each pinning {FDS_PER_INFLIGHT_JOB} fd (its HTTP connection), which with {overhead} runtime fd(s) of overhead needs {need} fds against a process soft limit of {limit}: accepts and submits will fail under load (lower --max-inflight or raise the limit)",
-                    portal.max_inflight
-                ),
-            ));
-        }
-    }
-    if portal.reactor_shards > cores {
-        out.push(Diagnostic::new(
-            codes::PORTAL_CAPACITY,
-            Severity::Warning,
-            format!(
-                "--reactor-shards {} exceeds the {cores} available core(s): extra shards add cross-thread wakeups and cache migration without adding parallelism",
-                portal.reactor_shards
-            ),
-        ));
-    }
-    if let Some(memory_mb) = portal.host_memory_mb {
-        let worst_mb = portal.max_inflight * portal.max_body_bytes / (1024 * 1024);
-        if worst_mb > memory_mb {
-            out.push(Diagnostic::new(
-                codes::PORTAL_CAPACITY,
-                Severity::Warning,
-                format!(
-                    "portal can buffer {} in-flight bodies of up to {} byte(s) each — {worst_mb} MB in the worst case against a {memory_mb} MB host budget: a submission flood can exhaust memory before admission rejects (lower --max-inflight or --body-limit)",
-                    portal.max_inflight, portal.max_body_bytes
                 ),
             ));
         }
@@ -811,88 +644,6 @@ mod tests {
         let mut at_cap = figure2_descriptor(2);
         at_cap.client.jobs[0].tasks[1].multiplicity = Some("508".into());
         assert!(!codes_of(&lint(&at_cap)).contains(&codes::RECORDER_CAPACITY));
-    }
-
-    #[test]
-    fn server_memory_warns_when_no_server_can_host() {
-        let lint_with_servers = |doc: &CnxDocument, servers: Vec<u64>| {
-            lint_cnx(
-                doc,
-                &LintOptions { server_memory_mb: Some(servers), ..LintOptions::default() },
-            )
-        };
-        // Figure 2 tasks each want 1000 MB: a 512 MB fleet warns per task,
-        // one 2048 MB server anywhere in the fleet clears every warning.
-        let doc = figure2_descriptor(2);
-        let report = lint_with_servers(&doc, vec![256, 512]);
-        let warned: Vec<_> =
-            report.diagnostics().iter().filter(|d| d.code == codes::SERVER_MEMORY).collect();
-        assert_eq!(warned.len(), 4, "{}", report.to_text());
-        assert!(warned.iter().all(|d| d.severity == Severity::Warning));
-        assert!(warned[0].message.contains("512 MB"), "{}", warned[0].message);
-        assert!(
-            !codes_of(&lint_with_servers(&doc, vec![512, 2048])).contains(&codes::SERVER_MEMORY)
-        );
-        // Exactly-fitting is fine; no --server-memory means no opinion.
-        assert!(!codes_of(&lint_with_servers(&doc, vec![1000])).contains(&codes::SERVER_MEMORY));
-        assert!(!codes_of(&lint(&doc)).contains(&codes::SERVER_MEMORY));
-    }
-
-    #[test]
-    fn reactor_capacity_judges_deployment_against_host_limits() {
-        use crate::engine::DeploymentShape;
-        let doc = figure2_descriptor(2);
-        let lint_shape = |shape: DeploymentShape| {
-            lint_cnx(&doc, &LintOptions { deployment: Some(shape), ..LintOptions::default() })
-        };
-        // 10k peers against a 1024-fd soft limit, 4 shards on 2 cores:
-        // both findings fire, as warnings.
-        let report = lint_shape(DeploymentShape {
-            peer_capacity: 10_000,
-            reactor_shards: 4,
-            fd_soft_limit: Some(1024),
-            available_cores: Some(2),
-        });
-        let warned: Vec<_> =
-            report.diagnostics().iter().filter(|d| d.code == codes::REACTOR_CAPACITY).collect();
-        assert_eq!(warned.len(), 2, "{}", report.to_text());
-        assert!(warned.iter().all(|d| d.severity == Severity::Warning));
-        assert!(warned.iter().any(|d| d.message.contains("1024")), "{}", report.to_text());
-        assert!(
-            warned.iter().any(|d| d.message.contains("available core")),
-            "{}",
-            report.to_text()
-        );
-        // A shape that fits stays quiet, fd overhead included: 1010 peers
-        // plus 3+3+2*2 = 10 overhead fds exactly meets a 1020 limit...
-        let fits = DeploymentShape {
-            peer_capacity: 1010,
-            reactor_shards: 2,
-            fd_soft_limit: Some(1020),
-            available_cores: Some(2),
-        };
-        assert!(lint_shape(fits.clone()).is_empty());
-        // ...and one more peer tips it over.
-        let report = lint_shape(DeploymentShape { peer_capacity: 1011, ..fits });
-        assert!(codes_of(&report).contains(&codes::REACTOR_CAPACITY), "{}", report.to_text());
-        // Auto shards (0) resolve within the core count, so only the fd
-        // axis can warn; explicit over-sharding warns on its own.
-        let report = lint_shape(DeploymentShape {
-            peer_capacity: 1,
-            reactor_shards: 0,
-            fd_soft_limit: Some(1024),
-            available_cores: Some(1),
-        });
-        assert!(report.is_empty(), "{}", report.to_text());
-        let report = lint_shape(DeploymentShape {
-            peer_capacity: 1,
-            reactor_shards: 3,
-            fd_soft_limit: Some(1024),
-            available_cores: Some(2),
-        });
-        assert_eq!(codes_of(&report), vec![codes::REACTOR_CAPACITY]);
-        // No deployment shape means no opinion.
-        assert!(lint(&doc).is_empty());
     }
 
     #[test]

@@ -259,9 +259,9 @@ macro_rules! netmsg_table {
             /// placement table (cancel paths, later directories); the victim
             /// makes the old endpoint an alias of its own address, sends what
             /// already sat in the task's queue on to `task_addr`, and from then
-            /// on sends on whatever reaches the old address — unless the task's
-            /// job ended while the grant was in flight: then the victim answers
-            /// the thief with `CancelTask`.
+            /// on sends on whatever reaches the old address. If the task's job
+            /// ended while the grant was in flight, the victim also answers the
+            /// thief with `CancelTask`.
             TaskMigrated = 28 { job: JobId, task: String, server: String, tm: Addr, task_addr: Addr },
 
             // -- Burst creation (DESIGN.md §14, "Fair admission") ----------------
@@ -270,6 +270,14 @@ macro_rules! netmsg_table {
             /// solicitation — and answers one `TaskAck` per spec, in burst order.
             /// `CreateTask` is the burst of one.
             CreateTasks = 29 { job: JobId, specs: Vec<TaskSpec>, reply_to: Addr },
+
+            // -- Placement refusal (DESIGN.md §14, rule 5) -----------------------
+            /// TM → JM: the answer to a `SolicitTaskManager` from a TaskManager
+            /// whose whole node, `capacity_mb`, is smaller than the memory
+            /// asked for — it can never host the task. It counts toward the
+            /// bid window's quorum; a TaskManager that is only busy stays
+            /// silent.
+            Decline = 30 { job: JobId, task: String, capacity_mb: u64 },
         }
     };
 }

@@ -3,13 +3,15 @@
 //! step 6), decided over a table of bids with the transport outside it.
 //!
 //! A [`Round`] is a value: the server's loop turns each `TaskManagerBid`,
-//! `AssignAck` and due deadline ([`Round::deadline`]) into an [`Event`] and
+//! `Decline`, `AssignAck` and due deadline ([`Round::deadline`]) into an
+//! [`Event`] and
 //! carries out the [`Action`]s it gets back. The round reads no clock and
 //! sends nothing, so its rules (DESIGN.md §14) are tested on a synthetic
 //! `now`. What each event does:
 //!
-//! - `Bid`: into the open table, if it answers the open solicitation and
-//!   its sender has not bid yet; anything else is late and dropped.
+//! - `Answer`: a bid goes into the open table, a decline only counts toward
+//!   its quorum — if it answers the open solicitation and its sender has not
+//!   answered yet; anything else is late and dropped.
 //! - `Ack`: settles the offer it answers, or hands a rejected one back for
 //!   the next-best entry; an accepted ack that no offer waits for → `Cancel`.
 //! - `Tick`: an overdue offer → `Cancel`, then the next-best entry; a window
@@ -17,7 +19,9 @@
 //!
 //! After every event: what is unplaced on a closed table → `Assign`; what
 //! that table could neither host nor refuse → `Solicit` again; the settled
-//! tasks at the front → `TaskAck`, in burst order.
+//! tasks at the front → `TaskAck`, in burst order. A table on which every
+//! TaskManager, the server's own included, declined refuses at once, naming
+//! CN019: no node is big enough for the task, however long it waits.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -28,19 +32,28 @@ use crate::message::{Bid, JobId, TaskSpec};
 use crate::pump::Window;
 use crate::scheduler::{select, select_load_aware, Policy, RoundRobin};
 
-/// What the server's loop hands the round: a `TaskManagerBid` for the
-/// solicitation keyed `(job, task)`, an `AssignAck` (the task's endpoint, or
-/// why not), or a due deadline.
+/// What the server's loop hands the round: a `TaskManagerBid` or `Decline`
+/// for the solicitation keyed `(job, task)`, an `AssignAck` (the task's
+/// endpoint, or why not), or a due deadline.
 pub(crate) enum Event {
-    Bid { from: Addr, job: JobId, task: String, bid: Bid },
+    Answer { from: Addr, job: JobId, task: String, answer: Answer },
     Ack { from: Addr, job: JobId, task: String, ack: Result<Addr, String> },
     Tick,
+}
+
+/// A TaskManager's answer to a solicitation: a bid, or a decline naming all
+/// the memory its node has — less than the solicitation asked for. A busy
+/// TaskManager does not answer.
+#[derive(Debug, Clone)]
+pub(crate) enum Answer {
+    Bid(Bid),
+    Decline { capacity_mb: u64 },
 }
 
 /// What the round asks the server's loop to do.
 pub(crate) enum Action {
     /// Multicast a `SolicitTaskManager` keyed `(job, task)`, then open its
-    /// window with the server's own bid ([`Round::asked`]).
+    /// window with the server's own answer ([`Round::asked`]).
     Solicit { job: JobId, task: String, memory_mb: u64 },
     /// Upload the task's archive to `tm` and `AssignTask` it there.
     Assign { tm: Addr, job: JobId, spec: TaskSpec },
@@ -81,8 +94,9 @@ enum Offer {
 /// DRR order, placed from **one** solicitation's table of bids, each choice
 /// booked on its entry ([`Bid::debit`]). A task is refused for want of a
 /// bidder only by a table everybody addressed has answered into
-/// (`complete`); one that missed somebody asks again, up to one
-/// solicitation per task in all (`asks_left`).
+/// (`complete`) and no decliner is big enough for; one that missed
+/// somebody asks again, up to one solicitation per task in all
+/// (`asks_left`).
 pub(crate) struct Round {
     tasks: VecDeque<Placing>,
     /// What the latest solicitation, and so every bid, is keyed by.
@@ -91,7 +105,11 @@ pub(crate) struct Round {
     window: Option<Window>,
     /// The server's own bid first, then arrival order.
     bids: Vec<Bid>,
-    /// Everyone the latest solicitation addressed has bid.
+    /// The largest node a decline to the latest solicitation named.
+    declined: Option<u64>,
+    /// The server's own TaskManager declined the latest solicitation.
+    own_declined: bool,
+    /// Everyone the latest solicitation addressed has answered.
     complete: bool,
     /// Solicitations the round may still make.
     asks_left: usize,
@@ -119,18 +137,31 @@ impl Round {
             .collect();
         let asks_left = tasks.iter().filter(|t| matches!(t.state, Offer::Unplaced)).count();
         let key = (JobId(0), String::new());
-        let (window, bids, complete) = (None, Vec::new(), false);
-        Round { tasks, key, window, bids, complete, asks_left, policy, rr, assign_timeout }
+        let (window, bids, declined, own_declined, complete) =
+            (None, Vec::new(), None, false, false);
+        Round {
+            tasks,
+            key,
+            window,
+            bids,
+            declined,
+            own_declined,
+            complete,
+            asks_left,
+            policy,
+            rr,
+            assign_timeout,
+        }
     }
 
     /// Take `event` in at `now` and say what to do about it.
     pub(crate) fn on(&mut self, event: Event, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         match event {
-            Event::Bid { from, job, task, bid } => {
+            Event::Answer { from, job, task, answer } => {
                 let window = self.window.as_mut().filter(|_| self.key == (job, task));
                 if window.is_some_and(|w| w.admit(from)) {
-                    self.bids.push(bid);
+                    self.take(answer);
                 }
             }
             Event::Ack { from, job, task, ack } => {
@@ -170,10 +201,20 @@ impl Round {
     }
 
     /// The outcome of the last [`Action::Solicit`]: the window on whom it
-    /// reached, and the server's own bid if it can host the smallest task.
-    pub(crate) fn asked(&mut self, window: Window, own: Option<Bid>) {
+    /// reached, and the server's own answer, if it has one.
+    pub(crate) fn asked(&mut self, window: Window, own: Option<Answer>) {
         self.window = Some(window);
-        self.bids = own.into_iter().collect();
+        (self.bids, self.declined) = (Vec::new(), None);
+        self.own_declined = matches!(own, Some(Answer::Decline { .. }));
+        own.into_iter().for_each(|answer| self.take(answer));
+    }
+
+    /// An answer into the table: a bid as an entry, a decline as its size.
+    fn take(&mut self, answer: Answer) {
+        match answer {
+            Answer::Bid(bid) => self.bids.push(bid),
+            Answer::Decline { capacity_mb } => self.declined = self.declined.max(Some(capacity_mb)),
+        }
     }
 
     /// The earliest instant the round needs a [`Event::Tick`].
@@ -242,7 +283,8 @@ impl Round {
     /// assignment) or time out; the task then comes back here for the
     /// next-best one.
     fn offer(&mut self, i: usize, now: Instant, actions: &mut Vec<Action>) {
-        let Round { tasks, bids, complete, asks_left, policy, rr, assign_timeout, .. } = self;
+        let Round { tasks, bids, declined, own_declined, complete, asks_left, .. } = self;
+        let (policy, rr, assign_timeout) = (self.policy, &mut self.rr, self.assign_timeout);
         let task = &mut tasks[i];
         let candidates: Vec<Bid> = bids
             .iter()
@@ -255,21 +297,31 @@ impl Round {
             // uniformly loaded neighborhood places identically to
             // `RoundRobin` (the journal-differential property).
             Policy::LoadAware => select_load_aware(rr, &candidates),
-            p => select(*p, &candidates, 0),
+            p => select(p, &candidates, 0),
         };
         let Some(chosen) = chosen else {
-            // Someone was slow to bid and the rest of the table is used up:
-            // not a refusal yet, ask again.
-            if !*complete && *asks_left > 0 {
+            // Someone was slow to answer, or declined a larger task than this
+            // one, and the rest of the table is used up: not a refusal yet,
+            // ask again.
+            let need = task.spec.memory_mb;
+            let too_big = declined.is_none_or(|largest| need > largest);
+            if (!*complete || !too_big) && *asks_left > 0 {
                 return;
             }
             let name = &task.spec.name;
-            task.state = Offer::Settled(Err(if task.failures.is_empty() {
-                format!("no willing TaskManager for task {name:?}")
-            } else {
-                let failures = task.failures.join("; ");
-                format!("every willing TaskManager failed for task {name:?}: {failures}")
-            }));
+            task.state =
+                Offer::Settled(Err(if *complete && *own_declined && bids.is_empty() && too_big {
+                    let largest = declined.unwrap_or(0);
+                    format!(
+                        "no willing TaskManager for task {name:?}: every TaskManager declined it \
+                     (CN019): it needs {need} MB and the largest node has {largest} MB"
+                    )
+                } else if task.failures.is_empty() {
+                    format!("no willing TaskManager for task {name:?}")
+                } else {
+                    let failures = task.failures.join("; ");
+                    format!("every willing TaskManager failed for task {name:?}: {failures}")
+                }));
             return;
         };
         let (tm, server) = (chosen.addr, chosen.server.clone());
@@ -278,7 +330,7 @@ impl Round {
             entry.debit(task.spec.memory_mb);
         }
         actions.push(Action::Assign { tm, job: task.job, spec: task.spec.clone() });
-        task.state = Offer::InFlight { tm, server, deadline: now + *assign_timeout };
+        task.state = Offer::InFlight { tm, server, deadline: now + assign_timeout };
     }
 }
 
@@ -315,26 +367,33 @@ mod tests {
     }
 
     /// A message on its way to the JobManager: a remote bidder's bid for the
-    /// solicitation of `task`, or its answer to the assignment of `task`.
+    /// solicitation of `task` or a decliner's decline of it, or a bidder's
+    /// answer to the assignment of `task`.
     #[derive(Clone)]
     enum Msg {
         Bid(Bid, String),
+        Decline(Addr, u64, String),
         Ack(Addr, TaskSpec, bool),
     }
 
     /// The server's loop around a round, played on a synthetic clock. It
     /// answers a `Solicit` as the server does — a window on `quorum` peers,
-    /// and its own TaskManager's bid while that can host the smallest task
-    /// asked for — and runs an assignment to its own TaskManager in place.
-    /// The remote bidders' bids and acks wait in `inbox` for the test to
-    /// deliver, late, twice or never.
+    /// and its own TaskManager's answer: a decline if its node is smaller
+    /// than asked for, else a bid while it can host the smallest task asked
+    /// for — and runs an assignment to its own TaskManager in place. The
+    /// remote bidders' bids and acks, and the decliners' declines, wait in
+    /// `inbox` for the test to deliver, late, twice or never.
     struct Rig {
         round: Round,
         t0: Instant,
         now: Instant,
         quorum: usize,
         own: Option<Bid>,
+        /// The own node's size, where it is too small for every task.
+        own_capacity: Option<u64>,
         remotes: Vec<Bid>,
+        /// TaskManagers too small for every task: `(addr, node size)`.
+        decliners: Vec<(Addr, u64)>,
         inbox: Vec<Msg>,
         /// The own bid each solicitation's table started with.
         asked: Vec<Option<Bid>>,
@@ -354,7 +413,9 @@ mod tests {
                 now: t0,
                 quorum,
                 own,
+                own_capacity: None,
                 remotes: Vec::new(),
+                decliners: Vec::new(),
                 inbox: Vec::new(),
                 asked: Vec::new(),
                 solicits: Vec::new(),
@@ -378,9 +439,16 @@ mod tests {
                             assert_eq!(job, JOB);
                             let own = self.own.clone().filter(|b| b.can_host(memory_mb));
                             self.asked.push(own.clone());
+                            let own = match self.own_capacity {
+                                Some(capacity_mb) => Some(Answer::Decline { capacity_mb }),
+                                None => own.map(Answer::Bid),
+                            };
                             self.round.asked(Window::new(self.quorum, self.now + WINDOW), own);
                             let bid = |r: &Bid| Msg::Bid(r.clone(), task.clone());
                             self.inbox.extend(self.remotes.iter().map(bid));
+                            let decline =
+                                |&(at, mb): &(Addr, u64)| Msg::Decline(at, mb, task.clone());
+                            self.inbox.extend(self.decliners.iter().map(decline));
                             self.solicits.push(task);
                             events.push_back(Event::Tick);
                         }
@@ -416,7 +484,13 @@ mod tests {
         /// bidder, so what it bids next says so.
         fn deliver(&mut self, msg: Msg) {
             let event = match msg {
-                Msg::Bid(bid, task) => Event::Bid { from: bid.addr, job: JOB, task, bid },
+                Msg::Bid(bid, task) => {
+                    Event::Answer { from: bid.addr, job: JOB, task, answer: Answer::Bid(bid) }
+                }
+                Msg::Decline(from, capacity_mb, task) => {
+                    let answer = Answer::Decline { capacity_mb };
+                    Event::Answer { from, job: JOB, task, answer }
+                }
                 Msg::Ack(tm, spec, accepted) => {
                     let remote = self.remotes.iter_mut().find(|r| r.addr == tm);
                     if let Some(r) = remote.filter(|_| accepted) {
@@ -454,7 +528,8 @@ mod tests {
         assert_eq!(rig.solicits, ["t0", "t4"]);
         assert_eq!(rig.asked[1], None, "the own TaskManager is full by now");
         let slow = bidder("zz-slow", 20, 1000, 1, 0, 0);
-        let bid = Event::Bid { from: slow.addr, job: JOB, task: "t4".into(), bid: slow };
+        let (from, answer) = (slow.addr, Answer::Bid(slow));
+        let bid = Event::Answer { from, job: JOB, task: "t4".into(), answer };
         rig.at(WINDOW + Duration::from_millis(5), bid);
         assert_eq!(rig.assigns.last(), Some(&(Addr(20), "t4".to_string())));
         let ack = Event::Ack { from: Addr(20), job: JOB, task: "t4".into(), ack: Ok(Addr(7)) };
@@ -498,6 +573,57 @@ mod tests {
         assert_eq!(rig.solicits.len(), 2);
     }
 
+    /// Does `placed` refuse its task naming CN019?
+    fn names_cn019(placed: &Placed) -> bool {
+        placed.as_ref().is_err_and(|reason| reason.contains("(CN019)"))
+    }
+
+    /// A table every TaskManager declined gives its verdict as the last
+    /// decline comes in, naming the task's need and the largest node; a
+    /// decliner big enough for a later task is asked again instead.
+    #[test]
+    fn a_table_of_declines_refuses_at_once_naming_cn019() {
+        let mut rig = Rig::new(Policy::LeastLoaded, &tasks(&[1000, 1000]), 2, None);
+        rig.own_capacity = Some(512);
+        rig.decliners = vec![(Addr(20), 256), (Addr(21), 768)];
+        rig.at(Duration::ZERO, Event::Tick);
+        let declines = std::mem::take(&mut rig.inbox);
+        rig.now += Duration::from_millis(1);
+        for decline in declines {
+            rig.deliver(decline);
+        }
+        assert_eq!(rig.solicits, ["t0"]);
+        assert_eq!(rig.acks.len(), 2);
+        for (task, refusal, at) in &rig.acks {
+            assert!(names_cn019(refusal), "{task}: {refusal:?}");
+            let reason = refusal.as_ref().unwrap_err();
+            assert!(reason.starts_with("no willing TaskManager"), "{reason}");
+            assert!(reason.contains("needs 1000 MB") && reason.contains("768 MB"), "{reason}");
+            assert_eq!(*at, Duration::from_millis(1));
+        }
+        assert!(rig.round.finish().is_some());
+
+        // A decline of 1000 MB from a 768 MB node does not refuse a 600 MB
+        // task that comes back from a rejected offer: it is asked for again.
+        let mut rig = Rig::new(Policy::LeastLoaded, &tasks(&[600, 1000, 1000]), 2, None);
+        rig.remotes = vec![bidder("x", 10, 700, 4, 0, 0)];
+        rig.decliners = vec![(Addr(21), 768)];
+        rig.on(Event::Tick);
+        // The 768 MB node is busy and says nothing; the window runs out.
+        let bid = rig.inbox.remove(0);
+        rig.inbox.clear();
+        rig.deliver(bid);
+        rig.at(WINDOW, Event::Tick);
+        assert_eq!(rig.solicits, ["t0", "t1"]);
+        let Msg::Ack(tm, spec, _) = rig.inbox.remove(0) else { panic!("t0's offer") };
+        for answer in std::mem::take(&mut rig.inbox) {
+            rig.deliver(answer);
+        }
+        rig.deliver(Msg::Ack(tm, spec, false));
+        assert_eq!(rig.solicits, ["t0", "t1", "t0"]);
+        assert!(rig.acks.is_empty(), "t1 and t2 wait behind t0");
+    }
+
     /// A tiny deterministic die for the interleavings (xorshift).
     struct Dice(u64);
 
@@ -535,13 +661,16 @@ mod tests {
         specs.iter().map(|spec| (spec.name.clone(), auction(spec))).collect()
     }
 
-    /// Every bid in before anything else, every ack accepting, in any order:
-    /// the burst lands where one auction per task would put it.
+    /// Every answer in before anything else, every ack accepting, in any
+    /// order: the burst lands where one auction per task would put it, from
+    /// one solicitation. It is refused naming CN019 exactly when every
+    /// TaskManager, the server's own included, declined.
     fn everything_answers(
         rig: &mut Rig,
         dice: &mut Dice,
         policy: Policy,
         specs: &[TaskSpec],
+        all_decline: bool,
     ) -> Result<(), TestCaseError> {
         rig.on(Event::Tick);
         let mut table: Vec<Bid> = rig.asked[0].iter().cloned().collect();
@@ -555,15 +684,20 @@ mod tests {
         }
         prop_assert_eq!(rig.solicits.len(), 1);
         prop_assert_eq!(rig.placed(), one_auction_per_task(policy, table, specs));
+        for (task, placed, _) in &rig.acks {
+            prop_assert!(names_cn019(placed) == all_decline, "{}: {:?}", task, placed);
+        }
         Ok(())
     }
 
-    /// Bids and acks arrive in any order, some twice, some late, some never,
-    /// acks accept or reject, and time jumps past windows and ack deadlines.
+    /// Answers and acks arrive in any order, some twice, some late, some
+    /// never, acks accept or reject, and time jumps past windows and ack
+    /// deadlines. CN019 is named only where every TaskManager declines.
     fn anything_goes(
         rig: &mut Rig,
         dice: &mut Dice,
         specs: &[TaskSpec],
+        all_decline: bool,
     ) -> Result<(), TestCaseError> {
         let mut delivered: Vec<Msg> = Vec::new();
         rig.on(Event::Tick);
@@ -615,6 +749,9 @@ mod tests {
         offers.dedup();
         prop_assert!(offers.len() == rig.assigns.len(), "a task offered twice: {:?}", rig.assigns);
         prop_assert!(rig.solicits.len() <= specs.len(), "{} solicitations", rig.solicits.len());
+        for (task, placed, _) in &rig.acks {
+            prop_assert!(!names_cn019(placed) || all_decline, "{}: {:?}", task, placed);
+        }
         // A task lands where its latest offer went, not on a bidder whose
         // ack came after the task had moved on.
         for (task, placed, _) in &rig.acks {
@@ -627,12 +764,15 @@ mod tests {
     }
 
     /// One case: a fleet of `(free memory, slots, used, queue depth)`
-    /// bidders, the first of them the server's own TaskManager if `own`, and
-    /// a burst of tasks of `memory_mb`, under every policy, first with
-    /// everything answering and then with anything going.
+    /// bidders, the first of them the server's own TaskManager if `own` is
+    /// 1; `never` TaskManagers too small for every task, the server's own
+    /// one of them if `own` is 2; and a burst of tasks of `memory_mb`, under
+    /// every policy, first with everything answering and then with anything
+    /// going.
     fn a_burst(
         fleet: &[(u64, usize, usize, u32)],
-        own: bool,
+        own: u8,
+        never: usize,
         memory_mb: &[u64],
         seed: u64,
     ) -> Result<(), TestCaseError> {
@@ -640,19 +780,27 @@ mod tests {
             bidder(&format!("b{i}"), 10 + i as u64, mb, slots, used % (slots + 1), queue)
         };
         let fleet: Vec<Bid> = fleet.iter().enumerate().map(bid).collect();
-        let (own, remotes) = match own {
-            true => (Some(fleet[0].clone()), &fleet[1..]),
-            false => (None, &fleet[..]),
+        let (own_bid, remotes) = match own {
+            1 if !fleet.is_empty() => (Some(fleet[0].clone()), &fleet[1..]),
+            _ => (None, &fleet[..]),
         };
+        // Each node too small for the smallest task, the own one largest.
+        let smallest = memory_mb.iter().min().copied().unwrap_or(1);
+        let own_capacity = (own == 2).then_some(smallest - 1);
+        let decliners: Vec<(Addr, u64)> =
+            (0..never).map(|i| (Addr(50 + i as u64), (smallest - 1) / (i as u64 + 2))).collect();
+        let all_decline = own_capacity.is_some() && remotes.is_empty();
         let specs = tasks(memory_mb);
         let mut dice = Dice(seed | 1);
+        let rig = |policy| {
+            let mut rig = Rig::new(policy, &specs, remotes.len() + never, own_bid.clone());
+            (rig.own_capacity, rig.remotes, rig.decliners) =
+                (own_capacity, remotes.to_vec(), decliners.clone());
+            rig
+        };
         for policy in POLICIES {
-            let mut rig = Rig::new(policy, &specs, remotes.len(), own.clone());
-            rig.remotes = remotes.to_vec();
-            everything_answers(&mut rig, &mut dice, policy, &specs)?;
-            let mut rig = Rig::new(policy, &specs, remotes.len(), own.clone());
-            rig.remotes = remotes.to_vec();
-            anything_goes(&mut rig, &mut dice, &specs)?;
+            everything_answers(&mut rig(policy), &mut dice, policy, &specs, all_decline)?;
+            anything_goes(&mut rig(policy), &mut dice, &specs, all_decline)?;
         }
         Ok(())
     }
@@ -661,12 +809,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
         #[test]
         fn a_round_places_like_one_auction_per_task_and_acks_every_task_once(
-            fleet in proptest::collection::vec((0u64..4000, 1usize..5, 0usize..5, 0u32..3), 1..5),
-            own in any::<bool>(),
+            fleet in proptest::collection::vec((0u64..4000, 1usize..5, 0usize..5, 0u32..3), 0..5),
+            own in 0u8..3,
+            never in 0usize..3,
             memory_mb in proptest::collection::vec(1u64..2000, 1..9),
             seed in any::<u64>(),
         ) {
-            a_burst(&fleet, own, &memory_mb, seed)?;
+            a_burst(&fleet, own, never, &memory_mb, seed)?;
         }
     }
 }

@@ -30,7 +30,7 @@ use cn_wire::FabricHandle;
 use crate::archive::ArchiveRegistry;
 use crate::job::{Action as JobAction, Event as JobEvent, Job};
 use crate::message::{Bid, JobId, NetMsg, TaskSpec};
-use crate::placement::{Action, Event, Round};
+use crate::placement::{Action, Answer, Event, Round};
 use crate::pump::{MsgPump, Window};
 use crate::scheduler::{FairQueue, Policy, RoundRobin};
 use crate::spaces::SpaceRegistry;
@@ -376,14 +376,25 @@ impl ServerState {
             }
 
             // ---- TaskManager: placement -------------------------------
-            NetMsg::SolicitTaskManager { job, task, memory_mb, reply_to }
-                if self.node.can_host(memory_mb) =>
-            {
-                self.c_tm_bids.inc();
-                self.send(reply_to, NetMsg::TaskManagerBid { job, task, bid: self.own_bid() });
+            NetMsg::SolicitTaskManager { job, task, memory_mb, reply_to } => {
+                match self.answer(memory_mb) {
+                    Some(Answer::Bid(bid)) => {
+                        self.c_tm_bids.inc();
+                        self.send(reply_to, NetMsg::TaskManagerBid { job, task, bid });
+                    }
+                    Some(Answer::Decline { capacity_mb }) => {
+                        self.send(reply_to, NetMsg::Decline { job, task, capacity_mb })
+                    }
+                    None => {}
+                }
             }
             NetMsg::TaskManagerBid { job, task, bid } => {
-                self.place(Event::Bid { from: env.from, job, task, bid })
+                let answer = Answer::Bid(bid);
+                self.place(Event::Answer { from: env.from, job, task, answer })
+            }
+            NetMsg::Decline { job, task, capacity_mb } => {
+                let answer = Answer::Decline { capacity_mb };
+                self.place(Event::Answer { from: env.from, job, task, answer })
             }
             NetMsg::AssignAck { job, task, accepted, reason, task_addr } => {
                 let ack = task_addr.filter(|_| accepted).ok_or(reason);
@@ -440,6 +451,18 @@ impl ServerState {
             if tm != self.addr && relayed.insert(tm) {
                 self.send(tm, NetMsg::SeedTuple { job, tuple: tuple.clone() });
             }
+        }
+    }
+
+    /// This TaskManager's answer to a solicitation for `memory_mb`: a bid if
+    /// it can host that now, a decline if its whole node is smaller, and
+    /// nothing if it is only busy (DESIGN.md §14 rule 5).
+    fn answer(&self, memory_mb: u64) -> Option<Answer> {
+        let capacity_mb = self.node.spec().memory_mb;
+        if self.node.can_host(memory_mb) {
+            Some(Answer::Bid(self.own_bid()))
+        } else {
+            (capacity_mb < memory_mb).then_some(Answer::Decline { capacity_mb })
         }
     }
 
@@ -780,7 +803,7 @@ impl ServerState {
     fn carry_out(&mut self, round: &mut Round, action: Action) -> Option<Event> {
         match action {
             Action::Solicit { job, task, memory_mb } => {
-                let own = self.node.can_host(memory_mb).then(|| self.own_bid());
+                let own = self.answer(memory_mb);
                 self.c_task_solicits.inc();
                 let ask = NetMsg::SolicitTaskManager { job, task, memory_mb, reply_to: self.addr };
                 round.asked(Window::open(&self.net, self.addr, ask, self.config.bid_window), own);
@@ -1025,8 +1048,10 @@ mod tests {
     /// A task stolen while its job ends does not run at its thief for good.
     /// The victim grants its queued task, the client cancels the job, and
     /// only then does the thief's commit arrive: the victim answers it with
-    /// `CancelTask`, and the task's old endpoint goes rather than becoming an
-    /// alias. The test plays the client and the thief by hand.
+    /// `CancelTask`. The task's old endpoint becomes an alias as for any
+    /// commit, so the `Shutdown` the thief's copy sends there as it leaves is
+    /// delivered, and ends it. The test plays the client and the thief by
+    /// hand.
     #[test]
     fn a_task_stolen_while_its_job_ends_is_cancelled_at_its_thief() {
         let server = ServerConfig { exec_slots: Some(1), steal: true, ..ServerConfig::default() };
@@ -1074,7 +1099,13 @@ mod tests {
             _ => None,
         });
         assert_eq!(cancelled, "t1");
-        assert!(thief.net.send(thief.addr, old_endpoint, NetMsg::Shutdown).is_err(), "aliased");
+        let delivered = |msg| thief.net.send(thief.addr, old_endpoint, msg).is_ok();
+        assert!(delivered(NetMsg::Shutdown), "the old endpoint went before the thief's Shutdown");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while delivered(NetMsg::StartJob { job }) {
+            assert!(Instant::now() < deadline, "the thief's Shutdown never ended the alias");
+            std::thread::yield_now();
+        }
         // t0 was told to stop, and t1's reservation went with its grant.
         let deadline = Instant::now() + Duration::from_secs(10);
         while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 4000)) {

@@ -14,7 +14,9 @@
 //!
 //! A task leaves on `TaskExited` (running), `CancelTask` (assigned, queued),
 //! `TaskMigrated` or `StealReturn` (granted). A `CancelTask` that finds it
-//! granted marks it, and its thief's commit is answered with `CancelTask`.
+//! granted marks it, and its thief's commit is answered with `CancelTask`
+//! — after the commit's alias is set up like any other, so the thief's
+//! `Shutdown` as the task leaves it has an endpoint to end.
 
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
@@ -347,23 +349,23 @@ impl<H, R> Tasks<H, R> {
     }
 
     /// Victim side: the thief has the task. Its old endpoint becomes an alias
-    /// of this server — unless its job ended while the grant was in flight:
-    /// then the thief is told to cancel it, and the old endpoint goes.
+    /// of this server, which the thief's `Shutdown` ends as the task leaves
+    /// it. If its job ended while the grant was in flight, the thief is also
+    /// told to cancel it.
     fn migrated(&mut self, key: Key, thief: Addr, task_addr: Addr) {
         let Some(Stage::Granted { cancelled, .. }) = self.tasks.get(&key).map(|t| &t.stage) else {
             return;
         };
-        if *cancelled {
-            self.leave(&key);
-            let (job, task) = key;
-            return self.tell(thief, NetMsg::CancelTask { job, task });
-        }
+        let cancel = cancelled.then(|| NetMsg::CancelTask { job: key.0, task: key.1.clone() });
         let Some(Task { endpoint, held, stolen_from, .. }) = self.tasks.remove(&key) else {
             return;
         };
         self.moved.insert(endpoint, Moved { key, thief, new: task_addr, before: stolen_from });
         if let Some(held) = held {
             self.actions.push(Action::Alias { old: endpoint, held });
+        }
+        if let Some(cancel) = cancel {
+            self.tell(thief, cancel);
         }
     }
 
@@ -593,13 +595,18 @@ mod tests {
         let commit = NetMsg::TaskMigrated { job, task: task.clone(), server, tm, task_addr };
         let acts = net(&mut victim, thief, commit, t0);
         assert!(matches!(&acts[..], [
-            Action::Release { endpoint: Addr(1001) },
+            Action::Alias { old: Addr(1001), .. },
             Action::Post { to, msg: NetMsg::CancelTask { .. }, .. },
         ] if *to == thief));
         drop(acts);
+        // The old endpoint stays an alias until the thief's copy leaves and
+        // says so: its `Shutdown` there ends the alias.
+        assert_eq!(victim.aliases().collect::<Vec<_>>(), [Addr(1001)]);
+        let acts = victim.on(Event::Net(env(thief, Addr(1001), NetMsg::Shutdown)), t0);
+        assert!(matches!(&acts[..], [Action::Release { endpoint: Addr(1001) }]));
         assert_eq!(victim.aliases().count(), 0);
         // Task 0's tokens went with its launch, which the test dropped, and
-        // task 1's with its release.
+        // task 1's with its alias.
         assert_eq!(live.get(), 0);
     }
 
@@ -646,14 +653,12 @@ mod tests {
         Queue(Vec<Envelope<NetMsg>>),
         /// Its task runs on a thread, which holds the tokens; `stop` once it
         /// has been sent `Shutdown`.
-        Running {
-            key: Key,
-            at: usize,
-            stop: bool,
-            _held: (Token, Token),
-        },
+        Running { key: Key, at: usize, stop: bool, _held: (Token, Token) },
         /// An alias of TaskManager `at`.
         Alias(usize),
+        /// Unregistered by its TaskManager ([`Action::Release`]).
+        Released,
+        /// Unregistered by its task's thread as it ended.
         Gone,
     }
 
@@ -771,6 +776,15 @@ mod tests {
                     let stealing =
                         matches!(msg, NetMsg::StealRequest { .. } | NetMsg::LoadReport { .. });
                     prop_assert!(self.steal || !stealing, "{:?} without stealing", msg);
+                    // What a TaskManager says itself never goes to an endpoint
+                    // that one has unregistered: it could not be delivered.
+                    let released = matches!(self.endpoints.get(&to), Some(Ep::Released));
+                    prop_assert!(
+                        from != tm_addr(at) || !released,
+                        "{:?} to released {:?}",
+                        msg,
+                        to
+                    );
                     match &msg {
                         NetMsg::Shutdown => *self.shutdowns.entry(to).or_default() += 1,
                         NetMsg::StealGrant { .. } => self.grants += 1,
@@ -810,7 +824,7 @@ mod tests {
                     self.endpoints.insert(endpoint, Ep::Running { key, at, stop, _held });
                 }
                 Action::Release { endpoint } => {
-                    let was = self.endpoints.insert(endpoint, Ep::Gone);
+                    let was = self.endpoints.insert(endpoint, Ep::Released);
                     let alias = matches!(was, Some(Ep::Alias(by)) if by == at);
                     prop_assert!(
                         alias || matches!(was, Some(Ep::Queue(_))),

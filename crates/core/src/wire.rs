@@ -352,6 +352,7 @@ mod tests {
                 specs: vec![sample_spec(), TaskSpec::new("tctask999", "taskjoin.jar", "TaskJoin")],
                 reply_to: Addr(9),
             },
+            NetMsg::Decline { job: JobId(1), task: "t0".into(), capacity_mb: 512 },
         ];
         let mut frames = String::new();
         let mut names = Vec::new();

@@ -463,7 +463,9 @@ pub struct JobWork {
 /// Spawn the submission workers that drain the admission queue, one
 /// submission per wake-up: compile, execute via the runner, publish the
 /// journal on the board, release the admission slot. A worker that is
-/// busy leaves what is queued to the idle ones.
+/// busy leaves what is queued to the idle ones. If a thread cannot be
+/// started, the admission queue is closed, the workers already running are
+/// joined and the error is returned.
 pub fn spawn_workers(
     n: usize,
     admission: Arc<Admission<JobWork>>,
@@ -471,19 +473,26 @@ pub fn spawn_workers(
     runner: Arc<dyn JobRunner>,
     rec: Recorder,
     board_ttl: Duration,
-) -> Vec<std::thread::JoinHandle<()>> {
-    (0..n.max(1))
-        .map(|i| {
-            let admission = Arc::clone(&admission);
-            let board = Arc::clone(&board);
-            let runner = Arc::clone(&runner);
-            let rec = rec.clone();
-            std::thread::Builder::new()
-                .name(format!("cn-portal-worker-{i}"))
-                .spawn(move || worker_loop(&admission, &board, &*runner, &rec, board_ttl))
-                .expect("spawn portal worker")
-        })
-        .collect()
+) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
+    let mut workers = Vec::new();
+    for i in 0..n.max(1) {
+        let (queue, board) = (Arc::clone(&admission), Arc::clone(&board));
+        let (runner, rec) = (Arc::clone(&runner), rec.clone());
+        let spawned = std::thread::Builder::new()
+            .name(format!("cn-portal-worker-{i}"))
+            .spawn(move || worker_loop(&queue, &board, &*runner, &rec, board_ttl));
+        match spawned {
+            Ok(worker) => workers.push(worker),
+            Err(e) => {
+                admission.close();
+                for worker in workers {
+                    let _ = worker.join();
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(workers)
 }
 
 fn worker_loop(
@@ -786,7 +795,8 @@ mod tests {
             runner,
             rec.clone(),
             Duration::from_secs(300),
-        );
+        )
+        .unwrap();
 
         let good = board.create();
         admission.submit(1, JobWork { id: good, body: figure2_cnx().into_bytes() }).unwrap();

@@ -143,7 +143,8 @@ impl PortalServer {
             runner,
             rec.clone(),
             cfg.board_ttl,
-        );
+        )
+        .inspect_err(|_| reactor.shutdown())?;
         let inner = Arc::new(Inner {
             reactor,
             board,
@@ -162,6 +163,11 @@ impl PortalServer {
     /// The bound TCP port.
     pub fn port(&self) -> u16 {
         self.inner.port
+    }
+
+    /// Reactor shards serving HTTP.
+    pub fn reactor_shards(&self) -> usize {
+        self.inner.reactor.shards()
     }
 
     pub fn board(&self) -> &Arc<JobBoard> {

@@ -3,10 +3,7 @@
 //! ```text
 //! cnctl validate  <file.cnx>                      all diagnostics + DAG analytics
 //! cnctl lint      <file.cnx|file.xmi> [--format text|json] [--deny warnings]
-//!                 [--nodes N --node-memory MB [--node-slots S]]
-//!                 [--server-memory MB1,MB2,...] [--payload-warn-fraction F]
-//!                 [--peer-capacity N [--reactor-shards S] [--fd-soft-limit N] [--cores N]]
-//!                 [--portal-max-inflight N [--portal-body-limit BYTES] [--host-memory MB]]
+//!                 [--nodes N --node-memory MB [--node-slots S]] [--payload-warn-fraction F]
 //! cnctl lint      --explain CN0xx                  document one diagnostic code
 //! cnctl check     [--scenario NAME] [--seeds S1,S2,...] [--schedules N]
 //!                 [--max-steps N] [--format text|json] [--trace-dir DIR]
@@ -36,6 +33,9 @@
 //! `validate` use their exit code to report what they found: 0 = clean,
 //! 1 = errors, 2 = warnings only (`lint` only; `validate` ignores warnings
 //! for exit purposes). A `--flag` the subcommand does not take is an error.
+//! `serve` and `portal` judge their own shape against the host as they
+//! start (CN057 / CN058) and print any warning on stderr; the readiness
+//! line stays their first line on stdout.
 
 use std::fmt::Write as _;
 
@@ -157,15 +157,7 @@ const FLAGS: &[(&str, &[&str])] = &[
             "--nodes",
             "--node-memory",
             "--node-slots",
-            "--server-memory",
             "--payload-warn-fraction",
-            "--peer-capacity",
-            "--reactor-shards",
-            "--fd-soft-limit",
-            "--cores",
-            "--portal-max-inflight",
-            "--portal-body-limit",
-            "--host-memory",
         ],
     ),
     (
@@ -322,15 +314,9 @@ fn validate_cnx(text: &str) -> Result<(String, i32), String> {
 /// model and render the report. Exit code: 0 clean, 1 errors, 2 warnings
 /// only. `--deny warnings` promotes warnings to errors; `--nodes` /
 /// `--node-memory` / `--node-slots` describe the target cluster so the
-/// capacity passes (CN011/CN015/CN016) can judge resource requirements,
-/// and `--server-memory 512,1024` lists the per-server `cnctl serve
-/// --memory` values a wire deployment was launched with (CN019).
+/// capacity passes (CN011/CN015/CN016) can judge resource requirements.
 /// `--payload-warn-fraction 0.25` tunes how close to the wire frame limit
 /// a task's estimated parameter payload may get before CN009 warns.
-/// `--peer-capacity N [--reactor-shards S]` describes the wire
-/// deployment's shape so CN057 can judge it against the host's fd soft
-/// limit and core count (`--fd-soft-limit` / `--cores` override the live
-/// probes to lint against a different target machine).
 fn lint_input(text: &str, args: &[&str]) -> Result<(String, i32), String> {
     let format = flag_value(args, "--format").unwrap_or("text");
     if !matches!(format, "text" | "json") {
@@ -344,13 +330,7 @@ fn lint_input(text: &str, args: &[&str]) -> Result<(String, i32), String> {
     if payload_warn_fraction.is_some_and(|f| !(0.0..=1.0).contains(&f)) {
         return Err("--payload-warn-fraction must lie in 0..=1".to_string());
     }
-    let opts = analysis::LintOptions {
-        capacity: capacity_from_args(args)?,
-        server_memory_mb: server_memory_from_args(args)?,
-        payload_warn_fraction,
-        deployment: deployment_from_args(args)?,
-        portal: portal_shape_from_args(args)?,
-    };
+    let opts = analysis::LintOptions { capacity: capacity_from_args(args)?, payload_warn_fraction };
     let mut report = if looks_like_xmi(text) {
         analysis::lint_xmi_source(text, &opts)
     } else {
@@ -401,73 +381,6 @@ fn capacity_from_args(args: &[&str]) -> Result<Option<ClusterCapacity>, String> 
         }
         _ => Err("--nodes and --node-memory must be given together".to_string()),
     }
-}
-
-/// Parse `--server-memory 512,1024,8192` into per-server MB values for the
-/// CN019 wire-deployment check.
-fn server_memory_from_args(args: &[&str]) -> Result<Option<Vec<u64>>, String> {
-    let Some(raw) = flag_value(args, "--server-memory") else { return Ok(None) };
-    let servers = raw
-        .split(',')
-        .map(|s| s.trim().parse::<u64>().map_err(|_| format!("bad server memory {s:?}")))
-        .collect::<Result<Vec<u64>, String>>()?;
-    if servers.is_empty() {
-        return Err("--server-memory needs at least one value".to_string());
-    }
-    Ok(Some(servers))
-}
-
-/// Parse the wire-deployment shape flags for the CN057 host-capacity
-/// check. `--peer-capacity` is the gate (no expected peer count, no
-/// opinion); `--fd-soft-limit` and `--cores` replace the live host probes
-/// so a plan can be judged against the machine it will actually run on.
-fn deployment_from_args(args: &[&str]) -> Result<Option<analysis::DeploymentShape>, String> {
-    let Some(raw) = flag_value(args, "--peer-capacity") else {
-        // `--fd-soft-limit`/`--cores` are shared with the CN058 portal
-        // shape, so they only need *some* gate flag to hang off.
-        if flag_value(args, "--portal-max-inflight").is_none() {
-            for flag in ["--fd-soft-limit", "--cores"] {
-                if flag_value(args, flag).is_some() {
-                    return Err(format!("{flag} requires --peer-capacity"));
-                }
-            }
-        }
-        return Ok(None);
-    };
-    Ok(Some(analysis::DeploymentShape {
-        peer_capacity: raw.parse().map_err(|_| format!("bad peer capacity {raw:?}"))?,
-        reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
-        fd_soft_limit: optional_flag(args, "--fd-soft-limit")?,
-        available_cores: optional_flag(args, "--cores")?,
-    }))
-}
-
-/// Parse the portal-deployment shape flags for the CN058 capacity check.
-/// `--portal-max-inflight` is the gate; `--portal-body-limit` defaults to
-/// the portal's built-in body cap, and `--fd-soft-limit` / `--cores` /
-/// `--host-memory` replace the live host probes so a plan can be judged
-/// against the machine it will actually run on.
-fn portal_shape_from_args(args: &[&str]) -> Result<Option<analysis::PortalShape>, String> {
-    let Some(raw) = flag_value(args, "--portal-max-inflight") else {
-        for flag in ["--portal-body-limit", "--host-memory"] {
-            if flag_value(args, flag).is_some() {
-                return Err(format!("{flag} requires --portal-max-inflight"));
-            }
-        }
-        return Ok(None);
-    };
-    Ok(Some(analysis::PortalShape {
-        max_inflight: raw.parse().map_err(|_| format!("bad portal max-inflight {raw:?}"))?,
-        reactor_shards: parsed_flag(args, "--reactor-shards", 0)?,
-        max_body_bytes: parsed_flag(
-            args,
-            "--portal-body-limit",
-            computational_neighborhood::portal::http::DEFAULT_MAX_BODY_BYTES as u64,
-        )?,
-        fd_soft_limit: optional_flag(args, "--fd-soft-limit")?,
-        available_cores: optional_flag(args, "--cores")?,
-        host_memory_mb: optional_flag(args, "--host-memory")?,
-    }))
 }
 
 /// `lint --explain CN0xx`: print the documentation for one diagnostic
@@ -879,16 +792,17 @@ fn parsed_flag<T: std::str::FromStr>(args: &[&str], flag: &str, default: T) -> R
 }
 
 /// `serve`: host one CNServer (JobManager + TaskManager) on a real TCP
-/// port — one OS process of a multi-process neighborhood. Prints a
-/// readiness line (`serving <name> on 127.0.0.1:<port>`) once the fabric
-/// is listening, then runs until killed (or for `--run-for` seconds).
+/// port — one OS process of a multi-process neighborhood. Judges its own
+/// shape against the host (CN057, on stderr), prints a readiness line
+/// (`serving <name> on 127.0.0.1:<port>`) once the fabric is listening,
+/// then runs until killed (or for `--run-for` seconds).
 fn serve_cmd(args: &[&str]) -> Result<String, String> {
     use computational_neighborhood::cluster::{NodeHandle, NodeSpec};
     use computational_neighborhood::core::spaces::SpaceRegistry;
     use computational_neighborhood::core::{ArchiveRegistry, CnServer, ServerConfig};
     use computational_neighborhood::observe::{chrome_trace, Recorder};
     use computational_neighborhood::tasks;
-    use computational_neighborhood::wire::{SocketFabric, WireConfig};
+    use computational_neighborhood::wire::{Discovery, SocketFabric, WireConfig};
     use std::sync::Arc;
 
     let port: u16 = parsed_flag(args, "--port", 0)?;
@@ -904,6 +818,10 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     };
     let run_for: Option<u64> = optional_flag(args, "--run-for")?;
     let cfg = WireConfig { port, ..wire_config_from_args(args)? };
+    let peers = match &cfg.discovery {
+        Discovery::Loopback { peers } => peers.len() as u64,
+        Discovery::Multicast { .. } => 0,
+    };
 
     // Spans are kept only for `--trace` to write at exit: a capturing
     // recorder nobody reads grows with every job the process serves.
@@ -914,6 +832,9 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     let port = fabric.port();
     let name =
         flag_value(args, "--name").map(str::to_string).unwrap_or_else(|| format!("cn-{port}"));
+    let reactor_shards = fabric.reactor_shards() as u64;
+    let shape = analysis::ServeShape { peer_connections: 2 * peers, reactor_shards };
+    warn(&analysis::judge_serve(&shape, &analysis::HostFacts::probe()));
 
     let registry = Arc::new(ArchiveRegistry::new());
     tasks::publish_all_archives(&registry);
@@ -945,6 +866,14 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
         write_atomic(path, &chrome_trace(&rec))?;
     }
     Ok(format!("{name} served for {}s\n", run_for.unwrap_or(0)))
+}
+
+/// What a start-up judge found, on stderr: stdout's first line is the
+/// readiness line that scripts wait for.
+fn warn(report: &analysis::LintReport) {
+    for d in report.diagnostics() {
+        eprintln!("cnctl: {d}");
+    }
 }
 
 /// `submit`: drive a CNX descriptor over the wire against `cnctl serve`
@@ -1032,8 +961,9 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
 /// (`--peers`/`--multicast`) or an in-process simulated neighborhood
 /// (`--sim NODES`). `GET /jobs/<id>/journal` streams the run's canonical
 /// journal with chunked transfer encoding — byte-comparable with `cnctl
-/// submit --journal` for the same descriptor. Prints a readiness line
-/// (`portal <name> on 127.0.0.1:<port>`) once listening.
+/// submit --journal` for the same descriptor. Judges its own shape against
+/// the host (CN058, on stderr), then prints a readiness line (`portal
+/// <name> on 127.0.0.1:<port>`) once listening.
 fn portal_cmd(args: &[&str]) -> Result<String, String> {
     use computational_neighborhood::observe::Recorder;
     use computational_neighborhood::portal::{
@@ -1078,10 +1008,14 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
         }
     };
 
+    let (max_inflight, max_body_bytes) = (cfg.max_inflight as u64, cfg.max_body_bytes as u64);
     let rec = Recorder::new();
     let mut server = PortalServer::start(cfg, runner, rec)
         .map_err(|e| format!("bind http port {http_port}: {e}"))?;
     let port = server.port();
+    let reactor_shards = server.reactor_shards() as u64;
+    let shape = analysis::PortalShape { max_inflight, reactor_shards, max_body_bytes };
+    warn(&analysis::judge_portal(&shape, &analysis::HostFacts::probe()));
     let name =
         flag_value(args, "--name").map(str::to_string).unwrap_or_else(|| format!("portal-{port}"));
 

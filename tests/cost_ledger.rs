@@ -113,3 +113,29 @@ fn a_second_job_spawns_no_task_thread() {
     assert_eq!(rec.counter("server.task_threads_spawned").get(), spawned);
     assert_eq!(rec.counter("server.task_threads_reused").get(), reused + 7);
 }
+
+/// A job no node is big enough for costs one TaskManager solicitation:
+/// every TaskManager, the JobManager's own included, declines Figure 2's
+/// 1000 MB tasks on 512 MB nodes, and the refusal names CN019 and the task.
+#[test]
+fn a_job_no_node_can_host_is_refused_after_one_solicitation() {
+    let rec = Recorder::new();
+    let nb = Neighborhood::deploy_with(
+        NodeSpec::fleet(3, 512, 16),
+        NeighborhoodConfig { recorder: rec.clone(), ..NeighborhoodConfig::default() },
+    );
+    tasks::publish_all_archives(nb.registry());
+    let outcome = execute_descriptor_seeded(
+        &nb,
+        &figure2_descriptor(5),
+        &DynamicArgs::new(),
+        Duration::from_secs(60),
+        |job| seed_transitive_closure(job, 3),
+    );
+    nb.shutdown();
+    let Err(err) = outcome else { panic!("a 1000 MB task was placed on a 512 MB node") };
+    let err = err.to_string();
+    assert!(err.contains("CN019") && err.contains("\"tctask0\""), "{err}");
+    assert!(err.contains("needs 1000 MB") && err.contains("512 MB"), "{err}");
+    assert_eq!(rec.counter("server.task_solicitations").get(), 1);
+}

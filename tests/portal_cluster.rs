@@ -360,3 +360,30 @@ fn portal_prints_readiness_line_and_serves_metrics() {
     assert!(text.contains("portal.http.requests "), "{text}");
     assert!(text.contains("portal.conns.open 1"), "{text}");
 }
+
+/// `cnctl portal` judges its own shape as it starts (CN058): its default 64
+/// in-flight submissions, each pinning an fd, are more than a soft limit of
+/// 48 fds lets the process hold. The warning goes to stderr and the
+/// readiness line stays stdout's first; on the inherited limit the same
+/// portal prints no code at all.
+#[test]
+fn portal_warns_of_its_fd_limit_at_start_up() {
+    let _fds = FDS.read().unwrap_or_else(|e| e.into_inner());
+    let portal = |limit: &str| {
+        let args = ["--sim", "1", "--reactor-shards", "1", "--run-for", "0", "--name", "p0"];
+        let output = Command::new("sh")
+            .args(["-c", &format!("{limit}exec \"$0\" \"$@\""), CNCTL, "portal"])
+            .args(args)
+            .output()
+            .expect("run sh");
+        assert!(output.status.success(), "{output:?}");
+        let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+        (text(output.stdout), text(output.stderr))
+    };
+    let (stdout, stderr) = portal("ulimit -n 48 && ");
+    assert!(stdout.starts_with("portal p0 on 127.0.0.1:"), "{stdout}");
+    assert!(stderr.contains("warning[CN058]") && stderr.contains("soft limit of 48"), "{stderr}");
+    let (stdout, stderr) = portal("");
+    assert!(stdout.starts_with("portal p0 on 127.0.0.1:"), "{stdout}");
+    assert!(!stderr.contains("CN0"), "{stderr}");
+}

@@ -43,15 +43,17 @@ impl Drop for Serves {
 /// Launch one `cnctl serve` per port, peered with the others, and wait for
 /// every TCP listener to accept.
 fn launch_serves(ports: &[u16]) -> Serves {
-    launch_serves_with(ports, &[])
+    launch_serves_with(ports, &[], &[])
 }
 
-fn launch_serves_with(ports: &[u16], extra: &[&str]) -> Serves {
+/// [`launch_serves`], each serve also peered with the processes listening
+/// on `also`, and given `extra` flags.
+fn launch_serves_with(ports: &[u16], also: &[u16], extra: &[&str]) -> Serves {
     let children = ports
         .iter()
         .map(|port| {
-            let peers: Vec<String> =
-                ports.iter().filter(|p| *p != port).map(|p| p.to_string()).collect();
+            let peers = ports.iter().filter(|p| *p != port).chain(also);
+            let peers: Vec<String> = peers.map(|p| p.to_string()).collect();
             let mut args = vec![
                 "serve".to_string(),
                 "--port".to_string(),
@@ -159,7 +161,7 @@ fn batched_and_unbatched_wire_runs_export_identical_journals() {
     let run = |no_batch: bool, tag: &str| -> String {
         let ports = free_ports(3);
         let extra: &[&str] = if no_batch { &["--no-batch"] } else { &[] };
-        let _serves = launch_serves_with(&ports, extra);
+        let _serves = launch_serves_with(&ports, &[], extra);
 
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/test-artifacts");
         std::fs::create_dir_all(&dir).unwrap();
@@ -353,4 +355,91 @@ fn serve_memory_does_not_grow_with_the_jobs_it_serves() {
             "serve on {port} grew {before} → {after} KB over jobs {WARM}..{JOBS}"
         );
     }
+}
+
+/// A Figure-2 job on three `cnctl serve --memory 512` processes: every
+/// TaskManager declines its 1000 MB tasks, so the JobManager refuses the
+/// first of them after one solicitation, naming CN019 and the task. A
+/// fourth process of the test's own, peered with every serve, counts the
+/// solicitations and declines them too, as a fourth 512 MB server would.
+#[test]
+fn a_job_no_serve_can_host_is_refused_after_one_solicitation() {
+    use computational_neighborhood::cluster::DISCOVERY_GROUP;
+    use computational_neighborhood::wire::Fabric;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let ports = free_ports(4);
+    let (serve_ports, observer_port) = (&ports[..3], ports[3]);
+    let cfg = WireConfig {
+        port: observer_port,
+        discovery: Discovery::Loopback { peers: serve_ports.to_vec() },
+        ..WireConfig::default()
+    };
+    let observer: SocketFabric<NetMsg> =
+        SocketFabric::new(cfg, Recorder::disabled()).expect("observer fabric");
+    let (me, rx) = observer.register();
+    observer.join_group(me, DISCOVERY_GROUP);
+    let done = Arc::new(AtomicBool::new(false));
+    let counting = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut solicitations = 0;
+            while !done.load(Ordering::SeqCst) {
+                let Ok(env) = rx.recv_timeout(Duration::from_millis(20)) else { continue };
+                if let NetMsg::SolicitTaskManager { job, task, reply_to, .. } = env.msg {
+                    solicitations += 1;
+                    let decline = NetMsg::Decline { job, task, capacity_mb: 512 };
+                    let _ = observer.send(me, reply_to, decline);
+                }
+            }
+            solicitations
+        })
+    };
+    let _serves = launch_serves_with(serve_ports, &[observer_port], &["--memory", "512"]);
+
+    let peers: Vec<String> = serve_ports.iter().map(|p| p.to_string()).collect();
+    let output = Command::new(CNCTL)
+        .args(["submit", "examples", "--workers", "5", "--peers", &peers.join(",")])
+        .args(["--timeout", "30"])
+        .output()
+        .expect("run cnctl submit");
+    done.store(true, Ordering::SeqCst);
+    let solicitations = counting.join().expect("observer");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("CN019") && stderr.contains("\"tctask0\""), "{stderr}");
+    assert!(stderr.contains("largest node has 512 MB"), "{stderr}");
+    assert_eq!(solicitations, 1, "{stderr}");
+}
+
+/// Run `cnctl serve` with `args` under a soft fd limit lowered to `fds` in
+/// that child only (`None` leaves the inherited one); its stdout, stderr.
+fn serve_under_fd_limit(fds: Option<u32>, args: &[&str]) -> (String, String) {
+    let limit = fds.map_or(String::new(), |n| format!("ulimit -n {n} && "));
+    let output = Command::new("sh")
+        .args(["-c", &format!("{limit}exec \"$0\" \"$@\""), CNCTL, "serve"])
+        .args(args)
+        .output()
+        .expect("run sh");
+    assert!(output.status.success(), "{output:?}");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+    (text(output.stdout), text(output.stderr))
+}
+
+/// `cnctl serve` judges its own shape as it starts (CN057): ten peers want
+/// 20 connections, which with one shard's overhead is more than a soft
+/// limit of 24 fds lets the process hold. The warning goes to stderr and
+/// the readiness line stays stdout's first; on the inherited limit the same
+/// serve prints no code at all.
+#[test]
+fn serve_warns_of_its_fd_limit_at_start_up() {
+    let peers: Vec<String> = (1..=10).map(|p| p.to_string()).collect();
+    let peers = peers.join(",");
+    let args = ["--peers", &peers, "--reactor-shards", "1", "--run-for", "0", "--name", "w0"];
+    let (stdout, stderr) = serve_under_fd_limit(Some(24), &args);
+    assert!(stdout.starts_with("serving w0 on 127.0.0.1:"), "{stdout}");
+    assert!(stderr.contains("warning[CN057]") && stderr.contains("soft limit of 24"), "{stderr}");
+    let (stdout, stderr) = serve_under_fd_limit(None, &args);
+    assert!(stdout.starts_with("serving w0 on 127.0.0.1:"), "{stdout}");
+    assert!(!stderr.contains("CN0"), "{stderr}");
 }
