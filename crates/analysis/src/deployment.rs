@@ -56,6 +56,9 @@ pub struct PortalShape {
     pub reactor_shards: u64,
     /// Its `--body-limit` request body cap, in bytes.
     pub max_body_bytes: u64,
+    /// Whether it runs jobs on `cnctl serve` workers over a client fabric of
+    /// its own; a `--sim` portal runs them in process and holds none.
+    pub client_fabric: bool,
 }
 
 /// Non-peer fds a serving process holds: stdio, the TCP listener, the UDP
@@ -65,12 +68,13 @@ fn serve_overhead_fds(shards: u64) -> u64 {
 }
 
 /// Non-submission fds a portal process holds: stdio, the HTTP listener,
-/// per shard an epoll fd plus its wakeup eventfd, and the one client fabric
-/// every job runs on — its TCP listener, UDP recv/send pair, a reactor of
-/// as many shards, and a connection each way to each of at least three
-/// workers.
-fn portal_overhead_fds(shards: u64) -> u64 {
-    let client_fabric = 1 + 2 + 2 * shards + 2 * 3;
+/// per shard an epoll fd plus its wakeup eventfd, and, if it has one, the
+/// client fabric every job runs on — its TCP listener, UDP recv/send pair, a
+/// reactor of as many shards, and a connection each way to each of at least
+/// three workers.
+fn portal_overhead_fds(shape: &PortalShape) -> u64 {
+    let shards = shape.reactor_shards;
+    let client_fabric = if shape.client_fabric { 1 + 2 + 2 * shards + 2 * 3 } else { 0 };
     3 + 1 + 2 * shards + client_fabric
 }
 
@@ -124,8 +128,9 @@ pub fn judge_serve(shape: &ServeShape, host: &HostFacts) -> LintReport {
 ///
 /// Every in-flight submission the portal admits holds an HTTP connection
 /// fd on top of what the process holds once (its listener and reactor, and
-/// the client fabric all jobs share), so `--max-inflight` near the fd soft
-/// limit makes accepts fail exactly when the portal is busiest. Shards
+/// the client fabric all jobs share, if it runs them on the wire), so
+/// `--max-inflight` near the fd soft limit makes accepts fail exactly when
+/// the portal is busiest. Shards
 /// beyond the core count add wakeups without parallelism (as for CN057),
 /// and `max_inflight × body-limit` bounds the memory queued request bodies
 /// can pin — worth checking against the host's memory before a flood finds
@@ -133,7 +138,7 @@ pub fn judge_serve(shape: &ServeShape, host: &HostFacts) -> LintReport {
 pub fn judge_portal(shape: &PortalShape, host: &HostFacts) -> LintReport {
     let mut out: Vec<Diagnostic> = Vec::new();
     if let Some(limit) = host.fd_soft_limit {
-        let overhead = portal_overhead_fds(shape.reactor_shards);
+        let overhead = portal_overhead_fds(shape);
         let need = shape.max_inflight * FDS_PER_INFLIGHT_JOB + overhead;
         if need > limit {
             out.push(Diagnostic::new(
@@ -203,19 +208,37 @@ mod tests {
         assert!(judge(1_000_000, 2, unknown).is_empty());
     }
 
+    fn wire_portal(max_inflight: u64, reactor_shards: u64) -> PortalShape {
+        PortalShape { max_inflight, reactor_shards, max_body_bytes: 1 << 20, client_fabric: true }
+    }
+
     #[test]
     fn portal_capacity_judges_fds_cores_and_memory() {
-        let shape = PortalShape { max_inflight: 16, reactor_shards: 2, max_body_bytes: 1 << 20 };
+        let shape = wire_portal(16, 2);
         let roomy = HostFacts { memory_mb: Some(256), ..host(1024, 2) };
         assert!(judge_portal(&shape, &roomy).is_empty());
         // 16 MiB of bodies against 15 MB of memory, and one fd short.
-        let overhead = portal_overhead_fds(2);
+        let overhead = portal_overhead_fds(&shape);
         let tight =
             HostFacts { fd_soft_limit: Some(16 + overhead - 1), memory_mb: Some(15), cores: 2 };
         let report = judge_portal(&shape, &tight);
         assert_eq!(codes_of(&report), [codes::PORTAL_CAPACITY; 2], "{}", report.to_text());
         // Unknown memory is no opinion on that axis.
         assert!(judge_portal(&shape, &HostFacts { memory_mb: None, ..roomy }).is_empty());
+    }
+
+    /// A `--sim` portal holds no client fabric, so it fits under a limit at
+    /// which the same shape on the wire warns: a default portal, 64 in
+    /// flight on one shard, against `ulimit -n 80`.
+    #[test]
+    fn a_sim_portal_is_not_charged_for_a_client_fabric() {
+        let (wire, limit) = (wire_portal(64, 1), host(80, 2));
+        let sim = PortalShape { client_fabric: false, ..wire.clone() };
+        assert_eq!(codes_of(&judge_portal(&wire, &limit)), [codes::PORTAL_CAPACITY]);
+        assert!(judge_portal(&sim, &limit).is_empty(), "{}", judge_portal(&sim, &limit).to_text());
+        // 64 connections and stdio, the listener and one shard's two fds.
+        assert_eq!(portal_overhead_fds(&sim), 6);
+        assert!(!judge_portal(&sim, &host(69, 2)).is_empty());
     }
 
     #[test]

@@ -24,13 +24,11 @@ pub fn bench_client_config() -> cn_core::ClientConfig {
 /// A neighborhood for the E7 contention experiment: one node per entry of
 /// `speeds` (`speed_pct` values; 100 = nominal, 25 = a 4x straggler),
 /// every TaskManager capped at `exec_slots` concurrent task threads so
-/// run queues actually form, with the given placement `policy` and work
-/// stealing on or off.
+/// run queues actually form, with the given placement `policy`.
 pub fn contention_neighborhood(
     speeds: &[u32],
     exec_slots: usize,
     policy: cn_core::Policy,
-    steal: bool,
     recorder: cn_observe::Recorder,
 ) -> Neighborhood {
     let config = NeighborhoodConfig {
@@ -38,7 +36,6 @@ pub fn contention_neighborhood(
             bid_window: Duration::from_micros(500),
             policy,
             exec_slots: Some(exec_slots),
-            steal,
         },
         recorder,
         ..Default::default()

@@ -40,16 +40,6 @@ impl<M> Endpoints<M> {
         (addr, rx)
     }
 
-    /// From now on, deliver what is addressed to `old` into `onto`'s channel,
-    /// `to` unchanged, until `old` is unregistered. `false`, and nothing
-    /// changes, unless both are registered. A migrated task's old address is
-    /// one: the server it left reads what still comes there and sends it on.
-    pub fn alias(&self, old: Addr, onto: Addr) -> bool {
-        let mut endpoints = self.endpoints.lock();
-        let Some(tx) = endpoints.get(&onto).cloned() else { return false };
-        endpoints.get_mut(&old).map(|slot| *slot = tx).is_some()
-    }
-
     /// Forget an endpoint and take it out of every group it joined.
     pub fn unregister(&self, addr: Addr) {
         self.endpoints.lock().remove(&addr);
@@ -155,25 +145,6 @@ mod tests {
         let env = || Envelope { from: Addr(9), to: a, msg: 1 };
         assert_eq!(table.deliver(env()), Err(SendError::Closed(a)));
         assert_eq!(table.deliver(env()), Err(SendError::UnknownAddr(a)));
-    }
-
-    #[test]
-    fn an_alias_delivers_into_its_target_until_unregistered() {
-        let table: Endpoints<u8> = Endpoints::new(0);
-        let (old, rx_old) = table.register();
-        let (onto, rx_onto) = table.register();
-        assert!(!table.alias(old, Addr(99)), "unknown target");
-        assert!(!table.alias(Addr(99), onto), "unknown old address");
-        assert!(table.alias(old, onto));
-        table.deliver(Envelope { from: Addr(7), to: old, msg: 1 }).unwrap();
-        assert_eq!(rx_onto.try_recv().unwrap(), Envelope { from: Addr(7), to: old, msg: 1 });
-        assert!(rx_old.try_recv().is_err());
-        table.unregister(old);
-        assert_eq!(
-            table.deliver(Envelope { from: Addr(7), to: old, msg: 2 }),
-            Err(SendError::UnknownAddr(old))
-        );
-        assert!(rx_onto.try_recv().is_err());
     }
 
     #[test]

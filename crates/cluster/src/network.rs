@@ -235,12 +235,6 @@ impl<M: Send + Clone + 'static> Network<M> {
         self.shared.table.unregister(addr)
     }
 
-    /// Deliver what is addressed to `old` into `onto`'s channel
-    /// ([`Endpoints::alias`]).
-    pub fn alias(&self, old: Addr, onto: Addr) -> bool {
-        self.shared.table.alias(old, onto)
-    }
-
     /// Join a multicast group.
     pub fn join_group(&self, addr: Addr, group: GroupId) {
         self.shared.table.join(addr, group)

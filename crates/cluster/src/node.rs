@@ -18,7 +18,7 @@ pub struct NodeSpec {
     /// Relative CPU speed in percent of nominal (100 = a normal node).
     /// Simulated workloads scale their compute cost by [`NodeHandle::
     /// work_scale`], so a `speed_pct: 25` node takes 4x as long per task —
-    /// the straggler the load-aware scheduler and work stealing exist for.
+    /// the straggler the load-aware scheduler exists for.
     /// Stored as an integer permille-style percentage so `NodeSpec` stays
     /// `Eq`/hashable.
     pub speed_pct: u32,

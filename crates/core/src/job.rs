@@ -1,9 +1,9 @@
 //! A job as its JobManager keeps it: a task starts once every task it
 //! depends on has completed (the paper's §3, Figure 3), with the transport
 //! outside it. Like `placement::Round`, a [`Job`] is a value: the server's
-//! loop turns `StartJob`, `CancelJob`, `TaskCompleted`, `TaskFailed`, a
-//! settled `TaskAck` and `TaskMigrated` into an [`Event`], carries out the
-//! [`Action`]s it gets back and forgets the job at its `End`.
+//! loop turns `StartJob`, `CancelJob`, `TaskCompleted`, `TaskFailed` and a
+//! settled `TaskAck` into an [`Event`], carries out the [`Action`]s it gets
+//! back and forgets the job at its `End`.
 //!
 //! An ending job cancels every placed task that neither completed nor
 //! failed before its `End`, and says nothing after it. `Start` ends a job
@@ -17,10 +17,9 @@ use cn_cluster::Addr;
 
 use crate::message::{JobId, NetMsg, UserData, CLIENT_TASK_NAME};
 
-/// What the server's loop hands a job. `Placed` repoints a task the job
-/// holds; one with no `depends` (`TaskMigrated`) places nothing new.
+/// What the server's loop hands a job.
 pub(crate) enum Event {
-    Placed { task: String, depends: Option<Vec<String>>, tm: Addr, task_addr: Addr },
+    Placed { task: String, depends: Vec<String>, tm: Addr, task_addr: Addr },
     Start,
     Completed { task: String, result: UserData },
     Failed { task: String, error: String },
@@ -80,12 +79,8 @@ impl Job {
         match event {
             _ if self.ended => {}
             Event::Placed { task, depends, tm, task_addr } => {
-                if let Some(t) = self.tasks.iter_mut().find(|t| t.name == task) {
-                    (t.tm, t.task_addr) = (tm, task_addr);
-                } else if let Some(depends) = depends {
-                    let (started, result) = (false, None);
-                    self.tasks.push(Task { name: task, depends, tm, task_addr, started, result });
-                }
+                let (started, result) = (false, None);
+                self.tasks.push(Task { name: task, depends, tm, task_addr, started, result });
                 if self.started {
                     self.start(&mut actions);
                 }
@@ -187,7 +182,7 @@ mod tests {
     const CLIENT: Addr = Addr(1);
 
     fn placed(task: &str, depends: &[&str], tm: u64) -> Event {
-        let depends = Some(depends.iter().map(|d| d.to_string()).collect());
+        let depends = depends.iter().map(|d| d.to_string()).collect();
         Event::Placed { task: task.into(), depends, tm: Addr(tm), task_addr: Addr(tm * 100) }
     }
 
@@ -279,7 +274,7 @@ mod tests {
     struct Rig {
         job: Job,
         depends: HashMap<String, Vec<String>>,
-        /// Each placed task's latest `(tm, endpoint)`, in first-placement order.
+        /// Each placed task's `(tm, endpoint)`, in placement order.
         placed: Vec<(String, Addr, Addr)>,
         started: HashSet<String>,
         running: Vec<String>,
@@ -327,17 +322,15 @@ mod tests {
             Ok(())
         }
 
-        /// Place `task` at a TaskManager of `dice`'s choosing; `again` moves it.
-        fn place(&mut self, dice: &mut Dice, task: &str, again: bool) -> Result<(), TestCaseError> {
+        /// Place `task` at a TaskManager of `dice`'s choosing.
+        fn place(&mut self, dice: &mut Dice, task: &str) -> Result<(), TestCaseError> {
             let (tm, task_addr) = (Addr(10 + dice.roll(4) as u64), Addr(self.next_addr));
             self.next_addr += 1;
             // What was placed when the job ended is what it had to release.
-            match self.placed.iter_mut().find(|(t, ..)| t == task) {
-                _ if self.end.is_some() => {}
-                Some(p) => (p.1, p.2) = (tm, task_addr),
-                None => self.placed.push((task.to_string(), tm, task_addr)),
+            if self.end.is_none() {
+                self.placed.push((task.to_string(), tm, task_addr));
             }
-            let depends = (!again).then(|| self.depends[task].clone());
+            let depends = self.depends[task].clone();
             self.on(Event::Placed { task: task.to_string(), depends, tm, task_addr })
         }
 
@@ -374,7 +367,7 @@ mod tests {
 
     /// One case: a DAG of `n` tasks, each depending on a random set of the
     /// tasks before it, perhaps with a dependency on a missing task or a
-    /// cycle added (`flaw`), placed in random order and some moved, then
+    /// cycle added (`flaw`), placed in random order, then
     /// `Start`, completions, at most one failure and at most one `Cancel`
     /// interleaved with stray events, and the job driven to its end.
     fn a_job(n: usize, flaw: usize, seed: u64) -> Result<(), TestCaseError> {
@@ -413,10 +406,7 @@ mod tests {
             order.swap(k, dice.roll(k + 1));
         }
         for task in &order {
-            rig.place(&mut dice, task, false)?;
-            if dice.roll(4) == 0 {
-                rig.place(&mut dice, task, true)?;
-            }
+            rig.place(&mut dice, task)?;
         }
         let (mut start, mut fail, mut cancel) = (true, dice.roll(3) == 0, dice.roll(4) == 0);
         for _ in 0..4 * n {
@@ -441,10 +431,6 @@ mod tests {
                 4 if cancel => {
                     cancel = false;
                     rig.on(Event::Cancel)?;
-                }
-                4 => {
-                    let task = names[dice.roll(n)].clone();
-                    rig.place(&mut dice, &task, true)?;
                 }
                 _ => rig.stray(&mut dice)?,
             }

@@ -222,47 +222,16 @@ macro_rules! netmsg_table {
             // -- Control ----------------------------------------------------------
             Shutdown = 23,
 
-            // -- Load-aware scheduling + work stealing (DESIGN.md §14) ----------
-            /// TM → discovery group (or unicast as a steal decline): event-driven
-            /// load heartbeat, sent only where `ServerConfig::steal` is set. Sent
-            /// when the TaskManager's load signal changes, at most once per 5 ms
-            /// heartbeat — a quiescent cluster sends none, so deterministic
-            /// single-job runs stay byte-identical.
+            // -- Load-aware scheduling (DESIGN.md §14) --------------------------
+            /// TM → discovery group: a TaskManager's load signal. No server
+            /// sends it; its row keeps the tag, and the codec benchmark's
+            /// frame, in place.
             LoadReport = 24 { server: String, addr: Addr, signal: LoadSignal },
-            /// Idle TM → a loaded peer: ask for one queued task. The thief
-            /// registers the task's new endpoint when a grant arrives.
-            StealRequest = 25 { thief: String, reply_to: Addr },
-            /// Victim TM → thief: at-most-once handoff of one queued, never-started
-            /// task. The victim has already dequeued it and released its
-            /// reservation; exactly one of {thief commits via `TaskMigrated`,
-            /// thief bounces via `StealReturn`} follows.
-            StealGrant = 26 {
-                job: JobId,
-                spec: TaskSpec,
-                /// The JobManager the task reports lifecycle events to.
-                jm: Addr,
-                client: Addr,
-                directory: HashMap<String, Addr>,
-                victim: String,
-                /// The task's original endpoint on the victim; peers with stale
-                /// directories keep sending here, and the victim's loop sends it
-                /// on. The thief's `Shutdown` here, once the task has exited,
-                /// ends that.
-                old_endpoint: Addr,
-            },
-            /// Thief → victim: could not host the granted task after all (archive
-            /// missing or reservation failed); the victim re-queues it, or drops
-            /// it if its job ended meanwhile.
-            StealReturn = 27 { job: JobId, task: String },
-            /// Thief → JobManager *and* thief → victim after a successful steal:
-            /// the task now lives on `server` at `task_addr`. The JM updates its
-            /// placement table (cancel paths, later directories); the victim
-            /// makes the old endpoint an alias of its own address, sends what
-            /// already sat in the task's queue on to `task_addr`, and from then
-            /// on sends on whatever reaches the old address. If the task's job
-            /// ended while the grant was in flight, the victim also answers the
-            /// thief with `CancelTask`.
-            TaskMigrated = 28 { job: JobId, task: String, server: String, tm: Addr, task_addr: Addr },
+
+            // Tags 25–28 are retired: they were the four messages that moved
+            // a queued task from one TaskManager to another, a protocol that
+            // is gone (DESIGN.md §9, "Adding a message"). They decode as
+            // `BadTag` and are never reused.
 
             // -- Burst creation (DESIGN.md §14, "Fair admission") ----------------
             /// Client → JM: create a job's tasks as one burst ("Create Tasks for

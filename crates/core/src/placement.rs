@@ -308,19 +308,20 @@ impl Round {
             if (!*complete || !too_big) && *asks_left > 0 {
                 return;
             }
-            let name = &task.spec.name;
+            // The refusal reaches the client beside the task's name
+            // (`ClientError::PlacementFailed`), so it does not repeat it.
             task.state =
                 Offer::Settled(Err(if *complete && *own_declined && bids.is_empty() && too_big {
                     let largest = declined.unwrap_or(0);
                     format!(
-                        "no willing TaskManager for task {name:?}: every TaskManager declined it \
-                     (CN019): it needs {need} MB and the largest node has {largest} MB"
+                        "no willing TaskManager: every TaskManager declined it (CN019): it needs \
+                         {need} MB and the largest node has {largest} MB"
                     )
                 } else if task.failures.is_empty() {
-                    format!("no willing TaskManager for task {name:?}")
+                    "no willing TaskManager".to_string()
                 } else {
                     let failures = task.failures.join("; ");
-                    format!("every willing TaskManager failed for task {name:?}: {failures}")
+                    format!("every willing TaskManager failed: {failures}")
                 }));
             return;
         };

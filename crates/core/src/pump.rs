@@ -347,9 +347,6 @@ mod tests {
         fn unregister(&self, addr: Addr) {
             self.0.unregister(addr)
         }
-        fn alias(&self, old: Addr, onto: Addr) -> bool {
-            self.0.alias(old, onto)
-        }
         fn join_group(&self, addr: Addr, group: GroupId) {
             self.0.join_group(addr, group)
         }

@@ -12,8 +12,7 @@
 //! to round-robin rotation when every bidder reports the same quantized
 //! score, so uniform-load runs stay journal-identical to `RoundRobin`),
 //! and [`FairQueue`] is the deficit-round-robin admission queue that keeps
-//! N concurrent clients from starving each other. The work-stealing protocol
-//! between TaskManagers lives in the server (`ServerConfig::steal`).
+//! N concurrent clients from starving each other.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -60,8 +59,7 @@ impl Policy {
     }
 }
 
-/// Live load vector a TaskManager reports: sampled into every bid it makes
-/// and multicast in `LoadReport` heartbeats while the steal protocol runs.
+/// Live load vector a TaskManager reports: sampled into every bid it makes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadSignal {
     /// Assigned-and-started tasks waiting in the TM run queue for an

@@ -8,8 +8,8 @@
 //! Each server runs an event loop on its own thread, joined to the CN
 //! discovery multicast group. What the server decides lives in three values
 //! with no I/O in them: each placement round (`placement::Round`), each job
-//! (`job::Job`) and the TaskManager's tasks (`tm::Tasks`, which hosts, queues
-//! and runs them, and steals). The loop answers solicitations, carries
+//! (`job::Job`) and the TaskManager's tasks (`tm::Tasks`, which queues them
+//! for a slot and runs them). The loop answers solicitations, carries
 //! messages and due deadlines into those values and their actions out:
 //! posts, endpoints registered and reserved for, and tasks run on threads of
 //! their own (`RUN_AS_THREAD_IN_TM`), one a finished task left parked when
@@ -50,12 +50,8 @@ pub struct ServerConfig {
     /// Maximum task threads running concurrently on this TaskManager.
     /// `None` keeps the historical behavior (every started task launches
     /// immediately); with a cap, started tasks beyond it wait in the run
-    /// queue — the queue that feeds `LoadSignal` and the steal protocol.
+    /// queue — the queue that feeds `LoadSignal`.
     pub exec_slots: Option<usize>,
-    /// Work stealing: an idle TaskManager raids queued tasks from loaded
-    /// peers (DESIGN.md §14). Off means no `LoadReport` heartbeats and no
-    /// raids, which also keeps the sim journal free of steal events.
-    pub steal: bool,
 }
 
 /// How long an assignment may go without its AssignAck before the
@@ -74,7 +70,6 @@ impl Default for ServerConfig {
             bid_window: Duration::from_millis(5),
             policy: Policy::LeastLoaded,
             exec_slots: None,
-            steal: false,
         }
     }
 }
@@ -125,7 +120,7 @@ impl Drop for CnServer {
     }
 }
 
-/// What the server holds for a task hosted here until it runs or moves: its
+/// What the server holds for a task hosted here until it runs: its
 /// endpoint's receive side, and its job's tuple space, which lives while any
 /// of the job's tasks here does ([`SpaceRegistry`]).
 type Hosted = (Receiver<Envelope<NetMsg>>, Arc<TupleSpace>);
@@ -230,7 +225,7 @@ struct ServerState {
     spaces: Arc<SpaceRegistry>,
     config: ServerConfig,
     jobs: HashMap<JobId, Job>,
-    /// The TaskManager's tasks, its run queue and both halves of stealing.
+    /// The TaskManager's tasks and its run queue.
     tasks: Tasks<Hosted, Reservation>,
     /// Jars this TaskManager has received.
     uploaded: HashSet<String>,
@@ -254,9 +249,6 @@ struct ServerState {
     c_tasks_started: Counter,
     c_tasks_completed: Counter,
     c_tasks_failed: Counter,
-    c_steals: Counter,
-    c_steal_requests: Counter,
-    c_steal_returns: Counter,
     g_queue_depth: Gauge,
     g_inflight: Gauge,
 }
@@ -277,7 +269,7 @@ impl ServerState {
         let rec = net.recorder().clone();
         ServerState {
             pool: TaskPool::new(&name, &rec),
-            tasks: Tasks::new(name.clone(), addr, config.exec_slots, config.steal),
+            tasks: Tasks::new(config.exec_slots),
             name,
             addr,
             pump: MsgPump::new(rx),
@@ -298,9 +290,6 @@ impl ServerState {
             c_tasks_started: rec.counter("server.tasks_started"),
             c_tasks_completed: rec.counter("server.tasks_completed"),
             c_tasks_failed: rec.counter("server.tasks_failed"),
-            c_steals: rec.counter("server.steals"),
-            c_steal_requests: rec.counter("server.steal_requests"),
-            c_steal_returns: rec.counter("server.steal_returns"),
             g_queue_depth: rec.gauge("server.run_queue_depth"),
             g_inflight: rec.gauge("server.tasks_inflight"),
             rec,
@@ -312,7 +301,7 @@ impl ServerState {
         loop {
             let deadline = self.round.as_ref().and_then(Round::deadline);
             match self.pump.next_before(deadline) {
-                Ok(env) if matches!(env.msg, NetMsg::Shutdown) && env.to == self.addr => break,
+                Ok(Envelope { msg: NetMsg::Shutdown, .. }) => break,
                 Ok(env) => self.handle(env),
                 Err(RecvTimeoutError::Timeout) => {}
                 // The network is gone.
@@ -324,7 +313,6 @@ impl ServerState {
                 self.place(Event::Tick);
             }
         }
-        self.tasks.aliases().for_each(|old| self.net.unregister(old));
         self.net.unregister(self.addr);
     }
 
@@ -339,9 +327,6 @@ impl ServerState {
     }
 
     fn handle(&mut self, env: Envelope<NetMsg>) {
-        if env.to != self.addr {
-            return self.tm(TmEvent::Net(env));
-        }
         match env.msg {
             // ---- JobManager: discovery --------------------------------
             NetMsg::SolicitJobManager { job, requirements, reply_to } => {
@@ -410,8 +395,7 @@ impl ServerState {
             }
             NetMsg::AssignTask { job, spec, jm, reply_to } => {
                 let task = spec.name.clone();
-                let msg = NetMsg::AssignTask { job, spec, jm, reply_to };
-                let (accepted, reason, task_addr) = match self.host(Envelope { msg, ..env }) {
+                let (accepted, reason, task_addr) = match self.host(job, spec, jm) {
                     Ok(task_addr) => (true, String::new(), Some(task_addr)),
                     Err(reason) => (false, reason, None),
                 };
@@ -433,8 +417,8 @@ impl ServerState {
                 self.job_on(job, JobEvent::Failed { task, error })
             }
 
-            // ---- TaskManager: its tasks and work stealing ----------------
-            msg => self.tm_message(Envelope { msg, ..env }),
+            // ---- TaskManager: its tasks ----------------------------------
+            msg => self.tm(TmEvent::Net(msg)),
         }
     }
 
@@ -519,100 +503,38 @@ impl ServerState {
     /// Send `msg` to the TaskManager `tm`; this server's own takes it in place.
     fn send_tm(&mut self, tm: Addr, msg: NetMsg) {
         if tm == self.addr {
-            self.tm(TmEvent::Net(Envelope { from: tm, to: tm, msg }))
+            self.tm(TmEvent::Net(msg))
         } else {
             self.send(tm, msg)
         }
     }
 
-    /// A TaskManager message, for the tasks. The task of a `StealGrant` is
-    /// hosted first (the grant brings its archive) and counted as stolen if it
-    /// was, a `TaskMigrated` repoints the task in its job first, and a
-    /// `StealReturn` is counted as it comes.
-    fn tm_message(&mut self, env: Envelope<NetMsg>) {
-        match &env.msg {
-            NetMsg::StealGrant { job, spec, victim, .. } => {
-                self.uploaded.insert(spec.jar.clone());
-                let (job, task, victim) = (*job, spec.name.clone(), victim.clone());
-                if self.host(env).is_ok() {
-                    self.c_steals.inc();
-                    self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
-                        format!("[{}] stole task {task:?} from {victim}", self.name)
-                    });
-                }
-                return;
-            }
-            NetMsg::TaskMigrated { job, task, tm, task_addr, .. } => {
-                let (task, depends, tm, task_addr) = (task.clone(), None, *tm, *task_addr);
-                self.job_on(*job, JobEvent::Placed { task, depends, tm, task_addr });
-            }
-            NetMsg::StealReturn { .. } => self.c_steal_returns.inc(),
-            _ => {}
+    /// Host the task of an `AssignTask` — its archive checked, what it needs
+    /// reserved, its endpoint registered — and hand it to the tasks: its
+    /// endpoint, or why not.
+    fn host(&mut self, job: JobId, spec: TaskSpec, jm: Addr) -> Result<Addr, String> {
+        if !self.uploaded.contains(&spec.jar) {
+            return Err(format!("archive {:?} was not uploaded", spec.jar));
         }
-        self.tm(TmEvent::Net(env))
+        if !self.registry.contains(&spec.jar) {
+            return Err(format!("archive {:?} not present in the registry", spec.jar));
+        }
+        let reservation = self.node.reserve(spec.memory_mb).map_err(|e| e.to_string())?;
+        let (endpoint, rx) = self.net.register();
+        let held = (rx, self.spaces.get_or_create(job));
+        self.tm(TmEvent::Hosted { job, spec, jm, endpoint, held, reservation });
+        Ok(endpoint)
     }
 
-    /// Host the task of the `AssignTask` or `StealGrant` in `env` — its
-    /// archive checked, what it needs reserved, its endpoint registered —
-    /// and hand the outcome to the tasks: the task's endpoint, or why not.
-    fn host(&mut self, env: Envelope<NetMsg>) -> Result<Addr, String> {
-        let (NetMsg::AssignTask { job, spec, .. } | NetMsg::StealGrant { job, spec, .. }) =
-            &env.msg
-        else {
-            return Err("nothing to host".into());
-        };
-        let hosted = if !self.uploaded.contains(&spec.jar) {
-            Err(format!("archive {:?} was not uploaded", spec.jar))
-        } else if !self.registry.contains(&spec.jar) {
-            Err(format!("archive {:?} not present in the registry", spec.jar))
-        } else {
-            self.node.reserve(spec.memory_mb).map_err(|e| e.to_string()).map(|reservation| {
-                let (endpoint, rx) = self.net.register();
-                (endpoint, (rx, self.spaces.get_or_create(*job)), reservation)
-            })
-        };
-        let endpoint = hosted.as_ref().map(|(endpoint, ..)| *endpoint).map_err(String::clone);
-        self.tm(TmEvent::Hosted { env, hosted });
-        endpoint
-    }
-
-    /// Hand `event` to the tasks and carry their actions out, until they have
-    /// nothing left to say; then show their counts. What goes out is counted.
+    /// Hand `event` to the tasks and carry their actions out; then show
+    /// their counts.
     fn tm(&mut self, event: TmEvent) {
-        let (now, was) = (Instant::now(), self.tasks.signal());
-        let mut events = VecDeque::from([event]);
-        while let Some(event) = events.pop_front() {
-            for action in self.tasks.on(event, now) {
-                match action {
-                    TmAction::Post { from, to, msg } => {
-                        match msg {
-                            NetMsg::StealRequest { .. } => self.c_steal_requests.inc(),
-                            NetMsg::StealReturn { .. } => self.c_steal_returns.inc(),
-                            NetMsg::TaskFailed { .. } => self.c_tasks_failed.inc(),
-                            _ => {}
-                        }
-                        self.net.post(from, to, msg)
-                    }
-                    TmAction::Report(report) => {
-                        self.net.multicast(self.addr, cn_cluster::DISCOVERY_GROUP, report);
-                    }
-                    TmAction::Launch(launch) => self.launch(launch),
-                    TmAction::Release { endpoint } => self.net.unregister(endpoint),
-                    TmAction::Alias { old, held: (rx, _) } => {
-                        // Nothing enters the old queue once it is an alias.
-                        self.net.alias(old, self.addr);
-                        events.extend(std::iter::from_fn(|| rx.try_recv().ok()).map(TmEvent::Net));
-                    }
-                    TmAction::Reserve { job, task, memory_mb } => {
-                        let reserved = self.node.reserve(memory_mb).map_err(|e| e.to_string());
-                        events.push_back(TmEvent::Reserved { job, task, reserved });
-                    }
-                    TmAction::Granted { job, task, thief } => {
-                        self.rec.event_with(Severity::Info, "sched", Some(job.0), || {
-                            format!("[{}] granting steal of task {task:?} to {thief}", self.name)
-                        });
-                    }
-                }
+        let was = self.tasks.signal();
+        for action in self.tasks.on(event, Instant::now()) {
+            match action {
+                TmAction::Launch(launch) => self.launch(launch),
+                TmAction::Stop { endpoint } => self.send(endpoint, NetMsg::Shutdown),
+                TmAction::Release { endpoint } => self.net.unregister(endpoint),
             }
         }
         // Every server of a simulated neighborhood shares the recorder, so
@@ -812,8 +734,7 @@ impl ServerState {
             Action::Assign { tm, job, spec } if tm == self.addr => {
                 self.uploaded.insert(spec.jar.clone());
                 let task = spec.name.clone();
-                let msg = NetMsg::AssignTask { job, spec, jm: tm, reply_to: tm };
-                let ack = self.host(Envelope { from: tm, to: tm, msg });
+                let ack = self.host(job, spec, tm);
                 return Some(Event::Ack { from: tm, job, task, ack });
             }
             Action::Assign { tm, job, spec } => {
@@ -841,7 +762,7 @@ impl ServerState {
                         self.job_action(job, reply_to, cancel);
                         return Err(format!("no such job {job}"));
                     }
-                    let (task, depends) = (task.clone(), Some(spec.depends));
+                    let (task, depends) = (task.clone(), spec.depends);
                     self.job_on(job, JobEvent::Placed { task, depends, tm, task_addr });
                     Ok((server, task_addr))
                 });
@@ -1040,76 +961,6 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 4000)) {
             assert!(Instant::now() < deadline, "an assignment was never released");
-            std::thread::yield_now();
-        }
-        nb.shutdown();
-    }
-
-    /// A task stolen while its job ends does not run at its thief for good.
-    /// The victim grants its queued task, the client cancels the job, and
-    /// only then does the thief's commit arrive: the victim answers it with
-    /// `CancelTask`. The task's old endpoint becomes an alias as for any
-    /// commit, so the `Shutdown` the thief's copy sends there as it leaves is
-    /// delivered, and ends it. The test plays the client and the thief by
-    /// hand.
-    #[test]
-    fn a_task_stolen_while_its_job_ends_is_cancelled_at_its_thief() {
-        let server = ServerConfig { exec_slots: Some(1), steal: true, ..ServerConfig::default() };
-        let config = NeighborhoodConfig { server, ..NeighborhoodConfig::default() };
-        let nb = Neighborhood::deploy_with(NodeSpec::fleet(1, 4000, 4), config);
-        let block = || -> Box<dyn crate::Task> {
-            Box::new(|ctx: &mut TaskContext| {
-                let _ = ctx.recv();
-                Ok(UserData::Empty)
-            })
-        };
-        nb.registry().publish(TaskArchive::new("x.jar").class("X", block));
-        let victim = nb.server_addr("node0").unwrap();
-        let client = Party::join(&nb, false);
-        // In the discovery group, so it hears the victim's load; it never bids.
-        let thief = Party::join(&nb, true);
-        let job = JobId(908);
-        client.create_job(victim, job);
-        let specs = vec![light("t0"), light("t1")];
-        client.send(victim, NetMsg::CreateTasks { job, specs, reply_to: client.addr });
-        for _ in 0..2 {
-            client.expect(|m| matches!(m, NetMsg::TaskAck { accepted: true, .. }).then_some(()));
-        }
-        client.send(victim, NetMsg::StartJob { job });
-        // t0 holds the one slot, and t1 waits in the queue.
-        thief.expect(|m| match m {
-            NetMsg::LoadReport { signal, .. } if signal.queue_depth == 1 => Some(()),
-            _ => None,
-        });
-        thief.send(victim, NetMsg::StealRequest { thief: "thief".into(), reply_to: thief.addr });
-        let old_endpoint = thief.expect(|m| match m {
-            NetMsg::StealGrant { spec, old_endpoint, .. } if spec.name == "t1" => {
-                Some(old_endpoint)
-            }
-            _ => None,
-        });
-
-        client.send(victim, NetMsg::CancelJob { job });
-        client.expect(|m| matches!(m, NetMsg::JobFailed { .. }).then_some(()));
-        let (server, tm, task_addr) = ("thief".to_string(), thief.addr, thief.addr);
-        let task = "t1".to_string();
-        thief.send(victim, NetMsg::TaskMigrated { job, task, server, tm, task_addr });
-        let cancelled = thief.expect(|m| match m {
-            NetMsg::CancelTask { task, .. } => Some(task),
-            _ => None,
-        });
-        assert_eq!(cancelled, "t1");
-        let delivered = |msg| thief.net.send(thief.addr, old_endpoint, msg).is_ok();
-        assert!(delivered(NetMsg::Shutdown), "the old endpoint went before the thief's Shutdown");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while delivered(NetMsg::StartJob { job }) {
-            assert!(Instant::now() < deadline, "the thief's Shutdown never ended the alias");
-            std::thread::yield_now();
-        }
-        // t0 was told to stop, and t1's reservation went with its grant.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 4000)) {
-            assert!(Instant::now() < deadline, "a slot was never released");
             std::thread::yield_now();
         }
         nb.shutdown();

@@ -248,7 +248,6 @@ mod tests {
         let mut directory = HashMap::new();
         directory.insert("t0".to_string(), Addr(5));
         directory.insert("t1".to_string(), Addr(6));
-        let steal_directory = directory.clone();
         let msgs = vec![
             NetMsg::SolicitJobManager {
                 job: JobId(1),
@@ -329,24 +328,6 @@ mod tests {
                 addr: Addr(7),
                 signal: LoadSignal { queue_depth: 9, in_flight: 1, ewma_dispatch_us: 12_345 },
             },
-            NetMsg::StealRequest { thief: "node2".into(), reply_to: Addr(3) },
-            NetMsg::StealGrant {
-                job: JobId(1),
-                spec: sample_spec(),
-                jm: Addr(2),
-                client: Addr(9),
-                directory: steal_directory,
-                victim: "node0".into(),
-                old_endpoint: Addr(77),
-            },
-            NetMsg::StealReturn { job: JobId(1), task: "t0".into() },
-            NetMsg::TaskMigrated {
-                job: JobId(1),
-                task: "t0".into(),
-                server: "node2".into(),
-                tm: Addr(3),
-                task_addr: Addr(88),
-            },
             NetMsg::CreateTasks {
                 job: JobId(1),
                 specs: vec![sample_spec(), TaskSpec::new("tctask999", "taskjoin.jar", "TaskJoin")],
@@ -406,6 +387,26 @@ mod tests {
     fn unknown_netmsg_tag_is_typed_error() {
         let mut r = Reader::new(&[200]);
         assert_eq!(NetMsg::decode(&mut r).unwrap_err().kind, WireErrorKind::BadTag);
+    }
+
+    /// Work stealing's tags are retired, not reused: a frame that carries one
+    /// (here with a `CancelTask`'s body) is refused by its tag.
+    #[test]
+    fn the_retired_stealing_tags_decode_as_bad_tag() {
+        let body = encode_payload(&Envelope {
+            from: Addr(11),
+            to: Addr(22),
+            msg: NetMsg::CancelTask { job: JobId(1), task: "t0".into() },
+        });
+        // The version byte, `from` and `to`, then the message's tag.
+        let tag_at = 1 + 8 + 8;
+        assert_eq!(body[tag_at], 14, "the CancelTask tag");
+        for tag in 25..=28 {
+            let mut frame = body.clone();
+            frame[tag_at] = tag;
+            let err = decode_payload::<NetMsg>(&frame).unwrap_err();
+            assert_eq!(err.kind, WireErrorKind::BadTag, "tag {tag}");
+        }
     }
 
     #[test]

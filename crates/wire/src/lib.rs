@@ -64,9 +64,6 @@ pub trait Fabric<M: Send + Clone + 'static>: Send + Sync {
     fn register(&self) -> (Addr, Receiver<Envelope<M>>);
     /// Remove an endpoint.
     fn unregister(&self, addr: Addr);
-    /// Deliver what is addressed to `old` into `onto`'s channel until `old`
-    /// is unregistered ([`cn_cluster::Endpoints::alias`]).
-    fn alias(&self, old: Addr, onto: Addr) -> bool;
     /// Join a multicast group.
     fn join_group(&self, addr: Addr, group: GroupId);
     /// Unicast send.
@@ -119,10 +116,6 @@ impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
 
     fn unregister(&self, addr: Addr) {
         Network::unregister(self, addr)
-    }
-
-    fn alias(&self, old: Addr, onto: Addr) -> bool {
-        Network::alias(self, old, onto)
     }
 
     fn join_group(&self, addr: Addr, group: GroupId) {

@@ -342,10 +342,6 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
         self.inner.table.unregister(addr)
     }
 
-    fn alias(&self, old: Addr, onto: Addr) -> bool {
-        self.inner.table.alias(old, onto)
-    }
-
     fn join_group(&self, addr: Addr, group: GroupId) {
         self.inner.table.join(addr, group)
     }

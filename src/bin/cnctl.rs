@@ -988,7 +988,8 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
     let digraph_seed: u64 = parsed_flag(args, "--seed", EXAMPLE_DIGRAPH_SEED)?;
     let run_for: Option<u64> = optional_flag(args, "--run-for")?;
 
-    let runner: Arc<dyn JobRunner> = match flag_value(args, "--sim") {
+    let sim = flag_value(args, "--sim");
+    let runner: Arc<dyn JobRunner> = match sim {
         Some(n) => {
             let nodes: usize = n.parse().map_err(|_| format!("bad node count {n:?} for --sim"))?;
             if nodes == 0 {
@@ -1014,7 +1015,9 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
         .map_err(|e| format!("bind http port {http_port}: {e}"))?;
     let port = server.port();
     let reactor_shards = server.reactor_shards() as u64;
-    let shape = analysis::PortalShape { max_inflight, reactor_shards, max_body_bytes };
+    let client_fabric = sim.is_none();
+    let shape =
+        analysis::PortalShape { max_inflight, reactor_shards, max_body_bytes, client_fabric };
     warn(&analysis::judge_portal(&shape, &analysis::HostFacts::probe()));
     let name =
         flag_value(args, "--name").map(str::to_string).unwrap_or_else(|| format!("portal-{port}"));

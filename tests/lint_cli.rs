@@ -176,16 +176,24 @@ fn lint_json_golden_reactor_capacity() {
 #[test]
 fn lint_json_golden_portal_capacity() {
     let host = analysis::HostFacts { fd_soft_limit: Some(200), cores: 2, memory_mb: Some(256) };
-    let shape =
-        analysis::PortalShape { max_inflight: 200, reactor_shards: 4, max_body_bytes: 4_194_304 };
+    let shape = analysis::PortalShape {
+        max_inflight: 200,
+        reactor_shards: 4,
+        max_body_bytes: 4_194_304,
+        client_fabric: true,
+    };
     let report = analysis::judge_portal(&shape, &host);
     assert!(report.has_warnings() && !report.has_errors(), "{}", report.to_text());
     check_golden(&golden("portal_capacity_lint.json"), &(report.to_json() + "\n"));
 
     // A shape the host can hold stays quiet.
     let host = analysis::HostFacts { fd_soft_limit: Some(1024), ..host };
-    let fits =
-        analysis::PortalShape { max_inflight: 16, reactor_shards: 2, max_body_bytes: 1_048_576 };
+    let fits = analysis::PortalShape {
+        max_inflight: 16,
+        reactor_shards: 2,
+        max_body_bytes: 1_048_576,
+        client_fabric: true,
+    };
     assert!(analysis::judge_portal(&fits, &host).is_empty());
 
     // The code is documented: `--explain CN058` renders its rationale.

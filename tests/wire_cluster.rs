@@ -407,7 +407,8 @@ fn a_job_no_serve_can_host_is_refused_after_one_solicitation() {
     let solicitations = counting.join().expect("observer");
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("CN019") && stderr.contains("\"tctask0\""), "{stderr}");
+    assert!(stderr.contains("CN019"), "{stderr}");
+    assert_eq!(stderr.matches("\"tctask0\"").count(), 1, "the task is named once: {stderr}");
     assert!(stderr.contains("largest node has 512 MB"), "{stderr}");
     assert_eq!(solicitations, 1, "{stderr}");
 }
