@@ -454,9 +454,11 @@ fn e7_contention() {
     };
 
     // One contention trial: all clients submit concurrently; returns the
-    // makespan in seconds. Nothing reads the recorder, but it stays on as it
-    // always was: with it off, two runs in ten read under 1.5x.
-    let trial = |policy: Policy| -> f64 {
+    // makespan in seconds and the tasks each node was given, in node order,
+    // counted from every job's placements. Nothing reads the recorder, but
+    // it stays on as it always was: with it off, two runs in ten read under
+    // 1.5x.
+    let trial = |policy: Policy| -> (f64, Vec<usize>) {
         let nb = contention_neighborhood(speeds, exec_slots, policy, Recorder::new());
         nb.registry().publish(work_archive());
         let nb = Arc::new(nb);
@@ -468,6 +470,7 @@ fn e7_contention() {
                 std::thread::spawn(move || {
                     let api = CnApi::with_config(&nb, bench_client_config());
                     barrier.wait();
+                    let mut servers = Vec::new();
                     for j in 0..jobs_per_client {
                         let mut job =
                             api.create_job(&JobRequirements::default()).expect("create job");
@@ -478,26 +481,30 @@ fn e7_contention() {
                             job.add_task(spec).expect("place task");
                         }
                         job.start().expect("start job");
+                        servers.extend(job.placements().iter().map(|(_, server)| server.clone()));
                         job.wait(Duration::from_secs(120)).expect("job completes");
                     }
+                    servers
                 })
             })
             .collect();
         barrier.wait();
         let t = Instant::now();
-        for h in handles {
-            h.join().expect("client thread");
-        }
+        let servers: Vec<String> =
+            handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect();
         let makespan_s = t.elapsed().as_secs_f64();
+        let per_node =
+            nb.nodes().iter().map(|n| servers.iter().filter(|s| *s == n.name()).count()).collect();
         Arc::try_unwrap(nb).ok().expect("sole neighborhood owner").shutdown();
-        makespan_s
+        (makespan_s, per_node)
     };
 
     // Best of two: the workload is sleep-dominated, but placement races and
     // box noise still jitter the tail.
-    let best = |policy: Policy| (0..2).map(|_| trial(policy)).fold(f64::INFINITY, f64::min);
-    let rr_s = best(Policy::RoundRobin);
-    let la_s = best(Policy::LoadAware);
+    let rr = [trial(Policy::RoundRobin), trial(Policy::RoundRobin)];
+    let la = [trial(Policy::LoadAware), trial(Policy::LoadAware)];
+    let best = |runs: &[(f64, Vec<usize>)]| runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+    let (rr_s, la_s) = (best(&rr), best(&la));
     let speedup = rr_s / la_s.max(1e-9);
     println!(
         "{clients} clients x {jobs_per_client} jobs x {tasks_per_job} tasks ({work_ms} ms each), \
@@ -506,6 +513,12 @@ fn e7_contention() {
     println!("{:<26} {:>10} {:>9}   notes", "variant", "makespan", "speed-up");
     println!("{:<26} {rr_s:>9.3}s {:>9}   straggler serializes its share", "round-robin", "1.00x");
     println!("{:<26} {la_s:>9.3}s {speedup:>8.2}x   placed by the bids' live load", "load-aware");
+    println!("per trial, tasks per node (node order; the last node is the straggler):");
+    for (name, runs) in [("round-robin", &rr), ("load-aware", &la)] {
+        for (i, (makespan_s, per_node)) in runs.iter().enumerate() {
+            println!("  {name:<11} #{}  {makespan_s:>6.3}s  {per_node:?}", i + 1);
+        }
+    }
     assert!(speedup >= 1.5, "makespan speed-up {speedup:.2}x is under the 1.5x target");
 
     // Determinism differential: single client, single job, uniform fleet —

@@ -11,7 +11,6 @@ pub fn bench_neighborhood(nodes: usize, slots: usize) -> Neighborhood {
     let config = NeighborhoodConfig {
         server: ServerConfig { bid_window: Duration::from_micros(500), ..Default::default() },
         recorder: cn_observe::Recorder::disabled(),
-        ..Default::default()
     };
     Neighborhood::deploy_with(NodeSpec::fleet(nodes, 64 * 1024, slots), config)
 }
@@ -38,7 +37,6 @@ pub fn contention_neighborhood(
             exec_slots: Some(exec_slots),
         },
         recorder,
-        ..Default::default()
     };
     Neighborhood::deploy_with(NodeSpec::fleet_skewed(64 * 1024, 64, speeds), config)
 }

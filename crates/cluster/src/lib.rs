@@ -8,15 +8,17 @@
 //!
 //! * [`node`] — virtual nodes with memory/slot resources, matching the
 //!   `task-req` admission the JobManager performs,
-//! * [`network`] — a message fabric with unicast and **multicast groups**
-//!   (the paper's JobManager discovery is multicast-based), a configurable
-//!   latency/jitter/loss model, partitions, and `net.*` counters in its
+//! * [`network`] — an instant message fabric with unicast and **multicast
+//!   groups** (the paper's JobManager discovery is multicast-based), seeded
+//!   loss, partitions and one-shot drops, and `net.*` counters in its
 //!   recorder,
 //! * [`endpoints`] — the endpoint and group table every fabric, this one
 //!   and `cn-wire`'s socket fabric, delivers through.
 //!
-//! Everything stochastic (jitter, loss) is driven by a caller-provided seed,
-//! so simulations are reproducible.
+//! Every message is handed over on the sender's thread, and loss, the one
+//! stochastic element, is driven by a caller-provided seed, so simulations
+//! are reproducible. Real network timing is left to `cn-wire`'s socket
+//! fabric.
 
 pub mod endpoints;
 pub mod network;

@@ -1,4 +1,4 @@
-//! The virtual network fabric: unicast, multicast groups, latency model.
+//! The virtual network fabric: unicast, multicast groups, injected faults.
 //!
 //! "Requests to JobManager are communicated using multicast. JobManagers
 //! respond to multicast requests ... if they have free resources and are
@@ -7,20 +7,20 @@
 //! into it.
 //!
 //! Endpoints and groups live in an [`Endpoints`] table, the one the socket
-//! fabric delivers through too. With a zero latency model, messages are
-//! handed over synchronously; with a non-zero model, a fabric thread delays
-//! each message by `base ± jitter` and applies seeded random loss —
-//! deterministic for a fixed seed and send order.
+//! fabric delivers through too. Every message is handed over on the
+//! sender's thread, so the simulated network is instant; real network
+//! timing is what the socket fabric's multi-process cluster carries. What
+//! the simulated network adds is loss: partitions and one-shot drops
+//! injected by a test, and seeded random loss — deterministic for a fixed
+//! seed and send order.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use cn_observe::{Counter, Recorder, Severity};
 use cn_sync::channel::Receiver;
-use cn_sync::{Condvar, Mutex};
+use cn_sync::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,39 +51,23 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Latency/loss configuration.
+/// Loss configuration. Delivery itself is always instant: a message is
+/// handed to its endpoint on the sender's thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
-    /// Base one-way latency.
-    pub base: Duration,
-    /// Uniform jitter added on top: `[0, jitter]`.
-    pub jitter: Duration,
     /// Probability in `[0, 1]` that a message is silently dropped.
     pub drop_rate: f64,
 }
 
 impl LatencyModel {
-    /// Instant, lossless delivery (the default for unit tests).
+    /// Instant, lossless delivery.
     pub fn zero() -> Self {
-        LatencyModel { base: Duration::ZERO, jitter: Duration::ZERO, drop_rate: 0.0 }
-    }
-
-    /// A LAN-ish profile: ~200µs ± 100µs, lossless — the paper's Ethernet.
-    pub fn lan() -> Self {
-        LatencyModel {
-            base: Duration::from_micros(200),
-            jitter: Duration::from_micros(100),
-            drop_rate: 0.0,
-        }
+        LatencyModel { drop_rate: 0.0 }
     }
 
     pub fn with_drop_rate(mut self, rate: f64) -> Self {
         self.drop_rate = rate.clamp(0.0, 1.0);
         self
-    }
-
-    fn is_instant(&self) -> bool {
-        self.base.is_zero() && self.jitter.is_zero()
     }
 }
 
@@ -122,42 +106,33 @@ impl fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-struct Pending<M> {
-    due: Instant,
-    seq: u64,
-    env: Envelope<M>,
+/// The injected faults, under one lock.
+#[derive(Default)]
+struct Faults {
+    partitioned: HashSet<Addr>,
+    /// One-shot faults: drop the next N messages addressed to an endpoint.
+    drop_next: HashMap<Addr, u32>,
 }
 
-impl<M> PartialEq for Pending<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for Pending<M> {}
-impl<M> PartialOrd for Pending<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Pending<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-due first.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
+impl Faults {
+    /// Whether a fault loses `from -> to`, and the words its flight event
+    /// starts with; a one-shot drop is spent by the call.
+    fn take(&mut self, from: Addr, to: Addr) -> Option<&'static str> {
+        if self.partitioned.contains(&from) || self.partitioned.contains(&to) {
+            return Some("partition dropped");
+        }
+        let left = self.drop_next.get_mut(&to)?;
+        *left -= 1;
+        if *left == 0 {
+            self.drop_next.remove(&to);
+        }
+        Some("injected drop of")
     }
 }
 
 struct Shared<M> {
     table: Endpoints<M>,
-    partitioned: Mutex<HashSet<Addr>>,
-    /// One-shot faults: drop the next N messages addressed to an endpoint.
-    drop_next: Mutex<HashMap<Addr, u32>>,
-    queue: Mutex<BinaryHeap<Pending<M>>>,
-    queue_cv: Condvar,
-    stop: AtomicBool,
-    /// Messages popped from the delay queue but not yet handed to their
-    /// endpoint (keeps `quiesce` honest).
-    in_flight: AtomicU64,
-    next_seq: AtomicU64,
+    faults: Mutex<Faults>,
     model: LatencyModel,
     rng: Mutex<StdRng>,
     /// `net.*` counters in the recorder's registry; always on, whether or
@@ -177,8 +152,8 @@ impl<M> Shared<M> {
     }
 }
 
-/// The network fabric. Cheap to clone; the fabric thread (if any) stops when
-/// the last clone is dropped.
+/// The network fabric. Cheap to clone: every clone shares one endpoint
+/// table and one fault table.
 pub struct Network<M: Send + Clone + 'static> {
     shared: Arc<Shared<M>>,
 }
@@ -190,7 +165,7 @@ impl<M: Send + Clone + 'static> Clone for Network<M> {
 }
 
 impl<M: Send + Clone + 'static> Network<M> {
-    /// Create a fabric with the given latency model and RNG seed.
+    /// Create a fabric with the given loss model and the seed of its loss.
     pub fn new(model: LatencyModel, seed: u64) -> Self {
         Network::with_recorder(model, seed, Recorder::disabled())
     }
@@ -200,13 +175,7 @@ impl<M: Send + Clone + 'static> Network<M> {
     pub fn with_recorder(model: LatencyModel, seed: u64, recorder: Recorder) -> Self {
         let shared = Arc::new(Shared {
             table: Endpoints::new(0),
-            partitioned: Mutex::named("net.partitioned", HashSet::new()),
-            drop_next: Mutex::named("net.drop_next", HashMap::new()),
-            queue: Mutex::named("net.delay_queue", BinaryHeap::new()),
-            queue_cv: Condvar::named("net.delay_cv"),
-            stop: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
+            faults: Mutex::named("net.faults", Faults::default()),
             model,
             rng: Mutex::named("net.rng", StdRng::seed_from_u64(seed)),
             sent: recorder.metrics().counter("net.sent"),
@@ -215,13 +184,6 @@ impl<M: Send + Clone + 'static> Network<M> {
             multicasts: recorder.metrics().counter("net.multicasts"),
             recorder,
         });
-        if !model.is_instant() {
-            let weak = Arc::downgrade(&shared);
-            std::thread::Builder::new()
-                .name("cn-fabric".to_string())
-                .spawn(move || fabric_loop(weak))
-                .expect("spawn fabric thread");
-        }
         Network { shared }
     }
 
@@ -246,12 +208,7 @@ impl<M: Send + Clone + 'static> Network<M> {
         if self.dropped_by_fault(from, to) {
             return Ok(()); // silently lost, like the wire
         }
-        let env = Envelope { from, to, msg };
-        if !self.shared.model.is_instant() {
-            self.delay(env);
-            return Ok(());
-        }
-        let result = self.shared.table.deliver(env);
+        let result = self.shared.table.deliver(Envelope { from, to, msg });
         self.shared.tally(1, result.is_err() as usize);
         result
     }
@@ -264,77 +221,33 @@ impl<M: Send + Clone + 'static> Network<M> {
         self.shared.multicasts.inc();
         self.shared.sent.add(count as u64);
         members.retain(|&to| !self.dropped_by_fault(from, to));
-        if self.shared.model.is_instant() {
-            // Unknown/closed members are skipped (they left) and counted.
-            let failed = self.shared.table.deliver_each(from, &members, msg).len();
-            self.shared.tally(members.len(), failed);
-        } else {
-            for to in members {
-                self.delay(Envelope { from, to, msg: msg.clone() });
-            }
-        }
+        // Unknown/closed members are skipped (they left) and counted.
+        let failed = self.shared.table.deliver_each(from, &members, msg).len();
+        self.shared.tally(members.len(), failed);
         count
     }
 
+    /// Whether `from -> to` is lost to an injected fault or to seeded
+    /// loss; a lost message is counted and leaves a flight event.
     fn dropped_by_fault(&self, from: Addr, to: Addr) -> bool {
-        let rec = &self.shared.recorder;
-        {
-            let parts = self.shared.partitioned.lock();
-            if parts.contains(&from) || parts.contains(&to) {
-                self.shared.dropped.inc();
-                rec.event_with(Severity::Warn, "net", None, || {
-                    format!("partition dropped {from} -> {to}")
-                });
-                return true;
-            }
-        }
-        {
-            let mut drops = self.shared.drop_next.lock();
-            if let Some(n) = drops.get_mut(&to) {
-                if *n > 0 {
-                    *n -= 1;
-                    if *n == 0 {
-                        drops.remove(&to);
-                    }
-                    self.shared.dropped.inc();
-                    rec.event_with(Severity::Warn, "net", None, || {
-                        format!("injected drop of {from} -> {to}")
-                    });
-                    return true;
-                }
-            }
-        }
-        if self.shared.model.drop_rate > 0.0 {
-            let roll: f64 = self.shared.rng.lock().gen();
-            if roll < self.shared.model.drop_rate {
-                self.shared.dropped.inc();
-                rec.event_with(Severity::Info, "net", None, || {
-                    format!("lossy wire dropped {from} -> {to}")
-                });
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Queue `env` for the fabric thread, due `base ± jitter` from now.
-    fn delay(&self, env: Envelope<M>) {
-        let extra = if self.shared.model.jitter.is_zero() {
-            Duration::ZERO
+        let model = &self.shared.model;
+        let fault = self.shared.faults.lock().take(from, to);
+        let (severity, what) = if let Some(what) = fault {
+            (Severity::Warn, what)
+        } else if model.drop_rate > 0.0 && self.shared.rng.lock().gen::<f64>() < model.drop_rate {
+            (Severity::Info, "lossy wire dropped")
         } else {
-            let nanos = self.shared.model.jitter.as_nanos() as u64;
-            Duration::from_nanos(self.shared.rng.lock().gen_range(0..=nanos))
+            return false;
         };
-        let due = Instant::now() + self.shared.model.base + extra;
-        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.shared.queue.lock().push(Pending { due, seq, env });
-        self.shared.queue_cv.notify_one();
+        self.shared.dropped.inc();
+        self.shared.recorder.event_with(severity, "net", None, || format!("{what} {from} -> {to}"));
+        true
     }
 
     /// Partition an endpoint: all traffic to/from it is dropped until
     /// [`Network::heal`].
     pub fn partition(&self, addr: Addr) {
-        self.shared.partitioned.lock().insert(addr);
+        self.shared.faults.lock().partitioned.insert(addr);
         self.shared
             .recorder
             .event_with(Severity::Warn, "fault", None, || format!("partitioned {addr}"));
@@ -342,22 +255,23 @@ impl<M: Send + Clone + 'static> Network<M> {
 
     /// Heal a partition.
     pub fn heal(&self, addr: Addr) {
-        self.shared.partitioned.lock().remove(&addr);
+        self.shared.faults.lock().partitioned.remove(&addr);
         self.shared.recorder.event_with(Severity::Info, "fault", None, || format!("healed {addr}"));
     }
 
     /// Heal every partition (used before orderly shutdown, so control
     /// messages can reach partitioned endpoints again).
     pub fn heal_all(&self) {
-        self.shared.partitioned.lock().clear();
-        self.shared.drop_next.lock().clear();
+        let mut faults = self.shared.faults.lock();
+        faults.partitioned.clear();
+        faults.drop_next.clear();
     }
 
     /// One-shot fault injection: silently drop the next `n` messages
     /// addressed to `addr` (then deliver normally again).
     pub fn drop_next(&self, addr: Addr, n: u32) {
         if n > 0 {
-            self.shared.drop_next.lock().insert(addr, n);
+            self.shared.faults.lock().drop_next.insert(addr, n);
             self.shared.recorder.event_with(Severity::Warn, "fault", None, || {
                 format!("armed drop of next {n} messages to {addr}")
             });
@@ -367,72 +281,6 @@ impl<M: Send + Clone + 'static> Network<M> {
     /// The observability handle this fabric records into.
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
-    }
-
-    /// Block until the delayed-delivery queue is empty (no-op for instant
-    /// fabrics). Useful in tests with latency.
-    pub fn quiesce(&self) {
-        if self.shared.model.is_instant() {
-            return;
-        }
-        loop {
-            if self.shared.queue.lock().is_empty()
-                && self.shared.in_flight.load(Ordering::Relaxed) == 0
-            {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-impl<M: Send + Clone + 'static> Drop for Network<M> {
-    fn drop(&mut self) {
-        // Last clone going away: wake the fabric thread so it can exit.
-        if Arc::strong_count(&self.shared) == 1 {
-            self.shared.stop.store(true, Ordering::Relaxed);
-            self.shared.queue_cv.notify_all();
-        }
-    }
-}
-
-fn fabric_loop<M: Send + Clone + 'static>(weak: std::sync::Weak<Shared<M>>) {
-    loop {
-        let Some(shared) = weak.upgrade() else { return };
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut due_now = Vec::new();
-        {
-            let mut queue = shared.queue.lock();
-            let now = Instant::now();
-            while let Some(top) = queue.peek() {
-                if top.due <= now {
-                    // Counted while the queue lock is held so quiesce never
-                    // observes "empty queue" with deliveries still pending.
-                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                    due_now.push(queue.pop().expect("peeked").env);
-                } else {
-                    break;
-                }
-            }
-            if due_now.is_empty() {
-                let wait = queue
-                    .peek()
-                    .map(|p| p.due.saturating_duration_since(now))
-                    .unwrap_or(Duration::from_millis(5));
-                shared.queue_cv.wait_for(&mut queue, wait.min(Duration::from_millis(5)));
-            }
-        }
-        if !due_now.is_empty() {
-            let n = due_now.len();
-            for env in due_now {
-                shared.tally(1, shared.table.deliver(env).is_err() as usize);
-            }
-            shared.in_flight.fetch_sub(n as u64, Ordering::Relaxed);
-        }
-        // Release the Arc before looping so drop-detection can progress.
-        drop(shared);
     }
 }
 
@@ -491,51 +339,6 @@ mod tests {
         assert_eq!(rx_b.recv().unwrap().msg, 2);
         assert_eq!(count(&net, "net.dropped"), 1);
         assert_eq!(count(&net, "net.delivered"), 1);
-    }
-
-    #[test]
-    fn latency_delays_but_delivers() {
-        let model =
-            LatencyModel { base: Duration::from_millis(5), jitter: Duration::ZERO, drop_rate: 0.0 };
-        let net: Network<u8> = Network::new(model, 7);
-        let (a, _rx_a) = net.register();
-        let (b, rx_b) = net.register();
-        let start = Instant::now();
-        net.send(a, b, 9).unwrap();
-        let env = rx_b.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(env.msg, 9);
-        assert!(start.elapsed() >= Duration::from_millis(4), "delivered too early");
-    }
-
-    #[test]
-    fn latency_delays_multicasts_too() {
-        let model =
-            LatencyModel { base: Duration::from_millis(5), jitter: Duration::ZERO, drop_rate: 0.0 };
-        let net: Network<u8> = Network::new(model, 7);
-        let (a, _rx_a) = net.register();
-        let members: Vec<_> = (0..2).map(|_| net.register()).collect();
-        members.iter().for_each(|(addr, _)| net.join_group(*addr, DISCOVERY_GROUP));
-        assert_eq!(net.multicast(a, DISCOVERY_GROUP, 9), 2);
-        for (_, rx) in &members {
-            assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap().msg, 9);
-        }
-        net.quiesce();
-        assert_eq!(count(&net, "net.delivered"), 2);
-    }
-
-    #[test]
-    fn latency_preserves_order_for_equal_delays() {
-        let model =
-            LatencyModel { base: Duration::from_millis(2), jitter: Duration::ZERO, drop_rate: 0.0 };
-        let net: Network<u32> = Network::new(model, 7);
-        let (a, _rx_a) = net.register();
-        let (b, rx_b) = net.register();
-        for i in 0..20 {
-            net.send(a, b, i).unwrap();
-        }
-        for i in 0..20 {
-            assert_eq!(rx_b.recv_timeout(Duration::from_secs(2)).unwrap().msg, i);
-        }
     }
 
     #[test]

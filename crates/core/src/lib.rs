@@ -53,26 +53,13 @@ use cn_observe::Recorder;
 use spaces::SpaceRegistry;
 
 /// Configuration for a neighborhood deployment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NeighborhoodConfig {
-    pub latency: LatencyModel,
-    pub seed: u64,
     pub server: ServerConfig,
     /// Observability handle shared by the fabric, every server, every task
     /// context, and the client API. Disabled by default: span/event call
     /// sites then cost one atomic load (DESIGN.md §8).
     pub recorder: Recorder,
-}
-
-impl Default for NeighborhoodConfig {
-    fn default() -> Self {
-        NeighborhoodConfig {
-            latency: LatencyModel::zero(),
-            seed: 7,
-            server: ServerConfig::default(),
-            recorder: Recorder::disabled(),
-        }
-    }
 }
 
 /// A deployed CN: CNServers on every node of a (simulated) cluster.
@@ -95,8 +82,9 @@ impl Neighborhood {
 
     /// Deploy with explicit configuration.
     pub fn deploy_with(specs: Vec<NodeSpec>, config: NeighborhoodConfig) -> Neighborhood {
+        // Instant and lossless, so the loss seed feeds nothing.
         let net: Network<NetMsg> =
-            Network::with_recorder(config.latency, config.seed, config.recorder.clone());
+            Network::with_recorder(LatencyModel::zero(), 0, config.recorder.clone());
         let registry = Arc::new(ArchiveRegistry::new());
         let spaces = Arc::new(SpaceRegistry::with_recorder(&config.recorder));
         let mut nodes = Vec::with_capacity(specs.len());
@@ -556,7 +544,6 @@ mod tests {
             NeighborhoodConfig {
                 server: ServerConfig { policy, ..ServerConfig::default() },
                 recorder: rec.clone(),
-                ..NeighborhoodConfig::default()
             },
         );
         nb.registry().publish(echo_archive());

@@ -32,6 +32,13 @@ use crate::admission::Admission;
 
 pub type JobId = u64;
 
+/// How long a finished job's board entry (status + journal) stays
+/// retrievable before the workers evict it (`portal.board_evictions`
+/// counts the drops). The board also keeps at most `2 × max_inflight`
+/// (never fewer than 16) finished entries, evicting the oldest-finished
+/// first, so its size does not follow the job count.
+const BOARD_TTL: Duration = Duration::from_secs(300);
+
 /// Submission lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
@@ -472,7 +479,6 @@ pub fn spawn_workers(
     board: Arc<JobBoard>,
     runner: Arc<dyn JobRunner>,
     rec: Recorder,
-    board_ttl: Duration,
 ) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
     let mut workers = Vec::new();
     for i in 0..n.max(1) {
@@ -480,7 +486,7 @@ pub fn spawn_workers(
         let (runner, rec) = (Arc::clone(&runner), rec.clone());
         let spawned = std::thread::Builder::new()
             .name(format!("cn-portal-worker-{i}"))
-            .spawn(move || worker_loop(&queue, &board, &*runner, &rec, board_ttl));
+            .spawn(move || worker_loop(&queue, &board, &*runner, &rec));
         match spawned {
             Ok(worker) => workers.push(worker),
             Err(e) => {
@@ -500,13 +506,12 @@ fn worker_loop(
     board: &JobBoard,
     runner: &dyn JobRunner,
     rec: &Recorder,
-    board_ttl: Duration,
 ) {
     loop {
         // Board upkeep rides the worker loop: finished entries past their
         // TTL are dropped before taking on new work, so an idle-but-alive
         // portal keeps its board bounded too.
-        board.evict_expired(board_ttl);
+        board.evict_expired(BOARD_TTL);
         let Some((key, work)) = admission.next(Duration::from_millis(100)) else {
             if admission.is_closed() {
                 return;
@@ -788,15 +793,9 @@ mod tests {
         let board = Arc::new(new_board(16));
         let rec = Recorder::new();
         let runner = Arc::new(StubRunner { journal: "{}\n".to_string(), delay: Duration::ZERO });
-        let workers = spawn_workers(
-            2,
-            Arc::clone(&admission),
-            Arc::clone(&board),
-            runner,
-            rec.clone(),
-            Duration::from_secs(300),
-        )
-        .unwrap();
+        let workers =
+            spawn_workers(2, Arc::clone(&admission), Arc::clone(&board), runner, rec.clone())
+                .unwrap();
 
         let good = board.create();
         admission.submit(1, JobWork { id: good, body: figure2_cnx().into_bytes() }).unwrap();

@@ -69,12 +69,6 @@ pub struct PortalConfig {
     /// How long `GET /jobs/<id>/journal` waits for the job to finish
     /// before giving up mid-stream.
     pub journal_wait: Duration,
-    /// How long a finished job's board entry (status + journal) stays
-    /// retrievable before the workers evict it (`portal.board_evictions`
-    /// counts the drops). The board also keeps at most
-    /// `2 × max_inflight` (never fewer than 16) finished entries, evicting
-    /// the oldest-finished first, so its size does not follow the job count.
-    pub board_ttl: Duration,
 }
 
 impl Default for PortalConfig {
@@ -88,7 +82,6 @@ impl Default for PortalConfig {
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             request_deadline: Duration::from_secs(10),
             journal_wait: Duration::from_secs(120),
-            board_ttl: Duration::from_secs(300),
         }
     }
 }
@@ -142,7 +135,6 @@ impl PortalServer {
             Arc::clone(&board),
             runner,
             rec.clone(),
-            cfg.board_ttl,
         )
         .inspect_err(|_| reactor.shutdown())?;
         let inner = Arc::new(Inner {

@@ -191,7 +191,27 @@ fn journal_streams_while_job_still_running() {
     assert_eq!(String::from_utf8_lossy(&journal.body), STUB_JOURNAL);
 }
 
-/// Four closed-loop rounds (submit, stream the journal, submit again on
+/// A stream whose job outlasts `journal_wait` gives up: the `200` ends with
+/// the in-band timeout line as its last chunk, the connection closes after
+/// it, and the job itself still finishes.
+#[test]
+fn journal_stream_gives_up_after_journal_wait() {
+    let cfg = PortalConfig { journal_wait: Duration::from_millis(100), ..PortalConfig::default() };
+    let portal = start_portal(cfg, Duration::from_secs(1));
+    let mut c = connect(portal.port());
+    let resp = post_job(&mut c, figure2_cnx().as_bytes());
+    assert_eq!(resp.status, 202);
+    let id = job_id(&resp);
+    let t0 = Instant::now();
+    let journal = get(&mut c, &format!("/jobs/{id}/journal"));
+    let waited = t0.elapsed();
+    assert_eq!(journal.status, 200);
+    assert_eq!(String::from_utf8_lossy(&journal.body), "{\"error\":\"journal wait timed out\"}\n");
+    assert!(waited < Duration::from_secs(1), "gave up only after {waited:?}");
+    assert!(c.read_to_end().is_empty(), "the connection stayed open after the terminal chunk");
+    wait_done(&mut connect(portal.port()), &id);
+}
+
 /// the same connection) against a runner that takes `delay`, after one
 /// round that is not counted: it starts anywhere in a wheel tick, the later
 /// ones start where the one before was answered.

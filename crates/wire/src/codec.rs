@@ -189,6 +189,17 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
     })
 }
 
+/// The `N` bytes of `buf` from `at` on, or a typed `Truncated` error: the
+/// fixed-width reads of a message go through here, so none can panic.
+fn fixed<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], WireError> {
+    buf.get(at..).and_then(<[u8]>::first_chunk::<N>).copied().ok_or_else(|| {
+        WireError::new(
+            WireErrorKind::Truncated,
+            format!("need {N} byte(s), have {}", buf.len().saturating_sub(at)),
+        )
+    })
+}
+
 /// Cursor-based decoder over a borrowed byte slice.
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -216,6 +227,12 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn take_fixed<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let bytes = fixed(self.buf, self.pos)?;
+        self.pos += N;
+        Ok(bytes)
+    }
+
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -229,11 +246,11 @@ impl<'a> Reader<'a> {
     }
 
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len checked")))
+        self.take_fixed().map(u16::from_le_bytes)
     }
 
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len checked")))
+        self.take_fixed().map(u32::from_le_bytes)
     }
 
     /// The counterpart of [`Writer::put_usize`]: a plain number, not a
@@ -243,15 +260,15 @@ impl<'a> Reader<'a> {
     }
 
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        self.take_fixed().map(u64::from_le_bytes)
     }
 
     pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        self.take_fixed().map(i64::from_le_bytes)
     }
 
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        self.take_fixed().map(f64::from_le_bytes)
     }
 
     /// A collection length; bounded so a corrupt frame cannot trigger a
@@ -506,9 +523,8 @@ impl Frame {
     }
 
     /// The destination address carried in the frame header.
-    pub fn to(&self) -> Addr {
-        let raw = self.bytes[FRAME_TO_OFFSET..FRAME_TO_OFFSET + 8].try_into().expect("frame to");
-        Addr(u64::from_le_bytes(raw))
+    pub fn to(&self) -> Result<Addr, WireError> {
+        fixed(&self.bytes, FRAME_TO_OFFSET).map(|raw| Addr(u64::from_le_bytes(raw)))
     }
 
     /// The same frame re-addressed to `to`: the bytes are copied once and
@@ -557,10 +573,9 @@ impl FrameDecoder {
     /// needed, or a typed error for an oversized length prefix.
     pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         let pending = &self.buf[self.start..];
-        if pending.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(pending[..4].try_into().expect("len checked"));
+        // A short prefix is no error, only a wait for more bytes.
+        let Some(prefix) = pending.first_chunk::<4>() else { return Ok(None) };
+        let len = u32::from_le_bytes(*prefix);
         if len > MAX_FRAME_BYTES {
             return Err(WireError::new(
                 WireErrorKind::FrameTooLarge,
@@ -720,10 +735,10 @@ mod tests {
         let env = Envelope { from: Addr(5), to: Addr(6), msg: Addr(7) };
         let frame = Frame::encode(env.from, env.to, &env.msg);
         assert_eq!(frame.bytes(), encode_frame(&env).as_slice());
-        assert_eq!(frame.to(), Addr(6));
+        assert_eq!(frame.to(), Ok(Addr(6)));
         // Re-addressing patches only the `to` field; the clone shares bytes.
         let f2 = frame.for_to(Addr(99));
-        assert_eq!(f2.to(), Addr(99));
+        assert_eq!(f2.to(), Ok(Addr(99)));
         let decoded: Envelope<Addr> = decode_payload(f2.payload()).unwrap();
         assert_eq!(decoded, Envelope { from: Addr(5), to: Addr(99), msg: Addr(7) });
         let decoded: Envelope<Addr> = decode_payload(frame.clone().payload()).unwrap();

@@ -25,7 +25,7 @@
 //!                 [--reactor-shards N] [--max-inflight N] [--per-addr N]
 //!                 [--workers N] [--body-limit BYTES] [--timeout SECS]
 //!                 [--seed N] [--name NAME] [--run-for SECS] [--no-batch]
-//!                 [--board-ttl SECS] [--request-deadline SECS] [--journal-wait SECS]
+//!                 [--request-deadline SECS] [--journal-wait SECS]
 //! ```
 //!
 //! Everything reads/writes plain files or stdout, so the tool composes with
@@ -225,7 +225,6 @@ const FLAGS: &[(&str, &[&str])] = &[
             "--name",
             "--run-for",
             "--no-batch",
-            "--board-ttl",
             "--request-deadline",
             "--journal-wait",
         ],
@@ -982,7 +981,6 @@ fn portal_cmd(args: &[&str]) -> Result<String, String> {
         max_body_bytes: parsed_flag(args, "--body-limit", DEFAULT_MAX_BODY_BYTES)?,
         request_deadline: Duration::from_secs(parsed_flag(args, "--request-deadline", 10)?),
         journal_wait: Duration::from_secs(parsed_flag(args, "--journal-wait", 120)?),
-        board_ttl: Duration::from_secs(parsed_flag(args, "--board-ttl", 300)?),
     };
     let timeout = Duration::from_secs(parsed_flag(args, "--timeout", 60)?);
     let digraph_seed: u64 = parsed_flag(args, "--seed", EXAMPLE_DIGRAPH_SEED)?;

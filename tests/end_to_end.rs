@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use computational_neighborhood::cluster::{LatencyModel, NodeSpec};
+use computational_neighborhood::cluster::NodeSpec;
 use computational_neighborhood::cnx;
 use computational_neighborhood::core::{
     self, ClientError, CnApi, DynamicArgs, JobRequirements, Neighborhood, NeighborhoodConfig,
@@ -71,24 +71,6 @@ fn xslt_and_native_transform_agree_across_sizes() {
         let norm = computational_neighborhood::transform::xmi2cnx::normalized;
         assert_eq!(norm(via_xslt), norm(via_native), "divergence at {workers} workers");
     }
-}
-
-#[test]
-fn runs_over_lan_latency_profile() {
-    // Same job, but with the LAN latency model and a loss-free fabric — the
-    // realistic Ethernet of the paper.
-    let config = NeighborhoodConfig {
-        latency: LatencyModel::lan(),
-        seed: 42,
-        server: core::ServerConfig { bid_window: Duration::from_millis(15), ..Default::default() },
-        ..Default::default()
-    };
-    let nb = Neighborhood::deploy_with(NodeSpec::fleet(3, 8192, 16), config);
-    tasks::publish_all_archives(nb.registry());
-    let input = random_digraph(12, 0.3, 1..6, 5);
-    let result = run_transitive_closure(&nb, &input, &TcOptions::new(2)).unwrap();
-    assert_eq!(result, floyd_sequential(&input));
-    nb.shutdown();
 }
 
 #[test]

@@ -19,11 +19,11 @@ use computational_neighborhood::transform::{self, figure2_settings};
 
 /// One full recorded Figure-6 pipeline run (model → … → execute) on a
 /// 3-node fleet with `workers` transitive-closure workers.
-fn traced_fig6_run(seed: u64, workers: usize) -> Recorder {
+fn traced_fig6_run(workers: usize) -> Recorder {
     let rec = Recorder::new();
     let nb = Neighborhood::deploy_with(
         NodeSpec::fleet(3, 8192, 16),
-        NeighborhoodConfig { seed, recorder: rec.clone(), ..Default::default() },
+        NeighborhoodConfig { recorder: rec.clone(), ..Default::default() },
     );
     tasks::publish_all_archives(nb.registry());
     let input = random_digraph(16, 0.25, 1..9, 3);
@@ -45,15 +45,15 @@ fn traced_fig6_run(seed: u64, workers: usize) -> Recorder {
 
 #[test]
 fn fig6_journal_is_byte_identical_across_same_seed_runs() {
-    let a = traced_fig6_run(7, 4);
-    let b = traced_fig6_run(7, 4);
+    let a = traced_fig6_run(4);
+    let b = traced_fig6_run(4);
     assert_eq!(journal_jsonl(&a), journal_jsonl(&b), "journal must be seed-reproducible");
     assert_eq!(chrome_trace(&a), chrome_trace(&b), "chrome trace must be seed-reproducible");
 }
 
 #[test]
 fn fig6_trace_covers_stages_and_tasks() {
-    let rec = traced_fig6_run(7, 3);
+    let rec = traced_fig6_run(3);
     let journal = journal_jsonl(&rec);
     for name in [
         "pipeline",
@@ -76,7 +76,7 @@ fn fig6_trace_covers_stages_and_tasks() {
 
 #[test]
 fn fig6_span_forest_is_well_formed() {
-    let rec = traced_fig6_run(11, 4);
+    let rec = traced_fig6_run(4);
     let spans: Vec<CanonicalSpan> = canonical_spans(&rec.spans().snapshot());
     assert!(!spans.is_empty());
     let by_id: HashMap<u64, &CanonicalSpan> = spans.iter().map(|s| (s.id, s)).collect();

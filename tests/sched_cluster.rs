@@ -31,7 +31,6 @@ fn skewed_fleet(
             exec_slots: Some(exec_slots),
         },
         recorder,
-        ..Default::default()
     };
     let nb = Neighborhood::deploy_with(NodeSpec::fleet_skewed(8192, 64, speeds), config);
     nb.registry().publish(work_archive(20));
