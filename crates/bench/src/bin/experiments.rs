@@ -18,6 +18,10 @@ use cn_tasks::{
 use cn_transform::figures::{figure2_model, figure2_settings};
 use cn_transform::xmi_to_cnx_xslt;
 
+#[allow(dead_code)] // its `main` is the example's; `fig6` calls `run`
+#[path = "../../../../examples/generated/fig2_client.rs"]
+mod fig2_client;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
@@ -98,6 +102,10 @@ fn fig1_components() {
         cn_transform::cnx2java::CNX2JAVA_XSLT.len()
     );
     println!(
+        "CNX2Rust       cn_transform::cnx2rust (XSLT, {} bytes of stylesheet; the substitute target)",
+        cn_transform::cnx2rust::CNX2RUST_XSLT.len()
+    );
+    println!(
         "XMI2CNX        cn_transform::xmi2cnx (XSLT, {} bytes of stylesheet)",
         cn_transform::XMI2CNX_XSLT.len()
     );
@@ -170,9 +178,7 @@ fn fig5_dynamic_invocation() {
             &descriptor,
             &dynamic,
             Duration::from_secs(60),
-            move |job| {
-                seed_input(job, "matrix.txt", &input2, &names2, "TCJoin").expect("seed input")
-            },
+            move |job| seed_input(job, "matrix.txt", &input2, &names2, "TCJoin"),
         )
         .expect("dynamic run");
         let result = Matrix::from_userdata(reports[0].result("TCJoin").unwrap()).unwrap();
@@ -186,7 +192,8 @@ fn fig5_dynamic_invocation() {
     nb.shutdown();
 }
 
-/// Figure 6: the six-step transformation pipeline, timed per stage.
+/// Figure 6: the six-step transformation pipeline, timed per stage; then
+/// step 5's artifact run, the Rust client CNX2Rust writes for Figure 2.
 fn fig6_pipeline() {
     banner("F6", "transformation pipeline: model -> XMI -> CNX -> client -> execute");
     let nb = bench_neighborhood(3, 64);
@@ -200,7 +207,7 @@ fn fig6_pipeline() {
         dynamic: DynamicArgs::new(),
         timeout: Duration::from_secs(60),
         seed: Some(Box::new(move |job| {
-            seed_input(job, "matrix.txt", &input2, &worker_names, "tctask999").expect("seed input");
+            seed_input(job, "matrix.txt", &input2, &worker_names, "tctask999")
         })),
     };
     let run =
@@ -223,6 +230,17 @@ fn fig6_pipeline() {
     let result = Matrix::from_userdata(run.reports[0].result("tctask999").unwrap()).unwrap();
     assert_eq!(result, floyd_sequential(&input));
     println!("[verified: executed result matches sequential Floyd]");
+
+    // Step 5's artifact, run: the checked-in CNX2Rust output for Figure 2.
+    let api = cn_core::CnApi::initialize(&nb);
+    let reports = fig2_client::run(&api, 1, Duration::from_secs(60)).expect("generated client");
+    println!("generated Figure-2 client (examples/generated/fig2_client.rs):");
+    for (task, data) in &reports[0].results {
+        println!("  {task:<10} {} B", data.size_bytes());
+    }
+    let result = Matrix::from_userdata(reports[0].result("tctask999").unwrap()).unwrap();
+    assert_eq!(result, floyd_sequential(&random_digraph(16, 0.25, 1..9, 1)));
+    println!("[verified: the generated client's result matches sequential Floyd]");
     nb.shutdown();
 }
 

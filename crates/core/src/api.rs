@@ -319,12 +319,6 @@ impl JobHandle {
         &self.space
     }
 
-    /// This job's trace span, if the neighborhood's recorder is enabled.
-    /// Useful as a parent for client-side spans (e.g. input seeding).
-    pub fn span(&self) -> Option<SpanId> {
-        self.span
-    }
-
     /// Names of the tasks created so far.
     pub fn task_names(&self) -> &[String] {
         &self.task_names
@@ -467,6 +461,19 @@ impl JobHandle {
         self.net
             .send(self.addr, self.jm, NetMsg::SeedTuple { job: self.job, tuple })
             .map_err(|e| ClientError::Net(e.to_string()))
+    }
+
+    /// Run the client's input setup (e.g. depositing `matrix.txt`) on this
+    /// job before it starts, as a `seed-input` span under the job's span.
+    pub fn seed(
+        &mut self,
+        hook: impl FnOnce(&mut JobHandle) -> Result<(), ClientError>,
+    ) -> Result<(), ClientError> {
+        let span =
+            self.span.and_then(|parent| self.rec.span_start("client", "seed-input", Some(parent)));
+        let seeded = hook(self);
+        self.rec.span_end(span);
+        seeded
     }
 
     /// Start the job: the JobManager launches dependency-free tasks now and

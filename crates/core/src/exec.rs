@@ -3,9 +3,9 @@
 //! The paper's pipeline generates a client *program* from CNX; this module
 //! is the equivalent interpreted path: take a validated [`CnxDocument`],
 //! drive the CN API through exactly the call sequence a generated client
-//! would make, and return the job reports. The generated Rust client
-//! (cn-codegen) makes the same calls — integration tests assert both paths
-//! agree.
+//! would make, and return the job reports. The Rust client the CNX2Rust
+//! stylesheet (`cn-transform`) generates makes the same calls, and
+//! `tests/generated_client.rs` runs both against one another.
 //!
 //! Dynamic invocation (paper Figure 5): a task carrying a `multiplicity`
 //! annotation stands for N run-time invocations; "the number of concurrent
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use cn_cnx::{CnxDocument, Param, Task as CnxTask};
 
-use crate::api::{ClientError, CnApi, JobReport};
+use crate::api::{ClientError, CnApi, JobHandle, JobReport};
 use crate::message::{JobRequirements, TaskSpec};
 use crate::Neighborhood;
 
@@ -156,19 +156,20 @@ pub fn execute_descriptor(
     dynamic: &DynamicArgs,
     timeout: Duration,
 ) -> Result<Vec<JobReport>, ExecError> {
-    execute_descriptor_seeded(neighborhood, doc, dynamic, timeout, |_| {})
+    execute_descriptor_seeded(neighborhood, doc, dynamic, timeout, |_| Ok(()))
 }
 
 /// Like [`execute_descriptor`], but calls `seed` on each job after its
 /// tasks are created and before it starts — the hook where a generated
 /// client performs its own setup (e.g. depositing input data into the
-/// job's tuple space, the simulated `matrix.txt`).
+/// job's tuple space, the simulated `matrix.txt`). A hook that fails
+/// cancels its job and fails the run with its error.
 pub fn execute_descriptor_seeded(
     neighborhood: &Neighborhood,
     doc: &CnxDocument,
     dynamic: &DynamicArgs,
     timeout: Duration,
-    seed: impl FnMut(&mut crate::api::JobHandle),
+    seed: impl FnMut(&mut JobHandle) -> Result<(), ClientError>,
 ) -> Result<Vec<JobReport>, ExecError> {
     let api = CnApi::initialize(neighborhood);
     execute_with_api_seeded(&api, doc, dynamic, timeout, seed)
@@ -182,14 +183,17 @@ pub fn execute_with_api_seeded(
     doc: &CnxDocument,
     dynamic: &DynamicArgs,
     timeout: Duration,
-    mut seed: impl FnMut(&mut crate::api::JobHandle),
+    mut seed: impl FnMut(&mut JobHandle) -> Result<(), ClientError>,
 ) -> Result<Vec<JobReport>, ExecError> {
     let expanded = expand_dynamic(doc, dynamic)?;
     cn_cnx::validate(&expanded).map_err(|e| ExecError::Validation(e.to_string()))?;
     let mut reports = Vec::with_capacity(expanded.client.jobs.len());
     for job_decl in &expanded.client.jobs {
         let mut job = api.create_job(&JobRequirements::default())?;
-        if let Err(e) = job.add_tasks(job_decl.tasks.iter().map(TaskSpec::from_cnx).collect()) {
+        let placed = job
+            .add_tasks(job_decl.tasks.iter().map(TaskSpec::from_cnx).collect())
+            .and_then(|()| job.seed(&mut seed));
+        if let Err(e) = placed {
             // The tasks that were placed hold their slots and memory until
             // the JobManager hears the job is off. A dropped handle posts
             // that too, but only `cancel` returns once it was heard — a
@@ -197,11 +201,6 @@ pub fn execute_with_api_seeded(
             let _ = job.cancel(timeout);
             return Err(e.into());
         }
-        let rec = api.recorder();
-        let seed_span =
-            job.span().and_then(|parent| rec.span_start("client", "seed-input", Some(parent)));
-        seed(&mut job);
-        rec.span_end(seed_span);
         job.start()?;
         reports.push(job.wait(timeout)?);
     }
@@ -343,6 +342,38 @@ mod tests {
         }
         // `cancel` returned on the JobManager's word, which it gives after
         // releasing its own TaskManager's share and telling the others.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 1000)) {
+            assert!(std::time::Instant::now() < deadline, "the placed task was never released");
+            std::thread::yield_now();
+        }
+        nb.shutdown();
+    }
+
+    #[test]
+    fn a_failed_seed_cancels_the_job_before_any_task_starts() {
+        let rec = cn_observe::Recorder::new();
+        let nb = Neighborhood::deploy_with(
+            NodeSpec::fleet(2, 1000, 4),
+            crate::NeighborhoodConfig { recorder: rec.clone(), ..Default::default() },
+        );
+        nb.registry().publish(
+            TaskArchive::new("x.jar")
+                .class("X", || Box::new(|_ctx: &mut TaskContext| Ok(UserData::Empty))),
+        );
+        let mut a = CnxTask::new("a", "x.jar", "X");
+        a.req.memory_mb = 600;
+        let refused = ClientError::Usage("no input to seed");
+        let outcome = execute_descriptor_seeded(
+            &nb,
+            &descriptor(vec![a]),
+            &DynamicArgs::new(),
+            Duration::from_secs(5),
+            |_| Err(refused.clone()),
+        );
+        assert_eq!(outcome, Err(ExecError::Client(refused)));
+        assert_eq!(rec.counter("server.tasks_started").get(), 0);
+        // The cancelled job gave back what its task had been placed on.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while nb.nodes().iter().any(|n| (n.free_slots(), n.free_memory_mb()) != (4, 1000)) {
             assert!(std::time::Instant::now() < deadline, "the placed task was never released");

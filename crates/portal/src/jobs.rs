@@ -19,12 +19,13 @@ use cn_cnx::ast::CnxDocument;
 use cn_core::spaces::SpaceRegistry;
 use cn_core::{
     execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
-    JobHandle, Neighborhood, NeighborhoodConfig, NetMsg,
+    Neighborhood, NeighborhoodConfig, NetMsg,
 };
 use cn_observe::export::json_escape;
 use cn_observe::{journal_jsonl_filtered, Counter, Recorder, LATENCY_BUCKETS_US};
 use cn_reactor::Token;
 use cn_sync::Mutex;
+use cn_tasks::seed_transitive_closure;
 use cn_transform::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
 use cn_wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
 
@@ -291,21 +292,6 @@ pub struct RunOutcome {
 /// demos), or a stub (benchmarks, tests).
 pub trait JobRunner: Send + Sync + 'static {
     fn run(&self, job: &CompiledJob) -> Result<RunOutcome, String>;
-}
-
-/// The Figure-3 seeding every front end uses for the transitive-closure
-/// example: when the descriptor has the `tctask0`/`tctask999` shape,
-/// deposit the deterministic input matrix (same digraph as `cnctl
-/// submit`/`trace`, so journals are cross-comparable).
-pub fn seed_transitive_closure(job: &mut JobHandle, digraph_seed: u64) {
-    let names = job.task_names();
-    if names.iter().any(|n| n == "tctask0") && names.iter().any(|n| n == "tctask999") {
-        let input = cn_tasks::random_digraph(16, 0.25, 1..9, digraph_seed);
-        let worker_names: Vec<String> =
-            names.iter().filter(|n| *n != "tctask0" && *n != "tctask999").cloned().collect();
-        cn_tasks::seed_input(job, "matrix.txt", &input, &worker_names, "tctask999")
-            .expect("seed input");
-    }
 }
 
 /// Runs jobs over the real socket fabric against `cnctl serve` workers —

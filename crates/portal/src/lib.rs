@@ -33,9 +33,11 @@ pub mod jobs;
 pub mod server;
 
 pub use admission::{Admission, SubmitError};
+/// The seeding every runner applies, where `cnbench` imports it from.
+pub use cn_tasks::seed_transitive_closure;
 pub use http::{ChunkedDecoder, HttpError, Request, RequestParser, Response};
 pub use jobs::{
-    compile_submission, json_string, looks_like_xmi, seed_transitive_closure, CompiledJob,
-    JobBoard, JobId, JobRunner, JobState, JobWork, RunOutcome, SimRunner, StubRunner, WireRunner,
+    compile_submission, json_string, looks_like_xmi, CompiledJob, JobBoard, JobId, JobRunner,
+    JobState, JobWork, RunOutcome, SimRunner, StubRunner, WireRunner,
 };
 pub use server::{render_metrics, PortalConfig, PortalServer};

@@ -24,7 +24,9 @@ pub use cn_core::TaskError;
 pub use floyd::{floyd_parallel, floyd_sequential};
 pub use graphgen::{layered_dag, random_digraph, ring_graph};
 pub use matrix::{row_blocks, Matrix, INF};
-pub use transclosure::{publish_tc_archives, run_transitive_closure, seed_input, TcOptions};
+pub use transclosure::{
+    publish_tc_archives, run_transitive_closure, seed_input, seed_transitive_closure, TcOptions,
+};
 
 /// Publish every archive in this library (transitive closure, Monte-Carlo,
 /// word count, matmul) into a registry — used by the examples and the

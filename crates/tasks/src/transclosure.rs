@@ -26,7 +26,7 @@
 
 use std::time::Duration;
 
-use cn_core::{Field, TaskContext, TaskError, UserData};
+use cn_core::{ClientError, Field, JobHandle, TaskContext, TaskError, UserData};
 
 use crate::matrix::{row_blocks, Matrix};
 
@@ -90,6 +90,20 @@ pub fn seed_input(
         Field::S(filename.to_string()),
         Field::B(encode_i64s(&payload)),
     ])
+}
+
+/// The seeding every front end and generated client runs: a job of the
+/// `tctask0`/`tctask999` shape gets the input matrix of `digraph_seed` (one
+/// digraph for all, so their journals compare); other shapes are left as is.
+pub fn seed_transitive_closure(job: &mut JobHandle, digraph_seed: u64) -> Result<(), ClientError> {
+    let names = job.task_names();
+    if !(names.iter().any(|n| n == "tctask0") && names.iter().any(|n| n == "tctask999")) {
+        return Ok(());
+    }
+    let input = crate::random_digraph(16, 0.25, 1..9, digraph_seed);
+    let workers: Vec<String> =
+        names.iter().filter(|n| *n != "tctask0" && *n != "tctask999").cloned().collect();
+    seed_input(job, "matrix.txt", &input, &workers, "tctask999")
 }
 
 /// `TaskSplit`: read the input, initialize the workers with their rows.
@@ -393,13 +407,10 @@ pub fn run_transitive_closure(
     join.memory_mb = 100;
     job.add_task(join).map_err(|e| TaskError::new(e.to_string()))?;
 
-    // Seeding is part of the composition: record it as its own span nested
-    // in the job span so traces show setup time apart from execution.
-    let seed_span =
-        job.span().and_then(|parent| rec.span_start("client", "seed-input", Some(parent)));
-    seed_input(&job, "matrix.txt", input, &worker_names, "tctask999")
+    // Seeding is part of the composition: `seed` records it as its own span
+    // nested in the job span, so traces show setup time apart from execution.
+    job.seed(|job| seed_input(job, "matrix.txt", input, &worker_names, "tctask999"))
         .map_err(|e| TaskError::new(e.to_string()))?;
-    rec.span_end(seed_span);
     job.start().map_err(|e| TaskError::new(e.to_string()))?;
     let report = job.wait(options.timeout).map_err(|e| TaskError::new(e.to_string()))?;
     let result =

@@ -1,16 +1,19 @@
 //! CNX2Java — "an XSLT that translates CNX to compilable JAVA code"
-//! (paper Figure 1), with `method="text"` output, plus the comparison
-//! harness against the native Java backend in [`cn_codegen`].
+//! (paper Figure 1), with `method="text"` output. There is no JDK to
+//! compile it with, so its output is checked as text:
+//! `tests/golden/fig2_client.java` is what it writes for Figure 2.
 
-use cn_xslt::{compile_cached, transform, XsltError};
+use cn_xslt::XsltError;
 
-/// The CNX→Java stylesheet. One template per descriptor level; task
-/// emission mirrors the native backend line for line.
+/// The CNX→Java stylesheet, one template per descriptor level.
 pub const CNX2JAVA_XSLT: &str = r#"<xsl:stylesheet version="1.0"
     xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
   <xsl:output method="text"/>
 
-  <xsl:template match="/cn2/client">
+  <!-- Only the client is read: no whitespace between elements is output. -->
+  <xsl:template match="/"><xsl:apply-templates select="cn2/client"/></xsl:template>
+
+  <xsl:template match="cn2/client">
     <xsl:text>// CN client program for "</xsl:text>
     <xsl:value-of select="@class"/>
     <xsl:text>".&#10;</xsl:text>
@@ -99,38 +102,27 @@ pub const CNX2JAVA_XSLT: &str = r#"<xsl:stylesheet version="1.0"
   <xsl:template name="deps">
     <xsl:param name="task"/>
     <xsl:param name="list"/>
-    <xsl:if test="$list != ''">
-      <xsl:variable name="head">
-        <xsl:choose>
-          <xsl:when test="contains($list, ',')">
-            <xsl:value-of select="substring-before($list, ',')"/>
-          </xsl:when>
-          <xsl:otherwise><xsl:value-of select="$list"/></xsl:otherwise>
-        </xsl:choose>
-      </xsl:variable>
-      <xsl:if test="$head != ''">
-        <xsl:text>        </xsl:text>
-        <xsl:value-of select="$task"/>
-        <xsl:text>.addDependency("</xsl:text>
-        <xsl:value-of select="$head"/>
-        <xsl:text>");&#10;</xsl:text>
-      </xsl:if>
-      <xsl:if test="contains($list, ',')">
-        <xsl:call-template name="deps">
-          <xsl:with-param name="task" select="$task"/>
-          <xsl:with-param name="list" select="substring-after($list, ',')"/>
-        </xsl:call-template>
-      </xsl:if>
+    <xsl:variable name="head" select="substring-before(concat($list, ','), ',')"/>
+    <xsl:if test="$head != ''">
+      <xsl:text>        </xsl:text>
+      <xsl:value-of select="$task"/>
+      <xsl:text>.addDependency("</xsl:text>
+      <xsl:value-of select="$head"/>
+      <xsl:text>");&#10;</xsl:text>
+    </xsl:if>
+    <xsl:if test="contains($list, ',')">
+      <xsl:call-template name="deps">
+        <xsl:with-param name="task" select="$task"/>
+        <xsl:with-param name="list" select="substring-after($list, ',')"/>
+      </xsl:call-template>
     </xsl:if>
   </xsl:template>
 </xsl:stylesheet>
 "#;
 
-/// Run the XSLT path: CNX text → Java source text.
+/// Run the stylesheet: CNX text → Java source text.
 pub fn cnx_to_java_xslt(cnx_text: &str) -> Result<String, XsltError> {
-    let style = compile_cached(CNX2JAVA_XSLT)?;
-    let doc = cn_xml::parse(cnx_text).map_err(|e| XsltError::new(e.to_string()))?;
-    Ok(transform(&style, &doc)?.to_output_string())
+    crate::apply_text_stylesheet(CNX2JAVA_XSLT, cnx_text)
 }
 
 #[cfg(test)]
@@ -138,7 +130,6 @@ mod tests {
     use super::*;
     use cn_cnx::ast::figure2_descriptor;
     use cn_cnx::write_cnx;
-    use cn_codegen::generate_java_client;
 
     #[test]
     fn xslt_emits_compilable_shape() {
@@ -153,17 +144,6 @@ mod tests {
         assert!(java.contains("tctask999.addDependency(\"tctask2\");"));
         assert!(java.contains("addParameter(\"java.lang.Integer\", \"3\")"));
         assert_eq!(java.matches('{').count(), java.matches('}').count());
-    }
-
-    #[test]
-    fn xslt_matches_native_backend_modulo_whitespace() {
-        let doc = figure2_descriptor(4);
-        let via_xslt = cnx_to_java_xslt(&write_cnx(&doc)).unwrap();
-        let native = generate_java_client(&doc);
-        let lines = |s: &str| -> Vec<String> {
-            s.lines().map(str::trim).filter(|l| !l.is_empty()).map(str::to_string).collect()
-        };
-        assert_eq!(lines(&via_xslt), lines(&native));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!    descriptor — [`xmi2cnx`], executed by our own [`cn_xslt`] engine, with
 //!    a native Rust transform differential-tested against it.
 //! 4. The CNX descriptor is transformed, using XSLT, to a client program in
-//!    the target language — [`cnx2java`] (paper-faithful Java text) and the
-//!    native Rust backend from [`cn_codegen`].
+//!    the target language — [`cnx2rust`] (a Rust client that runs) and
+//!    [`cnx2java`] (paper-faithful Java text).
 //! 5. The client program is deployed to a CN server along with the archives.
 //! 6. The client computation is executed by the CN server.
 //!
@@ -18,6 +18,7 @@
 pub mod batch;
 pub mod cnx2java;
 pub mod cnx2model;
+pub mod cnx2rust;
 pub use figures::{figure2_model, figure2_settings};
 pub mod figures;
 pub mod pipeline;
@@ -30,6 +31,13 @@ pub use pipeline::{Pipeline, PipelineOptions, PipelineRun, StageTiming};
 pub use roundtrip::{cnx_roundtrip_drift, model_roundtrip_drift, Drift};
 pub use xmi2cnx::{model_to_cnx, xmi_to_cnx_native, xmi_to_cnx_xslt, XMI2CNX_XSLT};
 
+/// Apply a `method="text"` stylesheet (CNX2Rust, CNX2Java) to CNX text.
+fn apply_text_stylesheet(stylesheet: &str, cnx_text: &str) -> Result<String, cn_xslt::XsltError> {
+    let style = cn_xslt::compile_cached(stylesheet)?;
+    let doc = cn_xml::parse(cnx_text).map_err(|e| cn_xslt::XsltError::new(e.to_string()))?;
+    Ok(cn_xslt::transform(&style, &doc)?.to_output_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,5 +49,7 @@ mod tests {
             .expect("keyless XMI2CNX stylesheet must compile");
         cn_xslt::Stylesheet::parse(cnx2java::CNX2JAVA_XSLT)
             .expect("CNX2Java stylesheet must compile");
+        cn_xslt::Stylesheet::parse(cnx2rust::CNX2RUST_XSLT)
+            .expect("CNX2Rust stylesheet must compile");
     }
 }

@@ -4,11 +4,12 @@
 use std::time::{Duration, Instant};
 
 use cn_cnx::CnxDocument;
-use cn_core::{DynamicArgs, JobReport, Neighborhood};
+use cn_core::{ClientError, DynamicArgs, JobHandle, JobReport, Neighborhood};
 use cn_model::ActivityGraph;
 use cn_xml::WriteOptions;
 
 use crate::cnx2java::cnx_to_java_xslt;
+use crate::cnx2rust::cnx_to_rust_xslt;
 use crate::xmi2cnx::{xmi_to_cnx_xslt, ClientSettings};
 
 /// Per-stage wall-clock timing.
@@ -49,9 +50,10 @@ pub struct PipelineOptions {
     /// Job execution timeout.
     pub timeout: Duration,
     /// Seeding hook run between task creation and start (the generated
-    /// client's input setup — e.g. depositing `matrix.txt`).
+    /// client's input setup — e.g. depositing `matrix.txt`). An error
+    /// cancels the job and fails the `execute` stage.
     #[allow(clippy::type_complexity)]
-    pub seed: Option<Box<dyn FnMut(&mut cn_core::JobHandle)>>,
+    pub seed: Option<Box<dyn FnMut(&mut JobHandle) -> Result<(), ClientError>>>,
 }
 
 impl Default for PipelineOptions {
@@ -137,34 +139,26 @@ impl<'n> Pipeline<'n> {
             })
         })?;
 
-        // Step 4: CNX → client programs.
+        // Step 4: CNX → client programs, both via XSLT.
         let (rust_source, java_source) = staged!("codegen", {
-            let rust_source = cn_codegen::generate_rust_client(&descriptor);
-            cnx_to_java_xslt(&cnx_text)
-                .map_err(|e| format!("CNX2Java: {e}"))
-                .map(|java| (rust_source, java))
+            cnx_to_rust_xslt(&cnx_text).map_err(|e| format!("CNX2Rust: {e}")).and_then(|rust| {
+                let java = cnx_to_java_xslt(&cnx_text).map_err(|e| format!("CNX2Java: {e}"))?;
+                Ok((rust, java))
+            })
         })?;
 
         // Steps 5+6: deploy to the CN servers and execute. The generated
         // client's call sequence is executed through the interpreted path
         // (identical API calls; see cn_core::exec).
-        let seed = options.seed.take();
+        let mut seed = options.seed.take();
         let reports = staged!("execute", {
-            match seed {
-                Some(mut hook) => cn_core::execute_descriptor_seeded(
-                    self.neighborhood,
-                    &descriptor,
-                    &options.dynamic,
-                    options.timeout,
-                    |job| hook(job),
-                ),
-                None => cn_core::execute_descriptor(
-                    self.neighborhood,
-                    &descriptor,
-                    &options.dynamic,
-                    options.timeout,
-                ),
-            }
+            cn_core::execute_descriptor_seeded(
+                self.neighborhood,
+                &descriptor,
+                &options.dynamic,
+                options.timeout,
+                |job| seed.as_mut().map_or(Ok(()), |hook| hook(job)),
+            )
         })
         .map_err(|e| format!("execution: {e}"))?;
 
@@ -195,7 +189,6 @@ mod tests {
             timeout: Duration::from_secs(60),
             seed: Some(Box::new(move |job| {
                 seed_input(job, "matrix.txt", &input, &worker_names, "tctask999")
-                    .expect("seed input");
             })),
         }
     }

@@ -522,11 +522,6 @@ impl Frame {
         self.bytes.is_empty()
     }
 
-    /// The destination address carried in the frame header.
-    pub fn to(&self) -> Result<Addr, WireError> {
-        fixed(&self.bytes, FRAME_TO_OFFSET).map(|raw| Addr(u64::from_le_bytes(raw)))
-    }
-
     /// The same frame re-addressed to `to`: the bytes are copied once and
     /// the destination field patched — the message body is never re-encoded.
     pub fn for_to(&self, to: Addr) -> Frame {
@@ -735,10 +730,8 @@ mod tests {
         let env = Envelope { from: Addr(5), to: Addr(6), msg: Addr(7) };
         let frame = Frame::encode(env.from, env.to, &env.msg);
         assert_eq!(frame.bytes(), encode_frame(&env).as_slice());
-        assert_eq!(frame.to(), Ok(Addr(6)));
         // Re-addressing patches only the `to` field; the clone shares bytes.
         let f2 = frame.for_to(Addr(99));
-        assert_eq!(f2.to(), Ok(Addr(99)));
         let decoded: Envelope<Addr> = decode_payload(f2.payload()).unwrap();
         assert_eq!(decoded, Envelope { from: Addr(5), to: Addr(99), msg: Addr(7) });
         let decoded: Envelope<Addr> = decode_payload(frame.clone().payload()).unwrap();

@@ -41,7 +41,6 @@ fn main() {
         timeout: Duration::from_secs(60),
         seed: Some(Box::new(move |job| {
             seed_input(job, "matrix.txt", &input_for_seed, &worker_names, "tctask999")
-                .expect("seed input");
         })),
     };
 

@@ -43,7 +43,6 @@ use computational_neighborhood::analysis;
 use computational_neighborhood::check;
 use computational_neighborhood::cluster::ClusterCapacity;
 use computational_neighborhood::cnx;
-use computational_neighborhood::codegen;
 use computational_neighborhood::model;
 use computational_neighborhood::portal::{json_string, looks_like_xmi, seed_transitive_closure};
 use computational_neighborhood::transform::{self, xmi2cnx::ClientSettings};
@@ -565,15 +564,17 @@ fn transform_xmi(text: &str, args: &[&str]) -> Result<String, String> {
     result.map_err(|e| e.to_string())
 }
 
-/// `codegen`: CNX text → client program source.
+/// `codegen`: CNX text → client program source, by the CNX2Rust or the
+/// CNX2Java stylesheet.
 fn codegen_cnx(text: &str, lang: &str) -> Result<String, String> {
     let doc = cnx::parse_cnx(text).map_err(|e| e.to_string())?;
     cnx::validate(&doc).map_err(|e| e.to_string())?;
-    match lang {
-        "rust" => Ok(codegen::generate_rust_client(&doc)),
-        "java" => Ok(codegen::generate_java_client(&doc)),
-        other => Err(format!("unknown language {other:?} (rust|java)")),
-    }
+    let generated = match lang {
+        "rust" => transform::cnx2rust::cnx_to_rust_xslt(text),
+        "java" => transform::cnx2java::cnx_to_java_xslt(text),
+        other => return Err(format!("unknown language {other:?} (rust|java)")),
+    };
+    generated.map_err(|e| e.to_string())
 }
 
 /// `render`: CNX or XMI → activity diagram (DOT or ASCII).

@@ -18,9 +18,9 @@
 //!   TaskManager, CNServer, messaging, tuple spaces.
 //! * [`tasks`] — the task library, including the paper's guiding example
 //!   (parallel Floyd transitive closure: `TaskSplit`, `TCTask`, `TCJoin`).
-//! * [`codegen`] — native client-program generation from CNX.
-//! * [`transform`] — XMI2CNX / CNX2Rust / CNX2Java stylesheets, the six-step
-//!   pipeline of Figure 6, and the web-portal prototype.
+//! * [`transform`] — the XMI2CNX, CNX2Rust and CNX2Java stylesheets and the
+//!   six-step pipeline of Figure 6; `examples/generated/fig2_client.rs` is
+//!   the Rust client CNX2Rust writes for Figure 2.
 //! * [`graph`] — shared graph algorithms (deterministic cycle search).
 //! * [`analysis`] — the cross-layer lint engine behind `cnctl lint`: coded,
 //!   spanned diagnostics over CNX descriptors and activity models.
@@ -40,7 +40,6 @@ pub use cn_analysis as analysis;
 pub use cn_check as check;
 pub use cn_cluster as cluster;
 pub use cn_cnx as cnx;
-pub use cn_codegen as codegen;
 pub use cn_core as core;
 pub use cn_graph as graph;
 pub use cn_model as model;

@@ -38,7 +38,7 @@ fn model_to_execution_produces_correct_shortest_paths() {
         dynamic: DynamicArgs::new(),
         timeout: Duration::from_secs(120),
         seed: Some(Box::new(move |job| {
-            seed_input(job, "matrix.txt", &input2, &worker_names, "tctask999").expect("seed input");
+            seed_input(job, "matrix.txt", &input2, &worker_names, "tctask999")
         })),
     };
     let run = Pipeline::new(&nb).run(&figure2_model(workers), options).unwrap();
@@ -302,18 +302,6 @@ fn scheduling_policies_all_complete_the_guiding_example() {
         assert_eq!(result, floyd_sequential(&input), "policy {policy:?}");
         nb.shutdown();
     }
-}
-
-#[test]
-fn generated_rust_client_mirrors_descriptor_execution() {
-    // The generated client's structure must enumerate exactly the API calls
-    // the interpreted executor performs: one add_task per CNX task, one
-    // start, one wait per job.
-    let doc = cnx::ast::figure2_descriptor(5);
-    let src = computational_neighborhood::codegen::generate_rust_client(&doc);
-    assert_eq!(src.matches("job.add_task(").count(), doc.task_count());
-    assert_eq!(src.matches("job.start()").count(), doc.client.jobs.len());
-    assert_eq!(src.matches("job.wait(").count(), doc.client.jobs.len());
 }
 
 #[test]

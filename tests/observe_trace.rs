@@ -33,7 +33,7 @@ fn traced_fig6_run(workers: usize) -> Recorder {
         dynamic: DynamicArgs::new(),
         timeout: Duration::from_secs(60),
         seed: Some(Box::new(move |job| {
-            seed_input(job, "matrix.txt", &input, &worker_names, "tctask999").expect("seed input");
+            seed_input(job, "matrix.txt", &input, &worker_names, "tctask999")
         })),
     };
     transform::Pipeline::new(&nb)

@@ -88,12 +88,12 @@ fn launch_serves_with(ports: &[u16], also: &[u16], extra: &[&str]) -> Serves {
     serves
 }
 
-fn seed_figure3(job: &mut computational_neighborhood::core::JobHandle) {
+fn seed_figure3(job: &mut computational_neighborhood::core::JobHandle) -> Result<(), ClientError> {
     let input = random_digraph(16, 0.25, 1..9, 1);
     let names = job.task_names();
     let worker_names: Vec<String> =
         names.iter().filter(|n| *n != "tctask0" && *n != "tctask999").cloned().collect();
-    seed_input(job, "matrix.txt", &input, &worker_names, "tctask999").expect("seed input");
+    seed_input(job, "matrix.txt", &input, &worker_names, "tctask999")
 }
 
 /// The tentpole acceptance: the Figure-3 job completes across 3 `cnctl
