@@ -146,6 +146,54 @@ mod tests {
         assert_eq!(java.matches('{').count(), java.matches('}').count());
     }
 
+    /// The Java the deleted native backend wrote, kept as an independent
+    /// oracle for the stylesheet (no escaping: Figure 2 has nothing to
+    /// escape).
+    fn native_java(doc: &cn_cnx::CnxDocument) -> String {
+        let client = &doc.client;
+        let mut out = vec![
+            format!("// CN client program for {:?}.", client.class),
+            "// GENERATED by CNX2Java from a CNX client descriptor -- do not edit.".into(),
+            "import org.jhpc.cn2.*;".into(),
+            format!("public class {} {{", client.class),
+            "public static void main(String[] args) throws Exception {".into(),
+            "CNAPI cn = CNAPIFactory.getInstance();".into(),
+        ];
+        out.extend(client.port.map(|port| format!("cn.setClientPort({port});")));
+        out.extend(client.log.as_ref().map(|log| format!("cn.setLogFile(\"{log}\");")));
+        for (j, job) in client.jobs.iter().enumerate() {
+            out.push(format!("// --- job {j} ---"));
+            out.push(format!("Job job{j} = cn.createJob();"));
+            for t in &job.tasks {
+                let var = &t.name;
+                out.push(format!(
+                    "Task {var} = job{j}.createTask(\"{var}\", \"{}\", \"{}\");",
+                    t.jar, t.class
+                ));
+                out.push(format!("{var}.setMemory({});", t.req.memory_mb));
+                out.push(format!("{var}.setRunModel(RunModel.{});", t.req.runmodel.as_str()));
+                out.extend(t.depends.iter().map(|d| format!("{var}.addDependency(\"{d}\");")));
+                out.extend(t.params.iter().map(|p| {
+                    format!("{var}.addParameter(\"java.lang.{}\", \"{}\");", p.ty.as_str(), p.value)
+                }));
+            }
+            out.push(format!("job{j}.startTasks();"));
+            out.push(format!("job{j}.waitForCompletion();"));
+        }
+        out.extend(["cn.shutdown();".into(), "}".into(), "}".into()]);
+        out.join("\n")
+    }
+
+    #[test]
+    fn xslt_matches_native_backend_modulo_whitespace() {
+        let doc = figure2_descriptor(4);
+        let via_xslt = cnx_to_java_xslt(&write_cnx(&doc)).unwrap();
+        let lines = |s: &str| -> Vec<String> {
+            s.lines().map(str::trim).filter(|l| !l.is_empty()).map(str::to_string).collect()
+        };
+        assert_eq!(lines(&via_xslt), lines(&native_java(&doc)));
+    }
+
     #[test]
     fn depends_split_handles_many_entries() {
         let cnx = write_cnx(&figure2_descriptor(5));

@@ -305,6 +305,24 @@ fn scheduling_policies_all_complete_the_guiding_example() {
 }
 
 #[test]
+fn generated_rust_client_mirrors_descriptor_execution() {
+    // The generated client's structure must enumerate exactly the API calls
+    // the interpreted executor performs: one TaskSpec per CNX task, one job
+    // per CNX job, and per job one add_tasks burst, one start and one wait
+    // (made by `run` once for each job `jobs()` returns).
+    let doc = cnx::ast::figure2_descriptor(5);
+    let src =
+        computational_neighborhood::transform::cnx2rust::cnx_to_rust_xslt(&cnx::write_cnx(&doc))
+            .expect("CNX2Rust");
+    assert_eq!(src.matches("tasks.push(t);").count(), doc.task_count());
+    assert_eq!(src.matches("jobs.push(tasks);").count(), doc.client.jobs.len());
+    assert_eq!(src.matches("for tasks in jobs() {").count(), 1);
+    assert_eq!(src.matches(".add_tasks(tasks)").count(), 1);
+    assert_eq!(src.matches("job.start()").count(), 1);
+    assert_eq!(src.matches("job.wait(").count(), 1);
+}
+
+#[test]
 fn job_events_include_lifecycle_for_every_task() {
     let nb = Neighborhood::deploy(NodeSpec::fleet(2, 8192, 16));
     tasks::publish_all_archives(nb.registry());

@@ -16,8 +16,16 @@ use computational_neighborhood::core::{
 };
 use computational_neighborhood::observe::{journal_jsonl, Recorder};
 
-/// A fleet with per-node `speed_pct` values, capped executor slots so run
-/// queues actually form, and fast bid windows.
+/// The bound on every bid window. A window closes as soon as each
+/// addressed server has answered, so a healthy run never waits it out; a
+/// bound of a few hundred microseconds instead lets a server that is merely
+/// slow to be scheduled count as silent, and turns CPU contention into
+/// missing bids: a `NoJobManagers` at `create_job`, or a placement that is
+/// not the rotation.
+const BID_WINDOW: Duration = Duration::from_secs(1);
+
+/// A fleet with per-node `speed_pct` values and capped executor slots so
+/// run queues actually form.
 fn skewed_fleet(
     speeds: &[u32],
     exec_slots: usize,
@@ -25,11 +33,7 @@ fn skewed_fleet(
     recorder: Recorder,
 ) -> Neighborhood {
     let config = NeighborhoodConfig {
-        server: ServerConfig {
-            bid_window: Duration::from_micros(500),
-            policy,
-            exec_slots: Some(exec_slots),
-        },
+        server: ServerConfig { bid_window: BID_WINDOW, policy, exec_slots: Some(exec_slots) },
         recorder,
     };
     let nb = Neighborhood::deploy_with(NodeSpec::fleet_skewed(8192, 64, speeds), config);
@@ -47,10 +51,7 @@ fn work_archive(nominal_ms: u64) -> TaskArchive {
 }
 
 fn client_config() -> computational_neighborhood::core::ClientConfig {
-    computational_neighborhood::core::ClientConfig {
-        bid_window: Duration::from_micros(500),
-        ..Default::default()
-    }
+    computational_neighborhood::core::ClientConfig { bid_window: BID_WINDOW, ..Default::default() }
 }
 
 /// Run one single-client job of `tasks` Spin tasks; returns (placements,
@@ -100,8 +101,11 @@ fn concurrent_client_bursts_all_complete_under_fair_admission() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let api = CnApi::with_config(&nb, client_config());
-                let mut job = api.create_job(&JobRequirements::default()).expect("create job");
+                let job = api.create_job(&JobRequirements::default());
+                // Every client reaches the barrier, so one that fails to
+                // create its job fails the test instead of hanging the rest.
                 barrier.wait();
+                let mut job = job.expect("create job");
                 for t in 0..5 {
                     let mut spec = TaskSpec::new(format!("c{c}t{t}"), "work.jar", "Spin");
                     spec.memory_mb = 64;
