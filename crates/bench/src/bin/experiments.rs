@@ -434,7 +434,10 @@ fn e5_tuplespace_vs_messages() {
         assert_eq!(r2, reference);
         println!("{workers:>8} {msg_t:>14.2?} {ts_t:>14.2?}");
     }
-    println!("[expected shape: tuple space amortizes the k-row broadcast (1 out vs W-1 sends)]");
+    println!(
+        "[expected shape: the row owner's 1 out replaces W-1 sends, but each reader's rd is an \
+         ask/give trip to the JobManager holding the space]"
+    );
     nb.shutdown();
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The runtime's real concurrency surfaces — the socket fabric's per-peer
 //! queue/writer handoff, the simulated network's group delivery, the
-//! CnServer pending-queue drain, the tuple space's blocking reads — are
+//! CnServer pending-queue drain, the JobManager's parked tuple-space asks — are
 //! registered here as [`Scenario`]s and driven under `cn-sync`'s
 //! controlled scheduler ([`cn_sync::check::explore`]), which serializes
 //! them onto one task at a time and explores interleavings from a seeded

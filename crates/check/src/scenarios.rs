@@ -1,7 +1,7 @@
 //! The registry of runtime concurrency surfaces under check.
 //!
 //! Each scenario is a closed multi-threaded exercise of *real* runtime
-//! code — the same `PeerQueue`, `Network`, `MsgPump`, and `TupleSpace` the
+//! code — the same `PeerQueue`, `Network`, `MsgPump`, and `HeldSpace` the
 //! production paths use — built only from `cn-sync` primitives so the
 //! controlled scheduler owns every interleaving. Scenario bodies are
 //! deliberately identical between clean and `mutations` builds: the cargo
@@ -14,7 +14,8 @@ use std::time::Duration;
 
 use cn_cluster::{Addr, Envelope, LatencyModel, Network, DISCOVERY_GROUP};
 use cn_core::pump::MsgPump;
-use cn_core::tuplespace::{exact, Field, TupleSpace};
+use cn_core::tuplespace::{exact, Field, HeldSpace, TupleSpace};
+use cn_core::{JobId, NetMsg};
 use cn_reactor::{Mailbox, NoopWaker, TimerWheel};
 use cn_sync::thread;
 use cn_wire::peer::{PeerQueue, PushOutcome};
@@ -58,7 +59,7 @@ pub fn all() -> &'static [Scenario] {
         },
         Scenario {
             name: "core.tuplespace",
-            about: "tuple space blocking take woken by a racing out",
+            about: "JobManager's tuple space: parked takes racing the out that serves one of them",
             fail_on_timeout_escape: true,
             run: tuplespace,
         },
@@ -216,27 +217,52 @@ fn server_drain() {
     sender.join().expect("sender");
 }
 
-/// A blocking `take` races the `out` that satisfies it. The per-arity
-/// condvar must be signalled by every deposit; with
-/// `fail_on_timeout_escape` a consumer that only proceeds because its
-/// timed wait was force-fired counts as a lost wakeup.
+/// Two `take`s race the `out` that serves one of them to the JobManager
+/// of their job, which meets them in arrival order from its queue and
+/// answers from the job's [`HeldSpace`]. In every order the tuple is handed
+/// out exactly once, to a taker, and the other taker's ask stays parked.
 fn tuplespace() {
-    let ts = Arc::new(TupleSpace::new());
+    let net: Arc<Network<NetMsg>> = Arc::new(Network::new(LatencyModel::zero(), 7));
+    let (jm, jm_rx) = net.register();
+    let job = JobId(1);
+    let pattern = exact(&[Field::S("result".into()), Field::I(7)]);
 
-    let consumer = {
-        let ts = Arc::clone(&ts);
-        thread::Builder::new()
-            .name("consumer".into())
-            .spawn(move || {
-                ts.take(&exact(&[Field::S("result".into()), Field::I(7)]), Duration::from_secs(5))
-            })
-            .expect("spawn consumer")
-    };
-    ts.out(vec![Field::S("result".into()), Field::I(7)]);
+    let takers: Vec<_> = ["taker-a", "taker-b"]
+        .into_iter()
+        .map(|name| {
+            let (net, pattern) = (Arc::clone(&net), pattern.clone());
+            thread::Builder::new()
+                .name(name.into())
+                .spawn(move || {
+                    let (me, _rx) = net.register();
+                    let ask = NetMsg::TupleAsk { job, pattern, take: true, reply_to: me };
+                    net.send(me, jm, ask).expect("ask");
+                    me
+                })
+                .expect("spawn taker")
+        })
+        .collect();
+    let tuple = vec![Field::S("result".into()), Field::I(7)];
+    net.send(jm, jm, NetMsg::TupleOut { job, tuple: tuple.clone() }).expect("out");
 
-    let got = consumer.join().expect("consumer");
-    assert!(got.is_some(), "deposited tuple never matched");
-    assert!(ts.is_empty(), "take left the tuple behind");
+    let mut held = HeldSpace::new(TupleSpace::new());
+    let mut pump = MsgPump::new(jm_rx);
+    let mut gives = Vec::new();
+    for _ in 0..3 {
+        match pump.next().expect("network alive").msg {
+            NetMsg::TupleOut { tuple, .. } => gives.extend(held.out(tuple)),
+            NetMsg::TupleAsk { pattern, take, reply_to, .. } => {
+                gives.extend(held.ask(pattern, take, reply_to).map(|t| (reply_to, t)))
+            }
+            other => panic!("the JobManager got {other:?}"),
+        }
+    }
+    let takers: Vec<_> = takers.into_iter().map(|t| t.join().expect("taker")).collect();
+    assert_eq!(gives.len(), 1, "the tuple was handed out {} times", gives.len());
+    assert!(takers.contains(&gives[0].0), "handed to a non-taker");
+    assert_eq!(gives[0].1, tuple);
+    assert!(held.is_empty(), "a take left the tuple behind");
+    assert_eq!(held.parked(), 1, "the other taker's ask was lost");
 }
 
 /// The reactor shard's command protocol with the epoll half removed: a

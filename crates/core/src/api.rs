@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope};
@@ -23,8 +22,7 @@ use crate::message::{
 };
 use crate::pump::MsgPump;
 use crate::scheduler::{select, Policy};
-use crate::spaces::SpaceRegistry;
-use crate::tuplespace::{Tuple, TupleSpace};
+use crate::tuplespace::Space;
 use crate::Neighborhood;
 
 /// Client-side failure.
@@ -95,7 +93,6 @@ static NEXT_JOB_ID: AtomicU64 = AtomicU64::new(1);
 /// The CN API factory instance.
 pub struct CnApi {
     net: FabricHandle<NetMsg>,
-    spaces: Arc<SpaceRegistry>,
     config: ClientConfig,
     rec: Recorder,
     /// CN API call counters + the per-task dispatch latency histogram
@@ -116,30 +113,18 @@ impl CnApi {
     }
 
     pub fn with_config(neighborhood: &Neighborhood, config: ClientConfig) -> CnApi {
-        CnApi::over(
-            neighborhood.fabric(),
-            neighborhood.spaces(),
-            config,
-            neighborhood.recorder().clone(),
-        )
+        CnApi::over(neighborhood.fabric(), config, neighborhood.recorder().clone())
     }
 
     /// Build a CN API directly over any transport fabric. This is the
     /// entry point for multi-process deployments: `cnctl submit` hands it
-    /// a [`cn_wire::SocketFabric`] and a fresh client-local space
-    /// registry, and the same protocol runs over real sockets. The API and
-    /// its jobs record into `rec`, which need not be the fabric's: the
-    /// portal keeps one fabric for the life of the process and gives each
-    /// job a recorder of its own.
-    pub fn over(
-        net: FabricHandle<NetMsg>,
-        spaces: Arc<SpaceRegistry>,
-        config: ClientConfig,
-        rec: Recorder,
-    ) -> CnApi {
+    /// a [`cn_wire::SocketFabric`], and the same protocol runs over real
+    /// sockets. The API and its jobs record into `rec`, which need not be
+    /// the fabric's: the portal keeps one fabric for the life of the
+    /// process and gives each job a recorder of its own.
+    pub fn over(net: FabricHandle<NetMsg>, config: ClientConfig, rec: Recorder) -> CnApi {
         CnApi {
             net,
-            spaces,
             config,
             c_jobs: rec.counter("api.jobs_created"),
             c_tasks: rec.counter("api.tasks_created"),
@@ -216,8 +201,7 @@ impl CnApi {
             placements: Vec::new(),
             started: false,
             held: false,
-            space: self.spaces.get_or_create(job),
-            shadow: HashMap::new(),
+            task_spans: HashMap::new(),
             rec: self.rec.clone(),
             span,
             c_tasks: self.c_tasks.clone(),
@@ -263,17 +247,11 @@ pub struct JobHandle {
     /// The JobManager accepted the job and has not reported its end: a
     /// handle dropped now abandons a job that still holds its placements.
     held: bool,
-    /// The job's tuple space; it goes with the last of this handle and the
-    /// job's tasks ([`SpaceRegistry`]).
-    space: Arc<TupleSpace>,
-    /// Wire mode only: client-side shadow spans for remote task
-    /// executions, keyed by task name. On a shared-memory fabric the
-    /// TaskManagers record task spans into the same recorder and no
-    /// shadowing happens; over sockets the server processes have their own
-    /// recorders, so the client reconstructs the task layer of the span
-    /// forest from TaskStarted/TaskCompleted/TaskFailed lifecycle
-    /// messages — keeping the exported forest identical across fabrics.
-    shadow: HashMap<String, Option<SpanId>>,
+    /// The open span of each running task, keyed by task name. The client
+    /// owns the task layer of the span forest: it builds it from the
+    /// TaskStarted/TaskCompleted/TaskFailed lifecycle messages, so the
+    /// exported forest is the same on every fabric.
+    task_spans: HashMap<String, Option<SpanId>>,
     rec: Recorder,
     /// The job span, closed on completion/failure/cancel (or in Drop).
     span: Option<SpanId>,
@@ -290,7 +268,7 @@ impl Drop for JobHandle {
             self.net.post(self.addr, self.jm, NetMsg::CancelJob { job: self.job });
         }
         self.net.unregister(self.addr);
-        for (_, span) in self.shadow.drain() {
+        for (_, span) in self.task_spans.drain() {
             self.rec.span_end(span);
         }
         self.rec.span_end(self.span.take());
@@ -314,9 +292,10 @@ impl JobReport {
 }
 
 impl JobHandle {
-    /// The job-wide tuple space (also reachable from every task context).
-    pub fn tuplespace(&self) -> &Arc<TupleSpace> {
-        &self.space
+    /// The job-wide tuple space, held by the job's JobManager (and
+    /// reachable from every task context the same way).
+    pub fn tuplespace(&mut self) -> Space<'_> {
+        Space::new(self.job, &self.net, self.addr, self.jm, &mut self.pump)
     }
 
     /// Names of the tasks created so far.
@@ -350,25 +329,22 @@ impl JobHandle {
             _ => None,
         };
         if let Some(m) = &msg {
-            self.observe_shadow(m);
+            self.track_task_span(m);
         }
         msg
     }
 
-    /// See the `shadow` field: over a non-shared-memory fabric the task
-    /// layer of the span forest is reconstructed from lifecycle messages.
-    fn observe_shadow(&mut self, m: &CnMessage) {
-        if self.net.shared_memory() {
-            return;
-        }
+    /// Open or close a task's span as its lifecycle messages arrive (the
+    /// `task_spans` field).
+    fn track_task_span(&mut self, m: &CnMessage) {
         match m {
             CnMessage::TaskStarted { task } => {
                 let span =
                     self.rec.span_start_job("task", task, self.span, Some(self.job.0), Some(task));
-                self.shadow.insert(task.clone(), span);
+                self.task_spans.insert(task.clone(), span);
             }
             CnMessage::TaskCompleted { task, .. } | CnMessage::TaskFailed { task, .. } => {
-                if let Some(span) = self.shadow.remove(task) {
+                if let Some(span) = self.task_spans.remove(task) {
                     self.rec.span_end(span);
                 }
             }
@@ -446,23 +422,6 @@ impl JobHandle {
         first_failure.map_or(Ok(()), Err)
     }
 
-    /// Deposit a tuple into the job's tuple space ("seeding" the input
-    /// before the job starts). On a shared-memory fabric this writes the
-    /// space directly — exactly what clients did before this method
-    /// existed. Over the wire it sends [`NetMsg::SeedTuple`] to the
-    /// JobManager, which deposits it into its replica and relays it to
-    /// every TaskManager assigned a task of this job, so tasks observe
-    /// the same pre-start space contents in both deployments.
-    pub fn seed_tuple(&self, tuple: Tuple) -> Result<(), ClientError> {
-        if self.net.shared_memory() {
-            self.space.out(tuple);
-            return Ok(());
-        }
-        self.net
-            .send(self.addr, self.jm, NetMsg::SeedTuple { job: self.job, tuple })
-            .map_err(|e| ClientError::Net(e.to_string()))
-    }
-
     /// Run the client's input setup (e.g. depositing `matrix.txt`) on this
     /// job before it starts, as a `seed-input` span under the job's span.
     pub fn seed(
@@ -525,7 +484,8 @@ impl JobHandle {
     /// Cancel the job: every running task is interrupted (it observes
     /// [`crate::RecvError::Shutdown`] at its next receive) and the
     /// JobManager reports the job as failed. Consumes the handle; the
-    /// endpoint and the job's space go with it (`impl Drop`).
+    /// endpoint goes with it (`impl Drop`), and the job's space with the
+    /// job.
     pub fn cancel(mut self, timeout: Duration) -> Result<(), ClientError> {
         self.net
             .send(self.addr, self.jm, NetMsg::CancelJob { job: self.job })

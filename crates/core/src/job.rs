@@ -67,11 +67,6 @@ impl Job {
         self.tasks.iter().any(|t| t.name == task)
     }
 
-    /// The TaskManager of each placed task.
-    pub(crate) fn tms(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.tasks.iter().map(|t| t.tm)
-    }
-
     /// Take `event` in and say what to do about it.
     pub(crate) fn on(&mut self, event: Event) -> Vec<Action> {
         let (mut actions, job) = (Vec::new(), self.id);

@@ -12,13 +12,16 @@
 //! * [`message`] — well-defined protocol messages + opaque user messages,
 //! * [`archive`] — JAR-analogue task packaging,
 //! * [`scheduler`] — bid-selection policies (JobManager & TaskManager),
-//! * [`tuplespace`] / [`spaces`] — the alternative coordination medium,
+//! * [`tuplespace`] — the alternative coordination medium, one space per
+//!   job, held by its JobManager,
 //! * [`exec`] — direct execution of CNX descriptors, including dynamic
 //!   invocation expansion (paper Figure 5).
 //!
 //! [`Neighborhood`] bootstraps a deployment: a set of simulated nodes (from
 //! [`cn_cluster`]), one CNServer per node, a shared archive registry, and
-//! the multicast fabric that clients discover JobManagers through.
+//! the multicast fabric that clients discover JobManagers through. The
+//! servers share nothing else: a job's tuple space, like all of its state,
+//! lives with its JobManager and is reached by messages.
 
 pub mod api;
 pub mod archive;
@@ -29,7 +32,6 @@ mod placement;
 pub mod pump;
 pub mod scheduler;
 pub mod server;
-pub mod spaces;
 pub mod task;
 mod tm;
 pub mod tuplespace;
@@ -44,13 +46,12 @@ pub use message::{CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData}
 pub use scheduler::{LoadSignal, Policy};
 pub use server::{CnServer, ServerConfig};
 pub use task::{RecvError, Task, TaskContext, TaskError};
-pub use tuplespace::{Field, Pattern, Tuple, TupleSpace};
+pub use tuplespace::{Field, Pattern, Space, Tuple, TupleSpace};
 
 use std::sync::Arc;
 
 use cn_cluster::{LatencyModel, Network, NodeHandle, NodeSpec};
 use cn_observe::Recorder;
-use spaces::SpaceRegistry;
 
 /// Configuration for a neighborhood deployment.
 #[derive(Debug, Clone, Default)]
@@ -71,7 +72,6 @@ pub struct Neighborhood {
     nodes: Vec<NodeHandle>,
     servers: Vec<CnServer>,
     registry: Arc<ArchiveRegistry>,
-    spaces: Arc<SpaceRegistry>,
 }
 
 impl Neighborhood {
@@ -86,7 +86,6 @@ impl Neighborhood {
         let net: Network<NetMsg> =
             Network::with_recorder(LatencyModel::zero(), 0, config.recorder.clone());
         let registry = Arc::new(ArchiveRegistry::new());
-        let spaces = Arc::new(SpaceRegistry::with_recorder(&config.recorder));
         let mut nodes = Vec::with_capacity(specs.len());
         let mut servers = Vec::with_capacity(specs.len());
         for spec in specs {
@@ -97,12 +96,11 @@ impl Neighborhood {
                 node.clone(),
                 Arc::new(net.clone()),
                 Arc::clone(&registry),
-                Arc::clone(&spaces),
                 config.server.clone(),
             ));
             nodes.push(node);
         }
-        Neighborhood { net, nodes, servers, registry, spaces }
+        Neighborhood { net, nodes, servers, registry }
     }
 
     /// The shared archive registry ("file store") clients publish jars to.
@@ -120,10 +118,6 @@ impl Neighborhood {
     /// over a [`cn_wire::SocketFabric`] instead.
     pub fn fabric(&self) -> cn_wire::FabricHandle<NetMsg> {
         Arc::new(self.net.clone())
-    }
-
-    pub fn spaces(&self) -> Arc<SpaceRegistry> {
-        Arc::clone(&self.spaces)
     }
 
     /// Node handle by name (failure injection).
@@ -199,13 +193,17 @@ mod tests {
     #[test]
     fn dependencies_run_in_order() {
         let nb = deploy(3);
-        // An archive whose tasks deposit their start order in the tuple space.
+        // An archive whose tasks draw their start order from a Linda counter
+        // tuple: take `["clock", n]`, put back `n + 1`, return `n`.
         nb.registry().publish(TaskArchive::new("order.jar").class("Order", || {
             Box::new(|ctx: &mut TaskContext| {
-                let ts = ctx.tuplespace();
-                let seq = ts.len() as i64;
-                ts.out(vec![Field::S(ctx.name.clone()), Field::I(seq)]);
-                Ok(UserData::Empty)
+                let mut ts = ctx.tuplespace();
+                let clock = ts
+                    .take(&vec![Some(Field::S("clock".into())), None], Duration::from_secs(5))
+                    .ok_or_else(|| TaskError::new("no clock tuple"))?;
+                let Field::I(n) = clock[1] else { unreachable!("the clock is an integer") };
+                ts.out(vec![Field::S("clock".into()), Field::I(n + 1)]);
+                Ok(UserData::I64s(vec![n]))
             })
         }));
         let api = CnApi::initialize(&nb);
@@ -218,25 +216,47 @@ mod tests {
         a.memory_mb = 100;
         b.memory_mb = 100;
         c.memory_mb = 100;
-        let space = {
-            job.add_task(a).unwrap();
-            job.add_task(b).unwrap();
-            job.add_task(c).unwrap();
-            job.tuplespace().clone()
-        };
+        job.add_task(a).unwrap();
+        job.add_task(b).unwrap();
+        job.add_task(c).unwrap();
+        job.tuplespace().out(vec![Field::S("clock".into()), Field::I(0)]);
         job.start().unwrap();
-        job.wait(Duration::from_secs(10)).unwrap();
+        let report = job.wait(Duration::from_secs(10)).unwrap();
         let order = |name: &str| -> i64 {
-            let t = space
-                .try_rd(&vec![Some(Field::S(name.into())), None])
-                .unwrap_or_else(|| panic!("{name} not recorded"));
-            match t[1] {
-                Field::I(v) => v,
-                _ => unreachable!(),
+            match report.result(name) {
+                Some(UserData::I64s(stamp)) => stamp[0],
+                other => panic!("{name} not recorded: {other:?}"),
             }
         };
         assert!(order("a") < order("b"));
         assert!(order("b") < order("c"));
+        nb.shutdown();
+    }
+
+    /// One tuple, two `take`s from tasks on different servers: exactly one
+    /// of them gets it.
+    #[test]
+    fn a_tuple_is_taken_once_across_servers() {
+        // One slot per node: the two tasks land on different servers.
+        let nb = Neighborhood::deploy(NodeSpec::fleet(2, 4000, 1));
+        nb.registry().publish(TaskArchive::new("race.jar").class("Race", || {
+            Box::new(|ctx: &mut TaskContext| {
+                let prize = vec![Some(Field::S("prize".into()))];
+                let got = ctx.tuplespace().take(&prize, Duration::from_millis(200));
+                Ok(UserData::I64s(vec![i64::from(got.is_some())]))
+            })
+        }));
+        let api = CnApi::initialize(&nb);
+        let mut job = api.create_job(&JobRequirements::default()).unwrap();
+        job.add_tasks(["r0", "r1"].map(|n| TaskSpec::new(n, "race.jar", "Race")).to_vec()).unwrap();
+        let servers: std::collections::HashSet<&str> =
+            job.placements().iter().map(|(_, server)| server.as_str()).collect();
+        assert_eq!(servers.len(), 2, "{:?}", job.placements());
+        job.tuplespace().out(vec![Field::S("prize".into())]);
+        job.start().unwrap();
+        let report = job.wait(Duration::from_secs(10)).unwrap();
+        let winners: i64 = report.results.iter().map(|(_, won)| won.as_i64s().unwrap()[0]).sum();
+        assert_eq!(winners, 1, "{:?}", report.results);
         nb.shutdown();
     }
 

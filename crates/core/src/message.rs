@@ -212,12 +212,9 @@ macro_rules! netmsg_table {
             // -- User-defined messages (task ↔ task, task ↔ client) -------------
             User = 21 { job: JobId, from_task: String, tag: String, data: UserData },
 
-            /// Client → JM (wire mode): deposit a tuple into the job's tuple
-            /// space before the job starts. On a shared-memory fabric the client
-            /// writes the space directly and this message is never sent; over the
-            /// wire the JM deposits it into its own replica and relays it to every
-            /// TaskManager assigned a task of the job.
-            SeedTuple = 22 { job: JobId, tuple: Vec<Field> },
+            // Tag 22 is retired: it relayed a client's tuple to every
+            // TaskManager's replica of the job's space, which the JobManager
+            // now holds alone (tags 31–33). It decodes as `BadTag`.
 
             // -- Control ----------------------------------------------------------
             Shutdown = 23,
@@ -247,6 +244,16 @@ macro_rules! netmsg_table {
             /// bid window's quorum; a TaskManager that is only busy stays
             /// silent.
             Decline = 30 { job: JobId, task: String, capacity_mb: u64 },
+
+            // -- The job's tuple space (task or client ↔ JM, DESIGN.md §5) -------
+            /// Task or client → JM: deposit a tuple into the job's space.
+            TupleOut = 31 { job: JobId, tuple: Vec<Field> },
+            /// Task or client → JM: a copy (`take` false) or the removal of a
+            /// tuple matching `pattern`. Nothing matching: the ask is parked,
+            /// in place of the one `reply_to` left parked before.
+            TupleAsk = 32 { job: JobId, pattern: Vec<Option<Field>>, take: bool, reply_to: Addr },
+            /// JM → asker: the tuple that answers its ask.
+            TupleGive = 33 { job: JobId, tuple: Vec<Field> },
         }
     };
 }

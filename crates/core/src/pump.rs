@@ -359,9 +359,6 @@ mod tests {
         fn recorder(&self) -> &cn_observe::Recorder {
             self.0.recorder()
         }
-        fn shared_memory(&self) -> bool {
-            true
-        }
     }
 
     #[test]

@@ -33,10 +33,9 @@ use crate::message::{Bid, JobId, NetMsg, TaskSpec};
 use crate::placement::{Action, Answer, Event, Round};
 use crate::pump::{MsgPump, Window};
 use crate::scheduler::{FairQueue, Policy, RoundRobin};
-use crate::spaces::SpaceRegistry;
 use crate::task::{panic_text, TaskContext, TaskError};
 use crate::tm::{self, Tasks};
-use crate::tuplespace::{Tuple, TupleSpace};
+use crate::tuplespace::{HeldSpace, TupleSpace};
 
 /// Tunables for a server.
 #[derive(Debug, Clone)]
@@ -92,11 +91,10 @@ impl CnServer {
         node: NodeHandle,
         net: FabricHandle<NetMsg>,
         registry: Arc<ArchiveRegistry>,
-        spaces: Arc<SpaceRegistry>,
         config: ServerConfig,
     ) -> CnServer {
         let name = name.into();
-        let state = ServerState::new(name.clone(), node, net.clone(), registry, spaces, config);
+        let state = ServerState::new(name.clone(), node, net.clone(), registry, config);
         let addr = state.addr;
         let thread = cn_sync::thread::Builder::new()
             .name(format!("cnserver-{name}"))
@@ -121,9 +119,8 @@ impl Drop for CnServer {
 }
 
 /// What the server holds for a task hosted here until it runs: its
-/// endpoint's receive side, and its job's tuple space, which lives while any
-/// of the job's tasks here does ([`SpaceRegistry`]).
-type Hosted = (Receiver<Envelope<NetMsg>>, Arc<TupleSpace>);
+/// endpoint's receive side.
+type Hosted = Receiver<Envelope<NetMsg>>;
 
 type TmEvent = tm::Event<Hosted, Reservation>;
 type TmAction = tm::Action<Hosted, Reservation>;
@@ -222,9 +219,10 @@ struct ServerState {
     pump: MsgPump<NetMsg>,
     node: NodeHandle,
     registry: Arc<ArchiveRegistry>,
-    spaces: Arc<SpaceRegistry>,
     config: ServerConfig,
-    jobs: HashMap<JobId, Job>,
+    /// The jobs this JobManager holds, each with its tuple space beside it:
+    /// both go as the job ends.
+    jobs: HashMap<JobId, (Job, HeldSpace)>,
     /// The TaskManager's tasks and its run queue.
     tasks: Tasks<Hosted, Reservation>,
     /// Jars this TaskManager has received.
@@ -249,6 +247,8 @@ struct ServerState {
     c_tasks_started: Counter,
     c_tasks_completed: Counter,
     c_tasks_failed: Counter,
+    /// The operation counters every held space counts into.
+    c_space: [Counter; 3],
     g_queue_depth: Gauge,
     g_inflight: Gauge,
 }
@@ -261,7 +261,6 @@ impl ServerState {
         node: NodeHandle,
         net: FabricHandle<NetMsg>,
         registry: Arc<ArchiveRegistry>,
-        spaces: Arc<SpaceRegistry>,
         config: ServerConfig,
     ) -> ServerState {
         let (addr, rx) = net.register();
@@ -275,7 +274,6 @@ impl ServerState {
             pump: MsgPump::new(rx),
             node,
             registry,
-            spaces,
             config,
             jobs: HashMap::new(),
             uploaded: HashSet::new(),
@@ -290,6 +288,7 @@ impl ServerState {
             c_tasks_started: rec.counter("server.tasks_started"),
             c_tasks_completed: rec.counter("server.tasks_completed"),
             c_tasks_failed: rec.counter("server.tasks_failed"),
+            c_space: ["space.out", "space.rd", "space.in"].map(|name| rec.counter(name)),
             g_queue_depth: rec.gauge("server.run_queue_depth"),
             g_inflight: rec.gauge("server.tasks_inflight"),
             rec,
@@ -343,7 +342,9 @@ impl ServerState {
             NetMsg::CreateJob { job, client, reply_to } => {
                 let accepted = !self.jobs.contains_key(&job);
                 if accepted {
-                    self.jobs.insert(job, Job::new(job, client));
+                    let [out, rd, take] = self.c_space.clone();
+                    let space = HeldSpace::new(TupleSpace::with_counters(out, rd, take));
+                    self.jobs.insert(job, (Job::new(job, client), space));
                 }
                 let reason = if accepted { String::new() } else { "job already exists".into() };
                 self.send(reply_to, NetMsg::JobAck { job, accepted, reason });
@@ -401,12 +402,24 @@ impl ServerState {
                 };
                 self.send(reply_to, NetMsg::AssignAck { job, task, accepted, reason, task_addr });
             }
-            // ---- Tuple seeding (wire mode) ----------------------------
-            NetMsg::SeedTuple { job, tuple } => self.seed_tuple(job, tuple),
+            // ---- JobManager: the job's tuple space ----------------------
+            NetMsg::TupleOut { job, tuple } => {
+                let gives = self.jobs.get_mut(&job).map(|(_, space)| space.out(tuple));
+                for (to, tuple) in gives.into_iter().flatten() {
+                    self.send(to, NetMsg::TupleGive { job, tuple });
+                }
+            }
+            NetMsg::TupleAsk { job, pattern, take, reply_to } => {
+                let found =
+                    self.jobs.get_mut(&job).and_then(|(_, s)| s.ask(pattern, take, reply_to));
+                if let Some(tuple) = found {
+                    self.send(reply_to, NetMsg::TupleGive { job, tuple });
+                }
+            }
 
             // ---- JobManager: task lifecycle from TMs -------------------
             NetMsg::TaskStarted { job, task } => {
-                if let Some(client) = self.jobs.get(&job).map(Job::client) {
+                if let Some(client) = self.jobs.get(&job).map(|(j, _)| j.client()) {
                     self.send(client, NetMsg::TaskStarted { job, task });
                 }
             }
@@ -419,22 +432,6 @@ impl ServerState {
 
             // ---- TaskManager: its tasks ----------------------------------
             msg => self.tm(TmEvent::Net(msg)),
-        }
-    }
-
-    /// Wire-mode tuple seeding: deposit into this process's replica of
-    /// the job's space and, if we are the job's JobManager, relay to every
-    /// distinct remote TaskManager assigned one of its tasks. Per-peer
-    /// FIFO ordering on the socket fabric guarantees the relayed tuple
-    /// lands before any later `StartTask` to the same TaskManager.
-    fn seed_tuple(&mut self, job: JobId, tuple: Tuple) {
-        self.spaces.get_or_create(job).out(tuple.clone());
-        let Some(j) = self.jobs.get(&job) else { return };
-        let mut relayed: HashSet<Addr> = HashSet::new();
-        for tm in j.tms() {
-            if tm != self.addr && relayed.insert(tm) {
-                self.send(tm, NetMsg::SeedTuple { job, tuple: tuple.clone() });
-            }
         }
     }
 
@@ -465,7 +462,7 @@ impl ServerState {
 
     /// Hand `event` to `job` and carry its actions out.
     fn job_on(&mut self, job: JobId, event: JobEvent) {
-        let Some(j) = self.jobs.get_mut(&job) else { return };
+        let Some((j, _)) = self.jobs.get_mut(&job) else { return };
         let client = j.client();
         for action in j.on(event) {
             self.job_action(job, client, action);
@@ -520,8 +517,7 @@ impl ServerState {
             return Err(format!("archive {:?} not present in the registry", spec.jar));
         }
         let reservation = self.node.reserve(spec.memory_mb).map_err(|e| e.to_string())?;
-        let (endpoint, rx) = self.net.register();
-        let held = (rx, self.spaces.get_or_create(job));
+        let (endpoint, held) = self.net.register();
         self.tm(TmEvent::Hosted { job, spec, jm, endpoint, held, reservation });
         Ok(endpoint)
     }
@@ -546,8 +542,8 @@ impl ServerState {
 
     /// Run a task on a thread of the pool.
     fn launch(&mut self, launch: tm::Launch<Hosted, Reservation>) {
-        let tm::Launch { job, spec, jm, endpoint, directory, held, reservation } = launch;
-        let ((rx, space), task) = (held, spec.name.clone());
+        let tm::Launch { job, spec, jm, endpoint, directory, held: rx, reservation } = launch;
+        let task = spec.name.clone();
         let (net, work_scale, local_tm) = (self.net.clone(), self.node.work_scale(), self.addr);
         let (registry, server_name) = (Arc::clone(&self.registry), self.name.clone());
         let (rec, c_started) = (self.rec.clone(), self.c_tasks_started.clone());
@@ -572,22 +568,15 @@ impl ServerState {
                     let started = NetMsg::TaskStarted { job, task: spec.name.clone() };
                     let _ = net.send(endpoint, jm, started);
                     c_started.inc();
-                    let span = rec.span_start_job(
-                        "task",
-                        &spec.name,
-                        rec.job_span(job.0),
-                        Some(job.0),
-                        Some(&spec.name),
-                    );
                     let mut ctx = TaskContext {
                         job,
                         name: spec.name.clone(),
                         params: spec.params.clone(),
                         net: net.clone(),
                         addr: endpoint,
+                        jm,
                         pump: MsgPump::new(rx),
                         directory,
-                        space,
                         work_scale,
                     };
                     // A panic in user code is one more way for the task to
@@ -598,11 +587,6 @@ impl ServerState {
                     let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
                         Err(TaskError::new(format!("panicked: {}", panic_text(&*payload))))
                     });
-                    // The task span must close before TaskCompleted/TaskFailed
-                    // is sent: the JobManager forwards completion to the
-                    // client, which may immediately close the enclosing job
-                    // span.
-                    rec.span_end(span);
                     // Release the node reservation before TaskCompleted goes
                     // out: the client unblocks on JobCompleted and may assert
                     // that all slots/memory are free, so the release must
@@ -681,7 +665,7 @@ impl ServerState {
         while let Some((job, spec, reply_to)) = self.fairq.pop() {
             let admitted = match self.jobs.get(&job) {
                 None => Err(format!("no such job {job}")),
-                Some(j) if j.holds(&spec.name) || !names.insert((job, spec.name.clone())) => {
+                Some((j, _)) if j.holds(&spec.name) || !names.insert((job, spec.name.clone())) => {
                     Err(format!("task name {:?} already exists in {job}", spec.name))
                 }
                 Some(_) => Ok(()),
@@ -987,7 +971,6 @@ mod tests {
                 NodeHandle::new(NodeSpec::new("w0", 4000, 4)),
                 Arc::new(fabric),
                 Arc::new(ArchiveRegistry::new()),
-                Arc::new(SpaceRegistry::new()),
                 ServerConfig::default(),
             );
             let client: SocketFabric<NetMsg> =
@@ -1103,7 +1086,6 @@ mod tests {
             node.clone(),
             nb.fabric(),
             Arc::clone(nb.registry()),
-            nb.spaces(),
             ServerConfig::default(),
         );
         state.pool.spawn = |_, _| Err(std::io::Error::from_raw_os_error(11));
@@ -1146,6 +1128,31 @@ mod tests {
         assert_eq!(bid.signal.in_flight, 0);
         jm.send(server, NetMsg::Shutdown);
         serving.join().unwrap();
+        nb.shutdown();
+    }
+
+    /// Each asker waits on one ask at a time, so a second ask from an
+    /// endpoint replaces its first: the parked asks are bounded by the job's
+    /// endpoints. The job's end takes its space, parked asks and all.
+    #[test]
+    fn parked_asks_are_one_per_endpoint_and_go_with_the_job() {
+        let nb = deploy(0, Duration::from_millis(5));
+        let node = NodeHandle::new(NodeSpec::new("w0", 4000, 4));
+        let registry = Arc::clone(nb.registry());
+        let mut state =
+            ServerState::new("w0".into(), node, nb.fabric(), registry, ServerConfig::default());
+        let client = Party::join(&nb, false);
+        let (job, me, jm) = (JobId(908), client.addr, state.addr);
+        let env = |msg| Envelope { from: me, to: jm, msg };
+        state.handle(env(NetMsg::CreateJob { job, client: me, reply_to: me }));
+        for pattern in [vec![None], vec![None, None]] {
+            state.handle(env(NetMsg::TupleAsk { job, pattern, take: true, reply_to: me }));
+        }
+        assert_eq!(state.jobs[&job].1.parked(), 1);
+
+        state.handle(env(NetMsg::CancelJob { job }));
+        client.expect(|m| matches!(m, NetMsg::JobFailed { .. }).then_some(()));
+        assert!(state.jobs.is_empty(), "the JobManager still holds the job's space");
         nb.shutdown();
     }
 

@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Envelope};
@@ -18,7 +17,7 @@ use cn_wire::FabricHandle;
 
 use crate::message::{CnMessage, JobId, NetMsg, UserData, CLIENT_TASK_NAME};
 use crate::pump::MsgPump;
-use crate::tuplespace::TupleSpace;
+use crate::tuplespace::Space;
 
 /// Task failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,14 +105,13 @@ pub struct TaskContext {
     pub params: Vec<Param>,
     pub(crate) net: FabricHandle<NetMsg>,
     pub(crate) addr: Addr,
+    /// The job's JobManager, which holds the job's tuple space.
+    pub(crate) jm: Addr,
     /// The task's message queue.
     pub(crate) pump: MsgPump<NetMsg>,
     /// task name → endpoint address, for the whole job (the client is
     /// reachable as [`CLIENT_TASK_NAME`]).
     pub(crate) directory: HashMap<String, Addr>,
-    /// Job-wide tuple space (the alternative coordination medium the paper
-    /// mentions: "CN also supports communication via tuple spaces").
-    pub(crate) space: Arc<TupleSpace>,
     /// Compute-cost multiplier of the hosting node (1.0 at nominal speed;
     /// see `NodeSpec::speed_pct`). [`TaskContext::simulate_work`] applies
     /// it so simulated workloads run slower on straggler nodes.
@@ -131,21 +129,28 @@ impl TaskContext {
         self.params.get(i).map(|p| p.value.as_str())
     }
 
-    /// Names of all tasks in the job except this one (and the client).
-    pub fn peers(&self) -> Vec<String> {
-        let mut peers: Vec<String> = self
+    /// Every task in the job but this one (and the client), by name.
+    fn peer_entries(&self) -> Vec<(&String, Addr)> {
+        let mut peers: Vec<(&String, Addr)> = self
             .directory
-            .keys()
-            .filter(|n| n.as_str() != self.name && n.as_str() != CLIENT_TASK_NAME)
-            .cloned()
+            .iter()
+            .filter(|(n, _)| n.as_str() != self.name && n.as_str() != CLIENT_TASK_NAME)
+            .map(|(n, &addr)| (n, addr))
             .collect();
-        peers.sort();
+        peers.sort_unstable();
         peers
     }
 
-    /// The job-wide tuple space.
-    pub fn tuplespace(&self) -> &TupleSpace {
-        &self.space
+    /// Names of all tasks in the job except this one (and the client).
+    pub fn peers(&self) -> Vec<String> {
+        self.peer_entries().into_iter().map(|(n, _)| n.clone()).collect()
+    }
+
+    /// The job-wide tuple space (the alternative coordination medium the
+    /// paper mentions: "CN also supports communication via tuple spaces"),
+    /// held by the job's JobManager.
+    pub fn tuplespace(&mut self) -> Space<'_> {
+        Space::new(self.job, &self.net, self.addr, self.jm, &mut self.pump)
     }
 
     /// The hosting node's compute-cost multiplier (1.0 = nominal speed).
@@ -193,11 +198,7 @@ impl TaskContext {
     /// serializes the message once and fans the encoded bytes out, instead
     /// of cloning the payload per peer.
     pub fn broadcast(&self, tag: &str, data: UserData) -> Result<usize, TaskError> {
-        let peers = self.peers();
-        let addrs: Vec<Addr> = peers
-            .iter()
-            .map(|p| *self.directory.get(p).expect("peers come from the directory"))
-            .collect();
+        let addrs: Vec<Addr> = self.peer_entries().into_iter().map(|(_, addr)| addr).collect();
         let rec = self.net.recorder();
         if rec.is_enabled() {
             rec.counter("task.msgs_sent").add(addrs.len() as u64);
@@ -275,6 +276,7 @@ impl TaskContext {
 mod tests {
     use super::*;
     use cn_cluster::{LatencyModel, Network};
+    use std::sync::Arc;
 
     fn make_ctx(net: &Network<NetMsg>) -> (TaskContext, TaskContext) {
         let net: FabricHandle<NetMsg> = Arc::new(net.clone());
@@ -283,16 +285,15 @@ mod tests {
         let mut directory = HashMap::new();
         directory.insert("a".to_string(), a_addr);
         directory.insert("b".to_string(), b_addr);
-        let space = Arc::new(TupleSpace::new());
         let a = TaskContext {
             job: JobId(1),
             name: "a".to_string(),
             params: vec![Param::integer(7), Param::string("file.txt")],
             net: net.clone(),
             addr: a_addr,
+            jm: b_addr,
             pump: MsgPump::new(a_rx),
             directory: directory.clone(),
-            space: space.clone(),
             work_scale: 1.0,
         };
         let b = TaskContext {
@@ -301,9 +302,9 @@ mod tests {
             params: vec![],
             net: net.clone(),
             addr: b_addr,
+            jm: a_addr,
             pump: MsgPump::new(b_rx),
             directory,
-            space,
             work_scale: 1.0,
         };
         (a, b)

@@ -2,16 +2,21 @@
 //!
 //! "CN also supports communication via tuple spaces" (paper Section 2,
 //! parenthetical). This is the classic Linda model: `out` deposits a tuple,
-//! `rd` copies a matching tuple, `in` removes one; both blocking and
-//! non-blocking forms are provided. One space exists per job and is
-//! reachable from every task via [`crate::TaskContext::tuplespace`].
+//! `rd` copies a matching tuple, `in` (`take`) removes one. One space exists
+//! per job, and its JobManager holds it ([`HeldSpace`]). Every task and the
+//! client reach it the same way, by messages (`TupleOut`, `TupleAsk`,
+//! `TupleGive`), through a [`Space`] handle.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cn_cluster::Addr;
 use cn_observe::Counter;
-use cn_sync::{Condvar, Mutex};
+use cn_sync::Mutex;
+use cn_wire::FabricHandle;
+
+use crate::message::{JobId, NetMsg};
+use crate::pump::MsgPump;
 
 /// One field of a tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +64,15 @@ fn matches(tuple: &Tuple, pattern: &Pattern) -> bool {
         })
 }
 
-/// A Linda-style tuple space.
+/// A Linda-style tuple store: the tuples of one job's space.
 ///
 /// Tuples are bucketed by arity: a pattern can only match tuples of its own
-/// length, so `rd`/`in` scan one bucket instead of the whole space, and an
-/// `out` of an N-tuple wakes only waiters blocked on arity-N patterns
-/// (matrix-row traffic no longer wakes barrier waiters, and vice versa).
+/// length, so a read scans one bucket instead of the whole space. The store
+/// never waits: what no tuple answers yet is parked by the [`HeldSpace`]
+/// around it.
 #[derive(Debug)]
 pub struct TupleSpace {
     buckets: Mutex<HashMap<usize, VecDeque<Tuple>>>,
-    /// One condvar per arity, created on first wait or deposit for that
-    /// arity. All condvars pair with the `buckets` mutex.
-    arity_cvs: Mutex<HashMap<usize, Arc<Condvar>>>,
     /// Operation counters (`out` / `rd`-family / `in`-family). Standalone
     /// atomics by default; [`TupleSpace::with_counters`] shares them with a
     /// metrics registry.
@@ -92,34 +94,14 @@ impl TupleSpace {
 
     /// A space whose operation counters are shared (e.g. registry-backed).
     pub fn with_counters(out_ops: Counter, rd_ops: Counter, in_ops: Counter) -> Self {
-        Self {
-            buckets: Mutex::named("ts.buckets", HashMap::new()),
-            arity_cvs: Mutex::named("ts.arity_cvs", HashMap::new()),
-            out_ops,
-            rd_ops,
-            in_ops,
-        }
-    }
-
-    /// The wakeup channel for one arity. Taken *before* the bucket lock —
-    /// never while holding it — so lock order is always cvs → buckets.
-    fn cv_for(&self, arity: usize) -> Arc<Condvar> {
-        Arc::clone(
-            self.arity_cvs
-                .lock()
-                .entry(arity)
-                .or_insert_with(|| Arc::new(Condvar::named("ts.arity_cv"))),
-        )
+        Self { buckets: Mutex::named("ts.buckets", HashMap::new()), out_ops, rd_ops, in_ops }
     }
 
     /// Deposit a tuple (`out` in Linda terms).
     pub fn out(&self, tuple: Tuple) {
         assert!(!tuple.is_empty(), "tuples must be non-empty");
         self.out_ops.inc();
-        let arity = tuple.len();
-        let cv = self.cv_for(arity);
-        self.buckets.lock().entry(arity).or_default().push_back(tuple);
-        cv.notify_all();
+        self.buckets.lock().entry(tuple.len()).or_default().push_back(tuple);
     }
 
     /// Non-blocking read: copy a matching tuple if present.
@@ -138,54 +120,6 @@ impl TupleSpace {
         bucket.remove(pos)
     }
 
-    /// Blocking read with timeout.
-    pub fn rd(&self, pattern: &Pattern, timeout: Duration) -> Option<Tuple> {
-        self.rd_ops.inc();
-        let arity = pattern.len();
-        let cv = self.cv_for(arity);
-        let deadline = Instant::now() + timeout;
-        let mut buckets = self.buckets.lock();
-        loop {
-            let hit =
-                buckets.get(&arity).and_then(|b| b.iter().find(|t| matches(t, pattern)).cloned());
-            if hit.is_some() {
-                return hit;
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            if cv.wait_until(&mut buckets, deadline).timed_out() {
-                return buckets
-                    .get(&arity)
-                    .and_then(|b| b.iter().find(|t| matches(t, pattern)).cloned());
-            }
-        }
-    }
-
-    /// Blocking take with timeout.
-    pub fn take(&self, pattern: &Pattern, timeout: Duration) -> Option<Tuple> {
-        self.in_ops.inc();
-        let arity = pattern.len();
-        let cv = self.cv_for(arity);
-        let deadline = Instant::now() + timeout;
-        let mut buckets = self.buckets.lock();
-        loop {
-            if let Some(bucket) = buckets.get_mut(&arity) {
-                if let Some(pos) = bucket.iter().position(|t| matches(t, pattern)) {
-                    return bucket.remove(pos);
-                }
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            if cv.wait_until(&mut buckets, deadline).timed_out() {
-                let bucket = buckets.get_mut(&arity)?;
-                let pos = bucket.iter().position(|t| matches(t, pattern))?;
-                return bucket.remove(pos);
-            }
-        }
-    }
-
     /// Number of tuples currently in the space.
     pub fn len(&self) -> usize {
         self.buckets.lock().values().map(VecDeque::len).sum()
@@ -196,9 +130,153 @@ impl TupleSpace {
     }
 }
 
+/// An ask no tuple has answered yet.
+#[derive(Debug)]
+struct Ask {
+    pattern: Pattern,
+    take: bool,
+    reply_to: Addr,
+}
+
+/// A job's space as its JobManager holds it, from `CreateJob` until the
+/// job ends: the tuples, and the asks that nothing matched yet. Each asker
+/// blocks on one ask at a time, so a new ask from an endpoint replaces the
+/// one it left parked (that one timed out): the parked asks are bounded by
+/// the job's endpoints.
+#[derive(Debug)]
+pub struct HeldSpace {
+    space: TupleSpace,
+    /// In arrival order.
+    parked: Vec<Ask>,
+}
+
+impl HeldSpace {
+    pub fn new(space: TupleSpace) -> HeldSpace {
+        HeldSpace { space, parked: Vec::new() }
+    }
+
+    /// Deposit `tuple`, serving the parked asks it matches in arrival
+    /// order: every `rd`, then at most one `take`, which removes it. Returns
+    /// who gets which tuple.
+    pub fn out(&mut self, tuple: Tuple) -> Vec<(Addr, Tuple)> {
+        let mut gives = Vec::new();
+        let mut taker = None;
+        self.parked.retain(|ask| {
+            if !matches(&tuple, &ask.pattern) || (ask.take && taker.is_some()) {
+                return true;
+            }
+            if ask.take {
+                taker = Some(ask.reply_to);
+            } else {
+                gives.push((ask.reply_to, tuple.clone()));
+            }
+            false
+        });
+        match taker {
+            Some(to) => {
+                self.space.out_ops.inc();
+                gives.push((to, tuple));
+            }
+            None => self.space.out(tuple),
+        }
+        gives
+    }
+
+    /// Answer an ask from `reply_to` now, or park it in place of the one
+    /// that endpoint left parked.
+    pub fn ask(&mut self, pattern: Pattern, take: bool, reply_to: Addr) -> Option<Tuple> {
+        self.parked.retain(|ask| ask.reply_to != reply_to);
+        let found = if take { self.space.try_in(&pattern) } else { self.space.try_rd(&pattern) };
+        if found.is_none() {
+            self.parked.push(Ask { pattern, take, reply_to });
+        }
+        found
+    }
+
+    /// Asks waiting for a tuple.
+    pub fn parked(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Tuples in the space.
+    pub fn len(&self) -> usize {
+        self.space.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.space.is_empty()
+    }
+}
+
+/// A job's space as a task ([`crate::TaskContext::tuplespace`]) or the
+/// client ([`crate::JobHandle::tuplespace`]) reaches it: every operation is
+/// a message to the job's JobManager, which holds the space, whether it is
+/// on another server or on this one. A blocking `rd`/`take` sends one ask
+/// and waits on the endpoint's own queue for the tuple; what else arrives
+/// meanwhile stays queued for the endpoint's next receive.
+pub struct Space<'a> {
+    job: JobId,
+    net: &'a FabricHandle<NetMsg>,
+    me: Addr,
+    jm: Addr,
+    pump: &'a mut MsgPump<NetMsg>,
+}
+
+impl<'a> Space<'a> {
+    pub(crate) fn new(
+        job: JobId,
+        net: &'a FabricHandle<NetMsg>,
+        me: Addr,
+        jm: Addr,
+        pump: &'a mut MsgPump<NetMsg>,
+    ) -> Space<'a> {
+        Space { job, net, me, jm, pump }
+    }
+
+    /// Deposit a tuple (`out` in Linda terms). A deposit that cannot reach
+    /// the JobManager is lost with the job, whose next protocol step
+    /// reports the failure.
+    pub fn out(&self, tuple: Tuple) {
+        assert!(!tuple.is_empty(), "tuples must be non-empty");
+        let _ = self.net.send(self.me, self.jm, NetMsg::TupleOut { job: self.job, tuple });
+    }
+
+    /// Blocking read with timeout: a copy of a matching tuple.
+    pub fn rd(&mut self, pattern: &Pattern, timeout: Duration) -> Option<Tuple> {
+        self.ask(pattern, false, timeout)
+    }
+
+    /// Blocking take with timeout: a matching tuple, removed from the space.
+    pub fn take(&mut self, pattern: &Pattern, timeout: Duration) -> Option<Tuple> {
+        self.ask(pattern, true, timeout)
+    }
+
+    /// Send one ask and wait for its tuple. `None` at the deadline, or when
+    /// the endpoint is told to shut down.
+    fn ask(&mut self, pattern: &Pattern, take: bool, timeout: Duration) -> Option<Tuple> {
+        let (job, deadline) = (self.job, Instant::now() + timeout);
+        // A tuple given after an earlier ask timed out is dropped: the
+        // JobManager replaces that ask with this one.
+        self.pump.take_matching(|m| matches!(m, NetMsg::TupleGive { job: j, .. } if *j == job));
+        let ask = NetMsg::TupleAsk { job, pattern: pattern.clone(), take, reply_to: self.me };
+        self.net.send(self.me, self.jm, ask).ok()?;
+        let answer = |m: &NetMsg| match m {
+            NetMsg::TupleGive { job: j, tuple } => *j == job && matches(tuple, pattern),
+            NetMsg::Shutdown | NetMsg::CancelTask { .. } => true,
+            _ => false,
+        };
+        match self.pump.next_matching(Some(deadline), answer).ok()?.msg {
+            NetMsg::TupleGive { tuple, .. } => Some(tuple),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cn_cluster::{Envelope, LatencyModel, Network};
+    use cn_sync::channel::Receiver;
     use std::sync::Arc;
 
     #[test]
@@ -227,60 +305,144 @@ mod tests {
         assert!(ts.try_rd(&wrong_arity).is_none());
     }
 
+    /// A JobManager's part, played by hand: one job's held space, serving
+    /// what reaches `rx` until a `Shutdown`.
+    fn serve(net: FabricHandle<NetMsg>, me: Addr, rx: Receiver<Envelope<NetMsg>>) {
+        let mut held = HeldSpace::new(TupleSpace::new());
+        while let Ok(env) = rx.recv() {
+            let gives = match env.msg {
+                NetMsg::TupleOut { tuple, .. } => held.out(tuple),
+                NetMsg::TupleAsk { pattern, take, reply_to, .. } => {
+                    held.ask(pattern, take, reply_to).map(|t| (reply_to, t)).into_iter().collect()
+                }
+                _ => return,
+            };
+            for (to, tuple) in gives {
+                net.send(me, to, NetMsg::TupleGive { job: JobId(1), tuple }).unwrap();
+            }
+        }
+    }
+
+    /// A network with a JobManager, and an endpoint to ask from.
+    struct Rig {
+        net: FabricHandle<NetMsg>,
+        jm: Addr,
+        me: Addr,
+        pump: MsgPump<NetMsg>,
+    }
+
+    impl Rig {
+        /// The JobManager's receive side, for the test to play it.
+        fn new() -> (Rig, Receiver<Envelope<NetMsg>>) {
+            let net: FabricHandle<NetMsg> = Arc::new(Network::new(LatencyModel::zero(), 1));
+            let (jm, jm_rx) = net.register();
+            let (me, rx) = net.register();
+            (Rig { net, jm, me, pump: MsgPump::new(rx) }, jm_rx)
+        }
+
+        fn space(&mut self) -> Space<'_> {
+            Space::new(JobId(1), &self.net, self.me, self.jm, &mut self.pump)
+        }
+    }
+
     #[test]
     fn blocking_take_wakes_on_out() {
-        let ts = Arc::new(TupleSpace::new());
-        let producer = {
-            let ts = ts.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                ts.out(vec![Field::I(42)]);
-            })
-        };
-        let got = ts.take(&vec![None], Duration::from_secs(2)).unwrap();
+        let (mut rig, jm_rx) = Rig::new();
+        let (net, jm) = (Arc::clone(&rig.net), rig.jm);
+        let serving = std::thread::spawn({
+            let net = Arc::clone(&net);
+            move || serve(net, jm, jm_rx)
+        });
+        let producer = std::thread::spawn(move || {
+            let (me, rx) = net.register();
+            let mut pump = MsgPump::new(rx);
+            std::thread::sleep(Duration::from_millis(20));
+            Space::new(JobId(1), &net, me, jm, &mut pump).out(vec![Field::I(42)]);
+        });
+        // Other traffic waits its turn; the tuple is the answer.
+        rig.net.send(rig.jm, rig.me, NetMsg::StartJob { job: JobId(1) }).unwrap();
+        let got = rig.space().take(&vec![None], Duration::from_secs(2)).unwrap();
         assert_eq!(got, vec![Field::I(42)]);
+        assert_eq!(rig.pump.next().unwrap().msg, NetMsg::StartJob { job: JobId(1) });
         producer.join().unwrap();
+        rig.net.send(rig.me, rig.jm, NetMsg::Shutdown).unwrap();
+        serving.join().unwrap();
     }
 
     #[test]
     fn take_times_out() {
-        let ts = TupleSpace::new();
+        // The JobManager never answers.
+        let (mut rig, _jm_rx) = Rig::new();
         let start = Instant::now();
-        assert!(ts.take(&vec![None], Duration::from_millis(30)).is_none());
+        assert!(rig.space().take(&vec![None], Duration::from_millis(30)).is_none());
         assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]
+    fn a_shutdown_ends_a_blocking_rd() {
+        let (mut rig, _jm_rx) = Rig::new();
+        rig.net.send(rig.jm, rig.me, NetMsg::Shutdown).unwrap();
+        let start = Instant::now();
+        assert!(rig.space().rd(&vec![None], Duration::from_secs(5)).is_none());
+        assert!(start.elapsed() < Duration::from_secs(4), "{:?}", start.elapsed());
+    }
+
+    fn int(v: i64) -> Tuple {
+        vec![Field::S("n".into()), Field::I(v)]
+    }
+
+    fn any_int() -> Pattern {
+        vec![Some(Field::S("n".into())), None]
+    }
+
+    #[test]
     fn no_tuple_taken_twice() {
-        // N producers deposit one tuple each; N consumers each take exactly
-        // one; nothing is lost or duplicated.
-        let ts = Arc::new(TupleSpace::new());
+        // N parked takes and N deposits: each taker gets exactly one tuple,
+        // each tuple goes to exactly one taker, and nothing is left.
+        let mut held = HeldSpace::new(TupleSpace::new());
         let n = 16;
-        let producers: Vec<_> = (0..n)
-            .map(|i| {
-                let ts = ts.clone();
-                std::thread::spawn(move || ts.out(vec![Field::I(i as i64)]))
-            })
-            .collect();
-        let consumers: Vec<_> = (0..n)
-            .map(|_| {
-                let ts = ts.clone();
-                std::thread::spawn(move || {
-                    let t = ts.take(&vec![None], Duration::from_secs(5)).expect("a tuple");
-                    match t[0] {
-                        Field::I(v) => v,
-                        _ => unreachable!(),
-                    }
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
+        for a in 0..n {
+            assert!(held.ask(any_int(), true, Addr(a)).is_none());
         }
-        let mut seen: Vec<i64> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..n as i64).collect::<Vec<_>>());
-        assert!(ts.is_empty());
+        let mut gives: Vec<(Addr, Tuple)> = (0..n as i64).flat_map(|v| held.out(int(v))).collect();
+        assert_eq!(gives.len(), n as usize);
+        gives.sort_by_key(|(to, _)| *to);
+        for (i, (to, tuple)) in gives.into_iter().enumerate() {
+            assert_eq!((to, tuple), (Addr(i as u64), int(i as i64)), "served in arrival order");
+        }
+        assert_eq!((held.parked(), held.len()), (0, 0));
+    }
+
+    #[test]
+    fn an_out_serves_every_parked_rd_then_one_take() {
+        let mut held = HeldSpace::new(TupleSpace::new());
+        assert!(held.ask(any_int(), true, Addr(1)).is_none());
+        assert!(held.ask(any_int(), false, Addr(2)).is_none());
+        assert!(held.ask(any_int(), true, Addr(3)).is_none());
+        assert!(held.ask(any_int(), false, Addr(4)).is_none());
+        let gives = held.out(int(7));
+        let to: Vec<Addr> = gives.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, [Addr(2), Addr(4), Addr(1)]);
+        assert!(held.is_empty(), "the take removed it");
+        assert_eq!(held.parked(), 1, "the second take waits on");
+        // Present tuples answer at once; `rd` leaves them, `take` does not.
+        held.out(int(8)).iter().for_each(|(to, _)| assert_eq!(*to, Addr(3)));
+        held.out(int(9));
+        assert_eq!(held.ask(any_int(), false, Addr(5)), Some(int(9)));
+        assert_eq!(held.ask(any_int(), true, Addr(5)), Some(int(9)));
+        assert!(held.is_empty() && held.parked() == 0);
+    }
+
+    #[test]
+    fn a_new_ask_replaces_the_endpoints_parked_one() {
+        let mut held = HeldSpace::new(TupleSpace::new());
+        assert!(held.ask(any_int(), true, Addr(1)).is_none());
+        assert!(held.ask(vec![None], true, Addr(1)).is_none());
+        assert_eq!(held.parked(), 1);
+        // Only the second ask is served: the first one's asker gave up.
+        assert!(held.out(int(1)).is_empty());
+        assert_eq!(held.out(vec![Field::I(2)]), [(Addr(1), vec![Field::I(2)])]);
+        assert_eq!((held.parked(), held.len()), (0, 1));
     }
 
     #[test]
@@ -296,25 +458,17 @@ mod tests {
 
     #[test]
     fn waiter_survives_traffic_of_other_arities() {
-        // A take blocked on a 2-field pattern must see the 2-tuple even
-        // while 1-tuples are being deposited concurrently.
-        let ts = Arc::new(TupleSpace::new());
-        let producer = {
-            let ts = ts.clone();
-            std::thread::spawn(move || {
-                for i in 0..50 {
-                    ts.out(vec![Field::I(i)]);
-                }
-                std::thread::sleep(Duration::from_millis(10));
-                ts.out(vec![Field::S("pair".into()), Field::I(7)]);
-            })
-        };
-        let got = ts
-            .take(&vec![Some(Field::S("pair".into())), None], Duration::from_secs(2))
-            .expect("2-tuple arrives");
-        assert_eq!(got[1], Field::I(7));
-        assert_eq!(ts.len(), 50, "unrelated 1-tuples untouched");
-        producer.join().unwrap();
+        // A take parked on a 2-field pattern must see the 2-tuple even after
+        // a stream of 1-tuples that serve nobody.
+        let mut held = HeldSpace::new(TupleSpace::new());
+        let pair: Pattern = vec![Some(Field::S("pair".into())), None];
+        assert!(held.ask(pair, true, Addr(1)).is_none());
+        for i in 0..50 {
+            assert!(held.out(vec![Field::I(i)]).is_empty());
+        }
+        let gives = held.out(vec![Field::S("pair".into()), Field::I(7)]);
+        assert_eq!(gives, [(Addr(1), vec![Field::S("pair".into()), Field::I(7)])]);
+        assert_eq!(held.len(), 50, "unrelated 1-tuples untouched");
     }
 
     #[test]

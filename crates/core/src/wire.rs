@@ -313,15 +313,6 @@ mod tests {
                 tag: "k-row".into(),
                 data: UserData::Bytes(vec![0, 255, 7]),
             },
-            NetMsg::SeedTuple {
-                job: JobId(1),
-                tuple: vec![
-                    Field::S("adj".into()),
-                    Field::I(-9),
-                    Field::F(2.5),
-                    Field::B(vec![1, 2]),
-                ],
-            },
             NetMsg::Shutdown,
             NetMsg::LoadReport {
                 server: "node1".into(),
@@ -334,6 +325,25 @@ mod tests {
                 reply_to: Addr(9),
             },
             NetMsg::Decline { job: JobId(1), task: "t0".into(), capacity_mb: 512 },
+            NetMsg::TupleOut {
+                job: JobId(1),
+                tuple: vec![
+                    Field::S("adj".into()),
+                    Field::I(-9),
+                    Field::F(2.5),
+                    Field::B(vec![1, 2]),
+                ],
+            },
+            NetMsg::TupleAsk {
+                job: JobId(1),
+                pattern: vec![Some(Field::S("krow".into())), Some(Field::I(3)), None],
+                take: true,
+                reply_to: Addr(9),
+            },
+            NetMsg::TupleGive {
+                job: JobId(1),
+                tuple: vec![Field::S("krow".into()), Field::I(3), Field::B(vec![0, 255])],
+            },
         ];
         let mut frames = String::new();
         let mut names = Vec::new();
@@ -389,8 +399,9 @@ mod tests {
         assert_eq!(NetMsg::decode(&mut r).unwrap_err().kind, WireErrorKind::BadTag);
     }
 
-    /// Work stealing's tags are retired, not reused: a frame that carries one
-    /// (here with a `CancelTask`'s body) is refused by its tag.
+    /// Retired tags are not reused: a frame that carries work stealing's
+    /// (25–28) or the tuple relay's (22), here with a `CancelTask`'s body,
+    /// is refused by its tag.
     #[test]
     fn the_retired_stealing_tags_decode_as_bad_tag() {
         let body = encode_payload(&Envelope {
@@ -401,7 +412,7 @@ mod tests {
         // The version byte, `from` and `to`, then the message's tag.
         let tag_at = 1 + 8 + 8;
         assert_eq!(body[tag_at], 14, "the CancelTask tag");
-        for tag in 25..=28 {
+        for tag in [22, 25, 26, 27, 28] {
             let mut frame = body.clone();
             frame[tag_at] = tag;
             let err = decode_payload::<NetMsg>(&frame).unwrap_err();

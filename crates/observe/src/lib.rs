@@ -181,16 +181,6 @@ impl Recorder {
         }
     }
 
-    /// The span registered for `job` (category `"job"`), if tracing caught
-    /// it. Lets task spans attach to their job span across threads without
-    /// threading ids through protocol messages.
-    pub fn job_span(&self, job: u64) -> Option<SpanId> {
-        if !self.is_enabled() {
-            return None;
-        }
-        self.inner.spans.job_span(job)
-    }
-
     /// Record a flight event. One atomic load when disabled.
     #[inline]
     pub fn event(&self, severity: Severity, category: &str, message: impl Into<String>) {
@@ -282,19 +272,6 @@ mod tests {
         assert_eq!(child_span.parent, Some(root_span.id));
         assert!(child_span.start > root_span.start);
         assert!(child_span.end.unwrap() < root_span.end.unwrap());
-    }
-
-    #[test]
-    fn job_spans_are_discoverable() {
-        let r = Recorder::new();
-        let job = r.span_start_job("job", "job-7", None, Some(7), None);
-        assert_eq!(r.job_span(7), job);
-        assert_eq!(r.job_span(8), None);
-        let task = r.span_start_job("task", "t0", r.job_span(7), Some(7), Some("t0"));
-        r.span_end(task);
-        r.span_end(job);
-        let spans = r.spans().snapshot();
-        assert_eq!(spans.iter().find(|s| s.name == "t0").unwrap().parent, job);
     }
 
     #[test]

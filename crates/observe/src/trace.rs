@@ -1,14 +1,11 @@
 //! Span tracing over a logical clock.
 //!
 //! Spans form an explicit parent/child forest: `start` takes the parent's
-//! [`SpanId`], so nesting never depends on thread-local ambient state (tasks
-//! run on their own threads; a task span's parent is its job's span, looked
-//! up by job id). Timestamps come from a [`LogicalClock`] — a process-local
+//! [`SpanId`], so nesting never depends on thread-local ambient state. Timestamps come from a [`LogicalClock`] — a process-local
 //! atomic tick, **not** `SystemTime` — so capture order is total and
 //! exporters can canonicalize traces into seed-reproducible output
 //! (DESIGN.md §8 "determinism contract").
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -54,17 +51,10 @@ pub struct SpanData {
     pub end: Option<u64>,
 }
 
-#[derive(Default)]
-struct StoreInner {
-    spans: Vec<SpanData>,
-    /// job id → the span that opened with category `"job"` for it.
-    jobs: HashMap<u64, SpanId>,
-}
-
 /// Append-only store of captured spans.
 #[derive(Default)]
 pub struct SpanStore {
-    inner: Mutex<StoreInner>,
+    spans: Mutex<Vec<SpanData>>,
 }
 
 impl SpanStore {
@@ -82,14 +72,9 @@ impl SpanStore {
         task: Option<&str>,
     ) -> SpanId {
         let start = clock.tick();
-        let mut inner = self.inner.lock().unwrap();
-        let id = SpanId(inner.spans.len() as u64 + 1);
-        if category == "job" {
-            if let Some(job) = job {
-                inner.jobs.insert(job, id);
-            }
-        }
-        inner.spans.push(SpanData {
+        let mut spans = self.spans.lock().unwrap();
+        let id = SpanId(spans.len() as u64 + 1);
+        spans.push(SpanData {
             id,
             parent,
             category: category.to_string(),
@@ -104,8 +89,7 @@ impl SpanStore {
 
     pub fn end(&self, clock: &LogicalClock, id: SpanId) {
         let tick = clock.tick();
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(span) = inner.spans.get_mut(id.0 as usize - 1) {
+        if let Some(span) = self.spans.lock().unwrap().get_mut(id.0 as usize - 1) {
             // First close wins; a double end is a call-site bug but must not
             // corrupt the trace.
             if span.end.is_none() {
@@ -114,17 +98,13 @@ impl SpanStore {
         }
     }
 
-    pub fn job_span(&self, job: u64) -> Option<SpanId> {
-        self.inner.lock().unwrap().jobs.get(&job).copied()
-    }
-
     /// Copy of every captured span, in capture order.
     pub fn snapshot(&self) -> Vec<SpanData> {
-        self.inner.lock().unwrap().spans.clone()
+        self.spans.lock().unwrap().clone()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().spans.len()
+        self.spans.lock().unwrap().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -166,17 +146,6 @@ mod tests {
         let first = store.snapshot()[0].end;
         store.end(&clock, id);
         assert_eq!(store.snapshot()[0].end, first);
-    }
-
-    #[test]
-    fn job_category_registers_lookup() {
-        let clock = LogicalClock::new();
-        let store = SpanStore::new();
-        let id = store.start(&clock, "job", "job-9", None, Some(9), None);
-        assert_eq!(store.job_span(9), Some(id));
-        // Non-job categories never register, even with a job id attached.
-        store.start(&clock, "task", "t", None, Some(10), Some("t"));
-        assert_eq!(store.job_span(10), None);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 
 use cn_cluster::NodeSpec;
 use cn_cnx::ast::CnxDocument;
-use cn_core::spaces::SpaceRegistry;
 use cn_core::{
     execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
     Neighborhood, NeighborhoodConfig, NetMsg,
@@ -346,12 +345,7 @@ impl WireRunner {
 impl JobRunner for WireRunner {
     fn run(&self, job: &CompiledJob) -> Result<RunOutcome, String> {
         let rec = Recorder::new();
-        let api = CnApi::over(
-            self.fabric()?,
-            Arc::new(SpaceRegistry::with_recorder(&rec)),
-            ClientConfig::default(),
-            rec.clone(),
-        );
+        let api = CnApi::over(self.fabric()?, ClientConfig::default(), rec.clone());
         let seed = self.digraph_seed;
         let reports = execute_with_api_seeded(
             &api,

@@ -69,7 +69,7 @@ impl cn_core::Task for RowWorker {
     }
 }
 
-fn take_bytes(ctx: &TaskContext, name: &str, key: i64) -> Result<Vec<i64>, TaskError> {
+fn take_bytes(ctx: &mut TaskContext, name: &str, key: i64) -> Result<Vec<i64>, TaskError> {
     let tuple = ctx
         .tuplespace()
         .take(
@@ -83,7 +83,7 @@ fn take_bytes(ctx: &TaskContext, name: &str, key: i64) -> Result<Vec<i64>, TaskE
     }
 }
 
-fn rd_bytes(ctx: &TaskContext, name: &str, key: i64) -> Result<Vec<i64>, TaskError> {
+fn rd_bytes(ctx: &mut TaskContext, name: &str, key: i64) -> Result<Vec<i64>, TaskError> {
     let tuple = ctx
         .tuplespace()
         .rd(&vec![Some(Field::S(name.into())), Some(Field::I(key)), None], Duration::from_secs(30))

@@ -68,28 +68,29 @@ pub fn decode_i64s(bytes: &[u8]) -> Result<Vec<i64>, TaskError> {
 /// Seed a job's tuple space with the composition plan and the input matrix
 /// — what the generated client program does before starting the tasks.
 ///
-/// Goes through [`cn_core::JobHandle::seed_tuple`] so the same call works
-/// on a shared-memory fabric (direct space write) and over the wire (the
-/// tuples travel to the JobManager and are relayed to every TaskManager).
+/// Two `out`s to the job's JobManager, which holds the space: they reach it
+/// before the `StartJob` the client sends next, on every fabric.
 pub fn seed_input(
-    job: &cn_core::JobHandle,
+    job: &mut cn_core::JobHandle,
     filename: &str,
     matrix: &Matrix,
     workers: &[String],
     joiner: &str,
 ) -> Result<(), cn_core::ClientError> {
-    job.seed_tuple(vec![
+    let space = job.tuplespace();
+    space.out(vec![
         Field::S("plan".into()),
         Field::S(joiner.to_string()),
         Field::S(workers.join(",")),
-    ])?;
+    ]);
     let mut payload = vec![matrix.n() as i64];
     payload.extend_from_slice(matrix.rows());
-    job.seed_tuple(vec![
+    space.out(vec![
         Field::S("input".into()),
         Field::S(filename.to_string()),
         Field::B(encode_i64s(&payload)),
-    ])
+    ]);
+    Ok(())
 }
 
 /// The seeding every front end and generated client runs: a job of the

@@ -103,10 +103,6 @@ pub trait Fabric<M: Send + Clone + 'static>: Send + Sync {
     }
     /// The observability handle this fabric records into.
     fn recorder(&self) -> &Recorder;
-    /// True when every endpoint lives in this process (so `Arc`-shared
-    /// state — tuple spaces, archive registries — is visible to all of
-    /// them). The socket fabric returns false.
-    fn shared_memory(&self) -> bool;
 }
 
 impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
@@ -137,10 +133,6 @@ impl<M: Send + Clone + 'static> Fabric<M> for Network<M> {
     fn recorder(&self) -> &Recorder {
         Network::recorder(self)
     }
-
-    fn shared_memory(&self) -> bool {
-        true
-    }
 }
 
 /// The shared handle to any [`Fabric`] implementation — the type the CN
@@ -157,7 +149,6 @@ mod tests {
     fn network_behind_handle_round_trips() {
         let net: Network<u32> = Network::new(LatencyModel::zero(), 7);
         let fabric: FabricHandle<u32> = Arc::new(net);
-        assert!(fabric.shared_memory());
         let (a, _rx_a) = fabric.register();
         let (b, rx_b) = fabric.register();
         fabric.send(a, b, 9).unwrap();

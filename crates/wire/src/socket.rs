@@ -410,10 +410,6 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
     fn recorder(&self) -> &Recorder {
         &self.inner.rec
     }
-
-    fn shared_memory(&self) -> bool {
-        false
-    }
 }
 
 impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
@@ -1403,7 +1399,6 @@ mod tests {
         let a: SocketFabric<u64> =
             SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
         let h: FabricHandle<u64> = Arc::new(a);
-        assert!(!h.shared_memory());
         let (x, _rx) = h.register();
         let (y, rx_y) = h.register();
         h.send(x, y, 5).unwrap();

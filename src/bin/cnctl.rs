@@ -798,7 +798,6 @@ fn parsed_flag<T: std::str::FromStr>(args: &[&str], flag: &str, default: T) -> R
 /// then runs until killed (or for `--run-for` seconds).
 fn serve_cmd(args: &[&str]) -> Result<String, String> {
     use computational_neighborhood::cluster::{NodeHandle, NodeSpec};
-    use computational_neighborhood::core::spaces::SpaceRegistry;
     use computational_neighborhood::core::{ArchiveRegistry, CnServer, ServerConfig};
     use computational_neighborhood::observe::{chrome_trace, Recorder};
     use computational_neighborhood::tasks;
@@ -838,14 +837,12 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
 
     let registry = Arc::new(ArchiveRegistry::new());
     tasks::publish_all_archives(&registry);
-    let spaces = Arc::new(SpaceRegistry::with_recorder(&rec));
     let node = NodeHandle::new(NodeSpec::new(&name, memory, slots));
     let server = CnServer::spawn(
         &name,
         node,
         Arc::new(fabric),
         registry,
-        spaces,
         ServerConfig { policy, ..ServerConfig::default() },
     );
 
@@ -884,7 +881,6 @@ fn warn(report: &analysis::LintReport) {
 /// `"wire"` category removed, so it is byte-comparable with a simulated
 /// run of the same descriptor.
 fn submit_cmd(args: &[&str]) -> Result<String, String> {
-    use computational_neighborhood::core::spaces::SpaceRegistry;
     use computational_neighborhood::core::{
         execute_with_api_seeded, ClientConfig, CnApi, DynamicArgs,
     };
@@ -911,12 +907,7 @@ fn submit_cmd(args: &[&str]) -> Result<String, String> {
     let fabric = SocketFabric::new(wire_config_from_args(args)?, rec.clone())
         .map_err(|e| format!("bind: {e}"))?;
     let port = fabric.port();
-    let api = CnApi::over(
-        Arc::new(fabric),
-        Arc::new(SpaceRegistry::with_recorder(&rec)),
-        ClientConfig::default(),
-        rec.clone(),
-    );
+    let api = CnApi::over(Arc::new(fabric), ClientConfig::default(), rec.clone());
 
     // Same deterministic input as `cnctl trace`/`demo`, so a wire run and a
     // simulated run are structurally comparable.

@@ -342,7 +342,7 @@ fn job_events_include_lifecycle_for_every_task() {
     join.depends = vec!["tctask1".into()];
     join.memory_mb = 64;
     job.add_task(join).unwrap();
-    seed_input(&job, "matrix.txt", &input, &["tctask1".to_string()], "tctask999")
+    seed_input(&mut job, "matrix.txt", &input, &["tctask1".to_string()], "tctask999")
         .expect("seed input");
     job.start().unwrap();
     let report = job.wait(Duration::from_secs(30)).unwrap();

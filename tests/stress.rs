@@ -7,30 +7,35 @@ use std::time::Duration;
 use computational_neighborhood::cluster::NodeSpec;
 use computational_neighborhood::cnx::{self, Param};
 use computational_neighborhood::core::{
-    CnApi, Field, JobRequirements, Neighborhood, TaskArchive, TaskContext, TaskSpec, UserData,
+    CnApi, Field, JobHandle, JobReport, JobRequirements, Neighborhood, TaskArchive, TaskContext,
+    TaskError, TaskSpec, UserData,
 };
 
-/// An archive whose task records its completion order in the tuple space.
+/// An archive whose task stamps its run order from a Linda counter tuple:
+/// it takes `["clock", n]`, puts back `n + 1` and returns `n`.
 fn sequencer_archive() -> TaskArchive {
     TaskArchive::new("seq.jar").class("Seq", || {
         Box::new(|ctx: &mut TaskContext| {
-            let ts = ctx.tuplespace();
-            // The space length is a monotonically increasing logical clock:
-            // every finished task deposits exactly one tuple.
-            let stamp = ts.len() as i64;
-            ts.out(vec![Field::S(ctx.name.clone()), Field::I(stamp)]);
+            let mut ts = ctx.tuplespace();
+            let clock = ts
+                .take(&vec![Some(Field::S("clock".into())), None], Duration::from_secs(30))
+                .ok_or_else(|| TaskError::new("no clock tuple"))?;
+            let Field::I(stamp) = clock[1] else { unreachable!("the clock is an integer") };
+            ts.out(vec![Field::S("clock".into()), Field::I(stamp + 1)]);
             Ok(UserData::I64s(vec![stamp]))
         })
     })
 }
 
-fn stamp_of(space: &computational_neighborhood::core::TupleSpace, name: &str) -> i64 {
-    let t = space
-        .try_rd(&vec![Some(Field::S(name.to_string())), None])
-        .unwrap_or_else(|| panic!("{name} left no stamp"));
-    match t[1] {
-        Field::I(v) => v,
-        _ => unreachable!("stamps are integers"),
+/// Deposit the clock the sequencer tasks stamp from.
+fn start_clock(job: &mut JobHandle) {
+    job.tuplespace().out(vec![Field::S("clock".into()), Field::I(0)]);
+}
+
+fn stamp_of(report: &JobReport, name: &str) -> i64 {
+    match report.result(name) {
+        Some(UserData::I64s(stamp)) => stamp[0],
+        other => panic!("{name} left no stamp: {other:?}"),
     }
 }
 
@@ -55,16 +60,16 @@ fn wide_fanout_completes() {
     join.depends = worker_names.clone();
     join.memory_mb = 1;
     job.add_task(join).unwrap();
-    let space = job.tuplespace().clone();
+    start_clock(&mut job);
     job.start().unwrap();
     let report = job.wait(Duration::from_secs(60)).unwrap();
     assert_eq!(report.results.len(), 50);
-    let root_stamp = stamp_of(&space, "root");
-    let join_stamp = stamp_of(&space, "join");
+    let root_stamp = stamp_of(&report, "root");
+    let join_stamp = stamp_of(&report, "join");
     assert_eq!(root_stamp, 0, "root runs first");
     assert_eq!(join_stamp, 49, "join runs last");
     for name in &worker_names {
-        let s = stamp_of(&space, name);
+        let s = stamp_of(&report, name);
         assert!(s > root_stamp && s < join_stamp, "{name} stamp {s} out of range");
     }
     nb.shutdown();
@@ -85,11 +90,11 @@ fn deep_chain_runs_strictly_in_order() {
         t.memory_mb = 1;
         job.add_task(t).unwrap();
     }
-    let space = job.tuplespace().clone();
+    start_clock(&mut job);
     job.start().unwrap();
-    job.wait(Duration::from_secs(60)).unwrap();
+    let report = job.wait(Duration::from_secs(60)).unwrap();
     for i in 0..depth {
-        assert_eq!(stamp_of(&space, &format!("c{i}")), i as i64, "chain order violated at {i}");
+        assert_eq!(stamp_of(&report, &format!("c{i}")), i as i64, "chain order violated at {i}");
     }
     nb.shutdown();
 }
@@ -126,15 +131,15 @@ fn random_dag_respects_every_dependency() {
             deps_of.push((name, deps));
         }
     }
-    let space = job.tuplespace().clone();
+    start_clock(&mut job);
     job.start().unwrap();
     let report = job.wait(Duration::from_secs(60)).unwrap();
     assert_eq!(report.results.len(), layers * width);
     for (name, deps) in &deps_of {
-        let my_stamp = stamp_of(&space, name);
+        let my_stamp = stamp_of(&report, name);
         for d in deps {
             assert!(
-                stamp_of(&space, d) < my_stamp,
+                stamp_of(&report, d) < my_stamp,
                 "{name} (stamp {my_stamp}) ran before its dependency {d}"
             );
         }
@@ -154,6 +159,7 @@ fn many_sequential_jobs_do_not_leak_state() {
         let mut t = TaskSpec::new("only", "seq.jar", "Seq");
         t.memory_mb = 1;
         job.add_task(t).unwrap();
+        start_clock(&mut job);
         job.start().unwrap();
         let report = job.wait(Duration::from_secs(30)).unwrap();
         // Each round's space is fresh: the stamp is always 0.

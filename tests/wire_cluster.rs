@@ -10,13 +10,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use computational_neighborhood::cluster::NodeSpec;
-use computational_neighborhood::core::spaces::SpaceRegistry;
 use computational_neighborhood::core::{
     execute_descriptor_seeded, execute_with_api_seeded, ClientConfig, ClientError, CnApi,
     DynamicArgs, JobRequirements, Neighborhood, NeighborhoodConfig, NetMsg, TaskSpec,
 };
 use computational_neighborhood::observe::{journal_jsonl_filtered, Recorder, Severity};
-use computational_neighborhood::tasks::{self, random_digraph, seed_input};
+use computational_neighborhood::tasks::{
+    self, floyd_sequential, random_digraph, seed_input, Matrix,
+};
 use computational_neighborhood::wire::{Discovery, FabricHandle, SocketFabric, WireConfig};
 
 const CNCTL: &str = env!("CARGO_BIN_EXE_cnctl");
@@ -152,6 +153,60 @@ fn wire_run_matches_simulated_canonical_journal() {
     std::fs::remove_file(journal_path).ok();
 }
 
+/// The tuple-space workers across processes: the Figure-3 job with
+/// `TCTaskTS` workers, which exchange row k through the job's space, run on
+/// three `cnctl serve` processes from a client fabric in this process. Its
+/// result is sequential Floyd's, and its canonical journal is the simulated
+/// run's: the space is the JobManager's on both fabrics.
+#[test]
+fn tuplespace_workers_run_across_processes() {
+    let mut doc = computational_neighborhood::cnx::ast::figure2_descriptor(3);
+    for task in &mut doc.client.jobs[0].tasks {
+        if task.class == tasks::transclosure::WORKER_CLASS {
+            task.class = tasks::transclosure::WORKER_TS_CLASS.to_string();
+        }
+    }
+    let closure = |reports: Vec<computational_neighborhood::core::JobReport>| {
+        let result = reports[0].result("tctask999").expect("the joiner's result");
+        Matrix::from_userdata(result).expect("a matrix")
+    };
+
+    let ports = free_ports(3);
+    let _serves = launch_serves(&ports);
+    let rec = Recorder::new();
+    let cfg = WireConfig {
+        discovery: Discovery::Loopback { peers: ports.clone() },
+        ..WireConfig::default()
+    };
+    let fabric = SocketFabric::new(cfg, rec.clone()).expect("client fabric");
+    let api = CnApi::over(Arc::new(fabric), ClientConfig::default(), rec.clone());
+    let reports = execute_with_api_seeded(
+        &api,
+        &doc,
+        &DynamicArgs::new(),
+        Duration::from_secs(60),
+        seed_figure3,
+    )
+    .expect("wire run");
+    assert_eq!(closure(reports), floyd_sequential(&random_digraph(16, 0.25, 1..9, 1)));
+    let wire_journal = journal_jsonl_filtered(&rec, &["wire"]);
+
+    let rec = Recorder::new();
+    let nb = Neighborhood::deploy_with(
+        NodeSpec::fleet(3, 8192, 16),
+        NeighborhoodConfig { recorder: rec.clone(), ..NeighborhoodConfig::default() },
+    );
+    tasks::publish_all_archives(nb.registry());
+    let reports =
+        execute_descriptor_seeded(&nb, &doc, &DynamicArgs::new(), Duration::from_secs(60), |job| {
+            seed_figure3(job)
+        })
+        .expect("simulated run");
+    nb.shutdown();
+    assert_eq!(closure(reports), floyd_sequential(&random_digraph(16, 0.25, 1..9, 1)));
+    assert_eq!(wire_journal, journal_jsonl_filtered(&rec, &["wire"]));
+}
+
 /// PR5 differential guarantee: write coalescing is invisible to the
 /// runtime. The same Figure-3 job over the wire with batching on (the
 /// default) and off (`--no-batch` on every process) exports byte-identical
@@ -215,12 +270,7 @@ fn killing_a_serve_worker_surfaces_typed_error_and_flight_events() {
         ..WireConfig::default()
     };
     let fabric = SocketFabric::new(cfg, rec.clone()).expect("client fabric");
-    let api = CnApi::over(
-        Arc::new(fabric),
-        Arc::new(computational_neighborhood::core::spaces::SpaceRegistry::new()),
-        ClientConfig::default(),
-        rec.clone(),
-    );
+    let api = CnApi::over(Arc::new(fabric), ClientConfig::default(), rec.clone());
 
     // Healthy start: discovery finds the JM and the job is created.
     let mut job = api.create_job(&JobRequirements::default()).expect("create job");
@@ -336,13 +386,7 @@ fn serve_memory_does_not_grow_with_the_jobs_it_serves() {
         if i == WARM {
             warm = rss();
         }
-        let rec = Recorder::disabled();
-        let api = CnApi::over(
-            Arc::clone(&fabric),
-            Arc::new(SpaceRegistry::with_recorder(&rec)),
-            ClientConfig::default(),
-            rec,
-        );
+        let api = CnApi::over(Arc::clone(&fabric), ClientConfig::default(), Recorder::disabled());
         execute_with_api_seeded(&api, &doc, &DynamicArgs::new(), Duration::from_secs(60), |job| {
             seed_figure3(job)
         })
