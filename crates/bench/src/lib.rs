@@ -17,7 +17,7 @@ pub fn bench_neighborhood(nodes: usize, slots: usize) -> Neighborhood {
 
 /// Fast client config matching [`bench_neighborhood`].
 pub fn bench_client_config() -> cn_core::ClientConfig {
-    cn_core::ClientConfig { bid_window: Duration::from_micros(500), ..Default::default() }
+    cn_core::ClientConfig { bid_window: Duration::from_micros(500) }
 }
 
 /// A neighborhood for the E7 contention experiment: one node per entry of

@@ -21,7 +21,7 @@ use crate::message::{
     Bid, CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME,
 };
 use crate::pump::MsgPump;
-use crate::scheduler::{select, Policy};
+use crate::scheduler::least_loaded;
 use crate::tuplespace::Space;
 use crate::Neighborhood;
 
@@ -68,13 +68,11 @@ pub struct ClientConfig {
     /// Upper bound on one JobManager bid window: it closes as soon as every
     /// server the solicitation addressed has bid ([`MsgPump::solicit`]).
     pub bid_window: Duration,
-    /// JobManager selection policy.
-    pub policy: Policy,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig { bid_window: Duration::from_millis(5), policy: Policy::LeastLoaded }
+        ClientConfig { bid_window: Duration::from_millis(5) }
     }
 }
 
@@ -168,7 +166,7 @@ impl CnApi {
             }
         }
         self.c_bids.add(bids.len() as u64);
-        let chosen = select(self.config.policy, &bids, 0).cloned().ok_or_else(|| {
+        let chosen = least_loaded(&bids).cloned().ok_or_else(|| {
             self.net.unregister(addr);
             self.rec.event_job(Severity::Warn, "job", job.0, "no willing JobManager responded");
             self.rec.span_end(span);

@@ -478,7 +478,7 @@ mod tests {
             },
         );
         nb.registry().publish(echo_archive());
-        let api = CnApi::with_config(&nb, ClientConfig { bid_window, ..ClientConfig::default() });
+        let api = CnApi::with_config(&nb, ClientConfig { bid_window });
         (nb, api)
     }
 

@@ -30,7 +30,7 @@ use cn_cluster::Addr;
 
 use crate::message::{Bid, JobId, TaskSpec};
 use crate::pump::Window;
-use crate::scheduler::{select, select_load_aware, Policy, RoundRobin};
+use crate::scheduler::{Policy, RoundRobin};
 
 /// What the server's loop hands the round: a `TaskManagerBid` or `Decline`
 /// for the solicitation keyed `(job, task)`, an `AssignAck` (the task's
@@ -291,15 +291,7 @@ impl Round {
             .filter(|b| b.can_host(task.spec.memory_mb) && !task.tried.contains(&b.addr))
             .cloned()
             .collect();
-        let chosen = match policy {
-            Policy::RoundRobin => rr.select(&candidates),
-            // Load-aware shares the round-robin rotation state so a
-            // uniformly loaded neighborhood places identically to
-            // `RoundRobin` (the journal-differential property).
-            Policy::LoadAware => select_load_aware(rr, &candidates),
-            p => select(p, &candidates, 0),
-        };
-        let Some(chosen) = chosen else {
+        let Some(chosen) = policy.choose(rr, &candidates) else {
             // Someone was slow to answer, or declined a larger task than this
             // one, and the rest of the table is used up: not a refusal yet,
             // ask again.
@@ -344,8 +336,7 @@ mod tests {
     const JOB: JobId = JobId(1);
     const WINDOW: Duration = Duration::from_millis(40);
     const TIMEOUT: Duration = Duration::from_secs(2);
-    const POLICIES: [Policy; 4] =
-        [Policy::FirstResponder, Policy::LeastLoaded, Policy::RoundRobin, Policy::LoadAware];
+    const POLICIES: [Policy; 3] = [Policy::LeastLoaded, Policy::RoundRobin, Policy::LoadAware];
 
     /// A bidder `name` at `Addr(addr)` with `used` of its `slots` taken.
     fn bidder(name: &str, addr: u64, memory_mb: u64, slots: usize, used: usize, queue: u32) -> Bid {
@@ -649,12 +640,7 @@ mod tests {
         let mut auction = |spec: &TaskSpec| {
             let willing: Vec<Bid> =
                 table.iter().filter(|b| b.can_host(spec.memory_mb)).cloned().collect();
-            let chosen = match policy {
-                Policy::RoundRobin => rr.select(&willing),
-                Policy::LoadAware => select_load_aware(&mut rr, &willing),
-                p => select(p, &willing, 0),
-            }?
-            .addr;
+            let chosen = policy.choose(&mut rr, &willing)?.addr;
             let entry = table.iter_mut().find(|b| b.addr == chosen)?;
             entry.debit(spec.memory_mb);
             Some(entry.server.clone())

@@ -1,30 +1,24 @@
-//! Bid-selection policies, load signals, and fair queuing.
+//! Bid-selection rules, load signals, and fair queuing.
 //!
 //! Two selections happen in CN: the client picks a **JobManager** "based on
 //! User specified Job requirements from the list of willing JobManagers",
 //! and a JobManager picks a **TaskManager** for each task from the willing
-//! bidders. Both run the same policy machinery; the policy choice is one of
-//! the ablation axes in DESIGN.md.
-//!
-//! PR10 grows this module into the load-aware dynamic scheduler (DESIGN.md
-//! §14): [`LoadSignal`] is the live per-TaskManager load vector piggybacked
-//! on every bid, [`Policy::LoadAware`] weights placement by it (falling back
-//! to round-robin rotation when every bidder reports the same quantized
-//! score, so uniform-load runs stay journal-identical to `RoundRobin`),
-//! and [`FairQueue`] is the deficit-round-robin admission queue that keeps
-//! N concurrent clients from starving each other.
+//! bidders. The client always takes the [`least_loaded`] bid; a JobManager
+//! takes its server's [`Policy`], whose one dispatch is [`Policy::choose`].
+//! [`LoadSignal`] is the live per-TaskManager load vector piggybacked on
+//! every bid, which [`Policy::LoadAware`] ranks on (DESIGN.md §14), and
+//! [`FairQueue`] is the deficit-round-robin admission queue that keeps N
+//! concurrent clients from starving each other.
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::message::Bid;
 
-/// How to choose among willing bidders.
+/// How a JobManager chooses among willing TaskManager bidders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
-    /// First bid received — the latency-optimal but load-blind baseline.
-    FirstResponder,
     /// Lowest load factor; ties broken by more free memory, then by name
-    /// (deterministic).
+    /// (deterministic). The product rule.
     #[default]
     LeastLoaded,
     /// Rotate through bidders (stateful; see [`RoundRobin`]).
@@ -38,23 +32,15 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Parse the `--sched` CLI spelling.
-    pub fn parse(s: &str) -> Option<Policy> {
-        match s {
-            "first-responder" => Some(Policy::FirstResponder),
-            "least-loaded" => Some(Policy::LeastLoaded),
-            "round-robin" => Some(Policy::RoundRobin),
-            "load-aware" => Some(Policy::LoadAware),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> &'static str {
+    /// The bid this rule picks from `bids`, `None` when there is none. `rr`
+    /// is the server's rotation: `RoundRobin` advances it, and `LoadAware`
+    /// shares it so a uniformly loaded neighborhood places identically to
+    /// `RoundRobin` (the journal-differential property).
+    pub fn choose<'a>(self, rr: &mut RoundRobin, bids: &'a [Bid]) -> Option<&'a Bid> {
         match self {
-            Policy::FirstResponder => "first-responder",
-            Policy::LeastLoaded => "least-loaded",
-            Policy::RoundRobin => "round-robin",
-            Policy::LoadAware => "load-aware",
+            Policy::LeastLoaded => least_loaded(bids),
+            Policy::RoundRobin => rr.select(bids),
+            Policy::LoadAware => select_load_aware(rr, bids),
         }
     }
 }
@@ -114,7 +100,7 @@ impl Ewma {
 impl Bid {
     /// Whether this bidder, as last heard from and less what the round has
     /// booked on it since, still has a slot and `memory_mb` to spare — the
-    /// TaskManager's own willingness check (`NodeHandle::can_host`).
+    /// TaskManager's own willingness check on its node.
     pub fn can_host(&self, memory_mb: u64) -> bool {
         self.free_slots > 0 && self.free_memory_mb >= memory_mb
     }
@@ -136,31 +122,16 @@ impl Bid {
     }
 }
 
-/// Select a bid per `policy`. `rr_counter` carries round-robin state (pass
-/// 0 for stateless policies). `LoadAware` here is the stateless reference
-/// (no rotation fallback); servers use [`select_load_aware`].
-pub fn select(policy: Policy, bids: &[Bid], rr_counter: usize) -> Option<&Bid> {
-    if bids.is_empty() {
-        return None;
-    }
-    match policy {
-        Policy::FirstResponder => bids.first(),
-        Policy::LeastLoaded => bids.iter().min_by(|a, b| {
-            a.load
-                .partial_cmp(&b.load)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.free_memory_mb.cmp(&a.free_memory_mb))
-                .then(a.server.cmp(&b.server))
-        }),
-        Policy::RoundRobin => {
-            // Stable order by server name so rotation is deterministic
-            // regardless of bid arrival order.
-            let mut ordered: Vec<&Bid> = bids.iter().collect();
-            ordered.sort_by(|a, b| a.server.cmp(&b.server));
-            Some(ordered[rr_counter % ordered.len()])
-        }
-        Policy::LoadAware => min_by_signal(bids),
-    }
+/// The bid with the lowest load factor; ties go to more free memory, then
+/// to the lower server name.
+pub fn least_loaded(bids: &[Bid]) -> Option<&Bid> {
+    bids.iter().min_by(|a, b| {
+        a.load
+            .partial_cmp(&b.load)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.free_memory_mb.cmp(&a.free_memory_mb))
+            .then(a.server.cmp(&b.server))
+    })
 }
 
 fn min_by_signal(bids: &[Bid]) -> Option<&Bid> {
@@ -264,11 +235,10 @@ impl<T> FairQueue<T> {
     }
 
     pub fn push(&mut self, client: u64, cost: u64, item: T) {
-        if let std::collections::hash_map::Entry::Vacant(v) = self.queues.entry(client) {
-            v.insert(ClientQueue { deficit: 0, items: VecDeque::new() });
+        let q = self.queues.entry(client).or_insert_with(|| {
             self.active.push_back(client);
-        }
-        let q = self.queues.get_mut(&client).expect("just inserted");
+            ClientQueue { deficit: 0, items: VecDeque::new() }
+        });
         q.items.push_back((cost.max(1), item));
         self.len += 1;
     }
@@ -278,14 +248,16 @@ impl<T> FairQueue<T> {
     pub fn pop(&mut self) -> Option<T> {
         loop {
             let client = *self.active.front()?;
-            let q = self.queues.get_mut(&client).expect("active implies queued");
-            match q.items.front() {
+            let Some(q) = self.queues.get_mut(&client) else {
+                self.active.pop_front();
+                continue;
+            };
+            match q.items.pop_front() {
                 None => {
                     self.queues.remove(&client);
                     self.active.pop_front();
                 }
-                Some(&(cost, _)) if q.deficit >= cost => {
-                    let (cost, item) = q.items.pop_front().expect("front exists");
+                Some((cost, item)) if q.deficit >= cost => {
                     q.deficit -= cost;
                     self.len -= 1;
                     if q.items.is_empty() {
@@ -294,9 +266,11 @@ impl<T> FairQueue<T> {
                     }
                     return Some(item);
                 }
-                Some(_) => {
-                    // Visit ends unserved: grant a quantum, move to the
-                    // back, and let the deficit accumulate across rounds.
+                Some(unaffordable) => {
+                    // Visit ends unserved: the item goes back to the front,
+                    // the client gets a quantum and moves to the back, and
+                    // the deficit accumulates across rounds.
+                    q.items.push_front(unaffordable);
                     q.deficit += self.quantum;
                     self.active.rotate_left(1);
                 }
@@ -338,27 +312,38 @@ mod tests {
 
     #[test]
     fn empty_bids_select_nothing() {
-        assert!(select(Policy::LeastLoaded, &[], 0).is_none());
-        assert!(RoundRobin::new().select(&[]).is_none());
-        assert!(select_load_aware(&mut RoundRobin::new(), &[]).is_none());
+        for policy in [Policy::LeastLoaded, Policy::RoundRobin, Policy::LoadAware] {
+            assert!(policy.choose(&mut RoundRobin::new(), &[]).is_none(), "{policy:?}");
+        }
     }
 
     #[test]
-    fn first_responder_takes_arrival_order() {
-        let bids = vec![bid("late-but-first", 0.9, 10), bid("better", 0.1, 1000)];
-        assert_eq!(select(Policy::FirstResponder, &bids, 0).unwrap().server, "late-but-first");
+    fn each_policy_chooses_by_its_own_rule() {
+        // `a` sorts first, `b` has the lowest load factor, `c` the lowest
+        // load signal: each rule picks a different bidder.
+        let bids = vec![
+            Bid { load: 0.5, ..bid_sig("a", 1, 0, 0) },
+            Bid { load: 0.0, ..bid_sig("b", 2, 0, 0) },
+            Bid { load: 0.75, ..bid_sig("c", 0, 0, 0) },
+        ];
+        for (policy, server) in
+            [(Policy::LeastLoaded, "b"), (Policy::RoundRobin, "a"), (Policy::LoadAware, "c")]
+        {
+            let chosen = policy.choose(&mut RoundRobin::new(), &bids).unwrap();
+            assert_eq!(chosen.server, server, "{policy:?}");
+        }
     }
 
     #[test]
     fn least_loaded_prefers_low_load_then_memory() {
         let bids = vec![bid("a", 0.5, 100), bid("b", 0.25, 100), bid("c", 0.25, 500)];
-        assert_eq!(select(Policy::LeastLoaded, &bids, 0).unwrap().server, "c");
+        assert_eq!(least_loaded(&bids).unwrap().server, "c");
     }
 
     #[test]
     fn least_loaded_ties_break_by_name() {
         let bids = vec![bid("zeta", 0.5, 100), bid("alpha", 0.5, 100)];
-        assert_eq!(select(Policy::LeastLoaded, &bids, 0).unwrap().server, "alpha");
+        assert_eq!(least_loaded(&bids).unwrap().server, "alpha");
     }
 
     #[test]
@@ -369,15 +354,20 @@ mod tests {
         assert_eq!(picks, ["a", "b", "c", "a", "b", "c"]);
     }
 
+    /// The stateless rotation `RoundRobin` caches: the bidders sorted by
+    /// name, the `i`-th taken.
+    fn round_robin_reference(bids: &[Bid], i: usize) -> &Bid {
+        let mut ordered: Vec<&Bid> = bids.iter().collect();
+        ordered.sort_by(|a, b| a.server.cmp(&b.server));
+        ordered[i % ordered.len()]
+    }
+
     #[test]
     fn round_robin_matches_stateless_reference() {
         let bids = vec![bid("d", 0.1, 8), bid("b", 0.9, 2), bid("a", 0.4, 4), bid("c", 0.2, 1)];
         let mut rr = RoundRobin::new();
         for i in 0..10 {
-            assert_eq!(
-                rr.select(&bids).unwrap().server,
-                select(Policy::RoundRobin, &bids, i).unwrap().server
-            );
+            assert_eq!(rr.select(&bids).unwrap().server, round_robin_reference(&bids, i).server);
         }
     }
 
@@ -392,16 +382,6 @@ mod tests {
         // One leaves: rebuild again, arrival order irrelevant.
         let bids = vec![bid("b", 0.0, 0), bid("a", 0.0, 0)];
         assert_eq!(rr.select(&bids).unwrap().server, "a", "counter=2 → wraps to first");
-    }
-
-    #[test]
-    fn policy_parse_round_trips() {
-        for p in
-            [Policy::FirstResponder, Policy::LeastLoaded, Policy::RoundRobin, Policy::LoadAware]
-        {
-            assert_eq!(Policy::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(Policy::parse("fastest"), None);
     }
 
     #[test]
@@ -423,7 +403,6 @@ mod tests {
             vec![bid_sig("a", 3, 2, 5_000), bid_sig("b", 0, 1, 2_000), bid_sig("c", 1, 0, 1_000)];
         let mut rr = RoundRobin::new();
         assert_eq!(select_load_aware(&mut rr, &bids).unwrap().server, "b");
-        assert_eq!(select(Policy::LoadAware, &bids, 0).unwrap().server, "b");
     }
 
     #[test]

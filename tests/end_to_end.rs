@@ -112,22 +112,22 @@ fn partitioned_manager_surfaces_as_client_timeout() {
 fn placement_survives_lost_solicitation() {
     // The preferred worker never hears the TaskManager solicitation (the
     // multicast to it is dropped); placement proceeds on the remaining
-    // bidder and the job completes.
+    // bidder and the job completes. Only `a-manager` has the two free slots
+    // the job asks of its JobManager, so it manages the job; at 60 MB it
+    // cannot host the task itself.
     let nb = Neighborhood::deploy(vec![
         NodeSpec::new("a-manager", 60, 4),
-        NodeSpec::new("b-worker", 4096, 4),
-        NodeSpec::new("c-worker", 4096, 4),
+        NodeSpec::new("b-worker", 4096, 1),
+        NodeSpec::new("c-worker", 4096, 1),
     ]);
     nb.registry().publish(
         core::TaskArchive::new("x.jar").class("X", || {
             Box::new(|_ctx: &mut core::TaskContext| Ok(UserData::Text("ran".into())))
         }),
     );
-    let api = CnApi::with_config(
-        &nb,
-        core::ClientConfig { policy: core::Policy::RoundRobin, ..Default::default() },
-    );
-    let mut job = api.create_job(&JobRequirements::default()).unwrap();
+    let api = CnApi::initialize(&nb);
+    let mut job =
+        api.create_job(&JobRequirements { min_free_slots: 2, ..Default::default() }).unwrap();
     assert_eq!(job.manager(), "a-manager");
     nb.network().drop_next(nb.server_addr("b-worker").unwrap(), 1);
     let mut t = TaskSpec::new("t", "x.jar", "X");
@@ -288,9 +288,7 @@ fn many_small_jobs_share_the_neighborhood() {
 
 #[test]
 fn scheduling_policies_all_complete_the_guiding_example() {
-    for policy in
-        [core::Policy::FirstResponder, core::Policy::LeastLoaded, core::Policy::RoundRobin]
-    {
+    for policy in [core::Policy::LeastLoaded, core::Policy::RoundRobin, core::Policy::LoadAware] {
         let config = NeighborhoodConfig {
             server: core::ServerConfig { policy, ..Default::default() },
             ..Default::default()

@@ -51,7 +51,7 @@ fn work_archive(nominal_ms: u64) -> TaskArchive {
 }
 
 fn client_config() -> computational_neighborhood::core::ClientConfig {
-    computational_neighborhood::core::ClientConfig { bid_window: BID_WINDOW, ..Default::default() }
+    computational_neighborhood::core::ClientConfig { bid_window: BID_WINDOW }
 }
 
 /// Run one single-client job of `tasks` Spin tasks; returns (placements,
