@@ -291,13 +291,10 @@ fn e1_floyd_speedup() {
     nb.shutdown();
 }
 
-/// E2: transform throughput table, including the xsl:key ablation.
+/// E2: transform throughput table, XSLT against the native transform.
 fn e2_transform_throughput() {
-    banner("E2", "XMI->CNX transform: keyed XSLT vs keyless XSLT vs native");
-    println!(
-        "{:>8} {:>14} {:>16} {:>14} {:>8}",
-        "workers", "xslt(keys)", "xslt(no keys)", "native", "ratio"
-    );
+    banner("E2", "XMI->CNX transform: XSLT vs native");
+    println!("{:>8} {:>14} {:>14} {:>8}", "workers", "xslt", "native", "ratio");
     for &workers in &[5usize, 25, 100, 250] {
         let xmi = cn_xml::write_document(
             &cn_model::export_xmi(&figure2_model(workers)),
@@ -307,17 +304,6 @@ fn e2_transform_throughput() {
         let t = Instant::now();
         let via_xslt = xmi_to_cnx_xslt(&xmi, &settings).expect("xslt");
         let xslt_t = t.elapsed();
-        // The keyless formulation is superlinear; skip it at sizes where a
-        // single run exceeds a few seconds.
-        let nokeys_t = if workers <= 100 {
-            let t = Instant::now();
-            let via_nokeys =
-                cn_transform::xmi2cnx::xmi_to_cnx_xslt_nokeys(&xmi, &settings).expect("nokeys");
-            assert_eq!(via_xslt, via_nokeys);
-            Some(t.elapsed())
-        } else {
-            None
-        };
         let t = Instant::now();
         let via_native = cn_transform::xmi_to_cnx_native(&xmi, &settings).expect("native");
         let native_t = t.elapsed();
@@ -326,14 +312,12 @@ fn e2_transform_throughput() {
             cn_transform::xmi2cnx::normalized(parsed),
             cn_transform::xmi2cnx::normalized(via_native)
         );
-        let nokeys_str =
-            nokeys_t.map(|d| format!("{d:.2?}")).unwrap_or_else(|| "(skipped)".to_string());
         println!(
-            "{workers:>8} {xslt_t:>14.2?} {nokeys_str:>16} {native_t:>14.2?} {:>7.1}x",
+            "{workers:>8} {xslt_t:>14.2?} {native_t:>14.2?} {:>7.1}x",
             xslt_t.as_secs_f64() / native_t.as_secs_f64().max(1e-9)
         );
     }
-    println!("[expected shape: keyed XSLT is linear at a constant factor over native; the keyless ablation is superlinear — xsl:key is what makes idref-heavy stylesheets scale]");
+    println!("[expected shape: XSLT is linear at a constant factor over native — its xsl:key indexes are what make the idref-heavy stylesheet scale]");
 }
 
 /// E3: runtime overhead table.

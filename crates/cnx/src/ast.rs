@@ -122,13 +122,6 @@ impl Param {
     pub fn integer(value: i64) -> Self {
         Param::new(ParamType::Integer, value.to_string())
     }
-
-    /// Parse the value according to its declared type; `None` if malformed.
-    pub fn as_i64(&self) -> Option<i64> {
-        matches!(self.ty, ParamType::Integer | ParamType::Long)
-            .then(|| self.value.parse().ok())
-            .flatten()
-    }
 }
 
 /// The `task-req` block: resource requirements the JobManager matches
@@ -321,13 +314,6 @@ mod tests {
             ParamType::parse("com.example.Custom"),
             ParamType::Other("com.example.Custom".into())
         );
-    }
-
-    #[test]
-    fn param_typed_accessors() {
-        assert_eq!(Param::integer(5).as_i64(), Some(5));
-        assert_eq!(Param::string("x").as_i64(), None);
-        assert_eq!(Param::new(ParamType::Integer, "oops").as_i64(), None);
     }
 
     #[test]

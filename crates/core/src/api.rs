@@ -79,10 +79,12 @@ impl Default for ClientConfig {
 /// How long the client waits for each ack (job create, task create).
 const ACK_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How many times `create_job` re-multicasts the solicitation when a bid
-/// window closes with no bids (willing managers can miss a window under
-/// load; discovery is cheap to retry).
-const DISCOVERY_RETRIES: u32 = 3;
+/// How long `create_job` keeps re-multicasting the solicitation while its
+/// bid windows close with no bids, each window twice as long as the last
+/// (willing managers can miss a window under load, or be descheduled for
+/// longer than one). The first window is `bid_window`; the last one opens
+/// before the windows so far add up to this.
+pub(crate) const DISCOVERY_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Process-wide job id source: JobManagers key state by [`JobId`], and
 /// several clients may talk to the same neighborhood.
@@ -148,23 +150,25 @@ impl CnApi {
         let span = self.rec.span_start_job("job", "job", None, Some(job.0), None);
         let (addr, rx) = self.net.register();
         let mut pump = MsgPump::new(rx);
-        let mut bids: Vec<Bid> = Vec::new();
-        for _attempt in 0..=DISCOVERY_RETRIES {
+        let (mut window, mut waited) = (self.config.bid_window, Duration::ZERO);
+        let bids: Vec<Bid> = loop {
             self.c_solicits.inc();
-            bids = pump.solicit(
+            let bids = pump.solicit(
                 &self.net,
                 addr,
                 NetMsg::SolicitJobManager { job, requirements: *requirements, reply_to: addr },
-                self.config.bid_window,
+                window,
                 |m| match m {
                     NetMsg::JobManagerBid { job: bjob, bid } if *bjob == job => Some(bid.clone()),
                     _ => None,
                 },
             );
-            if !bids.is_empty() {
-                break;
+            waited += window;
+            if !bids.is_empty() || waited >= DISCOVERY_DEADLINE {
+                break bids;
             }
-        }
+            window *= 2;
+        };
         self.c_bids.add(bids.len() as u64);
         let chosen = least_loaded(&bids).cloned().ok_or_else(|| {
             self.net.unregister(addr);

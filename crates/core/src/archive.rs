@@ -45,11 +45,6 @@ impl TaskArchive {
         TaskArchive { name: name.into(), size_bytes: 64 * 1024, classes: HashMap::new() }
     }
 
-    pub fn with_size(mut self, size_bytes: u64) -> Self {
-        self.size_bytes = size_bytes;
-        self
-    }
-
     /// Register a class (fully-qualified name → factory).
     pub fn class(
         mut self,
@@ -187,8 +182,8 @@ mod tests {
     #[test]
     fn publish_replaces() {
         let reg = ArchiveRegistry::new();
-        reg.publish(TaskArchive::new("a.jar").with_size(100));
-        reg.publish(TaskArchive::new("a.jar").with_size(200));
+        reg.publish(TaskArchive { size_bytes: 100, ..TaskArchive::new("a.jar") });
+        reg.publish(TaskArchive { size_bytes: 200, ..TaskArchive::new("a.jar") });
         assert_eq!(reg.get("a.jar").unwrap().size_bytes, 200);
         assert_eq!(reg.names().len(), 1);
     }

@@ -556,13 +556,18 @@ mod tests {
         nb.shutdown();
     }
 
-    /// A neighborhood that counts, under `policy`.
+    /// A neighborhood that counts, under `policy`. Its bid windows are long
+    /// enough that every live TaskManager's answer reaches the table even on
+    /// a loaded host, so what it counts and places does not hang on timing:
+    /// a window closes on quorum, and only one that a full TaskManager leaves
+    /// unanswered runs to this bound.
     fn deploy_counted(specs: Vec<NodeSpec>, policy: Policy) -> (Neighborhood, Recorder) {
         let rec = Recorder::new();
+        let bid_window = Duration::from_millis(100);
         let nb = Neighborhood::deploy_with(
             specs,
             NeighborhoodConfig {
-                server: ServerConfig { policy, ..ServerConfig::default() },
+                server: ServerConfig { policy, bid_window, ..ServerConfig::default() },
                 recorder: rec.clone(),
             },
         );
@@ -766,6 +771,41 @@ mod tests {
             api.create_job(&JobRequirements::default()).err().unwrap(),
             ClientError::NoJobManagers
         ));
+        nb.shutdown();
+    }
+
+    #[test]
+    fn discovery_outlasts_four_lost_solicitations() {
+        // Every server misses the windows of 5, 10, 20 and 40 ms; the fifth
+        // solicitation, 80 ms long, reaches them.
+        let nb = deploy(3);
+        for node in nb.nodes() {
+            nb.network().drop_next(nb.server_addr(node.name()).unwrap(), 4);
+        }
+        let api = CnApi::initialize(&nb);
+        let job = api.create_job(&JobRequirements::default()).unwrap();
+        assert_eq!(nb.recorder().counter("api.jm_solicitations").get(), 5);
+        drop(job);
+        nb.shutdown();
+    }
+
+    #[test]
+    fn discovery_ends_at_its_deadline() {
+        let nb = deploy(3);
+        for node in nb.nodes() {
+            nb.network().partition(nb.server_addr(node.name()).unwrap());
+        }
+        let api = CnApi::initialize(&nb);
+        let started = std::time::Instant::now();
+        assert!(matches!(
+            api.create_job(&JobRequirements::default()).err().unwrap(),
+            ClientError::NoJobManagers
+        ));
+        // Windows of 5, 10, …, 640 ms: the eighth opens 635 ms in, before
+        // the deadline, and is the last.
+        let last = ClientConfig::default().bid_window * 128;
+        assert!(started.elapsed() < api::DISCOVERY_DEADLINE + last, "{:?}", started.elapsed());
+        assert_eq!(nb.recorder().counter("api.jm_solicitations").get(), 8);
         nb.shutdown();
     }
 }

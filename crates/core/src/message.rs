@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use cn_cluster::Addr;
-use cn_cnx::{Param, RunModel};
+use cn_cnx::Param;
 
 use crate::scheduler::LoadSignal;
 use crate::tuplespace::Field;
@@ -89,7 +89,6 @@ pub struct TaskSpec {
     pub class: String,
     pub depends: Vec<String>,
     pub memory_mb: u64,
-    pub runmodel: RunModel,
     pub params: Vec<Param>,
 }
 
@@ -101,7 +100,6 @@ impl TaskSpec {
             class: class.into(),
             depends: Vec::new(),
             memory_mb: 1000,
-            runmodel: RunModel::RunAsThreadInTm,
             params: Vec::new(),
         }
     }
@@ -114,7 +112,6 @@ impl TaskSpec {
             class: task.class.clone(),
             depends: task.depends.clone(),
             memory_mb: task.req.memory_mb,
-            runmodel: task.req.runmodel,
             params: task.params.clone(),
         }
     }

@@ -120,8 +120,9 @@ impl<M> MsgPump<M> {
     ) -> Result<Envelope<M>, RecvTimeoutError> {
         let mut looked = 0;
         loop {
-            if let Some(i) = self.pending.range(looked..).position(|env| pred(&env.msg)) {
-                return Ok(self.pending.remove(looked + i).expect("found above"));
+            let found = self.pending.range(looked..).position(|env| pred(&env.msg));
+            if let Some(env) = found.and_then(|i| self.pending.remove(looked + i)) {
+                return Ok(env);
             }
             looked = self.pending.len();
             let env = match deadline {

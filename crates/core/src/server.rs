@@ -96,6 +96,10 @@ impl CnServer {
         let name = name.into();
         let state = ServerState::new(name.clone(), node, net.clone(), registry, config);
         let addr = state.addr;
+        // A spawn fails only when the OS refuses the process another thread;
+        // every other thread of the runtime (`cn_sync::thread::spawn`: task
+        // pools, reactor shards) panics on the same refusal, so a server
+        // does too rather than return a half-deployed neighborhood.
         let thread = cn_sync::thread::Builder::new()
             .name(format!("cnserver-{name}"))
             .spawn(move || state.run())

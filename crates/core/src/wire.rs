@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use cn_cluster::Addr;
-use cn_cnx::{Param, ParamType, RunModel};
+use cn_cnx::{Param, ParamType};
 use cn_wire::{Reader, WireEncode, WireError, WireErrorKind, Writer};
 
 use crate::message::{Bid, JobId, JobRequirements, NetMsg, TaskSpec, UserData};
@@ -116,23 +116,6 @@ impl WireEncode for Field {
     }
 }
 
-/// `RunModel` on the wire: a tag byte (the CNX string forms are longer
-/// and already validated at parse time).
-fn put_runmodel(w: &mut Writer, rm: RunModel) {
-    w.put_u8(match rm {
-        RunModel::RunAsThreadInTm => 0,
-        RunModel::RunAsProcess => 1,
-    });
-}
-
-fn get_runmodel(r: &mut Reader<'_>) -> Result<RunModel, WireError> {
-    match r.get_u8()? {
-        0 => Ok(RunModel::RunAsThreadInTm),
-        1 => Ok(RunModel::RunAsProcess),
-        t => Err(WireError::new(WireErrorKind::BadTag, format!("RunModel tag {t}"))),
-    }
-}
-
 /// `Param` on the wire: type name + value. Source spans are a parse-time
 /// artifact and do not cross processes; decoded params carry synthetic
 /// spans (`Param` equality already ignores spans).
@@ -147,8 +130,8 @@ fn get_param(r: &mut Reader<'_>) -> Result<Param, WireError> {
     Ok(Param::new(ty, value))
 }
 
-/// Hand-written: `RunModel` and `Param` are `cn-cnx` types, so the orphan
-/// rule keeps them out of the field-list form.
+/// Hand-written: `Param` is a `cn-cnx` type, so the orphan rule keeps it
+/// out of the field-list form.
 impl WireEncode for TaskSpec {
     fn encode(&self, w: &mut Writer) {
         w.put_str(&self.name);
@@ -156,7 +139,6 @@ impl WireEncode for TaskSpec {
         w.put_str(&self.class);
         self.depends.encode(w);
         w.put_u64(self.memory_mb);
-        put_runmodel(w, self.runmodel);
         w.put_usize(self.params.len());
         for p in &self.params {
             put_param(w, p);
@@ -169,13 +151,12 @@ impl WireEncode for TaskSpec {
         let class = r.get_str()?;
         let depends = Vec::decode(r)?;
         let memory_mb = r.get_u64()?;
-        let runmodel = get_runmodel(r)?;
         let n = r.get_len()?;
         let mut params = Vec::with_capacity(n);
         for _ in 0..n {
             params.push(get_param(r)?);
         }
-        Ok(TaskSpec { name, jar, class, depends, memory_mb, runmodel, params })
+        Ok(TaskSpec { name, jar, class, depends, memory_mb, params })
     }
 }
 

@@ -75,11 +75,6 @@ pub fn shortest_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
     best
 }
 
-/// True if the graph has any cycle.
-pub fn has_cycle(adj: &[Vec<usize>]) -> bool {
-    shortest_cycle(adj).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +129,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(shortest_cycle(&adj).unwrap(), first);
         }
-    }
-
-    #[test]
-    fn has_cycle_matches() {
-        assert!(has_cycle(&[vec![1], vec![0]]));
-        assert!(!has_cycle(&[vec![1], vec![]]));
     }
 }

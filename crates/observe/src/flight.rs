@@ -98,37 +98,6 @@ impl FlightRecorder {
         let ring = self.ring.lock().unwrap();
         ring.iter().skip(ring.len().saturating_sub(n)).cloned().collect()
     }
-
-    /// Events at or above `min`, oldest first.
-    pub fn at_least(&self, min: Severity) -> Vec<Event> {
-        self.ring.lock().unwrap().iter().filter(|e| e.severity >= min).cloned().collect()
-    }
-
-    /// One line per retained event:
-    /// `[tick] severity category(job): message`.
-    pub fn dump_text(&self) -> String {
-        let mut out = String::new();
-        for e in self.ring.lock().unwrap().iter() {
-            match e.job {
-                Some(job) => out.push_str(&format!(
-                    "[{:>6}] {:<5} {}(job {}): {}\n",
-                    e.tick,
-                    e.severity.as_str(),
-                    e.category,
-                    job,
-                    e.message
-                )),
-                None => out.push_str(&format!(
-                    "[{:>6}] {:<5} {}: {}\n",
-                    e.tick,
-                    e.severity.as_str(),
-                    e.category,
-                    e.message
-                )),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -171,24 +140,13 @@ mod tests {
         fr.record(ev(0, Severity::Debug, "d"));
         fr.record(ev(1, Severity::Warn, "w"));
         fr.record(ev(2, Severity::Error, "e"));
-        let warn_up: Vec<_> = fr.at_least(Severity::Warn).into_iter().map(|e| e.message).collect();
+        let warn_up: Vec<_> = fr
+            .dump()
+            .into_iter()
+            .filter(|e| e.severity >= Severity::Warn)
+            .map(|e| e.message)
+            .collect();
         assert_eq!(warn_up, vec!["w", "e"]);
-    }
-
-    #[test]
-    fn dump_text_formats_job_attribution() {
-        let fr = FlightRecorder::new(4);
-        fr.record(ev(7, Severity::Warn, "dropped"));
-        fr.record(Event {
-            tick: 8,
-            severity: Severity::Info,
-            category: "task".into(),
-            message: "started".into(),
-            job: Some(3),
-        });
-        let text = fr.dump_text();
-        assert!(text.contains("warn  test: dropped"), "got: {text}");
-        assert!(text.contains("task(job 3): started"), "got: {text}");
     }
 
     #[test]

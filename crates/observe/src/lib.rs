@@ -106,10 +106,6 @@ impl Recorder {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// The logical clock backing span timestamps.
     pub fn clock(&self) -> &LogicalClock {
         &self.inner.clock
@@ -292,7 +288,5 @@ mod tests {
         let r2 = r.clone();
         r2.counter("shared").add(5);
         assert_eq!(r.counter("shared").get(), 5);
-        r.set_enabled(false);
-        assert!(!r2.is_enabled());
     }
 }

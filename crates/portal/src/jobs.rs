@@ -177,7 +177,7 @@ impl JobBoard {
             let waiters = std::mem::take(&mut e.waiters);
             entries.finished.push_back(id);
             while entries.finished.len() > self.max_finished {
-                let oldest = entries.finished.pop_front().expect("non-empty");
+                let Some(oldest) = entries.finished.pop_front() else { break };
                 entries.by_id.remove(&oldest);
                 self.evictions.inc();
             }

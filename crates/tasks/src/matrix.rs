@@ -28,15 +28,6 @@ impl Matrix {
         m
     }
 
-    /// Build from row-major data.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != n * n`.
-    pub fn from_rows(n: usize, data: Vec<i64>) -> Matrix {
-        assert_eq!(data.len(), n * n, "matrix data must be n*n");
-        Matrix { n, data }
-    }
-
     pub fn n(&self) -> usize {
         self.n
     }
@@ -174,7 +165,7 @@ mod tests {
 
     #[test]
     fn rows_slice_and_put_rows() {
-        let mut m = Matrix::from_rows(3, (0..9).collect());
+        let mut m = Matrix { n: 3, data: (0..9).collect() };
         let rows = m.rows_slice(1..3);
         assert_eq!(rows, vec![3, 4, 5, 6, 7, 8]);
         m.put_rows(0, &[9, 9, 9]);

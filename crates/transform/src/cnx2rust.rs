@@ -106,10 +106,6 @@ fn main() {
       <xsl:text>;
 </xsl:text>
     </xsl:if>
-    <xsl:if test="normalize-space(task-req/runmodel) = 'RUN_AS_PROCESS'">
-      <xsl:text>    t.runmodel = cn_cnx::RunModel::RunAsProcess;
-</xsl:text>
-    </xsl:if>
     <xsl:for-each select="param">
       <xsl:text>    t.params.push(cn_cnx::Param::new(cn_cnx::ParamType::parse("</xsl:text>
       <xsl:call-template name="str"><xsl:with-param name="s" select="@type"/></xsl:call-template>
@@ -194,13 +190,15 @@ mod tests {
     }
 
     #[test]
-    fn a_process_runmodel_and_an_untyped_param_are_spelled_out() {
+    fn an_untyped_param_is_spelled_out_and_a_process_runmodel_is_not() {
+        // Every task runs on a TaskManager pool thread, so a `TaskSpec`
+        // carries no run model and the client spells none.
         let mut doc = figure2_descriptor(1);
         doc.client.jobs[0].tasks[0].req.runmodel = cn_cnx::RunModel::RunAsProcess;
         doc.client.jobs[0].tasks[0].params[0] = Param::new(ParamType::Long, "7");
         let cnx = write_cnx(&doc).replace(r#"<param type="Integer">"#, "<param>");
         let rust = cnx_to_rust_xslt(&cnx).unwrap();
-        assert!(rust.contains("t.runmodel = cn_cnx::RunModel::RunAsProcess;"));
+        assert!(!rust.contains("runmodel"), "{rust}");
         assert!(rust.contains(r#"ParamType::parse("Long"), "7"));"#));
         assert!(rust.contains(r#"ParamType::parse("String"), "1"));"#), "{rust}");
     }

@@ -45,8 +45,6 @@ mod tests {
     #[test]
     fn stylesheet_constant_parses() {
         cn_xslt::Stylesheet::parse(XMI2CNX_XSLT).expect("XMI2CNX stylesheet must compile");
-        cn_xslt::Stylesheet::parse(xmi2cnx::XMI2CNX_XSLT_NOKEYS)
-            .expect("keyless XMI2CNX stylesheet must compile");
         cn_xslt::Stylesheet::parse(cnx2java::CNX2JAVA_XSLT)
             .expect("CNX2Java stylesheet must compile");
         cn_xslt::Stylesheet::parse(cnx2rust::CNX2RUST_XSLT)

@@ -16,147 +16,7 @@ use cn_model::{ActivityGraph, NodeId};
 use cn_xpath::Value;
 use cn_xslt::{compile_cached, XsltError};
 
-/// The keyless XMI→CNX stylesheet (the original formulation): every idref
-/// resolution and transition lookup rescans the document, which makes it
-/// superlinear in model size — kept as the ablation baseline for the keyed
-/// variant below (bench E2).
-pub const XMI2CNX_XSLT_NOKEYS: &str = r#"<xsl:stylesheet version="1.0"
-    xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
-  <xsl:output method="xml" indent="yes"/>
-  <xsl:param name="client-class" select="'GeneratedClient'"/>
-  <xsl:param name="client-port" select="''"/>
-  <xsl:param name="client-log" select="''"/>
-
-  <xsl:template match="/">
-    <cn2>
-      <client>
-        <xsl:attribute name="class"><xsl:value-of select="$client-class"/></xsl:attribute>
-        <xsl:if test="$client-log != ''">
-          <xsl:attribute name="log"><xsl:value-of select="$client-log"/></xsl:attribute>
-        </xsl:if>
-        <xsl:if test="$client-port != ''">
-          <xsl:attribute name="port"><xsl:value-of select="$client-port"/></xsl:attribute>
-        </xsl:if>
-        <xsl:apply-templates select="//UML:ActivityGraph"/>
-      </client>
-    </cn2>
-  </xsl:template>
-
-  <xsl:template match="UML:ActivityGraph">
-    <job>
-      <xsl:apply-templates select=".//UML:ActionState"/>
-    </job>
-  </xsl:template>
-
-  <xsl:template match="UML:ActionState">
-    <xsl:variable name="id" select="@xmi.id"/>
-    <task>
-      <xsl:attribute name="name"><xsl:value-of select="@name"/></xsl:attribute>
-      <xsl:attribute name="jar">
-        <xsl:call-template name="tagval"><xsl:with-param name="tag" select="'jar'"/></xsl:call-template>
-      </xsl:attribute>
-      <xsl:attribute name="class">
-        <xsl:call-template name="tagval"><xsl:with-param name="tag" select="'class'"/></xsl:call-template>
-      </xsl:attribute>
-      <xsl:attribute name="depends">
-        <xsl:variable name="deps">
-          <xsl:call-template name="deps-of"><xsl:with-param name="vertex" select="$id"/></xsl:call-template>
-        </xsl:variable>
-        <!-- deps-of emits a trailing separator; trim it. -->
-        <xsl:choose>
-          <xsl:when test="substring($deps, string-length($deps)) = ','">
-            <xsl:value-of select="substring($deps, 1, string-length($deps) - 1)"/>
-          </xsl:when>
-          <xsl:otherwise><xsl:value-of select="$deps"/></xsl:otherwise>
-        </xsl:choose>
-      </xsl:attribute>
-      <xsl:if test="@isDynamic = 'true'">
-        <xsl:attribute name="multiplicity"><xsl:value-of select="@dynamicMultiplicity"/></xsl:attribute>
-      </xsl:if>
-      <task-req>
-        <xsl:variable name="mem">
-          <xsl:call-template name="tagval"><xsl:with-param name="tag" select="'memory'"/></xsl:call-template>
-        </xsl:variable>
-        <memory><xsl:choose>
-          <xsl:when test="$mem != ''"><xsl:value-of select="$mem"/></xsl:when>
-          <xsl:otherwise>1000</xsl:otherwise>
-        </xsl:choose></memory>
-        <xsl:variable name="rm">
-          <xsl:call-template name="tagval"><xsl:with-param name="tag" select="'runmodel'"/></xsl:call-template>
-        </xsl:variable>
-        <runmodel><xsl:choose>
-          <xsl:when test="$rm != ''"><xsl:value-of select="$rm"/></xsl:when>
-          <xsl:otherwise>RUN_AS_THREAD_IN_TM</xsl:otherwise>
-        </xsl:choose></runmodel>
-      </task-req>
-      <xsl:call-template name="params"><xsl:with-param name="i" select="0"/></xsl:call-template>
-    </task>
-  </xsl:template>
-
-  <!-- Value of the tagged value named $tag on the context action state. -->
-  <xsl:template name="tagval">
-    <xsl:param name="tag"/>
-    <xsl:for-each select="UML:ModelElement.taggedValue/UML:TaggedValue">
-      <xsl:variable name="ref" select="UML:TaggedValue.type/UML:TagDefinition/@xmi.idref"/>
-      <xsl:if test="//UML:TagDefinition[@xmi.id = $ref]/@name = $tag">
-        <xsl:value-of select="@dataValue"/>
-      </xsl:if>
-    </xsl:for-each>
-  </xsl:template>
-
-  <!-- Comma-joined names of the action states the vertex depends on,
-       looking through fork/join/decision/merge pseudostates. -->
-  <xsl:template name="deps-of">
-    <xsl:param name="vertex"/>
-    <xsl:for-each select="//UML:Transition[UML:Transition.target/UML:StateVertex/@xmi.idref = $vertex]">
-      <xsl:variable name="src" select="UML:Transition.source/UML:StateVertex/@xmi.idref"/>
-      <xsl:variable name="srcAction" select="//UML:ActionState[@xmi.id = $src]"/>
-      <xsl:choose>
-        <xsl:when test="$srcAction">
-          <xsl:value-of select="$srcAction/@name"/>
-          <xsl:text>,</xsl:text>
-        </xsl:when>
-        <xsl:otherwise>
-          <xsl:if test="//UML:Pseudostate[@xmi.id = $src and @kind != 'initial']">
-            <xsl:call-template name="deps-of">
-              <xsl:with-param name="vertex" select="$src"/>
-            </xsl:call-template>
-          </xsl:if>
-        </xsl:otherwise>
-      </xsl:choose>
-    </xsl:for-each>
-  </xsl:template>
-
-  <!-- Emit <param> elements for ptype0/pvalue0, ptype1/pvalue1, ... -->
-  <xsl:template name="params">
-    <xsl:param name="i"/>
-    <xsl:variable name="ty">
-      <xsl:call-template name="tagval"><xsl:with-param name="tag" select="concat('ptype', $i)"/></xsl:call-template>
-    </xsl:variable>
-    <xsl:if test="$ty != ''">
-      <xsl:variable name="val">
-        <xsl:call-template name="tagval"><xsl:with-param name="tag" select="concat('pvalue', $i)"/></xsl:call-template>
-      </xsl:variable>
-      <param>
-        <xsl:attribute name="type">
-          <xsl:choose>
-            <xsl:when test="starts-with($ty, 'java.lang.')">
-              <xsl:value-of select="substring-after($ty, 'java.lang.')"/>
-            </xsl:when>
-            <xsl:otherwise><xsl:value-of select="$ty"/></xsl:otherwise>
-          </xsl:choose>
-        </xsl:attribute>
-        <xsl:value-of select="$val"/>
-      </param>
-      <xsl:call-template name="params">
-        <xsl:with-param name="i" select="$i + 1"/>
-      </xsl:call-template>
-    </xsl:if>
-  </xsl:template>
-</xsl:stylesheet>
-"#;
-
-/// The XMI→CNX stylesheet (keyed). Walks `UML:ActionState` elements,
+/// The XMI→CNX stylesheet. Walks `UML:ActionState` elements,
 /// resolves tagged values through `UML:TagDefinition` idrefs (paper Figure
 /// 7) via `xsl:key` indexes, and reconstructs `depends=` by chasing
 /// transitions backwards *through* fork/join pseudostates with a recursive
@@ -328,25 +188,9 @@ impl ClientSettings {
     }
 }
 
-/// Run the XSLT path: XMI text → CNX text (keyed stylesheet).
+/// Run the XSLT path: XMI text → CNX text.
 pub fn xmi_to_cnx_xslt(xmi_text: &str, settings: &ClientSettings) -> Result<String, XsltError> {
-    run_stylesheet(XMI2CNX_XSLT, xmi_text, settings)
-}
-
-/// The keyless-stylesheet ablation path (bench E2).
-pub fn xmi_to_cnx_xslt_nokeys(
-    xmi_text: &str,
-    settings: &ClientSettings,
-) -> Result<String, XsltError> {
-    run_stylesheet(XMI2CNX_XSLT_NOKEYS, xmi_text, settings)
-}
-
-fn run_stylesheet(
-    stylesheet: &str,
-    xmi_text: &str,
-    settings: &ClientSettings,
-) -> Result<String, XsltError> {
-    let style = compile_cached(stylesheet)?;
+    let style = compile_cached(XMI2CNX_XSLT)?;
     let doc = cn_xml::parse(xmi_text).map_err(|e| XsltError::new(e.to_string()))?;
     // Guard against non-XMI input: the stylesheet would "succeed" with an
     // empty client, which is never what the caller meant.
@@ -512,16 +356,6 @@ mod tests {
         let cnx = cn_cnx::write_cnx(&cn_cnx::ast::figure2_descriptor(2));
         let err = xmi_to_cnx_xslt(&cnx, &ClientSettings::default()).unwrap_err();
         assert!(err.msg.contains("UML:ActivityGraph"), "{err}");
-    }
-
-    #[test]
-    fn keyed_and_keyless_stylesheets_agree() {
-        for workers in [1, 3, 8] {
-            let xmi = xmi_text(workers);
-            let keyed = xmi_to_cnx_xslt(&xmi, &settings()).unwrap();
-            let keyless = xmi_to_cnx_xslt_nokeys(&xmi, &settings()).unwrap();
-            assert_eq!(keyed, keyless, "stylesheets diverge at {workers} workers");
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use cn_cluster::{Addr, Envelope};
 
 /// Wire format version carried in every frame.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a frame payload; larger length prefixes are rejected
 /// before any allocation.
@@ -115,10 +115,6 @@ impl Writer {
 
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
-    }
-
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn put_u32(&mut self, v: u32) {
@@ -243,10 +239,6 @@ impl<'a> Reader<'a> {
             1 => Ok(true),
             other => Err(WireError::new(WireErrorKind::BadTag, format!("bool byte {other}"))),
         }
-    }
-
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        self.take_fixed().map(u16::from_le_bytes)
     }
 
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
@@ -607,7 +599,6 @@ mod tests {
         let mut w = Writer::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(513);
         w.put_u32(70_000);
         w.put_u64(1 << 50);
         w.put_i64(-42);
@@ -618,7 +609,6 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 513);
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), 1 << 50);
         assert_eq!(r.get_i64().unwrap(), -42);

@@ -78,16 +78,15 @@ impl PeerQueue {
         max_bytes: usize,
     ) -> usize {
         let mut st = self.state.lock();
-        let mut n = 0;
-        let mut bytes = 0;
-        while let Some(f) = st.frames.front() {
-            if n >= max_frames || (n > 0 && bytes + f.len() > max_bytes) {
+        let (mut n, mut bytes) = (0, 0);
+        for f in st.frames.iter().take(max_frames) {
+            if n > 0 && bytes + f.len() > max_bytes {
                 break;
             }
             bytes += f.len();
-            out.push_back(st.frames.pop_front().expect("front checked"));
             n += 1;
         }
+        out.extend(st.frames.drain(..n));
         n
     }
 

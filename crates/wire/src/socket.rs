@@ -227,9 +227,6 @@ struct Inner<M> {
     /// Round-robins inbound connections across reactor shards.
     next_inbound: AtomicU64,
     stop: AtomicBool,
-    /// Self-reference so `&self` methods can hand an owning handle to the
-    /// per-connection reactor handlers they register.
-    weak: std::sync::Weak<Inner<M>>,
 }
 
 /// A real-socket [`Fabric`]. One per process; see the module docs.
@@ -270,7 +267,7 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
         let shards =
             if cfg.reactor_shards == 0 { cn_reactor::default_shards() } else { cfg.reactor_shards };
         let reactor = Reactor::new(&format!("wire-{port}"), shards)?;
-        let inner = Arc::new_cyclic(|weak| Inner {
+        let inner = Arc::new(Inner {
             port,
             c: WireCounters::new(&rec),
             rec,
@@ -282,7 +279,6 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
             udp_send,
             next_inbound: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            weak: weak.clone(),
         });
         inner
             .reactor
@@ -472,7 +468,7 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
     /// Hand a frame to the peer's connection queue (establishing the
     /// connection first if needed), reconnecting once if the reactor
     /// observed a dead stream since we last looked.
-    fn enqueue_frame(&self, port: u16, frame: Frame, to: Addr) -> Result<(), SendError> {
+    fn enqueue_frame(self: &Arc<Self>, port: u16, frame: Frame, to: Addr) -> Result<(), SendError> {
         for _ in 0..2 {
             let link = self.get_link(port, to)?;
             if self.push_on(port, &link, frame.clone()) {
@@ -486,7 +482,7 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
     /// whatever its phase and return. A link still connecting flushes its
     /// queue when it comes up; a connect cycle that fails drops and counts
     /// what was queued (`wire.drops`).
-    fn post_frame(&self, port: u16, frame: Frame) {
+    fn post_frame(self: &Arc<Self>, port: u16, frame: Frame) {
         for _ in 0..2 {
             if self.stop.load(Ordering::Relaxed) {
                 break;
@@ -536,7 +532,7 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
     /// The link for `port`: the live (or still connecting) one, or a new
     /// [`PeerHandler`] installed on the reactor, whose connect cycle starts
     /// at once. Never waits.
-    fn link_for(&self, port: u16) -> Arc<PeerLink> {
+    fn link_for(self: &Arc<Self>, port: u16) -> Arc<PeerLink> {
         if let Some(link) = self.conns.lock().get(&port).cloned() {
             return link;
         }
@@ -547,9 +543,8 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
             return link;
         }
         let link = Arc::new(PeerLink::new(port));
-        let inner = self.weak.upgrade().expect("fabric alive during send");
         let handler = PeerHandler {
-            inner,
+            inner: Arc::clone(self),
             link: Arc::clone(&link),
             attempt: 0,
             delay: RETRY_BASE,
@@ -566,7 +561,7 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
     /// Resolve the link for `port` and wait for its connect cycle to
     /// resolve. Failures surface as the same typed errors (and counter
     /// increments) the blocking connect produced.
-    fn get_link(&self, port: u16, to: Addr) -> Result<Arc<PeerLink>, SendError> {
+    fn get_link(self: &Arc<Self>, port: u16, to: Addr) -> Result<Arc<PeerLink>, SendError> {
         if self.stop.load(Ordering::Relaxed) {
             return Err(SendError::ConnectFailed(to));
         }

@@ -109,15 +109,6 @@ impl QName {
         QName { atom, full, colon }
     }
 
-    /// Build from explicit prefix and local parts.
-    pub fn with_prefix(prefix: &str, local: &str) -> Self {
-        if prefix.is_empty() {
-            QName::new(local)
-        } else {
-            QName::new(format!("{prefix}:{local}"))
-        }
-    }
-
     /// The interned atom for the full name.
     pub fn atom(&self) -> Atom {
         self.atom
@@ -245,12 +236,6 @@ mod tests {
         let q = QName::new("xmi.id");
         assert_eq!(q.prefix(), None);
         assert_eq!(q.local(), "xmi.id");
-    }
-
-    #[test]
-    fn with_prefix_builds_full_name() {
-        assert_eq!(QName::with_prefix("xsl", "template").as_str(), "xsl:template");
-        assert_eq!(QName::with_prefix("", "job").as_str(), "job");
     }
 
     #[test]

@@ -89,18 +89,6 @@ impl<'d> Ctx<'d> {
         }
     }
 
-    pub fn with_vars(doc: &'d Document, node: NodeId, vars: HashMap<String, Value>) -> Self {
-        Ctx {
-            doc,
-            node: XNode::Node(node),
-            position: 1,
-            size: 1,
-            vars: Arc::new(vars),
-            cache: None,
-            keys: None,
-        }
-    }
-
     /// Bind (or shadow) a variable. Copy-on-write: cheap when this context
     /// is the sole owner of its environment, clones the map only when it is
     /// shared with other live contexts.
@@ -691,9 +679,8 @@ mod tests {
     #[test]
     fn variables_resolve() {
         let doc = cn_xml::parse(DOC).unwrap();
-        let mut vars = HashMap::new();
-        vars.insert("k".to_string(), Value::Number(2.0));
-        let ctx = Ctx::with_vars(&doc, doc.document_node(), vars);
+        let mut ctx = Ctx::new(&doc, doc.document_node());
+        ctx.bind_var("k", Value::Number(2.0));
         let v = ctx.eval(&parse("$k + 1").unwrap()).unwrap();
         assert_eq!(v, Value::Number(3.0));
         assert!(ctx.eval(&parse("$missing").unwrap()).is_err());

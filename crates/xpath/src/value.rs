@@ -96,10 +96,6 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn empty_nodeset() -> Value {
-        Value::NodeSet(Vec::new())
-    }
-
     /// XPath `boolean()` conversion.
     pub fn as_bool(&self) -> bool {
         match self {
@@ -214,7 +210,7 @@ mod tests {
         assert!(!Value::Number(f64::NAN).as_bool());
         assert!(Value::Str("x".into()).as_bool());
         assert!(!Value::Str("".into()).as_bool());
-        assert!(!Value::empty_nodeset().as_bool());
+        assert!(!Value::NodeSet(Vec::new()).as_bool());
     }
 
     #[test]

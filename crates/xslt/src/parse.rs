@@ -438,8 +438,8 @@ mod tests {
         match &s.templates[0].body[0] {
             Instruction::LiteralElement { name, attrs, .. } => {
                 assert_eq!(name.as_str(), "task");
-                assert!(!attrs[0].1.is_fixed());
-                assert!(attrs[1].1.is_fixed());
+                assert!(matches!(attrs[0].1.parts[..], [AvtPart::Text(_), AvtPart::Expr(_)]));
+                assert!(matches!(attrs[1].1.parts[..], [AvtPart::Text(_)]));
             }
             other => panic!("{other:?}"),
         }

@@ -76,14 +76,6 @@ impl Pattern {
         Ok(Pattern { alternatives, source: src.to_string() })
     }
 
-    /// The highest default priority among alternatives (used when the
-    /// template has no explicit priority; strictly, XSLT treats each
-    /// alternative as its own rule — we match per-alternative in
-    /// [`Pattern::matching_priority`]).
-    pub fn max_default_priority(&self) -> f64 {
-        self.alternatives.iter().map(|a| a.default_priority()).fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// If `node` matches, return the default priority of the best matching
     /// alternative.
     pub fn matching_priority(&self, ctx: &Ctx<'_>, node: XNode) -> Result<Option<f64>, EvalError> {
@@ -347,14 +339,22 @@ mod tests {
 
     #[test]
     fn default_priorities() {
-        assert_eq!(Pattern::parse("task").unwrap().max_default_priority(), 0.0);
-        assert_eq!(Pattern::parse("UML:*").unwrap().max_default_priority(), -0.25);
-        assert_eq!(Pattern::parse("*").unwrap().max_default_priority(), -0.5);
-        assert_eq!(Pattern::parse("node()").unwrap().max_default_priority(), -0.5);
-        assert_eq!(Pattern::parse("job/task").unwrap().max_default_priority(), 0.5);
-        assert_eq!(Pattern::parse("task[@x]").unwrap().max_default_priority(), 0.5);
-        // Union takes the max of its alternatives.
-        assert_eq!(Pattern::parse("* | task").unwrap().max_default_priority(), 0.0);
+        let doc = cn_xml::parse(r#"<job><task x="1"/><UML:Model/></job>"#).unwrap();
+        let job = doc.root_element().unwrap();
+        let (task, uml) = (XNode::Node(doc.children(job)[0]), XNode::Node(doc.children(job)[1]));
+        let ctx = Ctx::new(&doc, doc.document_node());
+        let priority = |src: &str, node| {
+            Pattern::parse(src).unwrap().matching_priority(&ctx, node).unwrap().unwrap()
+        };
+        assert_eq!(priority("task", task), 0.0);
+        assert_eq!(priority("UML:*", uml), -0.25);
+        assert_eq!(priority("*", task), -0.5);
+        assert_eq!(priority("node()", task), -0.5);
+        assert_eq!(priority("job/task", task), 0.5);
+        assert_eq!(priority("task[@x]", task), 0.5);
+        // A union takes the best of the alternatives that match.
+        assert_eq!(priority("* | task", task), 0.0);
+        assert_eq!(priority("* | task", uml), -0.5);
     }
 
     #[test]

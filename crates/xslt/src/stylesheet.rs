@@ -21,18 +21,6 @@ pub enum AvtPart {
     Expr(Expr),
 }
 
-impl Avt {
-    /// An AVT consisting of fixed text only.
-    pub fn fixed(text: impl Into<String>) -> Avt {
-        Avt { parts: vec![AvtPart::Text(text.into())] }
-    }
-
-    /// True if the AVT contains no expression holes.
-    pub fn is_fixed(&self) -> bool {
-        self.parts.iter().all(|p| matches!(p, AvtPart::Text(_)))
-    }
-}
-
 /// A sort key on `apply-templates` / `for-each`.
 #[derive(Debug, Clone)]
 pub struct SortKey {
@@ -161,13 +149,6 @@ impl Stylesheet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avt_fixed() {
-        let a = Avt::fixed("tctask.jar");
-        assert!(a.is_fixed());
-        assert_eq!(a.parts.len(), 1);
-    }
 
     #[test]
     fn stylesheet_parse_smoke() {

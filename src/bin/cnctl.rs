@@ -8,7 +8,7 @@
 //! cnctl check     [--scenario NAME] [--seeds S1,S2,...] [--schedules N]
 //!                 [--max-steps N] [--format text|json] [--trace-dir DIR]
 //!                 [--list]
-//! cnctl transform <file.xmi> [--class C] [--port P] [--log L] [--no-keys]
+//! cnctl transform <file.xmi> [--class C] [--port P] [--log L]
 //! cnctl codegen   <file.cnx> [--lang rust|java]
 //! cnctl render    <file.cnx|file.xmi> [--format dot|ascii]
 //! cnctl demo      [workers]                        full pipeline on the TC example
@@ -142,7 +142,7 @@ fn clean(output: String) -> (String, i32) {
 }
 
 /// The flags that stand alone; every other `--flag` is followed by its value.
-const SWITCHES: [&str; 4] = ["--multicast", "--no-batch", "--no-keys", "--list"];
+const SWITCHES: [&str; 3] = ["--multicast", "--no-batch", "--list"];
 
 /// Every subcommand with the flags it takes.
 const FLAGS: &[(&str, &[&str])] = &[
@@ -171,7 +171,7 @@ const FLAGS: &[(&str, &[&str])] = &[
             "--list",
         ],
     ),
-    ("transform", &["--class", "--port", "--log", "--no-keys"]),
+    ("transform", &["--class", "--port", "--log"]),
     ("codegen", &["--lang"]),
     ("render", &["--format"]),
     ("demo", &[]),
@@ -555,12 +555,7 @@ fn transform_xmi(text: &str, args: &[&str]) -> Result<String, String> {
         port: optional_flag(args, "--port")?,
         log: flag_value(args, "--log").map(str::to_string),
     };
-    let result = if has_flag(args, "--no-keys") {
-        transform::xmi2cnx::xmi_to_cnx_xslt_nokeys(text, &settings)
-    } else {
-        transform::xmi_to_cnx_xslt(text, &settings)
-    };
-    result.map_err(|e| e.to_string())
+    transform::xmi_to_cnx_xslt(text, &settings).map_err(|e| e.to_string())
 }
 
 /// `codegen`: CNX text → client program source, by the CNX2Rust or the
@@ -1142,14 +1137,15 @@ mod tests {
 
     #[test]
     fn transform_produces_cnx() {
-        let args = vec!["x.xmi", "--class", "TransClosure", "--port", "5666"];
+        let args = ["x.xmi", "--class", "TransClosure", "--port", "5666"];
         let out = transform_xmi(&figure2_xmi_text(), &args).unwrap();
         assert!(out.contains("<cn2>"));
         assert!(out.contains(r#"port="5666""#));
-        // The keyless path gives the same answer.
-        let mut nk = args.clone();
-        nk.push("--no-keys");
-        assert_eq!(out, transform_xmi(&figure2_xmi_text(), &nk).unwrap());
+        // There is one XMI2CNX stylesheet: the flag that chose a second went
+        // (spelled in halves, like the retired flags below).
+        let retired = concat!("--no", "-keys");
+        let refused = check_flags("transform", &["x.xmi", retired]);
+        assert_eq!(refused, Err(format!("transform takes no flag {retired}")));
     }
 
     #[test]
@@ -1228,10 +1224,10 @@ mod tests {
 
     #[test]
     fn arg_helpers() {
-        let args = vec!["file.cnx", "--lang", "java", "--no-keys"];
+        let args = vec!["file.cnx", "--lang", "java", "--list"];
         assert_eq!(positional(&args, 0), Some("file.cnx"));
         assert_eq!(flag_value(&args, "--lang"), Some("java"));
-        assert!(has_flag(&args, "--no-keys"));
+        assert!(has_flag(&args, "--list"));
         assert_eq!(flag_value(&args, "--missing"), None);
         // A flag's value is not a positional, even one that looks like a
         // path; a bare switch takes no value.

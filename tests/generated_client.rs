@@ -25,11 +25,15 @@ use computational_neighborhood::cnx::{ast::figure2_descriptor, write_cnx};
 use computational_neighborhood::core::{
     execute_descriptor_seeded, CnApi, DynamicArgs, Neighborhood, NeighborhoodConfig, TaskSpec,
 };
+use computational_neighborhood::model::export_xmi;
 use computational_neighborhood::observe::{journal_jsonl_filtered, Recorder};
 use computational_neighborhood::tasks::{
     self, floyd_sequential, random_digraph, seed_transitive_closure, Matrix,
 };
-use computational_neighborhood::transform::{cnx2java, cnx2rust};
+use computational_neighborhood::transform::{
+    cnx2java, cnx2rust, figure2_model, figure2_settings, xmi_to_cnx_xslt,
+};
+use computational_neighborhood::xml::{write_document, WriteOptions};
 
 const RUST_CLIENT: &str = "examples/generated/fig2_client.rs";
 const JAVA_CLIENT: &str = "tests/golden/fig2_client.java";
@@ -61,6 +65,17 @@ fn the_stylesheets_write_the_checked_in_clients() {
     let cnx = write_cnx(&figure2_descriptor(3));
     check_golden(RUST_CLIENT, &cnx2rust::cnx_to_rust_xslt(&cnx).expect("CNX2Rust"));
     check_golden(JAVA_CLIENT, &cnx2java::cnx_to_java_xslt(&cnx).expect("CNX2Java"));
+}
+
+/// XMI2CNX's text, byte for byte: the Figure-2 model with the Figure-2
+/// client settings writes the checked-in descriptor (which `lint_cli.rs`
+/// holds to `write_cnx(figure2_descriptor(3))`).
+#[test]
+fn the_stylesheet_writes_the_checked_in_descriptor() {
+    let xmi = write_document(&export_xmi(&figure2_model(3)), &WriteOptions::xmi());
+    let cnx = xmi_to_cnx_xslt(&xmi, &figure2_settings()).expect("XMI2CNX");
+    let fixture = std::fs::read_to_string(path("tests/fixtures/figure2.cnx")).expect("fixture");
+    assert_eq!(cnx, fixture);
 }
 
 #[test]

@@ -526,17 +526,13 @@ arb! {
         (name_str(), name_str(), name_str()),
         proptest::collection::vec(name_str(), 0..4),
         1u64..100_000,
-        bool::arb(),
         proptest::collection::vec(-100i64..100, 0..3),
         xml_text(),
     )
-        .prop_map(|((name, jar, class), depends, memory_mb, process, ints, text)| {
+        .prop_map(|((name, jar, class), depends, memory_mb, ints, text)| {
             let mut spec = TaskSpec::new(name, jar, class);
             spec.depends = depends;
             spec.memory_mb = memory_mb;
-            if process {
-                spec.runmodel = cnx::RunModel::RunAsProcess;
-            }
             spec.params = ints.into_iter().map(Param::integer).collect();
             spec.params.push(Param::string(text));
             spec
