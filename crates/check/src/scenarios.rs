@@ -90,7 +90,7 @@ pub fn find(name: &str) -> Option<Scenario> {
 }
 
 /// Two senders enqueue frames on one [`PeerQueue`] the way
-/// `SocketFabric::enqueue_frame` does — `push_frame`, then ring the shard
+/// the socket fabric's one hand-off does — `push_frame`, then ring the shard
 /// only when the push reports the empty→non-empty edge — while one shard
 /// thread sleeps on its [`Mailbox`] (the eventfd's stand-in) and, once
 /// rung, `try_take_batch`es until the queue reads empty. Every shard

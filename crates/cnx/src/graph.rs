@@ -91,18 +91,9 @@ impl DependencyGraph {
         &self.deps[i]
     }
 
-    pub fn dependents(&self, i: usize) -> &[usize] {
-        &self.rdeps[i]
-    }
-
     /// Tasks with no dependencies (runnable immediately).
-    pub fn roots(&self) -> Vec<usize> {
+    fn roots(&self) -> Vec<usize> {
         (0..self.len()).filter(|&i| self.deps[i].is_empty()).collect()
-    }
-
-    /// Tasks nothing depends on (the job is done when these finish).
-    pub fn leaves(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.rdeps[i].is_empty()).collect()
     }
 
     /// Kahn topological order (stable: ties broken by task index).
@@ -189,7 +180,6 @@ mod tests {
         let g = DependencyGraph::build(&doc.client.jobs[0]).unwrap();
         assert_eq!(g.len(), 7);
         assert_eq!(g.roots(), vec![0]); // the splitter
-        assert_eq!(g.leaves(), vec![6]); // the joiner
         let waves = g.waves();
         assert_eq!(waves.len(), 3); // split | workers | join
         assert_eq!(waves[0].len(), 1);

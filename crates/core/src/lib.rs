@@ -237,8 +237,9 @@ mod tests {
     /// of them gets it.
     #[test]
     fn a_tuple_is_taken_once_across_servers() {
-        // One slot per node: the two tasks land on different servers.
-        let nb = Neighborhood::deploy(NodeSpec::fleet(2, 4000, 1));
+        // One slot per node: the two tasks land on different servers. Both
+        // servers must bid inside the window; a healthy one closes on quorum.
+        let (nb, _) = deploy_counted(NodeSpec::fleet(2, 4000, 1), Policy::LeastLoaded);
         nb.registry().publish(TaskArchive::new("race.jar").class("Race", || {
             Box::new(|ctx: &mut TaskContext| {
                 let prize = vec![Some(Field::S("prize".into()))];
@@ -502,7 +503,9 @@ mod tests {
 
     #[test]
     fn silent_server_costs_one_window_per_solicitation() {
-        let window = Duration::from_millis(50);
+        // Large beside a loaded host's scheduling delay, so a live server's
+        // bid always makes it.
+        let window = Duration::from_millis(200);
         let (nb, api) = deploy_with_window(window);
         nb.node("node1").unwrap().crash();
         let mut job = api.create_job(&JobRequirements::default()).unwrap();

@@ -1,8 +1,8 @@
 //! The portal server: nonblocking HTTP/1.1 connection state machines on
 //! the sharded reactor's event loops.
 //!
-//! One [`AcceptHandler`] on shard 0 spreads connections round-robin
-//! across shards; each connection is a [`ConnHandler`] driving an
+//! The reactor's one acceptor ([`Reactor::listen`]) spreads connections
+//! round-robin across shards; each connection is a [`ConnHandler`] driving an
 //! incremental [`RequestParser`] (any TCP segmentation), writing
 //! pipelined responses in order, streaming finished-job journals with
 //! chunked transfer encoding, and riding the shard timer wheel for
@@ -13,15 +13,16 @@
 //! and then parks on the [`JobBoard`]; the worker that publishes the
 //! journal wakes it through [`Reactor::notify`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_observe::{Recorder, RegistrySnapshot, LATENCY_BUCKETS_US};
-use cn_reactor::{sys, Action, EventHandler, Reactor, ShardCtx, TimerId, Token};
+use cn_reactor::{
+    read_budgeted, sys, Action, EventHandler, Reactor, ReadOutcome, ShardCtx, TimerId, Token,
+};
 
 use crate::admission::Admission;
 use crate::http::{
@@ -30,9 +31,6 @@ use crate::http::{
 };
 use crate::jobs::{json_string, parse_job_id, spawn_workers, JobBoard, JobRunner, JobWork};
 
-/// Reads one `on_ready` may issue before yielding the shard (mirrors the
-/// wire transport's budget).
-const MAX_READS_PER_WAKE: usize = 16;
 /// Journal bytes per chunk when streaming.
 const JOURNAL_CHUNK: usize = 16 * 1024;
 /// How long a stream that finds its job still running is held: to the
@@ -93,7 +91,6 @@ struct Inner {
     rec: Recorder,
     cfg: PortalConfig,
     port: u16,
-    next_inbound: AtomicU64,
 }
 
 /// A running portal. Dropping it (or calling [`shutdown`]) stops the
@@ -112,11 +109,8 @@ impl PortalServer {
         rec: Recorder,
     ) -> std::io::Result<PortalServer> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-        listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
-        let shards =
-            if cfg.reactor_shards == 0 { cn_reactor::default_shards() } else { cfg.reactor_shards };
-        let reactor = Arc::new(Reactor::new(&format!("portal-{port}"), shards)?);
+        let reactor = Arc::new(Reactor::new(&format!("portal-{port}"), cfg.reactor_shards)?);
         // A worker that publishes a journal wakes the streams parked on it.
         // The board holds the reactor weakly: it does not outlive shutdown.
         let shards_of = Arc::downgrade(&reactor);
@@ -137,19 +131,32 @@ impl PortalServer {
             rec.clone(),
         )
         .inspect_err(|_| reactor.shutdown())?;
-        let inner = Arc::new(Inner {
-            reactor,
-            board,
-            admission,
-            rec,
-            cfg,
-            port,
-            next_inbound: AtomicU64::new(0),
-        });
-        inner
-            .reactor
-            .register_on(0, Box::new(AcceptHandler { inner: Arc::clone(&inner), listener }));
-        Ok(PortalServer { inner, workers })
+        let inner = Arc::new(Inner { reactor, board, admission, rec, cfg, port });
+        // Built first, so a listener the reactor refuses drops it, and its
+        // shutdown stops the workers.
+        let server = PortalServer { inner, workers };
+        let to_conn = Arc::clone(&server.inner);
+        server.inner.reactor.listen(listener, move |stream, peer| {
+            to_conn.rec.counter("portal.conns.accepted").inc();
+            to_conn.rec.gauge("portal.conns.open").add(1);
+            Box::new(ConnHandler {
+                inner: Arc::clone(&to_conn),
+                token: 0,
+                stream,
+                parser: RequestParser::new(to_conn.cfg.max_body_bytes),
+                // Fairness is keyed by remote IP (not port): every
+                // connection from one client counts against one cap.
+                addr_key: hash_ip(&peer.ip().to_string()),
+                out: Vec::new(),
+                out_pos: 0,
+                want_write: false,
+                close_after_flush: false,
+                deadline: None,
+                streaming: None,
+                journal_timer: None,
+            })
+        })?;
+        Ok(server)
     }
 
     /// The bound TCP port.
@@ -182,61 +189,6 @@ impl PortalServer {
 impl Drop for PortalServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Accepts inbound connections and spreads them across reactor shards
-/// (same pattern as the wire transport's accept loop).
-struct AcceptHandler {
-    inner: Arc<Inner>,
-    listener: TcpListener,
-}
-
-impl EventHandler for AcceptHandler {
-    fn on_register(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
-        match ctx.register_fd(self.listener.as_raw_fd(), true, false) {
-            Ok(()) => Action::Continue,
-            Err(_) => Action::Close,
-        }
-    }
-
-    fn on_ready(&mut self, _ctx: &mut ShardCtx<'_>, _readable: bool, _writable: bool) -> Action {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    // Fairness is keyed by remote IP (not port): every
-                    // connection from one client counts against one cap.
-                    let addr_key = hash_ip(&peer.ip().to_string());
-                    let shard = self.inner.next_inbound.fetch_add(1, Ordering::Relaxed);
-                    self.inner.rec.counter("portal.conns.accepted").inc();
-                    self.inner.rec.gauge("portal.conns.open").add(1);
-                    let parser = RequestParser::new(self.inner.cfg.max_body_bytes);
-                    self.inner.reactor.register_hashed(
-                        shard,
-                        Box::new(ConnHandler {
-                            inner: Arc::clone(&self.inner),
-                            token: 0,
-                            stream,
-                            parser,
-                            addr_key,
-                            out: Vec::new(),
-                            out_pos: 0,
-                            want_write: false,
-                            close_after_flush: false,
-                            deadline: None,
-                            streaming: None,
-                            journal_timer: None,
-                        }),
-                    );
-                }
-                Err(e) if sys::is_would_block(&e) => return Action::Continue,
-                Err(_) => return Action::Continue,
-            }
-        }
     }
 }
 
@@ -296,26 +248,7 @@ struct ConnHandler {
     journal_timer: Option<TimerId>,
 }
 
-enum ReadOutcome {
-    KeepOpen,
-    /// Peer closed its half; flush what we owe and close.
-    Eof,
-    Close,
-}
-
 impl ConnHandler {
-    fn read_some(&mut self, buf: &mut [u8]) -> ReadOutcome {
-        for _ in 0..MAX_READS_PER_WAKE {
-            match self.stream.read(buf) {
-                Ok(0) => return ReadOutcome::Eof,
-                Ok(n) => self.parser.feed(&buf[..n]),
-                Err(e) if sys::is_would_block(&e) => return ReadOutcome::KeepOpen,
-                Err(_) => return ReadOutcome::Close,
-            }
-        }
-        ReadOutcome::KeepOpen
-    }
-
     /// Parse and answer every complete buffered request, in order. Stops
     /// while a journal stream is in flight (its chunks own the wire until
     /// the terminal chunk; pipelined successors stay buffered).
@@ -550,12 +483,17 @@ impl EventHandler for ConnHandler {
         let mut eof = false;
         if readable {
             let mut buf = ctx.take_scratch();
-            let outcome = self.read_some(&mut buf);
+            let parser = &mut self.parser;
+            let outcome = read_budgeted(&mut self.stream, &mut buf, |bytes| {
+                parser.feed(bytes);
+                true
+            });
             ctx.put_scratch(buf);
             match outcome {
                 ReadOutcome::KeepOpen => {}
+                // Peer closed its half: flush what we owe, then close.
                 ReadOutcome::Eof => eof = true,
-                ReadOutcome::Close => return Action::Close,
+                ReadOutcome::Refused | ReadOutcome::Failed(_) => return Action::Close,
             }
         }
         self.serve_buffered();

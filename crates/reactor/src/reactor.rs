@@ -10,6 +10,12 @@
 //! was queued for you, flush when ready); a handler closes itself by
 //! returning [`Action::Close`].
 //!
+//! Connections come in one way: [`Reactor::listen`] installs one acceptor
+//! that hands every accepted stream, nonblocking and `TCP_NODELAY`, to the
+//! caller's handler on the next shard in turn. Handlers read through
+//! [`read_budgeted`], so no connection takes more than
+//! [`MAX_READS_PER_WAKE`] reads of its shard's turn.
+//!
 //! The wakeup protocol: a producer pushes a command, and iff the mailbox
 //! was empty it rings the shard's eventfd; `epoll_wait` returns, the
 //! shard drains the eventfd, then the mailbox, then expired timers. A
@@ -17,8 +23,9 @@
 //! producers pay one queue push and no syscall.
 
 use std::collections::HashMap;
-use std::io;
-use std::os::fd::RawFd;
+use std::io::{self, Read};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,6 +60,10 @@ const MAX_WAIT_MS: i32 = 500;
 const EVENT_BATCH: usize = 256;
 /// Shared per-shard read scratch handed to handlers.
 const SCRATCH_BYTES: usize = 64 * 1024;
+/// Reads a single wake-up may issue before yielding the shard, so one
+/// firehose connection cannot starve its shard-mates (level-triggered
+/// epoll re-reports unread data immediately).
+pub const MAX_READS_PER_WAKE: usize = 16;
 
 /// What a handler callback tells the shard to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,19 +208,36 @@ struct ShardHandle {
     wakeup: Arc<EventFd>,
 }
 
+/// Every shard's mailbox and the token sequence: what installing a handler
+/// needs, shared by the [`Reactor`] and its acceptors.
+struct Shards {
+    handles: Vec<ShardHandle>,
+    next_token: AtomicU64,
+}
+
+impl Shards {
+    fn register_on(&self, shard: usize, handler: Box<dyn EventHandler>) -> Token {
+        let shard = shard % self.handles.len();
+        let seq = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = ((shard as u64) << SHARD_SHIFT) | (seq & ((1 << SHARD_SHIFT) - 1));
+        self.handles[shard].mailbox.push(Command::Add { token, handler });
+        token
+    }
+}
+
 /// The sharded event loop, owned by whoever serves on it; shuts down when
 /// [`Reactor::shutdown`] is called or it drops.
 pub struct Reactor {
-    shards: Vec<ShardHandle>,
-    next_token: AtomicU64,
+    shards: Arc<Shards>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
     stopped: AtomicBool,
 }
 
 impl Reactor {
-    /// Spawn `shards` event-loop threads named `cn-reactor-<name>-<i>`.
+    /// Spawn `shards` event-loop threads named `cn-reactor-<name>-<i>`; 0
+    /// means [`default_shards`](crate::default_shards).
     pub fn new(name: &str, shards: usize) -> io::Result<Reactor> {
-        let shards = shards.max(1);
+        let shards = if shards == 0 { crate::default_shards() } else { shards };
         let mut handles = Vec::with_capacity(shards);
         let mut runners = Vec::with_capacity(shards);
         for _ in 0..shards {
@@ -231,8 +259,7 @@ impl Reactor {
             });
         }
         let reactor = Reactor {
-            shards: handles,
-            next_token: AtomicU64::new(1),
+            shards: Arc::new(Shards { handles, next_token: AtomicU64::new(1) }),
             threads: Mutex::named("reactor.threads", Vec::new()),
             stopped: AtomicBool::new(false),
         };
@@ -249,7 +276,7 @@ impl Reactor {
     }
 
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shards.handles.len()
     }
 
     /// Install a handler on the shard `key` hashes to and return its
@@ -257,22 +284,31 @@ impl Reactor {
     /// shard; if the reactor is already shut down the handler is simply
     /// dropped (its `Drop` releases the fd).
     pub fn register_hashed(&self, key: u64, handler: Box<dyn EventHandler>) -> Token {
-        self.register_on((key % self.shards.len() as u64) as usize, handler)
+        self.register_on((key % self.shards() as u64) as usize, handler)
     }
 
     /// Install a handler on a specific shard.
     pub fn register_on(&self, shard: usize, handler: Box<dyn EventHandler>) -> Token {
-        let shard = shard % self.shards.len();
-        let seq = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let token = ((shard as u64) << SHARD_SHIFT) | (seq & ((1 << SHARD_SHIFT) - 1));
-        self.shards[shard].mailbox.push(Command::Add { token, handler });
-        token
+        self.shards.register_on(shard, handler)
+    }
+
+    /// Serve `listener` from shard 0: every connection it accepts is made
+    /// nonblocking with `TCP_NODELAY` and handed to `make`, whose handler
+    /// is installed on the next shard in turn.
+    pub fn listen<F>(&self, listener: TcpListener, make: F) -> io::Result<()>
+    where
+        F: FnMut(TcpStream, SocketAddr) -> Box<dyn EventHandler> + Send + 'static,
+    {
+        listener.set_nonblocking(true)?;
+        let shards = Arc::clone(&self.shards);
+        self.register_on(0, Box::new(Acceptor { shards, listener, make, next: 0 }));
+        Ok(())
     }
 
     /// Tell `token`'s handler that cross-thread work was queued for it.
     pub fn notify(&self, token: Token) {
-        let shard = shard_of(token) % self.shards.len();
-        self.shards[shard].mailbox.push(Command::Notify { token });
+        let shard = shard_of(token) % self.shards();
+        self.shards.handles[shard].mailbox.push(Command::Notify { token });
     }
 
     /// Stop every shard and join the threads. Idempotent. Must not be
@@ -282,7 +318,7 @@ impl Reactor {
         if self.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
-        for shard in &self.shards {
+        for shard in &self.shards.handles {
             shard.mailbox.push(Command::Shutdown);
             shard.mailbox.stop();
             shard.wakeup.ring();
@@ -298,6 +334,81 @@ impl Drop for Reactor {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// [`Reactor::listen`]'s handler: accepts until `WouldBlock` and spreads
+/// the connections round-robin over the shards.
+struct Acceptor<F> {
+    shards: Arc<Shards>,
+    listener: TcpListener,
+    make: F,
+    next: usize,
+}
+
+impl<F> EventHandler for Acceptor<F>
+where
+    F: FnMut(TcpStream, SocketAddr) -> Box<dyn EventHandler> + Send,
+{
+    fn on_register(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
+        match ctx.register_fd(self.listener.as_raw_fd(), true, false) {
+            Ok(()) => Action::Continue,
+            Err(_) => Action::Close,
+        }
+    }
+
+    fn on_ready(&mut self, _ctx: &mut ShardCtx<'_>, _readable: bool, _writable: bool) -> Action {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let handler = (self.make)(stream, peer);
+                    self.shards.register_on(self.next, handler);
+                    self.next = (self.next + 1) % self.shards.handles.len();
+                }
+                // `WouldBlock` ends the burst; any other error (EMFILE, a
+                // connection reset while queued) waits for the next wake.
+                Err(_) => return Action::Continue,
+            }
+        }
+    }
+}
+
+/// How a [`read_budgeted`] pass ended.
+pub enum ReadOutcome {
+    /// Drained to `WouldBlock`, or the read budget is spent and epoll
+    /// reports the rest on the next wake.
+    KeepOpen,
+    /// The peer closed its half.
+    Eof,
+    /// The consumer refused what it was handed.
+    Refused,
+    /// The read failed.
+    Failed(io::Error),
+}
+
+/// Read `src` into `buf` at most [`MAX_READS_PER_WAKE`] times, handing
+/// each read's bytes to `take`, which returns `false` to stop reading.
+pub fn read_budgeted(
+    src: &mut impl Read,
+    buf: &mut [u8],
+    mut take: impl FnMut(&[u8]) -> bool,
+) -> ReadOutcome {
+    for _ in 0..MAX_READS_PER_WAKE {
+        match src.read(buf) {
+            Ok(0) => return ReadOutcome::Eof,
+            Ok(n) => {
+                if !take(&buf[..n]) {
+                    return ReadOutcome::Refused;
+                }
+            }
+            Err(e) if sys::is_would_block(&e) => return ReadOutcome::KeepOpen,
+            Err(e) => return ReadOutcome::Failed(e),
+        }
+    }
+    ReadOutcome::KeepOpen
 }
 
 struct Shard {
@@ -410,7 +521,8 @@ impl Shard {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
+#[cfg(target_os = "linux")]
 mod tests {
     use super::*;
     use cn_sync::channel::unbounded_named;
@@ -503,5 +615,64 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(rx.recv_timeout(Duration::from_secs(2)).unwrap(), "closed");
         }
+    }
+
+    /// Echoes what its stream sent, with the shard it was installed on.
+    struct StreamProbe {
+        stream: TcpStream,
+        tx: cn_sync::channel::Sender<(usize, Vec<u8>)>,
+    }
+
+    impl EventHandler for StreamProbe {
+        fn on_register(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
+            match ctx.register_fd(self.stream.as_raw_fd(), true, false) {
+                Ok(()) => Action::Continue,
+                Err(_) => Action::Close,
+            }
+        }
+
+        fn on_ready(&mut self, ctx: &mut ShardCtx<'_>, _r: bool, _w: bool) -> Action {
+            let shard = shard_of(ctx.token());
+            let mut buf = ctx.take_scratch();
+            let mut got = Vec::new();
+            let outcome = read_budgeted(&mut self.stream, &mut buf, |bytes| {
+                got.extend_from_slice(bytes);
+                true
+            });
+            ctx.put_scratch(buf);
+            if !got.is_empty() {
+                self.tx.send((shard, got)).unwrap();
+            }
+            match outcome {
+                ReadOutcome::KeepOpen => Action::Continue,
+                _ => Action::Close,
+            }
+        }
+    }
+
+    #[test]
+    fn accepted_connections_take_the_shards_in_turn() {
+        use std::io::Write;
+        let reactor = Reactor::new("accept", 3).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let at = listener.local_addr().unwrap();
+        let (tx, rx) = unbounded_named("reactor.accept");
+        reactor
+            .listen(listener, move |stream, peer| {
+                assert!(peer.ip().is_loopback());
+                Box::new(StreamProbe { stream, tx: tx.clone() })
+            })
+            .unwrap();
+        // One connection at a time, so the accept order is the connect order.
+        let mut clients = Vec::new();
+        for i in 0..7u8 {
+            let mut client = TcpStream::connect(at).unwrap();
+            client.write_all(&[i]).unwrap();
+            let (shard, got) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert_eq!(got, [i], "connection {i} reached its own handler");
+            assert_eq!(shard, usize::from(i) % 3, "connection {i}");
+            clients.push(client);
+        }
+        reactor.shutdown();
     }
 }

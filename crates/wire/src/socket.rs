@@ -11,29 +11,36 @@
 //!
 //! There are no per-connection threads. Each peer connection is an
 //! [`EventHandler`] state machine (connecting → backoff → established)
-//! pinned to one reactor shard: nonblocking reads feed the shared
-//! [`FrameDecoder`], sends enqueue [`Frame`]s on the connection's
-//! [`PeerQueue`] and ring the shard's eventfd only on the empty→non-empty
-//! edge, and the shard flushes whatever accumulated with one vectored
-//! `writev` — batching emerges from backpressure, and the shard's
-//! single-threaded drain preserves per-peer order. Connect timeouts,
-//! bounded exponential backoff, and mid-frame read deadlines all ride the
-//! shard's timer wheel.
+//! pinned to one reactor shard. A frame reaches it one way: it is queued
+//! on the connection's [`PeerQueue`] whatever the phase (`post` returns
+//! there, `send` then waits for the connect's verdict), ringing the
+//! shard's eventfd only on the empty→non-empty edge, and the shard
+//! flushes whatever accumulated with one vectored `writev` — batching
+//! emerges from backpressure, and the shard's single-threaded drain
+//! preserves per-peer order. Inbound streams come from the reactor's
+//! acceptor ([`Reactor::listen`]) and their budgeted reads
+//! ([`read_budgeted`]) feed the shared [`FrameDecoder`]. Connect
+//! timeouts, bounded exponential backoff, and mid-frame read deadlines
+//! all ride the shard's timer wheel.
 //!
 //! Faults are first-class: every drop, timeout and reconnect lands in the
-//! flight recorder with a `wire.*` counter.
+//! flight recorder with a `wire.*` counter. A connect cycle that fails
+//! counts every frame queued on it, posted or sent, in `wire.drops`.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cn_cluster::{Addr, Endpoints, Envelope, GroupId, SendError};
 use cn_observe::{Counter, Recorder, Severity, SpanId};
-use cn_reactor::{sys, Action, EventHandler, Reactor, ShardCtx, TimerId, Token};
+use cn_reactor::{
+    read_budgeted, sys, Action, EventHandler, Reactor, ReadOutcome, ShardCtx, TimerId, Token,
+    MAX_READS_PER_WAKE,
+};
 use cn_sync::channel::Receiver;
 use cn_sync::{Condvar, Mutex};
 
@@ -102,10 +109,6 @@ const BATCH_MAX_BYTES: usize = 256 * 1024;
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// Backoff cap between connect retries.
 const MAX_BACKOFF: Duration = Duration::from_secs(1);
-/// Reads a single `on_ready` may issue before yielding the shard, so one
-/// firehose connection cannot starve its shard-mates (level-triggered
-/// epoll re-reports unread data immediately).
-const MAX_READS_PER_WAKE: usize = 16;
 
 /// Draws an ephemeral listener port gets before `AddrInUse` on its UDP twin
 /// is reported (see [`bind_port_pair`]).
@@ -154,24 +157,17 @@ impl WireCounters {
     }
 }
 
-/// Why a connect cycle gave up — mapped to the typed [`SendError`] the
-/// waiting senders surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailKind {
-    Refused,
-    Timeout,
-}
-
 /// The sender-visible lifecycle of one outbound connection.
 enum LinkPhase {
-    /// The reactor is driving the connect/retry state machine; senders
-    /// block on the link condvar until it resolves.
+    /// The reactor is driving the connect/retry state machine; frames
+    /// queue, and a `send` waits on the link condvar until it resolves.
     Connecting,
     /// Established: enqueue on the queue, notify the reactor token.
     Up,
     /// The connect cycle exhausted its retries. Terminal; the entry is
-    /// already out of the connection map.
-    Failed(FailKind),
+    /// already out of the connection map. Holds the typed error a waiting
+    /// `send` returns.
+    Failed(fn(Addr) -> SendError),
 }
 
 struct LinkState {
@@ -216,16 +212,13 @@ struct Inner<M> {
     /// Outbound connections, one per peer port. Each peer's frames drain
     /// on a single reactor shard in FIFO order — that is the per-peer
     /// ordering guarantee.
+    /// A new link is installed while this is held, so two senders racing
+    /// to the same peer share one stream and their frames keep its order.
     conns: Mutex<HashMap<u16, Arc<PeerLink>>>,
-    /// Serializes connection establishment so two senders racing to the
-    /// same (new) peer cannot create two streams and reorder their frames.
-    connect_lock: Mutex<()>,
     reactor: Reactor,
     /// Blocking discovery send socket (the nonblocking receive socket
     /// lives on the reactor).
     udp_send: UdpSocket,
-    /// Round-robins inbound connections across reactor shards.
-    next_inbound: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -262,11 +255,8 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
             }
         };
         let port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
         udp_recv.set_nonblocking(true)?;
-        let shards =
-            if cfg.reactor_shards == 0 { cn_reactor::default_shards() } else { cfg.reactor_shards };
-        let reactor = Reactor::new(&format!("wire-{port}"), shards)?;
+        let reactor = Reactor::new(&format!("wire-{port}"), cfg.reactor_shards)?;
         let inner = Arc::new(Inner {
             port,
             c: WireCounters::new(&rec),
@@ -274,15 +264,19 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
             cfg,
             table: Endpoints::new((port as u64) << ADDR_PORT_SHIFT),
             conns: Mutex::named("wire.conns", HashMap::new()),
-            connect_lock: Mutex::named("wire.connect", ()),
             reactor,
             udp_send,
-            next_inbound: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
-        inner
-            .reactor
-            .register_on(0, Box::new(AcceptHandler { inner: Arc::clone(&inner), listener }));
+        let to_inbound = Arc::clone(&inner);
+        inner.reactor.listen(listener, move |stream, _peer| {
+            Box::new(InboundHandler {
+                inner: Arc::clone(&to_inbound),
+                stream,
+                dec: FrameDecoder::new(),
+                read_timer: None,
+            })
+        })?;
         inner
             .reactor
             .register_on(0, Box::new(UdpHandler { inner: Arc::clone(&inner), udp: udp_recv }));
@@ -311,7 +305,7 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
             let mut st = link.state.lock();
             self.inner.rec.span_end(st.span.take());
             if matches!(st.phase, LinkPhase::Connecting) {
-                st.phase = LinkPhase::Failed(FailKind::Refused);
+                st.phase = LinkPhase::Failed(SendError::ConnectFailed);
             }
             drop(st);
             link.cv.notify_all();
@@ -350,7 +344,7 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
         if addr_port(to) == self.inner.port {
             return self.inner.table.deliver(Envelope { from, to, msg });
         }
-        self.inner.enqueue_frame(addr_port(to), Frame::encode(from, to, &msg), to)
+        self.inner.send_frame(to, Frame::encode(from, to, &msg))
     }
 
     fn send_many(&self, from: Addr, tos: &[Addr], msg: M) -> Result<usize, SendError> {
@@ -372,9 +366,9 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
         if let Some((&first, rest)) = remote.split_first() {
             let base = Frame::encode(from, first, &msg);
             for &to in rest {
-                inner.enqueue_frame(addr_port(to), base.for_to(to), to)?;
+                inner.send_frame(to, base.for_to(to))?;
             }
-            inner.enqueue_frame(addr_port(first), base, first)?;
+            inner.send_frame(first, base)?;
         }
         // Local members last so the final one takes the message by move;
         // each is tried, and the first that failed is the answer.
@@ -389,7 +383,7 @@ impl<M: WireEncode + Send + Clone + 'static> Fabric<M> for SocketFabric<M> {
             // Neither path touches a connection, so `send` never waits.
             let _ = self.send(from, to, msg);
         } else {
-            self.inner.post_frame(addr_port(to), Frame::encode(from, to, &msg));
+            let _ = self.inner.hand_off(to, Frame::encode(from, to, &msg));
         }
     }
 
@@ -425,6 +419,40 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
         if addr_port(env.from) != self.port {
             let members = self.table.members(addr_group(env.to), env.from);
             self.table.deliver_each(env.from, &members, env.msg);
+        }
+    }
+
+    /// Feed one read's bytes to an inbound connection's decoder and
+    /// dispatch every frame they complete; `false` means the stream can no
+    /// longer be trusted.
+    fn receive(&self, dec: &mut FrameDecoder, bytes: &[u8]) -> bool {
+        dec.feed(bytes);
+        loop {
+            match dec.next_payload() {
+                Ok(Some(payload)) => {
+                    self.c.bytes_recv.add(4 + payload.len() as u64);
+                    match decode_payload::<M>(&payload) {
+                        Ok(env) => self.dispatch(env),
+                        Err(e) => {
+                            // Framing is length-delimited, so a bad payload
+                            // does not desynchronize the stream; log and keep
+                            // reading.
+                            self.c.decode_errors.inc();
+                            self.rec.event_with(Severity::Error, "wire", None, || format!("{e}"));
+                        }
+                    }
+                }
+                Ok(None) => return true,
+                Err(e) => {
+                    // An oversized length prefix: the stream offset is no
+                    // longer trustworthy, drop the connection.
+                    self.c.decode_errors.inc();
+                    self.rec.event_with(Severity::Error, "wire", None, || {
+                        format!("{e}; dropping connection")
+                    });
+                    return false;
+                }
+            }
         }
     }
 
@@ -465,54 +493,57 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
         members.len() + datagrams
     }
 
-    /// Hand a frame to the peer's connection queue (establishing the
-    /// connection first if needed), reconnecting once if the reactor
-    /// observed a dead stream since we last looked.
-    fn enqueue_frame(self: &Arc<Self>, port: u16, frame: Frame, to: Addr) -> Result<(), SendError> {
-        for _ in 0..2 {
-            let link = self.get_link(port, to)?;
-            if self.push_on(port, &link, frame.clone()) {
-                return Ok(());
-            }
-        }
-        Err(SendError::PeerClosed(to))
-    }
-
-    /// [`Fabric::post`]'s remote half: queue the frame on the peer's link
-    /// whatever its phase and return. A link still connecting flushes its
-    /// queue when it comes up; a connect cycle that fails drops and counts
-    /// what was queued (`wire.drops`).
-    fn post_frame(self: &Arc<Self>, port: u16, frame: Frame) {
+    /// Queue `frame` on the link to `to`'s process, installing the link
+    /// (and starting its connect cycle) if there is none. A stream found
+    /// dead is replaced once. A frame that cannot be queued, because the
+    /// fabric is stopping or the replacement died too, is counted in
+    /// `wire.drops`; a queued one that never leaves is counted by the
+    /// link's death. Never waits.
+    fn hand_off(self: &Arc<Self>, to: Addr, frame: Frame) -> Result<Arc<PeerLink>, SendError> {
+        let port = addr_port(to);
         for _ in 0..2 {
             if self.stop.load(Ordering::Relaxed) {
-                break;
+                self.c.drops.inc();
+                return Err(SendError::ConnectFailed(to));
             }
             let link = self.link_for(port);
-            if self.push_on(port, &link, frame.clone()) {
-                return;
+            match link.q.push_frame(frame.clone()) {
+                PushOutcome::Queued { was_empty } => {
+                    if was_empty {
+                        // The shard may be asleep with nothing to flush;
+                        // this is the one push that must ring its eventfd.
+                        let token = link.state.lock().token;
+                        self.reactor.notify(token);
+                    }
+                    return Ok(link);
+                }
+                PushOutcome::Dead => {
+                    self.c.reconnects.inc();
+                    self.drop_conn_matching(&link, "connection dead at enqueue");
+                }
             }
         }
         self.c.drops.inc();
+        Err(SendError::PeerClosed(to))
     }
 
-    /// Queue `frame` on `link`, ringing its shard on the empty→non-empty
-    /// edge. `false` means the stream died since the link was looked up:
-    /// the link is dropped so the next lookup reconnects.
-    fn push_on(&self, port: u16, link: &Arc<PeerLink>, frame: Frame) -> bool {
-        match link.q.push_frame(frame) {
-            PushOutcome::Queued { was_empty } => {
-                if was_empty {
-                    // The shard may be asleep with nothing to flush;
-                    // this is the one push that must ring its eventfd.
-                    let token = link.state.lock().token;
-                    self.reactor.notify(token);
+    /// [`Fabric::send`]'s remote half: hand the frame off, then wait for
+    /// the link's connect cycle to resolve. Failures surface as typed
+    /// errors; the frame itself was queued and dropped with the link.
+    fn send_frame(self: &Arc<Self>, to: Addr, frame: Frame) -> Result<(), SendError> {
+        let link = self.hand_off(to, frame)?;
+        let deadline = Instant::now() + self.connect_budget();
+        let mut st = link.state.lock();
+        loop {
+            match st.phase {
+                LinkPhase::Up => return Ok(()),
+                LinkPhase::Failed(error) => return Err(error(to)),
+                LinkPhase::Connecting => {
+                    if self.stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
+                        return Err(SendError::ConnectFailed(to));
+                    }
+                    link.cv.wait_for(&mut st, POLL_INTERVAL);
                 }
-                true
-            }
-            PushOutcome::Dead => {
-                self.c.reconnects.inc();
-                self.drop_conn_matching(port, link, "connection dead at enqueue");
-                false
             }
         }
     }
@@ -531,16 +562,13 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
 
     /// The link for `port`: the live (or still connecting) one, or a new
     /// [`PeerHandler`] installed on the reactor, whose connect cycle starts
-    /// at once. Never waits.
+    /// at once. The new link is installed under `conns`, which is safe:
+    /// registering only pushes onto a shard's mailbox, and no handler takes
+    /// `conns` while it holds a link's state lock.
     fn link_for(self: &Arc<Self>, port: u16) -> Arc<PeerLink> {
-        if let Some(link) = self.conns.lock().get(&port).cloned() {
-            return link;
-        }
-        let _guard = self.connect_lock.lock();
-        // Double-check: another sender may have connected while we waited
-        // for the lock.
-        if let Some(link) = self.conns.lock().get(&port).cloned() {
-            return link;
+        let mut conns = self.conns.lock();
+        if let Some(link) = conns.get(&port) {
+            return Arc::clone(link);
         }
         let link = Arc::new(PeerLink::new(port));
         let handler = PeerHandler {
@@ -554,57 +582,27 @@ impl<M: WireEncode + Send + Clone + 'static> Inner<M> {
         };
         let token = self.reactor.register_hashed(port as u64, Box::new(handler));
         link.state.lock().token = token;
-        self.conns.lock().insert(port, Arc::clone(&link));
+        conns.insert(port, Arc::clone(&link));
         link
     }
 
-    /// Resolve the link for `port` and wait for its connect cycle to
-    /// resolve. Failures surface as the same typed errors (and counter
-    /// increments) the blocking connect produced.
-    fn get_link(self: &Arc<Self>, port: u16, to: Addr) -> Result<Arc<PeerLink>, SendError> {
-        if self.stop.load(Ordering::Relaxed) {
-            return Err(SendError::ConnectFailed(to));
+    /// Take `link` out of the connection map if it is still the one there:
+    /// a dying handler must not tear down a replacement connection another
+    /// sender already established. True if it was.
+    fn forget(&self, link: &Arc<PeerLink>) -> bool {
+        let mut conns = self.conns.lock();
+        let ours = matches!(conns.get(&link.port), Some(l) if Arc::ptr_eq(l, link));
+        if ours {
+            conns.remove(&link.port);
         }
-        let link = self.link_for(port);
-        let deadline = Instant::now() + self.connect_budget();
-        let mut st = link.state.lock();
-        loop {
-            match st.phase {
-                LinkPhase::Up => {
-                    drop(st);
-                    return Ok(link);
-                }
-                LinkPhase::Failed(kind) => {
-                    drop(st);
-                    return Err(match kind {
-                        FailKind::Timeout => SendError::Timeout(to),
-                        FailKind::Refused => SendError::ConnectFailed(to),
-                    });
-                }
-                LinkPhase::Connecting => {
-                    if self.stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
-                        drop(st);
-                        return Err(SendError::ConnectFailed(to));
-                    }
-                    link.cv.wait_for(&mut st, POLL_INTERVAL);
-                }
-            }
-        }
+        ours
     }
 
-    /// Drop the connection to `port` only if it is still `link` — a dying
-    /// handler must not tear down a replacement connection another sender
-    /// already established.
-    fn drop_conn_matching(&self, port: u16, link: &Arc<PeerLink>, why: &str) {
-        let mut conns = self.conns.lock();
-        let matches = matches!(conns.get(&port), Some(l) if Arc::ptr_eq(l, link));
-        if matches {
-            conns.remove(&port);
-        }
-        drop(conns);
-        if matches {
-            link.q.kill();
+    /// Forget a link whose queue is dead, if it is still the one mapped.
+    fn drop_conn_matching(&self, link: &Arc<PeerLink>, why: &str) {
+        if self.forget(link) {
             self.rec.span_end(link.state.lock().span.take());
+            let port = link.port;
             self.rec.event_with(Severity::Warn, "wire", None, || {
                 format!("dropped conn :{port}: {why}")
             });
@@ -678,22 +676,17 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
             self.delay = (self.delay * 2).min(MAX_BACKOFF);
             return Action::Continue;
         }
-        // Posted frames were queued while the cycle ran; each is a drop,
-        // and so is the frame of the `send` that waited on the cycle.
-        self.inner.c.drops.add((self.link.q.kill() as u64).max(1));
-        let kind = if self.last_timeout {
+        // Every frame handed off while the cycle ran, posted or sent, is in
+        // the queue: each is one drop.
+        self.inner.c.drops.add(self.link.q.kill() as u64);
+        let error = if self.last_timeout {
             self.inner.c.timeouts.inc();
-            FailKind::Timeout
+            SendError::Timeout
         } else {
-            FailKind::Refused
+            SendError::ConnectFailed
         };
-        {
-            let mut conns = self.inner.conns.lock();
-            if matches!(conns.get(&port), Some(l) if Arc::ptr_eq(l, &self.link)) {
-                conns.remove(&port);
-            }
-        }
-        self.link.state.lock().phase = LinkPhase::Failed(kind);
+        self.inner.forget(&self.link);
+        self.link.state.lock().phase = LinkPhase::Failed(error);
         self.link.cv.notify_all();
         Action::Close
     }
@@ -724,7 +717,7 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
     /// reconnect, drop the map entry (if still ours), close.
     fn die(&mut self, why: &str) -> Action {
         self.link.q.kill();
-        self.inner.drop_conn_matching(self.port(), &self.link, why);
+        self.inner.drop_conn_matching(&self.link, why);
         Action::Close
     }
 
@@ -803,18 +796,15 @@ impl<M: WireEncode + Send + Clone + 'static> PeerHandler<M> {
     /// outbound connections, so this is EOF/reset detection (plus
     /// tolerant consumption of any future backchannel traffic).
     fn drain_reads(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
+        let PeerConn::Up { stream, .. } = &mut self.conn else { return Action::Continue };
         let mut buf = ctx.take_scratch();
-        let action = loop {
-            let PeerConn::Up { stream, .. } = &mut self.conn else { break Action::Continue };
-            match stream.read(&mut buf) {
-                Ok(0) => break self.die("peer closed connection"),
-                Ok(_) => continue,
-                Err(e) if sys::is_would_block(&e) => break Action::Continue,
-                Err(e) => break self.die(&format!("connection error: {e}")),
-            }
-        };
+        let outcome = read_budgeted(stream, &mut buf, |_| true);
         ctx.put_scratch(buf);
-        action
+        match outcome {
+            ReadOutcome::Failed(e) => self.die(&format!("connection error: {e}")),
+            ReadOutcome::Eof | ReadOutcome::Refused => self.die("peer closed connection"),
+            ReadOutcome::KeepOpen => Action::Continue,
+        }
     }
 }
 
@@ -892,46 +882,6 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for PeerHandler<M> {
     }
 }
 
-/// Accepts inbound connections and spreads them across reactor shards.
-struct AcceptHandler<M: WireEncode + Send + Clone + 'static> {
-    inner: Arc<Inner<M>>,
-    listener: TcpListener,
-}
-
-impl<M: WireEncode + Send + Clone + 'static> EventHandler for AcceptHandler<M> {
-    fn on_register(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
-        match ctx.register_fd(self.listener.as_raw_fd(), true, false) {
-            Ok(()) => Action::Continue,
-            Err(_) => Action::Close,
-        }
-    }
-
-    fn on_ready(&mut self, _ctx: &mut ShardCtx<'_>, _readable: bool, _writable: bool) -> Action {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let shard = self.inner.next_inbound.fetch_add(1, Ordering::Relaxed);
-                    self.inner.reactor.register_hashed(
-                        shard,
-                        Box::new(InboundHandler {
-                            inner: Arc::clone(&self.inner),
-                            stream,
-                            dec: FrameDecoder::new(),
-                            read_timer: None,
-                        }),
-                    );
-                }
-                Err(e) if sys::is_would_block(&e) => return Action::Continue,
-                Err(_) => return Action::Continue,
-            }
-        }
-    }
-}
-
 /// Per-inbound-connection frame reader: each `read` takes whatever the
 /// socket has — one frame or a coalesced batch — and [`FrameDecoder`]
 /// splits it, so a flush of N frames costs one syscall, not 2N. A frame
@@ -945,76 +895,6 @@ struct InboundHandler<M: WireEncode + Send + Clone + 'static> {
     read_timer: Option<TimerId>,
 }
 
-enum ReadOutcome {
-    KeepOpen,
-    Close,
-}
-
-impl<M: WireEncode + Send + Clone + 'static> InboundHandler<M> {
-    fn drain(&mut self, buf: &mut [u8]) -> ReadOutcome {
-        for _ in 0..MAX_READS_PER_WAKE {
-            match self.stream.read(buf) {
-                Ok(0) => {
-                    if self.dec.has_partial() {
-                        self.inner.c.timeouts.inc();
-                        let pending = self.dec.pending_bytes();
-                        self.inner.rec.event_with(Severity::Warn, "wire", None, || {
-                            format!("connection closed mid-frame ({pending} bytes pending)")
-                        });
-                    }
-                    return ReadOutcome::Close;
-                }
-                Ok(n) => {
-                    self.dec.feed(&buf[..n]);
-                    loop {
-                        match self.dec.next_payload() {
-                            Ok(Some(payload)) => {
-                                self.inner.c.bytes_recv.add(4 + payload.len() as u64);
-                                match decode_payload::<M>(&payload) {
-                                    Ok(env) => self.inner.dispatch(env),
-                                    Err(e) => {
-                                        // Framing is length-delimited, so a
-                                        // bad payload does not desynchronize
-                                        // the stream; log and keep reading.
-                                        self.inner.c.decode_errors.inc();
-                                        self.inner.rec.event_with(
-                                            Severity::Error,
-                                            "wire",
-                                            None,
-                                            || format!("{e}"),
-                                        );
-                                    }
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                // An oversized length prefix: the stream
-                                // offset is no longer trustworthy, drop the
-                                // connection.
-                                self.inner.c.decode_errors.inc();
-                                self.inner.rec.event_with(Severity::Error, "wire", None, || {
-                                    format!("{e}; dropping connection")
-                                });
-                                return ReadOutcome::Close;
-                            }
-                        }
-                    }
-                }
-                Err(e) if sys::is_would_block(&e) => return ReadOutcome::KeepOpen,
-                Err(e) => {
-                    self.inner.rec.event_with(Severity::Warn, "wire", None, || {
-                        format!("inbound connection error: {e}")
-                    });
-                    return ReadOutcome::Close;
-                }
-            }
-        }
-        // Read budget spent; level-triggered epoll re-reports the rest so
-        // shard-mates get a turn.
-        ReadOutcome::KeepOpen
-    }
-}
-
 impl<M: WireEncode + Send + Clone + 'static> EventHandler for InboundHandler<M> {
     fn on_register(&mut self, ctx: &mut ShardCtx<'_>) -> Action {
         match ctx.register_fd(self.stream.as_raw_fd(), true, false) {
@@ -1025,7 +905,8 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for InboundHandler<M> 
 
     fn on_ready(&mut self, ctx: &mut ShardCtx<'_>, _readable: bool, _writable: bool) -> Action {
         let mut buf = ctx.take_scratch();
-        let outcome = self.drain(&mut buf);
+        let (inner, dec) = (&self.inner, &mut self.dec);
+        let outcome = read_budgeted(&mut self.stream, &mut buf, |bytes| inner.receive(dec, bytes));
         ctx.put_scratch(buf);
         // Rearm the mid-frame deadline to track the newest partial; a
         // completed frame disarms it.
@@ -1037,10 +918,23 @@ impl<M: WireEncode + Send + Clone + 'static> EventHandler for InboundHandler<M> 
                 if self.dec.has_partial() {
                     self.read_timer = Some(ctx.arm_timer(READ_TIMEOUT, TAG_READ_DEADLINE));
                 }
-                Action::Continue
+                return Action::Continue;
             }
-            ReadOutcome::Close => Action::Close,
+            ReadOutcome::Eof if self.dec.has_partial() => {
+                self.inner.c.timeouts.inc();
+                let pending = self.dec.pending_bytes();
+                self.inner.rec.event_with(Severity::Warn, "wire", None, || {
+                    format!("connection closed mid-frame ({pending} bytes pending)")
+                });
+            }
+            ReadOutcome::Failed(e) => {
+                self.inner.rec.event_with(Severity::Warn, "wire", None, || {
+                    format!("inbound connection error: {e}")
+                });
+            }
+            ReadOutcome::Eof | ReadOutcome::Refused => {}
         }
+        Action::Close
     }
 
     fn on_timer(&mut self, _ctx: &mut ShardCtx<'_>, tag: u64) -> Action {
@@ -1234,6 +1128,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_connect_counts_every_frame_handed_off() {
+        let rec = Recorder::new();
+        let dead_port = {
+            let l = TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap().port()
+        };
+        let a: SocketFabric<u64> = SocketFabric::new(WireConfig::default(), rec.clone()).unwrap();
+        let (addr_a, _rx) = a.register();
+        let dead = Addr(((dead_port as u64) << ADDR_PORT_SHIFT) | 1);
+        let posted = 4;
+        for i in 0..posted {
+            a.post(addr_a, dead, i);
+        }
+        let err = a.send(addr_a, dead, posted).unwrap_err();
+        assert!(
+            matches!(err, SendError::ConnectFailed(d) | SendError::Timeout(d) if d == dead),
+            "{err:?}"
+        );
+        // The posted frames and the sent one all died in the link's queue.
+        assert_eq!(rec.counter("wire.drops").get(), posted + 1);
+    }
+
+    #[test]
     fn peer_death_mid_conversation_surfaces_peer_closed() {
         let rec = Recorder::new();
         let a: SocketFabric<u64> =
@@ -1337,6 +1254,12 @@ mod tests {
         }
         for i in 0..500u64 {
             assert_eq!(recv_within(&rx_b, 2000).msg, i);
+        }
+        // The sender's shard counts a flush once its `writev` returns, which
+        // can be after the receiver already holds every frame.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while rec.counter("wire.batch.frames").get() < 500 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(rec.counter("wire.batch.frames").get(), 500);
         assert_eq!(rec.counter("wire.frames_sent").get(), 500);
