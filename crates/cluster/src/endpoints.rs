@@ -15,7 +15,8 @@ use crate::network::{Addr, Envelope, GroupId, SendError};
 /// Endpoints by address, and group membership in address order.
 pub struct Endpoints<M> {
     /// Or-ed into every address handed out: 0 on the simulated network, the
-    /// listener port in the high bits in a socket process.
+    /// listener port in the high bits in a socket process (whose ids start
+    /// at its incarnation, not at 1).
     base: u64,
     next: AtomicU64,
     endpoints: Mutex<HashMap<Addr, Sender<Envelope<M>>>>,
@@ -24,9 +25,14 @@ pub struct Endpoints<M> {
 
 impl<M> Endpoints<M> {
     pub fn new(base: u64) -> Endpoints<M> {
+        Endpoints::starting_at(base, 1)
+    }
+
+    /// A table whose first address is `base | first`, each next one up.
+    pub fn starting_at(base: u64, first: u64) -> Endpoints<M> {
         Endpoints {
             base,
-            next: AtomicU64::new(1),
+            next: AtomicU64::new(first),
             endpoints: Mutex::named("net.endpoints", HashMap::new()),
             groups: Mutex::named("net.groups", HashMap::new()),
         }

@@ -13,10 +13,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use cn_cluster::{Addr, Envelope};
+use cn_cluster::SendError;
 use cn_observe::{Counter, Histogram, Recorder, Severity, SpanId, LATENCY_BUCKETS_US};
+use cn_sync::channel::RecvTimeoutError;
 use cn_wire::FabricHandle;
 
+use crate::endpoint::{deadline, decode, Endpoint};
 use crate::message::{
     Bid, CnMessage, JobId, JobRequirements, NetMsg, TaskSpec, UserData, CLIENT_TASK_NAME,
 };
@@ -182,23 +184,11 @@ impl CnApi {
             format!("JobManager on {:?} selected from {} bid(s)", chosen.server, bids.len())
         });
 
-        if let Err(e) = self.net.send(
-            addr,
-            chosen.addr,
-            NetMsg::CreateJob { job, client: addr, reply_to: addr },
-        ) {
-            self.net.unregister(addr);
-            self.rec.span_end(span);
-            return Err(ClientError::Net(e.to_string()));
-        }
+        let sent = self.rec.counter("api.msgs_to_tasks");
         let mut handle = JobHandle {
             job,
-            jm: chosen.addr,
             jm_server: chosen.server,
-            net: self.net.clone(),
-            addr,
-            pump,
-            directory: HashMap::new(),
+            ep: Endpoint::for_client(job, &self.net, addr, chosen.addr, pump, sent),
             task_names: Vec::new(),
             placements: Vec::new(),
             started: false,
@@ -207,12 +197,12 @@ impl CnApi {
             rec: self.rec.clone(),
             span,
             c_tasks: self.c_tasks.clone(),
-            c_msgs_to_tasks: self.rec.counter("api.msgs_to_tasks"),
             dispatch: self.dispatch.clone(),
         };
-        // On any failure path the handle is dropped here, which unregisters
-        // the endpoint and closes the job span (see `impl Drop for
-        // JobHandle`).
+        // On any failure path from here the handle is dropped, which
+        // unregisters the endpoint and closes the job span (see `impl Drop
+        // for JobHandle`).
+        handle.to_jm(NetMsg::CreateJob { job, client: addr, reply_to: addr })?;
         match handle
             .wait_net(ACK_TIMEOUT, |m| matches!(m, NetMsg::JobAck { job: j, .. } if *j == job))?
         {
@@ -230,16 +220,13 @@ impl CnApi {
 /// A client-held job: the conduit to its JobManager.
 pub struct JobHandle {
     pub job: JobId,
-    jm: Addr,
     /// Name of the server whose JobManager owns this job.
     pub jm_server: String,
-    net: FabricHandle<NetMsg>,
-    addr: Addr,
-    /// The client's message queue: protocol acks are picked out of it, and
-    /// what arrives meanwhile waits there for [`JobHandle::recv_message`].
-    pump: MsgPump<NetMsg>,
-    /// task name → task endpoint (learned from TaskAcks).
-    directory: HashMap<String, Addr>,
+    /// The client's endpoint. Protocol acks are picked out of its queue,
+    /// and what arrives meanwhile waits there for
+    /// [`JobHandle::recv_message`]; its directory holds each task's
+    /// endpoint, learned from TaskAcks.
+    ep: Endpoint,
     task_names: Vec<String>,
     /// task name → server that hosts it, in creation order (from
     /// TaskAcks). The scheduler differential tests compare these across
@@ -258,7 +245,6 @@ pub struct JobHandle {
     /// The job span, closed on completion/failure/cancel (or in Drop).
     span: Option<SpanId>,
     c_tasks: Counter,
-    c_msgs_to_tasks: Counter,
     dispatch: Histogram,
 }
 
@@ -266,10 +252,11 @@ impl Drop for JobHandle {
     fn drop(&mut self) {
         // An abandoned job would keep every slot and megabyte it was placed
         // on: tell its JobManager, without waiting for it to agree.
+        let ep = &self.ep;
         if self.held {
-            self.net.post(self.addr, self.jm, NetMsg::CancelJob { job: self.job });
+            ep.net.post(ep.addr, ep.jm, NetMsg::CancelJob { job: self.job });
         }
-        self.net.unregister(self.addr);
+        ep.net.unregister(ep.addr);
         for (_, span) in self.task_spans.drain() {
             self.rec.span_end(span);
         }
@@ -297,7 +284,7 @@ impl JobHandle {
     /// The job-wide tuple space, held by the job's JobManager (and
     /// reachable from every task context the same way).
     pub fn tuplespace(&mut self) -> Space<'_> {
-        Space::new(self.job, &self.net, self.addr, self.jm, &mut self.pump)
+        Space(&mut self.ep)
     }
 
     /// Names of the tasks created so far.
@@ -316,24 +303,14 @@ impl JobHandle {
         &self.jm_server
     }
 
-    fn decode(&mut self, env: Envelope<NetMsg>) -> Option<CnMessage> {
-        let msg = match env.msg {
-            NetMsg::User { from_task, tag, data, .. } => {
-                Some(CnMessage::User { from_task, tag, data })
-            }
-            NetMsg::TaskStarted { task, .. } => Some(CnMessage::TaskStarted { task }),
-            NetMsg::TaskCompleted { task, result, .. } => {
-                Some(CnMessage::TaskCompleted { task, result })
-            }
-            NetMsg::TaskFailed { task, error, .. } => Some(CnMessage::TaskFailed { task, error }),
-            NetMsg::JobCompleted { results, .. } => Some(CnMessage::JobCompleted { results }),
-            NetMsg::JobFailed { error, .. } => Some(CnMessage::JobFailed { error }),
-            _ => None,
-        };
-        if let Some(m) = &msg {
-            self.track_task_span(m);
-        }
-        msg
+    /// The next user or lifecycle message before `deadline`. Protocol
+    /// messages nothing waits for any more, a task's stop signals among
+    /// them, are skipped.
+    fn recv_before(&mut self, deadline: Instant) -> Result<CnMessage, RecvTimeoutError> {
+        let not_stop = |m: &CnMessage| !matches!(m, CnMessage::Shutdown);
+        let msg = self.ep.recv(deadline, |_| true, |msg| decode(msg).filter(not_stop))?;
+        self.track_task_span(&msg);
+        Ok(msg)
     }
 
     /// Open or close a task's span as its lifecycle messages arrive (the
@@ -361,8 +338,14 @@ impl JobHandle {
         timeout: Duration,
         want: impl FnMut(&NetMsg) -> bool,
     ) -> Result<NetMsg, ClientError> {
-        let env = self.pump.next_matching(Some(Instant::now() + timeout), want);
-        env.map(|env| env.msg).map_err(|_| ClientError::Timeout("protocol ack"))
+        self.ep
+            .recv(deadline(timeout), want, Some)
+            .map_err(|_| ClientError::Timeout("protocol ack"))
+    }
+
+    /// Send `msg` to the job's JobManager.
+    fn to_jm(&self, msg: NetMsg) -> Result<(), ClientError> {
+        self.ep.to_jm(msg).map_err(net_error)
     }
 
     /// Create one task in the job — the burst of one. The JobManager places
@@ -370,7 +353,7 @@ impl JobHandle {
     /// message queue exists (but the task is not yet running).
     pub fn add_task(&mut self, spec: TaskSpec) -> Result<(), ClientError> {
         let names = vec![spec.name.clone()];
-        self.create(NetMsg::CreateTask { job: self.job, spec, reply_to: self.addr }, names)
+        self.create(NetMsg::CreateTask { job: self.job, spec, reply_to: self.ep.addr }, names)
     }
 
     /// Create the job's tasks as one burst: one message, which the
@@ -383,7 +366,7 @@ impl JobHandle {
             return Ok(());
         }
         let names = specs.iter().map(|s| s.name.clone()).collect();
-        self.create(NetMsg::CreateTasks { job: self.job, specs, reply_to: self.addr }, names)
+        self.create(NetMsg::CreateTasks { job: self.job, specs, reply_to: self.ep.addr }, names)
     }
 
     /// Send a creation request and collect the `TaskAck` of each task it
@@ -393,7 +376,7 @@ impl JobHandle {
             return Err(ClientError::Usage("add_task after start"));
         }
         let dispatch_start = Instant::now();
-        self.net.send(self.addr, self.jm, request).map_err(|e| ClientError::Net(e.to_string()))?;
+        self.to_jm(request)?;
         let job = self.job;
         let mut first_failure = None;
         for name in names {
@@ -407,7 +390,7 @@ impl JobHandle {
             match ack {
                 NetMsg::TaskAck { accepted: true, task_addr: Some(addr), server, .. } => {
                     self.c_tasks.inc();
-                    self.directory.insert(name.clone(), addr);
+                    self.ep.directory.insert(name.clone(), addr);
                     self.placements.push((name.clone(), server));
                     self.task_names.push(name);
                 }
@@ -444,103 +427,126 @@ impl JobHandle {
             return Err(ClientError::Usage("job already started"));
         }
         self.started = true;
-        self.net
-            .send(self.addr, self.jm, NetMsg::StartJob { job: self.job })
-            .map_err(|e| ClientError::Net(e.to_string()))
+        self.to_jm(NetMsg::StartJob { job: self.job })
     }
 
     /// Send a user-defined message to a task.
     pub fn send_to_task(&self, task: &str, tag: &str, data: UserData) -> Result<(), ClientError> {
-        let &to = self.directory.get(task).ok_or(ClientError::PlacementFailed {
+        let unknown = || ClientError::PlacementFailed {
             task: task.to_string(),
             reason: "unknown task".to_string(),
-        })?;
-        self.c_msgs_to_tasks.inc();
-        self.net
-            .send(
-                self.addr,
-                to,
-                NetMsg::User {
-                    job: self.job,
-                    from_task: CLIENT_TASK_NAME.to_string(),
-                    tag: tag.to_string(),
-                    data,
-                },
-            )
-            .map_err(|e| ClientError::Net(e.to_string()))
+        };
+        self.ep.send(CLIENT_TASK_NAME, task, tag, data).ok_or_else(unknown)?.map_err(net_error)
     }
 
     /// Receive the next message from CN (lifecycle or user-defined).
     /// Protocol messages nothing waits for any more are skipped.
     pub fn recv_message(&mut self, timeout: Duration) -> Result<CnMessage, ClientError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let env = self.pump.next_before(Some(deadline));
-            let env = env.map_err(|_| ClientError::Timeout("message"))?;
-            if let Some(m) = self.decode(env) {
-                return Ok(m);
-            }
-        }
+        self.recv_before(deadline(timeout)).map_err(|_| ClientError::Timeout("message"))
     }
 
     /// Cancel the job: every running task is interrupted (it observes
     /// [`crate::RecvError::Shutdown`] at its next receive) and the
     /// JobManager reports the job as failed. Consumes the handle; the
     /// endpoint goes with it (`impl Drop`), and the job's space with the
-    /// job.
+    /// job. A job that finished before the cancel arrived ends as well.
     pub fn cancel(mut self, timeout: Duration) -> Result<(), ClientError> {
-        self.net
-            .send(self.addr, self.jm, NetMsg::CancelJob { job: self.job })
-            .map_err(|e| ClientError::Net(e.to_string()))?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(ClientError::Timeout("cancellation ack"));
-            }
-            match self.recv_message(remaining)? {
-                CnMessage::JobFailed { .. } => {
-                    self.held = false;
-                    self.rec.event_job(Severity::Warn, "job", self.job.0, "cancelled by client");
-                    self.rec.span_end(self.span.take());
-                    return Ok(());
-                }
-                CnMessage::JobCompleted { .. } => {
-                    // The job finished before the cancel arrived.
-                    self.held = false;
-                    self.rec.span_end(self.span.take());
-                    return Ok(());
-                }
-                _ => {}
-            }
-        }
+        self.to_jm(NetMsg::CancelJob { job: self.job })?;
+        let cancelled = (Severity::Warn, |_: &str| "cancelled by client".to_string());
+        self.run_out(timeout, "cancellation ack", cancelled, drop).map(drop)
     }
 
     /// Drive the job to completion, collecting results.
     pub fn wait(mut self, timeout: Duration) -> Result<JobReport, ClientError> {
         let start = Instant::now();
         let mut events = Vec::new();
-        loop {
-            let remaining = timeout.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
-                return Err(ClientError::Timeout("job completion"));
+        let failed = (Severity::Error, |error: &str| format!("job failed: {error}"));
+        match self.run_out(timeout, "job completion", failed, |m| events.push(m))? {
+            Ok(results) => Ok(JobReport { results, events, elapsed: start.elapsed() }),
+            Err(error) => Err(ClientError::JobFailed(error)),
+        }
+    }
+
+    /// Receive until the job ends, handing every other message to `seen`,
+    /// then close the job's books: its JobManager no longer holds it, a
+    /// failure is a flight event of `severity` that `words` phrase, and the
+    /// job span closes. The end is the job's results, or the error it
+    /// failed with; a `Timeout(what)` if it does not come in `timeout`.
+    fn run_out(
+        &mut self,
+        timeout: Duration,
+        what: &'static str,
+        (severity, words): (Severity, impl FnOnce(&str) -> String),
+        mut seen: impl FnMut(CnMessage),
+    ) -> Result<Result<Vec<(String, UserData)>, String>, ClientError> {
+        let deadline = deadline(timeout);
+        let end = loop {
+            match self.recv_before(deadline).map_err(|_| ClientError::Timeout(what))? {
+                CnMessage::JobCompleted { results } => break Ok(results),
+                CnMessage::JobFailed { error } => break Err(error),
+                other => seen(other),
             }
-            match self.recv_message(remaining)? {
-                CnMessage::JobCompleted { results } => {
-                    self.held = false;
-                    self.rec.span_end(self.span.take());
-                    return Ok(JobReport { results, events, elapsed: start.elapsed() });
-                }
-                CnMessage::JobFailed { error } => {
-                    self.held = false;
-                    self.rec.event_with(Severity::Error, "job", Some(self.job.0), || {
-                        format!("job failed: {error}")
-                    });
-                    self.rec.span_end(self.span.take());
-                    return Err(ClientError::JobFailed(error));
-                }
-                other => events.push(other),
-            }
+        };
+        self.held = false;
+        if let Err(error) = &end {
+            self.rec.event_with(severity, "job", Some(self.job.0), || words(error));
+        }
+        self.rec.span_end(self.span.take());
+        Ok(end)
+    }
+}
+
+fn net_error(e: SendError) -> ClientError {
+    ClientError::Net(e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::tests::one_of_each;
+    use cn_cluster::{LatencyModel, Network};
+    use std::sync::Arc;
+
+    /// A handle on job 1, whose JobManager is an address nobody serves.
+    fn handle(net: &FabricHandle<NetMsg>) -> JobHandle {
+        let (addr, rx) = net.register();
+        let (jm, _) = net.register();
+        let rec = net.recorder().clone();
+        let sent = rec.counter("api.msgs_to_tasks");
+        JobHandle {
+            job: JobId(1),
+            jm_server: "s0".into(),
+            ep: Endpoint::for_client(JobId(1), net, addr, jm, MsgPump::new(rx), sent),
+            task_names: Vec::new(),
+            placements: Vec::new(),
+            started: false,
+            held: false,
+            task_spans: HashMap::new(),
+            span: None,
+            c_tasks: rec.counter("api.tasks_created"),
+            dispatch: rec.histogram("api.dispatch_latency_us", LATENCY_BUCKETS_US),
+            rec,
+        }
+    }
+
+    /// Each kind of message alone in the client's queue: the receive returns
+    /// user and lifecycle messages, and uses up, without returning, a task's
+    /// stop signals and what no wait of the client is for.
+    #[test]
+    fn the_client_receive_skips_stop_signals_and_noise() {
+        let net: FabricHandle<NetMsg> = Arc::new(Network::new(LatencyModel::zero(), 1));
+        let user = |tag: &str| {
+            Ok(CnMessage::User { from_task: "a".into(), tag: tag.into(), data: UserData::Empty })
+        };
+        let skipped = || Err(ClientError::Timeout("message"));
+        let started = Ok(CnMessage::TaskStarted { task: "a".into() });
+        let want = [user("t"), started, skipped(), skipped(), skipped(), user("other")];
+        for ((label, msg), want) in one_of_each().into_iter().zip(want) {
+            let mut job = handle(&net);
+            net.send(job.ep.jm, job.ep.addr, msg).unwrap();
+            assert_eq!(job.recv_message(Duration::from_millis(10)), want, "{label}");
+            let left = job.ep.pump.next_before(Some(Instant::now()));
+            assert!(left.is_err(), "{label} left {left:?} queued");
         }
     }
 }

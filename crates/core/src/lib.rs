@@ -25,6 +25,7 @@
 
 pub mod api;
 pub mod archive;
+mod endpoint;
 pub mod exec;
 mod job;
 pub mod message;

@@ -319,8 +319,30 @@ pub enum CnMessage {
 pub const CLIENT_TASK_NAME: &str = "<client>";
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::tuplespace::Field;
+
+    /// One message of each kind a job endpoint may find in its queue, from
+    /// task `a` of job 1, labelled for the receive tests of every role: a
+    /// `User` tagged `t`, a lifecycle message, the two stop signals, a
+    /// `TupleGive` no ask is waiting for, and a `User` of another tag.
+    pub(crate) fn one_of_each() -> [(&'static str, NetMsg); 6] {
+        let user = |tag: &str| NetMsg::User {
+            job: JobId(1),
+            from_task: "a".into(),
+            tag: tag.into(),
+            data: UserData::Empty,
+        };
+        [
+            ("User", user("t")),
+            ("TaskStarted", NetMsg::TaskStarted { job: JobId(1), task: "a".into() }),
+            ("Shutdown", NetMsg::Shutdown),
+            ("CancelTask", NetMsg::CancelTask { job: JobId(1), task: "b".into() }),
+            ("stray TupleGive", NetMsg::TupleGive { job: JobId(1), tuple: vec![Field::I(1)] }),
+            ("User of another tag", user("other")),
+        ]
+    }
 
     #[test]
     fn user_data_sizes() {

@@ -28,6 +28,7 @@ use cn_sync::thread::JoinHandle;
 use cn_wire::FabricHandle;
 
 use crate::archive::ArchiveRegistry;
+use crate::endpoint::Endpoint;
 use crate::job::{Action as JobAction, Event as JobEvent, Job};
 use crate::message::{Bid, JobId, NetMsg, TaskSpec};
 use crate::placement::{Action, Answer, Event, Round};
@@ -576,11 +577,7 @@ impl ServerState {
                         job,
                         name: spec.name.clone(),
                         params: spec.params.clone(),
-                        net: net.clone(),
-                        addr: endpoint,
-                        jm,
-                        pump: MsgPump::new(rx),
-                        directory,
+                        ep: Endpoint::for_task(job, &net, endpoint, jm, rx, directory),
                         work_scale,
                     };
                     // A panic in user code is one more way for the task to

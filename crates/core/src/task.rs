@@ -6,17 +6,15 @@
 //! [`TaskContext`] — the per-task message queue the TaskManager sets up,
 //! plus helpers mirroring the CN API's messaging surface.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cn_cluster::{Addr, Envelope};
+use cn_cluster::Addr;
 use cn_cnx::Param;
 use cn_sync::channel::RecvTimeoutError;
-use cn_wire::FabricHandle;
 
+use crate::endpoint::{deadline, decode, is_stop, Endpoint};
 use crate::message::{CnMessage, JobId, NetMsg, UserData, CLIENT_TASK_NAME};
-use crate::pump::MsgPump;
 use crate::tuplespace::Space;
 
 /// Task failure.
@@ -103,15 +101,9 @@ pub struct TaskContext {
     pub name: String,
     /// Declared parameters (from CNX `<param>` / tagged values).
     pub params: Vec<Param>,
-    pub(crate) net: FabricHandle<NetMsg>,
-    pub(crate) addr: Addr,
-    /// The job's JobManager, which holds the job's tuple space.
-    pub(crate) jm: Addr,
-    /// The task's message queue.
-    pub(crate) pump: MsgPump<NetMsg>,
-    /// task name → endpoint address, for the whole job (the client is
-    /// reachable as [`CLIENT_TASK_NAME`]).
-    pub(crate) directory: HashMap<String, Addr>,
+    /// The task's endpoint: its message queue and the whole job's
+    /// directory (the client reachable as [`CLIENT_TASK_NAME`]).
+    pub(crate) ep: Endpoint,
     /// Compute-cost multiplier of the hosting node (1.0 at nominal speed;
     /// see `NodeSpec::speed_pct`). [`TaskContext::simulate_work`] applies
     /// it so simulated workloads run slower on straggler nodes.
@@ -132,6 +124,7 @@ impl TaskContext {
     /// Every task in the job but this one (and the client), by name.
     fn peer_entries(&self) -> Vec<(&String, Addr)> {
         let mut peers: Vec<(&String, Addr)> = self
+            .ep
             .directory
             .iter()
             .filter(|(n, _)| n.as_str() != self.name && n.as_str() != CLIENT_TASK_NAME)
@@ -150,7 +143,7 @@ impl TaskContext {
     /// paper mentions: "CN also supports communication via tuple spaces"),
     /// held by the job's JobManager.
     pub fn tuplespace(&mut self) -> Space<'_> {
-        Space::new(self.job, &self.net, self.addr, self.jm, &mut self.pump)
+        Space(&mut self.ep)
     }
 
     /// The hosting node's compute-cost multiplier (1.0 = nominal speed).
@@ -167,25 +160,9 @@ impl TaskContext {
 
     /// Send a user-defined message to another task by name.
     pub fn send(&self, to_task: &str, tag: &str, data: UserData) -> Result<(), TaskError> {
-        let &to = self
-            .directory
-            .get(to_task)
-            .ok_or_else(|| TaskError::new(format!("unknown task {to_task:?}")))?;
-        let rec = self.net.recorder();
-        if rec.is_enabled() {
-            rec.counter("task.msgs_sent").inc();
-        }
-        self.net
-            .send(
-                self.addr,
-                to,
-                NetMsg::User {
-                    job: self.job,
-                    from_task: self.name.clone(),
-                    tag: tag.to_string(),
-                    data,
-                },
-            )
+        self.ep
+            .send(&self.name, to_task, tag, data)
+            .ok_or_else(|| TaskError::new(format!("unknown task {to_task:?}")))?
             .map_err(|e| TaskError::new(e.to_string()))
     }
 
@@ -199,50 +176,14 @@ impl TaskContext {
     /// of cloning the payload per peer.
     pub fn broadcast(&self, tag: &str, data: UserData) -> Result<usize, TaskError> {
         let addrs: Vec<Addr> = self.peer_entries().into_iter().map(|(_, addr)| addr).collect();
-        let rec = self.net.recorder();
-        if rec.is_enabled() {
-            rec.counter("task.msgs_sent").add(addrs.len() as u64);
-        }
-        self.net
-            .send_many(
-                self.addr,
-                &addrs,
-                NetMsg::User {
-                    job: self.job,
-                    from_task: self.name.clone(),
-                    tag: tag.to_string(),
-                    data,
-                },
-            )
-            .map_err(|e| TaskError::new(e.to_string()))
-    }
-
-    fn decode(&self, env: Envelope<NetMsg>) -> Option<CnMessage> {
-        match env.msg {
-            NetMsg::User { from_task, tag, data, .. } => {
-                let rec = self.net.recorder();
-                if rec.is_enabled() {
-                    rec.counter("task.msgs_received").inc();
-                }
-                Some(CnMessage::User { from_task, tag, data })
-            }
-            NetMsg::Shutdown | NetMsg::CancelTask { .. } => Some(CnMessage::Shutdown),
-            // Anything else is protocol noise for a task endpoint.
-            _ => None,
-        }
+        self.ep.sent.add(addrs.len() as u64);
+        let msg = self.ep.user(&self.name, tag, data);
+        self.ep.net.send_many(self.ep.addr, &addrs, msg).map_err(|e| TaskError::new(e.to_string()))
     }
 
     /// Blocking receive with timeout. Protocol noise is skipped.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<CnMessage, RecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let env = self.pump.next_before(Some(deadline))?;
-            match self.decode(env) {
-                Some(CnMessage::Shutdown) => return Err(RecvError::Shutdown),
-                Some(m) => return Ok(m),
-                None => {}
-            }
-        }
+        self.recv_where(timeout, |_| true)
     }
 
     /// Blocking receive with the default (generous) timeout.
@@ -259,52 +200,60 @@ impl TaskContext {
         tag: &str,
         timeout: Duration,
     ) -> Result<(String, UserData), RecvError> {
-        let wanted = |m: &NetMsg| match m {
-            NetMsg::User { tag: t, .. } => t == tag,
-            NetMsg::Shutdown | NetMsg::CancelTask { .. } => true,
-            _ => false,
-        };
-        let env = self.pump.next_matching(Some(Instant::now() + timeout), wanted)?;
-        match self.decode(env) {
-            Some(CnMessage::User { from_task, data, .. }) => Ok((from_task, data)),
-            _ => Err(RecvError::Shutdown),
+        let wanted =
+            |m: &NetMsg| is_stop(m) || matches!(m, NetMsg::User { tag: t, .. } if t == tag);
+        match self.recv_where(timeout, wanted)? {
+            CnMessage::User { from_task, data, .. } => Ok((from_task, data)),
+            _ => unreachable!("filtered on User"),
         }
+    }
+
+    /// The first user message `want` picks, or the shutdown it picks first.
+    /// Anything else it picks is protocol noise for a task, and skipped.
+    fn recv_where(
+        &mut self,
+        timeout: Duration,
+        want: impl FnMut(&NetMsg) -> bool,
+    ) -> Result<CnMessage, RecvError> {
+        let msg = self.ep.recv(deadline(timeout), want, |msg| match decode(msg)? {
+            CnMessage::Shutdown => Some(Err(RecvError::Shutdown)),
+            msg @ CnMessage::User { .. } => Some(Ok(msg)),
+            _ => None,
+        })??;
+        self.ep.received.inc();
+        Ok(msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::tests::one_of_each;
     use cn_cluster::{LatencyModel, Network};
+    use cn_wire::FabricHandle;
+    use std::collections::HashMap;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn make_ctx(net: &Network<NetMsg>) -> (TaskContext, TaskContext) {
         let net: FabricHandle<NetMsg> = Arc::new(net.clone());
         let (a_addr, a_rx) = net.register();
         let (b_addr, b_rx) = net.register();
-        let mut directory = HashMap::new();
-        directory.insert("a".to_string(), a_addr);
-        directory.insert("b".to_string(), b_addr);
+        let directory = HashMap::from([("a".to_string(), a_addr), ("b".to_string(), b_addr)]);
+        let endpoint =
+            |addr, rx, jm| Endpoint::for_task(JobId(1), &net, addr, jm, rx, directory.clone());
         let a = TaskContext {
             job: JobId(1),
             name: "a".to_string(),
             params: vec![Param::integer(7), Param::string("file.txt")],
-            net: net.clone(),
-            addr: a_addr,
-            jm: b_addr,
-            pump: MsgPump::new(a_rx),
-            directory: directory.clone(),
+            ep: endpoint(a_addr, a_rx, b_addr),
             work_scale: 1.0,
         };
         let b = TaskContext {
             job: JobId(1),
             name: "b".to_string(),
             params: vec![],
-            net: net.clone(),
-            addr: b_addr,
-            jm: a_addr,
-            pump: MsgPump::new(b_rx),
-            directory,
+            ep: endpoint(b_addr, b_rx, a_addr),
             work_scale: 1.0,
         };
         (a, b)
@@ -346,7 +295,7 @@ mod tests {
     fn peers_excludes_self_and_client() {
         let net = Network::new(LatencyModel::zero(), 1);
         let (mut a, _b) = make_ctx(&net);
-        a.directory.insert(CLIENT_TASK_NAME.to_string(), Addr(999));
+        a.ep.directory.insert(CLIENT_TASK_NAME.to_string(), Addr(999));
         assert_eq!(a.peers(), vec!["b".to_string()]);
     }
 
@@ -418,10 +367,50 @@ mod tests {
 
     #[test]
     fn shutdown_surfaces_as_recv_error() {
-        let net = Network::new(LatencyModel::zero(), 1);
+        let net = Network::with_recorder(LatencyModel::zero(), 1, cn_observe::Recorder::new());
         let (a, mut b) = make_ctx(&net);
-        net.send(a.addr, b.addr, NetMsg::Shutdown).unwrap();
+        net.send(a.ep.addr, b.ep.addr, NetMsg::Shutdown).unwrap();
         assert_eq!(b.recv_timeout(Duration::from_secs(1)), Err(RecvError::Shutdown));
+
+        // Each kind of message alone in the queue: what each receive returns,
+        // and whether the message stays queued for the next one. A stop
+        // signal ends both; `recv_timeout` skips protocol noise, and
+        // `recv_tagged` leaves everything but its tag queued.
+        use RecvError::{Shutdown, Timeout};
+        let user = |tag: &str| {
+            Ok(CnMessage::User { from_task: "a".into(), tag: tag.into(), data: UserData::Empty })
+        };
+        let recv =
+            [user("t"), Err(Timeout), Err(Shutdown), Err(Shutdown), Err(Timeout), user("other")];
+        let tagged = [
+            (Ok(("a".to_string(), UserData::Empty)), false),
+            (Err(Timeout), true),
+            (Err(Shutdown), false),
+            (Err(Shutdown), false),
+            (Err(Timeout), true),
+            (Err(Timeout), true),
+        ];
+        let cases = one_of_each().into_iter().zip(recv.into_iter().zip(tagged));
+        let short = Duration::from_millis(10);
+        for ((label, msg), (recv, (tagged, kept))) in cases {
+            let (a, mut b) = make_ctx(&net);
+            net.send(a.ep.addr, b.ep.addr, msg.clone()).unwrap();
+            assert_eq!(b.recv_timeout(short), recv, "recv_timeout on {label}");
+            assert_eq!(pending(&mut b), [], "recv_timeout on {label}");
+            net.send(a.ep.addr, b.ep.addr, msg.clone()).unwrap();
+            assert_eq!(b.recv_tagged("t", short), tagged, "recv_tagged on {label}");
+            let left = if kept { vec![msg] } else { vec![] };
+            assert_eq!(pending(&mut b), left, "recv_tagged on {label}");
+        }
+        // Each user message a receive returned is counted once.
+        assert_eq!(net.recorder().counter("task.msgs_received").get(), 3);
+    }
+
+    /// What is left in a task's queue.
+    fn pending(ctx: &mut TaskContext) -> Vec<NetMsg> {
+        std::iter::from_fn(|| ctx.ep.pump.next_before(Some(Instant::now())).ok())
+            .map(|env| env.msg)
+            .collect()
     }
 
     #[test]

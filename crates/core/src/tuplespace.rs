@@ -8,15 +8,14 @@
 //! `TupleGive`), through a [`Space`] handle.
 
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cn_cluster::Addr;
 use cn_observe::Counter;
 use cn_sync::Mutex;
-use cn_wire::FabricHandle;
 
-use crate::message::{JobId, NetMsg};
-use crate::pump::MsgPump;
+use crate::endpoint::{deadline, is_stop, Endpoint};
+use crate::message::NetMsg;
 
 /// One field of a tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,31 +213,15 @@ impl HeldSpace {
 /// on another server or on this one. A blocking `rd`/`take` sends one ask
 /// and waits on the endpoint's own queue for the tuple; what else arrives
 /// meanwhile stays queued for the endpoint's next receive.
-pub struct Space<'a> {
-    job: JobId,
-    net: &'a FabricHandle<NetMsg>,
-    me: Addr,
-    jm: Addr,
-    pump: &'a mut MsgPump<NetMsg>,
-}
+pub struct Space<'a>(pub(crate) &'a mut Endpoint);
 
-impl<'a> Space<'a> {
-    pub(crate) fn new(
-        job: JobId,
-        net: &'a FabricHandle<NetMsg>,
-        me: Addr,
-        jm: Addr,
-        pump: &'a mut MsgPump<NetMsg>,
-    ) -> Space<'a> {
-        Space { job, net, me, jm, pump }
-    }
-
+impl Space<'_> {
     /// Deposit a tuple (`out` in Linda terms). A deposit that cannot reach
     /// the JobManager is lost with the job, whose next protocol step
     /// reports the failure.
     pub fn out(&self, tuple: Tuple) {
         assert!(!tuple.is_empty(), "tuples must be non-empty");
-        let _ = self.net.send(self.me, self.jm, NetMsg::TupleOut { job: self.job, tuple });
+        let _ = self.0.to_jm(NetMsg::TupleOut { job: self.0.job, tuple });
     }
 
     /// Blocking read with timeout: a copy of a matching tuple.
@@ -254,30 +237,35 @@ impl<'a> Space<'a> {
     /// Send one ask and wait for its tuple. `None` at the deadline, or when
     /// the endpoint is told to shut down.
     fn ask(&mut self, pattern: &Pattern, take: bool, timeout: Duration) -> Option<Tuple> {
-        let (job, deadline) = (self.job, Instant::now() + timeout);
+        let (job, deadline) = (self.0.job, deadline(timeout));
         // A tuple given after an earlier ask timed out is dropped: the
         // JobManager replaces that ask with this one.
-        self.pump.take_matching(|m| matches!(m, NetMsg::TupleGive { job: j, .. } if *j == job));
-        let ask = NetMsg::TupleAsk { job, pattern: pattern.clone(), take, reply_to: self.me };
-        self.net.send(self.me, self.jm, ask).ok()?;
-        let answer = |m: &NetMsg| match m {
-            NetMsg::TupleGive { job: j, tuple } => *j == job && matches(tuple, pattern),
-            NetMsg::Shutdown | NetMsg::CancelTask { .. } => true,
-            _ => false,
+        self.0.pump.take_matching(|m| matches!(m, NetMsg::TupleGive { job: j, .. } if *j == job));
+        let ask = NetMsg::TupleAsk { job, pattern: pattern.clone(), take, reply_to: self.0.addr };
+        self.0.to_jm(ask).ok()?;
+        let answer = |m: &NetMsg| {
+            is_stop(m)
+                || matches!(m, NetMsg::TupleGive { job: j, tuple } if *j == job && matches(tuple, pattern))
         };
-        match self.pump.next_matching(Some(deadline), answer).ok()?.msg {
-            NetMsg::TupleGive { tuple, .. } => Some(tuple),
-            _ => None,
-        }
+        let given = self.0.recv(deadline, answer, |m| match m {
+            NetMsg::TupleGive { tuple, .. } => Some(Some(tuple)),
+            _ => Some(None),
+        });
+        given.ok()?
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::tests::one_of_each;
+    use crate::message::JobId;
     use cn_cluster::{Envelope, LatencyModel, Network};
     use cn_sync::channel::Receiver;
+    use cn_wire::FabricHandle;
+    use std::collections::HashMap;
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn out_rd_in_basics() {
@@ -327,8 +315,13 @@ mod tests {
     struct Rig {
         net: FabricHandle<NetMsg>,
         jm: Addr,
-        me: Addr,
-        pump: MsgPump<NetMsg>,
+        ep: Endpoint,
+    }
+
+    /// An endpoint of job 1 on `net`, whose JobManager is `jm`.
+    fn endpoint(net: &FabricHandle<NetMsg>, jm: Addr) -> Endpoint {
+        let (me, rx) = net.register();
+        Endpoint::for_task(JobId(1), net, me, jm, rx, HashMap::new())
     }
 
     impl Rig {
@@ -336,12 +329,12 @@ mod tests {
         fn new() -> (Rig, Receiver<Envelope<NetMsg>>) {
             let net: FabricHandle<NetMsg> = Arc::new(Network::new(LatencyModel::zero(), 1));
             let (jm, jm_rx) = net.register();
-            let (me, rx) = net.register();
-            (Rig { net, jm, me, pump: MsgPump::new(rx) }, jm_rx)
+            let ep = endpoint(&net, jm);
+            (Rig { net, jm, ep }, jm_rx)
         }
 
         fn space(&mut self) -> Space<'_> {
-            Space::new(JobId(1), &self.net, self.me, self.jm, &mut self.pump)
+            Space(&mut self.ep)
         }
     }
 
@@ -354,18 +347,17 @@ mod tests {
             move || serve(net, jm, jm_rx)
         });
         let producer = std::thread::spawn(move || {
-            let (me, rx) = net.register();
-            let mut pump = MsgPump::new(rx);
+            let mut ep = endpoint(&net, jm);
             std::thread::sleep(Duration::from_millis(20));
-            Space::new(JobId(1), &net, me, jm, &mut pump).out(vec![Field::I(42)]);
+            Space(&mut ep).out(vec![Field::I(42)]);
         });
         // Other traffic waits its turn; the tuple is the answer.
-        rig.net.send(rig.jm, rig.me, NetMsg::StartJob { job: JobId(1) }).unwrap();
+        rig.net.send(rig.jm, rig.ep.addr, NetMsg::StartJob { job: JobId(1) }).unwrap();
         let got = rig.space().take(&vec![None], Duration::from_secs(2)).unwrap();
         assert_eq!(got, vec![Field::I(42)]);
-        assert_eq!(rig.pump.next().unwrap().msg, NetMsg::StartJob { job: JobId(1) });
+        assert_eq!(rig.ep.pump.next().unwrap().msg, NetMsg::StartJob { job: JobId(1) });
         producer.join().unwrap();
-        rig.net.send(rig.me, rig.jm, NetMsg::Shutdown).unwrap();
+        rig.net.send(rig.ep.addr, rig.jm, NetMsg::Shutdown).unwrap();
         serving.join().unwrap();
     }
 
@@ -381,10 +373,25 @@ mod tests {
     #[test]
     fn a_shutdown_ends_a_blocking_rd() {
         let (mut rig, _jm_rx) = Rig::new();
-        rig.net.send(rig.jm, rig.me, NetMsg::Shutdown).unwrap();
+        rig.net.send(rig.jm, rig.ep.addr, NetMsg::Shutdown).unwrap();
         let start = Instant::now();
         assert!(rig.space().rd(&vec![None], Duration::from_secs(5)).is_none());
         assert!(start.elapsed() < Duration::from_secs(4), "{:?}", start.elapsed());
+
+        // Each kind of message alone in the queue, and nobody serving the
+        // ask: a stop signal ends it and is used up, a give left from an
+        // earlier ask is dropped, and everything else stays queued.
+        let kept = [true, true, false, false, false, true];
+        for ((label, msg), kept) in one_of_each().into_iter().zip(kept) {
+            let (mut rig, _jm_rx) = Rig::new();
+            rig.net.send(rig.jm, rig.ep.addr, msg.clone()).unwrap();
+            assert_eq!(rig.space().rd(&vec![None], Duration::from_millis(10)), None, "{label}");
+            let left: Vec<NetMsg> =
+                std::iter::from_fn(|| rig.ep.pump.next_before(Some(Instant::now())).ok())
+                    .map(|env| env.msg)
+                    .collect();
+            assert_eq!(left, if kept { vec![msg] } else { vec![] }, "{label}");
+        }
     }
 
     fn int(v: i64) -> Tuple {

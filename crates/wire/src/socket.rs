@@ -31,9 +31,9 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Write};
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use cn_cluster::{Addr, Endpoints, Envelope, GroupId, SendError};
 use cn_observe::{Counter, Recorder, Severity, SpanId};
@@ -262,7 +262,7 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
             c: WireCounters::new(&rec),
             rec,
             cfg,
-            table: Endpoints::new((port as u64) << ADDR_PORT_SHIFT),
+            table: Endpoints::starting_at((port as u64) << ADDR_PORT_SHIFT, first_endpoint_id()),
             conns: Mutex::named("wire.conns", HashMap::new()),
             reactor,
             udp_send,
@@ -283,7 +283,8 @@ impl<M: WireEncode + Send + Clone + 'static> SocketFabric<M> {
         Ok(SocketFabric { inner })
     }
 
-    /// The bound TCP port (the process's identity on the wire).
+    /// The bound TCP port (with [`first_endpoint_id`], the process's
+    /// identity on the wire).
     pub fn port(&self) -> u16 {
         self.inner.port
     }
@@ -1017,6 +1018,23 @@ fn bind_port_pair(
     }
 }
 
+/// The first endpoint id of a new fabric: its incarnation, so that a frame
+/// posted to an endpoint of a departed fabric is dropped and counted by
+/// whichever fabric binds that port next, not delivered to one of its
+/// endpoints. It is the wall clock in microseconds, in the lower half of the
+/// 40-bit id field (the upper half is room for the fabric's registrations;
+/// the clock wraps there every six days), and above every incarnation this
+/// process handed out before.
+fn first_endpoint_id() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(1);
+    let half = 1u64 << (ADDR_PORT_SHIFT - 1);
+    let micros = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_micros());
+    let clock = (micros % u128::from(half)) as u64;
+    let next = |last: u64| clock.max(last + 1);
+    LAST.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| Some(next(last)))
+        .map_or(clock, next)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1062,6 +1080,29 @@ mod tests {
         let b: SocketFabric<u64> =
             SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
         (a, b)
+    }
+
+    #[test]
+    fn a_rebound_port_drops_what_was_sent_to_its_departed_fabric() {
+        let a: SocketFabric<u64> =
+            SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
+        let port = a.port();
+        let (departed, _rx) = a.register();
+        drop(a);
+        let rec = Recorder::new();
+        let b: SocketFabric<u64> =
+            SocketFabric::new(WireConfig { port, ..WireConfig::default() }, rec.clone()).unwrap();
+        let (fresh, rx_fresh) = b.register();
+        assert_ne!(fresh, departed, "the port's next fabric numbers its endpoints anew");
+        let c: SocketFabric<u64> =
+            SocketFabric::new(WireConfig::default(), Recorder::disabled()).unwrap();
+        let (from, _rx_c) = c.register();
+        // One link carries both, in order: when the second arrives, the
+        // first was dispatched, to no endpoint.
+        c.send(from, departed, 1).unwrap();
+        c.send(from, fresh, 2).unwrap();
+        assert_eq!(recv_within(&rx_fresh, 2000).msg, 2);
+        assert_eq!(rec.counter("wire.drops").get(), 1);
     }
 
     fn recv_within(rx: &Receiver<Envelope<u64>>, ms: u64) -> Envelope<u64> {

@@ -8,7 +8,8 @@
 //! test is not a plain name (`*`, `prefix:*`, `text()`, `node()`,
 //! `comment()`, or the bare `/`).
 //!
-//! Invariants (checked by the differential proptests in `tests/proptests.rs`):
+//! Invariants (checked by the differential property test
+//! `exec::tests::dispatch::indexed_dispatch_matches_linear_scan`):
 //!
 //! * A template alternative whose rightmost step test is `Name(q)` can only
 //!   match nodes whose name is exactly `q`, so omitting it from other

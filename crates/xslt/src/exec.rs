@@ -66,38 +66,22 @@ pub fn transform(style: &Stylesheet, source: &Document) -> Result<TransformResul
     transform_with_params(style, source, &HashMap::new())
 }
 
-/// Execution options. The defaults are what production callers want; the
-/// differential tests flip them to compare against reference behaviour.
-#[derive(Debug, Clone)]
-pub struct TransformOptions {
-    /// Resolve `apply-templates` through the per-mode name-keyed dispatch
-    /// index instead of scanning every rule. `false` forces the reference
-    /// linear scan (identical output, used for differential testing).
-    pub indexed_dispatch: bool,
-}
-
-impl Default for TransformOptions {
-    fn default() -> Self {
-        TransformOptions { indexed_dispatch: true }
-    }
-}
-
 /// Run `style` against `source`, overriding top-level `xsl:param`s.
 pub fn transform_with_params(
     style: &Stylesheet,
     source: &Document,
     params: &HashMap<String, Value>,
 ) -> Result<TransformResult, XsltError> {
-    transform_with_options(style, source, params, &TransformOptions::default())
+    run_with_dispatch(style, source, params, Some(style.dispatch_index()))
 }
 
-/// Full-control entry point: [`transform_with_params`] plus
-/// [`TransformOptions`].
-pub fn transform_with_options(
-    style: &Stylesheet,
-    source: &Document,
+/// [`transform_with_params`] through `dispatch`; `None` is the reference
+/// linear scan over every rule, which only this crate's tests run.
+fn run_with_dispatch<'a>(
+    style: &'a Stylesheet,
+    source: &'a Document,
     params: &HashMap<String, Value>,
-    options: &TransformOptions,
+    dispatch: Option<&'a DispatchIndex>,
 ) -> Result<TransformResult, XsltError> {
     let keys: Arc<KeyTables<'_>> = Arc::new(KeyTables::new(source, &style.keys));
     let proto = Ctx::new(source, source.document_node())
@@ -109,7 +93,7 @@ pub fn transform_with_options(
         builder: Builder::new(),
         messages: Vec::new(),
         depth: 0,
-        dispatch: if options.indexed_dispatch { Some(style.dispatch_index()) } else { None },
+        dispatch,
         proto,
     };
     // Global params first (caller override beats default), then globals;
@@ -642,6 +626,38 @@ mod tests {
                 .unwrap();
         let doc = cn_xml::parse(doc_src).unwrap();
         transform(&style, &doc).unwrap().to_output_string()
+    }
+
+    mod dispatch {
+        use super::NS;
+        use crate::stylesheet::Stylesheet;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        include!("../tests/common/dispatch_fixture.rs");
+
+        fn run(style: &Stylesheet, doc: &cn_xml::Document, indexed: bool) -> (String, Vec<String>) {
+            let dispatch = indexed.then(|| style.dispatch_index());
+            let result = super::super::run_with_dispatch(style, doc, &HashMap::new(), dispatch)
+                .expect("transform succeeds");
+            (result.to_output_string(), result.messages.clone())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Indexed dispatch is byte-identical to the linear template scan on
+            /// arbitrary documents.
+            #[test]
+            fn indexed_dispatch_matches_linear_scan(script in proptest::collection::vec(any::<u8>(), 0..48)) {
+                let style = Stylesheet::parse(&style_src()).expect("stylesheet compiles");
+                let doc = cn_xml::parse(&build_doc(&script)).expect("generated doc parses");
+                let (fast, fast_msgs) = run(&style, &doc, true);
+                let (slow, slow_msgs) = run(&style, &doc, false);
+                prop_assert_eq!(fast, slow);
+                prop_assert_eq!(fast_msgs, slow_msgs);
+            }
+        }
     }
 
     #[test]

@@ -30,10 +30,7 @@ pub mod stylesheet;
 
 pub use cache::compile_cached;
 pub use dispatch::DispatchIndex;
-pub use exec::{
-    transform, transform_with_options, transform_with_params, TransformOptions, TransformResult,
-    XsltError,
-};
+pub use exec::{transform, transform_with_params, TransformResult, XsltError};
 pub use output::OutputMethod;
 pub use pattern::Pattern;
 pub use stylesheet::{Instruction, Stylesheet, Template};
