@@ -758,6 +758,39 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bodies_fail_at_their_stage_without_a_panic() {
+        let stage = |body: &[u8]| match compile_submission(body) {
+            Ok(_) => panic!("a hostile body of {} bytes compiled", body.len()),
+            Err(e) => {
+                let known = ["XMI2CNX: ", "CNX parse: ", "CNX validation: "];
+                assert!(known.iter().any(|p| e.starts_with(p)), "{e}");
+            }
+        };
+        // The Figure-3 XMI cut short, at every 97th offset and at each of
+        // its last 64 (a cut that drops only the trailing newline still
+        // compiles, so the last cut is at `len - 2`).
+        let xmi = cn_xml::write_document(
+            &cn_model::export_xmi(&cn_transform::figure2_model(2)),
+            &cn_xml::WriteOptions::xmi(),
+        );
+        let last = xmi.len() - 1;
+        for cut in (0..last).step_by(97).chain(last.saturating_sub(64)..last) {
+            stage(&xmi.as_bytes()[..cut]);
+        }
+        // 100 000 nested elements under each root the compile reads.
+        let nested = |open: &str, close: &str| {
+            let (depth, mut body) = (100_000, open.to_string());
+            body.push_str(&"<x>".repeat(depth));
+            body.push_str(&"</x>".repeat(depth));
+            body.push_str(close);
+            body
+        };
+        stage(nested("<XMI>", "</XMI>").as_bytes());
+        stage(nested("<XMI><UML:ActivityGraph>", "</UML:ActivityGraph></XMI>").as_bytes());
+        stage(nested("<cn2>", "</cn2>").as_bytes());
+    }
+
+    #[test]
     fn compile_accepts_xmi() {
         let xmi = cn_xml::write_document(
             &cn_model::export_xmi(&cn_transform::figure2_model(2)),

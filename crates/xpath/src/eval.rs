@@ -6,13 +6,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cn_xml::{Atom, Document, NodeId, NodeKind, QName};
+use cn_xml::{Atom, Document, NodeId, QName};
 
-use crate::ast::{Axis, BinOp, Expr, NodeTest, PathExpr, Step};
+use crate::ast::{Axis, BinOp, Expr, Function, NodeTest, PathExpr, Step};
 use crate::functions::call_function;
-use crate::value::{sort_dedup, Value, XNode};
+use crate::value::{sort_dedup, str_to_number, Value, XNode};
 
-/// Runtime evaluation failure (unknown variable/function, wrong arity...).
+/// Runtime evaluation failure (an unbound variable, a key not declared...).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError {
     pub msg: String,
@@ -56,7 +56,7 @@ pub trait KeyResolver: Send + Sync {
     fn lookup(&self, name: &str, value: &str) -> Result<Vec<XNode>, EvalError>;
 }
 
-/// Evaluation context: the context node plus position/size within the
+/// Evaluation context: the context node and its position within the
 /// current node list, and the variable environment.
 #[derive(Clone)]
 pub struct Ctx<'d> {
@@ -64,8 +64,6 @@ pub struct Ctx<'d> {
     pub node: XNode,
     /// 1-based context position.
     pub position: usize,
-    /// Context size.
-    pub size: usize,
     /// Variable environment, shared copy-on-write: focusing the context on
     /// another node (`at`) is a pointer copy, and bindings clone the map
     /// only when it is actually shared.
@@ -82,7 +80,6 @@ impl<'d> Ctx<'d> {
             doc,
             node: XNode::Node(node),
             position: 1,
-            size: 1,
             vars: Arc::new(HashMap::new()),
             cache: None,
             keys: None,
@@ -109,14 +106,13 @@ impl<'d> Ctx<'d> {
         self
     }
 
-    /// A copy of this context focused on a different node/position/size.
+    /// A copy of this context focused on a different node and position.
     /// Cheap: the variable environment is shared, not cloned.
-    pub fn at(&self, node: XNode, position: usize, size: usize) -> Ctx<'d> {
+    pub fn at(&self, node: XNode, position: usize) -> Ctx<'d> {
         Ctx {
             doc: self.doc,
             node,
             position,
-            size,
             vars: Arc::clone(&self.vars),
             cache: self.cache.clone(),
             keys: self.keys.clone(),
@@ -152,38 +148,27 @@ impl<'d> Ctx<'d> {
                 .get(name)
                 .cloned()
                 .ok_or_else(|| EvalError::new(format!("unbound variable ${name}"))),
-            Expr::FnCall(name, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
-                }
-                call_function(self, name, vals)
+            Expr::FnCall(f, args) => {
+                let vals = args.iter().map(|a| self.eval(a)).collect::<Result<Vec<_>, _>>()?;
+                call_function(self, *f, &vals)
             }
-            Expr::Negate(e) => {
-                let v = self.eval(e)?;
-                Ok(Value::Number(-v.to_number(self.doc)))
+            Expr::Binary(op, a, b) => {
+                let (va, vb) = (self.eval(a)?, self.eval(b)?);
+                let number = |v: &Value| v.to_number(self.doc);
+                Ok(match op {
+                    BinOp::Eq => Value::Bool(self.compare_eq(&va, &vb, false)),
+                    BinOp::Ne => Value::Bool(self.compare_eq(&va, &vb, true)),
+                    BinOp::Add => Value::Number(number(&va) + number(&vb)),
+                    BinOp::Sub => Value::Number(number(&va) - number(&vb)),
+                })
             }
-            Expr::Union(a, b) => {
-                let mut left = self
-                    .eval(a)?
-                    .into_nodeset()
-                    .ok_or_else(|| EvalError::new("left side of | is not a node-set"))?;
-                let right = self
-                    .eval(b)?
-                    .into_nodeset()
-                    .ok_or_else(|| EvalError::new("right side of | is not a node-set"))?;
-                left.extend(right);
-                sort_dedup(self.doc, &mut left);
-                Ok(Value::NodeSet(left))
-            }
-            Expr::Binary(op, a, b) => self.eval_binary(*op, a, b),
             Expr::Path(path) => Ok(Value::NodeSet(self.eval_path(path)?)),
             Expr::Filter { primary, predicates, steps } => {
                 let base = self
                     .eval(primary)?
                     .into_nodeset()
                     .ok_or_else(|| EvalError::new("filter applied to a non-node-set"))?;
-                let filtered = self.apply_predicates(base, predicates, false)?;
+                let filtered = self.apply_predicates(base, predicates)?;
                 let mut current = filtered;
                 for step in steps {
                     current = self.eval_step_over(&current, step)?;
@@ -198,110 +183,37 @@ impl<'d> Ctx<'d> {
         Ok(self.eval(expr)?.as_bool())
     }
 
-    fn eval_binary(&self, op: BinOp, a: &Expr, b: &Expr) -> Result<Value, EvalError> {
-        match op {
-            BinOp::Or => return Ok(Value::Bool(self.eval_bool(a)? || self.eval_bool(b)?)),
-            BinOp::And => return Ok(Value::Bool(self.eval_bool(a)? && self.eval_bool(b)?)),
-            _ => {}
-        }
-        let va = self.eval(a)?;
-        let vb = self.eval(b)?;
-        match op {
-            BinOp::Eq => Ok(Value::Bool(self.compare_eq(&va, &vb, false))),
-            BinOp::Ne => Ok(Value::Bool(self.compare_eq(&va, &vb, true))),
-            BinOp::Lt => Ok(Value::Bool(self.compare_rel(&va, &vb, |x, y| x < y))),
-            BinOp::Le => Ok(Value::Bool(self.compare_rel(&va, &vb, |x, y| x <= y))),
-            BinOp::Gt => Ok(Value::Bool(self.compare_rel(&va, &vb, |x, y| x > y))),
-            BinOp::Ge => Ok(Value::Bool(self.compare_rel(&va, &vb, |x, y| x >= y))),
-            BinOp::Add => Ok(Value::Number(va.to_number(self.doc) + vb.to_number(self.doc))),
-            BinOp::Sub => Ok(Value::Number(va.to_number(self.doc) - vb.to_number(self.doc))),
-            BinOp::Mul => Ok(Value::Number(va.to_number(self.doc) * vb.to_number(self.doc))),
-            BinOp::Div => Ok(Value::Number(va.to_number(self.doc) / vb.to_number(self.doc))),
-            BinOp::Mod => Ok(Value::Number(va.to_number(self.doc) % vb.to_number(self.doc))),
-            BinOp::Or | BinOp::And => unreachable!("handled above"),
-        }
-    }
-
     /// XPath `=`/`!=` semantics: node-sets compare existentially by
     /// string-value; mixed comparisons convert per the spec.
     fn compare_eq(&self, a: &Value, b: &Value, negate: bool) -> bool {
-        let result = match (a, b) {
+        // `x = y`, or `x != y` when negated.
+        fn op<T: PartialEq + ?Sized>(x: &T, y: &T, negate: bool) -> bool {
+            (x == y) != negate
+        }
+        let doc = self.doc;
+        match (a, b) {
             (Value::NodeSet(na), Value::NodeSet(nb)) => {
-                let strs_b: Vec<String> = nb.iter().map(|n| n.string_value(self.doc)).collect();
+                let strs_b: Vec<String> = nb.iter().map(|n| n.string_value(doc)).collect();
                 na.iter().any(|n| {
-                    let s = n.string_value(self.doc);
-                    strs_b.iter().any(|t| if negate { s != *t } else { s == *t })
+                    let s = n.string_value(doc);
+                    strs_b.iter().any(|t| op(&s, t, negate))
                 })
             }
             (Value::NodeSet(ns), other) | (other, Value::NodeSet(ns)) => match other {
-                Value::Number(x) => ns.iter().any(|n| {
-                    let v = crate::value::str_to_number(&n.string_value(self.doc));
-                    if negate {
-                        v != *x
-                    } else {
-                        v == *x
-                    }
-                }),
-                Value::Bool(x) => {
-                    let set = !ns.is_empty();
-                    if negate {
-                        set != *x
-                    } else {
-                        set == *x
-                    }
+                Value::Number(x) => {
+                    ns.iter().any(|n| op(&str_to_number(&n.string_value(doc)), x, negate))
                 }
-                _ => ns.iter().any(|n| {
-                    let s = n.string_value(self.doc);
-                    if negate {
-                        s != other.as_string()
-                    } else {
-                        s == other.as_string()
-                    }
-                }),
+                Value::Bool(x) => op(&!ns.is_empty(), x, negate),
+                _ => {
+                    let t = other.as_string();
+                    ns.iter().any(|n| op(&n.string_value(doc), &t, negate))
+                }
             },
-            (Value::Bool(_), _) | (_, Value::Bool(_)) => {
-                let r = a.as_bool() == b.as_bool();
-                if negate {
-                    !r
-                } else {
-                    r
-                }
-            }
+            (Value::Bool(_), _) | (_, Value::Bool(_)) => op(&a.as_bool(), &b.as_bool(), negate),
             (Value::Number(_), _) | (_, Value::Number(_)) => {
-                let r = a.as_number() == b.as_number();
-                if negate {
-                    !r
-                } else {
-                    r
-                }
+                op(&a.as_number(), &b.as_number(), negate)
             }
-            (Value::Str(x), Value::Str(y)) => {
-                if negate {
-                    x != y
-                } else {
-                    x == y
-                }
-            }
-        };
-        result
-    }
-
-    /// `<`, `<=`, `>`, `>=`: numeric comparison, existential over node-sets.
-    fn compare_rel(&self, a: &Value, b: &Value, cmp: impl Fn(f64, f64) -> bool + Copy) -> bool {
-        match (a, b) {
-            (Value::NodeSet(na), Value::NodeSet(nb)) => na.iter().any(|n| {
-                let x = crate::value::str_to_number(&n.string_value(self.doc));
-                nb.iter().any(|m| cmp(x, crate::value::str_to_number(&m.string_value(self.doc))))
-            }),
-            (Value::NodeSet(ns), other) => {
-                let y = other.as_number();
-                ns.iter().any(|n| cmp(crate::value::str_to_number(&n.string_value(self.doc)), y))
-            }
-            (other, Value::NodeSet(ns)) => {
-                let x = other.as_number();
-                ns.iter().any(|n| cmp(x, crate::value::str_to_number(&n.string_value(self.doc))))
-            }
-            _ => cmp(a.as_number(), b.as_number()),
+            (Value::Str(x), Value::Str(y)) => op(x, y, negate),
         }
     }
 
@@ -318,7 +230,7 @@ impl<'d> Ctx<'d> {
                 steps.first()
             {
                 if let Some(all) = self.cached_descendants_named(name) {
-                    current = self.apply_predicates((*all).clone(), predicates, false)?;
+                    current = self.apply_predicates((*all).clone(), predicates)?;
                     steps = &steps[1..];
                 }
             }
@@ -338,8 +250,7 @@ impl<'d> Ctx<'d> {
                 .into_iter()
                 .filter(|n| self.test_node(*n, &step.test, step.axis))
                 .collect();
-            let selected =
-                self.apply_predicates(tested, &step.predicates, step.axis.is_reverse())?;
+            let selected = self.apply_predicates(tested, &step.predicates)?;
             out.extend(selected);
         }
         sort_dedup(self.doc, &mut out);
@@ -351,13 +262,11 @@ impl<'d> Ctx<'d> {
         &self,
         mut nodes: Vec<XNode>,
         predicates: &[Expr],
-        _reverse: bool,
     ) -> Result<Vec<XNode>, EvalError> {
         for pred in predicates {
-            let size = nodes.len();
-            let mut kept = Vec::with_capacity(size);
+            let mut kept = Vec::with_capacity(nodes.len());
             for (i, &n) in nodes.iter().enumerate() {
-                let sub = self.at(n, i + 1, size);
+                let sub = self.at(n, i + 1);
                 let v = sub.eval(pred)?;
                 let keep = match v {
                     // A numeric predicate selects by position.
@@ -373,103 +282,43 @@ impl<'d> Ctx<'d> {
         Ok(nodes)
     }
 
-    /// Nodes along `axis` from `node`, in axis order (reverse axes yield
-    /// nearest-first, per the spec's treatment of `position()`).
+    /// Nodes along `axis` from `node`, in document order.
     fn axis_nodes(&self, node: XNode, axis: Axis) -> Vec<XNode> {
         let doc = self.doc;
-        match axis {
-            Axis::Child => match node {
-                XNode::Node(n) => doc.children(n).iter().map(|&c| XNode::Node(c)).collect(),
-                XNode::Attr { .. } => Vec::new(),
-            },
-            Axis::Attribute => match node {
-                XNode::Node(n) => {
-                    (0..doc.attrs(n).len()).map(|index| XNode::Attr { owner: n, index }).collect()
-                }
-                XNode::Attr { .. } => Vec::new(),
-            },
-            Axis::SelfAxis => vec![node],
-            Axis::Parent => node.parent(doc).into_iter().collect(),
-            Axis::Ancestor => {
-                let mut out = Vec::new();
-                let mut cur = node.parent(doc);
-                while let Some(p) = cur {
-                    out.push(p);
-                    cur = p.parent(doc);
-                }
-                out
+        match (axis, node) {
+            (Axis::SelfAxis, _) | (Axis::DescendantOrSelf, XNode::Attr { .. }) => vec![node],
+            (Axis::Parent, _) => node.parent(doc).into_iter().collect(),
+            (_, XNode::Attr { .. }) => Vec::new(),
+            (Axis::Child, XNode::Node(n)) => {
+                doc.children(n).iter().map(|&c| XNode::Node(c)).collect()
             }
-            Axis::AncestorOrSelf => {
-                let mut out = vec![node];
-                out.extend(self.axis_nodes(node, Axis::Ancestor));
-                out
+            (Axis::Attribute, XNode::Node(n)) => {
+                (0..doc.attrs(n).len()).map(|index| XNode::Attr { owner: n, index }).collect()
             }
-            Axis::Descendant => match node {
-                XNode::Node(n) => doc.descendants(n).skip(1).map(XNode::Node).collect(),
-                XNode::Attr { .. } => Vec::new(),
-            },
-            Axis::DescendantOrSelf => match node {
-                XNode::Node(n) => doc.descendants(n).map(XNode::Node).collect(),
-                XNode::Attr { .. } => vec![node],
-            },
-            Axis::FollowingSibling => match node {
-                XNode::Node(n) => match doc.parent(n) {
-                    Some(p) => {
-                        let sibs = doc.children(p);
-                        let idx = sibs.iter().position(|&s| s == n).unwrap_or(sibs.len());
-                        sibs[idx + 1..].iter().map(|&s| XNode::Node(s)).collect()
-                    }
-                    None => Vec::new(),
-                },
-                XNode::Attr { .. } => Vec::new(),
-            },
-            Axis::PrecedingSibling => match node {
-                XNode::Node(n) => match doc.parent(n) {
-                    Some(p) => {
-                        let sibs = doc.children(p);
-                        let idx = sibs.iter().position(|&s| s == n).unwrap_or(0);
-                        sibs[..idx].iter().rev().map(|&s| XNode::Node(s)).collect()
-                    }
-                    None => Vec::new(),
-                },
-                XNode::Attr { .. } => Vec::new(),
-            },
+            (Axis::Descendant, XNode::Node(n)) => {
+                doc.descendants(n).skip(1).map(XNode::Node).collect()
+            }
+            (Axis::DescendantOrSelf, XNode::Node(n)) => {
+                doc.descendants(n).map(XNode::Node).collect()
+            }
         }
     }
 
-    /// Does `node` pass `test` on `axis`? (The principal node type of the
-    /// attribute axis is attributes; of all others, elements.)
+    /// Does `node` pass `test` on `axis`? A name test selects the axis's
+    /// principal node type: attributes on the attribute axis, elements on
+    /// the others.
     pub fn test_node(&self, node: XNode, test: &NodeTest, axis: Axis) -> bool {
         let doc = self.doc;
         match test {
             NodeTest::Node => true,
-            NodeTest::Text => {
-                matches!(node, XNode::Node(n) if matches!(doc.kind(n), NodeKind::Text(_)))
-            }
-            NodeTest::Comment => {
-                matches!(node, XNode::Node(n) if matches!(doc.kind(n), NodeKind::Comment(_)))
-            }
-            NodeTest::Any | NodeTest::Name(_) | NodeTest::PrefixAny(_) => {
+            NodeTest::Name(want) => {
                 let principal = match axis {
                     Axis::Attribute => matches!(node, XNode::Attr { .. }),
                     _ => matches!(node, XNode::Node(n) if doc.is_element(n)),
                 };
-                if !principal {
-                    return false;
-                }
-                match test {
-                    NodeTest::Any => true,
-                    // Interned-name integer compare — the hot path of every
-                    // axis step.
-                    NodeTest::Name(want) => {
-                        node.qname(doc).is_some_and(|q| q.atom() == want.atom())
-                    }
-                    NodeTest::PrefixAny(prefix) => node
-                        .name(doc)
-                        .strip_prefix(prefix.as_str())
-                        .is_some_and(|rest| rest.starts_with(':')),
-                    _ => unreachable!(),
-                }
+                // Interned-name integer compare — the hot path of every
+                // axis step.
+                principal && node.qname(doc).is_some_and(|q| q.atom() == want.atom())
             }
         }
     }
@@ -512,16 +361,13 @@ fn collapse_descendant_steps(steps: &[Step]) -> std::borrow::Cow<'_, [Step]> {
     std::borrow::Cow::Owned(out)
 }
 
-/// Does this predicate expression depend on context position/size?
+/// Does this predicate expression depend on the context position?
 fn uses_position(expr: &Expr) -> bool {
     match expr {
         Expr::Number(_) => true, // bare numeric predicate selects by position
         Expr::Literal(_) | Expr::VarRef(_) => false,
-        Expr::FnCall(name, args) => {
-            name == "position" || name == "last" || args.iter().any(uses_position)
-        }
-        Expr::Binary(_, a, b) | Expr::Union(a, b) => uses_position(a) || uses_position(b),
-        Expr::Negate(e) => uses_position(e),
+        Expr::FnCall(f, args) => *f == Function::Position || args.iter().any(uses_position),
+        Expr::Binary(_, a, b) => uses_position(a) || uses_position(b),
         // Paths and filters establish their own inner context; only their
         // own top-level use matters, and that is position-independent with
         // respect to *this* predicate's context.
@@ -532,22 +378,21 @@ fn uses_position(expr: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parser::{parse, ErrorCode};
 
     #[test]
     fn descendant_collapse_preserves_semantics() {
         let doc =
             cn_xml::parse("<a><b><t k='1'/></b><t k='2'/><c><d><t k='3'/></d></c></a>").unwrap();
         let ctx = Ctx::new(&doc, doc.document_node());
+        let len = |src: &str| ctx.eval(&parse(src).unwrap()).unwrap().into_nodeset().unwrap().len();
         // //t with a value predicate (collapsible)
-        let v = ctx.eval(&parse("count(//t[@k != '9'])").unwrap()).unwrap();
-        assert_eq!(v, Value::Number(3.0));
+        assert_eq!(len("//t[@k != '9']"), 3);
         // //t[1] is positional: selects the first t among each parent's
         // children — three parents each contribute their first t.
-        let v = ctx.eval(&parse("count(//t[1])").unwrap()).unwrap();
-        assert_eq!(v, Value::Number(3.0));
+        assert_eq!(len("//t[1]"), 3);
         // (//t)[1] is the globally first.
-        let first = ctx.eval(&parse("string((//t)[1]/@k)").unwrap()).unwrap();
+        let first = ctx.eval(&parse("(//t)[1]/@k").unwrap()).unwrap();
         assert_eq!(first.to_string_value(&doc), "1");
     }
 
@@ -568,6 +413,8 @@ mod tests {
       </client>
     </cn2>"#;
 
+    /// The value of `expr` from the document node; a node-set reads as its
+    /// length.
     fn eval(expr: &str) -> Value {
         let doc = cn_xml::parse(DOC).unwrap();
         let ctx = Ctx::new(&doc, doc.document_node());
@@ -585,12 +432,17 @@ mod tests {
         ctx.eval(&parse(expr).unwrap()).unwrap().to_string_value(&doc)
     }
 
+    /// The code `expr` is refused with.
+    fn refused(expr: &str) -> ErrorCode {
+        parse(expr).unwrap_err().code()
+    }
+
     #[test]
     fn counts_and_paths() {
-        assert_eq!(eval("count(/cn2/client/job/task)"), Value::Number(3.0));
-        assert_eq!(eval("count(//task)"), Value::Number(3.0));
-        assert_eq!(eval("count(//param)"), Value::Number(3.0));
-        assert_eq!(eval("count(/cn2/client/@*)"), Value::Number(2.0));
+        assert_eq!(eval("/cn2/client/job/task"), Value::Number(3.0));
+        assert_eq!(eval("//task"), Value::Number(3.0));
+        assert_eq!(eval("//param"), Value::Number(3.0));
+        assert_eq!(eval("/cn2/client/@port"), Value::Number(1.0));
     }
 
     #[test]
@@ -602,61 +454,66 @@ mod tests {
 
     #[test]
     fn predicates_with_attributes() {
-        assert_eq!(eval("count(//task[@depends='tctask0'])"), Value::Number(2.0));
+        assert_eq!(eval("//task[@depends='tctask0']"), Value::Number(2.0));
         assert_eq!(eval_s("//task[@name='tctask1']/param"), "1");
     }
 
     #[test]
     fn positional_predicates() {
         assert_eq!(eval_s("//task[position()=2]/@name"), "tctask1");
-        assert_eq!(eval_s("//task[last()]/@name"), "tctask2");
+        assert_eq!(eval_s("//task[position()=3]/@name"), "tctask2");
         assert_eq!(eval_s("//task[2]/@name"), "tctask1");
+        assert_eq!(refused("//task[last()]"), ErrorCode::XPST0017);
     }
 
     #[test]
     fn text_nodes() {
-        assert_eq!(eval_s("//memory/text()"), "1000");
-        assert_eq!(eval_s("string(//task-req/runmodel)"), "RUN_AS_THREAD_IN_TM");
+        // Text is read through an element's string-value; `text()` is not a
+        // node test the grammar has.
+        assert_eq!(eval_s("//memory"), "1000");
+        assert_eq!(eval_s("//task-req/runmodel"), "RUN_AS_THREAD_IN_TM");
+        assert_eq!(refused("//memory/text()"), ErrorCode::XPST0003);
     }
 
     #[test]
     fn parent_and_ancestor() {
-        assert_eq!(eval_s("name((//param)[1]/..)"), "task");
-        assert_eq!(eval("count(//memory/ancestor::task)"), Value::Number(1.0));
-        // memory, task-req, task, job, client, cn2.
-        assert_eq!(eval("count(//memory/ancestor-or-self::*)"), Value::Number(6.0));
+        assert_eq!(eval_s("(//param)[1]/../@name"), "tctask0");
+        assert_eq!(eval_s("//memory/../../@name"), "tctask0");
+        assert_eq!(refused("//memory/ancestor::task"), ErrorCode::XPST0003);
+        assert_eq!(refused("//memory/ancestor-or-self::task"), ErrorCode::XPST0003);
     }
 
     #[test]
     fn siblings() {
-        assert_eq!(eval_s("//task[@name='tctask0']/following-sibling::task[1]/@name"), "tctask1");
-        assert_eq!(eval_s("//task[@name='tctask2']/preceding-sibling::task[1]/@name"), "tctask1");
-        // position() on a reverse axis counts nearest-first.
-        assert_eq!(eval_s("//task[@name='tctask2']/preceding-sibling::task[2]/@name"), "tctask0");
+        assert_eq!(refused("//task/following-sibling::task[1]"), ErrorCode::XPST0003);
+        assert_eq!(refused("//task/preceding-sibling::task[1]"), ErrorCode::XPST0003);
     }
 
     #[test]
     fn unions_merge_in_document_order() {
+        // A step taken from several context nodes merges its results in
+        // document order, once each: each param's grandparent is the one
+        // job, whose three tasks come back once.
         let doc = cn_xml::parse(DOC).unwrap();
         let ctx = Ctx::new(&doc, doc.document_node());
-        let v = ctx.eval(&parse("//param | //memory").unwrap()).unwrap();
-        let ns = v.into_nodeset().unwrap();
-        assert_eq!(ns.len(), 4);
-        // memory (inside task 0) comes before the task-1 param.
-        let names: Vec<&str> = ns.iter().map(|n| n.name(&doc)).collect();
-        assert_eq!(names, ["memory", "param", "param", "param"]);
+        let v = ctx.eval(&parse("//task/param/../../task/@name").unwrap()).unwrap();
+        let names: Vec<String> =
+            v.into_nodeset().unwrap().iter().map(|n| n.string_value(&doc)).collect();
+        assert_eq!(names, ["tctask0", "tctask1", "tctask2"]);
+        // The `|` operator itself is outside the grammar.
+        assert_eq!(refused("//param | //memory"), ErrorCode::XPST0003);
     }
 
     #[test]
     fn arithmetic_and_comparison() {
-        assert_eq!(eval("1 + 2 * 3"), Value::Number(7.0));
-        assert_eq!(eval("10 div 4"), Value::Number(2.5));
-        assert_eq!(eval("10 mod 3"), Value::Number(1.0));
-        assert_eq!(eval("-(2)"), Value::Number(-2.0));
-        assert_eq!(eval("2 < 3"), Value::Bool(true));
-        assert_eq!(eval("2 >= 3"), Value::Bool(false));
+        assert_eq!(eval("1 + 2 - 4"), Value::Number(-1.0));
+        assert_eq!(eval("'3' + 1"), Value::Number(4.0));
         assert_eq!(eval("'a' = 'a'"), Value::Bool(true));
         assert_eq!(eval("'a' != 'b'"), Value::Bool(true));
+        assert_eq!(eval("1 = 1.0"), Value::Bool(true));
+        for src in ["1 + 2 * 3", "10 div 4", "10 mod 3", "-(2)", "2 < 3", "2 >= 3"] {
+            assert_eq!(refused(src), ErrorCode::XPST0003, "{src}");
+        }
     }
 
     #[test]
@@ -665,15 +522,17 @@ mod tests {
         assert_eq!(eval("//param = 2"), Value::Bool(true));
         // Some param does not equal 2 (existential !=, true because of "1").
         assert_eq!(eval("//param != 2"), Value::Bool(true));
-        assert_eq!(eval("//memory > 999"), Value::Bool(true));
-        assert_eq!(eval("//memory > 1000"), Value::Bool(false));
+        assert_eq!(eval("//memory = '1000'"), Value::Bool(true));
+        assert_eq!(eval("//nothing = //nothing"), Value::Bool(false));
     }
 
     #[test]
     fn boolean_connectives() {
-        assert_eq!(eval("true() and false()"), Value::Bool(false));
-        assert_eq!(eval("true() or false()"), Value::Bool(true));
-        assert_eq!(eval("not(false())"), Value::Bool(true));
+        assert_eq!(eval("not(//nothing)"), Value::Bool(true));
+        assert_eq!(eval("not(//task)"), Value::Bool(false));
+        assert_eq!(refused("//task and //job"), ErrorCode::XPST0003);
+        assert_eq!(refused("//task or //job"), ErrorCode::XPST0003);
+        assert_eq!(refused("true()"), ErrorCode::XPST0017);
     }
 
     #[test]
@@ -689,7 +548,7 @@ mod tests {
     #[test]
     fn filter_expressions() {
         assert_eq!(eval_s("(//task)[2]/@name"), "tctask1");
-        assert_eq!(eval_s("(//task)[last()]/@name"), "tctask2");
+        assert_eq!(eval_s("(//task)[position() = 3]/@name"), "tctask2");
     }
 
     #[test]
@@ -705,12 +564,13 @@ mod tests {
 
     #[test]
     fn descendant_or_self_abbreviation_mid_path() {
-        assert_eq!(eval("count(/cn2//param)"), Value::Number(3.0));
+        assert_eq!(eval("/cn2//param"), Value::Number(3.0));
+        assert_eq!(eval("/cn2/client/.//memory"), Value::Number(1.0));
     }
 
     #[test]
     fn wildcard_tests() {
-        assert_eq!(eval("count(/cn2/client/job/*)"), Value::Number(3.0));
-        assert_eq!(eval("count(//task[1]/task-req/*)"), Value::Number(2.0));
+        assert_eq!(refused("/cn2/client/job/*"), ErrorCode::XPST0003);
+        assert_eq!(refused("/cn2/client/@*"), ErrorCode::XPST0003);
     }
 }

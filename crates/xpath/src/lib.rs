@@ -2,19 +2,24 @@
 //!
 //! The paper's generative step is driven by XSLT stylesheets (`XMI2CNX`,
 //! `CNX2Java`), and XSLT is in turn driven by XPath: template `match`
-//! patterns, `select` expressions, and attribute value templates. This crate
-//! implements the slice of XPath 1.0 those stylesheets need:
+//! patterns and `select`/`test` expressions. This crate implements what
+//! the three stylesheets the tool chain runs (XMI2CNX, CNX2Java, CNX2Rust)
+//! write, and no more:
 //!
-//! * location paths with the `child`, `attribute`, `descendant(-or-self)`,
-//!   `self`, `parent`, `ancestor(-or-self)`, `following-sibling` and
-//!   `preceding-sibling` axes (plus the `//`, `@`, `.` and `..`
-//!   abbreviations),
-//! * predicates with full expression syntax, `position()` and `last()`,
-//! * the four value types (node-set, string, number, boolean) with the
-//!   spec's conversion and comparison rules,
-//! * the core function library (`count`, `name`, `concat`, `contains`,
-//!   `substring-*`, `normalize-space`, `translate`, `sum`, ...),
-//! * variables (`$var`) supplied through the evaluation context.
+//! * location paths through the abbreviations only: `@`, `.`, `..`, `/`
+//!   and `//`, with name tests and predicates;
+//! * filter expressions (`(expr)[pred]/path`), variables (`$var`, supplied
+//!   through the evaluation context), literals and numbers;
+//! * the operators `=`, `!=`, `+` and `-`, over the four value types
+//!   (node-set, string, number, boolean) with the spec's conversion and
+//!   comparison rules;
+//! * twelve functions ([`Function`]), resolved when the expression is
+//!   parsed.
+//!
+//! Anything else is refused by [`parse_expr`] with an [`ErrorCode`]:
+//! `XPST0003` for syntax outside the grammar (an explicit axis, `*`,
+//! `text()`, `|`, `and`, `<`, `div`, unary minus, ...), `XPST0017` for an
+//! unknown function or a wrong arity.
 //!
 //! Node-sets are kept in document order and deduplicated, matching the
 //! behaviour XSLT relies on (e.g. `apply-templates` processing order).
@@ -27,7 +32,8 @@ pub mod value;
 
 pub use ast::{Axis, Expr, NodeTest, PathExpr, Step};
 pub use eval::{Ctx, EvalError, ScanCache};
-pub use parser::{parse as parse_expr, ParseError};
+pub use functions::Function;
+pub use parser::{parse as parse_expr, ErrorCode, ParseError};
 pub use value::{Value, XNode};
 
 use cn_xml::Document;
@@ -51,9 +57,9 @@ mod tests {
     #[test]
     fn end_to_end_eval() {
         let doc = cn_xml::parse("<a><b x='1'/><b x='2'/></a>").unwrap();
-        let v = eval_str(&doc, doc.document_node(), "count(/a/b)").unwrap();
-        assert_eq!(v.as_number(), 2.0);
-        let v = eval_str(&doc, doc.document_node(), "string(/a/b[2]/@x)").unwrap();
-        assert_eq!(v.as_string(), "2");
+        let v = eval_str(&doc, doc.document_node(), "/a/b").unwrap();
+        assert_eq!(v.into_nodeset().map(|ns| ns.len()), Some(2));
+        let v = eval_str(&doc, doc.document_node(), "/a/b[2]/@x").unwrap();
+        assert_eq!(v.to_string_value(&doc), "2");
     }
 }

@@ -1,16 +1,57 @@
-//! XPath expression parser: tokenizer with the spec's `*`/operator-name
-//! disambiguation rules, plus a recursive-descent grammar.
+//! XPath expression parser: a tokenizer plus a recursive-descent grammar
+//! over the subset the CN stylesheets write. Syntax outside it (explicit
+//! axes, `*`, kind tests, `|`, `and`/`or`, relational and multiplicative
+//! operators, unary minus) is refused with `XPST0003`, an unknown function
+//! or a wrong arity with `XPST0017`.
 
 use std::fmt;
 
-use crate::ast::{Axis, BinOp, Expr, NodeTest, PathExpr, Step};
+use crate::ast::{Axis, BinOp, Expr, Function, NodeTest, PathExpr, Step};
 use cn_xml::QName;
+
+/// Why a stylesheet or an expression was refused, by the W3C's code for it
+/// (XSLT 2.0 and XPath 2.0 name their static errors; XSLT 1.0 does not).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorCode {
+    /// An XSLT element the engine does not run, or one without an
+    /// attribute the engine needs.
+    XTSE0010,
+    /// An attribute the engine does not read, on an XSLT element.
+    XTSE0090,
+    /// XPath syntax outside the engine's grammar (in a match pattern or an
+    /// attribute value too).
+    XPST0003,
+    /// An unknown function, or a known one with the wrong number of
+    /// arguments.
+    XPST0017,
+    /// Every other failure; its message says what went wrong.
+    Other,
+}
+
+impl fmt::Display for ErrorCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self, f)
+    }
+}
 
 /// Parse failure with a byte offset into the expression text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     pub msg: String,
     pub offset: usize,
+    code: ErrorCode,
+}
+
+impl ParseError {
+    fn new(code: ErrorCode, msg: impl Into<String>, offset: usize) -> ParseError {
+        ParseError { msg: msg.into(), offset, code }
+    }
+
+    /// `XPST0017` for a function call the library cannot make, `XPST0003`
+    /// for any other refusal.
+    pub fn code(&self) -> ErrorCode {
+        self.code
+    }
 }
 
 impl fmt::Display for ParseError {
@@ -25,7 +66,7 @@ impl std::error::Error for ParseError {}
 enum Tok {
     Number(f64),
     Literal(String),
-    /// NCName or QName (possibly `prefix:*`).
+    /// NCName or QName.
     Name(String),
     Var(String),
     Slash,
@@ -38,30 +79,25 @@ enum Tok {
     Dot,
     DotDot,
     Comma,
-    Pipe,
-    Star,
     Plus,
     Minus,
     Eq,
     Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    ColonColon,
 }
 
 struct Lexer<'a> {
     src: &'a str,
     at: usize,
-    toks: Vec<(Tok, usize)>,
 }
 
 impl<'a> Lexer<'a> {
     fn run(src: &'a str) -> Result<Vec<(Tok, usize)>, ParseError> {
-        let mut lx = Lexer { src, at: 0, toks: Vec::new() };
-        lx.tokenize()?;
-        Ok(lx.toks)
+        let mut lx = Lexer { src, at: 0 };
+        let mut toks = Vec::new();
+        while let Some(tok) = lx.next_token()? {
+            toks.push(tok);
+        }
+        Ok(toks)
     }
 
     fn rest(&self) -> &'a str {
@@ -73,192 +109,56 @@ impl<'a> Lexer<'a> {
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError { msg: msg.into(), offset: self.at }
+        ParseError::new(ErrorCode::XPST0003, msg, self.at)
     }
 
-    /// Per XPath 1.0 §3.7: `*` is the multiply operator (and names like
-    /// `and`/`or`/`div`/`mod` are operators) iff the preceding token exists
-    /// and is not itself an operator, `@`, `::`, `(`, `[` or `,`.
-    fn prev_allows_operator(&self) -> bool {
-        match self.toks.last() {
-            None => false,
-            Some((t, _)) => match t {
-                Tok::At
-                | Tok::ColonColon
-                | Tok::LParen
-                | Tok::LBracket
-                | Tok::Comma
-                | Tok::Slash
-                | Tok::DoubleSlash
-                | Tok::Pipe
-                | Tok::Plus
-                | Tok::Minus
-                | Tok::Eq
-                | Tok::Ne
-                | Tok::Lt
-                | Tok::Le
-                | Tok::Gt
-                | Tok::Ge
-                | Tok::Star => false,
-                // Operator-tagged names (`and`/`or`/`div`/`mod`) are
-                // operators themselves; plain names allow a following
-                // operator.
-                Tok::Name(n) => !n.starts_with("\0op:"),
-                _ => true,
-            },
+    /// The next token and its offset, or `None` at the end.
+    fn next_token(&mut self) -> Result<Option<(Tok, usize)>, ParseError> {
+        while let Some(c) = self.peek().filter(|c| c.is_whitespace()) {
+            self.at += c.len_utf8();
         }
-    }
-
-    fn tokenize(&mut self) -> Result<(), ParseError> {
-        loop {
-            while let Some(c) = self.peek() {
-                if !c.is_whitespace() {
-                    break;
-                }
-                self.at += c.len_utf8();
+        let start = self.at;
+        let Some(c) = self.peek() else { return Ok(None) };
+        let rest = self.rest();
+        let (tok, len) = match c {
+            '(' => (Tok::LParen, 1),
+            ')' => (Tok::RParen, 1),
+            '[' => (Tok::LBracket, 1),
+            ']' => (Tok::RBracket, 1),
+            ',' => (Tok::Comma, 1),
+            '@' => (Tok::At, 1),
+            '+' => (Tok::Plus, 1),
+            '-' => (Tok::Minus, 1),
+            '=' => (Tok::Eq, 1),
+            '!' if rest.starts_with("!=") => (Tok::Ne, 2),
+            '/' if rest.starts_with("//") => (Tok::DoubleSlash, 2),
+            '/' => (Tok::Slash, 1),
+            '.' if rest.starts_with("..") => (Tok::DotDot, 2),
+            '.' if rest[1..].starts_with(|c: char| c.is_ascii_digit()) => {
+                return self.number().map(Some)
             }
-            let start = self.at;
-            let Some(c) = self.peek() else { return Ok(()) };
-            let tok = match c {
-                '(' => {
-                    self.at += 1;
-                    Tok::LParen
-                }
-                ')' => {
-                    self.at += 1;
-                    Tok::RParen
-                }
-                '[' => {
-                    self.at += 1;
-                    Tok::LBracket
-                }
-                ']' => {
-                    self.at += 1;
-                    Tok::RBracket
-                }
-                ',' => {
-                    self.at += 1;
-                    Tok::Comma
-                }
-                '@' => {
-                    self.at += 1;
-                    Tok::At
-                }
-                '|' => {
-                    self.at += 1;
-                    Tok::Pipe
-                }
-                '+' => {
-                    self.at += 1;
-                    Tok::Plus
-                }
-                '-' => {
-                    self.at += 1;
-                    Tok::Minus
-                }
-                '=' => {
-                    self.at += 1;
-                    Tok::Eq
-                }
-                '!' => {
-                    if self.rest().starts_with("!=") {
-                        self.at += 2;
-                        Tok::Ne
-                    } else {
-                        return Err(self.err("'!' must be followed by '='"));
-                    }
-                }
-                '<' => {
-                    if self.rest().starts_with("<=") {
-                        self.at += 2;
-                        Tok::Le
-                    } else {
-                        self.at += 1;
-                        Tok::Lt
-                    }
-                }
-                '>' => {
-                    if self.rest().starts_with(">=") {
-                        self.at += 2;
-                        Tok::Ge
-                    } else {
-                        self.at += 1;
-                        Tok::Gt
-                    }
-                }
-                '/' => {
-                    if self.rest().starts_with("//") {
-                        self.at += 2;
-                        Tok::DoubleSlash
-                    } else {
-                        self.at += 1;
-                        Tok::Slash
-                    }
-                }
-                '.' => {
-                    if self.rest().starts_with("..") {
-                        self.at += 2;
-                        Tok::DotDot
-                    } else if self.rest().len() > 1
-                        && self.rest()[1..].chars().next().is_some_and(|c| c.is_ascii_digit())
-                    {
-                        self.number()?
-                    } else {
-                        self.at += 1;
-                        Tok::Dot
-                    }
-                }
-                ':' => {
-                    if self.rest().starts_with("::") {
-                        self.at += 2;
-                        Tok::ColonColon
-                    } else {
-                        return Err(self.err("stray ':'"));
-                    }
-                }
-                '*' => {
-                    self.at += 1;
-                    if self.prev_allows_operator() {
-                        Tok::Star
-                    } else {
-                        Tok::Name("*".to_string())
-                    }
-                }
-                '"' | '\'' => {
-                    self.at += 1;
-                    let end = self
-                        .rest()
-                        .find(c)
-                        .ok_or_else(|| self.err("unterminated string literal"))?;
-                    let lit = self.rest()[..end].to_string();
-                    self.at += end + 1;
-                    Tok::Literal(lit)
-                }
-                '$' => {
-                    self.at += 1;
-                    let name = self.name_token()?;
-                    Tok::Var(name)
-                }
-                '0'..='9' => self.number()?,
-                c if is_name_start(c) => {
-                    let name = self.name_token()?;
-                    // Operator-name disambiguation.
-                    if self.prev_allows_operator() {
-                        match name.as_str() {
-                            "and" | "or" | "div" | "mod" => Tok::Name(format!("\0op:{name}")),
-                            _ => Tok::Name(name),
-                        }
-                    } else {
-                        Tok::Name(name)
-                    }
-                }
-                other => return Err(self.err(format!("unexpected character {other:?}"))),
-            };
-            self.toks.push((tok, start));
-        }
+            '.' => (Tok::Dot, 1),
+            ':' if rest.starts_with("::") => {
+                return Err(self.err("explicit axes are outside the grammar"))
+            }
+            '"' | '\'' => {
+                let end =
+                    rest[1..].find(c).ok_or_else(|| self.err("unterminated string literal"))?;
+                (Tok::Literal(rest[1..=end].to_string()), end + 2)
+            }
+            '$' => {
+                self.at += 1;
+                return Ok(Some((Tok::Var(self.name_token()?), start)));
+            }
+            '0'..='9' => return self.number().map(Some),
+            c if is_name_start(c) => return Ok(Some((Tok::Name(self.name_token()?), start))),
+            other => return Err(self.err(format!("{other:?} is outside the grammar"))),
+        };
+        self.at += len;
+        Ok(Some((tok, start)))
     }
 
-    fn number(&mut self) -> Result<Tok, ParseError> {
+    fn number(&mut self) -> Result<(Tok, usize), ParseError> {
         let start = self.at;
         let mut seen_dot = false;
         while let Some(c) = self.peek() {
@@ -270,10 +170,12 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = &self.src[start..self.at];
-        text.parse::<f64>().map(Tok::Number).map_err(|_| self.err("malformed number"))
+        text.parse::<f64>()
+            .map(|n| (Tok::Number(n), start))
+            .map_err(|_| self.err("malformed number"))
     }
 
-    /// Read a QName (or `prefix:*`). A single ':' joins parts; '::' does not.
+    /// Read a QName. A single ':' joins parts; '::' does not.
     fn name_token(&mut self) -> Result<String, ParseError> {
         let start = self.at;
         match self.peek() {
@@ -285,14 +187,9 @@ impl<'a> Lexer<'a> {
                 self.at += c.len_utf8();
             } else if c == ':' && !self.rest().starts_with("::") {
                 self.at += 1;
-                match self.peek() {
-                    Some('*') => {
-                        self.at += 1;
-                        break;
-                    }
-                    // The colon must introduce a local part.
-                    Some(c) if is_name_start(c) => {}
-                    _ => return Err(self.err("':' must be followed by a name or '*'")),
+                // The colon must introduce a local part.
+                if !self.peek().is_some_and(is_name_start) {
+                    return Err(self.err("':' must be followed by a name"));
                 }
             } else {
                 break;
@@ -349,66 +246,22 @@ impl Parser {
         if self.eat(&t) {
             Ok(())
         } else {
-            Err(ParseError { msg: format!("expected {what}"), offset: self.offset() })
+            Err(self.err(format!("expected {what}")))
         }
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError { msg: msg.into(), offset: self.offset() }
+        ParseError::new(ErrorCode::XPST0003, msg, self.offset())
     }
 
     // Grammar, lowest precedence first.
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_op("or") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality_expr()?;
-        while self.eat_op("and") {
-            let rhs = self.equality_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn eat_op(&mut self, name: &str) -> bool {
-        let tag = format!("\0op:{name}");
-        if matches!(self.peek(), Some(Tok::Name(n)) if *n == tag) {
-            self.at += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     fn equality_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational_expr()?;
+        let mut lhs = self.additive_expr()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Eq) => BinOp::Eq,
                 Some(Tok::Ne) => BinOp::Ne,
-                _ => return Ok(lhs),
-            };
-            self.at += 1;
-            let rhs = self.relational_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn relational_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Ge) => BinOp::Ge,
                 _ => return Ok(lhs),
             };
             self.at += 1;
@@ -418,7 +271,7 @@ impl Parser {
     }
 
     fn additive_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative_expr()?;
+        let mut lhs = self.path_expr()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Plus) => BinOp::Add,
@@ -426,117 +279,79 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.at += 1;
-            let rhs = self.multiplicative_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = if self.peek() == Some(&Tok::Star) {
-                BinOp::Mul
-            } else if self.eat_op("div") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Binary(BinOp::Div, Box::new(lhs), Box::new(rhs));
-                continue;
-            } else if self.eat_op("mod") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Binary(BinOp::Mod, Box::new(lhs), Box::new(rhs));
-                continue;
-            } else {
-                return Ok(lhs);
-            };
-            self.at += 1;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Tok::Minus) {
-            Ok(Expr::Negate(Box::new(self.unary_expr()?)))
-        } else {
-            self.union_expr()
-        }
-    }
-
-    fn union_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.path_expr()?;
-        while self.eat(&Tok::Pipe) {
             let rhs = self.path_expr()?;
-            lhs = Expr::Union(Box::new(lhs), Box::new(rhs));
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
     }
 
     /// PathExpr: LocationPath | FilterExpr (('/' | '//') RelativeLocationPath)?
     fn path_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.starts_filter_expr() {
-            let primary = self.primary_expr()?;
-            let mut predicates = Vec::new();
-            while self.peek() == Some(&Tok::LBracket) {
-                self.at += 1;
-                predicates.push(self.or_expr()?);
-                self.expect(Tok::RBracket, "']'")?;
-            }
-            let mut steps = Vec::new();
-            if self.eat(&Tok::Slash) {
-                self.relative_path(&mut steps)?;
-            } else if self.eat(&Tok::DoubleSlash) {
-                steps.push(descendant_or_self_node());
-                self.relative_path(&mut steps)?;
-            }
-            if predicates.is_empty() && steps.is_empty() {
-                Ok(primary)
-            } else {
-                Ok(Expr::Filter { primary: Box::new(primary), predicates, steps })
-            }
+        if !self.starts_filter_expr() {
+            return self.location_path();
+        }
+        let primary = self.primary_expr()?;
+        let mut predicates = Vec::new();
+        while self.eat(&Tok::LBracket) {
+            predicates.push(self.equality_expr()?);
+            self.expect(Tok::RBracket, "']'")?;
+        }
+        let mut steps = Vec::new();
+        if self.eat(&Tok::Slash) {
+            self.relative_path(&mut steps)?;
+        } else if self.eat(&Tok::DoubleSlash) {
+            steps.push(descendant_or_self_node());
+            self.relative_path(&mut steps)?;
+        }
+        if predicates.is_empty() && steps.is_empty() {
+            Ok(primary)
         } else {
-            self.location_path()
+            Ok(Expr::Filter { primary: Box::new(primary), predicates, steps })
         }
     }
 
     /// Does the upcoming token start a FilterExpr (primary expression) as
-    /// opposed to a location path?
+    /// opposed to a location path? A name followed by '(' is a function
+    /// call.
     fn starts_filter_expr(&self) -> bool {
         match self.peek() {
             Some(Tok::Number(_) | Tok::Literal(_) | Tok::Var(_) | Tok::LParen) => true,
-            // A Name followed by '(' is a function call — unless it's a node
-            // test like text()/node()/comment().
-            Some(Tok::Name(n)) => {
-                !matches!(n.as_str(), "text" | "node" | "comment" | "processing-instruction")
-                    && self.peek2() == Some(&Tok::LParen)
-            }
+            Some(Tok::Name(_)) => self.peek2() == Some(&Tok::LParen),
             _ => false,
         }
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
+        let offset = self.offset();
         match self.bump() {
             Some(Tok::Number(n)) => Ok(Expr::Number(n)),
             Some(Tok::Literal(s)) => Ok(Expr::Literal(s)),
             Some(Tok::Var(v)) => Ok(Expr::VarRef(v)),
             Some(Tok::LParen) => {
-                let e = self.or_expr()?;
+                let e = self.equality_expr()?;
                 self.expect(Tok::RParen, "')'")?;
                 Ok(e)
             }
             Some(Tok::Name(name)) => {
+                if matches!(name.as_str(), "text" | "node" | "comment" | "processing-instruction") {
+                    let msg = format!("node test {name}() is outside the grammar");
+                    return Err(ParseError::new(ErrorCode::XPST0003, msg, offset));
+                }
                 self.expect(Tok::LParen, "'(' after function name")?;
                 let mut args = Vec::new();
                 if self.peek() != Some(&Tok::RParen) {
                     loop {
-                        args.push(self.or_expr()?);
+                        args.push(self.equality_expr()?);
                         if !self.eat(&Tok::Comma) {
                             break;
                         }
                     }
                 }
                 self.expect(Tok::RParen, "')'")?;
-                Ok(Expr::FnCall(name, args))
+                let f = Function::resolve(&name, args.len())
+                    .map_err(|msg| ParseError::new(ErrorCode::XPST0017, msg, offset))?;
+                Ok(Expr::FnCall(f, args))
             }
-            _ => Err(self.err("expected a primary expression")),
+            _ => Err(ParseError::new(ErrorCode::XPST0003, "expected a primary expression", offset)),
         }
     }
 
@@ -547,7 +362,7 @@ impl Parser {
             true
         } else if self.eat(&Tok::Slash) {
             // Bare '/' is the document node itself.
-            if !self.starts_step() {
+            if !matches!(self.peek(), Some(Tok::Name(_) | Tok::At | Tok::Dot | Tok::DotDot)) {
                 return Ok(Expr::Path(PathExpr { absolute: true, steps }));
             }
             true
@@ -558,21 +373,14 @@ impl Parser {
         Ok(Expr::Path(PathExpr { absolute, steps }))
     }
 
-    fn starts_step(&self) -> bool {
-        matches!(self.peek(), Some(Tok::Name(_) | Tok::At | Tok::Dot | Tok::DotDot))
-    }
-
     fn relative_path(&mut self, steps: &mut Vec<Step>) -> Result<(), ParseError> {
         loop {
             steps.push(self.step()?);
-            if self.eat(&Tok::Slash) {
-                continue;
-            }
             if self.eat(&Tok::DoubleSlash) {
                 steps.push(descendant_or_self_node());
-                continue;
+            } else if !self.eat(&Tok::Slash) {
+                return Ok(());
             }
-            return Ok(());
         }
     }
 
@@ -583,47 +391,17 @@ impl Parser {
         if self.eat(&Tok::DotDot) {
             return Ok(Step { axis: Axis::Parent, test: NodeTest::Node, predicates: Vec::new() });
         }
-        let mut axis = Axis::Child;
-        if self.eat(&Tok::At) {
-            axis = Axis::Attribute;
-        } else if let Some(Tok::Name(n)) = self.peek() {
-            if self.peek2() == Some(&Tok::ColonColon) {
-                axis = axis_by_name(n).ok_or_else(|| self.err(format!("unknown axis {n:?}")))?;
-                self.at += 2;
-            }
-        }
-        let test = self.node_test()?;
+        let axis = if self.eat(&Tok::At) { Axis::Attribute } else { Axis::Child };
+        let test = match self.bump() {
+            Some(Tok::Name(n)) => NodeTest::Name(QName::new(n)),
+            _ => return Err(self.err("expected a name")),
+        };
         let mut predicates = Vec::new();
         while self.eat(&Tok::LBracket) {
-            predicates.push(self.or_expr()?);
+            predicates.push(self.equality_expr()?);
             self.expect(Tok::RBracket, "']'")?;
         }
         Ok(Step { axis, test, predicates })
-    }
-
-    fn node_test(&mut self) -> Result<NodeTest, ParseError> {
-        match self.bump() {
-            Some(Tok::Name(n)) => {
-                if self.peek() == Some(&Tok::LParen) {
-                    let test = match n.as_str() {
-                        "text" => NodeTest::Text,
-                        "node" => NodeTest::Node,
-                        "comment" => NodeTest::Comment,
-                        other => return Err(self.err(format!("unknown node test {other}()"))),
-                    };
-                    self.at += 1;
-                    self.expect(Tok::RParen, "')'")?;
-                    Ok(test)
-                } else if n == "*" {
-                    Ok(NodeTest::Any)
-                } else if let Some(prefix) = n.strip_suffix(":*") {
-                    Ok(NodeTest::PrefixAny(prefix.to_string()))
-                } else {
-                    Ok(NodeTest::Name(QName::new(n)))
-                }
-            }
-            _ => Err(self.err("expected a node test")),
-        }
     }
 }
 
@@ -631,30 +409,14 @@ fn descendant_or_self_node() -> Step {
     Step { axis: Axis::DescendantOrSelf, test: NodeTest::Node, predicates: Vec::new() }
 }
 
-fn axis_by_name(n: &str) -> Option<Axis> {
-    Some(match n {
-        "child" => Axis::Child,
-        "descendant" => Axis::Descendant,
-        "descendant-or-self" => Axis::DescendantOrSelf,
-        "attribute" => Axis::Attribute,
-        "self" => Axis::SelfAxis,
-        "parent" => Axis::Parent,
-        "ancestor" => Axis::Ancestor,
-        "ancestor-or-self" => Axis::AncestorOrSelf,
-        "following-sibling" => Axis::FollowingSibling,
-        "preceding-sibling" => Axis::PrecedingSibling,
-        _ => return None,
-    })
-}
-
 /// Parse a complete XPath expression.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
     let toks = Lexer::run(src)?;
     if toks.is_empty() {
-        return Err(ParseError { msg: "empty expression".into(), offset: 0 });
+        return Err(ParseError::new(ErrorCode::XPST0003, "empty expression", 0));
     }
     let mut p = Parser { toks, at: 0 };
-    let e = p.or_expr()?;
+    let e = p.equality_expr()?;
     if p.at != p.toks.len() {
         return Err(p.err("trailing tokens after expression"));
     }
@@ -670,6 +432,11 @@ mod tests {
             Expr::Path(p) => p,
             other => panic!("expected path, got {other:?}"),
         }
+    }
+
+    /// The code `src` is refused with.
+    fn refused(src: &str) -> ErrorCode {
+        parse(src).unwrap_err().code()
     }
 
     #[test]
@@ -709,9 +476,10 @@ mod tests {
 
     #[test]
     fn explicit_axes() {
-        let p = path("ancestor::job/descendant::task");
-        assert_eq!(p.steps[0].axis, Axis::Ancestor);
-        assert_eq!(p.steps[1].axis, Axis::Descendant);
+        // Only the abbreviations name an axis.
+        for src in ["ancestor::job", "child::task", "descendant::task", "following-sibling::t"] {
+            assert_eq!(refused(src), ErrorCode::XPST0003, "{src}");
+        }
     }
 
     #[test]
@@ -723,28 +491,26 @@ mod tests {
 
     #[test]
     fn prefixed_names_and_wildcards() {
-        let p = path("UML:ActionState/UML:*");
+        let p = path("UML:ActionState/UML:TaggedValue");
         assert_eq!(p.steps[0].test, NodeTest::Name("UML:ActionState".into()));
-        assert_eq!(p.steps[1].test, NodeTest::PrefixAny("UML".into()));
-        let p = path("*");
-        assert_eq!(p.steps[0].test, NodeTest::Any);
+        assert_eq!(p.steps[1].test, NodeTest::Name("UML:TaggedValue".into()));
+        for src in ["*", "UML:*", "@*", "a/*"] {
+            assert_eq!(refused(src), ErrorCode::XPST0003, "{src}");
+        }
     }
 
     #[test]
     fn node_tests() {
-        let p = path("text()");
-        assert_eq!(p.steps[0].test, NodeTest::Text);
-        let p = path("node()");
-        assert_eq!(p.steps[0].test, NodeTest::Node);
-        let p = path("comment()");
-        assert_eq!(p.steps[0].test, NodeTest::Comment);
+        for src in ["text()", "node()", "comment()", "a/text()"] {
+            assert_eq!(refused(src), ErrorCode::XPST0003, "{src}");
+        }
     }
 
     #[test]
     fn function_calls() {
         match parse("concat('a', 'b', 'c')").unwrap() {
-            Expr::FnCall(name, args) => {
-                assert_eq!(name, "concat");
+            Expr::FnCall(f, args) => {
+                assert_eq!(f, Function::Concat);
                 assert_eq!(args.len(), 3);
             }
             other => panic!("{other:?}"),
@@ -753,44 +519,46 @@ mod tests {
 
     #[test]
     fn operators_and_precedence() {
-        // 1 + 2 * 3 = 7, not 9.
-        match parse("1 + 2 * 3").unwrap() {
-            Expr::Binary(BinOp::Add, _, rhs) => {
-                assert!(matches!(*rhs, Expr::Binary(BinOp::Mul, _, _)));
+        // Additive operators associate to the left: (1 + 2) - 3.
+        match parse("1 + 2 - 3").unwrap() {
+            Expr::Binary(BinOp::Sub, lhs, _) => {
+                assert!(matches!(*lhs, Expr::Binary(BinOp::Add, _, _)));
             }
             other => panic!("{other:?}"),
         }
-        // Comparison binds tighter than and/or.
-        match parse("@a = 1 and @b = 2").unwrap() {
-            Expr::Binary(BinOp::And, lhs, _) => {
-                assert!(matches!(*lhs, Expr::Binary(BinOp::Eq, _, _)));
+        // Comparison binds looser than arithmetic.
+        match parse("@a = 1 + 2").unwrap() {
+            Expr::Binary(BinOp::Eq, _, rhs) => {
+                assert!(matches!(*rhs, Expr::Binary(BinOp::Add, _, _)));
             }
             other => panic!("{other:?}"),
+        }
+        for src in ["@a = 1 and @b = 2", "1 or 2", "2 < 3", "2 >= 3", "2 * 3"] {
+            assert_eq!(refused(src), ErrorCode::XPST0003, "{src}");
         }
     }
 
     #[test]
     fn star_disambiguation() {
-        // After a name, '*' is multiplication.
-        assert!(matches!(parse("2 * 3").unwrap(), Expr::Binary(BinOp::Mul, _, _)));
-        // At expression start, '*' is a wildcard step.
-        assert!(matches!(parse("*").unwrap(), Expr::Path(_)));
-        // After '(', wildcard.
-        assert!(matches!(parse("count(*)").unwrap(), Expr::FnCall(_, _)));
+        // `*` is neither a wildcard nor multiplication.
+        for src in ["2 * 3", "*", "concat(*, 'a')"] {
+            assert_eq!(refused(src), ErrorCode::XPST0003, "{src}");
+        }
     }
 
     #[test]
     fn div_mod_disambiguation() {
-        assert!(matches!(parse("4 div 2").unwrap(), Expr::Binary(BinOp::Div, _, _)));
-        assert!(matches!(parse("5 mod 2").unwrap(), Expr::Binary(BinOp::Mod, _, _)));
-        // 'div' as element name at path start.
-        let p = path("div/span");
+        // `div` and `mod` are element names, never operators.
+        let p = path("div/mod");
         assert_eq!(p.steps[0].test, NodeTest::Name("div".into()));
+        assert_eq!(refused("4 div 2"), ErrorCode::XPST0003);
+        assert_eq!(refused("5 mod 2"), ErrorCode::XPST0003);
     }
 
     #[test]
     fn union_expressions() {
-        assert!(matches!(parse("a | b | c").unwrap(), Expr::Union(_, _)));
+        assert_eq!(refused("a | b | c"), ErrorCode::XPST0003);
+        assert_eq!(refused("//a | //b"), ErrorCode::XPST0003);
     }
 
     #[test]
@@ -822,7 +590,8 @@ mod tests {
         assert_eq!(parse("42").unwrap(), Expr::Number(42.0));
         assert_eq!(parse("3.5").unwrap(), Expr::Number(3.5));
         assert_eq!(parse(".5").unwrap(), Expr::Number(0.5));
-        assert!(matches!(parse("-1").unwrap(), Expr::Negate(_)));
+        // No unary minus: a negative number is `0 - 1`.
+        assert_eq!(refused("-1"), ErrorCode::XPST0003);
     }
 
     #[test]
@@ -848,5 +617,6 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("foo:/bar").is_err(), "trailing colon in a QName");
         assert!(parse("foo: x").is_err());
+        assert_eq!(refused("task["), ErrorCode::XPST0003);
     }
 }

@@ -36,20 +36,6 @@ impl XNode {
         }
     }
 
-    /// The lexical name (`name()` function result).
-    pub fn name<'d>(&self, doc: &'d Document) -> &'d str {
-        match *self {
-            XNode::Node(n) => match doc.kind(n) {
-                NodeKind::Element { name, .. } => name.as_str(),
-                NodeKind::ProcessingInstruction { target, .. } => target.as_str(),
-                _ => "",
-            },
-            XNode::Attr { owner, index } => {
-                doc.attrs(owner).get(index).map(|(n, _)| n.as_str()).unwrap_or("")
-            }
-        }
-    }
-
     /// The element/attribute [`QName`], if this node has one. Comparing the
     /// returned name's atom against a query atom is the integer fast path
     /// used by node tests.
@@ -60,20 +46,6 @@ impl XNode {
                 _ => None,
             },
             XNode::Attr { owner, index } => doc.attrs(owner).get(index).map(|(n, _)| *n),
-        }
-    }
-
-    /// The local part of the name (`local-name()`).
-    pub fn local_name<'d>(&self, doc: &'d Document) -> &'d str {
-        match *self {
-            XNode::Node(n) => match doc.kind(n) {
-                NodeKind::Element { name, .. } => name.local(),
-                NodeKind::ProcessingInstruction { target, .. } => target.as_str(),
-                _ => "",
-            },
-            XNode::Attr { owner, index } => {
-                doc.attrs(owner).get(index).map(|(n, _)| n.local()).unwrap_or("")
-            }
         }
     }
 
@@ -250,7 +222,7 @@ mod tests {
         let t = doc.root_element().unwrap();
         let attr = XNode::Attr { owner: t, index: 1 };
         assert_eq!(attr.string_value(&doc), "tasksplit.jar");
-        assert_eq!(attr.name(&doc), "jar");
+        assert_eq!(attr.qname(&doc).unwrap().as_str(), "jar");
         assert_eq!(attr.parent(&doc), Some(XNode::Node(t)));
     }
 
@@ -280,7 +252,8 @@ mod tests {
     fn local_name_of_prefixed() {
         let doc = cn_xml::parse("<UML:ActionState/>").unwrap();
         let n = XNode::Node(doc.root_element().unwrap());
-        assert_eq!(n.name(&doc), "UML:ActionState");
-        assert_eq!(n.local_name(&doc), "ActionState");
+        let name = n.qname(&doc).unwrap();
+        assert_eq!(name.as_str(), "UML:ActionState");
+        assert_eq!(name.local(), "ActionState");
     }
 }

@@ -1,47 +1,34 @@
-//! Per-mode template-rule dispatch index.
+//! Template-rule dispatch index.
 //!
 //! `apply-templates` resolves a rule by testing every match template against
 //! every node — fine for three templates, quadratic pain for generated
-//! stylesheets. This index buckets match templates by the *rightmost step's*
-//! element/attribute name (an interned [`Atom`]), so dispatch for a node
-//! named `n` only considers the `n` bucket plus the templates whose rightmost
-//! test is not a plain name (`*`, `prefix:*`, `text()`, `node()`,
-//! `comment()`, or the bare `/`).
+//! stylesheets. This index buckets match templates by the name of the
+//! pattern's *rightmost step* (an interned [`Atom`]), and the `/` rules
+//! under no name, so dispatch for a node named `n` only considers the `n`
+//! bucket, and a nameless node (document, text) only the `/` bucket.
 //!
 //! Invariants (checked by the differential property test
 //! `exec::tests::dispatch::indexed_dispatch_matches_linear_scan`):
 //!
-//! * A template alternative whose rightmost step test is `Name(q)` can only
-//!   match nodes whose name is exactly `q`, so omitting it from other
-//!   buckets never loses a match.
-//! * Every other alternative shape can match nodes of any (or no) name and
-//!   lands in the catch-all bucket consulted for every node.
-//! * Buckets store template indices in declaration order and the candidate
-//!   iterator merges them in order, so XSLT conflict resolution (priority,
-//!   then declaration order) sees candidates exactly as the linear scan
-//!   would.
+//! * A pattern whose rightmost step is the name `q` can only match elements
+//!   named exactly `q`, and `/` only the document node, so every template
+//!   lands in the one bucket of the nodes it can match.
+//! * Buckets store template indices in declaration order, so XSLT conflict
+//!   resolution (priority, then declaration order) sees candidates exactly
+//!   as the linear scan would.
 
 use std::collections::HashMap;
 
 use cn_xml::Atom;
-use cn_xpath::ast::NodeTest;
 
 use crate::stylesheet::Stylesheet;
-
-/// Dispatch buckets for one mode.
-#[derive(Debug, Clone, Default)]
-struct ModeIndex {
-    /// Template indices whose pattern names the matched node exactly.
-    by_atom: HashMap<Atom, Vec<usize>>,
-    /// Template indices that must be considered for every node.
-    other: Vec<usize>,
-}
 
 /// Name-keyed dispatch index over a stylesheet's match templates.
 #[derive(Debug, Clone, Default)]
 pub struct DispatchIndex {
-    no_mode: ModeIndex,
-    modes: HashMap<String, ModeIndex>,
+    /// Template indices by the atom of the pattern's rightmost name; `None`
+    /// holds the `/` rules.
+    by_atom: HashMap<Option<Atom>, Vec<usize>>,
 }
 
 impl DispatchIndex {
@@ -49,99 +36,31 @@ impl DispatchIndex {
     pub fn build(style: &Stylesheet) -> DispatchIndex {
         let mut ix = DispatchIndex::default();
         for (i, t) in style.templates.iter().enumerate() {
-            let Some(pattern) = &t.pattern else { continue };
-            let mode_ix = match &t.mode {
-                None => &mut ix.no_mode,
-                Some(m) => ix.modes.entry(m.clone()).or_default(),
-            };
-            for alt in &pattern.alternatives {
-                match alt.steps.last().map(|s| &s.test) {
-                    Some(NodeTest::Name(q)) => {
-                        let bucket = mode_ix.by_atom.entry(q.atom()).or_default();
-                        if bucket.last() != Some(&i) {
-                            bucket.push(i);
-                        }
-                    }
-                    // Wildcards, prefix:*, text()/node()/comment(), and the
-                    // bare "/" (no steps) can match nodes of any — or no —
-                    // name: candidates for every node.
-                    _ => {
-                        if mode_ix.other.last() != Some(&i) {
-                            mode_ix.other.push(i);
-                        }
-                    }
-                }
+            if let Some(pattern) = &t.pattern {
+                let atom = pattern.steps.last().map(|q| q.atom());
+                ix.by_atom.entry(atom).or_default().push(i);
             }
         }
         ix
     }
 
-    fn mode_index(&self, mode: Option<&str>) -> Option<&ModeIndex> {
-        match mode {
-            None => Some(&self.no_mode),
-            Some(m) => self.modes.get(m),
-        }
-    }
-
     /// Candidate template indices for a node whose name has `atom` (`None`
     /// for nameless nodes: document, text, comment, PI), in declaration
-    /// order, duplicates merged. Allocation-free.
-    pub fn candidates(&self, mode: Option<&str>, atom: Option<Atom>) -> Candidates<'_> {
-        match self.mode_index(mode) {
-            None => Candidates { named: &[], other: &[] },
-            Some(m) => Candidates {
-                named: atom.and_then(|a| m.by_atom.get(&a)).map(|v| v.as_slice()).unwrap_or(&[]),
-                other: &m.other,
-            },
-        }
-    }
-}
-
-/// Ordered merge of the name bucket and the catch-all bucket.
-pub struct Candidates<'i> {
-    named: &'i [usize],
-    other: &'i [usize],
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        match (self.named.first(), self.other.first()) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    self.named = &self.named[1..];
-                    if x == y {
-                        self.other = &self.other[1..];
-                    }
-                    Some(x)
-                } else {
-                    self.other = &self.other[1..];
-                    Some(y)
-                }
-            }
-            (Some(&x), None) => {
-                self.named = &self.named[1..];
-                Some(x)
-            }
-            (None, Some(&y)) => {
-                self.other = &self.other[1..];
-                Some(y)
-            }
-            (None, None) => None,
-        }
+    /// order.
+    pub fn candidates(&self, atom: Option<Atom>) -> &[usize] {
+        self.by_atom.get(&atom).map_or(&[], Vec::as_slice)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cn_xpath::ErrorCode;
 
-    fn style(src: &str) -> Stylesheet {
-        Stylesheet::parse(&format!(
-            r#"<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">{src}</xsl:stylesheet>"#
-        ))
-        .unwrap()
+    const NS: &str = r#"xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0""#;
+
+    fn style(src: &str) -> Result<Stylesheet, crate::XsltError> {
+        Stylesheet::parse(&format!(r#"<xsl:stylesheet {NS}>{src}</xsl:stylesheet>"#))
     }
 
     fn atom_of(name: &str) -> Atom {
@@ -154,40 +73,35 @@ mod tests {
             r#"<xsl:template match="/"/>
                <xsl:template match="job/task"/>
                <xsl:template match="task"/>
-               <xsl:template match="*"/>"#,
-        );
+               <xsl:template name="helper"/>
+               <xsl:template match="job"/>"#,
+        )
+        .unwrap();
         let ix = DispatchIndex::build(&s);
-        // A task node sees both task rules plus the wildcard and "/".
-        let c: Vec<usize> = ix.candidates(None, Some(atom_of("task"))).collect();
-        assert_eq!(c, vec![0, 1, 2, 3]);
-        // An unrelated element only sees the catch-alls.
-        let c: Vec<usize> = ix.candidates(None, Some(atom_of("job"))).collect();
-        assert_eq!(c, vec![0, 3]);
-        // Nameless nodes (document/text) see the catch-alls only.
-        let c: Vec<usize> = ix.candidates(None, None).collect();
-        assert_eq!(c, vec![0, 3]);
+        // A task node sees both task rules, in declaration order.
+        assert_eq!(ix.candidates(Some(atom_of("task"))), [1, 2]);
+        assert_eq!(ix.candidates(Some(atom_of("job"))), [4]);
+        // An unrelated element sees none; nameless nodes see the "/" rule.
+        assert!(ix.candidates(Some(atom_of("zzz"))).is_empty());
+        assert_eq!(ix.candidates(None), [0]);
     }
 
     #[test]
     fn union_alternatives_register_everywhere_they_can_match() {
-        let s = style(r#"<xsl:template match="a | text() | b"/>"#);
-        let ix = DispatchIndex::build(&s);
-        assert_eq!(ix.candidates(None, Some(atom_of("a"))).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(ix.candidates(None, Some(atom_of("b"))).collect::<Vec<_>>(), vec![0]);
-        // text() lands in the catch-all, and the merge dedupes the index.
-        assert_eq!(ix.candidates(None, None).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(ix.candidates(None, Some(atom_of("zzz"))).collect::<Vec<_>>(), vec![0]);
+        // A union pattern is refused, so each rule has one bucket.
+        let err = style(r#"<xsl:template match="a | b"/>"#).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::XPST0003);
     }
 
     #[test]
     fn modes_are_disjoint() {
-        let s = style(
-            r#"<xsl:template match="t"/>
-               <xsl:template match="t" mode="alt"/>"#,
-        );
-        let ix = DispatchIndex::build(&s);
-        assert_eq!(ix.candidates(None, Some(atom_of("t"))).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(ix.candidates(Some("alt"), Some(atom_of("t"))).collect::<Vec<_>>(), vec![1]);
-        assert!(ix.candidates(Some("missing"), Some(atom_of("t"))).next().is_none());
+        // There is one mode: a `mode=` is refused rather than ignored.
+        let err = style(r#"<xsl:template match="t" mode="alt"/>"#).unwrap_err();
+        assert_eq!(err.code(), ErrorCode::XTSE0090);
+        let err = style(
+            r#"<xsl:template match="/"><xsl:apply-templates select="t" mode="alt"/></xsl:template>"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.code(), ErrorCode::XTSE0090);
     }
 }

@@ -3,19 +3,23 @@
 //! The paper's tool chain is *generative*: `XMI2CNX` and `CNX2Java` are XSL
 //! Transformations (paper Section 5, Figure 6). Because no XSLT crate exists
 //! in the offline dependency set (and the repro guidance flags Rust XSLT as
-//! immature), this crate implements the slice of XSLT 1.0 those stylesheets
-//! need, on top of [`cn_xml`] and [`cn_xpath`]:
+//! immature), this crate implements what the three stylesheets the tool
+//! chain runs (XMI2CNX, CNX2Java, CNX2Rust) need, on top of [`cn_xml`] and
+//! [`cn_xpath`], and no more (`tests/golden/xslt_surface.txt` lists it):
 //!
-//! * template rules with `match` patterns, modes, explicit/default
-//!   priorities and document-order conflict resolution,
-//! * `apply-templates` (with `select`, `mode`, `with-param`, `sort`),
-//!   `call-template`, built-in rules,
-//! * `for-each` (+ `sort`), `if`, `choose`/`when`/`otherwise`,
-//! * `value-of`, `text`, `element`, `attribute`, `comment`, `copy-of`,
-//!   literal result elements with attribute value templates,
-//! * `variable` / `param` (global and local),
-//! * `output method="xml"|"text"` with optional indentation,
-//! * `message` (collected into the transform result).
+//! * template rules matching `/` or element names joined by `/`, with
+//!   default priorities and document-order conflict resolution, and the
+//!   built-in rules;
+//! * `apply-templates select=` and `call-template`, both with `with-param`;
+//! * `for-each`, `if`, `choose`/`when`/`otherwise`;
+//! * `value-of`, `text`, `attribute` and literal result elements, both with
+//!   fixed-text names and attribute values;
+//! * local `variable`s and template `param`s, top-level `param`s the caller
+//!   overrides, and `key` declarations served through `key()`;
+//! * `output method="xml"|"text"`, XML optionally indented.
+//!
+//! Everything else is refused when the stylesheet compiles, with an
+//! [`ErrorCode`] (see [`parse`]).
 //!
 //! Entry point: parse a stylesheet with [`Stylesheet::parse`], run it with
 //! [`transform`].
@@ -29,6 +33,7 @@ pub mod pattern;
 pub mod stylesheet;
 
 pub use cache::compile_cached;
+pub use cn_xpath::ErrorCode;
 pub use dispatch::DispatchIndex;
 pub use exec::{transform, transform_with_params, TransformResult, XsltError};
 pub use output::OutputMethod;

@@ -2,17 +2,12 @@
 
 use cn_xml::{Document, NodeId, WriteOptions};
 
-/// Serialization method declared by `xsl:output`.
+/// Serialization method declared by `xsl:output`. XML output always
+/// starts with an XML declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputMethod {
-    Xml { indent: bool, declaration: bool },
+    Xml { indent: bool },
     Text,
-}
-
-impl OutputMethod {
-    pub fn xml() -> OutputMethod {
-        OutputMethod::Xml { indent: false, declaration: true }
-    }
 }
 
 /// Incremental builder for the result tree.
@@ -74,35 +69,6 @@ impl Builder {
         }
     }
 
-    /// Append a comment.
-    pub fn comment(&mut self, s: &str) {
-        self.doc.add_comment(self.parent(), s);
-    }
-
-    /// Deep-copy a subtree from another document into the output.
-    pub fn copy_subtree(&mut self, src: &Document, node: NodeId) {
-        match src.kind(node) {
-            cn_xml::NodeKind::Document => {
-                for &c in src.children(node) {
-                    self.copy_subtree(src, c);
-                }
-            }
-            cn_xml::NodeKind::Element { name, attrs } => {
-                self.start_element(name.as_str());
-                for (an, av) in attrs {
-                    self.attribute(an.as_str(), av);
-                }
-                for &c in src.children(node) {
-                    self.copy_subtree(src, c);
-                }
-                self.end_element();
-            }
-            cn_xml::NodeKind::Text(t) => self.text(t),
-            cn_xml::NodeKind::Comment(c) => self.comment(c),
-            cn_xml::NodeKind::ProcessingInstruction { .. } => {}
-        }
-    }
-
     /// Finish building.
     pub fn finish(self) -> Document {
         self.doc
@@ -119,9 +85,9 @@ impl Builder {
 pub fn serialize(doc: &Document, method: OutputMethod) -> String {
     match method {
         OutputMethod::Text => doc.text_content(doc.document_node()),
-        OutputMethod::Xml { indent, declaration } => {
+        OutputMethod::Xml { indent } => {
             let opts = WriteOptions {
-                declaration,
+                declaration: true,
                 indent: if indent { Some(2) } else { None },
                 single_quotes: false,
             };
@@ -144,8 +110,8 @@ mod tests {
         b.end_element();
         b.end_element();
         let doc = b.finish();
-        let out = serialize(&doc, OutputMethod::Xml { indent: false, declaration: false });
-        assert_eq!(out, r#"<cn2><client class="TC">x</client></cn2>"#);
+        let out = serialize(&doc, OutputMethod::Xml { indent: false });
+        assert_eq!(out, r#"<?xml version="1.0"?><cn2><client class="TC">x</client></cn2>"#);
     }
 
     #[test]
@@ -166,16 +132,6 @@ mod tests {
         b.text(" tail");
         let doc = b.finish();
         assert_eq!(serialize(&doc, OutputMethod::Text), "head inner tail");
-    }
-
-    #[test]
-    fn copy_subtree_deep_copies() {
-        let src = cn_xml::parse("<a x='1'><b>t</b><!--c--></a>").unwrap();
-        let mut b = Builder::new();
-        b.copy_subtree(&src, src.root_element().unwrap());
-        let doc = b.finish();
-        let out = serialize(&doc, OutputMethod::Xml { indent: false, declaration: false });
-        assert_eq!(out, r#"<a x="1"><b>t</b><!--c--></a>"#);
     }
 
     #[test]

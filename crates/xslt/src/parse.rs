@@ -1,76 +1,79 @@
 //! Stylesheet parsing: XML document → compiled [`Stylesheet`].
+//!
+//! The parser accepts what the engine runs and refuses the rest, by code,
+//! before anything runs:
+//!
+//! * `XTSE0010` — an XSLT element the engine does not run (`xsl:include`,
+//!   `xsl:sort`, `xsl:copy`, a top-level `xsl:variable`, ...), one in a
+//!   place it does not run it, or one without an attribute it needs;
+//! * `XTSE0090` — an attribute the engine does not read on an XSLT element
+//!   (`mode=`, `priority=`, `omit-xml-declaration=`, ...);
+//! * `XPST0003` — XPath outside the grammar, in an expression, a pattern or
+//!   an attribute value (`{…}` templates);
+//! * `XPST0017` — a function the library does not have, or a wrong arity.
 
 use std::collections::HashMap;
 
 use cn_xml::{Document, NodeId, NodeKind, QName};
-use cn_xpath::Expr;
+use cn_xpath::{ErrorCode, Expr};
 
 use crate::exec::XsltError;
 use crate::output::OutputMethod;
 use crate::pattern::Pattern;
-use crate::stylesheet::{
-    Avt, AvtPart, Instruction, KeyDef, SortKey, Stylesheet, Template, ValueSource,
-};
+use crate::stylesheet::{Instruction, KeyDef, Stylesheet, Template, ValueSource};
 
 /// Parse a stylesheet from source text.
 pub fn parse_stylesheet(src: &str) -> Result<Stylesheet, XsltError> {
     let doc = cn_xml::parse(src).map_err(|e| XsltError::new(format!("stylesheet XML: {e}")))?;
-    let root =
-        doc.root_element().ok_or_else(|| XsltError::new("stylesheet has no root element"))?;
-    let root_name = doc.name(root).unwrap();
-    if !matches!(root_name.local(), "stylesheet" | "transform") {
+    let Some((root, root_name)) = doc.root_element().and_then(|r| Some((r, doc.name(r)?))) else {
+        return Err(XsltError::new("stylesheet has no root element"));
+    };
+    if !is_xsl(root_name, "stylesheet") && !is_xsl(root_name, "transform") {
         return Err(XsltError::new(format!(
             "root element is <{root_name}>, expected xsl:stylesheet"
         )));
     }
+    xsl_attrs(&doc, root, &["version"])?;
     let mut templates = Vec::new();
     let mut named = HashMap::new();
-    let mut output = OutputMethod::xml();
-    let mut globals = Vec::new();
+    let mut output = OutputMethod::Xml { indent: false };
     let mut global_params = Vec::new();
     let mut keys = Vec::new();
 
     for child in doc.child_elements(root) {
-        let name = doc.name(child).unwrap();
-        match name.local() {
-            "template" => {
+        match xsl_local(&doc, child) {
+            Some("template") => {
                 let t = parse_template(&doc, child, templates.len())?;
                 if let Some(n) = &t.name {
                     named.insert(n.clone(), templates.len());
                 }
                 templates.push(t);
             }
-            "output" => {
-                output = parse_output(&doc, child)?;
+            Some("output") => {
+                let a = xsl_attrs(&doc, child, &["method", "indent"])?;
+                output = match a.get("method").unwrap_or("xml") {
+                    "xml" => OutputMethod::Xml { indent: a.get("indent") == Some("yes") },
+                    "text" => OutputMethod::Text,
+                    other => {
+                        return Err(XsltError::new(format!("unsupported output method {other:?}")))
+                    }
+                };
             }
-            "variable" => {
-                let (n, v) = parse_variable_like(&doc, child)?;
-                globals.push((n, v.unwrap_or(ValueSource::Expr(Expr::Literal(String::new())))));
-            }
-            "param" => {
-                let (n, v) = parse_variable_like(&doc, child)?;
-                global_params.push((n, v));
-            }
-            "key" => {
-                let kname =
-                    doc.attr(child, "name").ok_or_else(|| XsltError::new("xsl:key needs name="))?;
-                let kmatch = doc
-                    .attr(child, "match")
-                    .ok_or_else(|| XsltError::new("xsl:key needs match="))?;
-                let kuse =
-                    doc.attr(child, "use").ok_or_else(|| XsltError::new("xsl:key needs use="))?;
+            Some("param") => global_params.push(parse_variable_like(&doc, child)?),
+            Some("key") => {
+                let a = xsl_attrs(&doc, child, &["name", "match", "use"])?;
                 keys.push(KeyDef {
-                    name: kname.to_string(),
-                    pattern: Pattern::parse(kmatch)?,
-                    use_expr: parse_expr(kuse)?,
+                    name: a.need("name")?.to_string(),
+                    pattern: Pattern::parse(a.need("match")?)?,
+                    use_expr: a.expr("use")?,
                 });
             }
-            // Accepted and ignored: we always strip inter-element
-            // whitespace in the stylesheet itself.
-            "strip-space" | "preserve-space" | "decimal-format" | "import" | "include"
-            | "namespace-alias" | "attribute-set" => {}
-            other => {
-                return Err(XsltError::new(format!("unsupported top-level element xsl:{other}")))
+            _ => {
+                let msg = format!(
+                    "<{}> is not a top-level declaration the engine runs",
+                    name(&doc, child)
+                );
+                return Err(XsltError::coded(ErrorCode::XTSE0010, msg));
             }
         }
     }
@@ -78,48 +81,81 @@ pub fn parse_stylesheet(src: &str) -> Result<Stylesheet, XsltError> {
         templates,
         named,
         output,
-        globals,
         global_params,
         keys,
         dispatch: std::sync::OnceLock::new(),
     })
 }
 
-fn parse_output(doc: &Document, el: NodeId) -> Result<OutputMethod, XsltError> {
-    let method = doc.attr(el, "method").unwrap_or("xml");
-    let indent = doc.attr(el, "indent").map(|v| v == "yes").unwrap_or(false);
-    let declaration = doc.attr(el, "omit-xml-declaration").map(|v| v != "yes").unwrap_or(true);
-    match method {
-        "xml" => Ok(OutputMethod::Xml { indent, declaration }),
-        "text" => Ok(OutputMethod::Text),
-        other => Err(XsltError::new(format!("unsupported output method {other:?}"))),
+/// The attributes of one XSLT element.
+struct Attrs<'d> {
+    doc: &'d Document,
+    el: NodeId,
+}
+
+impl<'d> Attrs<'d> {
+    fn get(&self, attr: &str) -> Option<&'d str> {
+        self.doc.attr(self.el, attr)
+    }
+
+    /// An attribute the element cannot do without (`XTSE0010`).
+    fn need(&self, attr: &str) -> Result<&'d str, XsltError> {
+        self.get(attr).ok_or_else(|| {
+            let msg = format!("{} needs {attr}=", name(self.doc, self.el));
+            XsltError::coded(ErrorCode::XTSE0010, msg)
+        })
+    }
+
+    /// A needed attribute, parsed as an XPath expression.
+    fn expr(&self, attr: &str) -> Result<Expr, XsltError> {
+        parse_expr(self.need(attr)?)
     }
 }
 
-fn parse_template(doc: &Document, el: NodeId, order: usize) -> Result<Template, XsltError> {
-    let pattern = doc.attr(el, "match").map(Pattern::parse).transpose()?;
-    let name = doc.attr(el, "name").map(str::to_string);
-    if pattern.is_none() && name.is_none() {
-        return Err(XsltError::new("xsl:template needs match= or name="));
+/// The attributes of XSLT element `el`, refusing any it does not `read`
+/// (`XTSE0090`). Namespace declarations are not attributes.
+fn xsl_attrs<'d>(doc: &'d Document, el: NodeId, read: &[&str]) -> Result<Attrs<'d>, XsltError> {
+    let unread = doc.attrs(el).iter().map(|(name, _)| name).find(|name| {
+        !read.contains(&name.as_str()) && name.as_str() != "xmlns" && name.prefix() != Some("xmlns")
+    });
+    match unread {
+        None => Ok(Attrs { doc, el }),
+        Some(attr) => {
+            let msg = format!("{} takes no {attr}= the engine reads", name(doc, el));
+            Err(XsltError::coded(ErrorCode::XTSE0090, msg))
+        }
     }
-    let mode = doc.attr(el, "mode").map(str::to_string);
-    let priority = doc
-        .attr(el, "priority")
-        .map(|p| p.parse::<f64>().map_err(|_| XsltError::new(format!("bad priority {p:?}"))))
-        .transpose()?;
+}
+
+/// The lexical name of element `el`, for messages.
+fn name(doc: &Document, el: NodeId) -> String {
+    doc.name(el).map_or_else(String::new, QName::to_string)
+}
+
+/// The local name of `el` if it is an XSLT element.
+fn xsl_local(doc: &Document, el: NodeId) -> Option<&str> {
+    doc.name(el).filter(|n| n.prefix() == Some("xsl")).map(QName::local)
+}
+
+fn is_xsl(name: &QName, local: &str) -> bool {
+    name.prefix() == Some("xsl") && name.local() == local
+}
+
+fn parse_template(doc: &Document, el: NodeId, order: usize) -> Result<Template, XsltError> {
+    let a = xsl_attrs(doc, el, &["match", "name"])?;
+    let pattern = a.get("match").map(Pattern::parse).transpose()?;
+    let name = a.get("name").map(str::to_string);
+    if pattern.is_none() && name.is_none() {
+        return Err(XsltError::coded(ErrorCode::XTSE0010, "xsl:template needs match= or name="));
+    }
 
     // Leading xsl:param children declare template parameters.
     let mut params = Vec::new();
-    let mut body_start = Vec::new();
-    for child in doc.children(el) {
-        body_start.push(*child);
-    }
     let mut rest = Vec::new();
     let mut in_params = true;
-    for child in body_start {
-        if in_params && doc.name(child).is_some_and(|n| is_xsl(n, "param")) {
-            let (n, v) = parse_variable_like(doc, child)?;
-            params.push((n, v));
+    for &child in doc.children(el) {
+        if in_params && xsl_local(doc, child) == Some("param") {
+            params.push(parse_variable_like(doc, child)?);
         } else {
             if doc.is_element(child)
                 || matches!(doc.kind(child), NodeKind::Text(t) if !t.trim().is_empty())
@@ -130,36 +166,38 @@ fn parse_template(doc: &Document, el: NodeId, order: usize) -> Result<Template, 
         }
     }
     let body = parse_body(doc, &rest)?;
-    Ok(Template { pattern, name, mode, priority, order, params, body })
+    Ok(Template { pattern, name, order, params, body })
 }
 
-fn is_xsl(name: &QName, local: &str) -> bool {
-    name.prefix() == Some("xsl") && name.local() == local
-}
-
+/// `xsl:param`, `xsl:variable` and `xsl:with-param`: a name, and a value
+/// from `select=` or from the body.
 fn parse_variable_like(
     doc: &Document,
     el: NodeId,
 ) -> Result<(String, Option<ValueSource>), XsltError> {
-    let name = doc
-        .attr(el, "name")
-        .ok_or_else(|| XsltError::new("xsl:variable/xsl:param needs name="))?
-        .to_string();
-    if let Some(select) = doc.attr(el, "select") {
-        let expr = parse_expr(select)?;
-        Ok((name, Some(ValueSource::Expr(expr))))
+    let a = xsl_attrs(doc, el, &["name", "select"])?;
+    let name = a.need("name")?.to_string();
+    if a.get("select").is_some() {
+        Ok((name, Some(ValueSource::Expr(a.expr("select")?))))
+    } else if doc.children(el).is_empty() {
+        Ok((name, None))
     } else {
-        let children: Vec<NodeId> = doc.children(el).to_vec();
-        if children.is_empty() {
-            Ok((name, None))
-        } else {
-            Ok((name, Some(ValueSource::Body(parse_body(doc, &children)?))))
-        }
+        Ok((name, Some(ValueSource::Body(parse_body(doc, doc.children(el))?))))
     }
 }
 
 fn parse_expr(src: &str) -> Result<Expr, XsltError> {
-    cn_xpath::parse_expr(src).map_err(|e| XsltError::new(format!("bad expression {src:?}: {e}")))
+    cn_xpath::parse_expr(src).map_err(|e| XsltError::parse(src, "expression", e))
+}
+
+/// An attribute value with no `{…}` hole: attribute value templates are
+/// outside the grammar (`XPST0003`).
+fn fixed_text(value: &str) -> Result<String, XsltError> {
+    if value.contains(['{', '}']) {
+        let msg = format!("attribute value {value:?}: attribute value templates are not supported");
+        return Err(XsltError::coded(ErrorCode::XPST0003, msg));
+    }
+    Ok(value.to_string())
 }
 
 fn parse_body(doc: &Document, children: &[NodeId]) -> Result<Vec<Instruction>, XsltError> {
@@ -175,20 +213,19 @@ fn parse_body(doc: &Document, children: &[NodeId]) -> Result<Vec<Instruction>, X
             }
             NodeKind::Comment(_) | NodeKind::ProcessingInstruction { .. } => {}
             NodeKind::Document => unreachable!("document node inside a template body"),
-            NodeKind::Element { name, attrs } => {
-                if name.prefix() == Some("xsl") {
-                    out.push(parse_instruction(doc, child, name.local())?);
-                } else {
-                    // Literal result element.
-                    let mut avt_attrs = Vec::new();
-                    for (an, av) in attrs {
-                        // xmlns declarations pass through as fixed text.
-                        avt_attrs.push((*an, parse_avt(av)?));
-                    }
+            NodeKind::Element { name, attrs } => match xsl_local(doc, child) {
+                Some(local) => out.push(parse_instruction(doc, child, local)?),
+                None => {
+                    // Literal result element; xmlns declarations pass
+                    // through as fixed text too.
+                    let attrs = attrs
+                        .iter()
+                        .map(|(an, av)| Ok((*an, fixed_text(av)?)))
+                        .collect::<Result<_, XsltError>>()?;
                     let body = parse_body(doc, doc.children(child))?;
-                    out.push(Instruction::LiteralElement { name: *name, attrs: avt_attrs, body });
+                    out.push(Instruction::LiteralElement { name: *name, attrs, body });
                 }
-            }
+            },
         }
     }
     Ok(out)
@@ -197,82 +234,54 @@ fn parse_body(doc: &Document, children: &[NodeId]) -> Result<Vec<Instruction>, X
 fn parse_instruction(doc: &Document, el: NodeId, local: &str) -> Result<Instruction, XsltError> {
     let body = || parse_body(doc, doc.children(el));
     match local {
-        "text" => Ok(Instruction::Text(doc.text_content(el))),
-        "value-of" => {
-            let select = doc
-                .attr(el, "select")
-                .ok_or_else(|| XsltError::new("xsl:value-of needs select="))?;
-            Ok(Instruction::ValueOf(parse_expr(select)?))
+        "text" => {
+            xsl_attrs(doc, el, &[])?;
+            Ok(Instruction::Text(doc.text_content(el)))
         }
-        "apply-templates" => {
-            let select = doc.attr(el, "select").map(parse_expr).transpose()?;
-            let mode = doc.attr(el, "mode").map(str::to_string);
-            let (with_params, sorts) = parse_with_params_and_sorts(doc, el)?;
-            Ok(Instruction::ApplyTemplates { select, mode, with_params, sorts })
-        }
-        "call-template" => {
-            let name = doc
-                .attr(el, "name")
-                .ok_or_else(|| XsltError::new("xsl:call-template needs name="))?
-                .to_string();
-            let (with_params, _) = parse_with_params_and_sorts(doc, el)?;
-            Ok(Instruction::CallTemplate { name, with_params })
-        }
-        "for-each" => {
-            let select = doc
-                .attr(el, "select")
-                .ok_or_else(|| XsltError::new("xsl:for-each needs select="))?;
-            let mut sorts = Vec::new();
-            let mut body_children = Vec::new();
-            for child in doc.children(el) {
-                if doc.name(*child).is_some_and(|n| is_xsl(n, "sort")) {
-                    sorts.push(parse_sort(doc, *child)?);
-                } else {
-                    body_children.push(*child);
-                }
-            }
-            Ok(Instruction::ForEach {
-                select: parse_expr(select)?,
-                sorts,
-                body: parse_body(doc, &body_children)?,
-            })
-        }
-        "if" => {
-            let test = doc.attr(el, "test").ok_or_else(|| XsltError::new("xsl:if needs test="))?;
-            Ok(Instruction::If { test: parse_expr(test)?, body: body()? })
-        }
+        "value-of" => Ok(Instruction::ValueOf(xsl_attrs(doc, el, &["select"])?.expr("select")?)),
+        "apply-templates" => Ok(Instruction::ApplyTemplates {
+            select: xsl_attrs(doc, el, &["select"])?.expr("select")?,
+            with_params: parse_with_params(doc, el)?,
+        }),
+        "call-template" => Ok(Instruction::CallTemplate {
+            name: xsl_attrs(doc, el, &["name"])?.need("name")?.to_string(),
+            with_params: parse_with_params(doc, el)?,
+        }),
+        "for-each" => Ok(Instruction::ForEach {
+            select: xsl_attrs(doc, el, &["select"])?.expr("select")?,
+            body: body()?,
+        }),
+        "if" => Ok(Instruction::If {
+            test: xsl_attrs(doc, el, &["test"])?.expr("test")?,
+            body: body()?,
+        }),
         "choose" => {
+            xsl_attrs(doc, el, &[])?;
             let mut whens = Vec::new();
             let mut otherwise = Vec::new();
             for child in doc.child_elements(el) {
-                let cname = doc.name(child).unwrap();
-                if is_xsl(cname, "when") {
-                    let test = doc
-                        .attr(child, "test")
-                        .ok_or_else(|| XsltError::new("xsl:when needs test="))?;
-                    whens.push((parse_expr(test)?, parse_body(doc, doc.children(child))?));
-                } else if is_xsl(cname, "otherwise") {
-                    otherwise = parse_body(doc, doc.children(child))?;
-                } else {
-                    return Err(XsltError::new(format!("unexpected <{cname}> inside xsl:choose")));
+                match xsl_local(doc, child) {
+                    Some("when") => {
+                        let test = xsl_attrs(doc, child, &["test"])?.expr("test")?;
+                        whens.push((test, parse_body(doc, doc.children(child))?));
+                    }
+                    Some("otherwise") => {
+                        xsl_attrs(doc, child, &[])?;
+                        otherwise = parse_body(doc, doc.children(child))?;
+                    }
+                    _ => return Err(misplaced(doc, child, el)),
                 }
             }
             if whens.is_empty() {
-                return Err(XsltError::new("xsl:choose needs at least one xsl:when"));
+                let msg = "xsl:choose needs at least one xsl:when";
+                return Err(XsltError::coded(ErrorCode::XTSE0010, msg));
             }
             Ok(Instruction::Choose { whens, otherwise })
         }
-        "element" => {
-            let name =
-                doc.attr(el, "name").ok_or_else(|| XsltError::new("xsl:element needs name="))?;
-            Ok(Instruction::Element { name: parse_avt(name)?, body: body()? })
-        }
-        "attribute" => {
-            let name =
-                doc.attr(el, "name").ok_or_else(|| XsltError::new("xsl:attribute needs name="))?;
-            Ok(Instruction::Attribute { name: parse_avt(name)?, body: body()? })
-        }
-        "comment" => Ok(Instruction::Comment { body: body()? }),
+        "attribute" => Ok(Instruction::Attribute {
+            name: fixed_text(xsl_attrs(doc, el, &["name"])?.need("name")?)?,
+            body: body()?,
+        }),
         "variable" => {
             let (name, value) = parse_variable_like(doc, el)?;
             Ok(Instruction::Variable {
@@ -280,90 +289,30 @@ fn parse_instruction(doc: &Document, el: NodeId, local: &str) -> Result<Instruct
                 value: value.unwrap_or(ValueSource::Expr(Expr::Literal(String::new()))),
             })
         }
-        "copy" => Ok(Instruction::Copy { body: body()? }),
-        "copy-of" => {
-            let select = doc
-                .attr(el, "select")
-                .ok_or_else(|| XsltError::new("xsl:copy-of needs select="))?;
-            Ok(Instruction::CopyOf(parse_expr(select)?))
+        other => {
+            let msg = format!("xsl:{other} is not an instruction the engine runs");
+            Err(XsltError::coded(ErrorCode::XTSE0010, msg))
         }
-        "message" => {
-            let terminate = doc.attr(el, "terminate") == Some("yes");
-            Ok(Instruction::Message { body: body()?, terminate })
-        }
-        other => Err(XsltError::new(format!("unsupported instruction xsl:{other}"))),
     }
 }
 
-fn parse_sort(doc: &Document, el: NodeId) -> Result<SortKey, XsltError> {
-    let select = doc.attr(el, "select").unwrap_or(".");
-    let numeric = doc.attr(el, "data-type") == Some("number");
-    let ascending = doc.attr(el, "order") != Some("descending");
-    Ok(SortKey { select: parse_expr(select)?, numeric, ascending })
+/// `XTSE0010` for element `el` inside `parent`, which does not take it.
+fn misplaced(doc: &Document, el: NodeId, parent: NodeId) -> XsltError {
+    let msg = format!("<{}> is not run inside {}", name(doc, el), name(doc, parent));
+    XsltError::coded(ErrorCode::XTSE0010, msg)
 }
 
-/// `with-param` bindings plus sort keys parsed off one instruction element.
-type ParamsAndSorts = (Vec<(String, ValueSource)>, Vec<SortKey>);
-
-fn parse_with_params_and_sorts(doc: &Document, el: NodeId) -> Result<ParamsAndSorts, XsltError> {
+/// The `xsl:with-param` children of `el`, its only children.
+fn parse_with_params(doc: &Document, el: NodeId) -> Result<Vec<(String, ValueSource)>, XsltError> {
     let mut params = Vec::new();
-    let mut sorts = Vec::new();
     for child in doc.child_elements(el) {
-        let name = doc.name(child).unwrap();
-        if is_xsl(name, "with-param") {
-            let (n, v) = parse_variable_like(doc, child)?;
-            params.push((n, v.unwrap_or(ValueSource::Expr(Expr::Literal(String::new())))));
-        } else if is_xsl(name, "sort") {
-            sorts.push(parse_sort(doc, child)?);
-        } else {
-            return Err(XsltError::new(format!("unexpected <{name}> here")));
+        if xsl_local(doc, child) != Some("with-param") {
+            return Err(misplaced(doc, child, el));
         }
+        let (n, v) = parse_variable_like(doc, child)?;
+        params.push((n, v.unwrap_or(ValueSource::Expr(Expr::Literal(String::new())))));
     }
-    Ok((params, sorts))
-}
-
-/// Parse an attribute value template: `{expr}` holes in literal text,
-/// `{{`/`}}` as escapes.
-pub fn parse_avt(src: &str) -> Result<Avt, XsltError> {
-    let mut parts = Vec::new();
-    let mut text = String::new();
-    let mut chars = src.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '{' if chars.peek() == Some(&'{') => {
-                chars.next();
-                text.push('{');
-            }
-            '}' if chars.peek() == Some(&'}') => {
-                chars.next();
-                text.push('}');
-            }
-            '{' => {
-                if !text.is_empty() {
-                    parts.push(AvtPart::Text(std::mem::take(&mut text)));
-                }
-                let mut expr_src = String::new();
-                let mut closed = false;
-                for c in chars.by_ref() {
-                    if c == '}' {
-                        closed = true;
-                        break;
-                    }
-                    expr_src.push(c);
-                }
-                if !closed {
-                    return Err(XsltError::new(format!("unterminated {{ in AVT {src:?}")));
-                }
-                parts.push(AvtPart::Expr(parse_expr(&expr_src)?));
-            }
-            '}' => return Err(XsltError::new(format!("stray }} in AVT {src:?}"))),
-            other => text.push(other),
-        }
-    }
-    if !text.is_empty() || parts.is_empty() {
-        parts.push(AvtPart::Text(text));
-    }
-    Ok(Avt { parts })
+    Ok(params)
 }
 
 #[cfg(test)]
@@ -372,21 +321,73 @@ mod tests {
 
     const NS: &str = r#"xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0""#;
 
+    fn compile(body: &str) -> Result<Stylesheet, XsltError> {
+        parse_stylesheet(&format!("<xsl:stylesheet {NS}>{body}</xsl:stylesheet>"))
+    }
+
     fn sheet(body: &str) -> Stylesheet {
-        parse_stylesheet(&format!("<xsl:stylesheet {NS}>{body}</xsl:stylesheet>")).unwrap()
+        compile(body).unwrap()
+    }
+
+    /// The code the stylesheet `body` is refused with.
+    fn refused(body: &str) -> ErrorCode {
+        compile(body).unwrap_err().code()
+    }
+
+    #[test]
+    fn each_removed_family_is_refused_by_its_code() {
+        let template = |inner: &str| format!(r#"<xsl:template match="/">{inner}</xsl:template>"#);
+        let cases = [
+            (
+                template(r#"<xsl:for-each select="//a"><xsl:sort select="@n"/></xsl:for-each>"#),
+                ErrorCode::XTSE0010,
+            ),
+            (r#"<xsl:include href="other.xsl"/>"#.to_string(), ErrorCode::XTSE0010),
+            (r#"<xsl:template match="a" mode="alt"/>"#.to_string(), ErrorCode::XTSE0090),
+            (template(r#"<xsl:value-of select="count(//a)"/>"#), ErrorCode::XPST0017),
+            (template(r#"<xsl:value-of select="concat('a')"/>"#), ErrorCode::XPST0017),
+            (template(r#"<xsl:value-of select="ancestor::a"/>"#), ErrorCode::XPST0003),
+            (template(r#"<xsl:apply-templates select="//a | //b"/>"#), ErrorCode::XPST0003),
+            (template(r#"<task id="{@id}"/>"#), ErrorCode::XPST0003),
+        ];
+        for (body, code) in cases {
+            assert_eq!(refused(&body), code, "{body}");
+        }
+    }
+
+    #[test]
+    fn every_ignored_declaration_is_refused() {
+        for decl in [
+            "import",
+            "include",
+            "strip-space",
+            "preserve-space",
+            "decimal-format",
+            "namespace-alias",
+            "attribute-set",
+            "variable",
+        ] {
+            assert_eq!(refused(&format!("<xsl:{decl}/>")), ErrorCode::XTSE0010, "{decl}");
+        }
+        // So is a top-level element outside XSLT, and an unread attribute
+        // on the root.
+        assert_eq!(refused("<data/>"), ErrorCode::XTSE0010);
+        let err =
+            parse_stylesheet(&format!(r#"<xsl:stylesheet {NS} exclude-result-prefixes="x"/>"#))
+                .unwrap_err();
+        assert_eq!(err.code(), ErrorCode::XTSE0090);
     }
 
     #[test]
     fn parses_templates_with_modes_and_priorities() {
         let s = sheet(
-            r#"<xsl:template match="task" mode="req" priority="2"/>
-               <xsl:template match="task"/>
+            r#"<xsl:template match="task"/>
                <xsl:template name="helper"/>"#,
         );
-        assert_eq!(s.templates.len(), 3);
-        assert_eq!(s.templates[0].mode.as_deref(), Some("req"));
-        assert_eq!(s.templates[0].priority, Some(2.0));
+        assert_eq!(s.templates.len(), 2);
         assert!(s.named.contains_key("helper"));
+        assert_eq!(refused(r#"<xsl:template match="task" mode="req"/>"#), ErrorCode::XTSE0090);
+        assert_eq!(refused(r#"<xsl:template match="task" priority="2"/>"#), ErrorCode::XTSE0090);
     }
 
     #[test]
@@ -394,9 +395,10 @@ mod tests {
         let s = sheet(r#"<xsl:output method="text"/>"#);
         assert_eq!(s.output, OutputMethod::Text);
         let s = sheet(r#"<xsl:output method="xml" indent="yes"/>"#);
-        assert_eq!(s.output, OutputMethod::Xml { indent: true, declaration: true });
-        let s = sheet(r#"<xsl:output method="xml" omit-xml-declaration="yes"/>"#);
-        assert_eq!(s.output, OutputMethod::Xml { indent: false, declaration: false });
+        assert_eq!(s.output, OutputMethod::Xml { indent: true });
+        let body = r#"<xsl:output method="xml" omit-xml-declaration="yes"/>"#;
+        assert_eq!(refused(body), ErrorCode::XTSE0090);
+        assert_eq!(refused(r#"<xsl:output method="html"/>"#), ErrorCode::Other);
     }
 
     #[test]
@@ -426,23 +428,27 @@ mod tests {
         assert!(t.params[0].1.is_none());
         assert!(t.params[1].1.is_some());
         assert_eq!(t.body.len(), 1);
+        // A param after the body has started is not one the engine binds.
+        let body = r#"<xsl:template name="t"><x/><xsl:param name="late"/></xsl:template>"#;
+        assert_eq!(refused(body), ErrorCode::XTSE0010);
     }
 
     #[test]
     fn parses_literal_elements_with_avts() {
         let s = sheet(
             r#"<xsl:template match="/">
-                 <task name="tctask{position()}" jar="fixed.jar"/>
+                 <task jar="fixed.jar"/>
                </xsl:template>"#,
         );
         match &s.templates[0].body[0] {
             Instruction::LiteralElement { name, attrs, .. } => {
                 assert_eq!(name.as_str(), "task");
-                assert!(matches!(attrs[0].1.parts[..], [AvtPart::Text(_), AvtPart::Expr(_)]));
-                assert!(matches!(attrs[1].1.parts[..], [AvtPart::Text(_)]));
+                assert_eq!(attrs[0].1, "fixed.jar");
             }
             other => panic!("{other:?}"),
         }
+        let body = r#"<xsl:template match="/"><task name="tctask{position()}"/></xsl:template>"#;
+        assert_eq!(refused(body), ErrorCode::XPST0003);
     }
 
     #[test]
@@ -463,43 +469,35 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        let body =
+            r#"<xsl:template match="/"><xsl:choose><xsl:if test="1"/></xsl:choose></xsl:template>"#;
+        assert_eq!(refused(body), ErrorCode::XTSE0010);
     }
 
     #[test]
     fn avt_parsing() {
-        let avt = parse_avt("a{1+1}b{{literal}}c").unwrap();
-        assert_eq!(avt.parts.len(), 3);
-        match &avt.parts[1] {
-            AvtPart::Expr(_) => {}
-            other => panic!("{other:?}"),
+        // Attribute values are fixed text: any brace is refused.
+        assert_eq!(fixed_text("plain").unwrap(), "plain");
+        for src in ["a{1+1}b", "{{literal}}", "{unclosed", "stray}"] {
+            assert_eq!(fixed_text(src).unwrap_err().code(), ErrorCode::XPST0003, "{src}");
         }
-        match &avt.parts[2] {
-            AvtPart::Text(t) => assert_eq!(t, "b{literal}c"),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_avt("{unclosed").is_err());
-        assert!(parse_avt("stray}").is_err());
-        assert_eq!(parse_avt("").unwrap().parts.len(), 1);
     }
 
     #[test]
     fn rejects_bad_stylesheets() {
         assert!(parse_stylesheet("<notxsl/>").is_err());
-        assert!(parse_stylesheet(&format!(
-            "<xsl:stylesheet {NS}><xsl:template/></xsl:stylesheet>"
-        ))
-        .is_err());
-        assert!(parse_stylesheet(&format!("<xsl:stylesheet {NS}><xsl:bogus/></xsl:stylesheet>"))
-            .is_err());
+        assert_eq!(refused("<xsl:template/>"), ErrorCode::XTSE0010);
+        assert_eq!(refused("<xsl:bogus/>"), ErrorCode::XTSE0010);
+        let body = r#"<xsl:template match="/"><xsl:apply-templates/></xsl:template>"#;
+        assert_eq!(refused(body), ErrorCode::XTSE0010);
+        let body = r#"<xsl:template match="/"><xsl:value-of select="." disable-output-escaping="yes"/></xsl:template>"#;
+        assert_eq!(refused(body), ErrorCode::XTSE0090);
     }
 
     #[test]
     fn global_variables_and_params() {
-        let s = sheet(
-            r#"<xsl:variable name="g" select="'v'"/>
-               <xsl:param name="p" select="42"/>"#,
-        );
-        assert_eq!(s.globals.len(), 1);
+        let s = sheet(r#"<xsl:param name="p" select="42"/>"#);
         assert_eq!(s.global_params.len(), 1);
+        assert_eq!(refused(r#"<xsl:variable name="g" select="'v'"/>"#), ErrorCode::XTSE0010);
     }
 }

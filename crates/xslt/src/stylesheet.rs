@@ -8,29 +8,9 @@ use cn_xpath::Expr;
 use crate::output::OutputMethod;
 use crate::pattern::Pattern;
 
-/// A parsed attribute value template: literal text interleaved with `{expr}`
-/// holes.
-#[derive(Debug, Clone)]
-pub struct Avt {
-    pub parts: Vec<AvtPart>,
-}
-
-#[derive(Debug, Clone)]
-pub enum AvtPart {
-    Text(String),
-    Expr(Expr),
-}
-
-/// A sort key on `apply-templates` / `for-each`.
-#[derive(Debug, Clone)]
-pub struct SortKey {
-    pub select: Expr,
-    pub numeric: bool,
-    pub ascending: bool,
-}
-
-/// The value side of `with-param` / `variable`: either a `select` expression
-/// or an instruction body (result-tree fragment, coerced to string).
+/// The value side of `with-param` / `variable` / `param`: either a `select`
+/// expression or an instruction body (result-tree fragment, coerced to
+/// string).
 #[derive(Debug, Clone)]
 pub enum ValueSource {
     Expr(Expr),
@@ -44,38 +24,22 @@ pub enum Instruction {
     Text(String),
     /// `xsl:value-of select=...`
     ValueOf(Expr),
-    /// `xsl:apply-templates`
-    ApplyTemplates {
-        select: Option<Expr>,
-        mode: Option<String>,
-        with_params: Vec<(String, ValueSource)>,
-        sorts: Vec<SortKey>,
-    },
+    /// `xsl:apply-templates select=...`
+    ApplyTemplates { select: Expr, with_params: Vec<(String, ValueSource)> },
     /// `xsl:call-template name=...`
     CallTemplate { name: String, with_params: Vec<(String, ValueSource)> },
     /// `xsl:for-each select=...`
-    ForEach { select: Expr, sorts: Vec<SortKey>, body: Vec<Instruction> },
+    ForEach { select: Expr, body: Vec<Instruction> },
     /// `xsl:if test=...`
     If { test: Expr, body: Vec<Instruction> },
     /// `xsl:choose`
     Choose { whens: Vec<(Expr, Vec<Instruction>)>, otherwise: Vec<Instruction> },
-    /// `xsl:element name={avt}`
-    Element { name: Avt, body: Vec<Instruction> },
-    /// `xsl:attribute name={avt}`
-    Attribute { name: Avt, body: Vec<Instruction> },
-    /// `xsl:comment`
-    Comment { body: Vec<Instruction> },
-    /// A literal result element with AVT attributes.
-    LiteralElement { name: QName, attrs: Vec<(QName, Avt)>, body: Vec<Instruction> },
+    /// `xsl:attribute name=...`, the name fixed text.
+    Attribute { name: String, body: Vec<Instruction> },
+    /// A literal result element; its attributes are fixed text.
+    LiteralElement { name: QName, attrs: Vec<(QName, String)>, body: Vec<Instruction> },
     /// `xsl:variable` — binds for the remainder of the enclosing body.
     Variable { name: String, value: ValueSource },
-    /// `xsl:copy` — shallow-copies the context node, executing the body
-    /// inside it (the identity-transform building block).
-    Copy { body: Vec<Instruction> },
-    /// `xsl:copy-of select=...` — deep-copies node-sets into the output.
-    CopyOf(Expr),
-    /// `xsl:message` — collected into [`crate::TransformResult::messages`].
-    Message { body: Vec<Instruction>, terminate: bool },
 }
 
 /// A compiled template rule.
@@ -85,10 +49,6 @@ pub struct Template {
     pub pattern: Option<Pattern>,
     /// `name=` for `call-template`.
     pub name: Option<String>,
-    pub mode: Option<String>,
-    /// Explicit `priority=`, if given (otherwise per-alternative defaults
-    /// from the pattern are used).
-    pub priority: Option<f64>,
     /// Declaration order; later templates win ties.
     pub order: usize,
     /// Declared `xsl:param`s: name and optional default.
@@ -112,8 +72,6 @@ pub struct Stylesheet {
     /// Index of named templates into `templates`.
     pub named: HashMap<String, usize>,
     pub output: OutputMethod,
-    /// Top-level `xsl:variable`s (evaluated against the source root).
-    pub globals: Vec<(String, ValueSource)>,
     /// Top-level `xsl:param`s — overridable by the caller.
     pub global_params: Vec<(String, Option<ValueSource>)>,
     /// Declared `xsl:key` indexes, served through the XPath `key()`
@@ -136,13 +94,9 @@ impl Stylesheet {
         self.dispatch.get_or_init(|| crate::dispatch::DispatchIndex::build(self))
     }
 
-    /// Templates that could match in `mode`, best-first (priority desc,
-    /// declaration order desc).
-    pub fn rules_for_mode<'a>(&'a self, mode: Option<&str>) -> impl Iterator<Item = &'a Template> {
-        let mode = mode.map(str::to_string);
-        self.templates
-            .iter()
-            .filter(move |t| t.pattern.is_some() && t.mode.as_deref() == mode.as_deref())
+    /// The templates with a match pattern, in declaration order.
+    pub(crate) fn match_rules(&self) -> impl Iterator<Item = &Template> {
+        self.templates.iter().filter(|t| t.pattern.is_some())
     }
 }
 

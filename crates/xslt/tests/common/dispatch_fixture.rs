@@ -3,41 +3,48 @@
 // integration tests in `tests/proptests.rs` both `include!` it, each beside
 // its own `NS` constant.
 
-/// A stylesheet that exercises every dispatch bucket shape: plain-name
-/// templates (indexed), a `*` template and a `text()` template (catch-all
-/// bucket), a second mode, priorities that override declaration order, a key
-/// table, and templates for names the generated documents may not contain.
+/// A stylesheet that exercises every dispatch bucket: the `/` rule (the
+/// nameless bucket), name rules, a `job/task` rule that beats the `task`
+/// rule under a job (0.5 against 0), two `dep` rules of equal priority (the
+/// later must win), a key table, names no rule matches (the built-in rules,
+/// which also copy text), and a rule for a name the generated documents
+/// never contain.
 fn style_src() -> String {
     format!(
         r#"<xsl:stylesheet {NS}>
-  <xsl:output method="xml" omit-xml-declaration="yes"/>
+  <xsl:output method="xml"/>
   <xsl:key name="by-id" match="task" use="@id"/>
   <xsl:template match="/">
-    <out><xsl:apply-templates/>|<xsl:apply-templates select="//task" mode="alt"/></out>
+    <out><xsl:apply-templates select="root"/></out>
   </xsl:template>
   <xsl:template match="job">
-    <J><xsl:apply-templates/></J>
+    <J><xsl:call-template name="children"/></J>
   </xsl:template>
   <xsl:template match="task">
-    <T id="{{@id}}" same="{{count(key('by-id', @id))}}"><xsl:apply-templates/></T>
+    <T>
+      <xsl:attribute name="id"><xsl:value-of select="@id"/></xsl:attribute>
+      <xsl:attribute name="same"><xsl:for-each select="key('by-id', @id)">+</xsl:for-each></xsl:attribute>
+      <xsl:call-template name="children"/>
+    </T>
   </xsl:template>
-  <xsl:template match="dep" priority="2">
-    <D2/>
+  <xsl:template match="job/task">
+    <JT><xsl:call-template name="children"/></JT>
   </xsl:template>
   <xsl:template match="dep">
-    <D1-should-lose-to-priority/>
+    <D-should-lose-to-the-later-rule/>
   </xsl:template>
-  <xsl:template match="*">
-    <any n="{{name()}}"><xsl:apply-templates/></any>
-  </xsl:template>
-  <xsl:template match="text()">
-    <xsl:value-of select="."/>
-  </xsl:template>
-  <xsl:template match="task" mode="alt">
-    <alt id="{{@id}}"/>
+  <xsl:template match="dep">
+    <D><xsl:call-template name="children"/></D>
   </xsl:template>
   <xsl:template match="never-generated">
     <unreached/>
+  </xsl:template>
+  <xsl:template name="children">
+    <xsl:apply-templates select="job"/>
+    <xsl:apply-templates select="task"/>
+    <xsl:apply-templates select="dep"/>
+    <xsl:apply-templates select="meta"/>
+    <xsl:apply-templates select="unmatched-name"/>
   </xsl:template>
 </xsl:stylesheet>"#
     )
